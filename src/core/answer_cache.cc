@@ -48,15 +48,15 @@ std::shared_ptr<const CachedAnswer> AnswerCache::Lookup(const Key& key) {
   return it->second.value;
 }
 
-void AnswerCache::Insert(const Key& key, CachedAnswer value) {
+void AnswerCache::Insert(const Key& key,
+                         std::shared_ptr<const CachedAnswer> value) {
   if (!enabled()) return;
-  auto holder = std::make_shared<const CachedAnswer>(std::move(value));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it != map_.end()) {
     // Concurrent readers may race to fill the same miss; last writer wins
     // (both computed the same honest bytes).
-    it->second.value = std::move(holder);
+    it->second.value = std::move(value);
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return;
   }
@@ -66,7 +66,7 @@ void AnswerCache::Insert(const Key& key, CachedAnswer value) {
     ++stats_.evictions;
   }
   lru_.push_front(key);
-  map_[key] = Entry{std::move(holder), lru_.begin()};
+  map_[key] = Entry{std::move(value), lru_.begin()};
   ++stats_.insertions;
 }
 
@@ -85,16 +85,6 @@ AnswerCacheStats AnswerCache::stats() const {
 size_t AnswerCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return map_.size();
-}
-
-void AnswerCache::MutateEntries(
-    const std::function<void(CachedAnswer*)>& fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, entry] : map_) {
-    CachedAnswer mutated = *entry.value;
-    fn(&mutated);
-    entry.value = std::make_shared<const CachedAnswer>(std::move(mutated));
-  }
 }
 
 }  // namespace sae::core

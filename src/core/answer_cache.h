@@ -16,7 +16,6 @@
 #define SAE_CORE_ANSWER_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -73,7 +72,9 @@ struct AnswerCacheStats {
 };
 
 /// The serialized response a cache entry replays: the operator answer
-/// shipment (SerializeQueryAnswer bytes) and, under TOM, the VO bytes.
+/// shipment (SerializeQueryAnswer bytes) and, under TOM, the VO bytes. It is
+/// also the SP's unit of output: one immutable buffer, shared by the cache,
+/// the in-process client and the socket, so no layer copies or re-encodes it.
 struct CachedAnswer {
   std::vector<uint8_t> answer_msg;
   std::vector<uint8_t> proof_msg;  ///< empty for SAE's conventional SP
@@ -105,7 +106,8 @@ class AnswerCache {
   /// nullptr on miss (or when disabled). Hits refresh LRU position.
   std::shared_ptr<const CachedAnswer> Lookup(const Key& key);
 
-  void Insert(const Key& key, CachedAnswer value);
+  /// Stores the shared buffer itself; a later hit returns this pointer.
+  void Insert(const Key& key, std::shared_ptr<const CachedAnswer> value);
 
   /// The epoch-bump hook: drops every resident entry. (Keys are epoch-
   /// stamped so retained entries could never hit again anyway — this
@@ -114,10 +116,6 @@ class AnswerCache {
 
   AnswerCacheStats stats() const;
   size_t size() const;
-
-  /// Adversary hook (tests / MaliciousSp): rewrites every resident entry in
-  /// place. A poisoned cache must still be caught by client verification.
-  void MutateEntries(const std::function<void(CachedAnswer*)>& fn);
 
  private:
   struct KeyHash {

@@ -48,7 +48,7 @@ enum class AttackMode {
                     ///< matching stale auth state)
   kPoisonedCache,   ///< cache attack: SP rewrites its own answer cache and
                     ///< serves the poisoned bytes (staged by the systems via
-                    ///< ExecutePoisonedPlan, not by ApplyAttack)
+                    ///< ServePoisonedQuery, not by ApplyAttack)
 };
 
 /// True for the freshness modes ApplyAttack leaves untouched.

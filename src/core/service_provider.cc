@@ -51,38 +51,43 @@ Result<ServiceProvider::PlanResult> ServiceProvider::ComputePlan(
   return plan;
 }
 
-Result<ServiceProvider::PlanResult> ServiceProvider::ExecutePlan(
-    const dbms::QueryRequest& request) const {
-  if (!answer_cache_.enabled()) return ComputePlan(request);
-  AnswerCache::Key key = AnswerCache::Key::For(request, epoch());
-  if (auto hit = answer_cache_.Lookup(key)) {
-    SAE_ASSIGN_OR_RETURN(
-        QueryAnswerMessage msg,
-        DeserializeQueryAnswer(hit->answer_msg, table_->codec()));
-    return PlanResult{std::move(msg.answer), std::move(msg.witness)};
-  }
-  SAE_ASSIGN_OR_RETURN(PlanResult plan, ComputePlan(request));
-  CachedAnswer entry;
-  entry.answer_msg = SerializeQueryAnswer(plan.answer, plan.witness,
-                                          key.epoch, table_->codec());
-  answer_cache_.Insert(key, std::move(entry));
-  return plan;
+std::shared_ptr<const CachedAnswer> ServiceProvider::Publish(
+    const AnswerCache::Key& key, const PlanResult& plan) const {
+  auto served = std::make_shared<const CachedAnswer>(CachedAnswer{
+      SerializeQueryAnswer(plan.answer, plan.witness, key.epoch,
+                           table_->codec()),
+      {}});
+  answer_cache_.Insert(key, served);
+  return served;
 }
 
-Result<ServiceProvider::PlanResult> ServiceProvider::ExecutePoisonedPlan(
-    const dbms::QueryRequest& request, uint64_t seed) const {
+Result<std::shared_ptr<const CachedAnswer>> ServiceProvider::ServeQuery(
+    const dbms::QueryRequest& request) const {
+  AnswerCache::Key key = AnswerCache::Key::For(request, epoch());
+  if (auto hit = answer_cache_.Lookup(key)) return hit;
+  SAE_ASSIGN_OR_RETURN(PlanResult plan, ComputePlan(request));
+  return Publish(key, plan);
+}
+
+Result<ServiceProvider::PlanResult> ServiceProvider::ExecutePlan(
+    const dbms::QueryRequest& request) const {
+  SAE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedAnswer> served,
+                       ServeQuery(request));
+  SAE_ASSIGN_OR_RETURN(
+      QueryAnswerMessage msg,
+      DeserializeQueryAnswer(served->answer_msg, table_->codec()));
+  return PlanResult{std::move(msg.answer), std::move(msg.witness)};
+}
+
+Result<std::shared_ptr<const CachedAnswer>>
+ServiceProvider::ServePoisonedQuery(const dbms::QueryRequest& request,
+                                    uint64_t seed) const {
+  AnswerCache::Key key = AnswerCache::Key::For(request, epoch());
   SAE_ASSIGN_OR_RETURN(PlanResult plan, ComputePlan(request));
   plan.witness = ApplyAttack(plan.witness, AttackMode::kTamperPayload,
                              table_->codec(), seed);
   plan.answer = dbms::EvaluateAnswer(request, plan.witness);
-  if (answer_cache_.enabled()) {
-    AnswerCache::Key key = AnswerCache::Key::For(request, epoch());
-    CachedAnswer entry;
-    entry.answer_msg = SerializeQueryAnswer(plan.answer, plan.witness,
-                                            key.epoch, table_->codec());
-    answer_cache_.Insert(key, std::move(entry));
-  }
-  return plan;
+  return Publish(key, plan);
 }
 
 }  // namespace sae::core

@@ -60,19 +60,26 @@ class ServiceProvider {
     std::vector<Record> witness;
   };
 
-  /// Executes any verified-plan operator: runs the underlying range scan
-  /// and derives the answer with the shared rule (dbms::EvaluateAnswer).
-  /// With the answer cache enabled, a repeat of (request, epoch) replays
-  /// the serialized response bit-for-bit instead of re-scanning.
-  /// Thread-safety matches ExecuteRange.
+  /// The SP's unit of output: the serialized answer shipment for
+  /// `request` (SerializeQueryAnswer bytes stamped with the SP's epoch),
+  /// encoded once. A repeat of (request, epoch) returns the very buffer the
+  /// first call produced — no scan, no codec work; a miss runs the plan,
+  /// encodes it once and shares that buffer with the answer cache. Callers
+  /// ship the bytes as they are. Thread-safety matches ExecuteRange.
+  Result<std::shared_ptr<const CachedAnswer>> ServeQuery(
+      const dbms::QueryRequest& request) const;
+
+  /// Executes any verified-plan operator: the decoded form of ServeQuery
+  /// (the underlying range scan, answer derived with the shared rule
+  /// dbms::EvaluateAnswer). Thread-safety matches ExecuteRange.
   Result<PlanResult> ExecutePlan(const dbms::QueryRequest& request) const;
 
   /// Adversary hook (security tests): computes the honest plan, tampers a
-  /// witness record, poisons the answer cache with the tampered bytes, and
-  /// returns the tampered plan — so the lie both ships now and persists in
-  /// the cache for later queries (until an epoch bump flushes it).
-  Result<PlanResult> ExecutePoisonedPlan(const dbms::QueryRequest& request,
-                                         uint64_t seed) const;
+  /// witness record, and serves the tampered bytes — the same shared buffer
+  /// also poisons the answer cache, so the lie both ships now and persists
+  /// for later queries (until an epoch bump flushes it).
+  Result<std::shared_ptr<const CachedAnswer>> ServePoisonedQuery(
+      const dbms::QueryRequest& request, uint64_t seed) const;
 
   const dbms::Table& table() const { return *table_; }
 
@@ -120,6 +127,10 @@ class ServiceProvider {
   /// Computes the plan without consulting the cache (the control path the
   /// parity harness compares against).
   Result<PlanResult> ComputePlan(const dbms::QueryRequest& request) const;
+  /// Encodes `plan` once as the answer for `key` and shares that buffer
+  /// with the answer cache.
+  std::shared_ptr<const CachedAnswer> Publish(const AnswerCache::Key& key,
+                                              const PlanResult& plan) const;
 
   std::unique_ptr<dbms::Table> table_;
   std::atomic<uint64_t> epoch_{0};

@@ -201,10 +201,11 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
   storage::BufferPool::Stats sp_heap0 = sp_.heap_pool_thread_stats();
   storage::BufferPool::Stats te0 = te_.pool_thread_stats();
 
-  // Client -> SP: execute the plan; the SP may be compromised. A replaying
-  // SP serves from the pre-update snapshot and (honestly) stamps the
-  // snapshot's epoch — the freshness check, not the XOR, catches it.
-  ServiceProvider::PlanResult plan;
+  // Client -> SP: the SP serves its encoded answer; the SP may be
+  // compromised. A replaying SP serves from the pre-update snapshot and
+  // (honestly) stamps the snapshot's epoch — the freshness check, not the
+  // XOR, catches it.
+  std::shared_ptr<const CachedAnswer> served;
   uint64_t claimed_epoch = sp_.epoch();
   if (attack == AttackMode::kReplayStaleRoot ||
       attack == AttackMode::kStaleCacheReplay) {
@@ -214,27 +215,35 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
     if (attack == AttackMode::kStaleCacheReplay) {
       // Warm the stale SP's answer cache, then serve from it: the replayed
       // bytes literally come out of a cache entry keyed to the old epoch.
-      SAE_RETURN_NOT_OK(source.ExecutePlan(request).status());
+      SAE_RETURN_NOT_OK(source.ServeQuery(request).status());
     }
-    SAE_ASSIGN_OR_RETURN(plan, source.ExecutePlan(request));
+    SAE_ASSIGN_OR_RETURN(served, source.ServeQuery(request));
   } else if (attack == AttackMode::kPoisonedCache) {
     // The SP poisons its own cache: tampered bytes ship now and persist
     // for later honest queries until an epoch bump flushes the cache.
-    SAE_ASSIGN_OR_RETURN(plan, sp_.ExecutePoisonedPlan(request, seed));
+    SAE_ASSIGN_OR_RETURN(served, sp_.ServePoisonedQuery(request, seed));
   } else {
-    SAE_ASSIGN_OR_RETURN(plan, sp_.ExecutePlan(request));
+    SAE_ASSIGN_OR_RETURN(served, sp_.ServeQuery(request));
   }
-  // Record attacks tamper the witness and re-derive the answer from it (a
-  // consistent lie the range proof catches); answer attacks leave the
-  // witness honest and falsify the derived fields (CheckAnswer's job).
-  std::vector<Record> witness =
-      ApplyAttack(std::move(plan.witness), attack, codec(), seed);
-  dbms::QueryAnswer answer = IsRecordAttack(attack)
-                                 ? dbms::EvaluateAnswer(request, witness)
-                                 : std::move(plan.answer);
-  ApplyAnswerAttack(&answer, attack, seed);
-  std::vector<uint8_t> result_msg =
-      SerializeQueryAnswer(answer, witness, claimed_epoch, codec());
+  if (attack != AttackMode::kNone) {
+    // Only an attacking SP decodes what it served, tampers and re-encodes.
+    // Record attacks tamper the witness and re-derive the answer from it
+    // (a consistent lie the range proof catches); answer attacks leave the
+    // witness honest and falsify the derived fields (CheckAnswer's job).
+    SAE_ASSIGN_OR_RETURN(QueryAnswerMessage plan,
+                         DeserializeQueryAnswer(served->answer_msg, codec()));
+    std::vector<Record> witness =
+        ApplyAttack(std::move(plan.witness), attack, codec(), seed);
+    dbms::QueryAnswer answer = IsRecordAttack(attack)
+                                   ? dbms::EvaluateAnswer(request, witness)
+                                   : std::move(plan.answer);
+    ApplyAnswerAttack(&answer, attack, seed);
+    served = std::make_shared<const CachedAnswer>(CachedAnswer{
+        SerializeQueryAnswer(answer, witness, claimed_epoch, codec()), {}});
+  }
+  // The honest SP hands its served buffer to the channel and the client as
+  // it is: one encode per answer, none at all on a cache hit.
+  const std::vector<uint8_t>& result_msg = served->answer_msg;
   sim::Channel::Session sp_session = sp_client_.OpenSession();
   sp_session.Send(result_msg);
   outcome.costs.result_bytes = sp_session.bytes();
@@ -667,7 +676,8 @@ Result<TomSystem::QueryOutcome> TomSystem::ExecuteQuery(
   storage::BufferPool::Stats sp_index0 = sp_.index_pool_thread_stats();
   storage::BufferPool::Stats sp_heap0 = sp_.heap_pool_thread_stats();
 
-  TomServiceProvider::PlanResponse response;
+  std::shared_ptr<const CachedAnswer> served;
+  const TomServiceProvider* stale = nullptr;
   if (attack == AttackMode::kReplayStaleRoot ||
       attack == AttackMode::kStaleCacheReplay) {
     // Full replay: stale results + stale VO + the stale epoch-stamped
@@ -675,41 +685,53 @@ Result<TomSystem::QueryOutcome> TomSystem::ExecuteQuery(
     // own epoch. Only the freshness gate can reject it. The cache-replay
     // variant serves the second of two identical calls, so the replayed
     // bytes come straight out of a cache entry keyed to the old epoch.
-    const TomServiceProvider* stale = StaleSp();
+    stale = StaleSp();
     const TomServiceProvider& source = stale != nullptr ? *stale : sp_;
     if (attack == AttackMode::kStaleCacheReplay) {
-      SAE_RETURN_NOT_OK(source.ExecutePlan(request).status());
+      SAE_RETURN_NOT_OK(source.ServeQuery(request).status());
     }
-    SAE_ASSIGN_OR_RETURN(response, source.ExecutePlan(request));
-    response.vo.epoch = StaleClaim(stale != nullptr, stale_epoch_, published);
+    SAE_ASSIGN_OR_RETURN(served, source.ServeQuery(request));
   } else if (attack == AttackMode::kPoisonedCache) {
     // The SP poisons its own cache: tampered witness bytes ship with the
     // honest VO (the VO disproves them) and persist in the cache for later
     // honest queries until a signature install flushes it.
-    SAE_ASSIGN_OR_RETURN(response, sp_.ExecutePoisonedPlan(request, seed));
-  } else if (attack == AttackMode::kStaleVt) {
-    // Stale authentication against the current result: the SP presents an
-    // old epoch's signature (TOM's analog of a replayed TE token).
-    SAE_ASSIGN_OR_RETURN(response, sp_.ExecutePlan(request));
-    response.vo.epoch = StaleClaim(stale_captured_, stale_epoch_, published);
-    if (stale_captured_) response.vo.signature = stale_signature_;
+    SAE_ASSIGN_OR_RETURN(served, sp_.ServePoisonedQuery(request, seed));
   } else {
-    SAE_ASSIGN_OR_RETURN(response, sp_.ExecutePlan(request));
+    SAE_ASSIGN_OR_RETURN(served, sp_.ServeQuery(request));
   }
-  // Record attacks tamper the witness (and the answer re-derives from the
-  // tampered set — a consistent lie the VO catches); answer attacks leave
-  // the witness honest and falsify only the derived answer.
-  std::vector<Record> witness =
-      ApplyAttack(std::move(response.witness), attack, codec_, seed);
-  dbms::QueryAnswer answer = IsRecordAttack(attack)
-                                 ? dbms::EvaluateAnswer(request, witness)
-                                 : std::move(response.answer);
-  ApplyAnswerAttack(&answer, attack, seed);
-  outcome.vo = std::move(response.vo);
-
-  std::vector<uint8_t> result_msg =
-      SerializeQueryAnswer(answer, witness, outcome.vo.epoch, codec_);
-  std::vector<uint8_t> vo_msg = outcome.vo.Serialize();
+  if (attack != AttackMode::kNone) {
+    // Only an attacking SP decodes what it served, tampers and re-encodes.
+    SAE_ASSIGN_OR_RETURN(QueryAnswerMessage plan,
+                         DeserializeQueryAnswer(served->answer_msg, codec_));
+    SAE_ASSIGN_OR_RETURN(
+        mbtree::VerificationObject vo,
+        mbtree::VerificationObject::Deserialize(served->proof_msg));
+    if (attack == AttackMode::kReplayStaleRoot ||
+        attack == AttackMode::kStaleCacheReplay) {
+      vo.epoch = StaleClaim(stale != nullptr, stale_epoch_, published);
+    } else if (attack == AttackMode::kStaleVt) {
+      // Stale authentication against the current result: the SP presents
+      // an old epoch's signature (TOM's analog of a replayed TE token).
+      vo.epoch = StaleClaim(stale_captured_, stale_epoch_, published);
+      if (stale_captured_) vo.signature = stale_signature_;
+    }
+    // Record attacks tamper the witness (and the answer re-derives from
+    // the tampered set — a consistent lie the VO catches); answer attacks
+    // leave the witness honest and falsify only the derived answer.
+    std::vector<Record> witness =
+        ApplyAttack(std::move(plan.witness), attack, codec_, seed);
+    dbms::QueryAnswer answer = IsRecordAttack(attack)
+                                   ? dbms::EvaluateAnswer(request, witness)
+                                   : std::move(plan.answer);
+    ApplyAnswerAttack(&answer, attack, seed);
+    served = std::make_shared<const CachedAnswer>(CachedAnswer{
+        SerializeQueryAnswer(answer, witness, vo.epoch, codec_),
+        vo.Serialize()});
+  }
+  // The honest SP hands its served buffers to the channel and the client
+  // as they are: one encode per answer, none at all on a cache hit.
+  const std::vector<uint8_t>& result_msg = served->answer_msg;
+  const std::vector<uint8_t>& vo_msg = served->proof_msg;
   sim::Channel::Session session = sp_client_.OpenSession();
   session.Send(result_msg);
   outcome.costs.result_bytes = session.bytes();
@@ -724,11 +746,11 @@ Result<TomSystem::QueryOutcome> TomSystem::ExecuteQuery(
                        DeserializeQueryAnswer(result_msg, codec_));
   outcome.answer = std::move(received.answer);
   outcome.results = std::move(received.witness);
-  SAE_ASSIGN_OR_RETURN(mbtree::VerificationObject vo,
+  SAE_ASSIGN_OR_RETURN(outcome.vo,
                        mbtree::VerificationObject::Deserialize(vo_msg));
   sim::Stopwatch watch;
   outcome.verification = client_memo_.VerifyAnswer(
-      request, outcome.answer, outcome.results, vo, vo_msg,
+      request, outcome.answer, outcome.results, outcome.vo, vo_msg,
       owner_.public_key(), codec_, options_.scheme, published);
   outcome.costs.client_verify_ms = watch.ElapsedMs();
   return outcome;

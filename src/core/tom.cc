@@ -206,45 +206,46 @@ Result<TomServiceProvider::PlanResponse> TomServiceProvider::ComputePlan(
   return plan;
 }
 
+std::shared_ptr<const CachedAnswer> TomServiceProvider::Publish(
+    const AnswerCache::Key& key, const PlanResponse& plan) const {
+  auto served = std::make_shared<const CachedAnswer>(CachedAnswer{
+      SerializeQueryAnswer(plan.answer, plan.witness, key.epoch, codec_),
+      plan.vo.Serialize()});
+  answer_cache_.Insert(key, served);
+  return served;
+}
+
+Result<std::shared_ptr<const CachedAnswer>> TomServiceProvider::ServeQuery(
+    const dbms::QueryRequest& request) const {
+  AnswerCache::Key key = AnswerCache::Key::For(request, epoch_);
+  if (auto hit = answer_cache_.Lookup(key)) return hit;
+  SAE_ASSIGN_OR_RETURN(PlanResponse plan, ComputePlan(request));
+  return Publish(key, plan);
+}
+
 Result<TomServiceProvider::PlanResponse> TomServiceProvider::ExecutePlan(
     const dbms::QueryRequest& request) const {
-  if (!answer_cache_.enabled()) return ComputePlan(request);
-  AnswerCache::Key key = AnswerCache::Key::For(request, epoch_);
-  if (auto hit = answer_cache_.Lookup(key)) {
-    SAE_ASSIGN_OR_RETURN(QueryAnswerMessage msg,
-                         DeserializeQueryAnswer(hit->answer_msg, codec_));
-    PlanResponse plan;
-    plan.answer = std::move(msg.answer);
-    plan.witness = std::move(msg.witness);
-    SAE_ASSIGN_OR_RETURN(
-        plan.vo, mbtree::VerificationObject::Deserialize(hit->proof_msg));
-    return plan;
-  }
-  SAE_ASSIGN_OR_RETURN(PlanResponse plan, ComputePlan(request));
-  CachedAnswer entry;
-  entry.answer_msg =
-      SerializeQueryAnswer(plan.answer, plan.witness, key.epoch, codec_);
-  entry.proof_msg = plan.vo.Serialize();
-  answer_cache_.Insert(key, std::move(entry));
+  SAE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedAnswer> served,
+                       ServeQuery(request));
+  SAE_ASSIGN_OR_RETURN(QueryAnswerMessage msg,
+                       DeserializeQueryAnswer(served->answer_msg, codec_));
+  PlanResponse plan;
+  plan.answer = std::move(msg.answer);
+  plan.witness = std::move(msg.witness);
+  SAE_ASSIGN_OR_RETURN(
+      plan.vo, mbtree::VerificationObject::Deserialize(served->proof_msg));
   return plan;
 }
 
-Result<TomServiceProvider::PlanResponse>
-TomServiceProvider::ExecutePoisonedPlan(const dbms::QueryRequest& request,
-                                        uint64_t seed) const {
+Result<std::shared_ptr<const CachedAnswer>>
+TomServiceProvider::ServePoisonedQuery(const dbms::QueryRequest& request,
+                                       uint64_t seed) const {
+  AnswerCache::Key key = AnswerCache::Key::For(request, epoch_);
   SAE_ASSIGN_OR_RETURN(PlanResponse plan, ComputePlan(request));
   plan.witness =
       ApplyAttack(plan.witness, AttackMode::kTamperPayload, codec_, seed);
   plan.answer = dbms::EvaluateAnswer(request, plan.witness);
-  if (answer_cache_.enabled()) {
-    AnswerCache::Key key = AnswerCache::Key::For(request, epoch_);
-    CachedAnswer entry;
-    entry.answer_msg =
-        SerializeQueryAnswer(plan.answer, plan.witness, key.epoch, codec_);
-    entry.proof_msg = plan.vo.Serialize();
-    answer_cache_.Insert(key, std::move(entry));
-  }
-  return plan;
+  return Publish(key, plan);
 }
 
 // --- TomClient ----------------------------------------------------------------

@@ -152,19 +152,27 @@ class TomServiceProvider {
     mbtree::VerificationObject vo;
   };
 
-  /// Executes any verified-plan operator: range scan + VO as in
-  /// ExecuteRange, answer derived with the shared rule
-  /// (dbms::EvaluateAnswer). With the answer cache enabled, a repeat of
-  /// (request, epoch) replays the serialized answer + VO bit-for-bit.
-  /// Thread-safety matches ExecuteRange.
+  /// The SP's unit of output: the serialized answer shipment and VO for
+  /// `request`, encoded once. A repeat of (request, epoch) returns the very
+  /// buffer the first call produced — no traversal, no codec work; a miss
+  /// runs the plan, encodes answer and VO once and shares that buffer with
+  /// the answer cache. Callers ship the bytes as they are. Thread-safety
+  /// matches ExecuteRange.
+  Result<std::shared_ptr<const CachedAnswer>> ServeQuery(
+      const dbms::QueryRequest& request) const;
+
+  /// Executes any verified-plan operator: the decoded form of ServeQuery
+  /// (range scan + VO as in ExecuteRange, answer derived with the shared
+  /// rule dbms::EvaluateAnswer). Thread-safety matches ExecuteRange.
   Result<PlanResponse> ExecutePlan(const dbms::QueryRequest& request) const;
 
   /// Adversary hook (security tests): computes the honest plan, tampers a
-  /// witness record, poisons the answer cache with the tampered bytes, and
-  /// returns the tampered plan — so the lie both ships now and persists in
-  /// the cache for later queries (until a signature install flushes it).
-  Result<PlanResponse> ExecutePoisonedPlan(const dbms::QueryRequest& request,
-                                           uint64_t seed) const;
+  /// witness record, and serves the tampered bytes with the honest VO — the
+  /// same shared buffer also poisons the answer cache, so the lie both
+  /// ships now and persists for later queries (until a signature install
+  /// flushes it).
+  Result<std::shared_ptr<const CachedAnswer>> ServePoisonedQuery(
+      const dbms::QueryRequest& request, uint64_t seed) const;
 
   const mbtree::MbTree& ads() const { return *mb_; }
 
@@ -197,6 +205,10 @@ class TomServiceProvider {
   /// Computes the plan without consulting the cache (the control path the
   /// parity harness compares against).
   Result<PlanResponse> ComputePlan(const dbms::QueryRequest& request) const;
+  /// Encodes `plan` once as the answer + VO for `key` and shares that
+  /// buffer with the answer cache.
+  std::shared_ptr<const CachedAnswer> Publish(const AnswerCache::Key& key,
+                                              const PlanResponse& plan) const;
 
   Options options_;
   RecordCodec codec_;

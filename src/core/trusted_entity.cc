@@ -64,9 +64,9 @@ Result<VerificationToken> TrustedEntity::GenerateVt(Key lo, Key hi) const {
   }
   SAE_ASSIGN_OR_RETURN(vt.digest, xb_->GenerateVT(lo, hi));
   if (vt_cache_.enabled()) {
-    CachedAnswer entry;
-    entry.answer_msg.assign(vt.digest.bytes.begin(), vt.digest.bytes.end());
-    vt_cache_.Insert(key, std::move(entry));
+    std::vector<uint8_t> bytes(vt.digest.bytes.begin(), vt.digest.bytes.end());
+    vt_cache_.Insert(key, std::make_shared<const CachedAnswer>(
+                              CachedAnswer{std::move(bytes), {}}));
   }
   return vt;
 }

@@ -6,6 +6,8 @@
 
 #include "mbtree/vo.h"
 
+#include <utility>
+
 #include "util/codec.h"
 #include "util/macros.h"
 
@@ -287,6 +289,16 @@ Status VerifyVO(const VerificationObject& vo, storage::Key lo,
   if (result_slots != results.size()) {
     return Status::VerificationFailure(
         "result cardinality disagrees with VO");
+  }
+  // A lone boundary with no results is the left one when the range lies
+  // above every key and the right one when it lies below every key; only
+  // its key tells which. A right boundary protects [start, boundary].
+  if (boundary_count == 1 && first_result < 0) {
+    const auto& bytes = flat[left_boundary].item->record_bytes;
+    if (bytes.size() == codec.record_size() &&
+        codec.Deserialize(bytes.data()).key > hi) {
+      std::swap(left_boundary, right_boundary);
+    }
   }
 
   // The protected span runs from the left boundary (or the very start when

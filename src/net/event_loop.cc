@@ -9,11 +9,20 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include "util/codec.h"
 #include "util/macros.h"
 
 namespace sae::net {
+
+namespace {
+
+// iovec entries per sendmsg: two per frame (header, payload).
+constexpr size_t kMaxIov = 64;
+
+}  // namespace
 
 FrameServer::FrameServer(FrameServerOptions options, FrameHandler handler)
     : options_(options), handler_(std::move(handler)) {}
@@ -67,7 +76,7 @@ void FrameServer::Loop() {
       // byte is on the wire (the ack the requester is waiting for).
       bool pending = false;
       for (auto& [fd, conn] : conns_) {
-        if (conn->out_pos < conn->out.size()) {
+        if (!conn->out.empty()) {
           pending = true;
           break;
         }
@@ -150,10 +159,13 @@ bool FrameServer::HandleReadable(Conn* conn) {
   }
   std::vector<uint8_t> request;
   while (conn->decoder.Next(&request)) {
-    std::vector<std::vector<uint8_t>> responses;
+    std::vector<SharedPayload> responses;
     bool stop = handler_(std::move(request), &responses);
-    for (const auto& payload : responses) {
-      AppendFrame(&conn->out, payload.data(), payload.size());
+    for (SharedPayload& payload : responses) {
+      OutFrame frame;
+      EncodeU32(frame.header, uint32_t(payload->size()));
+      frame.payload = std::move(payload);
+      conn->out.push_back(std::move(frame));
     }
     served_.fetch_add(1, std::memory_order_relaxed);
     if (stop) stop_after_flush_ = true;
@@ -162,24 +174,49 @@ bool FrameServer::HandleReadable(Conn* conn) {
 }
 
 bool FrameServer::HandleWritable(Conn* conn) {
-  while (conn->out_pos < conn->out.size()) {
-    ssize_t n = ::send(conn->fd.get(), conn->out.data() + conn->out_pos,
-                       conn->out.size() - conn->out_pos, MSG_NOSIGNAL);
+  while (!conn->out.empty()) {
+    // Gather header + payload of as many queued frames as fit, skipping
+    // what a short write already flushed; the payloads are sent from the
+    // shared buffers themselves.
+    iovec iov[kMaxIov];
+    size_t n_iov = 0;
+    size_t skip = conn->out_sent;
+    for (auto it = conn->out.begin();
+         it != conn->out.end() && n_iov + 2 <= kMaxIov; ++it) {
+      if (skip < kFrameHeaderBytes) {
+        iov[n_iov++] = {it->header + skip, kFrameHeaderBytes - skip};
+        skip = 0;
+      } else {
+        skip -= kFrameHeaderBytes;
+      }
+      if (skip < it->payload->size()) {
+        iov[n_iov++] = {const_cast<uint8_t*>(it->payload->data()) + skip,
+                        it->payload->size() - skip};
+      }
+      skip = 0;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n_iov;
+    ssize_t n = ::sendmsg(conn->fd.get(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       return false;
     }
-    conn->out_pos += size_t(n);
-  }
-  if (conn->out_pos == conn->out.size()) {
-    conn->out.clear();
-    conn->out_pos = 0;
-  } else if (conn->out_pos > (1u << 20)) {
-    // Compact a long-flushed prefix so slow readers don't pin memory.
-    conn->out.erase(conn->out.begin(),
-                    conn->out.begin() + ptrdiff_t(conn->out_pos));
-    conn->out_pos = 0;
+    // Retire fully written frames; remember how far into the next one the
+    // socket got.
+    size_t written = size_t(n);
+    while (written > 0) {
+      size_t rest = conn->out.front().size() - conn->out_sent;
+      if (written < rest) {
+        conn->out_sent += written;
+        break;
+      }
+      written -= rest;
+      conn->out.pop_front();
+      conn->out_sent = 0;
+    }
   }
   bool want_write = !conn->out.empty();
   if (want_write != conn->writable_armed) {

@@ -4,8 +4,9 @@
 // nonblocking sockets, per-connection read/write buffers that tolerate
 // partial reads and short writes. Each complete request frame is handed to
 // the handler, which appends zero or more response frame payloads; the
-// responses are queued on the connection and flushed as the socket drains
-// (EPOLLOUT is armed only while a write is pending).
+// responses are queued on the connection as shared payloads — never copied
+// into a send buffer — and flushed header + payload with sendmsg as the
+// socket drains (EPOLLOUT is armed only while a write is pending).
 //
 // One loop thread serializes all handler executions for a server, which is
 // exactly the concurrency contract the wrapped parties already have (their
@@ -18,6 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -31,10 +33,11 @@
 namespace sae::net {
 
 /// Handles one request frame. `responses` receives the response payloads
-/// (each becomes one frame, in order). Return true to stop the whole server
+/// (each becomes one frame, in order); the server holds each shared payload
+/// until its last byte is on the wire. Return true to stop the whole server
 /// after the responses flush — the shutdown control op uses this.
-using FrameHandler = std::function<bool(
-    std::vector<uint8_t> request, std::vector<std::vector<uint8_t>>* responses)>;
+using FrameHandler = std::function<bool(std::vector<uint8_t> request,
+                                        std::vector<SharedPayload>* responses)>;
 
 struct FrameServerOptions {
   uint16_t port = 0;  ///< 0 picks an ephemeral port (see FrameServer::port)
@@ -78,11 +81,19 @@ class FrameServer {
   }
 
  private:
+  /// A queued response frame: its own header, the shared payload.
+  struct OutFrame {
+    uint8_t header[kFrameHeaderBytes];
+    SharedPayload payload;
+
+    size_t size() const { return kFrameHeaderBytes + payload->size(); }
+  };
+
   struct Conn {
     UniqueFd fd;
     FrameDecoder decoder;
-    std::vector<uint8_t> out;  ///< encoded frames awaiting the socket
-    size_t out_pos = 0;        ///< flushed prefix of `out`
+    std::deque<OutFrame> out;  ///< frames awaiting the socket, in order
+    size_t out_sent = 0;       ///< bytes of out.front() already written
     bool writable_armed = false;
 
     explicit Conn(int raw_fd, size_t max_payload)

@@ -18,7 +18,9 @@
 #define SAE_NET_FRAME_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sae::net {
@@ -30,6 +32,15 @@ inline constexpr size_t kFrameHeaderBytes = 4;
 /// dataset shipment at bench scale, small enough that a lying length field
 /// can never commit the peer to a multi-gigabyte allocation.
 inline constexpr size_t kMaxFramePayload = 64u << 20;  // 64 MiB
+
+/// One response frame's payload: immutable and shared, so a buffer the SP
+/// also holds in its answer cache goes onto the socket without a copy.
+using SharedPayload = std::shared_ptr<const std::vector<uint8_t>>;
+
+/// Wraps an owned payload for the response queue.
+inline SharedPayload Share(std::vector<uint8_t> payload) {
+  return std::make_shared<const std::vector<uint8_t>>(std::move(payload));
+}
 
 /// Appends one frame (header + payload) to `out`.
 void AppendFrame(std::vector<uint8_t>* out, const uint8_t* payload,

@@ -28,6 +28,15 @@ constexpr uint8_t kTagQueryRequest = 0x09;
 // which witness byte the poisoned plan flips.
 constexpr uint64_t kPoisonSeed = 42;
 
+// The frames of a served answer alias the SP's shared buffer: the socket
+// sends the very bytes the answer cache holds.
+SharedPayload AnswerFrame(const std::shared_ptr<const core::CachedAnswer>& a) {
+  return SharedPayload(a, &a->answer_msg);
+}
+SharedPayload ProofFrame(const std::shared_ptr<const core::CachedAnswer>& a) {
+  return SharedPayload(a, &a->proof_msg);
+}
+
 }  // namespace
 
 std::vector<uint8_t> ControlFrame(uint8_t tag) { return {tag}; }
@@ -56,38 +65,36 @@ std::string DecodeErrorFrame(const std::vector<uint8_t>& payload) {
 SpServer::SpServer(core::ServiceProvider* sp, FrameServerOptions options)
     : sp_(sp),
       server_(options, [this](std::vector<uint8_t> request,
-                              std::vector<std::vector<uint8_t>>* responses) {
+                              std::vector<SharedPayload>* responses) {
         return Handle(std::move(request), responses);
       }) {}
 
 bool SpServer::Handle(std::vector<uint8_t> request,
-                      std::vector<std::vector<uint8_t>>* responses) {
+                      std::vector<SharedPayload>* responses) {
   const RecordCodec& codec = sp_->table().codec();
   if (request.empty()) {
-    responses->push_back(ErrorFrame(Status::Corruption("empty frame")));
+    responses->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
     return false;
   }
   switch (request[0]) {
     case kTagQueryRequest: {
       auto req = core::DeserializeQueryRequest(request);
       if (!req.ok()) {
-        responses->push_back(ErrorFrame(req.status()));
+        responses->push_back(Share(ErrorFrame(req.status())));
         return false;
       }
-      auto plan = sp_->ExecutePlan(req.value());
-      if (!plan.ok()) {
-        responses->push_back(ErrorFrame(plan.status()));
+      auto served = sp_->ServeQuery(req.value());
+      if (!served.ok()) {
+        responses->push_back(Share(ErrorFrame(served.status())));
         return false;
       }
-      const auto& result = plan.value();
-      responses->push_back(core::SerializeQueryAnswer(
-          result.answer, result.witness, sp_->epoch(), codec));
+      responses->push_back(AnswerFrame(served.value()));
       return false;
     }
     case kTagRecords: {
       auto records = core::DeserializeRecords(request, codec);
       if (!records.ok()) {
-        responses->push_back(ErrorFrame(records.status()));
+        responses->push_back(Share(ErrorFrame(records.status())));
         return false;
       }
       Status st;
@@ -100,55 +107,55 @@ bool SpServer::Handle(std::vector<uint8_t> request,
           if (!st.ok()) break;
         }
       }
-      responses->push_back(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st));
+      responses->push_back(
+          Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
       return false;
     }
     case kTagEpochNotice: {
       auto epoch = core::DeserializeEpochNotice(request);
       if (!epoch.ok()) {
-        responses->push_back(ErrorFrame(epoch.status()));
+        responses->push_back(Share(ErrorFrame(epoch.status())));
         return false;
       }
       sp_->SetEpoch(epoch.value());
-      responses->push_back(ControlFrame(kCtlAck));
+      responses->push_back(Share(ControlFrame(kCtlAck)));
       return false;
     }
     case kTagDelete: {
       auto del = core::DeserializeDelete(request);
       if (!del.ok()) {
-        responses->push_back(ErrorFrame(del.status()));
+        responses->push_back(Share(ErrorFrame(del.status())));
         return false;
       }
       Status st = sp_->DeleteRecord(del.value().first);
-      responses->push_back(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st));
+      responses->push_back(
+          Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
       return false;
     }
     case kCtlGetEpoch:
-      responses->push_back(core::SerializeEpochNotice(sp_->epoch()));
+      responses->push_back(Share(core::SerializeEpochNotice(sp_->epoch())));
       return false;
     case kCtlPoisonQuery: {
       std::vector<uint8_t> inner(request.begin() + 1, request.end());
       auto req = core::DeserializeQueryRequest(inner);
       if (!req.ok()) {
-        responses->push_back(ErrorFrame(req.status()));
+        responses->push_back(Share(ErrorFrame(req.status())));
         return false;
       }
-      auto plan = sp_->ExecutePoisonedPlan(req.value(), kPoisonSeed);
-      if (!plan.ok()) {
-        responses->push_back(ErrorFrame(plan.status()));
+      auto served = sp_->ServePoisonedQuery(req.value(), kPoisonSeed);
+      if (!served.ok()) {
+        responses->push_back(Share(ErrorFrame(served.status())));
         return false;
       }
-      const auto& result = plan.value();
-      responses->push_back(core::SerializeQueryAnswer(
-          result.answer, result.witness, sp_->epoch(), codec));
+      responses->push_back(AnswerFrame(served.value()));
       return false;
     }
     case kCtlShutdown:
-      responses->push_back(ControlFrame(kCtlAck));
+      responses->push_back(Share(ControlFrame(kCtlAck)));
       return true;
     default:
       responses->push_back(
-          ErrorFrame(Status::Corruption("unknown message tag")));
+          Share(ErrorFrame(Status::Corruption("unknown message tag"))));
       return false;
   }
 }
@@ -158,35 +165,35 @@ bool SpServer::Handle(std::vector<uint8_t> request,
 TeServer::TeServer(core::TrustedEntity* te, FrameServerOptions options)
     : te_(te),
       server_(options, [this](std::vector<uint8_t> request,
-                              std::vector<std::vector<uint8_t>>* responses) {
+                              std::vector<SharedPayload>* responses) {
         return Handle(std::move(request), responses);
       }) {}
 
 bool TeServer::Handle(std::vector<uint8_t> request,
-                      std::vector<std::vector<uint8_t>>* responses) {
+                      std::vector<SharedPayload>* responses) {
   if (request.empty()) {
-    responses->push_back(ErrorFrame(Status::Corruption("empty frame")));
+    responses->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
     return false;
   }
   switch (request[0]) {
     case kTagQueryRequest: {
       auto req = core::DeserializeQueryRequest(request);
       if (!req.ok()) {
-        responses->push_back(ErrorFrame(req.status()));
+        responses->push_back(Share(ErrorFrame(req.status())));
         return false;
       }
       auto vt = te_->GenerateVt(req.value());
       if (!vt.ok()) {
-        responses->push_back(ErrorFrame(vt.status()));
+        responses->push_back(Share(ErrorFrame(vt.status())));
         return false;
       }
-      responses->push_back(core::SerializeVt(vt.value()));
+      responses->push_back(Share(core::SerializeVt(vt.value())));
       return false;
     }
     case kTagRecords: {
       auto records = core::DeserializeRecords(request, te_->codec());
       if (!records.ok()) {
-        responses->push_back(ErrorFrame(records.status()));
+        responses->push_back(Share(ErrorFrame(records.status())));
         return false;
       }
       Status st;
@@ -199,39 +206,41 @@ bool TeServer::Handle(std::vector<uint8_t> request,
           if (!st.ok()) break;
         }
       }
-      responses->push_back(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st));
+      responses->push_back(
+          Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
       return false;
     }
     case kTagEpochNotice: {
       auto epoch = core::DeserializeEpochNotice(request);
       if (!epoch.ok()) {
-        responses->push_back(ErrorFrame(epoch.status()));
+        responses->push_back(Share(ErrorFrame(epoch.status())));
         return false;
       }
       te_->SetEpoch(epoch.value());
-      responses->push_back(ControlFrame(kCtlAck));
+      responses->push_back(Share(ControlFrame(kCtlAck)));
       return false;
     }
     case kTagDelete: {
       auto del = core::DeserializeDelete(request);
       if (!del.ok()) {
-        responses->push_back(ErrorFrame(del.status()));
+        responses->push_back(Share(ErrorFrame(del.status())));
         return false;
       }
       Status st =
           te_->DeleteRecord(del.value().second, del.value().first);
-      responses->push_back(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st));
+      responses->push_back(
+          Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
       return false;
     }
     case kCtlGetEpoch:
-      responses->push_back(core::SerializeEpochNotice(te_->epoch()));
+      responses->push_back(Share(core::SerializeEpochNotice(te_->epoch())));
       return false;
     case kCtlShutdown:
-      responses->push_back(ControlFrame(kCtlAck));
+      responses->push_back(Share(ControlFrame(kCtlAck)));
       return true;
     default:
       responses->push_back(
-          ErrorFrame(Status::Corruption("unknown message tag")));
+          Share(ErrorFrame(Status::Corruption("unknown message tag"))));
       return false;
   }
 }
@@ -242,34 +251,32 @@ TomSpServer::TomSpServer(core::TomServiceProvider* sp,
                          FrameServerOptions options)
     : sp_(sp),
       server_(options, [this](std::vector<uint8_t> request,
-                              std::vector<std::vector<uint8_t>>* responses) {
+                              std::vector<SharedPayload>* responses) {
         return Handle(std::move(request), responses);
       }) {}
 
 bool TomSpServer::Handle(std::vector<uint8_t> request,
-                         std::vector<std::vector<uint8_t>>* responses) {
+                         std::vector<SharedPayload>* responses) {
   const RecordCodec& codec = sp_->codec();
   if (request.empty()) {
-    responses->push_back(ErrorFrame(Status::Corruption("empty frame")));
+    responses->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
     return false;
   }
   switch (request[0]) {
     case kTagQueryRequest: {
       auto req = core::DeserializeQueryRequest(request);
       if (!req.ok()) {
-        responses->push_back(ErrorFrame(req.status()));
+        responses->push_back(Share(ErrorFrame(req.status())));
         return false;
       }
-      auto plan = sp_->ExecutePlan(req.value());
-      if (!plan.ok()) {
-        responses->push_back(ErrorFrame(plan.status()));
+      auto served = sp_->ServeQuery(req.value());
+      if (!served.ok()) {
+        responses->push_back(Share(ErrorFrame(served.status())));
         return false;
       }
-      const auto& result = plan.value();
       // Two frames, exactly the two in-process sends: answer then VO.
-      responses->push_back(core::SerializeQueryAnswer(
-          result.answer, result.witness, sp_->epoch(), codec));
-      responses->push_back(result.vo.Serialize());
+      responses->push_back(AnswerFrame(served.value()));
+      responses->push_back(ProofFrame(served.value()));
       return false;
     }
     case kTagRecords: {
@@ -278,29 +285,29 @@ bool TomSpServer::Handle(std::vector<uint8_t> request,
       // commits them with its epoch.
       auto records = core::DeserializeRecords(request, codec);
       if (!records.ok()) {
-        responses->push_back(ErrorFrame(records.status()));
+        responses->push_back(Share(ErrorFrame(records.status())));
         return false;
       }
       pending_records_ = std::move(records).ValueOrDie();
       has_pending_records_ = true;
-      responses->push_back(ControlFrame(kCtlAck));
+      responses->push_back(Share(ControlFrame(kCtlAck)));
       return false;
     }
     case kTagDelete: {
       auto del = core::DeserializeDelete(request);
       if (!del.ok()) {
-        responses->push_back(ErrorFrame(del.status()));
+        responses->push_back(Share(ErrorFrame(del.status())));
         return false;
       }
       pending_delete_ = del.value().first;
       has_pending_delete_ = true;
-      responses->push_back(ControlFrame(kCtlAck));
+      responses->push_back(Share(ControlFrame(kCtlAck)));
       return false;
     }
     case kTagSignature: {
       auto sig = core::DeserializeSignature(request);
       if (!sig.ok()) {
-        responses->push_back(ErrorFrame(sig.status()));
+        responses->push_back(Share(ErrorFrame(sig.status())));
         return false;
       }
       auto [signature, epoch] = std::move(sig).ValueOrDie();
@@ -321,36 +328,35 @@ bool TomSpServer::Handle(std::vector<uint8_t> request,
       pending_records_.clear();
       has_pending_records_ = false;
       has_pending_delete_ = false;
-      responses->push_back(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st));
+      responses->push_back(
+          Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
       return false;
     }
     case kCtlGetEpoch:
-      responses->push_back(core::SerializeEpochNotice(sp_->epoch()));
+      responses->push_back(Share(core::SerializeEpochNotice(sp_->epoch())));
       return false;
     case kCtlPoisonQuery: {
       std::vector<uint8_t> inner(request.begin() + 1, request.end());
       auto req = core::DeserializeQueryRequest(inner);
       if (!req.ok()) {
-        responses->push_back(ErrorFrame(req.status()));
+        responses->push_back(Share(ErrorFrame(req.status())));
         return false;
       }
-      auto plan = sp_->ExecutePoisonedPlan(req.value(), kPoisonSeed);
-      if (!plan.ok()) {
-        responses->push_back(ErrorFrame(plan.status()));
+      auto served = sp_->ServePoisonedQuery(req.value(), kPoisonSeed);
+      if (!served.ok()) {
+        responses->push_back(Share(ErrorFrame(served.status())));
         return false;
       }
-      const auto& result = plan.value();
-      responses->push_back(core::SerializeQueryAnswer(
-          result.answer, result.witness, sp_->epoch(), codec));
-      responses->push_back(result.vo.Serialize());
+      responses->push_back(AnswerFrame(served.value()));
+      responses->push_back(ProofFrame(served.value()));
       return false;
     }
     case kCtlShutdown:
-      responses->push_back(ControlFrame(kCtlAck));
+      responses->push_back(Share(ControlFrame(kCtlAck)));
       return true;
     default:
       responses->push_back(
-          ErrorFrame(Status::Corruption("unknown message tag")));
+          Share(ErrorFrame(Status::Corruption("unknown message tag"))));
       return false;
   }
 }
@@ -361,26 +367,26 @@ OwnerServer::OwnerServer(std::function<uint64_t()> epoch_fn,
                          FrameServerOptions options)
     : epoch_fn_(std::move(epoch_fn)),
       server_(options, [this](std::vector<uint8_t> request,
-                              std::vector<std::vector<uint8_t>>* responses) {
+                              std::vector<SharedPayload>* responses) {
         return Handle(std::move(request), responses);
       }) {}
 
 bool OwnerServer::Handle(std::vector<uint8_t> request,
-                         std::vector<std::vector<uint8_t>>* responses) {
+                         std::vector<SharedPayload>* responses) {
   if (request.empty()) {
-    responses->push_back(ErrorFrame(Status::Corruption("empty frame")));
+    responses->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
     return false;
   }
   switch (request[0]) {
     case kCtlGetEpoch:
-      responses->push_back(core::SerializeEpochNotice(epoch_fn_()));
+      responses->push_back(Share(core::SerializeEpochNotice(epoch_fn_())));
       return false;
     case kCtlShutdown:
-      responses->push_back(ControlFrame(kCtlAck));
+      responses->push_back(Share(ControlFrame(kCtlAck)));
       return true;
     default:
       responses->push_back(
-          ErrorFrame(Status::Corruption("unknown message tag")));
+          Share(ErrorFrame(Status::Corruption("unknown message tag"))));
       return false;
   }
 }

@@ -65,7 +65,7 @@ class SpServer {
 
  private:
   bool Handle(std::vector<uint8_t> request,
-              std::vector<std::vector<uint8_t>>* responses);
+              std::vector<SharedPayload>* responses);
 
   core::ServiceProvider* sp_;
   bool loaded_ = false;  ///< first Records frame = dataset, later = inserts
@@ -83,7 +83,7 @@ class TeServer {
 
  private:
   bool Handle(std::vector<uint8_t> request,
-              std::vector<std::vector<uint8_t>>* responses);
+              std::vector<SharedPayload>* responses);
 
   core::TrustedEntity* te_;
   bool loaded_ = false;  ///< first Records frame = dataset, later = inserts
@@ -102,7 +102,7 @@ class TomSpServer {
 
  private:
   bool Handle(std::vector<uint8_t> request,
-              std::vector<std::vector<uint8_t>>* responses);
+              std::vector<SharedPayload>* responses);
 
   core::TomServiceProvider* sp_;
   bool loaded_ = false;
@@ -128,7 +128,7 @@ class OwnerServer {
 
  private:
   bool Handle(std::vector<uint8_t> request,
-              std::vector<std::vector<uint8_t>>* responses);
+              std::vector<SharedPayload>* responses);
 
   std::function<uint64_t()> epoch_fn_;
   FrameServer server_;

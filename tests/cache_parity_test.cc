@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,10 +42,9 @@ AnswerCache::Key ScanKey(Key lo, Key hi, uint64_t epoch) {
   return key;
 }
 
-CachedAnswer Blob(uint8_t fill) {
-  CachedAnswer entry;
-  entry.answer_msg.assign(4, fill);
-  return entry;
+std::shared_ptr<const CachedAnswer> Blob(uint8_t fill) {
+  return std::make_shared<const CachedAnswer>(
+      CachedAnswer{std::vector<uint8_t>(4, fill), {}});
 }
 
 TEST(AnswerCacheTest, HitReturnsInsertedBytes) {
@@ -256,6 +256,69 @@ TEST(CacheEffectivenessTest, DisabledCachesStayEmpty) {
   EXPECT_EQ(stats.sp_answer.insertions, 0u);
   EXPECT_EQ(stats.te_vt.hits, 0u);
   EXPECT_EQ(stats.te_digest.hits, 0u);
+}
+
+// --- Served bytes ------------------------------------------------------------
+
+// One request per plan operator over the same range.
+std::vector<dbms::QueryRequest> EveryOperator(Key lo, Key hi) {
+  return {dbms::QueryRequest::Scan(lo, hi),  dbms::QueryRequest::Point(lo),
+          dbms::QueryRequest::Count(lo, hi), dbms::QueryRequest::Sum(lo, hi),
+          dbms::QueryRequest::Min(lo, hi),   dbms::QueryRequest::Max(lo, hi),
+          dbms::QueryRequest::TopK(lo, hi, 4)};
+}
+
+// The SP's unit of output is encoded once: the miss and every later hit
+// serve the golden encoding of the uncached plan, and hits hand out the
+// very buffer the miss produced — no re-encode, no decode.
+TEST(ServedAnswerTest, SaeMissAndHitsServeOneGoldenBuffer) {
+  SaeSystem system(SmallSaeOptions(crypto::HashScheme::kSha1));
+  Rng rng(10);
+  uint64_t next_id = 1;
+  ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
+  const ServiceProvider& sp = system.sp();
+  for (const dbms::QueryRequest& request : EveryOperator(2000, 9000)) {
+    std::vector<Record> witness =
+        sp.ExecuteRange(request.lo, request.hi).value();
+    std::vector<uint8_t> golden = SerializeQueryAnswer(
+        dbms::EvaluateAnswer(request, witness), witness, sp.epoch(),
+        system.codec());
+    AnswerCacheStats before = sp.answer_cache_stats();
+    auto miss = sp.ServeQuery(request).value();
+    auto hit = sp.ServeQuery(request).value();
+    auto again = sp.ServeQuery(request).value();
+    EXPECT_EQ(miss->answer_msg, golden) << int(request.op);
+    EXPECT_TRUE(miss->proof_msg.empty());
+    EXPECT_EQ(hit.get(), miss.get()) << int(request.op);
+    EXPECT_EQ(again.get(), miss.get()) << int(request.op);
+    AnswerCacheStats delta = sp.answer_cache_stats() - before;
+    EXPECT_EQ(delta.misses, 1u);
+    EXPECT_EQ(delta.insertions, 1u);
+    EXPECT_EQ(delta.hits, 2u);
+  }
+}
+
+TEST(ServedAnswerTest, TomMissAndHitsServeOneGoldenBuffer) {
+  TomSystem system(SmallTomOptions(crypto::HashScheme::kSha1));
+  Rng rng(11);
+  uint64_t next_id = 1;
+  ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
+  const TomServiceProvider& sp = system.sp();
+  for (const dbms::QueryRequest& request : EveryOperator(2000, 9000)) {
+    TomServiceProvider::QueryResponse range =
+        sp.ExecuteRange(request.lo, request.hi).value();
+    std::vector<uint8_t> golden_answer = SerializeQueryAnswer(
+        dbms::EvaluateAnswer(request, range.results), range.results,
+        sp.epoch(), system.codec());
+    std::vector<uint8_t> golden_vo = range.vo.Serialize();
+    auto miss = sp.ServeQuery(request).value();
+    auto hit = sp.ServeQuery(request).value();
+    auto again = sp.ServeQuery(request).value();
+    EXPECT_EQ(miss->answer_msg, golden_answer) << int(request.op);
+    EXPECT_EQ(miss->proof_msg, golden_vo) << int(request.op);
+    EXPECT_EQ(hit.get(), miss.get()) << int(request.op);
+    EXPECT_EQ(again.get(), miss.get()) << int(request.op);
+  }
 }
 
 // --- The differential parity harness -----------------------------------------

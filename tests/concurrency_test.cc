@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -367,7 +368,8 @@ TEST(CacheConcurrencyTest, AnswerCacheReplaysExactBytesUnderInvalidation) {
         uint32_t r = uint32_t(state >> 33) % kRanges;
         auto hit = cache.Lookup(key_for(r));
         if (hit == nullptr) {
-          cache.Insert(key_for(r), core::CachedAnswer{bytes_for(r), {}});
+          cache.Insert(key_for(r), std::make_shared<const core::CachedAnswer>(
+                                       core::CachedAnswer{bytes_for(r), {}}));
           continue;
         }
         hit_count.fetch_add(1);

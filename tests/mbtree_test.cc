@@ -211,6 +211,60 @@ TEST_F(MbFixture, RangeTouchingDomainEdgesVerifies) {
   EXPECT_TRUE(QueryAndVerify(0, 4000000).ok());
 }
 
+// A range below the smallest key has one (right) boundary and no results:
+// the VO protects [start, boundary], and everything after it is digests.
+TEST_F(MbFixture, EmptyResultBelowMinimumVerifies) {
+  MakeTree();
+  for (uint64_t i = 1; i <= 50; ++i) InsertRecord(i, uint32_t(i * 1000));
+  EXPECT_TRUE(QueryAndVerify(5, 5).ok());
+  EXPECT_TRUE(QueryAndVerify(0, 999).ok());
+  EXPECT_TRUE(QueryAndVerify(1, 500).ok());
+  // The mirror case, above the largest key, keeps verifying too.
+  EXPECT_TRUE(QueryAndVerify(50001, 60000).ok());
+}
+
+TEST_F(MbFixture, EmptyResultBelowMinimumVerifiesAfterDeletingSmallest) {
+  MakeTree();
+  for (uint64_t i = 1; i <= 50; ++i) InsertRecord(i, uint32_t(i * 1000));
+  DeleteRecord(1);  // key 1000; 2000 is the new minimum
+  EXPECT_TRUE(QueryAndVerify(5, 5).ok());
+  EXPECT_TRUE(QueryAndVerify(1000, 1000).ok());
+  EXPECT_TRUE(QueryAndVerify(0, 1999).ok());
+}
+
+// Points the first result slot of `node` (depth first) at a sibling digest;
+// false when the VO has no result slot.
+bool HideFirstResult(VoNode* node, const crypto::Digest& digest) {
+  for (VoItem& item : node->items) {
+    if (item.type == VoItem::Type::kResultEntry) {
+      item.type = VoItem::Type::kDigest;
+      item.digest = digest;
+      return true;
+    }
+    if (item.type == VoItem::Type::kChild &&
+        HideFirstResult(item.child.get(), digest)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Forgery: the SP hides the only result (key 1000) of [0, 1500] behind its
+// genuine digest and claims an empty answer, leaving 2000 as a lone right
+// boundary. The root digest and signature still match; the digest sitting
+// before the right boundary must give the lie away.
+TEST_F(MbFixture, DetectsDigestBeforeLoneRightBoundary) {
+  MakeTree();
+  for (uint64_t i = 1; i <= 50; ++i) InsertRecord(i, uint32_t(i * 1000));
+  ASSERT_EQ(Expected(0, 1500).size(), 1u);
+  auto vo = tree_->BuildVo(0, 1500, Fetcher()).ValueOrDie();
+  vo.signature = crypto::RsaSignDigest(
+      *SharedKey(), crypto::EpochStampedDigest(tree_->root_digest(), 0));
+  ASSERT_TRUE(HideFirstResult(&vo.root, EntryFor(records_[1]).digest));
+  Status st = VerifyVO(vo, 0, 1500, {}, SharedKey()->PublicKey(), codec_);
+  EXPECT_EQ(st.code(), StatusCode::kVerificationFailure) << st.ToString();
+}
+
 TEST_F(MbFixture, DetectsDroppedRecord) {
   MakeTree();
   for (uint64_t i = 0; i < 100; ++i) InsertRecord(i + 1, uint32_t(i * 11));

@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "core/client.h"
@@ -180,8 +183,8 @@ TEST(FrameCodecTest, FuzzSplitAndGarbageStreams) {
 // path too.
 TEST(LoopbackGoldenTest, SocketBytesMatchInProcessSerializations) {
   net::FrameServer echo({}, [](std::vector<uint8_t> request,
-                               std::vector<std::vector<uint8_t>>* responses) {
-    responses->push_back(std::move(request));
+                               std::vector<net::SharedPayload>* responses) {
+    responses->push_back(net::Share(std::move(request)));
     return false;
   });
   ASSERT_TRUE(echo.Start().ok());
@@ -229,8 +232,8 @@ TEST(LoopbackGoldenTest, SocketBytesMatchInProcessSerializations) {
 // while a well-formed connection keeps working.
 TEST(LoopbackGoldenTest, ServerDropsLyingLengthPrefix) {
   net::FrameServer echo({}, [](std::vector<uint8_t> request,
-                               std::vector<std::vector<uint8_t>>* responses) {
-    responses->push_back(std::move(request));
+                               std::vector<net::SharedPayload>* responses) {
+    responses->push_back(net::Share(std::move(request)));
     return false;
   });
   ASSERT_TRUE(echo.Start().ok());
@@ -440,6 +443,99 @@ TEST_F(NetServingTest, ConcurrentClientsAllVerify) {
             uint64_t(kThreads));
 }
 
+// A poisoned answer-cache entry persists: the server keeps serving it
+// unchanged to honest queries for the same request, and the networked
+// client keeps rejecting it, until an epoch bump flushes the cache.
+TEST_F(NetServingTest, PoisonedCachePersistsUntilEpochBump) {
+  QueryRequest request = QueryRequest::Scan(100, 400);
+  auto poisoned = client_->QueryPoisoned(request);
+  ASSERT_FALSE(poisoned.ok());
+  EXPECT_EQ(poisoned.status().code(), StatusCode::kVerificationFailure);
+  core::AnswerCacheStats before = sp_->answer_cache_stats();
+  for (int i = 0; i < 2; ++i) {
+    auto replayed = client_->Query(request);
+    ASSERT_FALSE(replayed.ok()) << "honest query " << i;
+    EXPECT_EQ(replayed.status().code(), StatusCode::kVerificationFailure)
+        << replayed.status().ToString();
+  }
+  EXPECT_EQ((sp_->answer_cache_stats() - before).hits, 2u);
+  // Another request misses the poisoned entry and verifies.
+  auto other = client_->Query(QueryRequest::Scan(100, 401));
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+
+  net::ClientTransport sp_link({.port = sp_server_->port()});
+  net::ClientTransport te_link({.port = te_server_->port()});
+  std::vector<uint8_t> notice = core::SerializeEpochNotice(2);
+  ASSERT_TRUE(net::CallExpectAck(&sp_link, notice).ok());
+  ASSERT_TRUE(net::CallExpectAck(&te_link, notice).ok());
+  published_epoch_ = 2;
+  auto fresh = client_->Query(request);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh.value().claimed_epoch, 2u);
+}
+
+// The server queues shared payloads and resumes them across short writes:
+// 32 pipelined 250 KB answers — most of them the one cached buffer — must
+// each arrive byte-identical to the golden encoding. The client holds its
+// receive window small and reads only after the server has queued
+// everything, so the 8 MB outrun any socket send buffer and the server
+// goes through partial sends and EPOLLOUT resumption.
+TEST(SharedPayloadFramingTest, PipelinedLargeAnswersSurviveShortWrites) {
+  RecordCodec codec(kRecSize);
+  core::ServiceProviderOptions options;
+  options.record_size = kRecSize;
+  core::ServiceProvider sp(options);
+  std::vector<Record> dataset = Dataset(4000);
+  ASSERT_TRUE(sp.LoadDataset(dataset).ok());
+  sp.SetEpoch(1);
+  net::SpServer server(&sp);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<QueryRequest> requests;
+  for (int i = 0; i < 32; ++i) {
+    requests.push_back(i % 8 == 3 ? QueryRequest::Scan(10, 40000)
+                                  : QueryRequest::Scan(0, 40000));
+  }
+  auto fd = net::ConnectTcp({.port = server.port()});
+  ASSERT_TRUE(fd.ok());
+  net::UniqueFd conn(fd.value());
+  int small = 64 * 1024;
+  ASSERT_EQ(::setsockopt(conn.get(), SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof(small)), 0);
+  ASSERT_EQ(::setsockopt(conn.get(), SOL_SOCKET, SO_RCVBUF, &small,
+                         sizeof(small)), 0);
+  std::vector<uint8_t> pipelined;
+  for (const QueryRequest& request : requests) {
+    std::vector<uint8_t> bytes = core::SerializeQueryRequest(request);
+    net::AppendFrame(&pipelined, bytes.data(), bytes.size());
+  }
+  ASSERT_TRUE(
+      net::SendAll(conn.get(), pipelined.data(), pipelined.size()).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  auto golden = [&](const QueryRequest& request) {
+    std::vector<Record> witness;
+    for (const Record& r : dataset) {
+      if (r.key >= request.lo && r.key <= request.hi) witness.push_back(r);
+    }
+    return core::SerializeQueryAnswer(dbms::EvaluateAnswer(request, witness),
+                                      witness, 1, codec);
+  };
+  const std::vector<uint8_t> golden_all = golden(requests[0]);
+  const std::vector<uint8_t> golden_tail = golden(requests[3]);
+  ASSERT_GE(golden_tail.size(), 200u * 1024);
+  net::FrameDecoder decoder;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    auto frame = net::RecvFrame(conn.get(), &decoder);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(frame.value(), requests[i].lo == 0 ? golden_all : golden_tail)
+        << "response " << i;
+  }
+  EXPECT_EQ(sp.answer_cache_stats().misses, 2u);
+  EXPECT_EQ(sp.answer_cache_stats().hits, requests.size() - 2);
+  server.Stop();
+}
+
 // --- networked TOM deployment ---------------------------------------------------
 
 class TomNetTest : public ::testing::Test {
@@ -505,6 +601,35 @@ TEST_F(TomNetTest, PoisonedPlanRejected) {
   ASSERT_FALSE(verified.ok());
   EXPECT_EQ(verified.status().code(), StatusCode::kVerificationFailure)
       << verified.status().ToString();
+}
+
+// TOM's poisoned cache entry persists likewise until the DO installs a
+// signature at a new epoch (TOM's epoch notice), which flushes the cache.
+TEST_F(TomNetTest, PoisonedCachePersistsUntilEpochBump) {
+  QueryRequest request = QueryRequest::Scan(100, 400);
+  auto poisoned = client_->QueryPoisoned(request);
+  ASSERT_FALSE(poisoned.ok());
+  EXPECT_EQ(poisoned.status().code(), StatusCode::kVerificationFailure);
+  core::AnswerCacheStats before = sp_->answer_cache_stats();
+  for (int i = 0; i < 2; ++i) {
+    auto replayed = client_->Query(request);
+    ASSERT_FALSE(replayed.ok()) << "honest query " << i;
+    EXPECT_EQ(replayed.status().code(), StatusCode::kVerificationFailure)
+        << replayed.status().ToString();
+  }
+  EXPECT_EQ((sp_->answer_cache_stats() - before).hits, 2u);
+  auto other = client_->Query(QueryRequest::Scan(100, 401));
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+
+  ASSERT_TRUE(owner_->RestoreEpoch(owner_->epoch() + 1).ok());
+  net::ClientTransport sp_link({.port = sp_server_->port()});
+  ASSERT_TRUE(net::CallExpectAck(
+                  &sp_link, core::SerializeSignature(owner_->signature(),
+                                                     owner_->epoch()))
+                  .ok());
+  auto fresh = client_->Query(request);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh.value().vo_epoch, owner_->epoch());
 }
 
 TEST_F(TomNetTest, WireInsertCommitsWithSignature) {
