@@ -11,16 +11,17 @@
 //      sync-before-apply.
 //   2. recovery    — Recover() wall time as a function of the WAL tail
 //      length replayed (snapshot cadence disabled past the baseline).
-//   3. cadence     — the snapshot_interval trade, swept in BOTH write-path
-//      modes (legacy full snapshots vs delta chains + background
-//      checkpointing): update throughput against the recovery time the
-//      resulting WAL tail costs, plus bytes written per checkpoint.
+//   3. cadence     — the snapshot_interval trade, swept in BOTH checkpoint
+//      schedules (full snapshots only, full_snapshot_every=1, vs delta
+//      chains): update throughput against the recovery time the resulting
+//      WAL tail costs, plus bytes written per checkpoint.
 //   4. checkpoint_scaling — per-checkpoint bytes as a function of dataset
 //      size: full snapshots scale with the record count, delta links scale
 //      with the CHANGE count (the tentpole O(changes) claim).
-//   5. group_commit — concurrent writers against a simulated fsync cost
-//      (FaultFs::SetSyncLatency): updates/s and p99 commit latency with
-//      the WAL group-commit sequencer on vs off.
+//   5. group_commit — 1, 4 and 8 concurrent writers against a simulated
+//      fsync cost (FaultFs::SetSyncLatency): updates/s and p99 commit
+//      latency through the WAL group-commit sequencer. One writer is
+//      per-record sync; more writers share each leader's fsync.
 //
 // Emits BENCH_durability.json (BenchJson) for
 // scripts/check_perf_regression.py; SAE_BENCH_SCALE scales the op counts.
@@ -49,8 +50,10 @@ double NowMs() {
       .count();
 }
 
+/// `full_only` makes every checkpoint a full snapshot; the default is the
+/// delta-chain schedule.
 SaeSystem::Options Options(FaultFs* fs, uint64_t snapshot_interval,
-                           bool legacy = false) {
+                           bool full_only = false) {
   SaeSystem::Options options;
   options.record_size = kRecordSize;
   if (fs != nullptr) {
@@ -58,12 +61,7 @@ SaeSystem::Options Options(FaultFs* fs, uint64_t snapshot_interval,
     options.durability.dir = "/db";
     options.durability.vfs = fs;
     options.durability.snapshot_interval = snapshot_interval;
-    if (legacy) {  // the pre-delta write path: full snapshots, inline,
-                   // one fsync per committer
-      options.durability.delta_snapshots = false;
-      options.durability.wal_group_commit = false;
-      options.durability.background_checkpoint = false;
-    }
+    if (full_only) options.durability.full_snapshot_every = 1;
   }
   return options;
 }
@@ -186,15 +184,15 @@ int main() {
 
   // --- 3. snapshot cadence sweep, full vs delta ---------------------------
   // Smaller intervals checkpoint more (slower updates) but leave a shorter
-  // WAL tail (faster recovery); the sweep quantifies both ends, in the
-  // legacy full-snapshot mode and the delta-chain mode. The legacy mode
-  // pays an O(dataset) serialization every interval updates; the delta mode
-  // pays O(interval) — the per-update cost stops depending on n.
+  // WAL tail (faster recovery); the sweep quantifies both ends, with full
+  // snapshots only and with delta chains. The full mode pays an O(dataset)
+  // serialization every interval updates; the delta mode pays O(interval)
+  // — the per-update cost stops depending on n.
   const size_t cadence_updates =
       size_t(512 * scale) < 128 ? 128 : size_t(512 * scale);
   double full_ops_64 = 0, delta_ops_64 = 0;
-  for (bool legacy : {true, false}) {
-    const char* mode = legacy ? "full" : "delta";
+  for (bool full_only : {true, false}) {
+    const char* mode = full_only ? "full" : "delta";
     for (uint64_t interval : {uint64_t(4), uint64_t(16), uint64_t(64),
                               uint64_t(256)}) {
       FaultFs fs;
@@ -202,7 +200,7 @@ int main() {
       double update_ops;
       double bytes_per_checkpoint = 0;
       {
-        SaeSystem system(Options(&fs, interval, legacy));
+        SaeSystem system(Options(&fs, interval, full_only));
         SAE_CHECK_OK(system.Load(records));
         // The Load baseline is a full snapshot in either mode; subtract it
         // so the metric is the steady-state checkpoint size.
@@ -234,12 +232,12 @@ int main() {
       }
       fs.DropVolatile();
       double start = NowMs();
-      auto recovered = SaeSystem::Recover(Options(&fs, interval, legacy));
+      auto recovered = SaeSystem::Recover(Options(&fs, interval, full_only));
       double recovery_ms = NowMs() - start;
       SAE_CHECK_OK(recovered.status());
       SAE_CHECK(recovered.value()->epoch() == 1 + cadence_updates);
       if (interval == 64) {
-        (legacy ? full_ops_64 : delta_ops_64) = update_ops;
+        (full_only ? full_ops_64 : delta_ops_64) = update_ops;
       }
       std::printf(
           "cadence mode=%-5s interval=%-4llu %10.0f updates/s  "
@@ -264,12 +262,12 @@ int main() {
   // --- 4. per-checkpoint bytes vs dataset size ----------------------------
   // The O(changes) claim: at a fixed cadence, a full snapshot grows with
   // the record count while a delta link stays flat.
-  for (bool legacy : {true, false}) {
-    const char* mode = legacy ? "full" : "delta";
+  for (bool full_only : {true, false}) {
+    const char* mode = full_only ? "full" : "delta";
     for (size_t dataset : {n / 4, n}) {
       auto sized = MakeDataset(workload::Distribution::kUniform, dataset);
       FaultFs fs;
-      SaeSystem system(Options(&fs, 64, legacy));
+      SaeSystem system(Options(&fs, 64, full_only));
       SAE_CHECK_OK(system.Load(sized));
       const storage::RecordCodec& codec = system.codec();
       uint64_t next_id = dataset + 1;
@@ -289,63 +287,53 @@ int main() {
   }
 
   // --- 5. WAL group commit under concurrent writers -----------------------
-  // A simulated 200us fsync makes the sequencer visible: with group commit
-  // off every committer pays its own barrier serially; with it on,
-  // concurrent committers share the leader's. Single-writer runs bound the
-  // no-contention overhead of the sequencer itself.
+  // A simulated 200us fsync makes the sequencer visible: a lone writer
+  // pays its own barrier per update (per-record sync), while concurrent
+  // committers share the leader's.
   constexpr uint32_t kSyncLatencyUs = 200;
   const size_t per_thread =
       size_t(128 * scale) < 32 ? 32 : size_t(128 * scale);
-  for (bool group : {false, true}) {
-    for (size_t threads : {size_t(1), size_t(4), size_t(8)}) {
-      FaultFs fs;
-      fs.SetSyncLatency(kSyncLatencyUs);
-      SaeSystem::Options options = Options(&fs, 64, /*legacy=*/false);
-      options.durability.wal_group_commit = group;
-      SaeSystem system(options);
-      SAE_CHECK_OK(system.Load(records));
-      const storage::RecordCodec& codec = system.codec();
+  for (size_t threads : {size_t(1), size_t(4), size_t(8)}) {
+    FaultFs fs;
+    fs.SetSyncLatency(kSyncLatencyUs);
+    SaeSystem system(Options(&fs, 64));
+    SAE_CHECK_OK(system.Load(records));
+    const storage::RecordCodec& codec = system.codec();
 
-      std::vector<std::vector<double>> latencies(threads);
-      double start = NowMs();
-      std::vector<std::thread> writers;
-      for (size_t t = 0; t < threads; ++t) {
-        writers.emplace_back([&, t] {
-          latencies[t].reserve(per_thread);
-          for (size_t i = 0; i < per_thread; ++i) {
-            uint64_t id = n + 1 + t * per_thread + i;
-            uint32_t key = uint32_t((id * 2654435761u) % kDomainMax);
-            double op_start = NowMs();
-            SAE_CHECK_OK(system.Insert(codec.MakeRecord(id, key)));
-            latencies[t].push_back(NowMs() - op_start);
-          }
-        });
-      }
-      for (auto& w : writers) w.join();
-      SAE_CHECK_OK(system.WaitForCheckpoints());
-      double elapsed_ms = NowMs() - start;
+    std::vector<std::vector<double>> latencies(threads);
+    double start = NowMs();
+    std::vector<std::thread> writers;
+    for (size_t t = 0; t < threads; ++t) {
+      writers.emplace_back([&, t] {
+        latencies[t].reserve(per_thread);
+        for (size_t i = 0; i < per_thread; ++i) {
+          uint64_t id = n + 1 + t * per_thread + i;
+          uint32_t key = uint32_t((id * 2654435761u) % kDomainMax);
+          double op_start = NowMs();
+          SAE_CHECK_OK(system.Insert(codec.MakeRecord(id, key)));
+          latencies[t].push_back(NowMs() - op_start);
+        }
+      });
+    }
+    for (auto& w : writers) w.join();
+    SAE_CHECK_OK(system.WaitForCheckpoints());
+    double elapsed_ms = NowMs() - start;
 
-      std::vector<double> all;
-      for (auto& per : latencies) {
-        all.insert(all.end(), per.begin(), per.end());
-      }
-      std::sort(all.begin(), all.end());
-      double p99 = all[size_t(double(all.size() - 1) * 0.99)];
-      double updates_per_sec =
-          elapsed_ms > 0 ? double(all.size()) * 1000.0 / elapsed_ms : 0.0;
-      std::printf(
-          "group_commit group=%-3s threads=%zu %10.0f updates/s  "
-          "p99 %6.3f ms\n",
-          group ? "on" : "off", threads, updates_per_sec, p99);
-      json.Row({{"section", "group_commit"},
-                {"group", group ? "on" : "off"},
-                {"threads", std::to_string(threads)}},
-               {{"updates_per_sec", updates_per_sec},
-                {"p99_commit_ms", p99}});
-      if (group && threads == 8) {
-        PrintDurabilityStats(system.durability_stats(),
-                             "group_commit t=8");
-      }
+    std::vector<double> all;
+    for (auto& per : latencies) {
+      all.insert(all.end(), per.begin(), per.end());
+    }
+    std::sort(all.begin(), all.end());
+    double p99 = all[size_t(double(all.size() - 1) * 0.99)];
+    double updates_per_sec =
+        elapsed_ms > 0 ? double(all.size()) * 1000.0 / elapsed_ms : 0.0;
+    std::printf("group_commit threads=%zu %10.0f updates/s  p99 %6.3f ms\n",
+                threads, updates_per_sec, p99);
+    json.Row({{"section", "group_commit"},
+              {"threads", std::to_string(threads)}},
+             {{"updates_per_sec", updates_per_sec}, {"p99_commit_ms", p99}});
+    if (threads == 8) {
+      PrintDurabilityStats(system.durability_stats(), "group_commit t=8");
     }
   }
 

@@ -31,6 +31,54 @@ bool GetRecord(ByteReader* r, Record* out) {
   return len == 0 || r->GetBytes(out->payload.data(), len);
 }
 
+// The header both checkpoint payloads open with: model tag, record size,
+// hash scheme.
+template <typename State>
+void PutHeader(ByteWriter* w, const State& state) {
+  w->PutU8(state.model);
+  w->PutU32(state.record_size);
+  w->PutU8(uint8_t(state.scheme));
+}
+
+template <typename State>
+Status GetHeader(ByteReader* r, const std::string& what, State* state) {
+  state->model = r->GetU8();
+  state->record_size = r->GetU32();
+  uint8_t scheme = r->GetU8();
+  if (state->model != SnapshotState::kSae &&
+      state->model != SnapshotState::kTom) {
+    return Status::Corruption(what + " has unknown model tag");
+  }
+  if (scheme > uint8_t(crypto::HashScheme::kSha256Trunc)) {
+    return Status::Corruption(what + " has unknown hash scheme");
+  }
+  state->scheme = crypto::HashScheme(scheme);
+  return Status::OK();
+}
+
+// The tail both checkpoint payloads close with: the length-prefixed TOM
+// root signature (empty for SAE), then nothing.
+void PutSignature(ByteWriter* w, const std::vector<uint8_t>& signature) {
+  w->PutU32(uint32_t(signature.size()));
+  w->PutBytes(signature.data(), signature.size());
+}
+
+Status GetSignature(ByteReader* r, const std::string& what,
+                    std::vector<uint8_t>* signature) {
+  uint32_t sig_len = r->GetU32();
+  if (r->failed() || sig_len > r->remaining()) {
+    return Status::Corruption(what + " signature does not decode");
+  }
+  signature->resize(sig_len);
+  if (sig_len > 0 && !r->GetBytes(signature->data(), sig_len)) {
+    return Status::Corruption(what + " signature does not decode");
+  }
+  if (r->remaining() != 0) {
+    return Status::Corruption(what + " payload has trailing bytes");
+  }
+  return Status::OK();
+}
+
 std::vector<Record> SortedByKey(std::map<RecordId, Record> by_id) {
   std::vector<Record> records;
   records.reserve(by_id.size());
@@ -78,13 +126,10 @@ Result<WalUpdate> DecodeWalUpdate(const std::vector<uint8_t>& payload) {
 
 std::vector<uint8_t> EncodeSnapshotState(const SnapshotState& state) {
   ByteWriter w;
-  w.PutU8(state.model);
-  w.PutU32(state.record_size);
-  w.PutU8(uint8_t(state.scheme));
+  PutHeader(&w, state);
   w.PutU32(uint32_t(state.records.size()));
   for (const Record& record : state.records) PutRecord(&w, record);
-  w.PutU32(uint32_t(state.signature.size()));
-  w.PutBytes(state.signature.data(), state.signature.size());
+  PutSignature(&w, state.signature);
   return w.Release();
 }
 
@@ -92,17 +137,8 @@ Result<SnapshotState> DecodeSnapshotState(
     const std::vector<uint8_t>& payload) {
   ByteReader r(payload);
   SnapshotState state;
-  state.model = r.GetU8();
-  state.record_size = r.GetU32();
-  uint8_t scheme = r.GetU8();
+  SAE_RETURN_NOT_OK(GetHeader(&r, "snapshot", &state));
   uint32_t count = r.GetU32();
-  if (state.model != SnapshotState::kSae && state.model != SnapshotState::kTom) {
-    return Status::Corruption("snapshot has unknown model tag");
-  }
-  if (scheme > uint8_t(crypto::HashScheme::kSha256Trunc)) {
-    return Status::Corruption("snapshot has unknown hash scheme");
-  }
-  state.scheme = crypto::HashScheme(scheme);
   state.records.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     Record record;
@@ -111,48 +147,26 @@ Result<SnapshotState> DecodeSnapshotState(
     }
     state.records.push_back(std::move(record));
   }
-  uint32_t sig_len = r.GetU32();
-  if (r.failed() || sig_len > r.remaining()) {
-    return Status::Corruption("snapshot signature does not decode");
-  }
-  state.signature.resize(sig_len);
-  if (sig_len > 0 && !r.GetBytes(state.signature.data(), sig_len)) {
-    return Status::Corruption("snapshot signature does not decode");
-  }
-  if (r.remaining() != 0) {
-    return Status::Corruption("snapshot payload has trailing bytes");
-  }
+  SAE_RETURN_NOT_OK(GetSignature(&r, "snapshot", &state.signature));
   return state;
 }
 
 std::vector<uint8_t> EncodeDeltaState(const DeltaState& state) {
   ByteWriter w;
-  w.PutU8(state.model);
-  w.PutU32(state.record_size);
-  w.PutU8(uint8_t(state.scheme));
+  PutHeader(&w, state);
   w.PutU32(uint32_t(state.upserts.size()));
   for (const Record& record : state.upserts) PutRecord(&w, record);
   w.PutU32(uint32_t(state.removes.size()));
   for (RecordId id : state.removes) w.PutU64(id);
-  w.PutU32(uint32_t(state.signature.size()));
-  w.PutBytes(state.signature.data(), state.signature.size());
+  PutSignature(&w, state.signature);
   return w.Release();
 }
 
 Result<DeltaState> DecodeDeltaState(const std::vector<uint8_t>& payload) {
   ByteReader r(payload);
   DeltaState state;
-  state.model = r.GetU8();
-  state.record_size = r.GetU32();
-  uint8_t scheme = r.GetU8();
+  SAE_RETURN_NOT_OK(GetHeader(&r, "delta", &state));
   uint32_t upserts = r.GetU32();
-  if (state.model != SnapshotState::kSae && state.model != SnapshotState::kTom) {
-    return Status::Corruption("delta has unknown model tag");
-  }
-  if (scheme > uint8_t(crypto::HashScheme::kSha256Trunc)) {
-    return Status::Corruption("delta has unknown hash scheme");
-  }
-  state.scheme = crypto::HashScheme(scheme);
   state.upserts.reserve(upserts);
   for (uint32_t i = 0; i < upserts; ++i) {
     Record record;
@@ -167,17 +181,7 @@ Result<DeltaState> DecodeDeltaState(const std::vector<uint8_t>& payload) {
   }
   state.removes.reserve(removes);
   for (uint32_t i = 0; i < removes; ++i) state.removes.push_back(r.GetU64());
-  uint32_t sig_len = r.GetU32();
-  if (r.failed() || sig_len > r.remaining()) {
-    return Status::Corruption("delta signature does not decode");
-  }
-  state.signature.resize(sig_len);
-  if (sig_len > 0 && !r.GetBytes(state.signature.data(), sig_len)) {
-    return Status::Corruption("delta signature does not decode");
-  }
-  if (r.remaining() != 0) {
-    return Status::Corruption("delta payload has trailing bytes");
-  }
+  SAE_RETURN_NOT_OK(GetSignature(&r, "delta", &state.signature));
   return state;
 }
 
@@ -252,9 +256,6 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     mgr->have_chain_ = true;
     mgr->chain_tail_epoch_ = tail_epoch;
     mgr->chain_length_ = chain.value().deltas.size();
-    mgr->meta_model_ = base.model;
-    mgr->meta_record_size_ = base.record_size;
-    mgr->meta_scheme_ = base.scheme;
   } else if (chain.status().code() != StatusCode::kNotFound) {
     return chain.status();
   }
@@ -332,13 +333,7 @@ Result<uint64_t> DurabilityManager::StageUpdate(const WalUpdate& update) {
 }
 
 Status DurabilityManager::CommitStaged(uint64_t seq) {
-  return wal_->Commit(
-      seq, options_.wal_group_commit ? options_.max_group_delay_us : 0);
-}
-
-Status DurabilityManager::LogUpdate(const WalUpdate& update) {
-  SAE_ASSIGN_OR_RETURN(uint64_t seq, StageUpdate(update));
-  return wal_->Commit(seq, 0);
+  return wal_->Commit(seq);
 }
 
 Status DurabilityManager::UndoFailedUpdate() {
@@ -362,10 +357,10 @@ Status DurabilityManager::RetractStagedFrom(uint64_t first_epoch) {
   abort.op = WalUpdate::kAbort;
   abort.epoch = first_epoch;
   SAE_ASSIGN_OR_RETURN(uint64_t seq, wal_->Stage(EncodeWalUpdate(abort)));
-  // Sync immediately (no group delay): the retraction must be durable
-  // before the caller acknowledges the failure, or a crash in between
-  // would resurrect the suffix the caller just reported as failed.
-  SAE_RETURN_NOT_OK(wal_->Commit(seq, 0));
+  // Sync before returning: the retraction must be durable before the
+  // caller acknowledges the failure, or a crash in between would resurrect
+  // the suffix the caller just reported as failed.
+  SAE_RETURN_NOT_OK(wal_->Commit(seq));
   std::lock_guard<std::mutex> lock(state_mu_);
   // The pending-change set has one level of undo; a retracted multi-record
   // suffix cannot be selectively unwound from it. Drop it wholesale and
@@ -384,7 +379,6 @@ bool DurabilityManager::ShouldSnapshot() {
 }
 
 bool DurabilityManager::NextCheckpointIsFull() const {
-  if (!options_.delta_snapshots) return true;
   if (options_.full_snapshot_every <= 1) return true;
   // A failed checkpoint write broke the on-disk chain: only a full
   // snapshot can re-cover the retained WAL windows and resume segment GC.
@@ -394,7 +388,7 @@ bool DurabilityManager::NextCheckpointIsFull() const {
   return chain_length_ + 1 >= options_.full_snapshot_every;
 }
 
-Status DurabilityManager::CaptureLocked(CheckpointJob job, bool force_sync) {
+Status DurabilityManager::CaptureLocked(CheckpointJob job, bool wait) {
   // Seal the WAL at the capture point: everything logged so far is covered
   // by this checkpoint, everything after it belongs to the next window.
   // The sealed segments stay on disk until the checkpoint is DURABLE — a
@@ -413,44 +407,38 @@ Status DurabilityManager::CaptureLocked(CheckpointJob job, bool force_sync) {
     // retraction no longer owes anything to the next delta.
     if (job.full) pending_incomplete_ = false;
   }
-  if (options_.background_checkpoint && !force_sync) {
-    std::lock_guard<std::mutex> lock(ckpt_mu_);
-    if (!ckpt_thread_started_) {
-      ckpt_thread_started_ = true;
-      ckpt_thread_ = std::thread([this] { CheckpointThreadMain(); });
-    }
-    ckpt_queue_.push_back(std::move(job));
-    ckpt_cv_.notify_all();
-    return Status::OK();
+  if (wait) return RunCheckpointJob(job);
+  std::lock_guard<std::mutex> lock(ckpt_mu_);
+  if (!ckpt_thread_started_) {
+    ckpt_thread_started_ = true;
+    ckpt_thread_ = std::thread([this] { CheckpointThreadMain(); });
   }
-  return RunCheckpointJob(job);
+  ckpt_queue_.push_back(std::move(job));
+  ckpt_cv_.notify_all();
+  return Status::OK();
 }
 
-Status DurabilityManager::CheckpointFull(uint64_t epoch, SnapshotState state) {
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    meta_model_ = state.model;
-    meta_record_size_ = state.record_size;
-    meta_scheme_ = state.scheme;
-  }
+Status DurabilityManager::CheckpointFull(uint64_t epoch, SnapshotState state,
+                                         bool wait) {
   CheckpointJob job;
   job.full = true;
   job.epoch = epoch;
   job.full_state = std::move(state);
-  return CaptureLocked(std::move(job), /*force_sync=*/false);
+  return CaptureLocked(std::move(job), wait);
 }
 
 Status DurabilityManager::CheckpointDelta(uint64_t epoch,
-                                          std::vector<uint8_t> signature) {
+                                          SnapshotState header) {
   CheckpointJob job;
   job.full = false;
   job.epoch = epoch;
   DeltaState& delta = job.delta_state;
+  delta.model = header.model;
+  delta.record_size = header.record_size;
+  delta.scheme = header.scheme;
+  delta.signature = std::move(header.signature);
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    delta.model = meta_model_;
-    delta.record_size = meta_record_size_;
-    delta.scheme = meta_scheme_;
     for (auto& [id, change] : pending_) {
       if (change.present) {
         delta.upserts.push_back(std::move(change.record));
@@ -460,23 +448,7 @@ Status DurabilityManager::CheckpointDelta(uint64_t epoch,
     }
     job.base_epoch = chain_tail_epoch_;
   }
-  delta.signature = std::move(signature);
-  return CaptureLocked(std::move(job), /*force_sync=*/false);
-}
-
-Status DurabilityManager::WriteSnapshot(uint64_t epoch,
-                                        const SnapshotState& state) {
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    meta_model_ = state.model;
-    meta_record_size_ = state.record_size;
-    meta_scheme_ = state.scheme;
-  }
-  CheckpointJob job;
-  job.full = true;
-  job.epoch = epoch;
-  job.full_state = state;
-  return CaptureLocked(std::move(job), /*force_sync=*/true);
+  return CaptureLocked(std::move(job), /*wait=*/false);
 }
 
 Status DurabilityManager::RunCheckpointJob(const CheckpointJob& job) {

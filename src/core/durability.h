@@ -6,38 +6,37 @@
 // `wal-<seq>` segments, `snap-<epoch>` full snapshots and
 // `delta-<base>-<epoch>` chain links; storage/wal.h + storage/snapshot.h).
 //
-// Write-ahead contract: RunUpdate validates the op against the owner,
-// stages the WAL record — stamped with the POST-update epoch — and the
-// record is synced durable (CommitStaged; with group commit enabled, one
-// fsync covers every concurrently staged record) before the in-memory
+// Write-ahead contract: the update pipeline (core/update_pipeline.h)
+// validates the op against the owner, stages the WAL record — stamped with
+// the POST-update epoch — and the record is synced durable (CommitStaged:
+// one fsync covers every concurrently staged record) before the in-memory
 // authentication state mutates. An update whose record reached the disk is
 // recoverable; one whose record did not never happened.
 //
 // Checkpoints run every `snapshot_interval` updates so the WAL (and
-// recovery replay) stays short. With delta snapshots on, the steady-state
-// checkpoint persists only the records inserted/deleted since the previous
-// checkpoint — O(changes), not O(state) — chained onto it by epoch; every
-// `full_snapshot_every`-th checkpoint compacts the chain into a fresh full
-// snapshot, which also garbage-collects chains beyond the newest
-// `keep_snapshots`. With background checkpointing on, the write path only
-// CAPTURES the (small) pending-change set under the writer lock; one
-// checkpoint thread serializes and writes it, so queries and updates never
-// stall behind checkpoint I/O. The WAL rotates to a fresh segment at each
-// capture, and the sealed segments are dropped only after the checkpoint
-// they feed is durable — a crash mid-checkpoint recovers from the previous
-// chain plus the retained segments, losing nothing. A FAILED checkpoint
-// write gates segment GC entirely: later delta captures are skipped (their
-// base never reached the disk) and the next checkpoint is forced FULL;
-// only once that full snapshot is durable — re-covering every retained
-// window — does GC resume. Segments are thus only ever dropped under a
-// durable checkpoint that covers them.
+// recovery replay) stays short. The steady-state checkpoint persists only
+// the records inserted/deleted since the previous checkpoint — O(changes),
+// not O(state) — chained onto it by epoch; every `full_snapshot_every`-th
+// checkpoint compacts the chain into a fresh full snapshot, which also
+// garbage-collects chains beyond the newest `keep_snapshots`. The write
+// path only CAPTURES the (small) pending-change set under the writer lock;
+// one checkpoint thread serializes and writes it, so queries and updates
+// never stall behind checkpoint I/O. The WAL rotates to a fresh segment at
+// each capture, and the sealed segments are dropped only after the
+// checkpoint they feed is durable — a crash mid-checkpoint recovers from
+// the previous chain plus the retained segments, losing nothing. A FAILED
+// checkpoint write gates segment GC entirely: later delta captures are
+// skipped (their base never reached the disk) and the next checkpoint is
+// forced FULL; only once that full snapshot is durable — re-covering every
+// retained window — does GC resume. Segments are thus only ever dropped
+// under a durable checkpoint that covers them.
 //
-// Recovery (SaeSystem::Recover / TomSystem::Recover) inverts this: load
-// the newest intact chain (full snapshot composed with every validly
-// linked delta — never past a corrupt link), replay the WAL records that
-// chain epoch-contiguously out of the composed state through the normal
-// owner paths, truncate whatever does not (garbage, or records orphaned by
-// a chain fallback), and republish. The recovered epoch is provable — TOM
+// Recovery (UpdatePipeline::RecoverSystem) inverts this: load the newest
+// intact chain (full snapshot composed with every validly linked delta —
+// never past a corrupt link), replay the WAL records that chain
+// epoch-contiguously out of the composed state through the live apply
+// path, truncate whatever does not (garbage, or records orphaned by a
+// chain fallback), and republish. The recovered epoch is provable — TOM
 // re-signs and cross-checks the persisted root signature — and clients
 // verify it as live traffic; a rollback to an older durable state yields
 // an older epoch that the unmodified client freshness gate rejects as
@@ -86,24 +85,9 @@ struct DurabilityOptions {
   /// Full-snapshot chains kept by GC; >= 2 keeps a whole fallback chain
   /// behind a corrupt newest.
   size_t keep_snapshots = 2;
-  /// Steady-state checkpoints persist only the changes since the previous
-  /// checkpoint (O(changes)); false restores the PR 9 full-state behavior.
-  bool delta_snapshots = true;
   /// Every Nth checkpoint is a full snapshot compacting the chain (and
   /// bounding recovery to at most N-1 delta loads). 0 or 1 = always full.
   uint64_t full_snapshot_every = 8;
-  /// Split LogUpdate into stage (under the writer lock) and sync (outside
-  /// it): concurrent committers share one fsync. false = sync per record
-  /// under the lock, as in PR 9.
-  bool wal_group_commit = true;
-  /// With group commit, how long a group leader waits for stragglers to
-  /// stage before issuing the shared fsync. 0 = sync immediately (groups
-  /// still form out of natural concurrency).
-  uint32_t max_group_delay_us = 0;
-  /// Serialize + write checkpoints on a dedicated thread; the write path
-  /// only captures the pending-change set. false = checkpoint inline under
-  /// the writer lock.
-  bool background_checkpoint = true;
 };
 
 /// One logged update, WAL payload <-> in-memory form. `epoch` is the epoch
@@ -117,6 +101,19 @@ struct WalUpdate {
   uint64_t epoch = 0;
   Record record;   // kInsert: the inserted record
   RecordId id = 0; // kDelete: the deleted id
+
+  /// An unstamped update; the pipeline assigns the epoch at stage time.
+  static WalUpdate Insert(const Record& record) {
+    WalUpdate update;
+    update.record = record;
+    return update;
+  }
+  static WalUpdate Delete(RecordId id) {
+    WalUpdate update;
+    update.op = kDelete;
+    update.id = id;
+    return update;
+  }
 };
 
 std::vector<uint8_t> EncodeWalUpdate(const WalUpdate& update);
@@ -215,18 +212,13 @@ class DurabilityManager {
   Result<uint64_t> StageUpdate(const WalUpdate& update);
 
   /// Makes every record staged up to `seq` durable — the durability commit
-  /// point: returns OK iff the update is recoverable. With group commit,
-  /// one leader's fsync covers the whole concurrent group; call WITHOUT
-  /// the writer lock so groups can form. Without group commit this is a
-  /// plain per-record fsync.
+  /// point: returns OK iff the update is recoverable. One leader's fsync
+  /// covers the whole concurrent group; call WITHOUT the writer lock so
+  /// groups can form.
   Status CommitStaged(uint64_t seq);
 
-  /// Stage + commit inline (one sync point) — the non-group write path,
-  /// byte- and barrier-identical to PR 9's LogUpdate.
-  Status LogUpdate(const WalUpdate& update);
-
   /// Rolls the WAL and the pending-change set back over the last
-  /// StageUpdate/LogUpdate after the in-memory apply failed, so neither
+  /// StageUpdate after the in-memory apply failed, so neither
   /// the log nor the next delta claims an update that did not happen.
   /// Caller holds the writer lock.
   Status UndoFailedUpdate();
@@ -246,8 +238,8 @@ class DurabilityManager {
   /// cadence only ever reflects updates that really happened.
   bool ShouldSnapshot();
 
-  /// True when the next checkpoint must persist full state: delta
-  /// snapshots disabled, no chain yet, the compaction cadence
+  /// True when the next checkpoint must persist full state: no chain yet,
+  /// the compaction cadence
   /// (`full_snapshot_every`) is reached, a checkpoint write failed (the
   /// on-disk chain is broken; a full re-covers it and resumes WAL GC), or
   /// a retraction dropped the pending-change set.
@@ -255,20 +247,18 @@ class DurabilityManager {
 
   /// Captures a FULL checkpoint of `state` at `epoch`: rotates the WAL
   /// (sealing the segments this checkpoint makes redundant) and hands the
-  /// state to the checkpoint thread (or writes it inline). Resets the
+  /// state to the checkpoint thread — or, with `wait`, writes it inline, so
+  /// the Load baseline is durable when Load returns. Resets the
   /// pending-change set, the chain, and the cadence counter. Caller holds
   /// the writer lock at a quiescent point (nothing staged-but-unapplied).
-  Status CheckpointFull(uint64_t epoch, SnapshotState state);
+  Status CheckpointFull(uint64_t epoch, SnapshotState state, bool wait);
 
   /// Captures a DELTA checkpoint at `epoch` from the pending-change set
   /// accumulated since the previous capture (O(changes) under the lock),
-  /// chained onto that capture's epoch. Same quiescence requirement.
-  Status CheckpointDelta(uint64_t epoch, std::vector<uint8_t> signature);
-
-  /// Synchronous full checkpoint — runs inline even with background
-  /// checkpointing on. Load uses this for the epoch-1 baseline, so "Load
-  /// returned" implies "recoverable from disk".
-  Status WriteSnapshot(uint64_t epoch, const SnapshotState& state);
+  /// chained onto that capture's epoch. `header` supplies the payload
+  /// header and TOM's root signature; its records are unused. Same
+  /// quiescence requirement.
+  Status CheckpointDelta(uint64_t epoch, SnapshotState header);
 
   /// Blocks until every captured checkpoint is durable (or failed);
   /// returns the first failure since the last wait. Call without the
@@ -300,9 +290,9 @@ class DurabilityManager {
   };
 
   /// Rotation + bookkeeping shared by both capture flavors; the caller
-  /// fills the payload side of `job`. `force_sync` writes inline even with
-  /// background checkpointing on (the Load baseline).
-  Status CaptureLocked(CheckpointJob job, bool force_sync);
+  /// fills the payload side of `job`. `wait` writes inline instead of
+  /// queueing (the Load baseline).
+  Status CaptureLocked(CheckpointJob job, bool wait);
   /// Serializes and writes one captured checkpoint; drops the WAL
   /// segments it made redundant once it is durable. While the chain is
   /// broken (an earlier checkpoint write failed) delta jobs are SKIPPED —
@@ -325,11 +315,6 @@ class DurabilityManager {
   uint64_t chain_tail_epoch_ = 0;  // base of the next delta
   uint64_t chain_length_ = 0;      // deltas since the last full
   bool have_chain_ = false;        // a full snapshot exists to chain onto
-  // Snapshot header fields deltas inherit (set by every full capture and
-  // by recovery; a delta is never captured before a full exists).
-  uint8_t meta_model_ = SnapshotState::kSae;
-  uint32_t meta_record_size_ = 0;
-  crypto::HashScheme meta_scheme_ = crypto::HashScheme::kSha1;
   // Undo info for the last staged update (one level deep, like the WAL's).
   RecordId last_staged_id_ = 0;
   bool last_staged_had_prev_ = false;

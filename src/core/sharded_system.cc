@@ -8,7 +8,6 @@
 #include "core/sharded_system.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -34,19 +33,6 @@ typename Base::Options ShardOptions(
     base.durability.dir = ShardDurabilityDir(base.durability.dir, s);
   }
   return base;
-}
-
-/// The recovered dataset of one shard, for rebuilding the id -> key
-/// routing directory.
-std::vector<Record> RecoveredRecords(SaeSystem* shard) {
-  return shard->owner().SortedDataset();
-}
-Result<std::vector<Record>> RecoveredRecords(TomSystem* shard) {
-  SAE_ASSIGN_OR_RETURN(TomServiceProvider::QueryResponse response,
-                       shard->sp().ExecuteRange(
-                           std::numeric_limits<Key>::min(),
-                           std::numeric_limits<Key>::max()));
-  return std::move(response.results);
 }
 
 }  // namespace
@@ -75,10 +61,10 @@ Result<std::unique_ptr<ShardedSystem<Base>>> ShardedSystem<Base>::Recover(
   for (size_t s = 0; s < system->shards_.size(); ++s) {
     SAE_ASSIGN_OR_RETURN(system->shards_[s],
                          Base::Recover(ShardOptions<Base>(options, s)));
-    SAE_ASSIGN_OR_RETURN(std::vector<Record> records,
-                         Result<std::vector<Record>>(
-                             RecoveredRecords(system->shards_[s].get())));
-    for (const Record& record : records) {
+    // The recovered dataset rebuilds the id -> key routing directory.
+    SAE_ASSIGN_OR_RETURN(SnapshotState state,
+                         system->shards_[s]->CaptureState());
+    for (const Record& record : state.records) {
       if (!system->directory_.emplace(record.id, record.key).second) {
         return Status::Corruption(
             "record id recovered on more than one shard");
@@ -263,6 +249,7 @@ DurabilityStats ShardedSystem<Base>::durability_stats() const {
     total.wal_syncs += s.wal_syncs;
     total.checkpoints_full += s.checkpoints_full;
     total.checkpoints_delta += s.checkpoints_delta;
+    total.checkpoints_skipped += s.checkpoints_skipped;
     total.delta_chain_length =
         std::max(total.delta_chain_length, s.delta_chain_length);
     total.updates_since_checkpoint += s.updates_since_checkpoint;

@@ -1,9 +1,10 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Implements the end-to-end SaeSystem and TomSystem harnesses
-// (core/system.h): the shared-mutex reader-writer discipline, the
-// epoch-versioned update pipeline, and the freshness adversaries
-// (kReplayStaleRoot / kStaleVt) that answer from pre-update snapshots.
+// (core/system.h): the verified query path under the reader lock, each
+// model's hook into the shared update pipeline, and the freshness
+// adversaries (kReplayStaleRoot / kStaleVt) that answer from pre-update
+// snapshots.
 
 #include "core/system.h"
 
@@ -44,7 +45,10 @@ uint64_t StaleClaim(bool captured, uint64_t stale_epoch, uint64_t published) {
 // --- SaeSystem ---------------------------------------------------------------
 
 SaeSystem::SaeSystem(const Options& options)
-    : options_(options),
+    : UpdatePipeline({SnapshotState::kSae, uint32_t(options.record_size),
+                      options.scheme},
+                     options.durability),
+      options_(options),
       owner_(options.record_size),
       sp_(ServiceProvider::Options{options.record_size,
                                    options.sp_index_pool_pages,
@@ -58,96 +62,38 @@ SaeSystem::SaeSystem(const Options& options)
 Status SaeSystem::Load(const std::vector<Record>& records) {
   std::unique_lock<std::shared_mutex> lock(rw_mu_);
   SAE_RETURN_NOT_OK(LoadLocked(records));
-  if (options_.durability.enabled) {
-    SAE_ASSIGN_OR_RETURN(durability_,
-                         DurabilityManager::Open(options_.durability));
-    // The epoch-1 baseline: until this snapshot is durable, a crash means
-    // re-outsourcing from the DO's master copy (Recover -> kNotFound).
-    SAE_RETURN_NOT_OK(WriteSnapshotLocked());
-  }
-  return Status::OK();
+  return FinishLoad();
 }
 
 Status SaeSystem::LoadLocked(const std::vector<Record>& records) {
   SAE_RETURN_NOT_OK(owner_.SetDataset(records));
-  SAE_RETURN_NOT_OK(owner_.Outsource(&sp_, &te_, &do_sp_, &do_te_));
-  published_epoch_.store(owner_.epoch(), std::memory_order_release);
+  return owner_.Outsource(&sp_, &te_, &do_sp_, &do_te_);
+}
+
+Status SaeSystem::Apply(const WalUpdate& update, Traffic* traffic) {
+  // Channels carry shipment + epoch notice; the applying update holds the
+  // unique lock, so the delta is exactly this update's traffic.
+  uint64_t bytes0 = do_sp_.total_bytes() + do_te_.total_bytes();
+  Status st =
+      update.op == WalUpdate::kInsert
+          ? owner_.InsertRecord(update.record, &sp_, &te_, &do_sp_, &do_te_)
+          : owner_.DeleteRecord(update.id, &sp_, &te_, &do_sp_, &do_te_);
+  size_t sent = do_sp_.total_bytes() + do_te_.total_bytes() - bytes0;
+  traffic->auth_bytes = st.ok() ? 2 * SerializeEpochNotice(0).size() : 0;
+  traffic->shipment_bytes = sent - traffic->auth_bytes;
+  return st;
+}
+
+Status SaeSystem::Capture(bool with_records, SnapshotState* state) {
+  // The TE rebuilds its XB-tree from the records: no root to persist.
+  if (with_records) state->records = owner_.SortedDataset();
   return Status::OK();
 }
 
-Status SaeSystem::WriteSnapshotLocked() {
-  SnapshotState state;
-  state.model = SnapshotState::kSae;
-  state.record_size = uint32_t(options_.record_size);
-  state.scheme = options_.scheme;
-  state.records = owner_.SortedDataset();
-  return durability_->WriteSnapshot(owner_.epoch(), state);
-}
-
-Status SaeSystem::CheckpointLocked() {
-  if (durability_->NextCheckpointIsFull()) {
-    SnapshotState state;
-    state.model = SnapshotState::kSae;
-    state.record_size = uint32_t(options_.record_size);
-    state.scheme = options_.scheme;
-    state.records = owner_.SortedDataset();
-    return durability_->CheckpointFull(owner_.epoch(), std::move(state));
-  }
-  // O(changes): the pending set accumulated at stage time IS the delta.
-  return durability_->CheckpointDelta(owner_.epoch(), {});
-}
-
-bool SaeSystem::EffectiveHasRecord(RecordId id) const {
-  auto it = staged_presence_.find(id);
-  if (it != staged_presence_.end()) return it->second.first;
-  return owner_.HasRecord(id);
-}
-
-Result<std::unique_ptr<SaeSystem>> SaeSystem::Recover(const Options& options) {
-  SAE_ASSIGN_OR_RETURN(std::unique_ptr<DurabilityManager> mgr,
-                       DurabilityManager::Open(options.durability));
-  const DurabilityManager::Recovered& rec = mgr->recovered();
-  if (!rec.has_snapshot) {
-    return Status::NotFound("no durable snapshot to recover from");
-  }
-  if (rec.snapshot.model != SnapshotState::kSae) {
-    return Status::Corruption("snapshot belongs to a different model");
-  }
-  if (rec.snapshot.record_size != options.record_size ||
-      rec.snapshot.scheme != options.scheme) {
-    return Status::Corruption("snapshot configuration does not match options");
-  }
-
-  auto system = std::unique_ptr<SaeSystem>(new SaeSystem(options));
-  std::unique_lock<std::shared_mutex> lock(system->rw_mu_);
-  SAE_RETURN_NOT_OK(system->LoadLocked(rec.snapshot.records));
-  system->owner_.RestoreEpoch(rec.snapshot_epoch, &system->sp_,
-                              &system->te_);
-  // Replay the WAL tail through the normal owner paths. Records at or
-  // below the snapshot epoch are already inside it (a crash can land
-  // between the snapshot rename and the WAL reset); later records must
-  // chain epoch-contiguously out of the snapshot.
-  for (const WalUpdate& update : rec.wal_tail) {
-    if (update.epoch <= rec.snapshot_epoch) continue;
-    if (update.epoch != system->owner_.epoch() + 1) {
-      return Status::Corruption("wal epoch does not follow recovered state");
-    }
-    Status applied =
-        update.op == WalUpdate::kInsert
-            ? system->owner_.InsertRecord(update.record, &system->sp_,
-                                          &system->te_, &system->do_sp_,
-                                          &system->do_te_)
-            : system->owner_.DeleteRecord(update.id, &system->sp_,
-                                          &system->te_, &system->do_sp_,
-                                          &system->do_te_);
-    if (!applied.ok()) {
-      return Status::Corruption("wal replay failed: " + applied.message());
-    }
-  }
-  system->published_epoch_.store(system->owner_.epoch(),
-                                 std::memory_order_release);
-  system->durability_ = std::move(mgr);
-  return system;
+Status SaeSystem::Restore(const SnapshotState& state, uint64_t epoch) {
+  SAE_RETURN_NOT_OK(LoadLocked(state.records));
+  owner_.RestoreEpoch(epoch, &sp_, &te_);
+  return Status::OK();
 }
 
 Result<SaeSystem::QueryOutcome> SaeSystem::Query(
@@ -280,219 +226,13 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
   return outcome;
 }
 
-template <typename Validate, typename Fn>
-Result<uint64_t> SaeSystem::RunUpdate(uint64_t* op_counter,
-                                      WalUpdate wal_update,
-                                      Validate&& validate, Fn&& apply) {
-  std::unique_lock<std::shared_mutex> lock(rw_mu_);
-  // Adversary staging (a one-time O(n) scan on the first update ever)
-  // happens before the stopwatch so the reported update latency measures
-  // the pipeline, not the test harness's replay snapshot.
-  CaptureStaleSnapshotLocked();
-  sim::Stopwatch watch;
-  const bool group =
-      durability_ != nullptr && durability_->options().wal_group_commit;
-  auto fail = [&](Status st) -> Result<uint64_t> {
-    ++update_stats_.failed;
-    update_stats_.latency_ms += watch.ElapsedMs();
-    return st;
-  };
-  // Write-ahead ordering: validate first — against the owner state PLUS
-  // everything staged ahead of us, so the WAL never records an update its
-  // apply would reject — then make the record durable, and only then
-  // mutate memory. A synced record still precedes every in-memory apply
-  // it covers.
-  Status st = validate();
-  if (!st.ok()) return fail(st);
-  uint64_t my_epoch = 0;
-  uint64_t seq = 0;
-  RecordId staged_id = 0;
-  if (durability_ != nullptr) {
-    if (wal_dead_) {
-      return fail(Status::IoError("durable write pipeline failed"));
-    }
-    my_epoch = std::max(staged_epoch_, owner_.epoch()) + 1;
-    wal_update.epoch = my_epoch;
-    staged_id = wal_update.op == WalUpdate::kInsert ? wal_update.record.id
-                                                    : wal_update.id;
-    auto staged = durability_->StageUpdate(wal_update);
-    if (!staged.ok()) return fail(staged.status());
-    seq = staged.value();
-    staged_epoch_ = my_epoch;
-    if (group) {
-      staged_presence_[staged_id] = {wal_update.op == WalUpdate::kInsert,
-                                     my_epoch};
-      const uint64_t my_gen = wal_generation_;
-      // Commit OUTSIDE the lock so concurrent committers share one fsync,
-      // then re-enter and wait for our turn: applies happen in staged
-      // epoch order, exactly as if the pipeline were sequential.
-      lock.unlock();
-      Status synced = durability_->CommitStaged(seq);
-      lock.lock();
-      if (synced.ok() && !wal_dead_ && wal_generation_ == my_gen) {
-        apply_cv_.wait(lock, [&] {
-          return wal_dead_ || wal_generation_ != my_gen ||
-                 owner_.epoch() + 1 == my_epoch;
-        });
-      }
-      if (wal_generation_ != my_gen && !wal_dead_) {
-        // A failure below us in the pipeline durably retracted the whole
-        // staged suffix — this record included — and re-armed. Our update
-        // simply failed; recovery will never replay it.
-        return fail(Status::IoError(
-            "update retracted: a group-commit neighbor failed"));
-      }
-      if (!synced.ok() || wal_dead_) {
-        // A failed group fsync (or a failure upstream in the pipeline)
-        // means epochs staged after the failure can never publish. Retract
-        // the whole unapplied suffix durably — a neighboring leader's
-        // retried fsync may have synced our record even though our own
-        // commit failed, so a volatile-looking record can still resurrect
-        // — then re-arm the pipeline for new updates. Only if the
-        // retraction itself cannot be made durable is the pipeline
-        // poisoned: the suffix's post-crash outcome is unknown.
-        if (!wal_dead_ &&
-            durability_->RetractStagedFrom(owner_.epoch() + 1).ok()) {
-          staged_epoch_ = owner_.epoch();
-          staged_presence_.clear();
-          ++wal_generation_;
-        } else {
-          wal_dead_ = true;
-        }
-        apply_cv_.notify_all();
-        return fail(synced.ok()
-                        ? Status::IoError("durable write pipeline failed")
-                        : synced);
-      }
-    } else {
-      st = durability_->CommitStaged(seq);
-      if (!st.ok()) {
-        // Single-record commit: nothing was synced on top of us, so a
-        // plain stage undo retracts the record; fall back to a durable
-        // abort marker, and fail stop only if both fail — then the
-        // record's post-crash outcome is unknown.
-        if (durability_->UndoFailedUpdate().ok() ||
-            durability_->RetractStagedFrom(my_epoch).ok()) {
-          staged_epoch_ = my_epoch - 1;
-        } else {
-          wal_dead_ = true;
-        }
-        return fail(st);
-      }
-    }
-  }
-  // Channels carry shipment + epoch notice; the applying update holds the
-  // unique lock, so the delta is exactly this update's traffic.
-  uint64_t sp_bytes0 = do_sp_.total_bytes();
-  uint64_t te_bytes0 = do_te_.total_bytes();
-  st = apply();
-  size_t traffic = (do_sp_.total_bytes() - sp_bytes0) +
-                   (do_te_.total_bytes() - te_bytes0);
-  size_t notice_bytes = st.ok() ? 2 * SerializeEpochNotice(0).size() : 0;
-  update_stats_.shipment_bytes += traffic - notice_bytes;
-  update_stats_.auth_bytes += notice_bytes;
-  update_stats_.latency_ms += watch.ElapsedMs();
-  if (!st.ok()) {
-    if (durability_ != nullptr) {
-      bool retracted = false;
-      if (staged_epoch_ == my_epoch) {
-        // Ours is the newest staged record: retract it — the log and the
-        // pending delta must not claim an update that did not happen. The
-        // record may already be durable (group fsync), and recovery's
-        // contiguity check would replay it — it only cuts epoch GAPS —
-        // so prefer the physical stage undo (leaves the log byte-identical
-        // to a never-staged history) and fall back to a durable abort
-        // marker.
-        retracted = durability_->UndoFailedUpdate().ok() ||
-                    durability_->RetractStagedFrom(my_epoch).ok();
-        if (retracted) {
-          staged_epoch_ = my_epoch - 1;
-          auto it = staged_presence_.find(staged_id);
-          if (it != staged_presence_.end() && it->second.second == my_epoch) {
-            staged_presence_.erase(it);
-          }
-        }
-      } else {
-        // Later updates already staged (and validated) on top of our
-        // durable record; none of them can ever publish. Durably retract
-        // the whole suffix and re-arm: waiters from this generation fail
-        // without applying, new updates restage from the owner epoch.
-        retracted = durability_->RetractStagedFrom(my_epoch).ok();
-        if (retracted) {
-          staged_epoch_ = my_epoch - 1;
-          staged_presence_.clear();
-          ++wal_generation_;
-        }
-      }
-      if (!retracted) {
-        // The failed update's durable record cannot be retracted: its
-        // post-crash outcome is unknown. Fail stop so no later update
-        // stacks onto an epoch that may or may not replay.
-        wal_dead_ = true;
-      }
-      apply_cv_.notify_all();
-    }
-    ++update_stats_.failed;
-    return st;
-  }
-  if (group) {
-    auto it = staged_presence_.find(staged_id);
-    if (it != staged_presence_.end() && it->second.second == my_epoch) {
-      staged_presence_.erase(it);
-    }
-  }
-  ++*op_counter;
-  published_epoch_.store(owner_.epoch(), std::memory_order_release);
-  if (durability_ != nullptr) apply_cv_.notify_all();
-  if (durability_ != nullptr && durability_->ShouldSnapshot() &&
-      staged_epoch_ == owner_.epoch()) {
-    // Checkpoint only at a quiescent point (nothing staged-but-unapplied):
-    // the WAL rotation inside the capture is then barrier-free and the
-    // pending set is exactly the state delta. The cadence counter stays
-    // due until the last committer of a burst lands here. The update
-    // itself is already durable; a failing checkpoint still surfaces.
-    SAE_RETURN_NOT_OK(CheckpointLocked());
-  }
-  return owner_.epoch();
-}
-
-Result<uint64_t> SaeSystem::InsertVersioned(const Record& record) {
-  WalUpdate wal_update;
-  wal_update.op = WalUpdate::kInsert;
-  wal_update.record = record;
-  return RunUpdate(
-      &update_stats_.inserts, std::move(wal_update),
-      [&] {
-        return EffectiveHasRecord(record.id)
-                   ? Status::AlreadyExists("record id already present")
-                   : Status::OK();
-      },
-      [&] { return owner_.InsertRecord(record, &sp_, &te_, &do_sp_, &do_te_); });
-}
-
-Result<uint64_t> SaeSystem::DeleteVersioned(RecordId id) {
-  WalUpdate wal_update;
-  wal_update.op = WalUpdate::kDelete;
-  wal_update.id = id;
-  return RunUpdate(
-      &update_stats_.deletes, std::move(wal_update),
-      [&] {
-        return EffectiveHasRecord(id)
-                   ? Status::OK()
-                   : Status::NotFound("no record with this id");
-      },
-      [&] { return owner_.DeleteRecord(id, &sp_, &te_, &do_sp_, &do_te_); });
-}
-
-UpdateStats SaeSystem::update_stats() const {
-  std::shared_lock<std::shared_mutex> lock(rw_mu_);
-  return update_stats_;
-}
-
 // --- TomSystem ---------------------------------------------------------------
 
 TomSystem::TomSystem(const Options& options)
-    : options_(options),
+    : UpdatePipeline({SnapshotState::kTom, uint32_t(options.record_size),
+                      options.scheme},
+                     options.durability),
+      options_(options),
       codec_(options.record_size),
       owner_(TomDataOwner::Options{options.record_size, options.scheme,
                                    options.rsa_modulus_bits, options.rsa_seed,
@@ -508,12 +248,7 @@ TomSystem::TomSystem(const Options& options)
 Status TomSystem::Load(const std::vector<Record>& records) {
   std::unique_lock<std::shared_mutex> lock(rw_mu_);
   SAE_RETURN_NOT_OK(LoadLocked(records, /*ship=*/true));
-  if (options_.durability.enabled) {
-    SAE_ASSIGN_OR_RETURN(durability_,
-                         DurabilityManager::Open(options_.durability));
-    SAE_RETURN_NOT_OK(WriteSnapshotLocked());  // the epoch-1 baseline
-  }
-  return Status::OK();
+  return FinishLoad();
 }
 
 Status TomSystem::LoadLocked(const std::vector<Record>& records, bool ship) {
@@ -526,106 +261,56 @@ Status TomSystem::LoadLocked(const std::vector<Record>& records, bool ship) {
     do_sp_.Send(shipment);
     do_sp_.Send(sig_msg);
   }
-  SAE_RETURN_NOT_OK(
-      sp_.LoadDataset(sorted, owner_.signature(), owner_.epoch()));
-  published_epoch_.store(owner_.epoch(), std::memory_order_release);
+  return sp_.LoadDataset(sorted, owner_.signature(), owner_.epoch());
+}
+
+Status TomSystem::Apply(const WalUpdate& update, Traffic* traffic) {
+  const bool insert = update.op == WalUpdate::kInsert;
+  uint64_t bytes0 = do_sp_.total_bytes();
+  Status st = insert ? owner_.InsertRecord(update.record)
+                     : owner_.DeleteRecord(update.id);
+  if (st.ok()) {
+    // The record (or deletion notice) ships with the freshly re-signed
+    // epoch-stamped root.
+    std::vector<uint8_t> shipment = insert
+                                        ? SerializeRecords({update.record}, codec_)
+                                        : SerializeDelete(update.id, 0);
+    std::vector<uint8_t> sig_msg =
+        SerializeSignature(owner_.signature(), owner_.epoch());
+    traffic->auth_bytes = sig_msg.size();
+    do_sp_.Send(shipment);
+    do_sp_.Send(sig_msg);
+    st = insert ? sp_.ApplyInsert(update.record, owner_.signature(),
+                                  owner_.epoch())
+                : sp_.ApplyDelete(update.id, owner_.signature(),
+                                  owner_.epoch());
+  }
+  traffic->shipment_bytes =
+      do_sp_.total_bytes() - bytes0 - traffic->auth_bytes;
+  return st;
+}
+
+Status TomSystem::Capture(bool with_records, SnapshotState* state) {
+  state->signature = owner_.signature();
+  if (!with_records) return Status::OK();
+  SAE_ASSIGN_OR_RETURN(TomServiceProvider::QueryResponse range,
+                       sp_.ExecuteRange(kMinKey, kMaxKey));
+  state->records = std::move(range.results);
   return Status::OK();
 }
 
-Status TomSystem::WriteSnapshotLocked() {
-  SnapshotState state;
-  state.model = SnapshotState::kTom;
-  state.record_size = uint32_t(options_.record_size);
-  state.scheme = options_.scheme;
-  SAE_ASSIGN_OR_RETURN(TomServiceProvider::QueryResponse range,
-                       sp_.ExecuteRange(std::numeric_limits<Key>::min(),
-                                        std::numeric_limits<Key>::max()));
-  state.records = std::move(range.results);
-  state.signature = owner_.signature();
-  return durability_->WriteSnapshot(owner_.epoch(), state);
-}
-
-Status TomSystem::CheckpointLocked() {
-  if (durability_->NextCheckpointIsFull()) {
-    SnapshotState state;
-    state.model = SnapshotState::kTom;
-    state.record_size = uint32_t(options_.record_size);
-    state.scheme = options_.scheme;
-    SAE_ASSIGN_OR_RETURN(TomServiceProvider::QueryResponse range,
-                         sp_.ExecuteRange(std::numeric_limits<Key>::min(),
-                                          std::numeric_limits<Key>::max()));
-    state.records = std::move(range.results);
-    state.signature = owner_.signature();
-    return durability_->CheckpointFull(owner_.epoch(), std::move(state));
-  }
-  // O(changes); the delta carries the root signature AT this epoch, so the
-  // composed chain stays byte-provable at recovery.
-  return durability_->CheckpointDelta(owner_.epoch(), owner_.signature());
-}
-
-bool TomSystem::EffectiveHasRecord(RecordId id) const {
-  auto it = staged_presence_.find(id);
-  if (it != staged_presence_.end()) return it->second.first;
-  return owner_.HasRecord(id);
-}
-
-Result<std::unique_ptr<TomSystem>> TomSystem::Recover(const Options& options) {
-  SAE_ASSIGN_OR_RETURN(std::unique_ptr<DurabilityManager> mgr,
-                       DurabilityManager::Open(options.durability));
-  const DurabilityManager::Recovered& rec = mgr->recovered();
-  if (!rec.has_snapshot) {
-    return Status::NotFound("no durable snapshot to recover from");
-  }
-  if (rec.snapshot.model != SnapshotState::kTom) {
-    return Status::Corruption("snapshot belongs to a different model");
-  }
-  if (rec.snapshot.record_size != options.record_size ||
-      rec.snapshot.scheme != options.scheme) {
-    return Status::Corruption("snapshot configuration does not match options");
-  }
-
-  auto system = std::unique_ptr<TomSystem>(new TomSystem(options));
-  std::unique_lock<std::shared_mutex> lock(system->rw_mu_);
-  SAE_RETURN_NOT_OK(system->LoadLocked(rec.snapshot.records, /*ship=*/false));
-  SAE_RETURN_NOT_OK(system->owner_.RestoreEpoch(rec.snapshot_epoch));
+Status TomSystem::Restore(const SnapshotState& state, uint64_t epoch) {
+  SAE_RETURN_NOT_OK(LoadLocked(state.records, /*ship=*/false));
+  SAE_RETURN_NOT_OK(owner_.RestoreEpoch(epoch));
   // The re-signed recovered root must byte-match the persisted signature:
   // this proves the rebuilt ADS is identical to the checkpointed one
   // before any client sees it.
-  if (system->owner_.signature() != rec.snapshot.signature) {
+  if (owner_.signature() != state.signature) {
     return Status::Corruption(
         "recovered root signature does not match the snapshot");
   }
-  system->sp_.SetSignature(system->owner_.signature(),
-                           system->owner_.epoch());
-  for (const WalUpdate& update : rec.wal_tail) {
-    if (update.epoch <= rec.snapshot_epoch) continue;
-    if (update.epoch != system->owner_.epoch() + 1) {
-      return Status::Corruption("wal epoch does not follow recovered state");
-    }
-    Status applied;
-    if (update.op == WalUpdate::kInsert) {
-      applied = system->owner_.InsertRecord(update.record);
-      if (applied.ok()) {
-        applied = system->sp_.ApplyInsert(update.record,
-                                          system->owner_.signature(),
-                                          system->owner_.epoch());
-      }
-    } else {
-      applied = system->owner_.DeleteRecord(update.id);
-      if (applied.ok()) {
-        applied = system->sp_.ApplyDelete(update.id,
-                                          system->owner_.signature(),
-                                          system->owner_.epoch());
-      }
-    }
-    if (!applied.ok()) {
-      return Status::Corruption("wal replay failed: " + applied.message());
-    }
-  }
-  system->published_epoch_.store(system->owner_.epoch(),
-                                 std::memory_order_release);
-  system->durability_ = std::move(mgr);
-  return system;
+  sp_.SetSignature(owner_.signature(), owner_.epoch());
+  return Status::OK();
 }
 
 Result<TomSystem::QueryOutcome> TomSystem::Query(
@@ -754,194 +439,6 @@ Result<TomSystem::QueryOutcome> TomSystem::ExecuteQuery(
       owner_.public_key(), codec_, options_.scheme, published);
   outcome.costs.client_verify_ms = watch.ElapsedMs();
   return outcome;
-}
-
-template <typename Validate, typename Fn>
-Result<uint64_t> TomSystem::RunUpdate(uint64_t* op_counter,
-                                      WalUpdate wal_update,
-                                      Validate&& validate, Fn&& apply) {
-  std::unique_lock<std::shared_mutex> lock(rw_mu_);
-  CaptureStaleSnapshotLocked();  // off the clock, see SaeSystem::RunUpdate
-  sim::Stopwatch watch;
-  const bool group =
-      durability_ != nullptr && durability_->options().wal_group_commit;
-  auto fail = [&](Status st) -> Result<uint64_t> {
-    ++update_stats_.failed;
-    update_stats_.latency_ms += watch.ElapsedMs();
-    return st;
-  };
-  // Write-ahead ordering, as in SaeSystem::RunUpdate: validate (against
-  // owner state + staged-ahead changes), make durable, apply in epoch
-  // order.
-  Status st = validate();
-  if (!st.ok()) return fail(st);
-  uint64_t my_epoch = 0;
-  uint64_t seq = 0;
-  RecordId staged_id = 0;
-  if (durability_ != nullptr) {
-    if (wal_dead_) {
-      return fail(Status::IoError("durable write pipeline failed"));
-    }
-    my_epoch = std::max(staged_epoch_, owner_.epoch()) + 1;
-    wal_update.epoch = my_epoch;
-    staged_id = wal_update.op == WalUpdate::kInsert ? wal_update.record.id
-                                                    : wal_update.id;
-    auto staged = durability_->StageUpdate(wal_update);
-    if (!staged.ok()) return fail(staged.status());
-    seq = staged.value();
-    staged_epoch_ = my_epoch;
-    if (group) {
-      staged_presence_[staged_id] = {wal_update.op == WalUpdate::kInsert,
-                                     my_epoch};
-      const uint64_t my_gen = wal_generation_;
-      lock.unlock();
-      Status synced = durability_->CommitStaged(seq);
-      lock.lock();
-      if (synced.ok() && !wal_dead_ && wal_generation_ == my_gen) {
-        apply_cv_.wait(lock, [&] {
-          return wal_dead_ || wal_generation_ != my_gen ||
-                 owner_.epoch() + 1 == my_epoch;
-        });
-      }
-      if (wal_generation_ != my_gen && !wal_dead_) {
-        // Retracted by a failure below us; see SaeSystem::RunUpdate.
-        return fail(Status::IoError(
-            "update retracted: a group-commit neighbor failed"));
-      }
-      if (!synced.ok() || wal_dead_) {
-        // Retract the unapplied suffix and re-arm; poison only if the
-        // retraction cannot be made durable. See SaeSystem::RunUpdate.
-        if (!wal_dead_ &&
-            durability_->RetractStagedFrom(owner_.epoch() + 1).ok()) {
-          staged_epoch_ = owner_.epoch();
-          staged_presence_.clear();
-          ++wal_generation_;
-        } else {
-          wal_dead_ = true;
-        }
-        apply_cv_.notify_all();
-        return fail(synced.ok()
-                        ? Status::IoError("durable write pipeline failed")
-                        : synced);
-      }
-    } else {
-      st = durability_->CommitStaged(seq);
-      if (!st.ok()) {
-        // Undo (or durably abort) the unsynced record so it cannot
-        // resurrect; fail stop only if both fail. See SaeSystem.
-        if (durability_->UndoFailedUpdate().ok() ||
-            durability_->RetractStagedFrom(my_epoch).ok()) {
-          staged_epoch_ = my_epoch - 1;
-        } else {
-          wal_dead_ = true;
-        }
-        return fail(st);
-      }
-    }
-  }
-  uint64_t bytes0 = do_sp_.total_bytes();
-  size_t auth_bytes = 0;
-  st = apply(&auth_bytes);
-  size_t traffic = do_sp_.total_bytes() - bytes0;
-  update_stats_.shipment_bytes += traffic - auth_bytes;
-  update_stats_.auth_bytes += auth_bytes;
-  update_stats_.latency_ms += watch.ElapsedMs();
-  if (!st.ok()) {
-    if (durability_ != nullptr) {
-      // Retract the failed (possibly durable) record — or the whole
-      // staged suffix when later updates stacked on top — and re-arm;
-      // fail stop only when no retraction can be made durable. See
-      // SaeSystem::RunUpdate for the full reasoning.
-      bool retracted = false;
-      if (staged_epoch_ == my_epoch) {
-        retracted = durability_->UndoFailedUpdate().ok() ||
-                    durability_->RetractStagedFrom(my_epoch).ok();
-        if (retracted) {
-          staged_epoch_ = my_epoch - 1;
-          auto it = staged_presence_.find(staged_id);
-          if (it != staged_presence_.end() && it->second.second == my_epoch) {
-            staged_presence_.erase(it);
-          }
-        }
-      } else {
-        retracted = durability_->RetractStagedFrom(my_epoch).ok();
-        if (retracted) {
-          staged_epoch_ = my_epoch - 1;
-          staged_presence_.clear();
-          ++wal_generation_;
-        }
-      }
-      if (!retracted) wal_dead_ = true;
-      apply_cv_.notify_all();
-    }
-    ++update_stats_.failed;
-    return st;
-  }
-  if (group) {
-    auto it = staged_presence_.find(staged_id);
-    if (it != staged_presence_.end() && it->second.second == my_epoch) {
-      staged_presence_.erase(it);
-    }
-  }
-  ++*op_counter;
-  published_epoch_.store(owner_.epoch(), std::memory_order_release);
-  if (durability_ != nullptr) apply_cv_.notify_all();
-  if (durability_ != nullptr && durability_->ShouldSnapshot() &&
-      staged_epoch_ == owner_.epoch()) {
-    SAE_RETURN_NOT_OK(CheckpointLocked());  // quiescent, see SaeSystem
-  }
-  return owner_.epoch();
-}
-
-Result<uint64_t> TomSystem::InsertVersioned(const Record& record) {
-  WalUpdate wal_update;
-  wal_update.op = WalUpdate::kInsert;
-  wal_update.record = record;
-  return RunUpdate(
-      &update_stats_.inserts, std::move(wal_update),
-      [&] {
-        return EffectiveHasRecord(record.id)
-                   ? Status::AlreadyExists("record id already present")
-                   : Status::OK();
-      },
-      [&](size_t* auth_bytes) {
-        SAE_RETURN_NOT_OK(owner_.InsertRecord(record));
-        std::vector<uint8_t> shipment = SerializeRecords({record}, codec_);
-        std::vector<uint8_t> sig_msg =
-            SerializeSignature(owner_.signature(), owner_.epoch());
-        *auth_bytes = sig_msg.size();
-        do_sp_.Send(shipment);
-        do_sp_.Send(sig_msg);
-        return sp_.ApplyInsert(record, owner_.signature(), owner_.epoch());
-      });
-}
-
-Result<uint64_t> TomSystem::DeleteVersioned(RecordId id) {
-  WalUpdate wal_update;
-  wal_update.op = WalUpdate::kDelete;
-  wal_update.id = id;
-  return RunUpdate(
-      &update_stats_.deletes, std::move(wal_update),
-      [&] {
-        return EffectiveHasRecord(id)
-                   ? Status::OK()
-                   : Status::NotFound("no record with this id");
-      },
-      [&](size_t* auth_bytes) {
-        SAE_RETURN_NOT_OK(owner_.DeleteRecord(id));
-        std::vector<uint8_t> note = SerializeDelete(id, 0);
-        std::vector<uint8_t> sig_msg =
-            SerializeSignature(owner_.signature(), owner_.epoch());
-        *auth_bytes = sig_msg.size();
-        do_sp_.Send(note);
-        do_sp_.Send(sig_msg);
-        return sp_.ApplyDelete(id, owner_.signature(), owner_.epoch());
-      });
-}
-
-UpdateStats TomSystem::update_stats() const {
-  std::shared_lock<std::shared_mutex> lock(rw_mu_);
-  return update_stats_;
 }
 
 }  // namespace sae::core

@@ -7,7 +7,6 @@
 #include "storage/wal.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "util/codec.h"
@@ -181,11 +180,11 @@ Result<uint64_t> WriteAheadLog::Stage(const uint8_t* payload, size_t len) {
   ++staged_count_;
   ++stats_.staged_records;
   stats_.staged_bytes += kWalRecordHeader + len;
-  cv_.notify_all();  // a leader delaying for stragglers may pick this up
+  cv_.notify_all();  // parked committers re-check; the next leader covers it
   return staged_count_;
 }
 
-Status WriteAheadLog::Commit(uint64_t seq, uint32_t max_delay_us) {
+Status WriteAheadLog::Commit(uint64_t seq) {
   std::unique_lock<std::mutex> lock(mu_);
   while (durable_count_ < seq) {
     if (sync_in_flight_) {
@@ -195,10 +194,6 @@ Status WriteAheadLog::Commit(uint64_t seq, uint32_t max_delay_us) {
     }
     // Become the group leader: one fsync for everything staged so far.
     sync_in_flight_ = true;
-    if (max_delay_us > 0) {
-      // Let concurrent stagers join the group before the fsync is priced.
-      cv_.wait_for(lock, std::chrono::microseconds(max_delay_us));
-    }
     uint64_t target = staged_count_;
     std::shared_ptr<VfsFile> file = active_file_;
     lock.unlock();
@@ -224,7 +219,7 @@ Status WriteAheadLog::Commit(uint64_t seq, uint32_t max_delay_us) {
 
 Status WriteAheadLog::Append(const uint8_t* payload, size_t len) {
   SAE_ASSIGN_OR_RETURN(uint64_t seq, Stage(payload, len));
-  return Commit(seq, 0);
+  return Commit(seq);
 }
 
 Status WriteAheadLog::UndoLastStaged() {

@@ -12,15 +12,14 @@
 // dropped as whole files (`DropSegmentsThrough`) once the checkpoint is
 // durable — never while a crash could still need them.
 //
-// Group commit splits the old append-and-sync into two halves:
+// Group commit splits append-and-sync into two halves:
 //   Stage(payload)  -> seq   buffered write, volatile; callers serialize
 //                            (the owning system's writer lock)
 //   Commit(seq)               returns once every record up to `seq` is
 //                            durable; concurrent committers elect ONE
 //                            leader whose single fsync covers the whole
 //                            group, the rest just wait
-// Append() = Stage + Commit inline (the non-group path; byte- and
-// barrier-identical to the PR 9 single-file log per record).
+// Append() = Stage + Commit inline (one record, one sync point).
 //
 // On-disk record layout (little-endian), unchanged from PR 9:
 //   [payload_len u32][crc32 u32 over payload][payload bytes]
@@ -105,15 +104,13 @@ class WriteAheadLog {
 
   /// Returns once every record with sequence <= `seq` is durable. The group
   /// sequencer: the first committer to find undurable records becomes the
-  /// leader and issues one fsync for everything staged so far (waiting up
-  /// to `max_delay_us` for stragglers to stage first); everyone covered by
-  /// that fsync just waits. A failed fsync wakes all waiters, each of whom
+  /// leader and issues one fsync for everything staged so far; everyone
+  /// covered by that fsync just waits. A failed fsync wakes all waiters, each of whom
   /// retries as its own leader and surfaces its own error — after a real
   /// crash every retry fails, so no committer ever reports durable falsely.
-  Status Commit(uint64_t seq, uint32_t max_delay_us = 0);
+  Status Commit(uint64_t seq);
 
-  /// Stage + Commit inline: one record, one sync point — the non-group
-  /// write path.
+  /// Stage + Commit inline: one record, one sync point.
   Status Append(const uint8_t* payload, size_t len);
   Status Append(const std::vector<uint8_t>& payload) {
     return Append(payload.data(), payload.size());
@@ -121,7 +118,7 @@ class WriteAheadLog {
 
   /// Retracts the most recently staged record (its in-memory apply
   /// failed) and syncs the shortened segment (one sync point). Only valid
-  /// when nothing staged after it — the non-group pipeline's undo.
+  /// when nothing staged after it.
   Status UndoLastStaged();
 
   /// Seals the active segment at a checkpoint capture and returns its

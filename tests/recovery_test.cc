@@ -10,11 +10,12 @@
 //   (b) verifiable    — a full sweep of verifying queries accepts,
 //   (c) prefix-exact  — differentially equal to a never-crashed twin that
 //       applied exactly the updates whose WAL records became durable.
-// The matrix runs in BOTH write-path configurations: the delta-chain mode
-// (delta snapshots + WAL group commit + background checkpointing, the
-// default) and the legacy full-snapshot mode (everything off, the PR 9
-// pipeline) — every barrier of either pipeline, including the ones inside
-// a background checkpoint write, is a crash point. On top of the matrix:
+// The one write pipeline (WAL group commit + background checkpointing)
+// runs the matrix in BOTH checkpoint schedules: delta chains compacted by
+// a full snapshot every third checkpoint, and full snapshots only
+// (full_snapshot_every=1) — every barrier of either schedule, including
+// the ones inside a background checkpoint write, is a crash point. On top
+// of the matrix:
 // a WAL-corruption fuzzer (torn tails, bit flips, lying length prefixes),
 // snapshot atomicity/fallback checks including a corrupt middle delta
 // link, the rollback adversary (an SP restored from an older durable
@@ -76,15 +77,15 @@ std::string DeltaFileName(uint64_t base, uint64_t epoch) {
   return buf;
 }
 
-// `legacy` restores the PR 9 write path: full snapshots only, one fsync
-// per update under the writer lock, checkpoints inline. The default is
-// the delta-chain pipeline. full_snapshot_every=3 makes the deterministic
-// schedule cross a compaction (delta, delta, full) inside the matrix.
+// The default schedule is delta chains: full_snapshot_every=3 makes the
+// deterministic workload cross a compaction (delta, delta, full) inside
+// the matrix. `full_only` makes every checkpoint a full snapshot
+// (full_snapshot_every=1).
 template <typename System>
 typename System::Options DurableOptions(crypto::HashScheme scheme,
                                         storage::Vfs* vfs,
                                         const std::string& dir,
-                                        bool legacy = false) {
+                                        bool full_only = false) {
   typename System::Options options;
   options.record_size = kRecordSize;
   options.scheme = scheme;
@@ -92,12 +93,7 @@ typename System::Options DurableOptions(crypto::HashScheme scheme,
   options.durability.dir = dir;
   options.durability.vfs = vfs;
   options.durability.snapshot_interval = kSnapshotInterval;
-  options.durability.full_snapshot_every = 3;
-  if (legacy) {
-    options.durability.delta_snapshots = false;
-    options.durability.wal_group_commit = false;
-    options.durability.background_checkpoint = false;
-  }
+  options.durability.full_snapshot_every = full_only ? 1 : 3;
   return options;
 }
 
@@ -198,7 +194,7 @@ std::vector<Record> FullScan(System* system) {
 // --- the crash-point matrix --------------------------------------------------
 
 template <typename System>
-void RunCrashMatrix(crypto::HashScheme scheme, bool legacy) {
+void RunCrashMatrix(crypto::HashScheme scheme, bool full_only) {
   RecordCodec codec(kRecordSize);
 
   // Pass 1: crash-free run counts the barriers and fixes the final state.
@@ -206,10 +202,15 @@ void RunCrashMatrix(crypto::HashScheme scheme, bool legacy) {
   size_t total_updates = 0;
   {
     auto system = std::make_unique<System>(
-        DurableOptions<System>(scheme, &clean_fs, "/db", legacy));
+        DurableOptions<System>(scheme, &clean_fs, "/db", full_only));
     size_t applied = 0;
     ASSERT_TRUE(RunWorkload(system.get(), codec, &applied).ok());
     total_updates = applied;
+    // The schedule the matrix crashes through: the Load baseline plus
+    // three cadence checkpoints, either delta, delta, full or all full.
+    DurabilityStats stats = system->durability_stats();
+    EXPECT_EQ(stats.checkpoints_full, full_only ? 4u : 2u);
+    EXPECT_EQ(stats.checkpoints_delta, full_only ? 0u : 2u);
   }
   const uint64_t sync_points = clean_fs.sync_points();
   ASSERT_GT(sync_points, kSnapshotInterval);  // sanity: barriers happened
@@ -221,13 +222,13 @@ void RunCrashMatrix(crypto::HashScheme scheme, bool legacy) {
   for (uint64_t k = 1; k <= sync_points; ++k) {
     SCOPED_TRACE("crash at sync point " + std::to_string(k) + ", scheme " +
                  std::to_string(int(scheme)) +
-                 (legacy ? ", legacy" : ", delta"));
+                 (full_only ? ", full only" : ", delta"));
     FaultFs fs;
     fs.CrashAtSyncPoint(k);
     size_t applied = 0;
     {
       auto system = std::make_unique<System>(
-          DurableOptions<System>(scheme, &fs, "/db", legacy));
+          DurableOptions<System>(scheme, &fs, "/db", full_only));
       Status st = RunWorkload(system.get(), codec, &applied);
       ASSERT_FALSE(st.ok());  // the armed crash must have fired
       ASSERT_TRUE(fs.crashed());
@@ -235,7 +236,7 @@ void RunCrashMatrix(crypto::HashScheme scheme, bool legacy) {
     fs.DropVolatile();  // power loss: volatile bytes are gone
 
     auto recovered =
-        System::Recover(DurableOptions<System>(scheme, &fs, "/db", legacy));
+        System::Recover(DurableOptions<System>(scheme, &fs, "/db", full_only));
     if (!recovered.ok()) {
       // Only legitimate before the epoch-1 baseline snapshot is durable:
       // its temp-file sync is barrier 1 and its rename is barrier 2, so
@@ -277,39 +278,39 @@ void RunCrashMatrix(crypto::HashScheme scheme, bool legacy) {
 }
 
 TEST(RecoveryMatrix, SaeSha1EveryCrashPointRecovers) {
-  RunCrashMatrix<SaeSystem>(crypto::HashScheme::kSha1, /*legacy=*/false);
+  RunCrashMatrix<SaeSystem>(crypto::HashScheme::kSha1, /*full_only=*/false);
 }
 
 TEST(RecoveryMatrix, SaeSha256EveryCrashPointRecovers) {
   RunCrashMatrix<SaeSystem>(crypto::HashScheme::kSha256Trunc,
-                            /*legacy=*/false);
+                            /*full_only=*/false);
 }
 
 TEST(RecoveryMatrix, TomSha1EveryCrashPointRecovers) {
-  RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha1, /*legacy=*/false);
+  RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha1, /*full_only=*/false);
 }
 
 TEST(RecoveryMatrix, TomSha256EveryCrashPointRecovers) {
   RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha256Trunc,
-                            /*legacy=*/false);
+                            /*full_only=*/false);
 }
 
-TEST(RecoveryMatrix, SaeSha1LegacyFullSnapshotsEveryCrashPointRecovers) {
-  RunCrashMatrix<SaeSystem>(crypto::HashScheme::kSha1, /*legacy=*/true);
+TEST(RecoveryMatrix, SaeSha1FullSnapshotsOnlyEveryCrashPointRecovers) {
+  RunCrashMatrix<SaeSystem>(crypto::HashScheme::kSha1, /*full_only=*/true);
 }
 
-TEST(RecoveryMatrix, SaeSha256LegacyFullSnapshotsEveryCrashPointRecovers) {
+TEST(RecoveryMatrix, SaeSha256FullSnapshotsOnlyEveryCrashPointRecovers) {
   RunCrashMatrix<SaeSystem>(crypto::HashScheme::kSha256Trunc,
-                            /*legacy=*/true);
+                            /*full_only=*/true);
 }
 
-TEST(RecoveryMatrix, TomSha1LegacyFullSnapshotsEveryCrashPointRecovers) {
-  RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha1, /*legacy=*/true);
+TEST(RecoveryMatrix, TomSha1FullSnapshotsOnlyEveryCrashPointRecovers) {
+  RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha1, /*full_only=*/true);
 }
 
-TEST(RecoveryMatrix, TomSha256LegacyFullSnapshotsEveryCrashPointRecovers) {
+TEST(RecoveryMatrix, TomSha256FullSnapshotsOnlyEveryCrashPointRecovers) {
   RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha256Trunc,
-                            /*legacy=*/true);
+                            /*full_only=*/true);
 }
 
 // --- WAL fuzzing -------------------------------------------------------------
@@ -1095,6 +1096,45 @@ TEST(Recovery, ShardedSystemRecoversEveryShardAndItsDirectory) {
   // The rebuilt directory routes deletes: removing a recovered record
   // works without re-listing the dataset.
   EXPECT_TRUE(system.Delete(RecordId(501)).ok());
+}
+
+TEST(Recovery, ShardedDurabilityStatsCountSkippedCheckpoints) {
+  // Regression: the sharded durability_stats() summed every counter but
+  // checkpoints_skipped, so a sharded deployment always reported 0. Break
+  // shard 0's chain as FailedCheckpointGatesWalGcUntilAFullSnapshotLands
+  // does, then capture one more delta — the capture that races a failing
+  // background write — which the checkpoint thread must skip.
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  core::ShardedSaeSystem::Options options;
+  options.base =
+      DurableOptions<SaeSystem>(crypto::HashScheme::kSha1, &fs, "/db");
+  core::ShardRouter router({100, 200});  // 3 shards; every key below is
+                                         // shard 0's
+  core::ShardedSaeSystem system(router, options);
+  ASSERT_TRUE(system.Load(SeedDataset(codec, 9)).ok());
+  for (int i = 0; i < int(kSnapshotInterval) - 1; ++i) {
+    ASSERT_TRUE(
+        system.Insert(codec.MakeRecord(RecordId(200 + i), Key(50 + i))).ok());
+    ASSERT_TRUE(system.WaitForCheckpoints().ok());
+  }
+  // Counting from arming: the next insert's WAL commit is barrier 1, its
+  // cadence delta checkpoint syncs the temp file at barrier 2.
+  fs.FailAtSyncPoint(2);
+  ASSERT_TRUE(system.Insert(codec.MakeRecord(RecordId(299), Key(60))).ok());
+  EXPECT_FALSE(system.WaitForCheckpoints().ok());  // the delta failed
+  SaeSystem& shard = system.shard(0);
+  ASSERT_TRUE(shard.durability()->CheckpointDelta(shard.epoch(), {}).ok());
+  // Skipping is the gate working, not a new failure.
+  ASSERT_TRUE(system.WaitForCheckpoints().ok());
+  EXPECT_EQ(shard.durability_stats().checkpoints_skipped, 1u);
+
+  uint64_t per_shard = 0;
+  for (size_t s = 0; s < system.num_shards(); ++s) {
+    per_shard += system.shard(s).durability_stats().checkpoints_skipped;
+  }
+  EXPECT_GT(per_shard, 0u);
+  EXPECT_EQ(system.durability_stats().checkpoints_skipped, per_shard);
 }
 
 // --- concurrent durable writers (the TSan CI target) -------------------------
