@@ -19,8 +19,9 @@
 //   SAE_NET_RECORDS      dataset cardinality (default 10000)
 //   SAE_BENCH_JSON       output file (default BENCH_net.json)
 //
-// A malicious-SP probe runs after the load phase: the client asks the SP
-// for a poisoned plan and must reject it — the run fails otherwise.
+// A malicious-SP probe runs after the load phase: the SP's answer cache is
+// poisoned in process, and a networked client served the poisoned entry
+// must reject it — the run fails otherwise.
 
 #include <errno.h>
 #include <sys/epoll.h>
@@ -37,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "adversary/adversary.h"
 #include "core/client.h"
 #include "core/messages.h"
 #include "core/service_provider.h"
@@ -373,14 +375,17 @@ int main() {
   SAE_CHECK(verify_failures == 0);
   SAE_CHECK(io_failures == 0);
 
-  // Malicious-SP probe: the networked client must reject a poisoned plan.
+  // Malicious-SP probe: poison the SP's answer cache in process; the
+  // networked client it then serves must reject the poisoned plan.
+  dbms::QueryRequest probe_request =
+      dbms::QueryRequest::Scan(1, uint32_t(n_records));
+  SAE_CHECK(adversary::PoisonCache(&sp, probe_request).ok());
   net::NetSaeClient probe(net::NetSaeClientOptions{
       .sp = {.port = sp_server.port()},
       .te = {.port = te_server.port()},
       .owner = {.port = owner_server.port()},
       .record_size = kRecordSize});
-  auto poisoned =
-      probe.QueryPoisoned(dbms::QueryRequest::Scan(1, uint32_t(n_records)));
+  auto poisoned = probe.Query(probe_request);
   SAE_CHECK(!poisoned.ok());
   SAE_CHECK(poisoned.status().code() == StatusCode::kVerificationFailure);
   std::printf("# malicious-SP probe: rejected (%s)\n",

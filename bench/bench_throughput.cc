@@ -36,7 +36,7 @@ std::vector<core::BatchQuery> MakeEngineBatch() {
   batch.reserve(queries.size() * kBatchReps);
   for (size_t rep = 0; rep < kBatchReps; ++rep) {
     for (const auto& q : queries) {
-      batch.push_back(core::BatchQuery{q.lo, q.hi, core::AttackMode::kNone});
+      batch.push_back(core::BatchQuery{q.lo, q.hi});
     }
   }
   return batch;

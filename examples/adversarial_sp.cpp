@@ -8,11 +8,12 @@
 
 #include <cstdio>
 
+#include "adversary/adversary.h"
 #include "core/system.h"
 #include "workload/dataset.h"
 
 using namespace sae;
-using core::AttackMode;
+using adversary::AttackMode;
 
 namespace {
 
@@ -71,8 +72,10 @@ int main() {
   core::TomSystem tom_system(tom_options);
   if (!tom_system.Load(records).ok()) return 1;
 
-  // One update each, so the freshness attacks have a genuinely stale
-  // snapshot to replay (the epoch advances to 2).
+  // The compromised SPs keep a replica of the loaded state; one update each
+  // then leaves that replica genuinely stale to replay (epoch 2).
+  adversary::SaeAdversary sae_attacker(&sae_system);
+  adversary::TomAdversary tom_attacker(&tom_system);
   storage::RecordCodec codec(kRecSize);
   if (!sae_system.Insert(codec.MakeRecord(999999, 30000)).ok()) return 1;
   if (!tom_system.Insert(codec.MakeRecord(999999, 30000)).ok()) return 1;
@@ -100,8 +103,8 @@ int main() {
     } else if (mode == AttackMode::kTruncatedTopK) {
       request = dbms::QueryRequest::TopK(20000, 40000, 10);
     }
-    auto sae = sae_system.Query(request, mode);
-    auto tom = tom_system.Query(request, mode);
+    auto sae = sae_attacker.Query(request, mode);
+    auto tom = tom_attacker.Query(request, mode);
     if (!sae.ok() || !tom.ok()) return 1;
 
     bool sae_accepts = sae.value().verification.ok();

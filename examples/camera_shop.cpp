@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 
+#include "adversary/adversary.h"
 #include "core/system.h"
 #include "dbms/query.h"
 
@@ -120,7 +121,9 @@ int main() {
   // A compromised SP now reports a deflated SUM — every witness record it
   // ships is genuine, only the aggregate lies. The client recomputes the
   // SUM from the authenticated witness and rejects the answer.
-  auto tampered = shop.Query(sum_req, sae::core::AttackMode::kWrongSum);
+  sae::adversary::SaeSpAttack lying_sp(sae::adversary::AttackMode::kWrongSum,
+                                       &shop.sp());
+  auto tampered = shop.ExecuteQuery(sum_req, &lying_sp);
   if (!tampered.ok()) return 1;
   std::printf("tampering SP claims SUM = %.2f euro -> client verdict: %s\n",
               tampered.value().answer.sum / 100.0,

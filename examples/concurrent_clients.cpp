@@ -22,17 +22,17 @@
 #include <string>
 #include <vector>
 
+#include "adversary/adversary.h"
 #include "core/query_engine.h"
 #include "core/sharded_system.h"
 #include "workload/dataset.h"
 #include "workload/queries.h"
 
 using namespace sae;
-using core::AttackMode;
+using adversary::AttackMode;
 using core::BatchQuery;
 using core::QueryEngine;
 using core::SaeSystem;
-using core::ShardAttack;
 using core::ShardedSaeSystem;
 using core::ShardRouter;
 
@@ -62,11 +62,11 @@ bool RunShardedAct(const std::vector<storage::Record>& dataset,
   std::printf("  (shard %zu owns [%u, %u])\n\n", kBadShard,
               router.shard_lo(kBadShard), router.shard_hi(kBadShard));
 
+  adversary::ShardedSaeAdversary attacker(&system);
   size_t touched = 0, spared = 0, misverdicts = 0;
   for (const auto& range : ranges) {
-    auto outcome = system.Query(
-        range.lo, range.hi,
-        ShardAttack::At(kBadShard, AttackMode::kTamperPayload));
+    auto outcome = attacker.Query(range.lo, range.hi,
+                                  AttackMode::kTamperPayload, kBadShard);
     if (!outcome.ok()) {
       ++misverdicts;
       continue;
@@ -138,14 +138,15 @@ int main() {
   query_spec.domain_max = spec.domain_max;
   auto ranges = workload::GenerateQueries(query_spec);
 
+  adversary::SaeSpAttack tampering_sp(AttackMode::kTamperPayload,
+                                      &system.sp());
   std::vector<BatchQuery> batch;
   batch.reserve(ranges.size());
   for (size_t i = 0; i < ranges.size(); ++i) {
     size_t client = i / kQueriesPerClient;
-    AttackMode attack = client == kMaliciousClient
-                            ? AttackMode::kTamperPayload
-                            : AttackMode::kNone;
-    batch.push_back(BatchQuery{ranges[i].lo, ranges[i].hi, attack});
+    core::QueryTap* tap =
+        client == kMaliciousClient ? &tampering_sp : nullptr;
+    batch.push_back(BatchQuery{ranges[i].lo, ranges[i].hi, tap});
   }
 
   QueryEngine engine(QueryEngine::Options{kWorkers});

@@ -7,13 +7,18 @@
 //
 //   $ ./examples/example_networked_deployment            # all four, forked
 //   $ ./examples/example_networked_deployment sp 7001    # one party, manual
+//                                                        # (Ctrl-C stops it)
 //
 // The walkthrough: the DO ships the dataset to SP and TE (epoch 1), then an
 // insert (epoch 2), and serves its published epoch; the client waits for
-// epoch 2, runs every verified operator, asks the SP for a *poisoned* plan
-// and must reject it, then shuts all parties down. Exit status 0 means
-// every check passed in every process.
+// epoch 2 and runs every verified operator. Then a tampering proxy (a
+// network adversary, src/adversary) goes up in front of the SP port: the
+// SP stays honest, the proxy rewrites its answers, and the client must
+// reject the poisoned plan it relays. Finally SIGTERM stops the three
+// serving parties, which exit cleanly. Exit status 0 means every check
+// passed in every process.
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -25,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "adversary/tampering_proxy.h"
 #include "core/client.h"
 #include "core/messages.h"
 #include "core/service_provider.h"
@@ -44,6 +50,15 @@ constexpr uint32_t kInsertKey = 777;  // off the 10-grid, so uniquely findable
 
 void SleepMs(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+// Set by SIGTERM / SIGINT: a serving party stops and exits cleanly.
+volatile sig_atomic_t g_stop = 0;
+
+void OnStopSignal(int) { g_stop = 1; }
+
+void WaitForStopSignal() {
+  while (g_stop == 0) SleepMs(20);
 }
 
 std::vector<storage::Record> MakeDataset() {
@@ -78,7 +93,8 @@ int RunSp(uint16_t port) {
   if (!server.Start().ok()) return 1;
   std::printf("[sp]     pid %d serving on port %u\n", getpid(),
               server.port());
-  while (server.frame_server().running()) SleepMs(20);
+  WaitForStopSignal();
+  server.Stop();
   std::printf("[sp]     served %llu frames, exiting\n",
               (unsigned long long)server.frame_server().frames_served());
   return 0;
@@ -91,7 +107,8 @@ int RunTe(uint16_t port) {
   if (!server.Start().ok()) return 1;
   std::printf("[te]     pid %d serving on port %u\n", getpid(),
               server.port());
-  while (server.frame_server().running()) SleepMs(20);
+  WaitForStopSignal();
+  server.Stop();
   std::printf("[te]     served %llu frames, exiting\n",
               (unsigned long long)server.frame_server().frames_served());
   return 0;
@@ -126,17 +143,12 @@ int RunDo(uint16_t owner_port, uint16_t sp_port, uint16_t te_port) {
   if (!net::CallExpectAck(&te_link, notice2).ok()) return 1;
   std::printf("[do]     inserted key %u, published epoch 2\n", kInsertKey);
 
-  // Serve the published epoch until the client shuts us down.
+  // Serve the published epoch until told to stop.
   net::OwnerServer server([] { return uint64_t(2); }, {.port = owner_port});
   if (!server.Start().ok()) return 1;
   std::printf("[do]     epoch endpoint on port %u\n", server.port());
-  // OwnerServer keeps its own FrameServer private; poll via a self-query.
-  net::ClientTransport self({.port = server.port()});
-  while (true) {
-    SleepMs(20);
-    auto epoch = net::FetchEpoch(&self);
-    if (!epoch.ok()) break;  // server stopped answering: shutdown arrived
-  }
+  WaitForStopSignal();
+  server.Stop();
   std::printf("[do]     exiting\n");
   return 0;
 }
@@ -191,22 +203,25 @@ int RunClient(uint16_t sp_port, uint16_t te_port, uint16_t owner_port) {
     return 1;
   }
 
-  // Malicious SP: ask for a poisoned plan — verification must reject it.
-  auto poisoned = client.QueryPoisoned(dbms::QueryRequest::Scan(100, 2000));
+  // Network adversary: a tampering proxy in front of the SP port rewrites
+  // the honest SP's answers. Verification must reject what it relays.
+  adversary::TamperingProxy proxy({.port = sp_port}, kRecordSize);
+  if (!proxy.Start().ok()) return 1;
+  net::NetSaeClient victim(net::NetSaeClientOptions{
+      .sp = {.port = proxy.port()},
+      .te = {.port = te_port},
+      .owner = {.port = owner_port},
+      .record_size = kRecordSize});
+  auto poisoned = victim.Query(dbms::QueryRequest::Scan(100, 2000));
+  proxy.Stop();
   if (poisoned.ok() ||
       poisoned.status().code() != StatusCode::kVerificationFailure) {
     std::printf("[client] poisoned plan was NOT rejected!\n");
     return 1;
   }
-  std::printf("[client] poisoned plan rejected: %s\n",
+  std::printf("[client] poisoned plan via proxy rejected: %s\n",
               poisoned.status().ToString().c_str());
-
-  // Orderly shutdown of all three serving parties.
-  net::ClientTransport owner_link({.port = owner_port});
-  if (!net::ShutdownServer(&client.sp()).ok()) return 1;
-  if (!net::ShutdownServer(&client.te()).ok()) return 1;
-  if (!net::ShutdownServer(&owner_link).ok()) return 1;
-  std::printf("[client] all parties shut down; every check passed\n");
+  std::printf("[client] every check passed\n");
   return 0;
 }
 
@@ -214,6 +229,12 @@ int RunClient(uint16_t sp_port, uint16_t te_port, uint16_t owner_port) {
 
 int main(int argc, char** argv) {
   std::string role = argc > 1 ? argv[1] : "all";
+  // Installed before any fork, so every party inherits it: SIGTERM (or
+  // Ctrl-C in the manual mode) stops a party cleanly.
+  struct sigaction stop_action {};
+  stop_action.sa_handler = OnStopSignal;
+  sigaction(SIGTERM, &stop_action, nullptr);
+  sigaction(SIGINT, &stop_action, nullptr);
   auto port_arg = [&](int i, uint16_t fallback) {
     return argc > i ? uint16_t(std::atoi(argv[i])) : fallback;
   };
@@ -261,7 +282,9 @@ int main(int argc, char** argv) {
 
   int client_rc = RunClient(sp_port, te_port, owner_port);
 
+  // Stop the three serving parties; each must exit cleanly.
   bool all_ok = client_rc == 0;
+  for (const Child& child : children) kill(child.pid, SIGTERM);
   for (const Child& child : children) {
     int wstatus = 0;
     waitpid(child.pid, &wstatus, 0);

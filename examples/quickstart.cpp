@@ -7,9 +7,10 @@
 
 #include <cstdio>
 
+#include "adversary/adversary.h"
 #include "core/system.h"
 
-using sae::core::AttackMode;
+using sae::adversary::AttackMode;
 using sae::core::SaeSystem;
 using sae::storage::Record;
 using sae::storage::RecordCodec;
@@ -54,7 +55,8 @@ int main() {
               outcome.value().costs.auth_bytes);
 
   // 4. A malicious SP drops a record; the XOR check catches it.
-  auto attacked = system.Query(2000, 4000, AttackMode::kDropOne);
+  sae::adversary::SaeSpAttack cheating_sp(AttackMode::kDropOne, &system.sp());
+  auto attacked = system.ExecuteQuery(2000, 4000, &cheating_sp);
   std::printf("same query with a cheating SP (one record dropped):\n");
   std::printf("  verification : %s\n",
               attacked.value().verification.ToString().c_str());

@@ -1,15 +1,15 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Implements the threat-model mutations (core/malicious_sp.h): drop,
+// Implements the threat-model mutations (adversary/malicious_sp.h): drop,
 // inject, and tamper attacks on query results.
 
-#include "core/malicious_sp.h"
+#include "adversary/malicious_sp.h"
 
 #include <algorithm>
 
 #include "util/random.h"
 
-namespace sae::core {
+namespace sae::adversary {
 
 std::vector<Record> ApplyAttack(const std::vector<Record>& honest,
                                 AttackMode mode, const RecordCodec& codec,
@@ -104,4 +104,4 @@ void ApplyAnswerAttack(dbms::QueryAnswer* answer, AttackMode mode,
   }
 }
 
-}  // namespace sae::core
+}  // namespace sae::adversary

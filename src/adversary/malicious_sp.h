@@ -4,17 +4,19 @@
 // returns RS' = (RS - DS) ∪ IS — dropping a subset DS of the true result
 // and/or injecting a fake set IS; tampering with a record is drop + inject
 // combined. These mutations drive the security tests and the adversarial
-// example: every one of them must be caught by client verification.
+// example: every one of them must be caught by client verification. They
+// live in the test-side adversary library (src/adversary), which only
+// tests, examples and benches link; production classes carry none of them.
 
-#ifndef SAE_CORE_MALICIOUS_SP_H_
-#define SAE_CORE_MALICIOUS_SP_H_
+#ifndef SAE_ADVERSARY_MALICIOUS_SP_H_
+#define SAE_ADVERSARY_MALICIOUS_SP_H_
 
 #include <vector>
 
 #include "dbms/query.h"
 #include "storage/record.h"
 
-namespace sae::core {
+namespace sae::adversary {
 
 using storage::Record;
 using storage::RecordCodec;
@@ -22,9 +24,9 @@ using storage::RecordCodec;
 /// What a compromised SP does to the honest result before returning it.
 /// The first group mutates the result records; the freshness group replays
 /// authentication state from an earlier epoch and leaves the record bytes
-/// alone — those attacks are staged by the system harnesses (the SP serves
-/// from a pre-update snapshot / an old token or signature is presented),
-/// not by ApplyAttack.
+/// alone — the SP taps stage those (adversary/adversary.h: the SP serves
+/// from a pre-update replica, or an old token or signature is presented),
+/// not ApplyAttack.
 enum class AttackMode {
   kNone = 0,        ///< honest behaviour
   kDropOne,         ///< completeness attack: remove one record
@@ -47,8 +49,8 @@ enum class AttackMode {
                     ///< keyed to a pre-update epoch (cached stale bytes +
                     ///< matching stale auth state)
   kPoisonedCache,   ///< cache attack: SP rewrites its own answer cache and
-                    ///< serves the poisoned bytes (staged by the systems via
-                    ///< ServePoisonedQuery, not by ApplyAttack)
+                    ///< serves the poisoned bytes (staged by PoisonCache,
+                    ///< not by ApplyAttack)
 };
 
 /// True for the freshness modes ApplyAttack leaves untouched.
@@ -86,9 +88,9 @@ inline bool IsRecordAttack(AttackMode mode) {
 /// Applies the attack to a copy of the honest result. Attacks needing a
 /// victim pick one pseudo-randomly from `seed`; attacks on an empty result
 /// degrade to kInjectFake so that "malicious" never silently means "honest".
-/// Freshness modes return the result unchanged (see AttackMode); the
-/// systems guarantee their detection by rewinding the *claimed epoch* even
-/// when no pre-update snapshot exists yet.
+/// Freshness modes return the result unchanged (see AttackMode); the SP
+/// taps guarantee their detection by rewinding the *claimed epoch* even
+/// when no pre-update replica exists.
 std::vector<Record> ApplyAttack(const std::vector<Record>& honest,
                                 AttackMode mode, const RecordCodec& codec,
                                 uint64_t seed);
@@ -104,6 +106,6 @@ std::vector<Record> ApplyAttack(const std::vector<Record>& honest,
 void ApplyAnswerAttack(dbms::QueryAnswer* answer, AttackMode mode,
                        uint64_t seed);
 
-}  // namespace sae::core
+}  // namespace sae::adversary
 
-#endif  // SAE_CORE_MALICIOUS_SP_H_
+#endif  // SAE_ADVERSARY_MALICIOUS_SP_H_

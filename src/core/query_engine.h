@@ -3,10 +3,10 @@
 // Multi-threaded batched query engine over the thread-safe read path. The
 // paper argues SAE lets the SP run "as fast as in conventional database
 // systems"; a conventional DBMS serves many clients at once, so this engine
-// accepts a batch of [lo, hi] range queries (optionally each behind a
-// compromised SP), fans them out across a worker-thread pool against the
-// shared SP + TE, verifies each result on the worker that produced it, and
-// reports per-query outcomes plus aggregated costs and throughput.
+// accepts a batch of [lo, hi] range queries, fans them out across a
+// worker-thread pool against the shared SP + TE, verifies each result on
+// the worker that produced it, and reports per-query outcomes plus
+// aggregated costs and throughput.
 //
 // Per-query cost attribution under concurrency uses the buffer pools'
 // per-thread counters (BufferPool::ThreadStats) and per-query channel
@@ -31,19 +31,18 @@
 
 namespace sae::core {
 
-/// One query of a batch — any verified-plan operator, optionally executed
-/// behind a malicious SP. The (lo, hi) constructor keeps the historical
-/// range-scan call sites compiling unchanged.
+/// One query of a batch — any verified-plan operator, optionally with a
+/// QueryTap (null in production). The (lo, hi) constructor keeps the
+/// historical range-scan call sites compiling unchanged.
 struct BatchQuery {
   dbms::QueryRequest request;
-  AttackMode attack = AttackMode::kNone;
+  QueryTap* tap = nullptr;
 
   BatchQuery() = default;
-  BatchQuery(Key lo, Key hi, AttackMode attack = AttackMode::kNone)
-      : request(dbms::QueryRequest::Scan(lo, hi)), attack(attack) {}
-  BatchQuery(const dbms::QueryRequest& request,
-             AttackMode attack = AttackMode::kNone)
-      : request(request), attack(attack) {}
+  BatchQuery(Key lo, Key hi, QueryTap* tap = nullptr)
+      : request(dbms::QueryRequest::Scan(lo, hi)), tap(tap) {}
+  BatchQuery(const dbms::QueryRequest& request, QueryTap* tap = nullptr)
+      : request(request), tap(tap) {}
 };
 
 /// One operation of a mixed read/write batch: a query, an insert, or a
@@ -57,18 +56,17 @@ struct BatchOp {
   Record record;        // kInsert
   RecordId id = 0;      // kDelete
 
-  static BatchOp MakeQuery(Key lo, Key hi,
-                           AttackMode attack = AttackMode::kNone) {
+  static BatchOp MakeQuery(Key lo, Key hi, QueryTap* tap = nullptr) {
     BatchOp op;
     op.kind = Kind::kQuery;
-    op.query = BatchQuery{lo, hi, attack};
+    op.query = BatchQuery{lo, hi, tap};
     return op;
   }
   static BatchOp MakeQuery(const dbms::QueryRequest& request,
-                           AttackMode attack = AttackMode::kNone) {
+                           QueryTap* tap = nullptr) {
     BatchOp op;
     op.kind = Kind::kQuery;
-    op.query = BatchQuery{request, attack};
+    op.query = BatchQuery{request, tap};
     return op;
   }
   static BatchOp MakeInsert(Record record) {
@@ -122,8 +120,7 @@ struct MixedStats {
 
 struct QueryEngineOptions {
   /// Worker threads owned by the engine. 0 = run batches inline on the
-  /// calling thread (no threads are spawned) — what the single-query
-  /// SaeSystem::Query / TomSystem::Query wrappers use.
+  /// calling thread (no threads are spawned).
   size_t worker_threads = 0;
 };
 
@@ -144,7 +141,7 @@ class QueryEngine {
   QueryEngine& operator=(const QueryEngine&) = delete;
 
   /// Batch result over any system type exposing
-  /// ExecuteQuery(lo, hi, attack) -> Result<QueryOutcome> with the
+  /// ExecuteQuery(request, tap) -> Result<QueryOutcome> with the
   /// QueryOutcome carrying `verification` and `costs` members — the
   /// unsharded SaeSystem/TomSystem and their sharded counterparts alike.
   template <typename System>
@@ -222,7 +219,7 @@ QueryEngine::Batch<System> QueryEngine::RunBatch(
   std::vector<std::optional<Result<Outcome>>> slots(queries.size());
   std::function<void(size_t)> task = [&](size_t i) {
     const BatchQuery& q = queries[i];
-    slots[i].emplace(system->ExecuteQuery(q.request, q.attack));
+    slots[i].emplace(system->ExecuteQuery(q.request, q.tap));
   };
 
   sim::Stopwatch watch;
@@ -268,8 +265,7 @@ MixedStats QueryEngine::RunMixedBatch(System* system,
     switch (op.kind) {
       case BatchOp::Kind::kQuery: {
         slot.is_query = true;
-        auto outcome =
-            system->ExecuteQuery(op.query.request, op.query.attack);
+        auto outcome = system->ExecuteQuery(op.query.request, op.query.tap);
         if (outcome.ok()) {
           slot.ok = true;
           slot.accepted = outcome.value().verification.ok();

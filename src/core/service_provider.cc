@@ -5,7 +5,6 @@
 
 #include "core/service_provider.h"
 
-#include "core/malicious_sp.h"
 #include "core/messages.h"
 #include "util/macros.h"
 
@@ -77,17 +76,6 @@ Result<ServiceProvider::PlanResult> ServiceProvider::ExecutePlan(
       QueryAnswerMessage msg,
       DeserializeQueryAnswer(served->answer_msg, table_->codec()));
   return PlanResult{std::move(msg.answer), std::move(msg.witness)};
-}
-
-Result<std::shared_ptr<const CachedAnswer>>
-ServiceProvider::ServePoisonedQuery(const dbms::QueryRequest& request,
-                                    uint64_t seed) const {
-  AnswerCache::Key key = AnswerCache::Key::For(request, epoch());
-  SAE_ASSIGN_OR_RETURN(PlanResult plan, ComputePlan(request));
-  plan.witness = ApplyAttack(plan.witness, AttackMode::kTamperPayload,
-                             table_->codec(), seed);
-  plan.answer = dbms::EvaluateAnswer(request, plan.witness);
-  return Publish(key, plan);
 }
 
 }  // namespace sae::core

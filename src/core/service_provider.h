@@ -74,13 +74,6 @@ class ServiceProvider {
   /// dbms::EvaluateAnswer). Thread-safety matches ExecuteRange.
   Result<PlanResult> ExecutePlan(const dbms::QueryRequest& request) const;
 
-  /// Adversary hook (security tests): computes the honest plan, tampers a
-  /// witness record, and serves the tampered bytes — the same shared buffer
-  /// also poisons the answer cache, so the lie both ships now and persists
-  /// for later queries (until an epoch bump flushes it).
-  Result<std::shared_ptr<const CachedAnswer>> ServePoisonedQuery(
-      const dbms::QueryRequest& request, uint64_t seed) const;
-
   const dbms::Table& table() const { return *table_; }
 
   /// The epoch the SP's data reflects — the DO publishes it with every
@@ -94,6 +87,9 @@ class ServiceProvider {
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   AnswerCacheStats answer_cache_stats() const { return answer_cache_.stats(); }
+  /// The answer cache itself. Its entries are SP-side state the client never
+  /// trusts; tests reach them here to stage a poisoned cache.
+  AnswerCache& answer_cache() { return answer_cache_; }
 
   /// Snapshots of the pools' global counters; diff two snapshots to measure
   /// the work in between (replaces the racy reset-then-read pattern).

@@ -102,7 +102,7 @@ Status ShardedSystem<Base>::Load(const std::vector<Record>& records) {
 template <typename Base>
 Result<typename ShardedSystem<Base>::QueryOutcome>
 ShardedSystem<Base>::ExecuteQuery(const dbms::QueryRequest& request,
-                                  ShardAttack attack) {
+                                  QueryTap* tap) {
   if (request.lo > request.hi) return Status::InvalidArgument("lo > hi");
   std::vector<ShardRouter::Slice> plan =
       router_.Partition(request.lo, request.hi);
@@ -115,12 +115,10 @@ ShardedSystem<Base>::ExecuteQuery(const dbms::QueryRequest& request,
   using BaseOutcome = typename Base::QueryOutcome;
   std::vector<std::optional<Result<BaseOutcome>>> slots(plan.size());
   std::function<void(size_t)> sub_query = [&](size_t i) {
-    AttackMode mode = attack.AppliesTo(plan[i].shard) ? attack.mode
-                                                      : AttackMode::kNone;
     dbms::QueryRequest sub = request;
     sub.lo = plan[i].lo;
     sub.hi = plan[i].hi;
-    slots[i].emplace(shards_[plan[i].shard]->ExecuteQuery(sub, mode));
+    slots[i].emplace(shards_[plan[i].shard]->ExecuteQuery(sub, tap));
   };
   // The worker pool runs one job at a time (QueryEngine::Dispatch is
   // single-caller), so the first concurrent query in takes it via the

@@ -39,32 +39,6 @@
 
 namespace sae::core {
 
-/// Attack placement for a sharded deployment: which shard is compromised
-/// and what it does. Implicitly constructible from a bare AttackMode so the
-/// generic QueryEngine batch templates (whose BatchQuery carries an
-/// AttackMode) apply the attack to every shard — the unsharded semantics.
-struct ShardAttack {
-  static constexpr size_t kAllShards = ~size_t{0};
-
-  AttackMode mode = AttackMode::kNone;
-  size_t shard = kAllShards;  ///< the compromised shard; kAllShards = all
-
-  ShardAttack() = default;
-  ShardAttack(AttackMode mode) : mode(mode) {}  // NOLINT: implicit
-  /// A single compromised shard among honest ones.
-  static ShardAttack At(size_t shard, AttackMode mode) {
-    ShardAttack attack;
-    attack.mode = mode;
-    attack.shard = shard;
-    return attack;
-  }
-
-  bool AppliesTo(size_t s) const {
-    return mode != AttackMode::kNone &&
-           (shard == kAllShards || shard == s);
-  }
-};
-
 /// Which shard an update landed on and the epoch it published there.
 struct ShardUpdate {
   size_t shard = 0;
@@ -140,22 +114,20 @@ class ShardedSystem {
   /// range) and verifies its own partial answer against its own proof; an
   /// execution error on any shard fails the whole query (errored Result);
   /// verification failures are reported per shard in `slices` and folded
-  /// into `verification` with attribution.
+  /// into `verification` with attribution. `tap` is forwarded to every
+  /// shard the router picks, with that shard's sub-request.
   Result<QueryOutcome> ExecuteQuery(const dbms::QueryRequest& request,
-                                    ShardAttack attack = {});
+                                    QueryTap* tap = nullptr);
   /// Range-scan compatibility wrapper.
-  Result<QueryOutcome> ExecuteQuery(Key lo, Key hi, ShardAttack attack = {}) {
-    return ExecuteQuery(dbms::QueryRequest::Scan(lo, hi), attack);
+  Result<QueryOutcome> ExecuteQuery(Key lo, Key hi, QueryTap* tap = nullptr) {
+    return ExecuteQuery(dbms::QueryRequest::Scan(lo, hi), tap);
   }
 
   /// Aliases kept for symmetry with the unsharded systems' Query().
-  Result<QueryOutcome> Query(const dbms::QueryRequest& request,
-                             ShardAttack attack = {}) {
-    return ExecuteQuery(request, attack);
+  Result<QueryOutcome> Query(const dbms::QueryRequest& request) {
+    return ExecuteQuery(request);
   }
-  Result<QueryOutcome> Query(Key lo, Key hi, ShardAttack attack = {}) {
-    return ExecuteQuery(lo, hi, attack);
-  }
+  Result<QueryOutcome> Query(Key lo, Key hi) { return ExecuteQuery(lo, hi); }
 
   /// Updates route to the owning shard and bump only its epoch; concurrent
   /// updates to different shards do not serialize against each other.

@@ -1,10 +1,8 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Implements the end-to-end SaeSystem and TomSystem harnesses
-// (core/system.h): the verified query path under the reader lock, each
-// model's hook into the shared update pipeline, and the freshness
-// adversaries (kReplayStaleRoot / kStaleVt) that answer from pre-update
-// snapshots.
+// (core/system.h): the verified query path under the reader lock and each
+// model's hook into the shared update pipeline.
 
 #include "core/system.h"
 
@@ -12,7 +10,6 @@
 #include <limits>
 
 #include "core/messages.h"
-#include "core/query_engine.h"
 #include "sim/cost_model.h"
 #include "util/macros.h"
 
@@ -30,15 +27,6 @@ std::vector<Record> SortByKey(std::vector<Record> records) {
 
 constexpr Key kMinKey = std::numeric_limits<Key>::min();
 constexpr Key kMaxKey = std::numeric_limits<Key>::max();
-
-// The epoch a freshness adversary claims: the snapshot's epoch when one
-// exists, and in any case strictly behind the published epoch — a replay
-// staged before any update occurred still announces itself as stale, so
-// "malicious" never silently means "honest".
-uint64_t StaleClaim(bool captured, uint64_t stale_epoch, uint64_t published) {
-  uint64_t behind = published > 0 ? published - 1 : 0;
-  return captured ? std::min(stale_epoch, behind) : behind;
-}
 
 }  // namespace
 
@@ -96,48 +84,12 @@ Status SaeSystem::Restore(const SnapshotState& state, uint64_t epoch) {
   return Status::OK();
 }
 
-Result<SaeSystem::QueryOutcome> SaeSystem::Query(
-    const dbms::QueryRequest& request, AttackMode attack) {
-  QueryEngine engine;  // no workers: the batch of one runs on this thread
-  QueryEngine::SaeBatch batch =
-      engine.Run(this, {BatchQuery{request, attack}});
-  return std::move(batch.outcomes[0]);
-}
-
-void SaeSystem::CaptureStaleSnapshotLocked() {
-  if (stale_captured_) return;
-  // Freeze the pre-update database once, right before the first update
-  // ever applied: the replay adversary will answer from this state.
-  auto snapshot = sp_.ExecuteRange(kMinKey, kMaxKey);
-  if (!snapshot.ok()) return;  // leave uncaptured; replay degrades cleanly
-  stale_records_ = std::move(snapshot.value());
-  stale_epoch_ = owner_.epoch();
-  stale_captured_ = true;
-}
-
-const ServiceProvider* SaeSystem::StaleSp() {
-  if (!stale_captured_) return nullptr;
-  std::call_once(stale_build_once_, [this] {
-    auto sp = std::make_unique<ServiceProvider>(ServiceProvider::Options{
-        options_.record_size, options_.sp_index_pool_pages,
-        options_.sp_heap_pool_pages, options_.sp_answer_cache});
-    if (sp->LoadDataset(stale_records_).ok()) {
-      sp->SetEpoch(stale_epoch_);
-      stale_sp_ = std::move(sp);
-    }
-    stale_records_.clear();
-    stale_records_.shrink_to_fit();
-  });
-  return stale_sp_.get();
-}
-
 Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
-    const dbms::QueryRequest& request, AttackMode attack) {
+    const dbms::QueryRequest& request, QueryTap* tap) {
   // Shared (reader) lock for the whole query: the epoch observed by the
   // SP answer, the TE token, and the client check is one frozen snapshot.
   std::shared_lock<std::shared_mutex> lock(rw_mu_);
   uint64_t published = owner_.epoch();
-  uint64_t seed = attack_seed_.fetch_add(1, std::memory_order_relaxed);
 
   QueryOutcome outcome;
   outcome.request = request;
@@ -147,45 +99,13 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
   storage::BufferPool::Stats sp_heap0 = sp_.heap_pool_thread_stats();
   storage::BufferPool::Stats te0 = te_.pool_thread_stats();
 
-  // Client -> SP: the SP serves its encoded answer; the SP may be
-  // compromised. A replaying SP serves from the pre-update snapshot and
-  // (honestly) stamps the snapshot's epoch — the freshness check, not the
-  // XOR, catches it.
-  std::shared_ptr<const CachedAnswer> served;
-  uint64_t claimed_epoch = sp_.epoch();
-  if (attack == AttackMode::kReplayStaleRoot ||
-      attack == AttackMode::kStaleCacheReplay) {
-    const ServiceProvider* stale = StaleSp();
-    claimed_epoch = StaleClaim(stale != nullptr, stale_epoch_, published);
-    const ServiceProvider& source = stale != nullptr ? *stale : sp_;
-    if (attack == AttackMode::kStaleCacheReplay) {
-      // Warm the stale SP's answer cache, then serve from it: the replayed
-      // bytes literally come out of a cache entry keyed to the old epoch.
-      SAE_RETURN_NOT_OK(source.ServeQuery(request).status());
-    }
-    SAE_ASSIGN_OR_RETURN(served, source.ServeQuery(request));
-  } else if (attack == AttackMode::kPoisonedCache) {
-    // The SP poisons its own cache: tampered bytes ship now and persist
-    // for later honest queries until an epoch bump flushes the cache.
-    SAE_ASSIGN_OR_RETURN(served, sp_.ServePoisonedQuery(request, seed));
-  } else {
-    SAE_ASSIGN_OR_RETURN(served, sp_.ServeQuery(request));
-  }
-  if (attack != AttackMode::kNone) {
-    // Only an attacking SP decodes what it served, tampers and re-encodes.
-    // Record attacks tamper the witness and re-derive the answer from it
-    // (a consistent lie the range proof catches); answer attacks leave the
-    // witness honest and falsify the derived fields (CheckAnswer's job).
-    SAE_ASSIGN_OR_RETURN(QueryAnswerMessage plan,
-                         DeserializeQueryAnswer(served->answer_msg, codec()));
-    std::vector<Record> witness =
-        ApplyAttack(std::move(plan.witness), attack, codec(), seed);
-    dbms::QueryAnswer answer = IsRecordAttack(attack)
-                                   ? dbms::EvaluateAnswer(request, witness)
-                                   : std::move(plan.answer);
-    ApplyAnswerAttack(&answer, attack, seed);
-    served = std::make_shared<const CachedAnswer>(CachedAnswer{
-        SerializeQueryAnswer(answer, witness, claimed_epoch, codec()), {}});
+  // Client -> SP: the SP serves its encoded answer (a tap may stand in for
+  // a compromised SP and replace it).
+  SAE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedAnswer> served,
+                       sp_.ServeQuery(request));
+  if (tap != nullptr) {
+    SAE_ASSIGN_OR_RETURN(served,
+                         tap->OnAnswer(request, published, std::move(served)));
   }
   // The honest SP hands its served buffer to the channel and the client as
   // it is: one encode per answer, none at all on a cache hit.
@@ -199,12 +119,13 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
       (sp_.heap_pool_thread_stats() - sp_heap0).accesses;
 
   // Client -> TE: verification token (the TE itself is always honest; a
-  // kStaleVt adversary replays a token captured before the last update).
+  // tap may replay an old token in its place).
   SAE_ASSIGN_OR_RETURN(VerificationToken vt, te_.GenerateVt(request));
-  if (attack == AttackMode::kStaleVt) {
-    vt.epoch = vt.epoch > 0 ? vt.epoch - 1 : 0;
-  }
   std::vector<uint8_t> vt_msg = SerializeVt(vt);
+  if (tap != nullptr) {
+    SAE_ASSIGN_OR_RETURN(vt_msg,
+                         tap->OnToken(request, published, std::move(vt_msg)));
+  }
   sim::Channel::Session te_session = te_client_.OpenSession();
   te_session.Send(vt_msg);
   outcome.costs.auth_bytes = te_session.bytes();
@@ -313,105 +234,21 @@ Status TomSystem::Restore(const SnapshotState& state, uint64_t epoch) {
   return Status::OK();
 }
 
-Result<TomSystem::QueryOutcome> TomSystem::Query(
-    const dbms::QueryRequest& request, AttackMode attack) {
-  QueryEngine engine;  // no workers: the batch of one runs on this thread
-  QueryEngine::TomBatch batch =
-      engine.Run(this, {BatchQuery{request, attack}});
-  return std::move(batch.outcomes[0]);
-}
-
-void TomSystem::CaptureStaleSnapshotLocked() {
-  if (stale_captured_) return;
-  auto snapshot = sp_.ExecuteRange(kMinKey, kMaxKey);
-  if (!snapshot.ok()) return;
-  stale_records_ = std::move(snapshot.value().results);
-  stale_signature_ = owner_.signature();  // pre-update: not yet re-signed
-  stale_epoch_ = owner_.epoch();
-  stale_captured_ = true;
-}
-
-const TomServiceProvider* TomSystem::StaleSp() {
-  if (!stale_captured_) return nullptr;
-  std::call_once(stale_build_once_, [this] {
-    auto sp = std::make_unique<TomServiceProvider>(
-        TomServiceProvider::Options{options_.record_size, options_.scheme,
-                                    options_.sp_index_pool_pages,
-                                    options_.sp_heap_pool_pages,
-                                    options_.mb_options,
-                                    options_.sp_answer_cache});
-    if (sp->LoadDataset(stale_records_, stale_signature_, stale_epoch_)
-            .ok()) {
-      stale_sp_ = std::move(sp);
-    }
-    stale_records_.clear();
-    stale_records_.shrink_to_fit();
-  });
-  return stale_sp_.get();
-}
-
 Result<TomSystem::QueryOutcome> TomSystem::ExecuteQuery(
-    const dbms::QueryRequest& request, AttackMode attack) {
+    const dbms::QueryRequest& request, QueryTap* tap) {
   std::shared_lock<std::shared_mutex> lock(rw_mu_);
   uint64_t published = owner_.epoch();
-  uint64_t seed = attack_seed_.fetch_add(1, std::memory_order_relaxed);
 
   QueryOutcome outcome;
   outcome.request = request;
   storage::BufferPool::Stats sp_index0 = sp_.index_pool_thread_stats();
   storage::BufferPool::Stats sp_heap0 = sp_.heap_pool_thread_stats();
 
-  std::shared_ptr<const CachedAnswer> served;
-  const TomServiceProvider* stale = nullptr;
-  if (attack == AttackMode::kReplayStaleRoot ||
-      attack == AttackMode::kStaleCacheReplay) {
-    // Full replay: stale results + stale VO + the stale epoch-stamped
-    // signature — internally consistent, cryptographically valid for its
-    // own epoch. Only the freshness gate can reject it. The cache-replay
-    // variant serves the second of two identical calls, so the replayed
-    // bytes come straight out of a cache entry keyed to the old epoch.
-    stale = StaleSp();
-    const TomServiceProvider& source = stale != nullptr ? *stale : sp_;
-    if (attack == AttackMode::kStaleCacheReplay) {
-      SAE_RETURN_NOT_OK(source.ServeQuery(request).status());
-    }
-    SAE_ASSIGN_OR_RETURN(served, source.ServeQuery(request));
-  } else if (attack == AttackMode::kPoisonedCache) {
-    // The SP poisons its own cache: tampered witness bytes ship with the
-    // honest VO (the VO disproves them) and persist in the cache for later
-    // honest queries until a signature install flushes it.
-    SAE_ASSIGN_OR_RETURN(served, sp_.ServePoisonedQuery(request, seed));
-  } else {
-    SAE_ASSIGN_OR_RETURN(served, sp_.ServeQuery(request));
-  }
-  if (attack != AttackMode::kNone) {
-    // Only an attacking SP decodes what it served, tampers and re-encodes.
-    SAE_ASSIGN_OR_RETURN(QueryAnswerMessage plan,
-                         DeserializeQueryAnswer(served->answer_msg, codec_));
-    SAE_ASSIGN_OR_RETURN(
-        mbtree::VerificationObject vo,
-        mbtree::VerificationObject::Deserialize(served->proof_msg));
-    if (attack == AttackMode::kReplayStaleRoot ||
-        attack == AttackMode::kStaleCacheReplay) {
-      vo.epoch = StaleClaim(stale != nullptr, stale_epoch_, published);
-    } else if (attack == AttackMode::kStaleVt) {
-      // Stale authentication against the current result: the SP presents
-      // an old epoch's signature (TOM's analog of a replayed TE token).
-      vo.epoch = StaleClaim(stale_captured_, stale_epoch_, published);
-      if (stale_captured_) vo.signature = stale_signature_;
-    }
-    // Record attacks tamper the witness (and the answer re-derives from
-    // the tampered set — a consistent lie the VO catches); answer attacks
-    // leave the witness honest and falsify only the derived answer.
-    std::vector<Record> witness =
-        ApplyAttack(std::move(plan.witness), attack, codec_, seed);
-    dbms::QueryAnswer answer = IsRecordAttack(attack)
-                                   ? dbms::EvaluateAnswer(request, witness)
-                                   : std::move(plan.answer);
-    ApplyAnswerAttack(&answer, attack, seed);
-    served = std::make_shared<const CachedAnswer>(CachedAnswer{
-        SerializeQueryAnswer(answer, witness, vo.epoch, codec_),
-        vo.Serialize()});
+  SAE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedAnswer> served,
+                       sp_.ServeQuery(request));
+  if (tap != nullptr) {
+    SAE_ASSIGN_OR_RETURN(served,
+                         tap->OnAnswer(request, published, std::move(served)));
   }
   // The honest SP hands its served buffers to the channel and the client
   // as they are: one encode per answer, none at all on a cache hit.

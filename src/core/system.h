@@ -6,7 +6,7 @@
 // queries over the verified plan layer (range/point scans and
 // COUNT/SUM/MIN/MAX/top-k aggregates, dbms::QueryRequest) AND
 // epoch-versioned updates — concurrently, from any number of threads —
-// optionally under an attacking SP, and read back per-party costs.
+// and read back per-party costs.
 //
 // Both systems derive from one UpdatePipeline (core/update_pipeline.h),
 // which runs updates, checkpoints and crash recovery and carries the
@@ -27,9 +27,7 @@
 #ifndef SAE_CORE_SYSTEM_H_
 #define SAE_CORE_SYSTEM_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <vector>
 
@@ -38,7 +36,6 @@
 #include "core/data_owner.h"
 #include "core/durability.h"
 #include "core/epoch.h"
-#include "core/malicious_sp.h"
 #include "core/service_provider.h"
 #include "core/tom.h"
 #include "core/trusted_entity.h"
@@ -68,6 +65,28 @@ inline QueryCosts& operator+=(QueryCosts& a, const QueryCosts& b) {
   a.client_verify_ms += b.client_verify_ms;
   return a;
 }
+
+/// An optional per-call seam on ExecuteQuery: it sees the request and the
+/// published epoch and may replace the bytes the client receives before
+/// they cross the metered channel. Production passes none; the test-side
+/// adversaries (src/adversary) are built on it. It runs under the system's
+/// reader lock, so it must not call back into the system.
+class QueryTap {
+ public:
+  virtual ~QueryTap() = default;
+  /// The SP's served answer (under TOM with its VO in proof_msg).
+  virtual Result<std::shared_ptr<const CachedAnswer>> OnAnswer(
+      const dbms::QueryRequest& /*request*/, uint64_t /*published*/,
+      std::shared_ptr<const CachedAnswer> served) {
+    return served;
+  }
+  /// SAE only: the TE's serialized token.
+  virtual Result<std::vector<uint8_t>> OnToken(
+      const dbms::QueryRequest& /*request*/, uint64_t /*published*/,
+      std::vector<uint8_t> vt_msg) {
+    return vt_msg;
+  }
+};
 
 struct SaeSystemOptions {
   size_t record_size = storage::kDefaultRecordSize;
@@ -137,16 +156,14 @@ class SaeSystem : public UpdatePipeline {
     QueryCosts costs;
   };
 
-  /// Client issues the plan to SP and TE simultaneously and verifies.
-  /// Routed through a batch-of-one QueryEngine; for multi-query load build
-  /// a core::QueryEngine with worker threads and pass it a batch.
-  Result<QueryOutcome> Query(const dbms::QueryRequest& request,
-                             AttackMode attack = AttackMode::kNone);
-  /// Range-scan compatibility wrapper.
-  Result<QueryOutcome> Query(Key lo, Key hi,
-                             AttackMode attack = AttackMode::kNone) {
-    return Query(dbms::QueryRequest::Scan(lo, hi), attack);
+  /// Client issues the plan to SP and TE simultaneously and verifies
+  /// (ExecuteQuery on the calling thread); for multi-query load build a
+  /// core::QueryEngine with worker threads and pass it a batch.
+  Result<QueryOutcome> Query(const dbms::QueryRequest& request) {
+    return ExecuteQuery(request);
   }
+  /// Range-scan compatibility wrapper.
+  Result<QueryOutcome> Query(Key lo, Key hi) { return ExecuteQuery(lo, hi); }
 
   /// The thread-safe single-query operation QueryEngine workers invoke:
   /// runs SP execution, TE token generation, and client verification
@@ -154,13 +171,13 @@ class SaeSystem : public UpdatePipeline {
   /// attributing costs via per-thread pool counters and per-query channel
   /// sessions. Any number of threads may call this concurrently, and
   /// Insert/Delete may interleave with it — writers simply serialize
-  /// against in-flight queries through the lock.
+  /// against in-flight queries through the lock. `tap` (see QueryTap) is
+  /// null in production.
   Result<QueryOutcome> ExecuteQuery(const dbms::QueryRequest& request,
-                                    AttackMode attack = AttackMode::kNone);
+                                    QueryTap* tap = nullptr);
   /// Range-scan compatibility wrapper.
-  Result<QueryOutcome> ExecuteQuery(Key lo, Key hi,
-                                    AttackMode attack = AttackMode::kNone) {
-    return ExecuteQuery(dbms::QueryRequest::Scan(lo, hi), attack);
+  Result<QueryOutcome> ExecuteQuery(Key lo, Key hi, QueryTap* tap = nullptr) {
+    return ExecuteQuery(dbms::QueryRequest::Scan(lo, hi), tap);
   }
 
   /// Cache counters across all three verified-path caches.
@@ -170,6 +187,7 @@ class SaeSystem : public UpdatePipeline {
                          client_memo_.stats()};
   }
 
+  const Options& options() const { return options_; }
   DataOwner& owner() { return owner_; }
   ServiceProvider& sp() { return sp_; }
   TrustedEntity& te() { return te_; }
@@ -180,14 +198,6 @@ class SaeSystem : public UpdatePipeline {
   const RecordCodec& codec() const { return owner_.codec(); }
 
  private:
-  /// Snapshots the pre-update SP state the first time a writer runs, so
-  /// kReplayStaleRoot has a genuine stale database to answer from.
-  void CaptureStaleSnapshotLocked();
-  /// Lazily materializes the stale SP from the captured records (readers
-  /// race through std::call_once). nullptr when no snapshot exists yet.
-  const ServiceProvider* StaleSp();
-
-  void BeforeUpdateLocked() override { CaptureStaleSnapshotLocked(); }
   /// Load body shared with Restore (caller holds the unique lock).
   Status LoadLocked(const std::vector<Record>& records);
 
@@ -211,14 +221,6 @@ class SaeSystem : public UpdatePipeline {
   sim::Channel do_te_{"DO->TE"};
   sim::Channel sp_client_{"SP->Client"};
   sim::Channel te_client_{"TE->Client"};
-  std::atomic<uint64_t> attack_seed_{0xBADC0DE};
-
-  // Pre-update snapshot for the replay adversary.
-  bool stale_captured_ = false;          // written under unique lock
-  uint64_t stale_epoch_ = 0;
-  std::vector<Record> stale_records_;
-  std::once_flag stale_build_once_;
-  std::unique_ptr<ServiceProvider> stale_sp_;
 };
 
 struct TomSystemOptions {
@@ -288,23 +290,20 @@ class TomSystem : public UpdatePipeline {
     QueryCosts costs;
   };
 
-  /// Routed through a batch-of-one QueryEngine, like SaeSystem::Query.
-  Result<QueryOutcome> Query(const dbms::QueryRequest& request,
-                             AttackMode attack = AttackMode::kNone);
-  /// Range-scan compatibility wrapper.
-  Result<QueryOutcome> Query(Key lo, Key hi,
-                             AttackMode attack = AttackMode::kNone) {
-    return Query(dbms::QueryRequest::Scan(lo, hi), attack);
+  /// ExecuteQuery on the calling thread, like SaeSystem::Query.
+  Result<QueryOutcome> Query(const dbms::QueryRequest& request) {
+    return ExecuteQuery(request);
   }
+  /// Range-scan compatibility wrapper.
+  Result<QueryOutcome> Query(Key lo, Key hi) { return ExecuteQuery(lo, hi); }
 
   /// Thread-safe single-query operation (see SaeSystem::ExecuteQuery):
   /// shared lock for the whole query; interleaves with updates.
   Result<QueryOutcome> ExecuteQuery(const dbms::QueryRequest& request,
-                                    AttackMode attack = AttackMode::kNone);
+                                    QueryTap* tap = nullptr);
   /// Range-scan compatibility wrapper.
-  Result<QueryOutcome> ExecuteQuery(Key lo, Key hi,
-                                    AttackMode attack = AttackMode::kNone) {
-    return ExecuteQuery(dbms::QueryRequest::Scan(lo, hi), attack);
+  Result<QueryOutcome> ExecuteQuery(Key lo, Key hi, QueryTap* tap = nullptr) {
+    return ExecuteQuery(dbms::QueryRequest::Scan(lo, hi), tap);
   }
 
   /// Cache counters across the SP answer cache and both ADS node caches.
@@ -315,6 +314,7 @@ class TomSystem : public UpdatePipeline {
                          client_memo_.stats()};
   }
 
+  const Options& options() const { return options_; }
   TomDataOwner& owner() { return owner_; }
   TomServiceProvider& sp() { return sp_; }
   sim::Channel& do_sp_channel() { return do_sp_; }
@@ -322,10 +322,6 @@ class TomSystem : public UpdatePipeline {
   const RecordCodec& codec() const { return codec_; }
 
  private:
-  void CaptureStaleSnapshotLocked();
-  const TomServiceProvider* StaleSp();
-
-  void BeforeUpdateLocked() override { CaptureStaleSnapshotLocked(); }
   /// Load body shared with Restore; `ship` meters the DO->SP channel
   /// (recovery reads local disk, nothing crosses the network).
   Status LoadLocked(const std::vector<Record>& records, bool ship);
@@ -348,14 +344,6 @@ class TomSystem : public UpdatePipeline {
   mutable TomClientMemo client_memo_;
   sim::Channel do_sp_{"DO->SP"};
   sim::Channel sp_client_{"SP->Client"};
-  std::atomic<uint64_t> attack_seed_{0xBADC0DE};
-
-  bool stale_captured_ = false;
-  uint64_t stale_epoch_ = 0;
-  crypto::RsaSignature stale_signature_;
-  std::vector<Record> stale_records_;
-  std::once_flag stale_build_once_;
-  std::unique_ptr<TomServiceProvider> stale_sp_;
 };
 
 }  // namespace sae::core

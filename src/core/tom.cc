@@ -5,7 +5,6 @@
 
 #include "core/tom.h"
 
-#include "core/malicious_sp.h"
 #include "core/messages.h"
 #include "util/macros.h"
 #include "util/random.h"
@@ -235,17 +234,6 @@ Result<TomServiceProvider::PlanResponse> TomServiceProvider::ExecutePlan(
   SAE_ASSIGN_OR_RETURN(
       plan.vo, mbtree::VerificationObject::Deserialize(served->proof_msg));
   return plan;
-}
-
-Result<std::shared_ptr<const CachedAnswer>>
-TomServiceProvider::ServePoisonedQuery(const dbms::QueryRequest& request,
-                                       uint64_t seed) const {
-  AnswerCache::Key key = AnswerCache::Key::For(request, epoch_);
-  SAE_ASSIGN_OR_RETURN(PlanResponse plan, ComputePlan(request));
-  plan.witness =
-      ApplyAttack(plan.witness, AttackMode::kTamperPayload, codec_, seed);
-  plan.answer = dbms::EvaluateAnswer(request, plan.witness);
-  return Publish(key, plan);
 }
 
 // --- TomClient ----------------------------------------------------------------

@@ -166,17 +166,11 @@ class TomServiceProvider {
   /// rule dbms::EvaluateAnswer). Thread-safety matches ExecuteRange.
   Result<PlanResponse> ExecutePlan(const dbms::QueryRequest& request) const;
 
-  /// Adversary hook (security tests): computes the honest plan, tampers a
-  /// witness record, and serves the tampered bytes with the honest VO — the
-  /// same shared buffer also poisons the answer cache, so the lie both
-  /// ships now and persists for later queries (until a signature install
-  /// flushes it).
-  Result<std::shared_ptr<const CachedAnswer>> ServePoisonedQuery(
-      const dbms::QueryRequest& request, uint64_t seed) const;
-
   const mbtree::MbTree& ads() const { return *mb_; }
 
   AnswerCacheStats answer_cache_stats() const { return answer_cache_.stats(); }
+  /// The answer cache itself (see ServiceProvider::answer_cache).
+  AnswerCache& answer_cache() { return answer_cache_; }
 
   /// Snapshots of the pools' global counters; diff two snapshots to measure
   /// the work in between (replaces the racy reset-then-read pattern).

@@ -11,10 +11,11 @@
 
 namespace sae::core {
 
-Result<SnapshotState> UpdatePipeline::CaptureState() {
+Result<SnapshotState> UpdatePipeline::CaptureState(uint64_t* epoch) {
   std::shared_lock<std::shared_mutex> lock(rw_mu_);
   SnapshotState state = header_;
   SAE_RETURN_NOT_OK(Capture(/*with_records=*/true, &state));
+  if (epoch != nullptr) *epoch = OwnerEpoch();
   return state;
 }
 
@@ -101,10 +102,6 @@ Status UpdatePipeline::Checkpoint(bool baseline) {
 
 Result<uint64_t> UpdatePipeline::Run(WalUpdate update) {
   std::unique_lock<std::shared_mutex> lock(rw_mu_);
-  // Adversary staging (a one-time O(n) scan on the first update ever)
-  // happens before the stopwatch so the reported update latency measures
-  // the pipeline, not the test harness's replay snapshot.
-  BeforeUpdateLocked();
   sim::Stopwatch watch;
   auto fail = [&](Status st) -> Result<uint64_t> {
     ++stats_.failed;

@@ -88,8 +88,10 @@ class UpdatePipeline {
   }
 
   /// The full checkpoint payload of the current epoch (dataset in key
-  /// order, plus TOM's root signature), under the reader lock.
-  Result<SnapshotState> CaptureState();
+  /// order, plus TOM's root signature), under the reader lock. `epoch`, when
+  /// given, receives the epoch the payload belongs to, read under the same
+  /// lock.
+  Result<SnapshotState> CaptureState(uint64_t* epoch = nullptr);
 
   /// Attached durability manager; nullptr when durability is off.
   DurabilityManager* durability() { return durability_.get(); }
@@ -159,9 +161,6 @@ class UpdatePipeline {
   /// Rebuilds every party from a recovered snapshot at `epoch` and proves
   /// the rebuilt authentication state is the checkpointed one.
   virtual Status Restore(const SnapshotState& state, uint64_t epoch) = 0;
-  /// Runs under the writer lock before each update is timed — the replay
-  /// adversary stages its stale snapshot here.
-  virtual void BeforeUpdateLocked() {}
 
   // Reader-writer coordination: queries shared, updates unique.
   mutable std::shared_mutex rw_mu_;

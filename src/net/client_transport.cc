@@ -128,12 +128,6 @@ Result<uint64_t> FetchEpoch(ClientTransport* transport) {
   return core::DeserializeEpochNotice(response);
 }
 
-Status ShutdownServer(ClientTransport* transport) {
-  SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> response,
-                       transport->Call(ControlFrame(kCtlShutdown)));
-  return ExpectAck(response);
-}
-
 // --- SAE client -----------------------------------------------------------------
 
 NetSaeClient::NetSaeClient(const NetSaeClientOptions& options)
@@ -153,16 +147,6 @@ Result<uint64_t> NetSaeClient::PublishedEpoch() {
 
 Result<NetVerifiedAnswer> NetSaeClient::Query(
     const dbms::QueryRequest& request) {
-  return RunQuery(request, /*poisoned=*/false);
-}
-
-Result<NetVerifiedAnswer> NetSaeClient::QueryPoisoned(
-    const dbms::QueryRequest& request) {
-  return RunQuery(request, /*poisoned=*/true);
-}
-
-Result<NetVerifiedAnswer> NetSaeClient::RunQuery(
-    const dbms::QueryRequest& request, bool poisoned) {
   // Lease one socket per party, write all requests, then read all
   // responses: the SP and TE (and owner) round trips overlap on the wire —
   // the paper's parallel fan-out with plain blocking sockets.
@@ -173,11 +157,9 @@ Result<NetVerifiedAnswer> NetSaeClient::RunQuery(
     SAE_ASSIGN_OR_RETURN(owner_lease, owner_->Acquire());
   }
 
-  std::vector<uint8_t> sp_request =
-      poisoned ? PoisonQueryFrame(request)
-               : core::SerializeQueryRequest(request);
-  SAE_RETURN_NOT_OK(sp_lease.Send(sp_request));
-  SAE_RETURN_NOT_OK(te_lease.Send(core::SerializeQueryRequest(request)));
+  std::vector<uint8_t> query = core::SerializeQueryRequest(request);
+  SAE_RETURN_NOT_OK(sp_lease.Send(query));
+  SAE_RETURN_NOT_OK(te_lease.Send(query));
   if (owner_lease.valid()) {
     SAE_RETURN_NOT_OK(owner_lease.Send(ControlFrame(kCtlGetEpoch)));
   }
@@ -217,42 +199,31 @@ Result<NetVerifiedAnswer> NetSaeClient::RunQuery(
 // --- TOM client -----------------------------------------------------------------
 
 NetTomClient::NetTomClient(const NetTomClientOptions& options)
-    : options_(options), codec_(options.record_size), sp_(options.sp) {
-  if (options.owner.port != 0) {
-    owner_ = std::make_unique<ClientTransport>(options.owner);
-  }
+    : options_(options),
+      codec_(options.record_size),
+      sp_(options.sp),
+      owner_(options.owner) {}
+
+Status NetTomClient::CheckOwner() const {
+  return options_.owner.port != 0
+             ? Status::OK()
+             : Status::InvalidArgument(
+                   "NetTomClient needs the owner's epoch endpoint");
 }
 
 Result<uint64_t> NetTomClient::PublishedEpoch() {
-  if (owner_ != nullptr) return FetchEpoch(owner_.get());
-  return FetchEpoch(&sp_);
+  SAE_RETURN_NOT_OK(CheckOwner());
+  return FetchEpoch(&owner_);
 }
 
 Result<NetTomVerifiedAnswer> NetTomClient::Query(
     const dbms::QueryRequest& request) {
-  return RunQuery(request, /*poisoned=*/false);
-}
-
-Result<NetTomVerifiedAnswer> NetTomClient::QueryPoisoned(
-    const dbms::QueryRequest& request) {
-  return RunQuery(request, /*poisoned=*/true);
-}
-
-Result<NetTomVerifiedAnswer> NetTomClient::RunQuery(
-    const dbms::QueryRequest& request, bool poisoned) {
+  SAE_RETURN_NOT_OK(CheckOwner());
   SAE_ASSIGN_OR_RETURN(ClientTransport::Lease sp_lease, sp_.Acquire());
-  ClientTransport::Lease owner_lease;
-  if (owner_ != nullptr) {
-    SAE_ASSIGN_OR_RETURN(owner_lease, owner_->Acquire());
-  }
+  SAE_ASSIGN_OR_RETURN(ClientTransport::Lease owner_lease, owner_.Acquire());
 
-  std::vector<uint8_t> sp_request =
-      poisoned ? PoisonQueryFrame(request)
-               : core::SerializeQueryRequest(request);
-  SAE_RETURN_NOT_OK(sp_lease.Send(sp_request));
-  if (owner_lease.valid()) {
-    SAE_RETURN_NOT_OK(owner_lease.Send(ControlFrame(kCtlGetEpoch)));
-  }
+  SAE_RETURN_NOT_OK(sp_lease.Send(core::SerializeQueryRequest(request)));
+  SAE_RETURN_NOT_OK(owner_lease.Send(ControlFrame(kCtlGetEpoch)));
 
   // The TOM SP answers with two frames: the answer shipment then the VO.
   SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> answer_bytes, sp_lease.Recv());
@@ -265,14 +236,10 @@ Result<NetTomVerifiedAnswer> NetTomClient::RunQuery(
   SAE_ASSIGN_OR_RETURN(mbtree::VerificationObject vo,
                        mbtree::VerificationObject::Deserialize(vo_bytes));
 
-  uint64_t current_epoch = 0;  // 0 disables the freshness reference
-  if (owner_lease.valid()) {
-    SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> epoch_bytes,
-                         owner_lease.Recv());
-    SAE_RETURN_NOT_OK(CheckFrame(epoch_bytes));
-    SAE_ASSIGN_OR_RETURN(current_epoch,
-                         core::DeserializeEpochNotice(epoch_bytes));
-  }
+  SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> epoch_bytes, owner_lease.Recv());
+  SAE_RETURN_NOT_OK(CheckFrame(epoch_bytes));
+  SAE_ASSIGN_OR_RETURN(uint64_t current_epoch,
+                       core::DeserializeEpochNotice(epoch_bytes));
 
   SAE_RETURN_NOT_OK(core::TomClient::VerifyAnswer(
       request, message.answer, message.witness, vo, options_.owner_key,

@@ -107,9 +107,6 @@ Status CallExpectAck(ClientTransport* transport,
 /// Asks a party's control endpoint for its current epoch.
 Result<uint64_t> FetchEpoch(ClientTransport* transport);
 
-/// Sends the shutdown control op and waits for the ack.
-Status ShutdownServer(ClientTransport* transport);
-
 /// A fully verified SAE answer as the networked client returns it.
 struct NetVerifiedAnswer {
   dbms::QueryAnswer answer;
@@ -142,10 +139,6 @@ class NetSaeClient {
   /// returned; tampering/staleness comes back as the failing Status.
   Result<NetVerifiedAnswer> Query(const dbms::QueryRequest& request);
 
-  /// Asks the SP for a *poisoned* plan (adversary hook) and verifies it
-  /// like Query — so callers can assert the networked path rejects it.
-  Result<NetVerifiedAnswer> QueryPoisoned(const dbms::QueryRequest& request);
-
   /// The published epoch from the owner endpoint (or the TE when no owner
   /// is configured).
   Result<uint64_t> PublishedEpoch();
@@ -154,9 +147,6 @@ class NetSaeClient {
   ClientTransport& te() { return te_; }
 
  private:
-  Result<NetVerifiedAnswer> RunQuery(const dbms::QueryRequest& request,
-                                     bool poisoned);
-
   NetSaeClientOptions options_;
   RecordCodec codec_;
   ClientTransport sp_;
@@ -173,33 +163,35 @@ struct NetTomVerifiedAnswer {
 
 struct NetTomClientOptions {
   Endpoint sp;
-  Endpoint owner;  ///< port 0: skip the current-epoch freshness reference
+  /// The DO's epoch endpoint — the client's freshness reference, without
+  /// which a replayed old-epoch VO would verify. Required.
+  Endpoint owner;
   crypto::RsaPublicKey owner_key;
   size_t record_size = storage::kDefaultRecordSize;
   crypto::HashScheme scheme = crypto::HashScheme::kSha1;
 };
 
 /// The TOM client over TCP: one SP round trip returning two frames (answer,
-/// VO), verified with core::TomClient::VerifyAnswer.
+/// VO) plus the owner's published epoch, verified with
+/// core::TomClient::VerifyAnswer. A client built without an owner endpoint
+/// fails every call with InvalidArgument.
 class NetTomClient {
  public:
   explicit NetTomClient(const NetTomClientOptions& options);
 
   Result<NetTomVerifiedAnswer> Query(const dbms::QueryRequest& request);
-  Result<NetTomVerifiedAnswer> QueryPoisoned(const dbms::QueryRequest& request);
 
   Result<uint64_t> PublishedEpoch();
 
   ClientTransport& sp() { return sp_; }
 
  private:
-  Result<NetTomVerifiedAnswer> RunQuery(const dbms::QueryRequest& request,
-                                        bool poisoned);
+  Status CheckOwner() const;
 
   NetTomClientOptions options_;
   RecordCodec codec_;
   ClientTransport sp_;
-  std::unique_ptr<ClientTransport> owner_;
+  ClientTransport owner_;
 };
 
 }  // namespace sae::net

@@ -71,18 +71,6 @@ void FrameServer::Stop() {
 void FrameServer::Loop() {
   std::vector<epoll_event> events(size_t(options_.max_events));
   while (!stop_requested_.load(std::memory_order_acquire)) {
-    if (stop_after_flush_) {
-      // Shutdown requested by a handler: exit once every queued response
-      // byte is on the wire (the ack the requester is waiting for).
-      bool pending = false;
-      for (auto& [fd, conn] : conns_) {
-        if (!conn->out.empty()) {
-          pending = true;
-          break;
-        }
-      }
-      if (!pending) break;
-    }
     int n = ::epoll_wait(epoll_fd_.get(), events.data(), options_.max_events,
                          -1);
     if (n < 0) {
@@ -160,7 +148,7 @@ bool FrameServer::HandleReadable(Conn* conn) {
   std::vector<uint8_t> request;
   while (conn->decoder.Next(&request)) {
     std::vector<SharedPayload> responses;
-    bool stop = handler_(std::move(request), &responses);
+    handler_(std::move(request), &responses);
     for (SharedPayload& payload : responses) {
       OutFrame frame;
       EncodeU32(frame.header, uint32_t(payload->size()));
@@ -168,7 +156,6 @@ bool FrameServer::HandleReadable(Conn* conn) {
       conn->out.push_back(std::move(frame));
     }
     served_.fetch_add(1, std::memory_order_relaxed);
-    if (stop) stop_after_flush_ = true;
   }
   return HandleWritable(conn);
 }

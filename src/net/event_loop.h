@@ -34,9 +34,8 @@ namespace sae::net {
 
 /// Handles one request frame. `responses` receives the response payloads
 /// (each becomes one frame, in order); the server holds each shared payload
-/// until its last byte is on the wire. Return true to stop the whole server
-/// after the responses flush — the shutdown control op uses this.
-using FrameHandler = std::function<bool(std::vector<uint8_t> request,
+/// until its last byte is on the wire.
+using FrameHandler = std::function<void(std::vector<uint8_t> request,
                                         std::vector<SharedPayload>* responses)>;
 
 struct FrameServerOptions {
@@ -64,7 +63,7 @@ class FrameServer {
   /// are closed without flushing.
   void Stop();
 
-  /// True until Stop (or a handler-requested shutdown) completes.
+  /// True while the event loop runs: from Start until Stop.
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// Loop-lifetime counters, readable from any thread.
@@ -118,7 +117,6 @@ class FrameServer {
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
-  bool stop_after_flush_ = false;  ///< loop-thread only
   std::map<int, std::unique_ptr<Conn>> conns_;
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> served_{0};

@@ -1,7 +1,7 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Implements the party servers (net/server.h): tag-dispatched handlers over
-// the pinned wire messages plus the 0xF0+ control ops.
+// the pinned wire messages plus the epoch control op.
 
 #include "net/server.h"
 
@@ -24,10 +24,6 @@ constexpr uint8_t kTagDelete = 0x05;
 constexpr uint8_t kTagEpochNotice = 0x06;
 constexpr uint8_t kTagQueryRequest = 0x09;
 
-// The adversary hook's tamper seed: deterministic so a test can predict
-// which witness byte the poisoned plan flips.
-constexpr uint64_t kPoisonSeed = 42;
-
 // The frames of a served answer alias the SP's shared buffer: the socket
 // sends the very bytes the answer cache holds.
 SharedPayload AnswerFrame(const std::shared_ptr<const core::CachedAnswer>& a) {
@@ -40,13 +36,6 @@ SharedPayload ProofFrame(const std::shared_ptr<const core::CachedAnswer>& a) {
 }  // namespace
 
 std::vector<uint8_t> ControlFrame(uint8_t tag) { return {tag}; }
-
-std::vector<uint8_t> PoisonQueryFrame(const dbms::QueryRequest& request) {
-  std::vector<uint8_t> payload = {kCtlPoisonQuery};
-  std::vector<uint8_t> req = core::SerializeQueryRequest(request);
-  payload.insert(payload.end(), req.begin(), req.end());
-  return payload;
-}
 
 std::vector<uint8_t> ErrorFrame(const Status& status) {
   std::vector<uint8_t> payload = {kCtlError};
@@ -66,36 +55,36 @@ SpServer::SpServer(core::ServiceProvider* sp, FrameServerOptions options)
     : sp_(sp),
       server_(options, [this](std::vector<uint8_t> request,
                               std::vector<SharedPayload>* responses) {
-        return Handle(std::move(request), responses);
+        Handle(std::move(request), responses);
       }) {}
 
-bool SpServer::Handle(std::vector<uint8_t> request,
+void SpServer::Handle(std::vector<uint8_t> request,
                       std::vector<SharedPayload>* responses) {
   const RecordCodec& codec = sp_->table().codec();
   if (request.empty()) {
     responses->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
-    return false;
+    return;
   }
   switch (request[0]) {
     case kTagQueryRequest: {
       auto req = core::DeserializeQueryRequest(request);
       if (!req.ok()) {
         responses->push_back(Share(ErrorFrame(req.status())));
-        return false;
+        return;
       }
       auto served = sp_->ServeQuery(req.value());
       if (!served.ok()) {
         responses->push_back(Share(ErrorFrame(served.status())));
-        return false;
+        return;
       }
       responses->push_back(AnswerFrame(served.value()));
-      return false;
+      return;
     }
     case kTagRecords: {
       auto records = core::DeserializeRecords(request, codec);
       if (!records.ok()) {
         responses->push_back(Share(ErrorFrame(records.status())));
-        return false;
+        return;
       }
       Status st;
       if (!loaded_) {
@@ -109,54 +98,35 @@ bool SpServer::Handle(std::vector<uint8_t> request,
       }
       responses->push_back(
           Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
-      return false;
+      return;
     }
     case kTagEpochNotice: {
       auto epoch = core::DeserializeEpochNotice(request);
       if (!epoch.ok()) {
         responses->push_back(Share(ErrorFrame(epoch.status())));
-        return false;
+        return;
       }
       sp_->SetEpoch(epoch.value());
       responses->push_back(Share(ControlFrame(kCtlAck)));
-      return false;
+      return;
     }
     case kTagDelete: {
       auto del = core::DeserializeDelete(request);
       if (!del.ok()) {
         responses->push_back(Share(ErrorFrame(del.status())));
-        return false;
+        return;
       }
       Status st = sp_->DeleteRecord(del.value().first);
       responses->push_back(
           Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
-      return false;
+      return;
     }
     case kCtlGetEpoch:
       responses->push_back(Share(core::SerializeEpochNotice(sp_->epoch())));
-      return false;
-    case kCtlPoisonQuery: {
-      std::vector<uint8_t> inner(request.begin() + 1, request.end());
-      auto req = core::DeserializeQueryRequest(inner);
-      if (!req.ok()) {
-        responses->push_back(Share(ErrorFrame(req.status())));
-        return false;
-      }
-      auto served = sp_->ServePoisonedQuery(req.value(), kPoisonSeed);
-      if (!served.ok()) {
-        responses->push_back(Share(ErrorFrame(served.status())));
-        return false;
-      }
-      responses->push_back(AnswerFrame(served.value()));
-      return false;
-    }
-    case kCtlShutdown:
-      responses->push_back(Share(ControlFrame(kCtlAck)));
-      return true;
+      return;
     default:
       responses->push_back(
           Share(ErrorFrame(Status::Corruption("unknown message tag"))));
-      return false;
   }
 }
 
@@ -166,35 +136,35 @@ TeServer::TeServer(core::TrustedEntity* te, FrameServerOptions options)
     : te_(te),
       server_(options, [this](std::vector<uint8_t> request,
                               std::vector<SharedPayload>* responses) {
-        return Handle(std::move(request), responses);
+        Handle(std::move(request), responses);
       }) {}
 
-bool TeServer::Handle(std::vector<uint8_t> request,
+void TeServer::Handle(std::vector<uint8_t> request,
                       std::vector<SharedPayload>* responses) {
   if (request.empty()) {
     responses->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
-    return false;
+    return;
   }
   switch (request[0]) {
     case kTagQueryRequest: {
       auto req = core::DeserializeQueryRequest(request);
       if (!req.ok()) {
         responses->push_back(Share(ErrorFrame(req.status())));
-        return false;
+        return;
       }
       auto vt = te_->GenerateVt(req.value());
       if (!vt.ok()) {
         responses->push_back(Share(ErrorFrame(vt.status())));
-        return false;
+        return;
       }
       responses->push_back(Share(core::SerializeVt(vt.value())));
-      return false;
+      return;
     }
     case kTagRecords: {
       auto records = core::DeserializeRecords(request, te_->codec());
       if (!records.ok()) {
         responses->push_back(Share(ErrorFrame(records.status())));
-        return false;
+        return;
       }
       Status st;
       if (!loaded_) {
@@ -208,40 +178,36 @@ bool TeServer::Handle(std::vector<uint8_t> request,
       }
       responses->push_back(
           Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
-      return false;
+      return;
     }
     case kTagEpochNotice: {
       auto epoch = core::DeserializeEpochNotice(request);
       if (!epoch.ok()) {
         responses->push_back(Share(ErrorFrame(epoch.status())));
-        return false;
+        return;
       }
       te_->SetEpoch(epoch.value());
       responses->push_back(Share(ControlFrame(kCtlAck)));
-      return false;
+      return;
     }
     case kTagDelete: {
       auto del = core::DeserializeDelete(request);
       if (!del.ok()) {
         responses->push_back(Share(ErrorFrame(del.status())));
-        return false;
+        return;
       }
       Status st =
           te_->DeleteRecord(del.value().second, del.value().first);
       responses->push_back(
           Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
-      return false;
+      return;
     }
     case kCtlGetEpoch:
       responses->push_back(Share(core::SerializeEpochNotice(te_->epoch())));
-      return false;
-    case kCtlShutdown:
-      responses->push_back(Share(ControlFrame(kCtlAck)));
-      return true;
+      return;
     default:
       responses->push_back(
           Share(ErrorFrame(Status::Corruption("unknown message tag"))));
-      return false;
   }
 }
 
@@ -252,32 +218,32 @@ TomSpServer::TomSpServer(core::TomServiceProvider* sp,
     : sp_(sp),
       server_(options, [this](std::vector<uint8_t> request,
                               std::vector<SharedPayload>* responses) {
-        return Handle(std::move(request), responses);
+        Handle(std::move(request), responses);
       }) {}
 
-bool TomSpServer::Handle(std::vector<uint8_t> request,
+void TomSpServer::Handle(std::vector<uint8_t> request,
                          std::vector<SharedPayload>* responses) {
   const RecordCodec& codec = sp_->codec();
   if (request.empty()) {
     responses->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
-    return false;
+    return;
   }
   switch (request[0]) {
     case kTagQueryRequest: {
       auto req = core::DeserializeQueryRequest(request);
       if (!req.ok()) {
         responses->push_back(Share(ErrorFrame(req.status())));
-        return false;
+        return;
       }
       auto served = sp_->ServeQuery(req.value());
       if (!served.ok()) {
         responses->push_back(Share(ErrorFrame(served.status())));
-        return false;
+        return;
       }
       // Two frames, exactly the two in-process sends: answer then VO.
       responses->push_back(AnswerFrame(served.value()));
       responses->push_back(ProofFrame(served.value()));
-      return false;
+      return;
     }
     case kTagRecords: {
       // The TOM load/update protocol pairs data with the DO's signature:
@@ -286,29 +252,29 @@ bool TomSpServer::Handle(std::vector<uint8_t> request,
       auto records = core::DeserializeRecords(request, codec);
       if (!records.ok()) {
         responses->push_back(Share(ErrorFrame(records.status())));
-        return false;
+        return;
       }
       pending_records_ = std::move(records).ValueOrDie();
       has_pending_records_ = true;
       responses->push_back(Share(ControlFrame(kCtlAck)));
-      return false;
+      return;
     }
     case kTagDelete: {
       auto del = core::DeserializeDelete(request);
       if (!del.ok()) {
         responses->push_back(Share(ErrorFrame(del.status())));
-        return false;
+        return;
       }
       pending_delete_ = del.value().first;
       has_pending_delete_ = true;
       responses->push_back(Share(ControlFrame(kCtlAck)));
-      return false;
+      return;
     }
     case kTagSignature: {
       auto sig = core::DeserializeSignature(request);
       if (!sig.ok()) {
         responses->push_back(Share(ErrorFrame(sig.status())));
-        return false;
+        return;
       }
       auto [signature, epoch] = std::move(sig).ValueOrDie();
       Status st;
@@ -330,34 +296,14 @@ bool TomSpServer::Handle(std::vector<uint8_t> request,
       has_pending_delete_ = false;
       responses->push_back(
           Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
-      return false;
+      return;
     }
     case kCtlGetEpoch:
       responses->push_back(Share(core::SerializeEpochNotice(sp_->epoch())));
-      return false;
-    case kCtlPoisonQuery: {
-      std::vector<uint8_t> inner(request.begin() + 1, request.end());
-      auto req = core::DeserializeQueryRequest(inner);
-      if (!req.ok()) {
-        responses->push_back(Share(ErrorFrame(req.status())));
-        return false;
-      }
-      auto served = sp_->ServePoisonedQuery(req.value(), kPoisonSeed);
-      if (!served.ok()) {
-        responses->push_back(Share(ErrorFrame(served.status())));
-        return false;
-      }
-      responses->push_back(AnswerFrame(served.value()));
-      responses->push_back(ProofFrame(served.value()));
-      return false;
-    }
-    case kCtlShutdown:
-      responses->push_back(Share(ControlFrame(kCtlAck)));
-      return true;
+      return;
     default:
       responses->push_back(
           Share(ErrorFrame(Status::Corruption("unknown message tag"))));
-      return false;
   }
 }
 
@@ -368,26 +314,22 @@ OwnerServer::OwnerServer(std::function<uint64_t()> epoch_fn,
     : epoch_fn_(std::move(epoch_fn)),
       server_(options, [this](std::vector<uint8_t> request,
                               std::vector<SharedPayload>* responses) {
-        return Handle(std::move(request), responses);
+        Handle(std::move(request), responses);
       }) {}
 
-bool OwnerServer::Handle(std::vector<uint8_t> request,
+void OwnerServer::Handle(std::vector<uint8_t> request,
                          std::vector<SharedPayload>* responses) {
   if (request.empty()) {
     responses->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
-    return false;
+    return;
   }
   switch (request[0]) {
     case kCtlGetEpoch:
       responses->push_back(Share(core::SerializeEpochNotice(epoch_fn_())));
-      return false;
-    case kCtlShutdown:
-      responses->push_back(Share(ControlFrame(kCtlAck)));
-      return true;
+      return;
     default:
       responses->push_back(
           Share(ErrorFrame(Status::Corruption("unknown message tag"))));
-      return false;
   }
 }
 

@@ -14,10 +14,9 @@
 //   load/update (DO -> SP/TE): Records(0x01), EpochNotice(0x06),
 //     Delete(0x05), Signature(0x04, TOM) -> control ack
 //
-// A few *control* ops live outside the pinned tag space (0xF0+): epoch
-// discovery (the client's freshness reference), clean shutdown, and the
-// adversary hook that makes a server ship a tampered plan so networked
-// clients can prove they reject it.
+// One *control* op lives outside the pinned tag space (0xF0+): epoch
+// discovery, the client's freshness reference. Any other tag gets an
+// "unknown message tag" error frame and the connection keeps serving.
 
 #ifndef SAE_NET_SERVER_H_
 #define SAE_NET_SERVER_H_
@@ -39,15 +38,11 @@ namespace sae::net {
 /// sigchain VO 0xC5); control frames start at 0xF0 so the two spaces can
 /// never collide.
 inline constexpr uint8_t kCtlGetEpoch = 0xF0;   ///< -> EpochNotice payload
-inline constexpr uint8_t kCtlShutdown = 0xF1;   ///< -> ack, server stops
-inline constexpr uint8_t kCtlPoisonQuery = 0xF2;  ///< + QueryRequest bytes
 inline constexpr uint8_t kCtlAck = 0xFD;        ///< empty success response
 inline constexpr uint8_t kCtlError = 0xFE;      ///< + utf-8 error message
 
 /// Builds the 1-byte control request / ack payloads.
 std::vector<uint8_t> ControlFrame(uint8_t tag);
-/// kCtlPoisonQuery + the pinned QueryRequest message.
-std::vector<uint8_t> PoisonQueryFrame(const dbms::QueryRequest& request);
 /// kCtlError + message text.
 std::vector<uint8_t> ErrorFrame(const Status& status);
 /// Decodes an error frame ("" when the payload is not one).
@@ -64,7 +59,7 @@ class SpServer {
   const FrameServer& frame_server() const { return server_; }
 
  private:
-  bool Handle(std::vector<uint8_t> request,
+  void Handle(std::vector<uint8_t> request,
               std::vector<SharedPayload>* responses);
 
   core::ServiceProvider* sp_;
@@ -82,7 +77,7 @@ class TeServer {
   const FrameServer& frame_server() const { return server_; }
 
  private:
-  bool Handle(std::vector<uint8_t> request,
+  void Handle(std::vector<uint8_t> request,
               std::vector<SharedPayload>* responses);
 
   core::TrustedEntity* te_;
@@ -101,7 +96,7 @@ class TomSpServer {
   const FrameServer& frame_server() const { return server_; }
 
  private:
-  bool Handle(std::vector<uint8_t> request,
+  void Handle(std::vector<uint8_t> request,
               std::vector<SharedPayload>* responses);
 
   core::TomServiceProvider* sp_;
@@ -127,7 +122,7 @@ class OwnerServer {
   uint16_t port() const { return server_.port(); }
 
  private:
-  bool Handle(std::vector<uint8_t> request,
+  void Handle(std::vector<uint8_t> request,
               std::vector<SharedPayload>* responses);
 
   std::function<uint64_t()> epoch_fn_;

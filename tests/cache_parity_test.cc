@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "adversary/adversary.h"
 #include "core/answer_cache.h"
 #include "core/messages.h"
 #include "core/system.h"
@@ -28,6 +29,8 @@
 
 namespace sae::core {
 namespace {
+
+using adversary::AttackMode;
 
 constexpr size_t kRecSize = 64;
 constexpr Key kDomain = 20000;
@@ -425,6 +428,8 @@ void RunSaeSchedule(crypto::HashScheme scheme, uint64_t seed,
   SaeSystem uncached(SmallSaeOptions(scheme).DisableCaches());
   ASSERT_TRUE(cached.Load(dataset).ok());
   ASSERT_TRUE(uncached.Load(dataset).ok());
+  adversary::SaeAdversary cached_sp(&cached);
+  adversary::SaeAdversary uncached_sp(&uncached);
 
   ScheduleGen gen(seed * 2654435761u + 1, &next_id);
   std::vector<RecordId> live_ids;
@@ -451,8 +456,8 @@ void RunSaeSchedule(crypto::HashScheme scheme, uint64_t seed,
     }
       continue;
     }
-    auto a = cached.Query(op.request, op.attack);
-    auto b = uncached.Query(op.request, op.attack);
+    auto a = cached_sp.Query(op.request, op.attack);
+    auto b = uncached_sp.Query(op.request, op.attack);
     ASSERT_EQ(a.status().code(), b.status().code());
     if (!a.ok()) continue;
     const auto& ca = a.value();
@@ -492,6 +497,8 @@ void RunTomSchedule(crypto::HashScheme scheme, uint64_t seed,
   TomSystem uncached(SmallTomOptions(scheme).DisableCaches());
   ASSERT_TRUE(cached.Load(dataset).ok());
   ASSERT_TRUE(uncached.Load(dataset).ok());
+  adversary::TomAdversary cached_sp(&cached);
+  adversary::TomAdversary uncached_sp(&uncached);
 
   ScheduleGen gen(seed * 2654435761u + 1, &next_id);
   std::vector<RecordId> live_ids;
@@ -518,8 +525,8 @@ void RunTomSchedule(crypto::HashScheme scheme, uint64_t seed,
     }
       continue;
     }
-    auto a = cached.Query(op.request, op.attack);
-    auto b = uncached.Query(op.request, op.attack);
+    auto a = cached_sp.Query(op.request, op.attack);
+    auto b = uncached_sp.Query(op.request, op.attack);
     ASSERT_EQ(a.status().code(), b.status().code());
     if (!a.ok()) continue;
     const auto& ca = a.value();

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "adversary/adversary.h"
 #include "core/answer_cache.h"
 #include "core/query_engine.h"
 #include "core/system.h"
@@ -27,7 +28,7 @@
 namespace sae {
 namespace {
 
-using core::AttackMode;
+using adversary::AttackMode;
 using core::BatchQuery;
 using core::QueryEngine;
 using core::SaeSystem;
@@ -50,13 +51,12 @@ std::vector<Record> SmallDataset(size_t n) {
   return records;
 }
 
-std::vector<BatchQuery> MakeBatch(size_t count, uint32_t domain,
-                                  AttackMode attack = AttackMode::kNone) {
+std::vector<BatchQuery> MakeBatch(size_t count, uint32_t domain) {
   std::vector<BatchQuery> batch;
   batch.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     uint32_t lo = uint32_t((i * 997) % domain);
-    batch.push_back(BatchQuery{lo, lo + domain / 20, attack});
+    batch.push_back(BatchQuery{lo, lo + domain / 20});
   }
   return batch;
 }
@@ -213,10 +213,12 @@ TEST_F(SaeConcurrencyTest, MaliciousQueriesAreRejectedUnderConcurrency) {
       AttackMode::kInjectFake,   AttackMode::kTamperPayload,
       AttackMode::kTamperKey,    AttackMode::kDuplicateOne,
   };
+  adversary::SaeAdversary attacker(&system_);
   std::vector<BatchQuery> batch = MakeBatch(48, 20000);
   size_t attacked = 0;
   for (size_t i = 0; i < batch.size(); i += 2) {
-    batch[i].attack = kModes[(i / 2) % (sizeof(kModes) / sizeof(kModes[0]))];
+    batch[i].tap =
+        attacker.Tap(kModes[(i / 2) % (sizeof(kModes) / sizeof(kModes[0]))]);
     ++attacked;
   }
 
@@ -228,7 +230,7 @@ TEST_F(SaeConcurrencyTest, MaliciousQueriesAreRejectedUnderConcurrency) {
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_TRUE(run.outcomes[i].ok());
     EXPECT_EQ(run.outcomes[i].value().verification.ok(),
-              batch[i].attack == AttackMode::kNone)
+              batch[i].tap == nullptr)
         << "query " << i;
   }
 }

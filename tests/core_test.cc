@@ -7,9 +7,9 @@
 
 #include <algorithm>
 
+#include "adversary/malicious_sp.h"
 #include "core/client.h"
 #include "core/data_owner.h"
-#include "core/malicious_sp.h"
 #include "core/messages.h"
 #include "core/service_provider.h"
 #include "core/tom.h"
@@ -18,6 +18,9 @@
 
 namespace sae::core {
 namespace {
+
+using adversary::ApplyAttack;
+using adversary::AttackMode;
 
 constexpr size_t kRecSize = 64;
 

@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include "adversary/adversary.h"
 #include "core/system.h"
 #include "workload/dataset.h"
 #include "workload/queries.h"
 
 namespace sae::core {
 namespace {
+
+using adversary::AttackMode;
 
 constexpr size_t kRecSize = 120;
 constexpr uint32_t kDomain = 100000;
@@ -82,13 +85,15 @@ TEST_F(SystemsTest, EveryAttackIsDetectedInBothModels) {
        {AttackMode::kDropOne, AttackMode::kDropAll, AttackMode::kInjectFake,
         AttackMode::kTamperPayload, AttackMode::kTamperKey,
         AttackMode::kDuplicateOne}) {
-    auto sae = sae_->Query(10000, 30000, mode);
+    adversary::SaeSpAttack sae_attack(mode, &sae_->sp());
+    auto sae = sae_->ExecuteQuery(10000, 30000, &sae_attack);
     ASSERT_TRUE(sae.ok());
     EXPECT_EQ(sae.value().verification.code(),
               StatusCode::kVerificationFailure)
         << "SAE missed attack " << int(mode);
 
-    auto tom = tom_->Query(10000, 30000, mode);
+    adversary::TomSpAttack tom_attack(mode, &tom_->sp());
+    auto tom = tom_->ExecuteQuery(10000, 30000, &tom_attack);
     ASSERT_TRUE(tom.ok());
     EXPECT_FALSE(tom.value().verification.ok())
         << "TOM missed attack " << int(mode);
@@ -97,8 +102,9 @@ TEST_F(SystemsTest, EveryAttackIsDetectedInBothModels) {
 
 TEST_F(SystemsTest, HonestModeIsNotFlaggedAfterAttacks) {
   LoadBoth(1000);
-  ASSERT_TRUE(sae_->Query(0, 50000, AttackMode::kDropAll).ok());
-  auto honest = sae_->Query(0, 50000, AttackMode::kNone);
+  adversary::SaeSpAttack drop_all(AttackMode::kDropAll, &sae_->sp());
+  ASSERT_TRUE(sae_->ExecuteQuery(0, 50000, &drop_all).ok());
+  auto honest = sae_->Query(0, 50000);
   ASSERT_TRUE(honest.ok());
   EXPECT_TRUE(honest.value().verification.ok());
 }
@@ -189,7 +195,8 @@ TEST_F(SystemsTest, UpdateThenAttackStillDetected) {
   LoadBoth(1000);
   RecordCodec codec(kRecSize);
   ASSERT_TRUE(sae_->Insert(codec.MakeRecord(99999, 500)).ok());
-  auto outcome = sae_->Query(0, 2000, AttackMode::kDropOne);
+  adversary::SaeSpAttack drop_one(AttackMode::kDropOne, &sae_->sp());
+  auto outcome = sae_->ExecuteQuery(0, 2000, &drop_one);
   ASSERT_TRUE(outcome.ok());
   EXPECT_FALSE(outcome.value().verification.ok());
 }

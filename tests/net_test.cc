@@ -4,9 +4,10 @@
 // prefixes and a split/garbage fuzzer), loopback golden parity — the bytes
 // a socket carries must be byte-identical to the in-process serializations
 // the golden suite pins — and the networked SAE/TOM deployments: wire
-// loading, verified queries for every operator, a poisoning SP that the
-// networked client rejects, staleness detection, and a small concurrency
-// smoke over pooled transports.
+// loading, verified queries for every operator, a tampering proxy and a
+// poisoned SP answer cache that the networked client rejects, staleness
+// detection, unknown control tags, and a small concurrency smoke over
+// pooled transports.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,8 @@
 #include <chrono>
 #include <thread>
 
+#include "adversary/adversary.h"
+#include "adversary/tampering_proxy.h"
 #include "core/client.h"
 #include "core/data_owner.h"
 #include "core/messages.h"
@@ -40,6 +43,27 @@ using storage::Record;
 using storage::RecordCodec;
 
 constexpr size_t kRecSize = 64;
+
+// The retired 0xF1 (shutdown) and 0xF2 (poisoned query) control tags: any
+// server must now answer them as unknown and keep serving.
+std::vector<std::vector<uint8_t>> RetiredControlFrames() {
+  std::vector<uint8_t> poison = {0xF2};
+  std::vector<uint8_t> query =
+      core::SerializeQueryRequest(QueryRequest::Scan(100, 400));
+  poison.insert(poison.end(), query.begin(), query.end());
+  return {{0xF1}, poison};
+}
+
+// Sends each retired control frame to `port` and expects the error frame.
+void ExpectUnknownTags(uint16_t port) {
+  net::ClientTransport link({.port = port});
+  for (const std::vector<uint8_t>& frame : RetiredControlFrames()) {
+    auto response = link.Call(frame);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(net::DecodeErrorFrame(response.value()), "unknown message tag")
+        << "tag " << int(frame[0]) << " on port " << port;
+  }
+}
 
 std::vector<Record> Dataset(size_t n) {
   RecordCodec codec(kRecSize);
@@ -348,11 +372,36 @@ TEST_F(NetServingTest, ResponseBytesMatchInProcessSerialization) {
   EXPECT_EQ(wire.value(), in_process);
 }
 
+// A network adversary in front of the honest SP tampers its answer on the
+// way back: the client must reject it, and the SP's own cache stays clean.
 TEST_F(NetServingTest, PoisonedPlanRejected) {
-  auto verified = client_->QueryPoisoned(QueryRequest::Scan(100, 400));
+  adversary::TamperingProxy proxy({.port = sp_server_->port()}, kRecSize);
+  ASSERT_TRUE(proxy.Start().ok());
+  net::NetSaeClient victim(net::NetSaeClientOptions{
+      .sp = {.port = proxy.port()},
+      .te = {.port = te_server_->port()},
+      .owner = {.port = owner_server_->port()},
+      .record_size = kRecSize});
+  auto verified = victim.Query(QueryRequest::Scan(100, 400));
   ASSERT_FALSE(verified.ok());
   EXPECT_EQ(verified.status().code(), StatusCode::kVerificationFailure)
       << verified.status().ToString();
+  EXPECT_EQ(proxy.tampered(), 1u);
+  proxy.Stop();
+  EXPECT_TRUE(client_->Query(QueryRequest::Scan(100, 400)).ok());
+}
+
+// The retired shutdown and poisoned-query tags are unknown to every party:
+// each answers the error frame, keeps serving, and the SP caches nothing.
+TEST_F(NetServingTest, RetiredControlTagsAreUnknown) {
+  size_t cached = sp_->answer_cache().size();
+  ASSERT_NO_FATAL_FAILURE(ExpectUnknownTags(sp_server_->port()));
+  ASSERT_NO_FATAL_FAILURE(ExpectUnknownTags(te_server_->port()));
+  ASSERT_NO_FATAL_FAILURE(ExpectUnknownTags(owner_server_->port()));
+  EXPECT_EQ(sp_->answer_cache().size(), cached);
+  EXPECT_TRUE(sp_server_->frame_server().running());
+  auto verified = client_->Query(QueryRequest::Scan(100, 400));
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
 }
 
 TEST_F(NetServingTest, StaleSpDetected) {
@@ -448,7 +497,8 @@ TEST_F(NetServingTest, ConcurrentClientsAllVerify) {
 // client keeps rejecting it, until an epoch bump flushes the cache.
 TEST_F(NetServingTest, PoisonedCachePersistsUntilEpochBump) {
   QueryRequest request = QueryRequest::Scan(100, 400);
-  auto poisoned = client_->QueryPoisoned(request);
+  ASSERT_TRUE(adversary::PoisonCache(sp_.get(), request).ok());
+  auto poisoned = client_->Query(request);
   ASSERT_FALSE(poisoned.ok());
   EXPECT_EQ(poisoned.status().code(), StatusCode::kVerificationFailure);
   core::AnswerCacheStats before = sp_->answer_cache_stats();
@@ -597,17 +647,79 @@ TEST_F(TomNetTest, OperatorsVerifyOverTheWire) {
 }
 
 TEST_F(TomNetTest, PoisonedPlanRejected) {
-  auto verified = client_->QueryPoisoned(QueryRequest::Scan(100, 400));
+  adversary::TamperingProxy proxy({.port = sp_server_->port()}, kRecSize,
+                                  /*answer_frames=*/2);
+  ASSERT_TRUE(proxy.Start().ok());
+  net::NetTomClient victim(net::NetTomClientOptions{
+      .sp = {.port = proxy.port()},
+      .owner = {.port = owner_server_->port()},
+      .owner_key = owner_->public_key(),
+      .record_size = kRecSize});
+  auto verified = victim.Query(QueryRequest::Scan(100, 400));
   ASSERT_FALSE(verified.ok());
   EXPECT_EQ(verified.status().code(), StatusCode::kVerificationFailure)
       << verified.status().ToString();
+  EXPECT_EQ(proxy.tampered(), 1u);
+  proxy.Stop();
+  EXPECT_TRUE(client_->Query(QueryRequest::Scan(100, 400)).ok());
+}
+
+// A query the SP fails gets one error frame, with no VO frame after it:
+// the proxy must relay it and go on serving instead of waiting for a
+// second frame.
+TEST_F(TomNetTest, TamperingProxyRelaysSpErrors) {
+  adversary::TamperingProxy proxy({.port = sp_server_->port()}, kRecSize,
+                                  /*answer_frames=*/2);
+  ASSERT_TRUE(proxy.Start().ok());
+  net::ClientTransport link({.port = proxy.port()});
+  auto response =
+      link.Call(core::SerializeQueryRequest(QueryRequest::Scan(400, 100)));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_FALSE(net::CheckFrame(response.value()).ok());
+  EXPECT_EQ(proxy.tampered(), 0u);
+  net::NetTomClient victim(net::NetTomClientOptions{
+      .sp = {.port = proxy.port()},
+      .owner = {.port = owner_server_->port()},
+      .owner_key = owner_->public_key(),
+      .record_size = kRecSize});
+  auto verified = victim.Query(QueryRequest::Scan(100, 400));
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.status().code(), StatusCode::kVerificationFailure)
+      << verified.status().ToString();
+  EXPECT_EQ(proxy.tampered(), 1u);
+  proxy.Stop();
+}
+
+TEST_F(TomNetTest, RetiredControlTagsAreUnknown) {
+  size_t cached = sp_->answer_cache().size();
+  ASSERT_NO_FATAL_FAILURE(ExpectUnknownTags(sp_server_->port()));
+  ASSERT_NO_FATAL_FAILURE(ExpectUnknownTags(owner_server_->port()));
+  EXPECT_EQ(sp_->answer_cache().size(), cached);
+  auto verified = client_->Query(QueryRequest::Scan(100, 400));
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+}
+
+// Without the owner's epoch a TOM client cannot tell a replayed old-epoch
+// VO from a fresh one, so it refuses to run at all.
+TEST_F(TomNetTest, ClientWithoutOwnerIsRejected) {
+  net::NetTomClientOptions options;
+  options.sp = {.port = sp_server_->port()};
+  options.owner_key = owner_->public_key();
+  options.record_size = kRecSize;
+  net::NetTomClient ownerless(options);  // owner endpoint left unset
+  auto verified = ownerless.Query(QueryRequest::Scan(100, 400));
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ownerless.PublishedEpoch().status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // TOM's poisoned cache entry persists likewise until the DO installs a
 // signature at a new epoch (TOM's epoch notice), which flushes the cache.
 TEST_F(TomNetTest, PoisonedCachePersistsUntilEpochBump) {
   QueryRequest request = QueryRequest::Scan(100, 400);
-  auto poisoned = client_->QueryPoisoned(request);
+  ASSERT_TRUE(adversary::PoisonCache(sp_.get(), request).ok());
+  auto poisoned = client_->Query(request);
   ASSERT_FALSE(poisoned.ok());
   EXPECT_EQ(poisoned.status().code(), StatusCode::kVerificationFailure);
   core::AnswerCacheStats before = sp_->answer_cache_stats();

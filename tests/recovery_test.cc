@@ -277,6 +277,37 @@ void RunCrashMatrix(crypto::HashScheme scheme, bool full_only) {
   }
 }
 
+// The first update on a loaded system does local SP work only: no pass
+// over the dataset runs under the writer lock, so the update touches fewer
+// SP heap pages than the dataset occupies.
+template <typename System>
+void ExpectFirstInsertIsLocal(typename System::Options options) {
+  options.record_size = kRecordSize;
+  System system(options);
+  RecordCodec codec(kRecordSize);
+  std::vector<Record> records;
+  for (uint64_t id = 1; id <= 2000; ++id) {
+    records.push_back(codec.MakeRecord(RecordId(id), Key(id * 10)));
+  }
+  ASSERT_TRUE(system.Load(records).ok());
+  size_t dataset_pages = system.sp().HeapStorageBytes() / storage::kPageSize;
+  storage::BufferPool::Stats before = system.sp().heap_pool_stats();
+  ASSERT_TRUE(system.Insert(codec.MakeRecord(RecordId(5000), Key(12345))).ok());
+  uint64_t touched = (system.sp().heap_pool_stats() - before).accesses;
+  EXPECT_LT(touched, dataset_pages);
+  EXPECT_GT(dataset_pages, 16u);  // the dataset spans many pages
+}
+
+TEST(UpdatePipelineTest, SaeFirstInsertTouchesFewSpHeapPages) {
+  ExpectFirstInsertIsLocal<SaeSystem>({});
+}
+
+TEST(UpdatePipelineTest, TomFirstInsertTouchesFewSpHeapPages) {
+  TomSystem::Options options;
+  options.rsa_modulus_bits = 512;  // fast for tests
+  ExpectFirstInsertIsLocal<TomSystem>(options);
+}
+
 TEST(RecoveryMatrix, SaeSha1EveryCrashPointRecovers) {
   RunCrashMatrix<SaeSystem>(crypto::HashScheme::kSha1, /*full_only=*/false);
 }

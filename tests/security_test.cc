@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 
+#include "adversary/adversary.h"
 #include "core/client.h"
 #include "core/system.h"
 #include "crypto/rsa.h"
@@ -22,6 +23,7 @@
 namespace sae {
 namespace {
 
+using adversary::AttackMode;
 using core::Record;
 using storage::BufferPool;
 using storage::InMemoryPageStore;
@@ -408,16 +410,17 @@ TEST_P(FreshnessMatrixTest, SaeRejectsBothFreshnessAttacks) {
   options.scheme = GetParam();
   core::SaeSystem system(options);
   SAE_CHECK_OK(system.Load(MatrixDataset(300)));
+  adversary::SaeAdversary attacker(&system);
 
-  // Advance the epoch so a genuine pre-update snapshot exists.
+  // Advance the epoch so the adversary's replica is genuinely stale.
   storage::RecordCodec codec(kRecSize);
   ASSERT_TRUE(system.Insert(codec.MakeRecord(9000, 1234)).ok());
   ASSERT_TRUE(system.Delete(5).ok());
   EXPECT_EQ(system.epoch(), 3u);
 
-  for (core::AttackMode mode :
-       {core::AttackMode::kReplayStaleRoot, core::AttackMode::kStaleVt}) {
-    auto outcome = system.Query(100, 2500, mode);
+  for (AttackMode mode :
+       {AttackMode::kReplayStaleRoot, AttackMode::kStaleVt}) {
+    auto outcome = attacker.Query(100, 2500, mode);
     ASSERT_TRUE(outcome.ok());
     EXPECT_EQ(outcome.value().verification.code(), StatusCode::kStaleEpoch)
         << "mode " << int(mode) << ": " << outcome.value().verification.ToString();
@@ -436,15 +439,16 @@ TEST_P(FreshnessMatrixTest, TomRejectsBothFreshnessAttacks) {
   options.rsa_modulus_bits = 512;  // fast for tests
   core::TomSystem system(options);
   SAE_CHECK_OK(system.Load(MatrixDataset(300)));
+  adversary::TomAdversary attacker(&system);
 
   storage::RecordCodec codec(kRecSize);
   ASSERT_TRUE(system.Insert(codec.MakeRecord(9000, 1234)).ok());
   ASSERT_TRUE(system.Delete(5).ok());
   EXPECT_EQ(system.epoch(), 3u);
 
-  for (core::AttackMode mode :
-       {core::AttackMode::kReplayStaleRoot, core::AttackMode::kStaleVt}) {
-    auto outcome = system.Query(100, 2500, mode);
+  for (AttackMode mode :
+       {AttackMode::kReplayStaleRoot, AttackMode::kStaleVt}) {
+    auto outcome = attacker.Query(100, 2500, mode);
     ASSERT_TRUE(outcome.ok());
     EXPECT_EQ(outcome.value().verification.code(), StatusCode::kStaleEpoch)
         << "mode " << int(mode) << ": " << outcome.value().verification.ToString();
@@ -463,6 +467,7 @@ TEST_P(FreshnessMatrixTest, FreshnessAttacksRejectedEvenWithoutUpdates) {
   sae_options.scheme = GetParam();
   core::SaeSystem sae(sae_options);
   SAE_CHECK_OK(sae.Load(MatrixDataset(100)));
+  adversary::SaeAdversary sae_adversary(&sae);
 
   core::TomSystem::Options tom_options;
   tom_options.record_size = kRecSize;
@@ -470,15 +475,16 @@ TEST_P(FreshnessMatrixTest, FreshnessAttacksRejectedEvenWithoutUpdates) {
   tom_options.rsa_modulus_bits = 512;
   core::TomSystem tom(tom_options);
   SAE_CHECK_OK(tom.Load(MatrixDataset(100)));
+  adversary::TomAdversary tom_adversary(&tom);
 
-  for (core::AttackMode mode :
-       {core::AttackMode::kReplayStaleRoot, core::AttackMode::kStaleVt}) {
-    auto sae_outcome = sae.Query(0, 500, mode);
+  for (AttackMode mode :
+       {AttackMode::kReplayStaleRoot, AttackMode::kStaleVt}) {
+    auto sae_outcome = sae_adversary.Query(0, 500, mode);
     ASSERT_TRUE(sae_outcome.ok());
     EXPECT_EQ(sae_outcome.value().verification.code(),
               StatusCode::kStaleEpoch)
         << "SAE mode " << int(mode);
-    auto tom_outcome = tom.Query(0, 500, mode);
+    auto tom_outcome = tom_adversary.Query(0, 500, mode);
     ASSERT_TRUE(tom_outcome.ok());
     EXPECT_EQ(tom_outcome.value().verification.code(),
               StatusCode::kStaleEpoch)
@@ -501,34 +507,34 @@ INSTANTIATE_TEST_SUITE_P(BothHashSchemes, FreshnessMatrixTest,
 
 struct AggregateCase {
   dbms::QueryRequest request;
-  core::AttackMode attack;
+  AttackMode attack;
 };
 
 std::vector<AggregateCase> AggregateCases() {
   return {
-      {dbms::QueryRequest::Count(100, 2500), core::AttackMode::kWrongCount},
-      {dbms::QueryRequest::Sum(100, 2500), core::AttackMode::kWrongSum},
+      {dbms::QueryRequest::Count(100, 2500), AttackMode::kWrongCount},
+      {dbms::QueryRequest::Sum(100, 2500), AttackMode::kWrongSum},
       {dbms::QueryRequest::TopK(100, 2500, 5),
-       core::AttackMode::kTruncatedTopK},
+       AttackMode::kTruncatedTopK},
       // "Never silently honest": answer attacks against operators whose
       // primary dimension is elsewhere are still caught, because every
       // derived dimension is checked for every operator — and truncation
       // against a non-top-k operator (whose rows are the witness, not the
       // answer) degrades to a count lie rather than a no-op.
-      {dbms::QueryRequest::Scan(100, 2500), core::AttackMode::kWrongCount},
-      {dbms::QueryRequest::Min(100, 2500), core::AttackMode::kWrongSum},
-      {dbms::QueryRequest::Scan(100, 2500), core::AttackMode::kTruncatedTopK},
-      {dbms::QueryRequest::Point(110), core::AttackMode::kTruncatedTopK},
+      {dbms::QueryRequest::Scan(100, 2500), AttackMode::kWrongCount},
+      {dbms::QueryRequest::Min(100, 2500), AttackMode::kWrongSum},
+      {dbms::QueryRequest::Scan(100, 2500), AttackMode::kTruncatedTopK},
+      {dbms::QueryRequest::Point(110), AttackMode::kTruncatedTopK},
       // Record-level tampering under an aggregate operator: the witness
       // breaks the range proof even though the claimed answer is
       // self-consistent with the tampered witness.
-      {dbms::QueryRequest::Count(100, 2500), core::AttackMode::kDropOne},
-      {dbms::QueryRequest::Sum(100, 2500), core::AttackMode::kInjectFake},
+      {dbms::QueryRequest::Count(100, 2500), AttackMode::kDropOne},
+      {dbms::QueryRequest::Sum(100, 2500), AttackMode::kInjectFake},
       {dbms::QueryRequest::TopK(100, 2500, 5),
-       core::AttackMode::kTamperPayload},
+       AttackMode::kTamperPayload},
       // Empty range: the truncation attack degrades to a count lie.
       {dbms::QueryRequest::TopK(900000, 950000, 5),
-       core::AttackMode::kTruncatedTopK},
+       AttackMode::kTruncatedTopK},
   };
 }
 
@@ -541,9 +547,10 @@ TEST_P(AggregateMatrixTest, SaeRejectsEveryAggregateAttack) {
   options.scheme = GetParam();
   core::SaeSystem system(options);
   SAE_CHECK_OK(system.Load(MatrixDataset(300)));
+  adversary::SaeAdversary attacker(&system);
 
   for (const AggregateCase& c : AggregateCases()) {
-    auto outcome = system.Query(c.request, c.attack);
+    auto outcome = attacker.Query(c.request, c.attack);
     ASSERT_TRUE(outcome.ok());
     EXPECT_EQ(outcome.value().verification.code(),
               StatusCode::kVerificationFailure)
@@ -564,9 +571,10 @@ TEST_P(AggregateMatrixTest, TomRejectsEveryAggregateAttack) {
   options.rsa_modulus_bits = 512;  // fast for tests
   core::TomSystem system(options);
   SAE_CHECK_OK(system.Load(MatrixDataset(300)));
+  adversary::TomAdversary attacker(&system);
 
   for (const AggregateCase& c : AggregateCases()) {
-    auto outcome = system.Query(c.request, c.attack);
+    auto outcome = attacker.Query(c.request, c.attack);
     ASSERT_TRUE(outcome.ok());
     EXPECT_EQ(outcome.value().verification.code(),
               StatusCode::kVerificationFailure)
@@ -588,11 +596,12 @@ TEST_P(AggregateMatrixTest, StaleAggregateReportsStalenessNotCorruption) {
   options.scheme = GetParam();
   core::SaeSystem system(options);
   SAE_CHECK_OK(system.Load(MatrixDataset(300)));
+  adversary::SaeAdversary attacker(&system);
   storage::RecordCodec codec(kRecSize);
   ASSERT_TRUE(system.Insert(codec.MakeRecord(9000, 1234)).ok());
 
-  auto outcome = system.Query(dbms::QueryRequest::Count(100, 2500),
-                              core::AttackMode::kReplayStaleRoot);
+  auto outcome = attacker.Query(dbms::QueryRequest::Count(100, 2500),
+                                AttackMode::kReplayStaleRoot);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.value().verification.code(), StatusCode::kStaleEpoch);
 }
@@ -669,14 +678,14 @@ TEST_P(CacheAdversaryTest, SaeStaleCacheReplayRejected) {
   options.scheme = GetParam();
   core::SaeSystem system(options);
   SAE_CHECK_OK(system.Load(MatrixDataset(300)));
+  adversary::SaeAdversary attacker(&system);
   storage::RecordCodec codec(kRecSize);
   ASSERT_TRUE(system.Insert(codec.MakeRecord(9000, 1234)).ok());
 
   // Twice: the second replay is served from the stale SP's now-warm answer
   // cache — a literal cached blob keyed to the dead epoch.
   for (int i = 0; i < 2; ++i) {
-    auto outcome =
-        system.Query(100, 2500, core::AttackMode::kStaleCacheReplay);
+    auto outcome = attacker.Query(100, 2500, AttackMode::kStaleCacheReplay);
     ASSERT_TRUE(outcome.ok());
     EXPECT_EQ(outcome.value().verification.code(), StatusCode::kStaleEpoch)
         << outcome.value().verification.ToString();
@@ -693,12 +702,12 @@ TEST_P(CacheAdversaryTest, TomStaleCacheReplayRejected) {
   options.rsa_modulus_bits = 512;  // fast for tests
   core::TomSystem system(options);
   SAE_CHECK_OK(system.Load(MatrixDataset(300)));
+  adversary::TomAdversary attacker(&system);
   storage::RecordCodec codec(kRecSize);
   ASSERT_TRUE(system.Insert(codec.MakeRecord(9000, 1234)).ok());
 
   for (int i = 0; i < 2; ++i) {
-    auto outcome =
-        system.Query(100, 2500, core::AttackMode::kStaleCacheReplay);
+    auto outcome = attacker.Query(100, 2500, AttackMode::kStaleCacheReplay);
     ASSERT_TRUE(outcome.ok());
     EXPECT_EQ(outcome.value().verification.code(), StatusCode::kStaleEpoch)
         << outcome.value().verification.ToString();
@@ -714,10 +723,11 @@ TEST_P(CacheAdversaryTest, SaePoisonedCachePersistsUntilEpochBump) {
   options.scheme = GetParam();
   core::SaeSystem system(options);
   SAE_CHECK_OK(system.Load(MatrixDataset(300)));
+  adversary::SaeAdversary attacker(&system);
   dbms::QueryRequest request = dbms::QueryRequest::Scan(100, 2500);
 
   // The poisoning query itself ships tampered bytes: rejected.
-  auto poisoned = system.Query(request, core::AttackMode::kPoisonedCache);
+  auto poisoned = attacker.Query(request, AttackMode::kPoisonedCache);
   ASSERT_TRUE(poisoned.ok());
   EXPECT_EQ(poisoned.value().verification.code(),
             StatusCode::kVerificationFailure);
@@ -751,9 +761,10 @@ TEST_P(CacheAdversaryTest, TomPoisonedCachePersistsUntilEpochBump) {
   options.rsa_modulus_bits = 512;  // fast for tests
   core::TomSystem system(options);
   SAE_CHECK_OK(system.Load(MatrixDataset(300)));
+  adversary::TomAdversary attacker(&system);
   dbms::QueryRequest request = dbms::QueryRequest::Scan(100, 2500);
 
-  auto poisoned = system.Query(request, core::AttackMode::kPoisonedCache);
+  auto poisoned = attacker.Query(request, AttackMode::kPoisonedCache);
   ASSERT_TRUE(poisoned.ok());
   EXPECT_EQ(poisoned.value().verification.code(),
             StatusCode::kVerificationFailure);
@@ -786,9 +797,10 @@ TEST_P(CacheAdversaryTest, PoisonWithoutCacheDoesNotPersist) {
   options.DisableCaches();
   core::SaeSystem system(options);
   SAE_CHECK_OK(system.Load(MatrixDataset(300)));
+  adversary::SaeAdversary attacker(&system);
   dbms::QueryRequest request = dbms::QueryRequest::Scan(100, 2500);
 
-  auto poisoned = system.Query(request, core::AttackMode::kPoisonedCache);
+  auto poisoned = attacker.Query(request, AttackMode::kPoisonedCache);
   ASSERT_TRUE(poisoned.ok());
   EXPECT_EQ(poisoned.value().verification.code(),
             StatusCode::kVerificationFailure);

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "adversary/adversary.h"
 #include "core/messages.h"
 #include "core/query_engine.h"
 #include "core/shard_router.h"
@@ -29,11 +30,10 @@
 namespace sae {
 namespace {
 
-using core::AttackMode;
+using adversary::AttackMode;
 using core::BatchQuery;
 using core::QueryEngine;
 using core::SaeSystem;
-using core::ShardAttack;
 using core::ShardedSaeSystem;
 using core::ShardedSystem;
 using core::ShardedTomSystem;
@@ -406,12 +406,18 @@ class ShardedMaliciousTest : public ::testing::Test {
     tom_ = std::make_unique<ShardedTomSystem>(router_,
                                               ShardedOptions<TomSystem>());
     ASSERT_TRUE(tom_->Load(dataset_).ok());
+    sae_attacker_ =
+        std::make_unique<adversary::ShardedSaeAdversary>(sae_.get());
+    tom_attacker_ =
+        std::make_unique<adversary::ShardedTomAdversary>(tom_.get());
   }
 
   std::vector<Record> dataset_;
   ShardRouter router_{std::vector<Key>{}};
   std::unique_ptr<ShardedSaeSystem> sae_;
   std::unique_ptr<ShardedTomSystem> tom_;
+  std::unique_ptr<adversary::ShardedSaeAdversary> sae_attacker_;
+  std::unique_ptr<adversary::ShardedTomAdversary> tom_attacker_;
 };
 
 TEST_F(ShardedMaliciousTest, OneCompromisedShardIsAttributedSae) {
@@ -422,8 +428,7 @@ TEST_F(ShardedMaliciousTest, OneCompromisedShardIsAttributedSae) {
   };
   for (AttackMode mode : kMutations) {
     for (size_t bad_shard = 0; bad_shard < 3; ++bad_shard) {
-      auto outcome =
-          sae_->Query(1500, 4500, ShardAttack::At(bad_shard, mode));
+      auto outcome = sae_attacker_->Query(1500, 4500, mode, bad_shard);
       ASSERT_TRUE(outcome.ok());
       const auto& v = outcome.value();
       EXPECT_EQ(v.verification.code(), StatusCode::kVerificationFailure)
@@ -447,8 +452,7 @@ TEST_F(ShardedMaliciousTest, OneCompromisedShardIsAttributedTom) {
   for (AttackMode mode :
        {AttackMode::kDropOne, AttackMode::kTamperPayload}) {
     for (size_t bad_shard = 0; bad_shard < 3; ++bad_shard) {
-      auto outcome =
-          tom_->Query(1500, 4500, ShardAttack::At(bad_shard, mode));
+      auto outcome = tom_attacker_->Query(1500, 4500, mode, bad_shard);
       ASSERT_TRUE(outcome.ok());
       const auto& v = outcome.value();
       EXPECT_EQ(v.verification.code(), StatusCode::kVerificationFailure);
@@ -475,7 +479,7 @@ TEST_F(ShardedMaliciousTest, AggregateTamperingShardIsAttributed) {
   };
   for (const Case& c : kCases) {
     for (size_t bad_shard = 0; bad_shard < 3; ++bad_shard) {
-      auto sae = sae_->Query(c.request, ShardAttack::At(bad_shard, c.mode));
+      auto sae = sae_attacker_->Query(c.request, c.mode, bad_shard);
       ASSERT_TRUE(sae.ok());
       EXPECT_EQ(sae.value().verification.code(),
                 StatusCode::kVerificationFailure)
@@ -487,7 +491,7 @@ TEST_F(ShardedMaliciousTest, AggregateTamperingShardIsAttributed) {
         EXPECT_EQ(slice.outcome.verification.ok(), slice.shard != bad_shard);
       }
 
-      auto tom = tom_->Query(c.request, ShardAttack::At(bad_shard, c.mode));
+      auto tom = tom_attacker_->Query(c.request, c.mode, bad_shard);
       ASSERT_TRUE(tom.ok());
       EXPECT_EQ(tom.value().verification.code(),
                 StatusCode::kVerificationFailure)
@@ -528,8 +532,8 @@ TEST_F(ShardedMaliciousTest, HonestCrossShardAggregatesVerify) {
 
 TEST_F(ShardedMaliciousTest, AttackOutsideQueriedShardsIsHarmless) {
   // The compromised shard owns keys >= 4000; the query never touches it.
-  auto outcome = sae_->Query(100, 1900,
-                             ShardAttack::At(2, AttackMode::kTamperPayload));
+  auto outcome =
+      sae_attacker_->Query(100, 1900, AttackMode::kTamperPayload, 2);
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome.value().verification.ok());
 }
@@ -539,7 +543,7 @@ TEST_F(ShardedMaliciousTest, StaleShardAmongFreshOnesIsSkewSae) {
   // is stale while its neighbours are fresh — a torn snapshot, reported as
   // kShardEpochSkew (not plain staleness) and attributed to the laggard.
   auto outcome =
-      sae_->Query(1500, 4500, ShardAttack::At(1, AttackMode::kStaleVt));
+      sae_attacker_->Query(1500, 4500, AttackMode::kStaleVt, 1);
   ASSERT_TRUE(outcome.ok());
   const auto& v = outcome.value();
   EXPECT_EQ(v.verification.code(), StatusCode::kShardEpochSkew);
@@ -554,19 +558,19 @@ TEST_F(ShardedMaliciousTest, StaleShardAmongFreshOnesIsSkewSae) {
 }
 
 TEST_F(ShardedMaliciousTest, AllShardsStaleIsReplayNotSkewSae) {
-  auto outcome = sae_->Query(1500, 4500, AttackMode::kStaleVt);
+  auto outcome = sae_attacker_->Query(1500, 4500, AttackMode::kStaleVt);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.value().verification.code(), StatusCode::kStaleEpoch);
 }
 
 TEST_F(ShardedMaliciousTest, StaleShardAmongFreshOnesIsSkewTom) {
   auto outcome =
-      tom_->Query(1500, 4500, ShardAttack::At(2, AttackMode::kStaleVt));
+      tom_attacker_->Query(1500, 4500, AttackMode::kStaleVt, 2);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.value().verification.code(),
             StatusCode::kShardEpochSkew);
 
-  auto all = tom_->Query(1500, 4500, AttackMode::kStaleVt);
+  auto all = tom_attacker_->Query(1500, 4500, AttackMode::kStaleVt);
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all.value().verification.code(), StatusCode::kStaleEpoch);
 }
@@ -815,16 +819,17 @@ TEST(ShardedEngineTest, BatchesRunAgainstShardedSystems) {
 
   std::vector<BatchQuery> batch;
   for (uint32_t lo = 0; lo < 4500; lo += 450) {
-    batch.push_back(BatchQuery{lo, lo + 600, AttackMode::kNone});
+    batch.push_back(BatchQuery{lo, lo + 600});
   }
   QueryEngine engine(core::QueryEngineOptions{3});
   auto run = engine.RunBatch(&sharded, batch);
   EXPECT_EQ(run.stats.accepted, batch.size());
   EXPECT_EQ(run.stats.rejected + run.stats.failed, 0u);
 
-  // A batch-wide attack mode applies to every shard (unsharded semantics).
+  // A batch-wide attack applies to every shard (unsharded semantics).
+  adversary::ShardedSaeAdversary attacker(&sharded);
   std::vector<BatchQuery> bad = batch;
-  for (auto& q : bad) q.attack = AttackMode::kTamperPayload;
+  for (auto& q : bad) q.tap = attacker.Tap(AttackMode::kTamperPayload);
   auto rejected = engine.RunBatch(&sharded, bad);
   EXPECT_EQ(rejected.stats.rejected, bad.size());
 }

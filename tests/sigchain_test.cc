@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/malicious_sp.h"
+#include "adversary/malicious_sp.h"
 #include "sigchain/sig_chain.h"
 #include "util/random.h"
 
@@ -94,12 +94,13 @@ TEST_F(SigChainTest, EdgeRangesVerify) {
 TEST_F(SigChainTest, EveryAttackModeDetected) {
   Load(150);
   auto response = sp_.ExecuteRange(300, 1000).ValueOrDie();
-  for (core::AttackMode mode :
-       {core::AttackMode::kDropOne, core::AttackMode::kDropAll,
-        core::AttackMode::kInjectFake, core::AttackMode::kTamperPayload,
-        core::AttackMode::kTamperKey, core::AttackMode::kDuplicateOne}) {
+  using adversary::AttackMode;
+  for (AttackMode mode :
+       {AttackMode::kDropOne, AttackMode::kDropAll, AttackMode::kInjectFake,
+        AttackMode::kTamperPayload, AttackMode::kTamperKey,
+        AttackMode::kDuplicateOne}) {
     std::vector<Record> tampered =
-        core::ApplyAttack(response.results, mode, codec_, 5);
+        adversary::ApplyAttack(response.results, mode, codec_, 5);
     Status st = SigChainClient::Verify(300, 1000, tampered, response.vo,
                                        owner_.public_key(), codec_,
                                        crypto::HashScheme::kSha1,

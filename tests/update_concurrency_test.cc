@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "adversary/adversary.h"
 #include "core/query_engine.h"
 #include "core/system.h"
 #include "util/random.h"
@@ -27,7 +28,7 @@
 namespace sae {
 namespace {
 
-using core::AttackMode;
+using adversary::AttackMode;
 using core::BatchOp;
 using core::MixedStats;
 using core::QueryEngine;
@@ -248,6 +249,7 @@ TEST(UpdateConcurrencyTest, FreshnessAttacksRejectedUnderInterleaving) {
   options.record_size = kRecSize;
   SaeSystem system(options);
   SAE_CHECK_OK(system.Load(InitialDataset(300)));
+  adversary::SaeAdversary attacker(&system);
   RecordCodec codec(kRecSize);
 
   std::thread writer([&] {
@@ -264,7 +266,8 @@ TEST(UpdateConcurrencyTest, FreshnessAttacksRejectedUnderInterleaving) {
                                : AttackMode::kStaleVt;
       std::ostringstream err;
       for (int q = 0; q < 10; ++q) {
-        auto outcome = system.ExecuteQuery(0, kKeyDomain, mode);
+        auto outcome =
+            system.ExecuteQuery(0, kKeyDomain, attacker.Tap(mode));
         if (!outcome.ok()) {
           err << "attack query errored; ";
           continue;
