@@ -3,8 +3,10 @@
 // Micro benchmarks for the crypto substrate, self-contained (no external
 // benchmark dependency): every primitive is timed twice, once pinned to the
 // scalar reference path (Backend::set_force_scalar) and once under whatever
-// accelerated kernel the CPU dispatched (SHA-NI / AVX2 multi-buffer /
-// Montgomery-CRT RSA), and the per-primitive speedup is reported. These are
+// accelerated kernel the CPU dispatched (SHA-NI / AVX2 or AVX-512
+// multi-buffer / Montgomery-CRT RSA), and the per-primitive speedup is
+// reported. The batched SHA-1 row is also timed once per available batch
+// kernel, pinned through Backend::HashManyWith. These are
 // the primitives behind Figs. 6 and 7: record digests at the paper's
 // 500-byte record size, XOR folding, Merkle combination, modexp and RSA
 // sign/verify.
@@ -154,7 +156,7 @@ int main() {
               backend.hash_kernel(), backend.modexp_kernel(),
               env_forced ? "   (SAE_FORCE_SCALAR set: both runs scalar)"
                          : "");
-  std::printf("%-28s %14s %14s %9s %12s\n", "# primitive", "scalar-ops/s",
+  std::printf("%-36s %14s %14s %9s %12s\n", "# primitive", "scalar-ops/s",
               "accel-ops/s", "speedup", "accel-MB/s");
 
   std::vector<Row> rows;
@@ -197,6 +199,31 @@ int main() {
       Consume(outs[0]);
     });
     rows.push_back(row);
+  }
+
+  // The same SHA-1 batch once per batch kernel this CPU offers, pinned
+  // with HashManyWith; the scalar column is the scalar kernel each time.
+  {
+    using Kernel = crypto::Backend::BatchKernel;
+    auto pinned = [&](Kernel kernel) {
+      return [&, kernel] {
+        backend.HashManyWith(kernel, crypto::HashScheme::kSha1, spans.data(),
+                             spans.size(), outs.data());
+        Consume(outs[0]);
+      };
+    };
+    const double scalar_ops = MeasureOpsPerSec(pinned(Kernel::kScalar));
+    for (Kernel kernel :
+         {Kernel::kShaNi, Kernel::kAvx2X8, Kernel::kAvx512X16}) {
+      if (!backend.has_batch_kernel(kernel)) continue;
+      Row row;
+      row.name = std::string("hash_many_sha1_1Kx500B[") +
+                 crypto::Backend::BatchKernelName(kernel) + "]";
+      row.bytes_per_op = kBatch * 500;
+      row.scalar_ops = scalar_ops;
+      row.accel_ops = MeasureOpsPerSec(pinned(kernel));
+      rows.push_back(row);
+    }
   }
 
   // One MB-tree node digest (127-entry fanout): a single contiguous hash
@@ -325,7 +352,7 @@ int main() {
     double mbps = row.bytes_per_op != 0
                       ? row.accel_ops * double(row.bytes_per_op) / 1e6
                       : 0.0;
-    std::printf("%-28s %14.0f %14.0f %8.2fx %12.1f\n", row.name.c_str(),
+    std::printf("%-36s %14.0f %14.0f %8.2fx %12.1f\n", row.name.c_str(),
                 row.scalar_ops, row.accel_ops, speedup, mbps);
     std::fflush(stdout);
     std::snprintf(buf, sizeof(buf),

@@ -21,25 +21,32 @@ constexpr uint8_t kTagShardEpochs = 0x08;
 constexpr uint8_t kTagQueryRequest = 0x09;
 constexpr uint8_t kTagQueryAnswer = 0x0A;
 
+// Canonical images of `records`, back to back from `out`.
+void SerializeRows(const std::vector<Record>& records,
+                   const RecordCodec& codec, uint8_t* out) {
+  for (const Record& record : records) {
+    codec.Serialize(record, out);
+    out += codec.record_size();
+  }
+}
+
 void PutRecords(ByteWriter* w, const std::vector<Record>& records,
                 const RecordCodec& codec) {
   w->PutU64(records.size());
-  std::vector<uint8_t> scratch(codec.record_size());
-  for (const Record& record : records) {
-    codec.Serialize(record, scratch.data());
-    w->PutBytes(scratch.data(), scratch.size());
-  }
+  SerializeRows(records, codec,
+                w->Extend(records.size() * codec.record_size()));
 }
 
 // Reads `count` fixed-size records; false on truncation.
 bool GetRecords(ByteReader* r, uint64_t count, const RecordCodec& codec,
                 std::vector<Record>* out) {
   if (count > r->remaining() / codec.record_size()) return false;
-  out->reserve(size_t(count));
-  std::vector<uint8_t> scratch(codec.record_size());
+  const uint8_t* data = r->Take(size_t(count) * codec.record_size());
+  if (data == nullptr) return false;
+  out->reserve(out->size() + size_t(count));
   for (uint64_t i = 0; i < count; ++i) {
-    if (!r->GetBytes(scratch.data(), scratch.size())) return false;
-    out->push_back(codec.Deserialize(scratch.data()));
+    out->push_back(codec.Deserialize(data));
+    data += codec.record_size();
   }
   return true;
 }
@@ -77,29 +84,44 @@ Result<dbms::QueryRequest> DeserializeQueryRequest(
   return request;
 }
 
+QueryAnswerLayout::QueryAnswerLayout(size_t record_size, size_t answer_rows,
+                                     size_t witness_rows)
+    : record_size_(record_size),
+      answer_rows_(answer_rows),
+      witness_rows_(witness_rows),
+      witness_at_(answer_rows_at() + answer_rows * record_size + 8) {}
+
+void QueryAnswerLayout::WriteHeader(const dbms::QueryAnswer& answer,
+                                    uint64_t epoch, uint8_t* out) const {
+  out[0] = kTagQueryAnswer;
+  out[1] = uint8_t(answer.op);
+  EncodeU64(out + 2, epoch);
+  EncodeU64(out + 10, answer.count);
+  EncodeU64(out + 18, answer.sum);
+  out[26] = answer.has_extrema ? 1 : 0;
+  EncodeU32(out + 27, answer.min_key);
+  EncodeU32(out + 31, answer.max_key);
+  EncodeU32(out + 35, uint32_t(record_size_));
+  EncodeU64(out + kHeaderSize, answer_rows_);
+  EncodeU64(out + witness_at_ - 8, witness_rows_);
+}
+
 std::vector<uint8_t> SerializeQueryAnswer(const dbms::QueryAnswer& answer,
                                           const std::vector<Record>& witness,
                                           uint64_t epoch,
                                           const RecordCodec& codec) {
-  ByteWriter w;
-  w.PutU8(kTagQueryAnswer);
-  w.PutU8(uint8_t(answer.op));
-  w.PutU64(epoch);
-  w.PutU64(answer.count);
-  w.PutU64(answer.sum);
-  w.PutU8(answer.has_extrema ? 1 : 0);
-  w.PutU32(answer.min_key);
-  w.PutU32(answer.max_key);
-  w.PutU32(uint32_t(codec.record_size()));
   // Scan/point answer rows are the witness itself; ship them once. Only
   // top-k carries a distinct (ranked, truncated) row set of its own.
-  if (answer.op == dbms::QueryOp::kTopK) {
-    PutRecords(&w, answer.records, codec);
-  } else {
-    w.PutU64(0);
+  const bool top_k = answer.op == dbms::QueryOp::kTopK;
+  QueryAnswerLayout layout(codec.record_size(),
+                           top_k ? answer.records.size() : 0, witness.size());
+  std::vector<uint8_t> out(layout.size());
+  layout.WriteHeader(answer, epoch, out.data());
+  if (top_k) {
+    SerializeRows(answer.records, codec, out.data() + layout.answer_rows_at());
   }
-  PutRecords(&w, witness, codec);
-  return w.Release();
+  SerializeRows(witness, codec, out.data() + layout.witness_at());
+  return out;
 }
 
 Result<QueryAnswerMessage> DeserializeQueryAnswer(
@@ -171,14 +193,10 @@ Result<std::vector<uint64_t>> DeserializeShardEpochs(
 std::vector<uint8_t> SerializeRecords(const std::vector<Record>& records,
                                       const RecordCodec& codec) {
   ByteWriter w;
+  w.Reserve(13 + records.size() * codec.record_size());
   w.PutU8(kTagRecords);
   w.PutU32(uint32_t(codec.record_size()));
-  w.PutU64(records.size());
-  std::vector<uint8_t> scratch(codec.record_size());
-  for (const Record& record : records) {
-    codec.Serialize(record, scratch.data());
-    w.PutBytes(scratch.data(), scratch.size());
-  }
+  PutRecords(&w, records, codec);
   return w.Release();
 }
 
@@ -198,13 +216,8 @@ Result<std::vector<Record>> DeserializeRecords(
     return Status::Corruption("records message truncated");
   }
   std::vector<Record> records;
-  records.reserve(count);
-  std::vector<uint8_t> scratch(codec.record_size());
-  for (uint64_t i = 0; i < count; ++i) {
-    if (!r.GetBytes(scratch.data(), scratch.size())) {
-      return Status::Corruption("records message truncated");
-    }
-    records.push_back(codec.Deserialize(scratch.data()));
+  if (!GetRecords(&r, count, codec, &records)) {
+    return Status::Corruption("records message truncated");
   }
   return records;
 }
@@ -255,15 +268,11 @@ std::vector<uint8_t> SerializeResults(const std::vector<Record>& records,
                                       uint64_t epoch,
                                       const RecordCodec& codec) {
   ByteWriter w;
+  w.Reserve(21 + records.size() * codec.record_size());
   w.PutU8(kTagResults);
   w.PutU64(epoch);
   w.PutU32(uint32_t(codec.record_size()));
-  w.PutU64(records.size());
-  std::vector<uint8_t> scratch(codec.record_size());
-  for (const Record& record : records) {
-    codec.Serialize(record, scratch.data());
-    w.PutBytes(scratch.data(), scratch.size());
-  }
+  PutRecords(&w, records, codec);
   return w.Release();
 }
 
@@ -284,13 +293,8 @@ Result<std::pair<std::vector<Record>, uint64_t>> DeserializeResults(
     return Status::Corruption("results message truncated");
   }
   std::vector<Record> records;
-  records.reserve(count);
-  std::vector<uint8_t> scratch(codec.record_size());
-  for (uint64_t i = 0; i < count; ++i) {
-    if (!r.GetBytes(scratch.data(), scratch.size())) {
-      return Status::Corruption("results message truncated");
-    }
-    records.push_back(codec.Deserialize(scratch.data()));
+  if (!GetRecords(&r, count, codec, &records)) {
+    return Status::Corruption("results message truncated");
   }
   return std::make_pair(std::move(records), epoch);
 }

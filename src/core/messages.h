@@ -58,6 +58,40 @@ std::vector<uint8_t> SerializeQueryAnswer(const dbms::QueryAnswer& answer,
                                           const std::vector<Record>& witness,
                                           uint64_t epoch,
                                           const RecordCodec& codec);
+
+/// The byte layout of an answer shipment with `answer_rows` top-k rows and
+/// `witness_rows` witness records: header, answer-row count, answer rows,
+/// witness count, witness rows. It is the one writer of that layout:
+/// SerializeQueryAnswer and the SP's heap-bytes path both allocate size()
+/// bytes, call WriteHeader, and put canonical record bytes
+/// (RecordCodec::Serialize) into the row slots.
+class QueryAnswerLayout {
+ public:
+  QueryAnswerLayout(size_t record_size, size_t answer_rows,
+                    size_t witness_rows);
+
+  size_t size() const { return witness_at_ + witness_rows_ * record_size_; }
+  /// Offset of answer row 0; row i is record_size bytes further per i.
+  size_t answer_rows_at() const { return kHeaderSize + 8; }
+  /// Offset of witness row 0.
+  size_t witness_at() const { return witness_at_; }
+
+  /// Writes the tag, operator, epoch, derived fields of `answer` (its
+  /// `records` are not read), record size and both row counts into `out`
+  /// (size() bytes); the row slots are left as they are.
+  void WriteHeader(const dbms::QueryAnswer& answer, uint64_t epoch,
+                   uint8_t* out) const;
+
+ private:
+  // tag(1) op(1) epoch(8) count(8) sum(8) has_extrema(1) min(4) max(4)
+  // record_size(4)
+  static constexpr size_t kHeaderSize = 39;
+
+  size_t record_size_;
+  size_t answer_rows_;
+  size_t witness_rows_;
+  size_t witness_at_;
+};
 Result<QueryAnswerMessage> DeserializeQueryAnswer(
     const std::vector<uint8_t>& bytes, const RecordCodec& codec);
 

@@ -5,6 +5,8 @@
 
 #include "core/service_provider.h"
 
+#include <cstring>
+
 #include "core/messages.h"
 #include "util/macros.h"
 
@@ -42,30 +44,37 @@ Result<std::vector<Record>> ServiceProvider::ExecuteRange(Key lo,
   return out;
 }
 
-Result<ServiceProvider::PlanResult> ServiceProvider::ComputePlan(
-    const dbms::QueryRequest& request) const {
-  PlanResult plan;
-  SAE_ASSIGN_OR_RETURN(plan.witness, ExecuteRange(request.lo, request.hi));
-  plan.answer = dbms::EvaluateAnswer(request, plan.witness);
-  return plan;
-}
-
-std::shared_ptr<const CachedAnswer> ServiceProvider::Publish(
-    const AnswerCache::Key& key, const PlanResult& plan) const {
-  auto served = std::make_shared<const CachedAnswer>(CachedAnswer{
-      SerializeQueryAnswer(plan.answer, plan.witness, key.epoch,
-                           table_->codec()),
-      {}});
-  answer_cache_.Insert(key, served);
-  return served;
-}
-
 Result<std::shared_ptr<const CachedAnswer>> ServiceProvider::ServeQuery(
     const dbms::QueryRequest& request) const {
   AnswerCache::Key key = AnswerCache::Key::For(request, epoch());
   if (auto hit = answer_cache_.Lookup(key)) return hit;
-  SAE_ASSIGN_OR_RETURN(PlanResult plan, ComputePlan(request));
-  return Publish(key, plan);
+  // A miss builds the shipment straight from the heap. The slots already
+  // hold canonical record bytes (RecordCodec::Serialize), so each one is
+  // copied into its witness slot as it is, and the answer is folded from
+  // the key and id read in place: no Record is decoded or re-encoded.
+  std::vector<storage::Rid> rids;
+  SAE_RETURN_NOT_OK(table_->RangeRids(request.lo, request.hi, &rids));
+  const size_t rs = table_->codec().record_size();
+  const QueryAnswerLayout layout(
+      rs, dbms::AnswerRowCount(request, rids.size()), rids.size());
+  std::vector<uint8_t> bytes(layout.size());
+  uint8_t* witness = bytes.data() + layout.witness_at();
+  dbms::AnswerAccumulator acc(request);
+  SAE_RETURN_NOT_OK(
+      table_->heap().GetMany(rids, [&](size_t i, const uint8_t* slot) {
+        std::memcpy(witness + i * rs, slot, rs);
+        acc.Add(RecordCodec::KeyOf(slot), RecordCodec::IdOf(slot));
+      }));
+  uint8_t* row = bytes.data() + layout.answer_rows_at();
+  for (size_t pos : acc.RankedRows()) {
+    std::memcpy(row, witness + pos * rs, rs);
+    row += rs;
+  }
+  layout.WriteHeader(acc.summary(), key.epoch, bytes.data());
+  auto served =
+      std::make_shared<const CachedAnswer>(CachedAnswer{std::move(bytes), {}});
+  answer_cache_.Insert(key, served);
+  return served;
 }
 
 Result<ServiceProvider::PlanResult> ServiceProvider::ExecutePlan(

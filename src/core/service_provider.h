@@ -63,9 +63,13 @@ class ServiceProvider {
   /// The SP's unit of output: the serialized answer shipment for
   /// `request` (SerializeQueryAnswer bytes stamped with the SP's epoch),
   /// encoded once. A repeat of (request, epoch) returns the very buffer the
-  /// first call produced — no scan, no codec work; a miss runs the plan,
-  /// encodes it once and shares that buffer with the answer cache. Callers
-  /// ship the bytes as they are. Thread-safety matches ExecuteRange.
+  /// first call produced — no scan, no codec work. A miss sizes one buffer
+  /// from the index postings, copies each heap slot's canonical bytes into
+  /// it, derives the answer with dbms::AnswerAccumulator from the keys and
+  /// ids read in place, and shares that buffer with the answer cache. The
+  /// bytes equal SerializeQueryAnswer(EvaluateAnswer(request, witness),
+  /// witness, epoch) over ExecuteRange's witness. Callers ship them as
+  /// they are. Thread-safety matches ExecuteRange.
   Result<std::shared_ptr<const CachedAnswer>> ServeQuery(
       const dbms::QueryRequest& request) const;
 
@@ -120,14 +124,6 @@ class ServiceProvider {
   // mutable: const reads fetch pages; the pools lock internally.
   mutable storage::BufferPool index_pool_;
   mutable storage::BufferPool heap_pool_;
-  /// Computes the plan without consulting the cache (the control path the
-  /// parity harness compares against).
-  Result<PlanResult> ComputePlan(const dbms::QueryRequest& request) const;
-  /// Encodes `plan` once as the answer for `key` and shares that buffer
-  /// with the answer cache.
-  std::shared_ptr<const CachedAnswer> Publish(const AnswerCache::Key& key,
-                                              const PlanResult& plan) const;
-
   std::unique_ptr<dbms::Table> table_;
   std::atomic<uint64_t> epoch_{0};
   // mutable: const queries fill the cache; AnswerCache locks internally.

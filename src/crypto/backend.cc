@@ -34,6 +34,9 @@ Digest ScalarHash(HashScheme scheme, const void* data, size_t len) {
   return d;
 }
 
+// A one-message hash path: ScalarHash, or NiHash below.
+using SingleFn = Digest (*)(HashScheme scheme, const void* data, size_t len);
+
 #ifdef SAE_CRYPTO_HAVE_KERNELS
 
 constexpr uint32_t kSha1Iv[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
@@ -88,77 +91,90 @@ Digest NiHash(HashScheme scheme, const void* data, size_t len) {
   return d;
 }
 
-// --- AVX2 8-lane multi-buffer path -----------------------------------------
+// --- multi-buffer paths (AVX2 8-lane, AVX-512 16-lane) ---------------------
 
-// Hashes `lanes` (1..8) equal-length messages in one pass; spare lanes
-// re-hash lane 0 and are discarded.
-void Avx2HashEqualLen(HashScheme scheme, const uint8_t* const* data, size_t len,
-                      size_t lanes, Digest* const* out) {
+using BlocksFn = void (*)(uint32_t* state, const uint8_t* const* ptrs,
+                          size_t blocks);
+
+// Hashes `lanes` (1..kLanes) equal-length messages in one kLanes-wide
+// pass; spare lanes re-hash lane 0 and are discarded.
+template <size_t kLanes>
+void MultiBufferEqualLen(BlocksFn kernel, HashScheme scheme,
+                         const uint8_t* const* data, size_t len, size_t lanes,
+                         Digest* const* out) {
   const size_t full = len / 64;
   const size_t rem = len % 64;
   const int words = scheme == HashScheme::kSha1 ? 5 : 8;
   const uint32_t* iv = scheme == HashScheme::kSha1 ? kSha1Iv : kSha256Iv;
 
-  uint32_t st[8 * 8];  // transposed: st[word * 8 + lane]
+  uint32_t st[8 * kLanes];  // transposed: st[word * kLanes + lane]
   for (int w = 0; w < words; ++w) {
-    for (int lane = 0; lane < 8; ++lane) st[w * 8 + lane] = iv[w];
+    for (size_t lane = 0; lane < kLanes; ++lane) st[w * kLanes + lane] = iv[w];
   }
 
-  const uint8_t* ptrs[8];
-  for (size_t lane = 0; lane < 8; ++lane) {
+  const uint8_t* ptrs[kLanes];
+  for (size_t lane = 0; lane < kLanes; ++lane) {
     ptrs[lane] = data[lane < lanes ? lane : 0];
   }
-  auto* kernel = scheme == HashScheme::kSha1 ? internal::Sha1X8Blocks
-                                             : internal::Sha256X8Blocks;
   if (full > 0) kernel(st, ptrs, full);
 
-  uint8_t tails[8][128];
+  uint8_t tails[kLanes][128];
   size_t tail_blocks = 1;
   for (size_t lane = 0; lane < lanes; ++lane) {
     tail_blocks = BuildTail(ptrs[lane] + full * 64, rem, len, tails[lane]);
   }
-  const uint8_t* tail_ptrs[8];
-  for (size_t lane = 0; lane < 8; ++lane) {
+  const uint8_t* tail_ptrs[kLanes];
+  for (size_t lane = 0; lane < kLanes; ++lane) {
     tail_ptrs[lane] = tails[lane < lanes ? lane : 0];
   }
   kernel(st, tail_ptrs, tail_blocks);
 
   for (size_t lane = 0; lane < lanes; ++lane) {
     for (int w = 0; w < 5; ++w) {
-      StoreBe32(&out[lane]->bytes[4 * static_cast<size_t>(w)], st[w * 8 + lane]);
+      StoreBe32(&out[lane]->bytes[4 * static_cast<size_t>(w)],
+                st[w * kLanes + lane]);
     }
   }
 }
 
-// Groups inputs by exact length (sorted index permutation) and feeds
-// equal-length runs to the 8-lane kernel; singleton runs take the scalar
-// path. Output order matches input order regardless of grouping.
-void Avx2HashMany(HashScheme scheme, const ByteSpan* inputs, size_t count,
-                  Digest* out) {
+// Groups inputs by exact length (index permutation, sorted only when the
+// lengths are mixed) and feeds equal-length runs to a kLanes-wide kernel
+// in chunks of kLanes. A final chunk of at least `min_lanes` messages is
+// padded out; smaller ones go message by message to `single`. Output
+// order matches input order regardless of grouping.
+template <size_t kLanes>
+void MultiBufferHashMany(BlocksFn kernel, size_t min_lanes, SingleFn single,
+                         HashScheme scheme, const ByteSpan* inputs,
+                         size_t count, Digest* out) {
   std::vector<uint32_t> idx(count);
   std::iota(idx.begin(), idx.end(), 0u);
-  std::sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
+  auto shorter = [&](uint32_t a, uint32_t b) {
     return inputs[a].len < inputs[b].len;
-  });
+  };
+  if (!std::is_sorted(idx.begin(), idx.end(), shorter)) {
+    std::sort(idx.begin(), idx.end(), shorter);
+  }
   size_t pos = 0;
   while (pos < count) {
     const size_t len = inputs[idx[pos]].len;
     size_t end = pos;
     while (end < count && inputs[idx[end]].len == len) ++end;
     while (pos < end) {
-      const size_t lanes = std::min<size_t>(8, end - pos);
-      if (lanes == 1) {
-        out[idx[pos]] = ScalarHash(scheme, inputs[idx[pos]].data, len);
-      } else {
-        const uint8_t* data[8];
-        Digest* dsts[8];
-        for (size_t lane = 0; lane < lanes; ++lane) {
-          data[lane] =
-              static_cast<const uint8_t*>(inputs[idx[pos + lane]].data);
-          dsts[lane] = &out[idx[pos + lane]];
+      const size_t lanes = std::min(kLanes, end - pos);
+      if (lanes < min_lanes) {
+        for (size_t i = pos; i < end; ++i) {
+          out[idx[i]] = single(scheme, inputs[idx[i]].data, len);
         }
-        Avx2HashEqualLen(scheme, data, len, lanes, dsts);
+        pos = end;
+        break;
       }
+      const uint8_t* data[kLanes];
+      Digest* dsts[kLanes];
+      for (size_t lane = 0; lane < lanes; ++lane) {
+        data[lane] = static_cast<const uint8_t*>(inputs[idx[pos + lane]].data);
+        dsts[lane] = &out[idx[pos + lane]];
+      }
+      MultiBufferEqualLen<kLanes>(kernel, scheme, data, len, lanes, dsts);
       pos += lanes;
     }
   }
@@ -183,8 +199,11 @@ Backend::Backend() {
   features_.sse41 = __builtin_cpu_supports("sse4.1");
   features_.avx2 = __builtin_cpu_supports("avx2");
   features_.sha_ni = __builtin_cpu_supports("sha") && features_.sse41;
+  features_.avx512 = __builtin_cpu_supports("avx512f") &&
+                     __builtin_cpu_supports("avx512bw");
   avx2_ok_ = features_.avx2;
   sha_ni_ok_ = features_.sha_ni;
+  avx512_ok_ = features_.avx512;
   SelfCheck();
 #endif
   force_scalar_.store(EnvForceScalar(), std::memory_order_relaxed);
@@ -202,51 +221,55 @@ void Backend::SelfCheck() {
   // Lengths straddle every padding case: empty, sub-block, 55/56/63/64
   // (tail-block boundaries), multi-block, and a >2-block message.
   static constexpr size_t kLens[] = {0, 1, 3, 55, 56, 63, 64, 65, 127, 128, 150, 443};
-  uint8_t msg[443];
+  // Each length runs kCopies times from distinct offsets, so a batch fills
+  // whole 8- and 16-lane passes with different messages, pads a partial
+  // 8-lane pass and leaves a 16-lane leftover.
+  constexpr size_t kCopies = 17;
+  constexpr size_t kBatch = std::size(kLens) * kCopies;
+  uint8_t msg[443 + kCopies];
   for (size_t i = 0; i < sizeof(msg); ++i) msg[i] = uint8_t(i * 131 + 7);
   std::memcpy(msg, "abc", 3);  // prefix doubles as the NIST "abc" vector
 
+  ByteSpan spans[kBatch];
+  for (size_t i = 0; i < kBatch; ++i) {
+    spans[i] = ByteSpan{msg + i % kCopies, kLens[i / kCopies]};
+  }
   for (HashScheme scheme : {HashScheme::kSha1, HashScheme::kSha256Trunc}) {
-    Digest expect[std::size(kLens)];
-    for (size_t i = 0; i < std::size(kLens); ++i) {
-      expect[i] = ScalarHash(scheme, msg, kLens[i]);
+    Digest expect[kBatch];
+    for (size_t i = 0; i < kBatch; ++i) {
+      expect[i] = ScalarHash(scheme, spans[i].data, spans[i].len);
     }
     if (sha_ni_ok_) {
-      for (size_t i = 0; i < std::size(kLens); ++i) {
-        if (NiHash(scheme, msg, kLens[i]) != expect[i]) {
+      for (size_t i = 0; i < kBatch; ++i) {
+        if (NiHash(scheme, spans[i].data, spans[i].len) != expect[i]) {
           sha_ni_ok_ = false;
           break;
         }
       }
     }
-    if (avx2_ok_) {
-      // Batch of mixed lengths exercises grouping, lane packing, and
-      // partial (non-multiple-of-8) batches at once.
-      ByteSpan spans[std::size(kLens)];
-      Digest got[std::size(kLens)];
-      for (size_t i = 0; i < std::size(kLens); ++i) {
-        spans[i] = ByteSpan{msg, kLens[i]};
-      }
-      Avx2HashMany(scheme, spans, std::size(kLens), got);
-      for (size_t i = 0; i < std::size(kLens); ++i) {
-        if (got[i] != expect[i]) {
-          avx2_ok_ = false;
-          break;
-        }
-      }
+    auto batch_agrees = [&](BatchKernel kernel) {
+      Digest got[kBatch];
+      HashManyWith(kernel, scheme, spans, kBatch, got);
+      return std::equal(got, got + kBatch, expect);
+    };
+    if (avx2_ok_ && !batch_agrees(BatchKernel::kAvx2X8)) avx2_ok_ = false;
+    if (avx512_ok_ && scheme == HashScheme::kSha1 &&
+        !batch_agrees(BatchKernel::kAvx512X16)) {
+      avx512_ok_ = false;
     }
   }
 #endif
 }
 
 bool Backend::accelerated_hash() const {
-  return !force_scalar() && (sha_ni_ok_ || avx2_ok_);
+  return !force_scalar() && (sha_ni_ok_ || avx2_ok_ || avx512_ok_);
 }
 
 const char* Backend::hash_kernel() const {
   if (force_scalar()) return "scalar";
-  if (sha_ni_ok_) return "sha-ni";
-  if (avx2_ok_) return "avx2-x8";
+  if (sha_ni_ok_) return avx512_ok_ ? "sha-ni+avx512-x16" : "sha-ni";
+  if (avx2_ok_) return avx512_ok_ ? "avx2-x8+avx512-x16" : "avx2-x8";
+  if (avx512_ok_) return "avx512-x16";
   return "scalar";
 }
 
@@ -254,6 +277,34 @@ const char* Backend::modexp_kernel() const {
   // Montgomery/windowed ModPow is portable integer code — always
   // available; only the scalar escape hatch reverts to square-and-multiply.
   return force_scalar() ? "scalar" : "montgomery";
+}
+
+bool Backend::has_batch_kernel(BatchKernel kernel) const {
+  switch (kernel) {
+    case BatchKernel::kScalar:
+      return true;
+    case BatchKernel::kShaNi:
+      return sha_ni_ok_;
+    case BatchKernel::kAvx2X8:
+      return avx2_ok_;
+    case BatchKernel::kAvx512X16:
+      return avx512_ok_;
+  }
+  return false;
+}
+
+const char* Backend::BatchKernelName(BatchKernel kernel) {
+  switch (kernel) {
+    case BatchKernel::kScalar:
+      return "scalar";
+    case BatchKernel::kShaNi:
+      return "sha-ni";
+    case BatchKernel::kAvx2X8:
+      return "avx2-x8";
+    case BatchKernel::kAvx512X16:
+      return "avx512-x16";
+  }
+  return "unknown";
 }
 
 Digest Backend::HashOne(HashScheme scheme, const void* data, size_t len) const {
@@ -266,24 +317,56 @@ Digest Backend::HashOne(HashScheme scheme, const void* data, size_t len) const {
 void Backend::HashMany(HashScheme scheme, const ByteSpan* inputs, size_t count,
                        Digest* out) const {
   if (count == 0) return;
-#ifdef SAE_CRYPTO_HAVE_KERNELS
-  if (!force_scalar()) {
-    if (sha_ni_ok_) {
-      // Single-stream SHA-NI already runs at ~1 cycle/byte; per-message
-      // dispatch beats lane packing overhead.
-      for (size_t i = 0; i < count; ++i) {
-        out[i] = NiHash(scheme, inputs[i].data, inputs[i].len);
-      }
-      return;
-    }
-    if (avx2_ok_) {
-      Avx2HashMany(scheme, inputs, count, out);
-      return;
-    }
+  BatchKernel kernel = BatchKernel::kScalar;
+  if (force_scalar()) {
+    kernel = BatchKernel::kScalar;
+  } else if (avx512_ok_ && scheme == HashScheme::kSha1) {
+    kernel = BatchKernel::kAvx512X16;
+  } else if (sha_ni_ok_) {
+    kernel = BatchKernel::kShaNi;
+  } else if (avx2_ok_) {
+    kernel = BatchKernel::kAvx2X8;
   }
+  HashManyWith(kernel, scheme, inputs, count, out);
+}
+
+void Backend::HashManyWith(BatchKernel kernel, HashScheme scheme,
+                           const ByteSpan* inputs, size_t count,
+                           Digest* out) const {
+  SingleFn single = ScalarHash;
+#ifdef SAE_CRYPTO_HAVE_KERNELS
+  switch (kernel) {
+    case BatchKernel::kScalar:
+      break;
+    case BatchKernel::kShaNi:
+      // Single-stream SHA-NI, one message at a time.
+      single = NiHash;
+      break;
+    case BatchKernel::kAvx2X8:
+      MultiBufferHashMany<8>(scheme == HashScheme::kSha1
+                                 ? internal::Sha1X8Blocks
+                                 : internal::Sha256X8Blocks,
+                             /*min_lanes=*/2, ScalarHash, scheme, inputs,
+                             count, out);
+      return;
+    case BatchKernel::kAvx512X16:
+      // Single-stream SHA-NI hashes SHA-1 at only ~1.3-1.5 GB/s on a
+      // 4-vCPU Xeon (family 6, model 207); 16 lanes do ~4.3 GB/s there on
+      // 1,024 x 500 B batches (bench_micro_crypto, docs/BENCHMARKS.md).
+      // Runs shorter than 16 and SHA-256 stay on the one-shot kernel.
+      single = sha_ni_ok_ ? NiHash : ScalarHash;
+      if (scheme == HashScheme::kSha1 && count >= 16) {
+        MultiBufferHashMany<16>(internal::Sha1X16Blocks, /*min_lanes=*/16,
+                                single, scheme, inputs, count, out);
+        return;
+      }
+      break;
+  }
+#else
+  (void)kernel;
 #endif
   for (size_t i = 0; i < count; ++i) {
-    out[i] = ScalarHash(scheme, inputs[i].data, inputs[i].len);
+    out[i] = single(scheme, inputs[i].data, inputs[i].len);
   }
 }
 

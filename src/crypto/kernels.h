@@ -30,6 +30,14 @@ void Sha1X8Blocks(uint32_t* state, const uint8_t* const ptrs[8],
 void Sha256X8Blocks(uint32_t* state, const uint8_t* const ptrs[8],
                     size_t blocks);
 
+// --- AVX-512 16-lane multi-buffer kernel (sha_mb_avx512.cc) ----------------
+//
+// Same contract as the 8-lane kernels with 16 lanes: state[word * 16 +
+// lane]. SHA-1 only; SHA-256 batches keep their existing paths.
+
+void Sha1X16Blocks(uint32_t* state, const uint8_t* const ptrs[16],
+                   size_t blocks);
+
 // --- SHA-NI single-stream kernels (sha_ni.cc) ------------------------------
 //
 // Compression only: updates `state` in place over `blocks` 64-byte blocks.

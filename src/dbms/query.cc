@@ -11,21 +11,6 @@
 
 namespace sae::dbms {
 
-namespace {
-
-// Top-k rank order: descending key, then descending id. Total and
-// deterministic for any record multiset the trees can store.
-bool TopKBefore(const Record& a, const Record& b) {
-  return a.key != b.key ? a.key > b.key : a.id > b.id;
-}
-
-void RankTopK(std::vector<Record>* records, uint32_t limit) {
-  std::sort(records->begin(), records->end(), TopKBefore);
-  if (records->size() > limit) records->resize(limit);
-}
-
-}  // namespace
-
 const char* QueryOpName(QueryOp op) {
   switch (op) {
     case QueryOp::kScan:
@@ -46,36 +31,67 @@ const char* QueryOpName(QueryOp op) {
   return "unknown";
 }
 
+size_t AnswerRowCount(const QueryRequest& request, size_t range_size) {
+  return request.op == QueryOp::kTopK
+             ? std::min<size_t>(request.limit, range_size)
+             : 0;
+}
+
+AnswerAccumulator::AnswerAccumulator(const QueryRequest& request)
+    : request_(request) {
+  summary_.op = request.op;
+}
+
+void AnswerAccumulator::Add(Key key, storage::RecordId id) {
+  if (summary_.op == QueryOp::kTopK) {
+    candidates_.push_back(Candidate{key, id, size_t(summary_.count)});
+  }
+  ++summary_.count;
+  summary_.sum += key;
+  if (!summary_.has_extrema) {
+    summary_.has_extrema = true;
+    summary_.min_key = summary_.max_key = key;
+  } else {
+    summary_.min_key = std::min(summary_.min_key, key);
+    summary_.max_key = std::max(summary_.max_key, key);
+  }
+}
+
+std::vector<size_t> AnswerAccumulator::RankedRows() const {
+  // The rows are the witness itself for scan/point — shipped and held
+  // once by the protocol layer, never duplicated into the answer.
+  if (summary_.op != QueryOp::kTopK) return {};
+  std::vector<Candidate> ranked = candidates_;
+  const size_t rows = AnswerRowCount(request_, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + rows, ranked.end(),
+                    [](const Candidate& a, const Candidate& b) {
+                      if (a.key != b.key) return a.key > b.key;
+                      if (a.id != b.id) return a.id > b.id;
+                      return a.pos < b.pos;
+                    });
+  std::vector<size_t> out(rows);
+  for (size_t i = 0; i < rows; ++i) out[i] = ranked[i].pos;
+  return out;
+}
+
+namespace {
+
+// The top-k answer rows of `records` under the accumulator's ranking.
+std::vector<Record> RankedRecords(const AnswerAccumulator& acc,
+                                  const std::vector<Record>& records) {
+  std::vector<Record> out;
+  for (size_t pos : acc.RankedRows()) out.push_back(records[pos]);
+  return out;
+}
+
+}  // namespace
+
 QueryAnswer EvaluateAnswer(const QueryRequest& request,
                            const std::vector<Record>& range_records) {
-  QueryAnswer answer;
-  answer.op = request.op;
-  answer.count = range_records.size();
-  for (const Record& record : range_records) {
-    answer.sum += record.key;
-    if (!answer.has_extrema) {
-      answer.has_extrema = true;
-      answer.min_key = answer.max_key = record.key;
-    } else {
-      answer.min_key = std::min(answer.min_key, record.key);
-      answer.max_key = std::max(answer.max_key, record.key);
-    }
-  }
-  switch (request.op) {
-    case QueryOp::kTopK:
-      answer.records = range_records;
-      RankTopK(&answer.records, request.limit);
-      break;
-    case QueryOp::kScan:
-    case QueryOp::kPoint:
-      // The rows are the witness itself — shipped and held once by the
-      // protocol layer, never duplicated into the answer.
-    case QueryOp::kCount:
-    case QueryOp::kSum:
-    case QueryOp::kMin:
-    case QueryOp::kMax:
-      break;
-  }
+  AnswerAccumulator acc(request);
+  for (const Record& record : range_records) acc.Add(record.key, record.id);
+  QueryAnswer answer = acc.summary();
+  answer.records = RankedRecords(acc, range_records);
   return answer;
 }
 
@@ -139,7 +155,9 @@ QueryAnswer MergeAnswers(const QueryRequest& request,
                           part.records.end());
   }
   if (request.op == QueryOp::kTopK) {
-    RankTopK(&merged.records, request.limit);
+    AnswerAccumulator acc(request);
+    for (const Record& record : merged.records) acc.Add(record.key, record.id);
+    merged.records = RankedRecords(acc, merged.records);
   }
   return merged;
 }

@@ -114,11 +114,47 @@ struct QueryAnswer {
   }
 };
 
-/// Derives the answer from the range's record set — the single shared
-/// derivation rule: the honest SP uses it to produce answers and the client
-/// re-runs it over the *authenticated* witness to verify them. Top-k
-/// ordering is descending by key with descending id as the tie-break, so
-/// the winner set is deterministic even under duplicate keys.
+/// How many answer rows `request` yields over a range of `range_size`
+/// records: min(limit, range_size) for top-k, 0 for every other operator
+/// (scan/point rows are the witness itself).
+size_t AnswerRowCount(const QueryRequest& request, size_t range_size);
+
+/// The single derivation rule, as a fold over the range's records in key
+/// order. It needs only each record's key and id, so EvaluateAnswer feeds
+/// it decoded Records and the SP feeds it keys and ids read in place from
+/// heap slots; both therefore derive the same answer.
+class AnswerAccumulator {
+ public:
+  explicit AnswerAccumulator(const QueryRequest& request);
+
+  /// Folds in the next range record.
+  void Add(Key key, storage::RecordId id);
+
+  /// Every derived field; `records` is left empty (see RankedRows).
+  const QueryAnswer& summary() const { return summary_; }
+
+  /// Positions (0-based, in Add order) of the answer rows, best first:
+  /// the AnswerRowCount top-k winners, ranked by descending key with
+  /// descending id as the tie-break (then ascending position), so the
+  /// winner set is deterministic even under duplicate keys. Empty for
+  /// every operator but top-k.
+  std::vector<size_t> RankedRows() const;
+
+ private:
+  struct Candidate {
+    Key key;
+    storage::RecordId id;
+    size_t pos;
+  };
+
+  QueryRequest request_;
+  QueryAnswer summary_;
+  std::vector<Candidate> candidates_;  // top-k only
+};
+
+/// Derives the answer from the range's record set through
+/// AnswerAccumulator: the honest SP produces answers by the same rule and
+/// the client re-runs it over the *authenticated* witness to verify them.
 QueryAnswer EvaluateAnswer(const QueryRequest& request,
                            const std::vector<Record>& range_records);
 

@@ -64,12 +64,17 @@ Result<Record> Table::Get(RecordId id) const {
   return codec_.Deserialize(bytes.data());
 }
 
-Status Table::RangeQuery(Key lo, Key hi, std::vector<Record>* out) const {
+Status Table::RangeRids(Key lo, Key hi, std::vector<Rid>* rids) const {
   std::vector<btree::BTreeEntry> postings;
   SAE_RETURN_NOT_OK(index_->RangeSearch(lo, hi, &postings));
+  rids->reserve(rids->size() + postings.size());
+  for (const auto& posting : postings) rids->push_back(posting.rid);
+  return Status::OK();
+}
+
+Status Table::RangeQuery(Key lo, Key hi, std::vector<Record>* out) const {
   std::vector<Rid> rids;
-  rids.reserve(postings.size());
-  for (const auto& posting : postings) rids.push_back(posting.rid);
+  SAE_RETURN_NOT_OK(RangeRids(lo, hi, &rids));
   out->reserve(out->size() + rids.size());
   return heap_.GetMany(rids, [&](size_t, const uint8_t* data) {
     out->push_back(codec_.Deserialize(data));

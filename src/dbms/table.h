@@ -52,6 +52,11 @@ class Table {
   /// fetched once per page run, as a real executor would.
   Status RangeQuery(Key lo, Key hi, std::vector<Record>* out) const;
 
+  /// The index half of RangeQuery: the heap locations of those records, in
+  /// the same order. Callers that want the canonical record bytes rather
+  /// than decoded Records read them with heap().GetMany.
+  Status RangeRids(Key lo, Key hi, std::vector<Rid>* rids) const;
+
   /// Loads a key-sorted dataset into an empty table (records are placed in
   /// key order, so range results are clustered).
   Status BulkLoad(const std::vector<Record>& sorted_by_key);

@@ -5,7 +5,8 @@
 
 #include "storage/record.h"
 
-#include <algorithm>\n#include <cstring>
+#include <algorithm>
+#include <cstring>
 
 #include "util/codec.h"
 #include "util/macros.h"
@@ -20,11 +21,9 @@ void RecordCodec::Serialize(const Record& record, uint8_t* out) const {
   SAE_CHECK(record.payload.size() <= payload_size());
   EncodeU64(out, record.id);
   EncodeU32(out + 8, record.key);
-  std::memset(out + kRecordHeaderSize, 0, payload_size());
-  if (!record.payload.empty()) {
-    std::memcpy(out + kRecordHeaderSize, record.payload.data(),
-                record.payload.size());
-  }
+  const size_t n = record.payload.size();
+  if (n != 0) std::memcpy(out + kRecordHeaderSize, record.payload.data(), n);
+  std::memset(out + kRecordHeaderSize + n, 0, payload_size() - n);
 }
 
 std::vector<uint8_t> RecordCodec::Serialize(const Record& record) const {
@@ -35,8 +34,8 @@ std::vector<uint8_t> RecordCodec::Serialize(const Record& record) const {
 
 Record RecordCodec::Deserialize(const uint8_t* data) const {
   Record r;
-  r.id = DecodeU64(data);
-  r.key = DecodeU32(data + 8);
+  r.id = IdOf(data);
+  r.key = KeyOf(data);
   r.payload.assign(data + kRecordHeaderSize, data + record_size_);
   return r;
 }
@@ -63,7 +62,7 @@ std::vector<crypto::Digest> DigestRecords(const std::vector<Record>& records,
   if (records.empty()) return out;
   const size_t rs = codec.record_size();
   // Chunked so the serialize buffer stays L2-resident on big loads while
-  // still giving the 8-lane hash kernels full batches.
+  // still giving the multi-buffer hash kernels full batches.
   constexpr size_t kChunk = 1024;
   const size_t chunk = std::min(records.size(), kChunk);
   std::vector<uint8_t> buf(chunk * rs);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "crypto/digest.h"
+#include "util/codec.h"
 #include "util/status.h"
 
 namespace sae::storage {
@@ -57,6 +58,10 @@ class RecordCodec {
   /// Parses record_size() bytes.
   Record Deserialize(const uint8_t* data) const;
 
+  /// The id and key of a canonical record image, read in place.
+  static RecordId IdOf(const uint8_t* data) { return DecodeU64(data); }
+  static Key KeyOf(const uint8_t* data) { return DecodeU32(data + 8); }
+
   /// Deterministic payload derived from the record id, so that the DO, SP,
   /// TE and tests all reconstruct identical record bytes without shipping
   /// payloads around.
@@ -68,7 +73,7 @@ class RecordCodec {
 
 /// out[i] = H(serialize(records[i])) for every record, digested in batches
 /// through crypto::ComputeDigests so the multi-buffer hash kernels see up to
-/// 8 records per pass. Serialization happens into a chunk-sized contiguous
+/// 16 records per pass. Serialization happens into a chunk-sized contiguous
 /// scratch buffer (cache-resident), not one allocation per record. This is
 /// the shared hot loop of TE/DO dataset loads and client witness re-hashing.
 std::vector<crypto::Digest> DigestRecords(const std::vector<Record>& records,

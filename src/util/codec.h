@@ -47,6 +47,15 @@ class ByteWriter {
     PutU32(static_cast<uint32_t>(s.size()));
     PutRaw(s.data(), s.size());
   }
+  /// Reserves room for `total` bytes in all, so a writer whose final size
+  /// is known grows once.
+  void Reserve(size_t total) { buf_.reserve(total); }
+  /// Appends `len` zero bytes and returns where they start, for callers
+  /// that encode in place; valid until the next Put.
+  uint8_t* Extend(size_t len) {
+    buf_.resize(buf_.size() + len);
+    return buf_.data() + buf_.size() - len;
+  }
 
   const std::vector<uint8_t>& bytes() const { return buf_; }
   size_t size() const { return buf_.size(); }
@@ -79,6 +88,15 @@ class ByteReader {
     std::memcpy(dst, data_ + pos_, n);
     pos_ += n;
     return true;
+  }
+
+  /// Consumes `n` bytes and returns where they start in the input, or
+  /// nullptr (and the sticky error) when fewer than `n` remain.
+  const uint8_t* Take(size_t n) {
+    if (!Ok(n)) return nullptr;
+    const uint8_t* p = data_ + pos_;
+    pos_ += n;
+    return p;
   }
 
   std::string GetString() {

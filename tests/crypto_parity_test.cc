@@ -15,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <string>
 #include <vector>
 
 #include "crypto/backend.h"
@@ -134,6 +134,89 @@ TEST(HashParityTest, BatchedMatchesSingles) {
       EXPECT_EQ(Hex(batched[i]), Hex(single))
           << "trial=" << trial << " i=" << i
           << " len=" << messages[i].size();
+    }
+  }
+}
+
+// Every batch kernel the CPU offers, pinned with HashManyWith, against the
+// scalar reference: batch sizes 1-40 (partial, whole and whole-plus-
+// leftover 8- and 16-lane passes) at every padding-boundary length, each
+// message at its own odd offset, then mixed-length batches.
+TEST(HashParityTest, EveryBatchKernelMatchesScalar) {
+  Backend& backend = Backend::Instance();
+  Rng rng(0x5EED'0008);
+  std::vector<uint8_t> arena = RandomBytes(&rng, 40 * 520 + 64);
+  const size_t kBoundaryLens[] = {55, 56, 63, 64, 119, 120, 500};
+  for (auto kernel :
+       {Backend::BatchKernel::kScalar, Backend::BatchKernel::kShaNi,
+        Backend::BatchKernel::kAvx2X8, Backend::BatchKernel::kAvx512X16}) {
+    if (!backend.has_batch_kernel(kernel)) continue;
+    const char* name = Backend::BatchKernelName(kernel);
+    for (HashScheme scheme : {HashScheme::kSha1, HashScheme::kSha256Trunc}) {
+      auto check = [&](const std::vector<ByteSpan>& spans, const char* what) {
+        std::vector<Digest> got(spans.size());
+        std::vector<Digest> want(spans.size());
+        backend.HashManyWith(kernel, scheme, spans.data(), spans.size(),
+                             got.data());
+        backend.HashManyWith(Backend::BatchKernel::kScalar, scheme,
+                             spans.data(), spans.size(), want.data());
+        for (size_t i = 0; i < spans.size(); ++i) {
+          ASSERT_EQ(Hex(got[i]), Hex(want[i]))
+              << name << " scheme=" << int(scheme) << " " << what
+              << " batch=" << spans.size() << " i=" << i
+              << " len=" << spans[i].len;
+        }
+      };
+      for (size_t len : kBoundaryLens) {
+        for (size_t count = 1; count <= 40; ++count) {
+          std::vector<ByteSpan> spans;
+          for (size_t i = 0; i < count; ++i) {
+            spans.push_back(ByteSpan{arena.data() + i * 520 + 1 + i % 7, len});
+          }
+          check(spans, "equal-length");
+        }
+      }
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<ByteSpan> spans;
+        size_t count = 1 + rng.NextBounded(40);
+        for (size_t i = 0; i < count; ++i) {
+          size_t len = rng.NextBounded(3) == 0
+                           ? kBoundaryLens[rng.NextBounded(7)]
+                           : rng.NextBounded(501);
+          spans.push_back(ByteSpan{arena.data() + rng.NextBounded(20000), len});
+        }
+        check(spans, "mixed-length");
+      }
+    }
+  }
+}
+
+// The 16-lane kernel itself: sixteen different messages of one length per
+// pass, for every length up to five blocks, so a lane swap in the
+// transpose or a wrong tail block shows up in a named lane.
+TEST(HashParityTest, Avx512SixteenLanesMatchScalar) {
+  Backend& backend = Backend::Instance();
+  if (!backend.features().avx512) {
+    GTEST_SKIP() << "no AVX-512 (avx512f + avx512bw) on this CPU";
+  }
+  // A kernel that failed the start-up self-check is disabled, not skipped.
+  ASSERT_TRUE(backend.has_batch_kernel(Backend::BatchKernel::kAvx512X16));
+  Rng rng(0x5EED'0009);
+  std::vector<uint8_t> arena = RandomBytes(&rng, 16 * 331 + 16);
+  for (size_t len = 0; len <= 320; ++len) {
+    std::vector<ByteSpan> spans;
+    for (size_t lane = 0; lane < 16; ++lane) {
+      spans.push_back(ByteSpan{arena.data() + lane * 331 + lane % 3, len});
+    }
+    Digest got[16];
+    Digest want[16];
+    backend.HashManyWith(Backend::BatchKernel::kAvx512X16,
+                         HashScheme::kSha1, spans.data(), 16, got);
+    backend.HashManyWith(Backend::BatchKernel::kScalar, HashScheme::kSha1,
+                         spans.data(), 16, want);
+    for (size_t lane = 0; lane < 16; ++lane) {
+      ASSERT_EQ(Hex(got[lane]), Hex(want[lane]))
+          << "len=" << len << " lane=" << lane;
     }
   }
 }
@@ -344,8 +427,15 @@ TEST(BackendTest, ForceScalarFlipsKernelNames) {
   EXPECT_FALSE(backend.accelerated_hash());
   backend.set_force_scalar(false);
   if (backend.accelerated_hash()) {
-    EXPECT_TRUE(std::strcmp(backend.hash_kernel(), "sha-ni") == 0 ||
-                std::strcmp(backend.hash_kernel(), "avx2-x8") == 0);
+    const std::string kernel = backend.hash_kernel();
+    EXPECT_TRUE(kernel == "sha-ni" || kernel == "avx2-x8" ||
+                kernel == "sha-ni+avx512-x16" ||
+                kernel == "avx2-x8+avx512-x16" || kernel == "avx512-x16")
+        << kernel;
+    // The name shows the batch kernel whenever HashMany can take it.
+    EXPECT_EQ(kernel.find("avx512-x16") != std::string::npos,
+              backend.has_batch_kernel(Backend::BatchKernel::kAvx512X16))
+        << kernel;
   } else {
     EXPECT_STREQ(backend.hash_kernel(), "scalar");
   }
