@@ -57,15 +57,11 @@ void RunMixedSection() {
 
   for (double update_frac : {0.10, 0.50}) {
     const char* mix = update_frac == 0.10 ? "90/10" : "50/50";
-    storage::RecordCodec codec(kRecordSize);
     {
       core::SaeSystem::Options options;
       options.record_size = kRecordSize;
       core::SaeSystem system(options);
       SAE_CHECK_OK(system.Load(dataset));
-      // Warm-up update: the first write stages the replay-adversary
-      // snapshot (one O(n) scan); keep it out of the measured mix.
-      SAE_CHECK_OK(system.Insert(codec.MakeRecord(99'999'999, 0)));
       core::QueryEngine engine(core::QueryEngine::Options{4});
       core::MixedStats stats = engine.RunMixed(
           &system, MakeMixedOps(kOps, update_frac, 1));
@@ -82,7 +78,6 @@ void RunMixedSection() {
       options.record_size = kRecordSize;
       core::TomSystem system(options);
       SAE_CHECK_OK(system.Load(dataset));
-      SAE_CHECK_OK(system.Insert(codec.MakeRecord(99'999'999, 0)));
       core::QueryEngine engine(core::QueryEngine::Options{4});
       core::MixedStats stats = engine.RunMixed(
           &system, MakeMixedOps(kOps, update_frac, 2));
@@ -114,7 +109,6 @@ void RunShardedMixedSection() {
   size_t n = size_t(50'000 * BenchScale());
   if (n < 2000) n = 2000;
   auto dataset = MakeDataset(workload::Distribution::kUniform, n);
-  storage::RecordCodec codec(kRecordSize);
   constexpr size_t kOps = 2000;
 
   for (size_t shards : ShardCounts()) {
@@ -123,13 +117,6 @@ void RunShardedMixedSection() {
     core::ShardedSaeSystem system(
         core::ShardRouter::Balanced(dataset, shards), options);
     SAE_CHECK_OK(system.Load(dataset));
-    // Warm-up update per shard: the first write to each shard stages its
-    // replay-adversary snapshot (an O(shard size) scan); keep that out of
-    // the measured mix, as the unsharded section does.
-    for (size_t s = 0; s < system.num_shards(); ++s) {
-      SAE_CHECK_OK(system.Insert(codec.MakeRecord(
-          90'000'000 + s, uint32_t(system.router().shard_lo(s)))));
-    }
     core::QueryEngine engine(core::QueryEngine::Options{4});
     core::MixedStats stats =
         engine.RunMixedBatch(&system, MakeMixedOps(kOps, 0.50, 3));

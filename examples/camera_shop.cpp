@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "adversary/adversary.h"
 #include "core/system.h"
@@ -32,8 +33,9 @@ Record MakeCamera(uint64_t id, const std::string& manufacturer,
   r.id = id;
   r.key = price_cents;
   std::string text = manufacturer + "|" + model;
-  r.payload.assign(text.begin(), text.end());
-  r.payload.resize(kRecordSize - 12, 0);
+  std::vector<uint8_t> payload(text.begin(), text.end());
+  payload.resize(kRecordSize - 12, 0);
+  r.payload = payload;
   return r;
 }
 

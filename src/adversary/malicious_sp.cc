@@ -59,9 +59,9 @@ std::vector<Record> ApplyAttack(const std::vector<Record>& honest,
       break;
     case AttackMode::kTamperPayload: {
       Record& victim = out[rng.NextBounded(out.size())];
-      if (victim.payload.empty()) victim.payload.resize(1);
+      if (victim.payload.empty()) victim.payload = storage::Payload(1);
       size_t pos = rng.NextBounded(victim.payload.size());
-      victim.payload[pos] ^= 0x80;
+      victim.payload.MutableData()[pos] ^= 0x80;
       break;
     }
     case AttackMode::kTamperKey: {

@@ -27,8 +27,10 @@ bool GetRecord(ByteReader* r, Record* out) {
   out->key = r->GetU32();
   uint32_t len = r->GetU32();
   if (r->failed() || len > r->remaining()) return false;
-  out->payload.resize(len);
-  return len == 0 || r->GetBytes(out->payload.data(), len);
+  const uint8_t* bytes = r->Take(len);
+  if (bytes == nullptr) return false;
+  out->payload = storage::Payload(bytes, len);
+  return true;
 }
 
 // The header both checkpoint payloads open with: model tag, record size,

@@ -5,6 +5,8 @@
 
 #include "core/messages.h"
 
+#include <cstring>
+
 #include "util/codec.h"
 
 namespace sae::core {
@@ -43,11 +45,7 @@ bool GetRecords(ByteReader* r, uint64_t count, const RecordCodec& codec,
   if (count > r->remaining() / codec.record_size()) return false;
   const uint8_t* data = r->Take(size_t(count) * codec.record_size());
   if (data == nullptr) return false;
-  out->reserve(out->size() + size_t(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    out->push_back(codec.Deserialize(data));
-    data += codec.record_size();
-  }
+  codec.DeserializeMany(data, size_t(count), out);
   return true;
 }
 }  // namespace
@@ -95,7 +93,7 @@ void QueryAnswerLayout::WriteHeader(const dbms::QueryAnswer& answer,
                                     uint64_t epoch, uint8_t* out) const {
   out[0] = kTagQueryAnswer;
   out[1] = uint8_t(answer.op);
-  EncodeU64(out + 2, epoch);
+  EncodeU64(out + kEpochAt, epoch);
   EncodeU64(out + 10, answer.count);
   EncodeU64(out + 18, answer.sum);
   out[26] = answer.has_extrema ? 1 : 0;
@@ -163,6 +161,16 @@ Result<QueryAnswerMessage> DeserializeQueryAnswer(
     return Status::Corruption("non-top-k answer carries its own rows");
   }
   return msg;
+}
+
+bool SameAnswerUpToEpoch(const std::vector<uint8_t>& a,
+                         const std::vector<uint8_t>& b) {
+  constexpr size_t kEpochEnd = QueryAnswerLayout::kEpochAt + 8;
+  if (a.size() != b.size()) return false;
+  if (a.size() < kEpochEnd) return a == b;
+  return std::memcmp(a.data(), b.data(), QueryAnswerLayout::kEpochAt) == 0 &&
+         std::memcmp(a.data() + kEpochEnd, b.data() + kEpochEnd,
+                     a.size() - kEpochEnd) == 0;
 }
 
 std::vector<uint8_t> SerializeShardEpochs(

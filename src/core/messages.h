@@ -83,8 +83,12 @@ class QueryAnswerLayout {
                    uint8_t* out) const;
 
  private:
+  friend bool SameAnswerUpToEpoch(const std::vector<uint8_t>& a,
+                                  const std::vector<uint8_t>& b);
+
   // tag(1) op(1) epoch(8) count(8) sum(8) has_extrema(1) min(4) max(4)
   // record_size(4)
+  static constexpr size_t kEpochAt = 2;
   static constexpr size_t kHeaderSize = 39;
 
   size_t record_size_;
@@ -94,6 +98,11 @@ class QueryAnswerLayout {
 };
 Result<QueryAnswerMessage> DeserializeQueryAnswer(
     const std::vector<uint8_t>& bytes, const RecordCodec& codec);
+
+/// True when two answer shipments are byte-equal outside their epoch
+/// stamps: the same answer and witness, whatever epoch each claims.
+bool SameAnswerUpToEpoch(const std::vector<uint8_t>& a,
+                         const std::vector<uint8_t>& b);
 
 /// Verification token (TE -> client): epoch stamp + one digest —
 /// tag(1) + epoch(8 LE) + digest(20) = 29 bytes, still constant size.

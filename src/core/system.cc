@@ -86,8 +86,9 @@ Status SaeSystem::Restore(const SnapshotState& state, uint64_t epoch) {
 
 Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
     const dbms::QueryRequest& request, QueryTap* tap) {
-  // Shared (reader) lock for the whole query: the epoch observed by the
-  // SP answer, the TE token, and the client check is one frozen snapshot.
+  // Shared (reader) lock while the parties answer: the SP answer, the TE
+  // token and the published epoch are read from one frozen snapshot. The
+  // client check below depends only on those values, so it runs unlocked.
   std::shared_lock<std::shared_mutex> lock(rw_mu_);
   uint64_t published = owner_.epoch();
 
@@ -130,20 +131,22 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
   te_session.Send(vt_msg);
   outcome.costs.auth_bytes = te_session.bytes();
   outcome.costs.te_accesses = (te_.pool_thread_stats() - te0).accesses;
+  lock.unlock();
 
   // Client: decode and verify — freshness gates, then the XOR check over
-  // the witness, then the answer recomputation (Client::VerifyAnswer).
-  SAE_ASSIGN_OR_RETURN(QueryAnswerMessage received,
-                       DeserializeQueryAnswer(result_msg, codec()));
-  outcome.answer = std::move(received.answer);
-  outcome.results = std::move(received.witness);
-  outcome.claimed_epoch = received.epoch;
+  // the witness, then the answer recomputation (Client::VerifyAnswer),
+  // memoized on the served buffer.
   SAE_ASSIGN_OR_RETURN(outcome.vt, DeserializeVt(vt_msg));
   sim::Stopwatch watch;
-  outcome.verification = client_memo_.VerifyAnswer(
-      request, outcome.answer, outcome.results, outcome.vt,
-      outcome.claimed_epoch, published, codec(), options_.scheme);
+  SAE_ASSIGN_OR_RETURN(
+      VerifiedAnswer checked,
+      client_memo_.VerifyAnswer(request, served, outcome.vt, published,
+                                codec(), options_.scheme));
   outcome.costs.client_verify_ms = watch.ElapsedMs();
+  outcome.verification = std::move(checked.verification);
+  outcome.answer = std::move(checked.received.answer);
+  outcome.results = std::move(checked.received.witness);
+  outcome.claimed_epoch = checked.received.epoch;
   return outcome;
 }
 
@@ -236,6 +239,8 @@ Status TomSystem::Restore(const SnapshotState& state, uint64_t epoch) {
 
 Result<TomSystem::QueryOutcome> TomSystem::ExecuteQuery(
     const dbms::QueryRequest& request, QueryTap* tap) {
+  // Reader lock while the SP answers; the client check runs unlocked (see
+  // SaeSystem::ExecuteQuery).
   std::shared_lock<std::shared_mutex> lock(rw_mu_);
   uint64_t published = owner_.epoch();
 
@@ -263,18 +268,19 @@ Result<TomSystem::QueryOutcome> TomSystem::ExecuteQuery(
       (sp_.index_pool_thread_stats() - sp_index0).accesses;
   outcome.costs.sp_heap_accesses =
       (sp_.heap_pool_thread_stats() - sp_heap0).accesses;
+  const crypto::RsaPublicKey owner_key = owner_.public_key();
+  lock.unlock();
 
-  SAE_ASSIGN_OR_RETURN(QueryAnswerMessage received,
-                       DeserializeQueryAnswer(result_msg, codec_));
-  outcome.answer = std::move(received.answer);
-  outcome.results = std::move(received.witness);
-  SAE_ASSIGN_OR_RETURN(outcome.vo,
-                       mbtree::VerificationObject::Deserialize(vo_msg));
   sim::Stopwatch watch;
-  outcome.verification = client_memo_.VerifyAnswer(
-      request, outcome.answer, outcome.results, outcome.vo, vo_msg,
-      owner_.public_key(), codec_, options_.scheme, published);
+  SAE_ASSIGN_OR_RETURN(
+      VerifiedAnswer checked,
+      client_memo_.VerifyAnswer(request, served, owner_key, codec_,
+                                options_.scheme, published));
   outcome.costs.client_verify_ms = watch.ElapsedMs();
+  outcome.verification = std::move(checked.verification);
+  outcome.vo = std::move(checked.vo);
+  outcome.answer = std::move(checked.received.answer);
+  outcome.results = std::move(checked.received.witness);
   return outcome;
 }
 

@@ -16,9 +16,11 @@
 // what a checkpoint captures, and how a recovered snapshot is proven.
 //
 // Concurrency discipline (reader-writer + epoch snapshot): each system's
-// pipeline owns a std::shared_mutex. ExecuteQuery holds it shared for the
-// whole query (SP execution, TE token / VO, client verification), so a
-// query observes one frozen epoch end to end; Insert/Delete hold it unique
+// pipeline owns a std::shared_mutex. ExecuteQuery holds it shared while
+// the parties answer (SP execution, TE token / VO, the published epoch), so
+// a query observes one frozen epoch end to end, and releases it before the
+// client decodes and verifies, which depends only on those values;
+// Insert/Delete hold it unique
 // (released only around the durable WAL commit), bump the DO's epoch, and
 // re-publish the authentication state. Queries and updates may therefore
 // interleave freely on the same system — no exclusive-access phase is
@@ -52,7 +54,7 @@ struct QueryCosts {
   uint64_t te_accesses = 0;        ///< node accesses at the TE (SAE only)
   size_t auth_bytes = 0;     ///< authentication traffic (VT or VO message)
   size_t result_bytes = 0;   ///< result traffic (excluded from Fig. 5)
-  double client_verify_ms = 0.0;  ///< wall-clock client verification time
+  double client_verify_ms = 0.0;  ///< wall-clock client decode + verification
 };
 
 /// Component-wise accumulation — per-query costs compose into batch totals.
@@ -166,8 +168,8 @@ class SaeSystem : public UpdatePipeline {
   Result<QueryOutcome> Query(Key lo, Key hi) { return ExecuteQuery(lo, hi); }
 
   /// The thread-safe single-query operation QueryEngine workers invoke:
-  /// runs SP execution, TE token generation, and client verification
-  /// entirely on the calling thread under a shared (reader) lock,
+  /// runs SP execution and TE token generation under a shared (reader)
+  /// lock, then client verification unlocked, all on the calling thread,
   /// attributing costs via per-thread pool counters and per-query channel
   /// sessions. Any number of threads may call this concurrently, and
   /// Insert/Delete may interleave with it — writers simply serialize
@@ -298,7 +300,7 @@ class TomSystem : public UpdatePipeline {
   Result<QueryOutcome> Query(Key lo, Key hi) { return ExecuteQuery(lo, hi); }
 
   /// Thread-safe single-query operation (see SaeSystem::ExecuteQuery):
-  /// shared lock for the whole query; interleaves with updates.
+  /// shared lock while the SP answers; interleaves with updates.
   Result<QueryOutcome> ExecuteQuery(const dbms::QueryRequest& request,
                                     QueryTap* tap = nullptr);
   /// Range-scan compatibility wrapper.

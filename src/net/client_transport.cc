@@ -5,6 +5,7 @@
 
 #include "net/client_transport.h"
 
+#include <string>
 #include <utility>
 
 #include "core/messages.h"
@@ -128,41 +129,47 @@ Result<uint64_t> FetchEpoch(ClientTransport* transport) {
   return core::DeserializeEpochNotice(response);
 }
 
+namespace {
+
+// Both clients take their freshness reference from the owner: without it a
+// replayed old-epoch answer would verify.
+Status CheckOwner(const Endpoint& owner, const char* client) {
+  return owner.port != 0 ? Status::OK()
+                         : Status::InvalidArgument(
+                               std::string(client) +
+                               " needs the owner's epoch endpoint");
+}
+
+}  // namespace
+
 // --- SAE client -----------------------------------------------------------------
 
 NetSaeClient::NetSaeClient(const NetSaeClientOptions& options)
     : options_(options),
       codec_(options.record_size),
       sp_(options.sp),
-      te_(options.te) {
-  if (options.owner.port != 0) {
-    owner_ = std::make_unique<ClientTransport>(options.owner);
-  }
-}
+      te_(options.te),
+      owner_(options.owner) {}
 
 Result<uint64_t> NetSaeClient::PublishedEpoch() {
-  if (owner_ != nullptr) return FetchEpoch(owner_.get());
-  return FetchEpoch(&te_);
+  SAE_RETURN_NOT_OK(CheckOwner(options_.owner, "NetSaeClient"));
+  return FetchEpoch(&owner_);
 }
 
 Result<NetVerifiedAnswer> NetSaeClient::Query(
     const dbms::QueryRequest& request) {
+  SAE_RETURN_NOT_OK(CheckOwner(options_.owner, "NetSaeClient"));
   // Lease one socket per party, write all requests, then read all
-  // responses: the SP and TE (and owner) round trips overlap on the wire —
-  // the paper's parallel fan-out with plain blocking sockets.
+  // responses: the SP, TE and owner round trips overlap on the wire — the
+  // paper's parallel fan-out with plain blocking sockets.
   SAE_ASSIGN_OR_RETURN(ClientTransport::Lease sp_lease, sp_.Acquire());
   SAE_ASSIGN_OR_RETURN(ClientTransport::Lease te_lease, te_.Acquire());
-  ClientTransport::Lease owner_lease;
-  if (owner_ != nullptr) {
-    SAE_ASSIGN_OR_RETURN(owner_lease, owner_->Acquire());
-  }
+  SAE_ASSIGN_OR_RETURN(ClientTransport::Lease owner_lease, owner_.Acquire());
 
   std::vector<uint8_t> query = core::SerializeQueryRequest(request);
   SAE_RETURN_NOT_OK(sp_lease.Send(query));
   SAE_RETURN_NOT_OK(te_lease.Send(query));
-  if (owner_lease.valid()) {
-    SAE_RETURN_NOT_OK(owner_lease.Send(ControlFrame(kCtlGetEpoch)));
-  }
+  SAE_RETURN_NOT_OK(owner_lease.Send(ControlFrame(kCtlGetEpoch)));
 
   SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> answer_bytes, sp_lease.Recv());
   SAE_RETURN_NOT_OK(CheckFrame(answer_bytes));
@@ -174,14 +181,10 @@ Result<NetVerifiedAnswer> NetSaeClient::Query(
   SAE_ASSIGN_OR_RETURN(core::VerificationToken vt,
                        core::DeserializeVt(vt_bytes));
 
-  uint64_t published = vt.epoch;
-  if (owner_lease.valid()) {
-    SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> epoch_bytes,
-                         owner_lease.Recv());
-    SAE_RETURN_NOT_OK(CheckFrame(epoch_bytes));
-    SAE_ASSIGN_OR_RETURN(published,
-                         core::DeserializeEpochNotice(epoch_bytes));
-  }
+  SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> epoch_bytes, owner_lease.Recv());
+  SAE_RETURN_NOT_OK(CheckFrame(epoch_bytes));
+  SAE_ASSIGN_OR_RETURN(uint64_t published,
+                       core::DeserializeEpochNotice(epoch_bytes));
 
   SAE_RETURN_NOT_OK(core::Client::VerifyAnswer(
       request, message.answer, message.witness, vt, message.epoch, published,
@@ -204,21 +207,14 @@ NetTomClient::NetTomClient(const NetTomClientOptions& options)
       sp_(options.sp),
       owner_(options.owner) {}
 
-Status NetTomClient::CheckOwner() const {
-  return options_.owner.port != 0
-             ? Status::OK()
-             : Status::InvalidArgument(
-                   "NetTomClient needs the owner's epoch endpoint");
-}
-
 Result<uint64_t> NetTomClient::PublishedEpoch() {
-  SAE_RETURN_NOT_OK(CheckOwner());
+  SAE_RETURN_NOT_OK(CheckOwner(options_.owner, "NetTomClient"));
   return FetchEpoch(&owner_);
 }
 
 Result<NetTomVerifiedAnswer> NetTomClient::Query(
     const dbms::QueryRequest& request) {
-  SAE_RETURN_NOT_OK(CheckOwner());
+  SAE_RETURN_NOT_OK(CheckOwner(options_.owner, "NetTomClient"));
   SAE_ASSIGN_OR_RETURN(ClientTransport::Lease sp_lease, sp_.Acquire());
   SAE_ASSIGN_OR_RETURN(ClientTransport::Lease owner_lease, owner_.Acquire());
 

@@ -119,17 +119,17 @@ struct NetVerifiedAnswer {
 struct NetSaeClientOptions {
   Endpoint sp;
   Endpoint te;
-  /// The DO's epoch endpoint — the client's freshness reference. Leave the
-  /// port 0 for owner-less set-ups; the (trusted) TE token's epoch then
-  /// serves as the reference and the freshness gate degrades to the
-  /// SP-vs-TE comparison.
+  /// The DO's epoch endpoint — the client's freshness reference, without
+  /// which a replayed old-epoch answer and token pair would verify.
+  /// Required.
   Endpoint owner;
   size_t record_size = storage::kDefaultRecordSize;
   crypto::HashScheme scheme = crypto::HashScheme::kSha1;
 };
 
 /// The SAE client over TCP: same call shape as core::Client, with the
-/// paper's parallel SP+TE fan-out per query.
+/// paper's parallel SP+TE+owner fan-out per query. A client built without
+/// an owner endpoint fails every call with InvalidArgument.
 class NetSaeClient {
  public:
   explicit NetSaeClient(const NetSaeClientOptions& options);
@@ -139,8 +139,7 @@ class NetSaeClient {
   /// returned; tampering/staleness comes back as the failing Status.
   Result<NetVerifiedAnswer> Query(const dbms::QueryRequest& request);
 
-  /// The published epoch from the owner endpoint (or the TE when no owner
-  /// is configured).
+  /// The published epoch from the owner endpoint.
   Result<uint64_t> PublishedEpoch();
 
   ClientTransport& sp() { return sp_; }
@@ -151,7 +150,7 @@ class NetSaeClient {
   RecordCodec codec_;
   ClientTransport sp_;
   ClientTransport te_;
-  std::unique_ptr<ClientTransport> owner_;  ///< null when not configured
+  ClientTransport owner_;
 };
 
 /// A fully verified TOM answer.
@@ -186,8 +185,6 @@ class NetTomClient {
   ClientTransport& sp() { return sp_; }
 
  private:
-  Status CheckOwner() const;
-
   NetTomClientOptions options_;
   RecordCodec codec_;
   ClientTransport sp_;

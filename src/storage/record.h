@@ -11,7 +11,10 @@
 #ifndef SAE_STORAGE_RECORD_H_
 #define SAE_STORAGE_RECORD_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "crypto/digest.h"
@@ -29,12 +32,76 @@ inline constexpr size_t kDefaultRecordSize = 500;
 /// Minimum serialized size (id + key, no payload).
 inline constexpr size_t kRecordHeaderSize = 12;
 
+/// A record's payload bytes: immutable and reference-counted, so copying a
+/// Record shares its bytes instead of duplicating them, and the records of
+/// one decoded message all slice a single block
+/// (RecordCodec::DeserializeMany). A writer calls MutableData(), which
+/// copies the bytes first when anyone else holds them. There is no
+/// non-const operator[] on purpose: with implicit copy-on-write, a
+/// reference taken before a copy would write into both copies.
+class Payload {
+ public:
+  Payload() = default;
+  /// `size` zero bytes.
+  explicit Payload(size_t size);
+  Payload(const uint8_t* data, size_t size);
+  Payload(std::initializer_list<uint8_t> bytes)
+      : Payload(bytes.begin(), bytes.size()) {}
+  Payload(const std::vector<uint8_t>& bytes)  // NOLINT: implicit
+      : Payload(bytes.data(), bytes.size()) {}
+
+  Payload(const Payload& other) noexcept;
+  Payload(Payload&& other) noexcept;
+  Payload& operator=(const Payload& other) noexcept;
+  Payload& operator=(Payload&& other) noexcept;
+  ~Payload() { Release(); }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// nullptr when empty.
+  const uint8_t* data() const { return data_; }
+  const uint8_t* begin() const { return data_; }
+  const uint8_t* end() const { return data_ + size_; }
+  uint8_t operator[](size_t i) const { return data_[i]; }
+
+  /// Writable bytes, private to this payload: shared bytes are copied
+  /// first, so no other holder sees the write. nullptr when empty.
+  uint8_t* MutableData();
+
+  friend bool operator==(const Payload& a, const Payload& b);
+  friend bool operator!=(const Payload& a, const Payload& b) {
+    return !(a == b);
+  }
+
+ private:
+  friend class RecordCodec;
+
+  /// A heap block: its reference count, then the bytes.
+  struct Block {
+    explicit Block(size_t n) : refs(n) {}
+    std::atomic<size_t> refs;
+    uint8_t* bytes() { return reinterpret_cast<uint8_t*>(this + 1); }
+  };
+  static Block* NewBlock(size_t size, size_t refs);
+
+  /// Takes over one of `block`'s references and views `size` bytes at
+  /// `data` inside it.
+  Payload(Block* block, const uint8_t* data, size_t size)
+      : block_(block), data_(data), size_(size) {}
+
+  void Release();
+
+  Block* block_ = nullptr;
+  const uint8_t* data_ = nullptr;
+  size_t size_ = 0;
+};
+
 /// A relational record: unique id, query-attribute key and opaque payload
 /// standing in for the remaining attributes.
 struct Record {
   RecordId id = 0;
   Key key = 0;
-  std::vector<uint8_t> payload;
+  Payload payload;
 
   friend bool operator==(const Record& a, const Record& b) {
     return a.id == b.id && a.key == b.key && a.payload == b.payload;
@@ -57,6 +124,12 @@ class RecordCodec {
 
   /// Parses record_size() bytes.
   Record Deserialize(const uint8_t* data) const;
+
+  /// Appends the `n` records whose canonical images lie back to back at
+  /// `data` (n * record_size() bytes). The images are copied into one
+  /// block that every decoded payload slices: one allocation for all `n`.
+  void DeserializeMany(const uint8_t* data, size_t n,
+                       std::vector<Record>* out) const;
 
   /// The id and key of a canonical record image, read in place.
   static RecordId IdOf(const uint8_t* data) { return DecodeU64(data); }

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -322,6 +323,247 @@ TEST(ServedAnswerTest, TomMissAndHitsServeOneGoldenBuffer) {
     EXPECT_EQ(hit.get(), miss.get()) << int(request.op);
     EXPECT_EQ(again.get(), miss.get()) << int(request.op);
   }
+}
+
+// --- Client memos keyed on the served buffer --------------------------------
+
+// Verifies `served` through `memo` as SaeSystem::ExecuteQuery does: fetch
+// the live token, check against the published epoch.
+Status SaeMemoVerify(SaeSystem& system, SaeClientMemo* memo,
+                     const dbms::QueryRequest& request,
+                     const std::shared_ptr<const CachedAnswer>& served) {
+  auto vt = system.te().GenerateVt(request);
+  if (!vt.ok()) return vt.status();
+  auto checked = memo->VerifyAnswer(request, served, vt.value(),
+                                    system.epoch(), system.codec(),
+                                    system.options().scheme);
+  return checked.ok() ? checked.value().verification : checked.status();
+}
+
+// The TOM counterpart: the VO travels in the same served object.
+Status TomMemoVerify(TomSystem& system, TomClientMemo* memo,
+                     const dbms::QueryRequest& request,
+                     const std::shared_ptr<const CachedAnswer>& served,
+                     uint64_t published_epoch) {
+  auto checked = memo->VerifyAnswer(request, served,
+                                    system.owner().public_key(),
+                                    system.codec(), system.options().scheme,
+                                    published_epoch);
+  return checked.ok() ? checked.value().verification : checked.status();
+}
+
+Status TomMemoVerify(TomSystem& system, TomClientMemo* memo,
+                     const dbms::QueryRequest& request,
+                     const std::shared_ptr<const CachedAnswer>& served) {
+  return TomMemoVerify(system, memo, request, served, system.epoch());
+}
+
+std::shared_ptr<const CachedAnswer> CopyOf(
+    const std::shared_ptr<const CachedAnswer>& served) {
+  return std::make_shared<const CachedAnswer>(*served);
+}
+
+size_t BytesDiffering(const std::vector<uint8_t>& a,
+                      const std::vector<uint8_t>& b) {
+  if (a.size() != b.size()) return std::max(a.size(), b.size());
+  size_t n = 0;
+  for (size_t i = 0; i < a.size(); ++i) n += a[i] != b[i];
+  return n;
+}
+
+class ClientMemoTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Rng rng(12);
+    uint64_t next_id = 1;
+    dataset_ = MakeDataset(400, &rng, &next_id);
+    ASSERT_TRUE(sae_.Load(dataset_).ok());
+    ASSERT_TRUE(tom_.Load(dataset_).ok());
+  }
+
+  const dbms::QueryRequest request_ = dbms::QueryRequest::Sum(2000, 9000);
+  std::vector<Record> dataset_;
+  SaeSystem sae_{SmallSaeOptions(crypto::HashScheme::kSha1)};
+  TomSystem tom_{SmallTomOptions(crypto::HashScheme::kSha1)};
+  SaeClientMemo sae_memo_{AnswerCacheOptions{}};
+  TomClientMemo tom_memo_{AnswerCacheOptions{}};
+};
+
+TEST_F(ClientMemoTest, SaeSameBufferHits) {
+  auto served = sae_.sp().ServeQuery(request_).value();
+  EXPECT_TRUE(SaeMemoVerify(sae_, &sae_memo_, request_, served).ok());
+  EXPECT_TRUE(SaeMemoVerify(sae_, &sae_memo_, request_, served).ok());
+  AnswerCacheStats stats = sae_memo_.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
+TEST_F(ClientMemoTest, TomSameBufferHits) {
+  auto served = tom_.sp().ServeQuery(request_).value();
+  EXPECT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, served).ok());
+  EXPECT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, served).ok());
+  AnswerCacheStats stats = tom_memo_.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
+// A different object with the same bytes (a copy, the network's buffer, a
+// Record-typed caller's encoding) is the same answer.
+TEST_F(ClientMemoTest, SaeByteEqualBufferHits) {
+  auto served = sae_.sp().ServeQuery(request_).value();
+  ASSERT_TRUE(SaeMemoVerify(sae_, &sae_memo_, request_, served).ok());
+  auto copy = CopyOf(served);
+  ASSERT_NE(copy.get(), served.get());
+  EXPECT_TRUE(SaeMemoVerify(sae_, &sae_memo_, request_, copy).ok());
+  QueryAnswerMessage decoded =
+      DeserializeQueryAnswer(served->answer_msg, sae_.codec()).value();
+  VerificationToken vt = sae_.te().GenerateVt(request_).value();
+  EXPECT_TRUE(sae_memo_
+                  .VerifyAnswer(request_, decoded.answer, decoded.witness, vt,
+                                decoded.epoch, sae_.epoch(), sae_.codec(),
+                                crypto::HashScheme::kSha1)
+                  .ok());
+  AnswerCacheStats stats = sae_memo_.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+}
+
+TEST_F(ClientMemoTest, TomByteEqualBufferHits) {
+  auto served = tom_.sp().ServeQuery(request_).value();
+  ASSERT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, served).ok());
+  auto copy = CopyOf(served);
+  ASSERT_NE(copy.get(), served.get());
+  EXPECT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, copy).ok());
+  AnswerCacheStats stats = tom_memo_.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
+// A buffer one byte away from a memoized one is a miss, is re-verified and
+// rejected, and never enters the memo: repeating it misses again, and the
+// honest buffer still hits.
+TEST_F(ClientMemoTest, SaeOneByteDifferentBufferMissesAndIsNeverMemoized) {
+  auto honest = sae_.sp().ServeQuery(request_).value();
+  ASSERT_TRUE(SaeMemoVerify(sae_, &sae_memo_, request_, honest).ok());
+  auto poisoned = adversary::PoisonCache(&sae_.sp(), request_).value();
+  ASSERT_EQ(BytesDiffering(poisoned->answer_msg, honest->answer_msg), 1u);
+  AnswerCacheStats before = sae_memo_.stats();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(SaeMemoVerify(sae_, &sae_memo_, request_, poisoned).code(),
+              StatusCode::kVerificationFailure);
+  }
+  AnswerCacheStats delta = sae_memo_.stats() - before;
+  EXPECT_EQ(delta.misses, 2u);
+  EXPECT_EQ(delta.hits, 0u);
+  EXPECT_EQ(delta.insertions, 0u);
+  EXPECT_TRUE(SaeMemoVerify(sae_, &sae_memo_, request_, honest).ok());
+  EXPECT_EQ((sae_memo_.stats() - before).hits, 1u);
+}
+
+TEST_F(ClientMemoTest, TomOneByteDifferentBufferMissesAndIsNeverMemoized) {
+  auto honest = tom_.sp().ServeQuery(request_).value();
+  ASSERT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, honest).ok());
+  auto poisoned = adversary::PoisonCache(&tom_.sp(), request_).value();
+  ASSERT_EQ(BytesDiffering(poisoned->answer_msg, honest->answer_msg), 1u);
+  ASSERT_EQ(poisoned->proof_msg, honest->proof_msg);
+  AnswerCacheStats before = tom_memo_.stats();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(TomMemoVerify(tom_, &tom_memo_, request_, poisoned).code(),
+              StatusCode::kVerificationFailure);
+  }
+  AnswerCacheStats delta = tom_memo_.stats() - before;
+  EXPECT_EQ(delta.misses, 2u);
+  EXPECT_EQ(delta.hits, 0u);
+  EXPECT_EQ(delta.insertions, 0u);
+  EXPECT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, honest).ok());
+  EXPECT_EQ((tom_memo_.stats() - before).hits, 1u);
+}
+
+// A rejected answer seen first is not memoized either: the honest answer
+// that follows is verified in full.
+TEST_F(ClientMemoTest, RejectedFirstAnswerIsNeverMemoized) {
+  auto sae_poisoned = adversary::PoisonCache(&sae_.sp(), request_).value();
+  auto tom_poisoned = adversary::PoisonCache(&tom_.sp(), request_).value();
+  EXPECT_FALSE(SaeMemoVerify(sae_, &sae_memo_, request_, sae_poisoned).ok());
+  EXPECT_FALSE(TomMemoVerify(tom_, &tom_memo_, request_, tom_poisoned).ok());
+  EXPECT_EQ(sae_memo_.size(), 0u);
+  EXPECT_EQ(tom_memo_.size(), 0u);
+  EXPECT_EQ(sae_memo_.stats().insertions, 0u);
+  EXPECT_EQ(tom_memo_.stats().insertions, 0u);
+}
+
+// The in-system memo on a repeat loop: after one warm pass every verified
+// query is a memo hit.
+TEST_F(ClientMemoTest, RepeatLoopHitRatioStaysOne) {
+  std::vector<dbms::QueryRequest> pool;
+  for (Key lo = 0; lo < 16000; lo += 2000) {
+    for (const dbms::QueryRequest& r : EveryOperator(lo, lo + 3000)) {
+      pool.push_back(r);
+    }
+  }
+  for (const dbms::QueryRequest& r : pool) {
+    ASSERT_TRUE(sae_.Query(r).value().verification.ok());
+    ASSERT_TRUE(tom_.Query(r).value().verification.ok());
+  }
+  SaeCacheStats sae0 = sae_.cache_stats();
+  TomCacheStats tom0 = tom_.cache_stats();
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const dbms::QueryRequest& r : pool) {
+      ASSERT_TRUE(sae_.Query(r).value().verification.ok());
+      ASSERT_TRUE(tom_.Query(r).value().verification.ok());
+    }
+  }
+  AnswerCacheStats sae_delta =
+      sae_.cache_stats().client_memo - sae0.client_memo;
+  AnswerCacheStats tom_delta =
+      tom_.cache_stats().client_memo - tom0.client_memo;
+  EXPECT_EQ(sae_delta.hits, 3 * pool.size());
+  EXPECT_EQ(sae_delta.HitRate(), 1.0);
+  EXPECT_EQ(tom_delta.hits, 3 * pool.size());
+  EXPECT_EQ(tom_delta.HitRate(), 1.0);
+}
+
+// The SAE memo outlives an epoch bump that leaves the range untouched: the
+// SP re-encodes the answer under the new epoch, and the bytes outside the
+// epoch stamp still match. The TOM memo expires with the epoch.
+TEST_F(ClientMemoTest, EpochBumpOnAnUntouchedRange) {
+  ASSERT_TRUE(sae_.Query(request_).value().verification.ok());
+  ASSERT_TRUE(tom_.Query(request_).value().verification.ok());
+  storage::RecordCodec codec(kRecSize);
+  ASSERT_TRUE(sae_.Insert(codec.MakeRecord(999999, 15000)).ok());
+  ASSERT_TRUE(tom_.Insert(codec.MakeRecord(999999, 15000)).ok());
+  SaeCacheStats sae0 = sae_.cache_stats();
+  TomCacheStats tom0 = tom_.cache_stats();
+  auto sae_out = sae_.Query(request_).value();
+  auto tom_out = tom_.Query(request_).value();
+  EXPECT_TRUE(sae_out.verification.ok());
+  EXPECT_TRUE(tom_out.verification.ok());
+  EXPECT_EQ(sae_out.claimed_epoch, 2u);
+  EXPECT_EQ((sae_.cache_stats().client_memo - sae0.client_memo).hits, 1u);
+  EXPECT_EQ((tom_.cache_stats().client_memo - tom0.client_memo).misses, 1u);
+}
+
+// The client check runs off the parties' lock, so a query that read epoch
+// e can finish after another query has seen e+1 and expired the TOM memo.
+// Its answer still verifies against e, but it cannot take a memo slot.
+TEST_F(ClientMemoTest, TomAnswerCheckedAgainstAnExpiredEpochIsNotKept) {
+  auto old_served = tom_.sp().ServeQuery(request_).value();
+  uint64_t old_epoch = tom_.epoch();
+  storage::RecordCodec codec(kRecSize);
+  ASSERT_TRUE(tom_.Insert(codec.MakeRecord(999999, 15000)).ok());
+  auto new_served = tom_.sp().ServeQuery(request_).value();
+  ASSERT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, new_served).ok());
+  EXPECT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, old_served,
+                            old_epoch)
+                  .ok());
+  AnswerCacheStats stats = tom_memo_.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(tom_memo_.size(), 1u);
+  EXPECT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, new_served).ok());
+  EXPECT_EQ(tom_memo_.stats().hits, 1u);
 }
 
 // --- The differential parity harness -----------------------------------------

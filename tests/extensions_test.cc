@@ -27,7 +27,7 @@ constexpr size_t kRecSize = 64;
 Record MakeItem(uint64_t id, uint32_t price, uint32_t weight) {
   RecordCodec codec(kRecSize);
   Record r = codec.MakeRecord(id, price);
-  EncodeU32(r.payload.data(), weight);
+  EncodeU32(r.payload.MutableData(), weight);
   return r;
 }
 

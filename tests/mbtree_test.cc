@@ -306,7 +306,7 @@ TEST_F(MbFixture, DetectsModifiedRecord) {
         *SharedKey(), crypto::EpochStampedDigest(tree_->root_digest(), 0));
 
   std::vector<Record> tampered = results;
-  tampered[0].payload[0] ^= 0xFF;
+  tampered[0].payload.MutableData()[0] ^= 0xFF;
   EXPECT_FALSE(
       VerifyVO(vo, 100, 500, tampered, SharedKey()->PublicKey(), codec_)
           .ok());

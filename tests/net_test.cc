@@ -391,6 +391,21 @@ TEST_F(NetServingTest, PoisonedPlanRejected) {
   EXPECT_TRUE(client_->Query(QueryRequest::Scan(100, 400)).ok());
 }
 
+// Without the owner's epoch an SAE client cannot tell a replayed old-epoch
+// answer and token pair from a fresh one, so it refuses to run at all.
+TEST_F(NetServingTest, ClientWithoutOwnerIsRejected) {
+  net::NetSaeClientOptions options;
+  options.sp = {.port = sp_server_->port()};
+  options.te = {.port = te_server_->port()};
+  options.record_size = kRecSize;
+  net::NetSaeClient ownerless(options);  // owner endpoint left unset
+  auto verified = ownerless.Query(QueryRequest::Scan(100, 400));
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ownerless.PublishedEpoch().status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // The retired shutdown and poisoned-query tags are unknown to every party:
 // each answers the error frame, keeps serving, and the SP caches nothing.
 TEST_F(NetServingTest, RetiredControlTagsAreUnknown) {

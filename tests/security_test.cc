@@ -917,7 +917,7 @@ TEST(VtAlgebraTest, PayloadBitFlipChangesToken) {
   crypto::Digest vt = core::Client::ResultXor(records, codec);
   for (size_t byte : {0u, 7u, 20u, 51u}) {
     std::vector<Record> tampered = records;
-    tampered[0].payload[byte] ^= 0x01;
+    tampered[0].payload.MutableData()[byte] ^= 0x01;
     EXPECT_FALSE(core::Client::VerifyResult(tampered, vt, codec).ok())
         << "byte " << byte;
   }
@@ -937,7 +937,7 @@ TEST(VtAlgebraTest, PairCancellationRequiresIdenticalRecords) {
   EXPECT_TRUE(core::Client::VerifyResult(padded, vt, codec).ok());
   // ...but {a, b, b'} with b' != b never matches.
   Record b_prime = b;
-  b_prime.payload[0] ^= 1;
+  b_prime.payload.MutableData()[0] ^= 1;
   std::vector<Record> broken{a, b, b_prime};
   EXPECT_FALSE(core::Client::VerifyResult(broken, vt, codec).ok());
 }

@@ -661,7 +661,7 @@ TEST(ShardedSaeTest, ThinClientCompositeVerification) {
   // Tamper one record inside shard 1's slice: attributed failure.
   auto tampered = slices;
   ASSERT_FALSE(tampered[1].results.empty());
-  tampered[1].results[0].payload[0] ^= 0x5A;
+  tampered[1].results[0].payload.MutableData()[0] ^= 0x5A;
   st = core::Client::VerifyShardedResult(1000, 4000, tampered,
                                          router.fences(),
                                          sharded.ShardEpochs(), codec,
@@ -752,7 +752,7 @@ TEST_F(CompositeVoTest, DetectsTamperedRecordInOneShard) {
   // Corrupt a record owned by the middle shard (keys 1500..2999).
   for (Record& record : tampered) {
     if (record.key >= 1500 && record.key < 3000) {
-      record.payload[0] ^= 0xFF;
+      record.payload.MutableData()[0] ^= 0xFF;
       break;
     }
   }

@@ -217,7 +217,7 @@ TEST_F(SigChainBatchTest, TamperedItemAttributedExactly) {
   items.push_back(MakeItem(500, 1500));
   items.push_back(MakeItem(800, 2000));
   // Tamper item 1's witness: its condensed check must fail — and ONLY its.
-  items[1].witness[2].payload[0] ^= 0x5A;
+  items[1].witness[2].payload.MutableData()[0] ^= 0x5A;
   items[1].claimed = dbms::EvaluateAnswer(items[1].request, items[1].witness);
   auto verdicts = SigChainClient::VerifyBatch(
       items, owner_.public_key(), codec_, crypto::HashScheme::kSha1,

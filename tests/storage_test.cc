@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
@@ -261,6 +264,137 @@ TEST(RecordCodecTest, MinimalRecordSize) {
   EXPECT_EQ(back.id, 42u);
   EXPECT_EQ(back.key, 7u);
   EXPECT_TRUE(back.payload.empty());
+}
+
+// --- shared payloads ---------------------------------------------------------------
+
+TEST(PayloadTest, CopiesShareBytes) {
+  RecordCodec codec(500);
+  Record a = codec.MakeRecord(5, 6);
+  Record b = a;
+  Payload c;
+  c = b.payload;
+  EXPECT_EQ(b.payload.data(), a.payload.data());
+  EXPECT_EQ(c.data(), a.payload.data());
+  EXPECT_EQ(b, a);
+}
+
+TEST(PayloadTest, MutableDataDetachesASharedPayload) {
+  RecordCodec codec(64);
+  Record original = codec.MakeRecord(7, 8);
+  Record copy = original;
+  const Payload before = original.payload;
+  uint8_t* bytes = copy.payload.MutableData();
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_NE(copy.payload.data(), original.payload.data());
+  bytes[0] ^= 0xFF;
+  EXPECT_EQ(original.payload, before);
+  EXPECT_EQ(original, codec.MakeRecord(7, 8));
+  EXPECT_NE(copy.payload, original.payload);
+  EXPECT_EQ(copy.payload[0], uint8_t(original.payload[0] ^ 0xFF));
+  // The detached copy is private now: a second write stays in place.
+  EXPECT_EQ(copy.payload.MutableData(), bytes);
+}
+
+TEST(PayloadTest, MutableDataOnASliceDetachesOnlyThatSlice) {
+  RecordCodec codec(20);
+  std::vector<uint8_t> images;
+  for (RecordId id = 1; id <= 3; ++id) {
+    std::vector<uint8_t> image = codec.Serialize(codec.MakeRecord(id, 1));
+    images.insert(images.end(), image.begin(), image.end());
+  }
+  std::vector<Record> decoded;
+  codec.DeserializeMany(images.data(), 3, &decoded);
+  const Record copy = decoded[1];
+  decoded[1].payload.MutableData()[0] ^= 0x01;
+  EXPECT_EQ(copy, codec.MakeRecord(2, 1));
+  EXPECT_EQ(decoded[0], codec.MakeRecord(1, 1));
+  EXPECT_EQ(decoded[2], codec.MakeRecord(3, 1));
+  EXPECT_FALSE(decoded[1] == copy);
+}
+
+// Copies handed between threads share one reference count; a writer that
+// detaches leaves every other copy reading the original bytes.
+TEST(PayloadTest, CopiesAcrossThreads) {
+  RecordCodec codec(500);
+  std::vector<Record> shared;
+  std::vector<uint8_t> images;
+  for (RecordId id = 1; id <= 8; ++id) {
+    std::vector<uint8_t> image = codec.Serialize(codec.MakeRecord(id, 1));
+    images.insert(images.end(), image.begin(), image.end());
+  }
+  codec.DeserializeMany(images.data(), 8, &shared);
+  std::vector<std::thread> threads;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 200; ++round) {
+        std::vector<Record> mine = shared;
+        if (t == 0) mine[round % 8].payload.MutableData()[0] ^= 0xFF;
+        for (size_t i = 0; i < mine.size(); ++i) {
+          bool expect_same = !(t == 0 && i == size_t(round % 8));
+          if ((mine[i] == shared[i]) != expect_same) ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  for (RecordId id = 1; id <= 8; ++id) {
+    EXPECT_EQ(shared[id - 1], codec.MakeRecord(id, 1));
+  }
+}
+
+TEST(PayloadTest, EmptyPayloadHasNoBytes) {
+  Payload empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.data(), nullptr);
+  EXPECT_EQ(empty.MutableData(), nullptr);
+  EXPECT_EQ(empty, Payload(std::vector<uint8_t>{}));
+  EXPECT_EQ(empty.begin(), empty.end());
+}
+
+TEST(PayloadTest, DeserializeManyMatchesPerRecordDeserialize) {
+  for (size_t record_size : {size_t(12), size_t(20), size_t(500)}) {
+    RecordCodec codec(record_size);
+    for (size_t n : {size_t(0), size_t(1), size_t(37)}) {
+      std::vector<uint8_t> images(n * record_size);
+      for (size_t i = 0; i < n; ++i) {
+        codec.Serialize(codec.MakeRecord(100 + i, Key(3 * i)),
+                        images.data() + i * record_size);
+      }
+      std::vector<Record> expected;
+      for (size_t i = 0; i < n; ++i) {
+        expected.push_back(codec.Deserialize(images.data() + i * record_size));
+      }
+      std::vector<Record> many;
+      codec.DeserializeMany(images.data(), n, &many);
+      EXPECT_EQ(many, expected) << "record_size " << record_size << " n " << n;
+      // Appends after what the vector already holds.
+      codec.DeserializeMany(images.data(), n, &many);
+      EXPECT_EQ(many.size(), 2 * n);
+      if (n > 1 && record_size > kRecordHeaderSize) {
+        // One block: consecutive payloads sit one record apart.
+        EXPECT_EQ(many[1].payload.data(),
+                  many[0].payload.data() + record_size);
+      }
+    }
+  }
+}
+
+TEST(PayloadTest, ShortPayloadKeepsItsZeroPaddedImage) {
+  RecordCodec codec(20);
+  Record r{0x0102030405060708ull, 0x0A0B0C0Du, {0xAA, 0xBB}};
+  std::vector<uint8_t> image = codec.Serialize(r);
+  const std::vector<uint8_t> golden = {
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x0d, 0x0c,
+      0x0b, 0x0a, 0xaa, 0xbb, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  EXPECT_EQ(image, golden);
+  std::vector<Record> decoded;
+  codec.DeserializeMany(image.data(), 1, &decoded);
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].payload.size(), codec.payload_size());
+  EXPECT_EQ(codec.Serialize(decoded[0]), golden);
 }
 
 // --- heap file ---------------------------------------------------------------------
