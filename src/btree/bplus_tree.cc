@@ -555,44 +555,6 @@ Status BPlusTree::ValidateRec(PageId page, size_t depth, std::optional<Key> lo,
   return Status::OK();
 }
 
-namespace {
-constexpr uint32_t kSnapshotMagic = 0x42545353u;  // "BTSS"
-}
-
-void BPlusTree::WriteSnapshot(ByteWriter* out) const {
-  out->PutU32(kSnapshotMagic);
-  out->PutU32(uint32_t(max_leaf_));
-  out->PutU32(uint32_t(max_internal_));
-  out->PutU32(root_);
-  out->PutU64(entry_count_);
-  out->PutU64(node_count_);
-  out->PutU32(uint32_t(height_));
-}
-
-Result<std::unique_ptr<BPlusTree>> BPlusTree::OpenSnapshot(BufferPool* pool,
-                                                           ByteReader* in) {
-  if (in->GetU32() != kSnapshotMagic) {
-    return Status::Corruption("not a B+-tree snapshot");
-  }
-  size_t max_leaf = in->GetU32();
-  size_t max_internal = in->GetU32();
-  PageId root = in->GetU32();
-  uint64_t entries = in->GetU64();
-  uint64_t nodes = in->GetU64();
-  size_t height = in->GetU32();
-  if (in->failed()) return Status::Corruption("truncated B+-tree snapshot");
-
-  auto tree = std::unique_ptr<BPlusTree>(
-      new BPlusTree(pool, max_leaf, max_internal));
-  tree->root_ = root;
-  tree->entry_count_ = entries;
-  tree->node_count_ = nodes;
-  tree->height_ = height;
-  // Cheap sanity probe: the root page must parse as a node.
-  SAE_RETURN_NOT_OK(tree->LoadNode(root).status());
-  return tree;
-}
-
 Status BPlusTree::Validate() const {
   size_t leaf_depth = 0, entries = 0, nodes = 0;
   std::vector<PageId> leaves;

@@ -23,7 +23,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 #include "storage/record.h"
-#include "util/codec.h"
 #include "util/status.h"
 
 namespace sae::btree {
@@ -90,16 +89,6 @@ class BPlusTree {
   /// Exhaustively checks structural invariants (ordering, occupancy, uniform
   /// leaf depth, leaf-chain consistency). Test hook; O(n).
   Status Validate() const;
-
-  /// Serializes the tree's volatile metadata (root, counts, fanouts) so the
-  /// tree can be re-attached to its page store after a restart. Pages are
-  /// already durable in the store; this captures only what lives in memory.
-  void WriteSnapshot(ByteWriter* out) const;
-
-  /// Re-attaches a tree persisted with WriteSnapshot to `pool` (which must
-  /// wrap the same page store).
-  static Result<std::unique_ptr<BPlusTree>> OpenSnapshot(BufferPool* pool,
-                                                         ByteReader* in);
 
  private:
   // In-memory image of one node; (de)serialized from/to its page.

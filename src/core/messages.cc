@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "util/codec.h"
+#include "util/macros.h"
 
 namespace sae::core {
 
@@ -120,6 +121,28 @@ std::vector<uint8_t> SerializeQueryAnswer(const dbms::QueryAnswer& answer,
   }
   SerializeRows(witness, codec, out.data() + layout.witness_at());
   return out;
+}
+
+Result<std::vector<uint8_t>> BuildQueryAnswer(
+    const dbms::QueryRequest& request, const std::vector<storage::Rid>& rids,
+    const storage::HeapFile& heap, uint64_t epoch) {
+  const size_t rs = heap.record_size();
+  const QueryAnswerLayout layout(
+      rs, dbms::AnswerRowCount(request, rids.size()), rids.size());
+  std::vector<uint8_t> bytes(layout.size());
+  uint8_t* witness = bytes.data() + layout.witness_at();
+  dbms::AnswerAccumulator acc(request);
+  SAE_RETURN_NOT_OK(heap.GetMany(rids, [&](size_t i, const uint8_t* slot) {
+    std::memcpy(witness + i * rs, slot, rs);
+    acc.Add(RecordCodec::KeyOf(slot), RecordCodec::IdOf(slot));
+  }));
+  uint8_t* row = bytes.data() + layout.answer_rows_at();
+  for (size_t pos : acc.RankedRows()) {
+    std::memcpy(row, witness + pos * rs, rs);
+    row += rs;
+  }
+  layout.WriteHeader(acc.summary(), epoch, bytes.data());
+  return bytes;
 }
 
 Result<QueryAnswerMessage> DeserializeQueryAnswer(

@@ -15,6 +15,7 @@
 #include "crypto/digest.h"
 #include "crypto/rsa.h"
 #include "dbms/query.h"
+#include "storage/heap_file.h"
 #include "storage/record.h"
 #include "util/status.h"
 
@@ -96,6 +97,18 @@ class QueryAnswerLayout {
   size_t witness_rows_;
   size_t witness_at_;
 };
+
+/// The SP's miss path for both models: the answer shipment for `request`
+/// over the range records at `rids` (key order), stamped with `epoch`. It
+/// sizes one buffer from the rids, copies each heap slot's canonical bytes
+/// into its witness slot as they are, and folds the answer with
+/// dbms::AnswerAccumulator from the keys and ids read in place: no Record
+/// is decoded or re-encoded. The bytes equal SerializeQueryAnswer(
+/// EvaluateAnswer(request, witness), witness, epoch) over the same records.
+Result<std::vector<uint8_t>> BuildQueryAnswer(
+    const dbms::QueryRequest& request, const std::vector<storage::Rid>& rids,
+    const storage::HeapFile& heap, uint64_t epoch);
+
 Result<QueryAnswerMessage> DeserializeQueryAnswer(
     const std::vector<uint8_t>& bytes, const RecordCodec& codec);
 

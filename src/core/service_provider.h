@@ -63,13 +63,12 @@ class ServiceProvider {
   /// The SP's unit of output: the serialized answer shipment for
   /// `request` (SerializeQueryAnswer bytes stamped with the SP's epoch),
   /// encoded once. A repeat of (request, epoch) returns the very buffer the
-  /// first call produced — no scan, no codec work. A miss sizes one buffer
-  /// from the index postings, copies each heap slot's canonical bytes into
-  /// it, derives the answer with dbms::AnswerAccumulator from the keys and
-  /// ids read in place, and shares that buffer with the answer cache. The
-  /// bytes equal SerializeQueryAnswer(EvaluateAnswer(request, witness),
-  /// witness, epoch) over ExecuteRange's witness. Callers ship them as
-  /// they are. Thread-safety matches ExecuteRange.
+  /// first call produced — no scan, no codec work. A miss looks up the
+  /// index postings, builds the shipment from the heap slots with
+  /// BuildQueryAnswer (core/messages.h) and shares that buffer with the
+  /// answer cache. The bytes equal SerializeQueryAnswer(EvaluateAnswer(
+  /// request, witness), witness, epoch) over ExecuteRange's witness.
+  /// Callers ship them as they are. Thread-safety matches ExecuteRange.
   Result<std::shared_ptr<const CachedAnswer>> ServeQuery(
       const dbms::QueryRequest& request) const;
 

@@ -166,60 +166,58 @@ Status TomServiceProvider::ApplyDelete(RecordId id,
   return Status::OK();
 }
 
-Result<TomServiceProvider::QueryResponse> TomServiceProvider::ExecuteRange(
+Result<std::vector<storage::Rid>> TomServiceProvider::RangeRids(
     Key lo, Key hi) const {
-  QueryResponse response;
-
-  // Traversal 1: locate and fetch the result records (each dataset page
-  // fetched once per contiguous run).
   std::vector<mbtree::MbEntry> postings;
   SAE_RETURN_NOT_OK(mb_->RangeSearch(lo, hi, &postings));
   std::vector<storage::Rid> rids;
   rids.reserve(postings.size());
   for (const auto& posting : postings) rids.push_back(posting.rid);
-  response.results.reserve(rids.size());
-  SAE_RETURN_NOT_OK(heap_.GetMany(rids, [&](size_t, const uint8_t* data) {
-    response.results.push_back(codec_.Deserialize(data));
-  }));
+  return rids;
+}
 
-  // Traversal 2: build the VO; boundary records come from the dataset file.
+Result<mbtree::VerificationObject> TomServiceProvider::BuildVo(Key lo,
+                                                               Key hi) const {
   auto fetch = [this](storage::Rid rid) -> Result<std::vector<uint8_t>> {
     std::vector<uint8_t> bytes(codec_.record_size());
     SAE_RETURN_NOT_OK(heap_.Get(rid, bytes.data()));
     return bytes;
   };
-  SAE_ASSIGN_OR_RETURN(response.vo, mb_->BuildVo(lo, hi, fetch));
-  response.vo.epoch = epoch_;
-  response.vo.signature = signature_;
+  SAE_ASSIGN_OR_RETURN(mbtree::VerificationObject vo,
+                       mb_->BuildVo(lo, hi, fetch));
+  vo.epoch = epoch_;
+  vo.signature = signature_;
+  return vo;
+}
+
+Result<TomServiceProvider::QueryResponse> TomServiceProvider::ExecuteRange(
+    Key lo, Key hi) const {
+  // Traversal 1: locate and fetch the result records (each dataset page
+  // fetched once per contiguous run). Traversal 2: build the VO.
+  SAE_ASSIGN_OR_RETURN(std::vector<storage::Rid> rids, RangeRids(lo, hi));
+  QueryResponse response;
+  response.results.reserve(rids.size());
+  SAE_RETURN_NOT_OK(heap_.GetMany(rids, [&](size_t, const uint8_t* data) {
+    response.results.push_back(codec_.Deserialize(data));
+  }));
+  SAE_ASSIGN_OR_RETURN(response.vo, BuildVo(lo, hi));
   return response;
-}
-
-Result<TomServiceProvider::PlanResponse> TomServiceProvider::ComputePlan(
-    const dbms::QueryRequest& request) const {
-  SAE_ASSIGN_OR_RETURN(QueryResponse response,
-                       ExecuteRange(request.lo, request.hi));
-  PlanResponse plan;
-  plan.answer = dbms::EvaluateAnswer(request, response.results);
-  plan.witness = std::move(response.results);
-  plan.vo = std::move(response.vo);
-  return plan;
-}
-
-std::shared_ptr<const CachedAnswer> TomServiceProvider::Publish(
-    const AnswerCache::Key& key, const PlanResponse& plan) const {
-  auto served = std::make_shared<const CachedAnswer>(CachedAnswer{
-      SerializeQueryAnswer(plan.answer, plan.witness, key.epoch, codec_),
-      plan.vo.Serialize()});
-  answer_cache_.Insert(key, served);
-  return served;
 }
 
 Result<std::shared_ptr<const CachedAnswer>> TomServiceProvider::ServeQuery(
     const dbms::QueryRequest& request) const {
   AnswerCache::Key key = AnswerCache::Key::For(request, epoch_);
   if (auto hit = answer_cache_.Lookup(key)) return hit;
-  SAE_ASSIGN_OR_RETURN(PlanResponse plan, ComputePlan(request));
-  return Publish(key, plan);
+  SAE_ASSIGN_OR_RETURN(std::vector<storage::Rid> rids,
+                       RangeRids(request.lo, request.hi));
+  SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> answer,
+                       BuildQueryAnswer(request, rids, heap_, key.epoch));
+  SAE_ASSIGN_OR_RETURN(mbtree::VerificationObject vo,
+                       BuildVo(request.lo, request.hi));
+  auto served = std::make_shared<const CachedAnswer>(
+      CachedAnswer{std::move(answer), vo.Serialize()});
+  answer_cache_.Insert(key, served);
+  return served;
 }
 
 Result<TomServiceProvider::PlanResponse> TomServiceProvider::ExecutePlan(

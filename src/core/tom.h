@@ -154,16 +154,18 @@ class TomServiceProvider {
 
   /// The SP's unit of output: the serialized answer shipment and VO for
   /// `request`, encoded once. A repeat of (request, epoch) returns the very
-  /// buffer the first call produced — no traversal, no codec work; a miss
-  /// runs the plan, encodes answer and VO once and shares that buffer with
-  /// the answer cache. Callers ship the bytes as they are. Thread-safety
-  /// matches ExecuteRange.
+  /// buffer the first call produced — no traversal, no codec work. A miss
+  /// builds the answer from the heap slots with BuildQueryAnswer
+  /// (core/messages.h), exactly as SAE's SP does, adds the serialized VO
+  /// and shares that buffer with the answer cache. Callers ship the bytes
+  /// as they are. Thread-safety matches ExecuteRange.
   Result<std::shared_ptr<const CachedAnswer>> ServeQuery(
       const dbms::QueryRequest& request) const;
 
   /// Executes any verified-plan operator: the decoded form of ServeQuery
-  /// (range scan + VO as in ExecuteRange, answer derived with the shared
-  /// rule dbms::EvaluateAnswer). Thread-safety matches ExecuteRange.
+  /// (witness and VO as in ExecuteRange, answer equal to the shared rule
+  /// dbms::EvaluateAnswer over the witness). Thread-safety matches
+  /// ExecuteRange.
   Result<PlanResponse> ExecutePlan(const dbms::QueryRequest& request) const;
 
   const mbtree::MbTree& ads() const { return *mb_; }
@@ -196,13 +198,11 @@ class TomServiceProvider {
   }
 
  private:
-  /// Computes the plan without consulting the cache (the control path the
-  /// parity harness compares against).
-  Result<PlanResponse> ComputePlan(const dbms::QueryRequest& request) const;
-  /// Encodes `plan` once as the answer + VO for `key` and shares that
-  /// buffer with the answer cache.
-  std::shared_ptr<const CachedAnswer> Publish(const AnswerCache::Key& key,
-                                              const PlanResponse& plan) const;
+  /// The heap locations of the records with lo <= key <= hi, in key order.
+  Result<std::vector<storage::Rid>> RangeRids(Key lo, Key hi) const;
+  /// The epoch-stamped, signed VO for [lo, hi]; boundary records are
+  /// fetched from the dataset file.
+  Result<mbtree::VerificationObject> BuildVo(Key lo, Key hi) const;
 
   Options options_;
   RecordCodec codec_;

@@ -1,7 +1,7 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Implements Table (dbms/table.h): heap-file storage plus B+-tree index
-// with separate buffer pools, range queries, updates, and snapshot/reopen.
+// with separate buffer pools, range queries, updates and bulk load.
 
 #include "dbms/table.h"
 
@@ -79,43 +79,6 @@ Status Table::RangeQuery(Key lo, Key hi, std::vector<Record>* out) const {
   return heap_.GetMany(rids, [&](size_t, const uint8_t* data) {
     out->push_back(codec_.Deserialize(data));
   });
-}
-
-namespace {
-constexpr uint32_t kSnapshotMagic = 0x54425353u;  // "TBSS"
-}
-
-void Table::WriteSnapshot(ByteWriter* out) const {
-  out->PutU32(kSnapshotMagic);
-  out->PutU32(uint32_t(codec_.record_size()));
-  heap_.WriteSnapshot(out);
-  index_->WriteSnapshot(out);
-  out->PutU64(rid_of_id_.size());
-  for (const auto& [id, rid] : rid_of_id_) {
-    out->PutU64(id);
-    out->PutU64(rid);
-  }
-}
-
-Result<std::unique_ptr<Table>> Table::OpenSnapshot(BufferPool* index_pool,
-                                                   BufferPool* heap_pool,
-                                                   ByteReader* in) {
-  if (in->GetU32() != kSnapshotMagic) {
-    return Status::Corruption("not a table snapshot");
-  }
-  size_t record_size = in->GetU32();
-  auto table = std::unique_ptr<Table>(new Table(heap_pool, record_size));
-  SAE_RETURN_NOT_OK(table->heap_.RestoreSnapshot(in));
-  SAE_ASSIGN_OR_RETURN(table->index_,
-                       btree::BPlusTree::OpenSnapshot(index_pool, in));
-  uint64_t catalog_size = in->GetU64();
-  for (uint64_t i = 0; i < catalog_size; ++i) {
-    RecordId id = in->GetU64();
-    Rid rid = in->GetU64();
-    table->rid_of_id_[id] = rid;
-  }
-  if (in->failed()) return Status::Corruption("truncated table snapshot");
-  return table;
 }
 
 Status Table::BulkLoad(const std::vector<Record>& sorted_by_key) {

@@ -69,16 +69,6 @@ class Table {
   size_t IndexSizeBytes() const { return index_->SizeBytes(); }
   size_t HeapSizeBytes() const { return heap_.SizeBytes(); }
 
-  /// Serializes the table's volatile metadata (heap directory, index meta,
-  /// id catalog) so the table can reopen against the same page stores —
-  /// e.g. after an SP restart, without the DO re-shipping the dataset.
-  void WriteSnapshot(ByteWriter* out) const;
-
-  /// Re-attaches a table persisted with WriteSnapshot.
-  static Result<std::unique_ptr<Table>> OpenSnapshot(BufferPool* index_pool,
-                                                     BufferPool* heap_pool,
-                                                     ByteReader* in);
-
  private:
   Table(BufferPool* heap_pool, size_t record_size)
       : codec_(record_size), heap_(heap_pool, record_size) {}

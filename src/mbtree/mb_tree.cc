@@ -765,53 +765,6 @@ Status MbTree::ValidateRec(PageId page, size_t depth, std::optional<Key> lo,
   return Status::OK();
 }
 
-namespace {
-constexpr uint32_t kSnapshotMagic = 0x4D425353u;  // "MBSS"
-}
-
-void MbTree::WriteSnapshot(ByteWriter* out) const {
-  out->PutU32(kSnapshotMagic);
-  out->PutU8(uint8_t(scheme_));
-  out->PutU32(uint32_t(max_leaf_));
-  out->PutU32(uint32_t(max_internal_));
-  out->PutU32(root_);
-  out->PutBytes(root_digest_.bytes.data(), crypto::Digest::kSize);
-  out->PutU64(entry_count_);
-  out->PutU64(node_count_);
-  out->PutU32(uint32_t(height_));
-}
-
-Result<std::unique_ptr<MbTree>> MbTree::OpenSnapshot(BufferPool* pool,
-                                                     ByteReader* in) {
-  if (in->GetU32() != kSnapshotMagic) {
-    return Status::Corruption("not an MB-tree snapshot");
-  }
-  auto scheme = crypto::HashScheme(in->GetU8());
-  size_t max_leaf = in->GetU32();
-  size_t max_internal = in->GetU32();
-  PageId root = in->GetU32();
-  crypto::Digest root_digest;
-  in->GetBytes(root_digest.bytes.data(), crypto::Digest::kSize);
-  uint64_t entries = in->GetU64();
-  uint64_t nodes = in->GetU64();
-  size_t height = in->GetU32();
-  if (in->failed()) return Status::Corruption("truncated MB-tree snapshot");
-
-  auto tree = std::unique_ptr<MbTree>(
-      new MbTree(pool, max_leaf, max_internal, scheme));
-  tree->root_ = root;
-  tree->root_digest_ = root_digest;
-  tree->entry_count_ = entries;
-  tree->node_count_ = nodes;
-  tree->height_ = height;
-  // The recorded root digest must match the stored root node.
-  SAE_ASSIGN_OR_RETURN(Node root_node, tree->LoadNode(root));
-  if (tree->NodeDigest(root_node) != root_digest) {
-    return Status::Corruption("snapshot root digest mismatch");
-  }
-  return tree;
-}
-
 Status MbTree::Validate() const {
   size_t leaf_depth = 0, entries = 0, nodes = 0;
   crypto::Digest digest;

@@ -30,7 +30,6 @@
 #include "storage/heap_file.h"
 #include "storage/node_cache.h"
 #include "storage/record.h"
-#include "util/codec.h"
 #include "util/status.h"
 
 namespace sae::mbtree {
@@ -109,14 +108,6 @@ class MbTree {
 
   /// Structural + digest-consistency check. Test hook; O(n).
   Status Validate() const;
-
-  /// Serializes volatile metadata (root page + digest, counts, fanouts) for
-  /// re-attachment to the same page store after a restart.
-  void WriteSnapshot(ByteWriter* out) const;
-
-  /// Re-attaches a tree persisted with WriteSnapshot.
-  static Result<std::unique_ptr<MbTree>> OpenSnapshot(BufferPool* pool,
-                                                      ByteReader* in);
 
  private:
   struct Node {

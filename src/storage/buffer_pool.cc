@@ -51,7 +51,7 @@ void BufferPool::PageRef::Release() {
   }
 }
 
-BufferPool::BufferPool(PageStore* store, size_t capacity)
+BufferPool::BufferPool(InMemoryPageStore* store, size_t capacity)
     : store_(store), capacity_(capacity) {
   SAE_CHECK(capacity_ >= 4);
   frames_.resize(capacity_);

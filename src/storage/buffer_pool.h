@@ -102,7 +102,7 @@ class BufferPool {
   /// \param capacity  max resident frames; must allow the deepest pin chain
   ///                  (a root-to-leaf path plus siblings, per concurrent
   ///                  reader; 16 per thread is plenty)
-  BufferPool(PageStore* store, size_t capacity);
+  BufferPool(InMemoryPageStore* store, size_t capacity);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -136,7 +136,6 @@ class BufferPool {
   void ResetStats();
 
   size_t capacity() const { return capacity_; }
-  PageStore* store() const { return store_; }
 
  private:
   struct Frame {
@@ -161,16 +160,14 @@ class BufferPool {
   void CountEviction();
   void CountAllocation();
 
-  PageStore* store_;
+  InMemoryPageStore* store_;
   size_t capacity_;
 
   // mu_ guards frames_ metadata (pin counts, dirty/in-use flags, ids),
-  // free_frames_, lru_, table_, and all PageStore calls. Page *contents* of
-  // pinned frames are read outside the lock (see class comment). The lock
-  // is held across store I/O on the miss path — negligible for the
-  // simulator's in-memory store; sharding the lock (or moving reads behind
-  // an io-pending flag) is the next step if a real disk store needs to
-  // scale under miss-heavy load.
+  // free_frames_, lru_, table_, and all store calls. Page *contents* of
+  // pinned frames are read outside the lock (see class comment). A miss
+  // copies the page from the in-memory store under the lock; that copy is
+  // a memcpy, so one pool-wide mutex is the whole locking scheme.
   mutable std::mutex mu_;
   std::vector<Frame> frames_;
   std::vector<size_t> free_frames_;

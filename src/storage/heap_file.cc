@@ -1,7 +1,7 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Implements HeapFile (storage/heap_file.h): fixed-size record slots on
-// 4096-byte pages with free-slot reuse and snapshot/restore.
+// 4096-byte pages with free-slot reuse.
 
 #include "storage/heap_file.h"
 
@@ -97,19 +97,6 @@ Status HeapFile::GetMany(
   return Status::OK();
 }
 
-Status HeapFile::Update(Rid rid, const uint8_t* data) {
-  SAE_ASSIGN_OR_RETURN(auto ref, pool_->Fetch(RidPage(rid)));
-  Page& page = ref.Mutable();
-  uint32_t slot = RidSlot(rid);
-  if (DecodeU32(page.bytes()) != kMagic || slot >= slots_per_page_ ||
-      !TestBit(page.bytes() + kBitmapOffset, slot)) {
-    return Status::NotFound("no record at rid");
-  }
-  std::memcpy(page.bytes() + kHeaderSize + slot * record_size_, data,
-              record_size_);
-  return Status::OK();
-}
-
 Status HeapFile::Delete(Rid rid) {
   SAE_ASSIGN_OR_RETURN(auto ref, pool_->Fetch(RidPage(rid)));
   Page& page = ref.Mutable();
@@ -127,89 +114,6 @@ Status HeapFile::Delete(Rid rid) {
     pages_with_room_.push_back(RidPage(rid));
   }
   --record_count_;
-  return Status::OK();
-}
-
-namespace {
-constexpr uint32_t kSnapshotMagic = 0x48505353u;  // "HPSS"
-}
-
-void HeapFile::WriteSnapshot(ByteWriter* out) const {
-  out->PutU32(kSnapshotMagic);
-  out->PutU32(uint32_t(record_size_));
-  out->PutU64(record_count_);
-  out->PutU32(uint32_t(pages_.size()));
-  for (PageId p : pages_) out->PutU32(p);
-  out->PutU32(uint32_t(pages_with_room_.size()));
-  for (PageId p : pages_with_room_) out->PutU32(p);
-}
-
-Status HeapFile::RestoreSnapshot(ByteReader* in) {
-  if (record_count_ != 0 || !pages_.empty()) {
-    return Status::InvalidArgument("restore requires an empty heap file");
-  }
-  if (in->GetU32() != kSnapshotMagic) {
-    return Status::Corruption("not a heap-file snapshot");
-  }
-  if (in->GetU32() != record_size_) {
-    return Status::Corruption("heap-file snapshot record size mismatch");
-  }
-  record_count_ = in->GetU64();
-  uint32_t page_count = in->GetU32();
-  pages_.reserve(page_count);
-  for (uint32_t i = 0; i < page_count; ++i) pages_.push_back(in->GetU32());
-  uint32_t room_count = in->GetU32();
-  pages_with_room_.reserve(room_count);
-  for (uint32_t i = 0; i < room_count; ++i) {
-    pages_with_room_.push_back(in->GetU32());
-  }
-  if (in->failed()) return Status::Corruption("truncated heap-file snapshot");
-  return Status::OK();
-}
-
-Result<std::unique_ptr<HeapFile>> HeapFile::OpenSnapshot(BufferPool* pool,
-                                                         ByteReader* in) {
-  // Peek the record size without consuming: copy the reader is not
-  // supported, so parse the header manually into a fresh object.
-  if (in->remaining() < 8) {
-    return Status::Corruption("truncated heap-file snapshot");
-  }
-  // The snapshot layout starts [magic u32][record_size u32]; construct with
-  // that size, then restore through the normal path.
-  uint32_t magic = in->GetU32();
-  uint32_t record_size = in->GetU32();
-  if (magic != kSnapshotMagic) {
-    return Status::Corruption("not a heap-file snapshot");
-  }
-  auto heap = std::make_unique<HeapFile>(pool, record_size);
-  heap->record_count_ = in->GetU64();
-  uint32_t page_count = in->GetU32();
-  heap->pages_.reserve(page_count);
-  for (uint32_t i = 0; i < page_count; ++i) {
-    heap->pages_.push_back(in->GetU32());
-  }
-  uint32_t room_count = in->GetU32();
-  heap->pages_with_room_.reserve(room_count);
-  for (uint32_t i = 0; i < room_count; ++i) {
-    heap->pages_with_room_.push_back(in->GetU32());
-  }
-  if (in->failed()) return Status::Corruption("truncated heap-file snapshot");
-  return heap;
-}
-
-Status HeapFile::Scan(
-    const std::function<void(Rid, const uint8_t*)>& callback) const {
-  for (PageId page_id : pages_) {
-    SAE_ASSIGN_OR_RETURN(auto ref, pool_->Fetch(page_id));
-    const Page& page = ref.Get();
-    const uint8_t* bitmap = page.bytes() + kBitmapOffset;
-    for (uint32_t slot = 0; slot < slots_per_page_; ++slot) {
-      if (TestBit(bitmap, slot)) {
-        callback(MakeRid(page_id, slot),
-                 page.bytes() + kHeaderSize + slot * record_size_);
-      }
-    }
-  }
   return Status::OK();
 }
 

@@ -13,12 +13,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
-#include "util/codec.h"
 #include "util/status.h"
 
 namespace sae::storage {
@@ -67,28 +65,8 @@ class HeapFile {
       const std::vector<Rid>& rids,
       const std::function<void(size_t, const uint8_t*)>& callback) const;
 
-  /// Overwrites the record at `rid`.
-  Status Update(Rid rid, const uint8_t* data);
-
   /// Removes the record at `rid`, making the slot reusable.
   Status Delete(Rid rid);
-
-  /// Visits every live record in page order. The callback receives the rid
-  /// and a pointer to the record bytes (valid only during the call).
-  Status Scan(
-      const std::function<void(Rid, const uint8_t*)>& callback) const;
-
-  /// Serializes the file's volatile metadata (page directory, free list)
-  /// for re-attachment to the same page store after a restart.
-  void WriteSnapshot(ByteWriter* out) const;
-
-  /// Re-attaches a heap file persisted with WriteSnapshot.
-  static Result<std::unique_ptr<HeapFile>> OpenSnapshot(BufferPool* pool,
-                                                        ByteReader* in);
-
-  /// Restores snapshot metadata into this (freshly constructed, empty)
-  /// file; the record size must match the snapshot's.
-  Status RestoreSnapshot(ByteReader* in);
 
  private:
   static constexpr size_t kHeaderSize = 32;

@@ -11,7 +11,7 @@
 //   * every StoreNode on a mutation path invalidates its page id, and every
 //     freed page is invalidated before reuse — precise, along the update
 //     path only;
-//   * Clear() drops everything (bulk load, snapshot re-attach).
+//   * Clear() drops everything (bulk load).
 // Mutations hold the owning system's writer lock, so the cache only ever
 // sees reader-reader concurrency plus exclusive writers; one internal mutex
 // suffices. Entries are handed out as shared_ptr<const NodeT> so a reader
@@ -115,7 +115,7 @@ class HotNodeCache {
     if (map_.erase(id) > 0) ++stats_.invalidations;
   }
 
-  /// Wholesale invalidation (bulk load, snapshot re-attach).
+  /// Wholesale invalidation (bulk load).
   void Clear() {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.invalidations += map_.size();

@@ -1,7 +1,7 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Implements the PageStore backends (storage/page_store.h): the heap-backed
-// InMemoryPageStore and the file-backed FilePageStore.
+// Implements InMemoryPageStore (storage/page_store.h): heap-allocated pages
+// with free-list reuse.
 
 #include "storage/page_store.h"
 
@@ -49,96 +49,5 @@ Status InMemoryPageStore::Write(PageId id, const Page& page) {
   *pages_[id] = page;
   return Status::OK();
 }
-
-Result<std::unique_ptr<FilePageStore>> FilePageStore::Create(
-    const std::string& path, Vfs* vfs) {
-  if (vfs == nullptr) vfs = Vfs::Default();
-  SAE_ASSIGN_OR_RETURN(std::unique_ptr<VfsFile> file, vfs->Open(path, true));
-  SAE_RETURN_NOT_OK(file->Truncate(0));
-  return std::unique_ptr<FilePageStore>(new FilePageStore(std::move(file)));
-}
-
-Result<std::unique_ptr<FilePageStore>> FilePageStore::Open(
-    const std::string& path, Vfs* vfs) {
-  if (vfs == nullptr) vfs = Vfs::Default();
-  SAE_ASSIGN_OR_RETURN(std::unique_ptr<VfsFile> file, vfs->Open(path, false));
-  SAE_ASSIGN_OR_RETURN(uint64_t size, file->Size());
-  if (size % kPageSize != 0) {
-    return Status::Corruption("page file size is not page-aligned");
-  }
-  auto store = std::unique_ptr<FilePageStore>(new FilePageStore(std::move(file)));
-  store->live_.assign(size_t(size / kPageSize), true);
-  store->live_count_ = store->live_.size();
-  return store;
-}
-
-Result<std::unique_ptr<FilePageStore>> FilePageStore::OpenForRecovery(
-    const std::string& path, Vfs* vfs, bool* truncated_tail) {
-  if (vfs == nullptr) vfs = Vfs::Default();
-  SAE_ASSIGN_OR_RETURN(std::unique_ptr<VfsFile> file, vfs->Open(path, false));
-  SAE_ASSIGN_OR_RETURN(uint64_t size, file->Size());
-  uint64_t aligned = size - size % kPageSize;
-  if (aligned != size) {
-    // A crash mid page write left a torn final page; only the complete
-    // pages are trusted.
-    SAE_RETURN_NOT_OK(file->Truncate(aligned));
-  }
-  if (truncated_tail != nullptr) *truncated_tail = aligned != size;
-  auto store = std::unique_ptr<FilePageStore>(new FilePageStore(std::move(file)));
-  store->live_.assign(size_t(aligned / kPageSize), true);
-  store->live_count_ = store->live_.size();
-  return store;
-}
-
-Result<PageId> FilePageStore::Allocate() {
-  PageId id;
-  if (!free_list_.empty()) {
-    id = free_list_.back();
-    free_list_.pop_back();
-    live_[id] = true;
-  } else {
-    id = static_cast<PageId>(live_.size());
-    if (id == kInvalidPageId) {
-      return Status::OutOfRange("page id space exhausted");
-    }
-    live_.push_back(true);
-  }
-  ++live_count_;
-  // Zero the page on disk so Read-after-Allocate is well-defined.
-  Page zero;
-  Status st = Write(id, zero);
-  if (!st.ok()) return st;
-  return id;
-}
-
-Status FilePageStore::Free(PageId id) {
-  if (id >= live_.size() || !live_[id]) {
-    return Status::InvalidArgument("freeing unallocated page");
-  }
-  live_[id] = false;
-  free_list_.push_back(id);
-  --live_count_;
-  return Status::OK();
-}
-
-Status FilePageStore::Read(PageId id, Page* out) const {
-  if (id >= live_.size() || !live_[id]) {
-    return Status::InvalidArgument("reading unallocated page");
-  }
-  SAE_ASSIGN_OR_RETURN(
-      size_t got,
-      file_->ReadAt(uint64_t(id) * kPageSize, out->bytes(), kPageSize));
-  if (got != kPageSize) return Status::IoError("short read");
-  return Status::OK();
-}
-
-Status FilePageStore::Write(PageId id, const Page& page) {
-  if (id >= live_.size() || !live_[id]) {
-    return Status::InvalidArgument("writing unallocated page");
-  }
-  return file_->WriteAt(uint64_t(id) * kPageSize, page.bytes(), kPageSize);
-}
-
-Status FilePageStore::Sync() { return file_->Sync(); }
 
 }  // namespace sae::storage

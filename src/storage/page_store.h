@@ -1,57 +1,41 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// PageStore: the persistence boundary. Two implementations:
-//  * InMemoryPageStore — pages live on the heap; used by the experiment
-//    harness so that disk latency is modeled exclusively by the paper's
-//    10 ms/node-access charge instead of the host machine's SSD.
-//  * FilePageStore — page reads/writes against a real file through the Vfs
-//    seam (storage/vfs.h); proves the formats are genuinely disk-resident,
-//    is exercised by tests, and participates in crash injection when built
-//    over a FaultFs.
+// InMemoryPageStore: the page-granular store under every BufferPool. Pages
+// live on the heap, so disk latency is modeled exclusively by the paper's
+// 10 ms/node-access charge instead of the host machine's SSD. Nothing is
+// re-attached from it after a restart: durability is the WAL plus the
+// snapshot chain (core/durability.h), and recovery bulk-loads the
+// checkpointed records into fresh stores.
 
 #ifndef SAE_STORAGE_PAGE_STORE_H_
 #define SAE_STORAGE_PAGE_STORE_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "storage/page.h"
-#include "storage/vfs.h"
 #include "util/status.h"
 
 namespace sae::storage {
 
-/// Abstract page-granular storage with an allocate/free life cycle.
-class PageStore {
+/// Heap-backed page storage with an allocate/free life cycle.
+class InMemoryPageStore {
  public:
-  virtual ~PageStore() = default;
-
   /// Allocates a zeroed page and returns its id (may reuse freed pages).
-  virtual Result<PageId> Allocate() = 0;
+  Result<PageId> Allocate();
 
   /// Returns a page to the free list. Freeing an unallocated page is an
   /// error.
-  virtual Status Free(PageId id) = 0;
+  Status Free(PageId id);
 
-  virtual Status Read(PageId id, Page* out) const = 0;
-  virtual Status Write(PageId id, const Page& page) = 0;
+  Status Read(PageId id, Page* out) const;
+  Status Write(PageId id, const Page& page);
 
   /// Pages currently allocated (live), excluding freed ones.
-  virtual size_t LivePageCount() const = 0;
+  size_t LivePageCount() const { return live_count_; }
 
   /// Total footprint in bytes (live pages * page size).
-  size_t SizeBytes() const { return LivePageCount() * kPageSize; }
-};
-
-/// Heap-backed store.
-class InMemoryPageStore final : public PageStore {
- public:
-  Result<PageId> Allocate() override;
-  Status Free(PageId id) override;
-  Status Read(PageId id, Page* out) const override;
-  Status Write(PageId id, const Page& page) override;
-  size_t LivePageCount() const override { return live_count_; }
+  size_t SizeBytes() const { return live_count_ * kPageSize; }
 
  private:
   bool IsLive(PageId id) const {
@@ -59,50 +43,6 @@ class InMemoryPageStore final : public PageStore {
   }
 
   std::vector<std::unique_ptr<Page>> pages_;
-  std::vector<PageId> free_list_;
-  size_t live_count_ = 0;
-};
-
-/// File-backed store (single file, pages addressed by offset). Routed
-/// through a Vfs (default: the real POSIX one) so crash tests can swap in
-/// a FaultFs.
-class FilePageStore final : public PageStore {
- public:
-  /// Creates or truncates `path`.
-  static Result<std::unique_ptr<FilePageStore>> Create(
-      const std::string& path, Vfs* vfs = nullptr);
-
-  /// Opens an existing page file. Every page currently in the file is
-  /// treated as live; pages freed before the restart become unreachable
-  /// slack until they are allocated again (the usual trade-off of keeping
-  /// the free list in memory). A file whose size is not page-aligned is
-  /// rejected as corrupt — use OpenForRecovery after a crash.
-  static Result<std::unique_ptr<FilePageStore>> Open(const std::string& path,
-                                                     Vfs* vfs = nullptr);
-
-  /// Crash-tolerant open: a partially written final page (the state a
-  /// power loss mid-write leaves behind) is cut off instead of rejected,
-  /// and `*truncated_pages` (optional) reports whether a torn tail was
-  /// dropped. Only the complete pages are trusted.
-  static Result<std::unique_ptr<FilePageStore>> OpenForRecovery(
-      const std::string& path, Vfs* vfs = nullptr,
-      bool* truncated_tail = nullptr);
-
-  Result<PageId> Allocate() override;
-  Status Free(PageId id) override;
-  Status Read(PageId id, Page* out) const override;
-  Status Write(PageId id, const Page& page) override;
-  size_t LivePageCount() const override { return live_count_; }
-
-  /// Durability barrier for all pages written so far (one sync point).
-  Status Sync();
-
- private:
-  explicit FilePageStore(std::unique_ptr<VfsFile> file)
-      : file_(std::move(file)) {}
-
-  std::unique_ptr<VfsFile> file_;
-  std::vector<bool> live_;
   std::vector<PageId> free_list_;
   size_t live_count_ = 0;
 };

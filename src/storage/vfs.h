@@ -1,10 +1,9 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Vfs: the file-system seam of the durability subsystem. Everything the
-// WAL, the snapshot store and the file-backed page store do to disk goes
-// through this interface, so the crash-injection harness (storage::FaultFs)
-// can interpose on every byte and every durability barrier. Two
-// implementations:
+// WAL and the snapshot store do to disk goes through this interface, so
+// the crash-injection harness (storage::FaultFs) can interpose on every
+// byte and every durability barrier. Two implementations:
 //  * RealVfs  — POSIX files (pread/pwrite/fsync/rename); what deployments
 //    use. Rename is the atomic-replace primitive of the snapshot protocol.
 //  * FaultFs  — an in-memory file system that tracks durable vs volatile

@@ -837,65 +837,6 @@ Status XbTree::BulkLoad(const std::vector<XbTuple>& sorted) {
   return Status::OK();
 }
 
-// --- snapshots -----------------------------------------------------------------
-
-namespace {
-constexpr uint32_t kSnapshotMagic = 0x58425353u;  // "XBSS"
-}
-
-void XbTree::WriteSnapshot(ByteWriter* out) const {
-  out->PutU32(kSnapshotMagic);
-  out->PutU32(uint32_t(max_entries_));
-  out->PutU32(uint32_t(tuples_per_chunk_));
-  out->PutU32(root_);
-  out->PutU64(tuple_count_);
-  out->PutU64(key_count_);
-  out->PutU64(node_count_);
-  out->PutU64(dup_chunk_count_);
-  out->PutU32(uint32_t(height_));
-  out->PutU32(uint32_t(slab_pages_.size()));
-  for (PageId p : slab_pages_) out->PutU32(p);
-  out->PutU32(uint32_t(free_chunks_.size()));
-  for (ChunkRef r : free_chunks_) out->PutU32(r);
-}
-
-Result<std::unique_ptr<XbTree>> XbTree::OpenSnapshot(BufferPool* pool,
-                                                     ByteReader* in) {
-  if (in->GetU32() != kSnapshotMagic) {
-    return Status::Corruption("not an XB-tree snapshot");
-  }
-  size_t max_entries = in->GetU32();
-  size_t per_chunk = in->GetU32();
-  PageId root = in->GetU32();
-  uint64_t tuples = in->GetU64();
-  uint64_t keys = in->GetU64();
-  uint64_t nodes = in->GetU64();
-  uint64_t chunks = in->GetU64();
-  size_t height = in->GetU32();
-  auto tree =
-      std::unique_ptr<XbTree>(new XbTree(pool, max_entries, per_chunk));
-  uint32_t slab_count = in->GetU32();
-  tree->slab_pages_.reserve(slab_count);
-  for (uint32_t i = 0; i < slab_count; ++i) {
-    tree->slab_pages_.push_back(in->GetU32());
-  }
-  uint32_t free_count = in->GetU32();
-  tree->free_chunks_.reserve(free_count);
-  for (uint32_t i = 0; i < free_count; ++i) {
-    tree->free_chunks_.push_back(in->GetU32());
-  }
-  if (in->failed()) return Status::Corruption("truncated XB-tree snapshot");
-
-  tree->root_ = root;
-  tree->tuple_count_ = tuples;
-  tree->key_count_ = keys;
-  tree->node_count_ = nodes;
-  tree->dup_chunk_count_ = chunks;
-  tree->height_ = height;
-  SAE_RETURN_NOT_OK(tree->LoadNode(root).status());
-  return tree;
-}
-
 // --- validation ----------------------------------------------------------------
 
 Status XbTree::ValidateRec(PageId page, size_t depth, std::optional<Key> lo,

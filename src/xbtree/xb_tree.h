@@ -41,7 +41,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/node_cache.h"
 #include "storage/record.h"
-#include "util/codec.h"
 #include "util/status.h"
 
 namespace sae::xbtree {
@@ -116,14 +115,6 @@ class XbTree {
   /// Recomputes every X value and duplicate chain from scratch and compares
   /// against the stored aggregates. Test hook; O(n).
   Status Validate() const;
-
-  /// Serializes volatile metadata (root, counts, slab directory, free
-  /// chunks) for re-attachment to the same page store after a restart.
-  void WriteSnapshot(ByteWriter* out) const;
-
-  /// Re-attaches a tree persisted with WriteSnapshot.
-  static Result<std::unique_ptr<XbTree>> OpenSnapshot(BufferPool* pool,
-                                                      ByteReader* in);
 
  private:
   // A chunk reference encodes (slab page id << 8) | slot in 32 bits so it

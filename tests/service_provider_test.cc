@@ -1,22 +1,26 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// The SAE SP's served bytes. ServiceProvider::ServeQuery builds an answer
-// shipment straight from heap slots (canonical record bytes copied as they
-// are, the answer folded from keys and ids read in place); these tests pin
-// it to the decoded reference encoding
+// The SPs' served bytes. SAE's ServiceProvider::ServeQuery and TOM's
+// TomServiceProvider::ServeQuery both build their answer shipment straight
+// from heap slots with BuildQueryAnswer (canonical record bytes copied as
+// they are, the answer folded from keys and ids read in place); these typed
+// tests pin it, for both SPs, to the decoded reference encoding
 //   SerializeQueryAnswer(EvaluateAnswer(req, ExecuteRange(..)), .., epoch)
-// for every operator, over empty ranges, the dataset edges, duplicate keys
-// straddling the top-k cut (so the id tie-break decides the winners) and a
-// heap whose slots were freed and reused by later inserts.
+// and pin TOM's VO bytes to ExecuteRange's VO, for every operator, over
+// empty ranges, the dataset edges, duplicate keys straddling the top-k cut
+// (so the id tie-break decides the winners) and a heap whose slots were
+// freed and reused by later inserts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/messages.h"
 #include "core/service_provider.h"
+#include "core/tom.h"
 #include "dbms/query.h"
 #include "util/random.h"
 
@@ -43,13 +47,79 @@ std::string Describe(const QueryRequest& r) {
          ", " + std::to_string(r.hi) + "] limit=" + std::to_string(r.limit);
 }
 
+// Drives SAE's SP through the interface the typed tests share. It serves
+// no proof: the client's proof (VT) comes from the TE.
+struct SaeSp {
+  static ServiceProviderOptions Options() {
+    ServiceProviderOptions options;
+    options.record_size = kRecordSize;
+    options.index_pool_pages = 64;
+    options.heap_pool_pages = 64;
+    options.answer_cache = AnswerCacheOptions::Disabled();
+    return options;
+  }
+
+  Status Load(const std::vector<Record>& records) {
+    return sp.LoadDataset(records);
+  }
+  Status Insert(const Record& record) { return sp.InsertRecord(record); }
+  Status Delete(RecordId id) { return sp.DeleteRecord(id); }
+  void SetEpoch(uint64_t epoch) { sp.SetEpoch(epoch); }
+  uint64_t epoch() const { return sp.epoch(); }
+  Result<std::shared_ptr<const CachedAnswer>> Serve(
+      const QueryRequest& request) const {
+    return sp.ServeQuery(request);
+  }
+  std::vector<Record> Witness(Key lo, Key hi) const {
+    return sp.ExecuteRange(lo, hi).value();
+  }
+  std::vector<uint8_t> Proof(Key, Key) const { return {}; }
+
+  ServiceProvider sp{Options()};
+};
+
+// Drives TOM's SP. The DO's root signature is a fixed stand-in: the SP
+// copies it into every VO, and nothing here verifies it.
+struct TomSp {
+  static TomServiceProviderOptions Options() {
+    TomServiceProviderOptions options;
+    options.record_size = kRecordSize;
+    options.index_pool_pages = 64;
+    options.heap_pool_pages = 64;
+    options.answer_cache = AnswerCacheOptions::Disabled();
+    return options;
+  }
+
+  Status Load(const std::vector<Record>& records) {
+    return sp.LoadDataset(records, Signature(), sp.epoch());
+  }
+  Status Insert(const Record& record) {
+    return sp.ApplyInsert(record, Signature(), sp.epoch());
+  }
+  Status Delete(RecordId id) {
+    return sp.ApplyDelete(id, Signature(), sp.epoch());
+  }
+  void SetEpoch(uint64_t epoch) { sp.SetSignature(Signature(), epoch); }
+  uint64_t epoch() const { return sp.epoch(); }
+  Result<std::shared_ptr<const CachedAnswer>> Serve(
+      const QueryRequest& request) const {
+    return sp.ServeQuery(request);
+  }
+  std::vector<Record> Witness(Key lo, Key hi) const {
+    return sp.ExecuteRange(lo, hi).value().results;
+  }
+  std::vector<uint8_t> Proof(Key lo, Key hi) const {
+    return sp.ExecuteRange(lo, hi).value().vo.Serialize();
+  }
+
+  static crypto::RsaSignature Signature() { return {0x5A, 0xE2, 0x00, 0x09}; }
+
+  TomServiceProvider sp{Options()};
+};
+
+template <typename Sp>
 class ServeQueryTest : public ::testing::Test {
  protected:
-  ServeQueryTest()
-      : sp_(ServiceProviderOptions{kRecordSize, 64, 64,
-                                   AnswerCacheOptions::Disabled()}),
-        codec_(kRecordSize) {}
-
   // Keys 100..4000 in steps of 10, plus a run of eight records on key 5000
   // whose ids are out of order, and a run of three on the top key 9000.
   void Load() {
@@ -64,19 +134,20 @@ class ServeQueryTest : public ::testing::Test {
     for (RecordId dup : {300, 100, 200}) {
       records.push_back(codec_.MakeRecord(dup, 9000));
     }
-    ASSERT_TRUE(sp_.LoadDataset(records).ok());
+    ASSERT_TRUE(sp_.Load(records).ok());
     sp_.SetEpoch(7);
   }
 
   void ExpectGolden(const QueryRequest& request) {
-    std::vector<Record> witness =
-        sp_.ExecuteRange(request.lo, request.hi).value();
+    std::vector<Record> witness = sp_.Witness(request.lo, request.hi);
     dbms::QueryAnswer answer = dbms::EvaluateAnswer(request, witness);
     std::vector<uint8_t> golden =
         SerializeQueryAnswer(answer, witness, sp_.epoch(), codec_);
-    auto served = sp_.ServeQuery(request);
+    auto served = sp_.Serve(request);
     ASSERT_TRUE(served.ok()) << served.status().ToString();
     ASSERT_EQ(served.value()->answer_msg, golden) << Describe(request);
+    EXPECT_EQ(served.value()->proof_msg, sp_.Proof(request.lo, request.hi))
+        << Describe(request);
     auto decoded = DeserializeQueryAnswer(served.value()->answer_msg, codec_);
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded.value().answer, answer) << Describe(request);
@@ -106,51 +177,64 @@ class ServeQueryTest : public ::testing::Test {
     }
   }
 
-  ServiceProvider sp_;
-  RecordCodec codec_;
+  Sp sp_;
+  RecordCodec codec_{kRecordSize};
 };
 
-TEST_F(ServeQueryTest, EmptySpServesEmptyAnswers) {
+class SpName {
+ public:
+  template <typename Sp>
+  static std::string GetName(int) {
+    return std::is_same_v<Sp, SaeSp> ? "Sae" : "Tom";
+  }
+};
+
+using BothSps = ::testing::Types<SaeSp, TomSp>;
+TYPED_TEST_SUITE(ServeQueryTest, BothSps, SpName);
+
+TYPED_TEST(ServeQueryTest, EmptySpServesEmptyAnswers) {
   for (const QueryRequest& request : EveryOperator(0, 0xFFFFFFFFu)) {
-    ExpectGolden(request);
+    this->ExpectGolden(request);
   }
 }
 
-TEST_F(ServeQueryTest, EveryOperatorMatchesTheDecodedPlan) {
-  Load();
-  ExpectGoldenEverywhere();
+TYPED_TEST(ServeQueryTest, EveryOperatorMatchesTheDecodedPlan) {
+  this->Load();
+  this->ExpectGoldenEverywhere();
 }
 
 // Top-3 over [4000, 5000] cuts the eight-record run on key 5000: the
 // winners are its three largest ids, best first.
-TEST_F(ServeQueryTest, DuplicateKeysAtTheTopKCutBreakTiesById) {
-  Load();
-  auto served = sp_.ServeQuery(QueryRequest::TopK(4000, 5000, 3)).value();
-  auto decoded = DeserializeQueryAnswer(served->answer_msg, codec_).value();
+TYPED_TEST(ServeQueryTest, DuplicateKeysAtTheTopKCutBreakTiesById) {
+  this->Load();
+  auto served =
+      this->sp_.Serve(QueryRequest::TopK(4000, 5000, 3)).value();
+  auto decoded =
+      DeserializeQueryAnswer(served->answer_msg, this->codec_).value();
   ASSERT_EQ(decoded.answer.records.size(), 3u);
   EXPECT_EQ(decoded.answer.records[0].id, 99u);
   EXPECT_EQ(decoded.answer.records[1].id, 88u);
   EXPECT_EQ(decoded.answer.records[2].id, 60u);
   for (const Record& r : decoded.answer.records) EXPECT_EQ(r.key, 5000u);
-  ExpectGolden(QueryRequest::TopK(4000, 5000, 3));
+  this->ExpectGolden(QueryRequest::TopK(4000, 5000, 3));
 }
 
 // Deletes free heap slots and later inserts reuse them, so key order and
 // heap order diverge and the duplicate run spreads over several pages.
-TEST_F(ServeQueryTest, SlotsReusedAfterDeletesServeTheSameBytes) {
-  Load();
+TYPED_TEST(ServeQueryTest, SlotsReusedAfterDeletesServeTheSameBytes) {
+  this->Load();
   Rng rng(0x5E7E);
   for (RecordId id = 1000; id < 1390; id += 3) {
-    ASSERT_TRUE(sp_.DeleteRecord(id).ok());
+    ASSERT_TRUE(this->sp_.Delete(id).ok());
   }
-  ASSERT_TRUE(sp_.DeleteRecord(41).ok());
-  ASSERT_TRUE(sp_.DeleteRecord(300).ok());
+  ASSERT_TRUE(this->sp_.Delete(41).ok());
+  ASSERT_TRUE(this->sp_.Delete(300).ok());
   for (RecordId id = 20000; id < 20150; ++id) {
     Key key = id % 5 == 0 ? 5000 : Key(100 + rng.NextBounded(9000));
-    ASSERT_TRUE(sp_.InsertRecord(codec_.MakeRecord(id, key)).ok());
+    ASSERT_TRUE(this->sp_.Insert(this->codec_.MakeRecord(id, key)).ok());
   }
-  sp_.SetEpoch(8);
-  ExpectGoldenEverywhere();
+  this->sp_.SetEpoch(8);
+  this->ExpectGoldenEverywhere();
 }
 
 // The accumulator's top-k is the full (key desc, id desc) sort cut to the

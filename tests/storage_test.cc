@@ -1,14 +1,12 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Unit tests for src/storage: page stores (memory + file), buffer pool
+// Unit tests for src/storage: the in-memory page store, buffer pool
 // pin/evict/flush semantics and access accounting, record codec, heap file.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <map>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,106 +19,79 @@
 namespace sae::storage {
 namespace {
 
-// --- page stores (parameterized over both implementations) --------------------
+// --- page store ------------------------------------------------------------------
 
-enum class StoreKind { kMemory, kFile };
-
-class PageStoreTest : public ::testing::TestWithParam<StoreKind> {
+class InMemoryPageStoreTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (GetParam() == StoreKind::kMemory) {
-      store_ = std::make_unique<InMemoryPageStore>();
-    } else {
-      path_ = ::testing::TempDir() + "/saedb_pagestore_test.bin";
-      auto r = FilePageStore::Create(path_);
-      ASSERT_TRUE(r.ok());
-      store_ = std::move(r).ValueOrDie();
-    }
-  }
-
-  void TearDown() override {
-    store_.reset();
-    if (!path_.empty()) std::remove(path_.c_str());
-  }
-
-  std::unique_ptr<PageStore> store_;
-  std::string path_;
+  InMemoryPageStore store_;
 };
 
-TEST_P(PageStoreTest, AllocateReadWrite) {
-  auto id = store_->Allocate();
+TEST_F(InMemoryPageStoreTest, AllocateReadWrite) {
+  auto id = store_.Allocate();
   ASSERT_TRUE(id.ok());
   Page page;
   page.bytes()[0] = 0xAB;
   page.bytes()[kPageSize - 1] = 0xCD;
-  ASSERT_TRUE(store_->Write(id.value(), page).ok());
+  ASSERT_TRUE(store_.Write(id.value(), page).ok());
   Page read;
-  ASSERT_TRUE(store_->Read(id.value(), &read).ok());
+  ASSERT_TRUE(store_.Read(id.value(), &read).ok());
   EXPECT_EQ(read.bytes()[0], 0xAB);
   EXPECT_EQ(read.bytes()[kPageSize - 1], 0xCD);
 }
 
-TEST_P(PageStoreTest, FreshPagesAreZeroed) {
-  auto id = store_->Allocate();
+TEST_F(InMemoryPageStoreTest, FreshPagesAreZeroed) {
+  auto id = store_.Allocate();
   ASSERT_TRUE(id.ok());
   Page read;
-  ASSERT_TRUE(store_->Read(id.value(), &read).ok());
+  ASSERT_TRUE(store_.Read(id.value(), &read).ok());
   for (size_t i = 0; i < kPageSize; i += 512) EXPECT_EQ(read.bytes()[i], 0);
 }
 
-TEST_P(PageStoreTest, FreeAndReuse) {
-  auto a = store_->Allocate();
-  auto b = store_->Allocate();
+TEST_F(InMemoryPageStoreTest, FreeAndReuse) {
+  auto a = store_.Allocate();
+  auto b = store_.Allocate();
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(store_->LivePageCount(), 2u);
-  ASSERT_TRUE(store_->Free(a.value()).ok());
-  EXPECT_EQ(store_->LivePageCount(), 1u);
-  auto c = store_->Allocate();
+  EXPECT_EQ(store_.LivePageCount(), 2u);
+  ASSERT_TRUE(store_.Free(a.value()).ok());
+  EXPECT_EQ(store_.LivePageCount(), 1u);
+  auto c = store_.Allocate();
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c.value(), a.value());  // freed id is recycled
-  EXPECT_EQ(store_->LivePageCount(), 2u);
+  EXPECT_EQ(store_.LivePageCount(), 2u);
 }
 
-TEST_P(PageStoreTest, AccessAfterFreeFails) {
-  auto id = store_->Allocate();
+TEST_F(InMemoryPageStoreTest, AccessAfterFreeFails) {
+  auto id = store_.Allocate();
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(store_->Free(id.value()).ok());
+  ASSERT_TRUE(store_.Free(id.value()).ok());
   Page page;
-  EXPECT_FALSE(store_->Read(id.value(), &page).ok());
-  EXPECT_FALSE(store_->Write(id.value(), page).ok());
-  EXPECT_FALSE(store_->Free(id.value()).ok());
+  EXPECT_FALSE(store_.Read(id.value(), &page).ok());
+  EXPECT_FALSE(store_.Write(id.value(), page).ok());
+  EXPECT_FALSE(store_.Free(id.value()).ok());
 }
 
-TEST_P(PageStoreTest, ReadUnallocatedFails) {
+TEST_F(InMemoryPageStoreTest, ReadUnallocatedFails) {
   Page page;
-  EXPECT_FALSE(store_->Read(1234, &page).ok());
+  EXPECT_FALSE(store_.Read(1234, &page).ok());
 }
 
-TEST_P(PageStoreTest, ManyPagesKeepDistinctContent) {
+TEST_F(InMemoryPageStoreTest, ManyPagesKeepDistinctContent) {
   constexpr int kPages = 64;
   std::vector<PageId> ids;
   for (int i = 0; i < kPages; ++i) {
-    auto id = store_->Allocate();
+    auto id = store_.Allocate();
     ASSERT_TRUE(id.ok());
     Page page;
     page.bytes()[7] = uint8_t(i);
-    ASSERT_TRUE(store_->Write(id.value(), page).ok());
+    ASSERT_TRUE(store_.Write(id.value(), page).ok());
     ids.push_back(id.value());
   }
   for (int i = 0; i < kPages; ++i) {
     Page page;
-    ASSERT_TRUE(store_->Read(ids[i], &page).ok());
+    ASSERT_TRUE(store_.Read(ids[i], &page).ok());
     EXPECT_EQ(page.bytes()[7], uint8_t(i));
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllStores, PageStoreTest,
-                         ::testing::Values(StoreKind::kMemory,
-                                           StoreKind::kFile),
-                         [](const auto& info) {
-                           return info.param == StoreKind::kMemory ? "Memory"
-                                                                   : "File";
-                         });
 
 // --- buffer pool ---------------------------------------------------------------
 
@@ -460,43 +431,6 @@ TEST_F(HeapFileTest, GetDeletedFails) {
   std::vector<uint8_t> out(500);
   EXPECT_EQ(heap_.Get(rid, out.data()).code(), StatusCode::kNotFound);
   EXPECT_EQ(heap_.Delete(rid).code(), StatusCode::kNotFound);
-}
-
-TEST_F(HeapFileTest, UpdateInPlace) {
-  std::vector<uint8_t> bytes(500);
-  codec_.Serialize(codec_.MakeRecord(1, 1), bytes.data());
-  Rid rid = heap_.Insert(bytes.data()).value();
-  Record changed = codec_.MakeRecord(1, 999);
-  codec_.Serialize(changed, bytes.data());
-  ASSERT_TRUE(heap_.Update(rid, bytes.data()).ok());
-  std::vector<uint8_t> out(500);
-  ASSERT_TRUE(heap_.Get(rid, out.data()).ok());
-  EXPECT_EQ(codec_.Deserialize(out.data()), changed);
-}
-
-TEST_F(HeapFileTest, ScanVisitsExactlyLiveRecords) {
-  std::vector<uint8_t> bytes(500);
-  std::map<Rid, Record> expected;
-  std::vector<Rid> rids;
-  for (int i = 0; i < 30; ++i) {
-    Record r = codec_.MakeRecord(i + 1, i * 10);
-    codec_.Serialize(r, bytes.data());
-    Rid rid = heap_.Insert(bytes.data()).value();
-    expected[rid] = r;
-    rids.push_back(rid);
-  }
-  for (int i = 0; i < 30; i += 3) {
-    ASSERT_TRUE(heap_.Delete(rids[i]).ok());
-    expected.erase(rids[i]);
-  }
-
-  std::map<Rid, Record> seen;
-  ASSERT_TRUE(heap_
-                  .Scan([&](Rid rid, const uint8_t* data) {
-                    seen[rid] = codec_.Deserialize(data);
-                  })
-                  .ok());
-  EXPECT_EQ(seen, expected);
 }
 
 TEST(HeapFileSmallRecordTest, BitmapLimitsSlots) {
