@@ -1,12 +1,15 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Implements the conventional disk B+-tree (btree/bplus_tree.h): search,
-// insert with splits, delete with borrow/merge, bulk load, and range scans
-// over (key, rid) pairs with duplicate support.
+// Implements the disk B+-tree (btree/bplus_tree.h): search, insert with
+// splits, delete with borrow/merge, bulk load, and range scans over
+// (key, rid) pairs with duplicate support. In digest mode every path that
+// rewrites a node also refreshes its digest in the parent, up to the root.
 
 #include "btree/bplus_tree.h"
 
 #include <algorithm>
+#include <cstring>
+#include <type_traits>
 
 #include "util/codec.h"
 #include "util/macros.h"
@@ -15,17 +18,22 @@ namespace sae::btree {
 
 namespace {
 
-constexpr uint32_t kMagic = 0x4254524Eu;  // "BTRN"
+constexpr uint32_t kPlainMagic = 0x4254524Eu;   // "BTRN"
+constexpr uint32_t kDigestMagic = 0x4D42544Eu;  // "MBTN"
 constexpr size_t kHeaderSize = 16;
-constexpr size_t kLeafEntrySize = 12;      // key u32 + rid u64
-constexpr size_t kInternalEntrySize = 8;   // key u32 + child u32
+constexpr size_t kDigestSize = crypto::Digest::kSize;  // 20
 
-size_t DefaultMaxLeaf() {
-  return (storage::kPageSize - kHeaderSize) / kLeafEntrySize;  // 340
+// Entry widths for a digest column `w` bytes wide (0 or kDigestSize).
+constexpr size_t LeafEntrySize(size_t w) { return 4 + 8 + w; }      // 12 / 32
+constexpr size_t InternalEntrySize(size_t w) { return 4 + 4 + w; }  //  8 / 28
+constexpr size_t Child0Size(size_t w) { return 4 + w; }
+
+size_t PageMaxLeaf(size_t w) {
+  return (storage::kPageSize - kHeaderSize) / LeafEntrySize(w);  // 340 / 127
 }
-size_t DefaultMaxInternal() {
-  // child0 consumes 4 bytes before the (key, child) pairs.
-  return (storage::kPageSize - kHeaderSize - 4) / kInternalEntrySize;  // 509
+size_t PageMaxInternal(size_t w) {
+  return (storage::kPageSize - kHeaderSize - Child0Size(w)) /
+         InternalEntrySize(w);  // 509 / 144
 }
 
 // Splits `total` items into near-equal chunks aiming at `target` items per
@@ -46,81 +54,165 @@ std::vector<size_t> PlanChunks(size_t total, size_t target, size_t hard_cap,
   return sizes;
 }
 
+// Moves v[from, end) out of `v` and returns it.
+template <typename T>
+std::vector<T> TakeTail(std::vector<T>* v, size_t from) {
+  std::vector<T> tail(v->begin() + from, v->end());
+  v->resize(from);
+  return tail;
+}
+
+template <typename T>
+void Append(std::vector<T>* to, const std::vector<T>& from) {
+  to->insert(to->end(), from.begin(), from.end());
+}
+
+void GetDigest(const uint8_t* p, crypto::Digest* digest) {
+  std::memcpy(digest->bytes.data(), p, kDigestSize);
+}
+void PutDigest(const crypto::Digest& digest, uint8_t* p) {
+  std::memcpy(p, digest.bytes.data(), kDigestSize);
+}
+
+size_t LowerBound(const std::vector<Key>& keys, Key key) {
+  return std::lower_bound(keys.begin(), keys.end(), key) - keys.begin();
+}
+size_t UpperBound(const std::vector<Key>& keys, Key key) {
+  return std::upper_bound(keys.begin(), keys.end(), key) - keys.begin();
+}
+
+storage::NodeCacheOptions HotLevels(size_t levels) {
+  storage::NodeCacheOptions options;  // the default entry cap
+  options.hot_levels = levels;
+  return options;
+}
+
 }  // namespace
+
+BPlusTree::BPlusTree(BufferPool* pool, const BPlusTreeOptions& options,
+                     std::optional<DigestColumn> digests)
+    : pool_(pool),
+      with_digests_(digests.has_value()),
+      scheme_(digests ? digests->scheme : crypto::HashScheme::kSha1),
+      node_cache_(HotLevels(digests ? digests->hot_cache_levels : 0)) {
+  size_t w = with_digests_ ? kDigestSize : 0;
+  max_leaf_ = options.max_leaf_entries ? options.max_leaf_entries
+                                       : PageMaxLeaf(w);
+  max_internal_ = options.max_internal_keys ? options.max_internal_keys
+                                            : PageMaxInternal(w);
+  SAE_CHECK(max_leaf_ >= 2 && max_leaf_ <= PageMaxLeaf(w));
+  SAE_CHECK(max_internal_ >= 2 && max_internal_ <= PageMaxInternal(w));
+}
+
+Status BPlusTree::Init() {
+  Node root;
+  root.is_leaf = true;
+  SAE_ASSIGN_OR_RETURN(root_, NewNode(root));
+  root_digest_ = NodeDigest(root);
+  return Status::OK();
+}
 
 Result<std::unique_ptr<BPlusTree>> BPlusTree::Create(
     BufferPool* pool, const BPlusTreeOptions& options) {
-  size_t max_leaf =
-      options.max_leaf_entries ? options.max_leaf_entries : DefaultMaxLeaf();
-  size_t max_internal = options.max_internal_keys ? options.max_internal_keys
-                                                  : DefaultMaxInternal();
-  SAE_CHECK(max_leaf >= 2 && max_leaf <= DefaultMaxLeaf());
-  SAE_CHECK(max_internal >= 2 && max_internal <= DefaultMaxInternal());
-
-  auto tree = std::unique_ptr<BPlusTree>(
-      new BPlusTree(pool, max_leaf, max_internal));
-  Node root;
-  root.is_leaf = true;
-  SAE_ASSIGN_OR_RETURN(tree->root_, tree->NewNode(root));
+  auto tree =
+      std::unique_ptr<BPlusTree>(new BPlusTree(pool, options, std::nullopt));
+  SAE_RETURN_NOT_OK(tree->Init());
   return tree;
+}
+
+crypto::Digest BPlusTree::NodeDigest(const Node& node) const {
+  if (!with_digests_) return crypto::Digest{};
+  // An empty leaf (empty tree) hashes zero digests: H("").
+  return crypto::CombineDigests(node.digests.data(), node.digests.size(),
+                                scheme_);
 }
 
 Result<BPlusTree::Node> BPlusTree::LoadNode(PageId id) const {
   SAE_ASSIGN_OR_RETURN(auto ref, pool_->Fetch(id));
   const uint8_t* p = ref.Get().bytes();
-  if (DecodeU32(p) != kMagic) {
+  if (DecodeU32(p) != (with_digests_ ? kDigestMagic : kPlainMagic)) {
     return Status::Corruption("bad btree node magic");
   }
+  const size_t w = with_digests_ ? kDigestSize : 0;
   Node node;
   node.is_leaf = p[4] != 0;
   uint16_t count = DecodeU16(p + 6);
   node.next = DecodeU32(p + 8);
   const uint8_t* body = p + kHeaderSize;
+  node.keys.reserve(count);
+  node.digests.resize(w == 0 ? 0 : node.is_leaf ? count : count + 1);
   if (node.is_leaf) {
-    node.keys.reserve(count);
     node.rids.reserve(count);
     for (uint16_t i = 0; i < count; ++i) {
-      node.keys.push_back(DecodeU32(body + i * kLeafEntrySize));
-      node.rids.push_back(DecodeU64(body + i * kLeafEntrySize + 4));
+      const uint8_t* e = body + i * LeafEntrySize(w);
+      node.keys.push_back(DecodeU32(e));
+      node.rids.push_back(DecodeU64(e + 4));
+      if (w != 0) GetDigest(e + 12, &node.digests[i]);
     }
   } else {
     node.children.reserve(count + 1);
     node.children.push_back(DecodeU32(body));
-    const uint8_t* pairs = body + 4;
-    node.keys.reserve(count);
+    if (w != 0) GetDigest(body + 4, &node.digests[0]);
+    const uint8_t* pairs = body + Child0Size(w);
     for (uint16_t i = 0; i < count; ++i) {
-      node.keys.push_back(DecodeU32(pairs + i * kInternalEntrySize));
-      node.children.push_back(DecodeU32(pairs + i * kInternalEntrySize + 4));
+      const uint8_t* e = pairs + i * InternalEntrySize(w);
+      node.keys.push_back(DecodeU32(e));
+      node.children.push_back(DecodeU32(e + 4));
+      if (w != 0) GetDigest(e + 8, &node.digests[i + 1]);
     }
   }
   return node;
 }
 
+Result<BPlusTree::NodeView> BPlusTree::ReadNode(PageId id,
+                                                size_t depth) const {
+  NodeView view;
+  if (node_cache_.Caches(depth)) {
+    view.cached_ = node_cache_.Lookup(id, depth);
+    if (view.cached_ == nullptr) {
+      SAE_ASSIGN_OR_RETURN(Node node, LoadNode(id));
+      view.cached_ = node_cache_.Insert(id, depth, std::move(node));
+    }
+  } else {
+    SAE_ASSIGN_OR_RETURN(view.owned_, LoadNode(id));
+  }
+  return view;
+}
+
 Status BPlusTree::StoreNode(PageId id, const Node& node) {
+  node_cache_.Invalidate(id);
   SAE_ASSIGN_OR_RETURN(auto ref, pool_->Fetch(id));
   storage::Page& page = ref.Mutable();
   page.Zero();
   uint8_t* p = page.bytes();
-  EncodeU32(p, kMagic);
+  const size_t w = with_digests_ ? kDigestSize : 0;
+  EncodeU32(p, with_digests_ ? kDigestMagic : kPlainMagic);
   p[4] = node.is_leaf ? 1 : 0;
   EncodeU16(p + 6, uint16_t(node.keys.size()));
   EncodeU32(p + 8, node.next);
   uint8_t* body = p + kHeaderSize;
   if (node.is_leaf) {
     SAE_CHECK(node.keys.size() == node.rids.size());
-    SAE_CHECK(node.keys.size() <= DefaultMaxLeaf());
+    SAE_CHECK(node.digests.size() == (w == 0 ? 0 : node.keys.size()));
+    SAE_CHECK(node.keys.size() <= PageMaxLeaf(w));
     for (size_t i = 0; i < node.keys.size(); ++i) {
-      EncodeU32(body + i * kLeafEntrySize, node.keys[i]);
-      EncodeU64(body + i * kLeafEntrySize + 4, node.rids[i]);
+      uint8_t* e = body + i * LeafEntrySize(w);
+      EncodeU32(e, node.keys[i]);
+      EncodeU64(e + 4, node.rids[i]);
+      if (w != 0) PutDigest(node.digests[i], e + 12);
     }
   } else {
     SAE_CHECK(node.children.size() == node.keys.size() + 1);
-    SAE_CHECK(node.keys.size() <= DefaultMaxInternal());
+    SAE_CHECK(node.digests.size() == (w == 0 ? 0 : node.children.size()));
+    SAE_CHECK(node.keys.size() <= PageMaxInternal(w));
     EncodeU32(body, node.children[0]);
-    uint8_t* pairs = body + 4;
+    if (w != 0) PutDigest(node.digests[0], body + 4);
+    uint8_t* pairs = body + Child0Size(w);
     for (size_t i = 0; i < node.keys.size(); ++i) {
-      EncodeU32(pairs + i * kInternalEntrySize, node.keys[i]);
-      EncodeU32(pairs + i * kInternalEntrySize + 4, node.children[i + 1]);
+      uint8_t* e = pairs + i * InternalEntrySize(w);
+      EncodeU32(e, node.keys[i]);
+      EncodeU32(e + 4, node.children[i + 1]);
+      if (w != 0) PutDigest(node.digests[i + 1], e + 8);
     }
   }
   return Status::OK();
@@ -135,147 +227,196 @@ Result<PageId> BPlusTree::NewNode(const Node& node) {
   return id;
 }
 
+Status BPlusTree::FreeNode(PageId id) {
+  node_cache_.Invalidate(id);
+  SAE_RETURN_NOT_OK(pool_->Free(id));
+  --node_count_;
+  return Status::OK();
+}
+
 size_t BPlusTree::MinOccupancy(const Node& node) const {
   return node.is_leaf ? max_leaf_ / 2 : max_internal_ / 2;
 }
 
 Status BPlusTree::Insert(Key key, Rid rid) {
-  SAE_ASSIGN_OR_RETURN(bool exists, Contains(key, rid));
-  if (exists) {
-    return Status::AlreadyExists("posting already present");
-  }
+  return Insert(DigestEntry{key, rid, crypto::Digest{}});
+}
+
+Status BPlusTree::Insert(const DigestEntry& entry) {
   std::optional<SplitResult> split;
-  SAE_RETURN_NOT_OK(InsertRec(root_, key, rid, &split));
+  crypto::Digest root_digest;
+  SAE_RETURN_NOT_OK(InsertRec(root_, entry, &split, &root_digest));
   if (split.has_value()) {
     Node new_root;
     new_root.is_leaf = false;
     new_root.keys.push_back(split->separator);
-    new_root.children.push_back(root_);
-    new_root.children.push_back(split->right_page);
+    new_root.children = {root_, split->right_page};
+    if (with_digests_) new_root.digests = {root_digest, split->right_digest};
     SAE_ASSIGN_OR_RETURN(root_, NewNode(new_root));
     ++height_;
+    root_digest = NodeDigest(new_root);
   }
+  root_digest_ = root_digest;
   ++entry_count_;
   return Status::OK();
 }
 
-Status BPlusTree::InsertRec(PageId page, Key key, Rid rid,
-                            std::optional<SplitResult>* split) {
+Status BPlusTree::InsertRec(PageId page, const DigestEntry& entry,
+                            std::optional<SplitResult>* split,
+                            crypto::Digest* self_digest) {
   SAE_ASSIGN_OR_RETURN(Node node, LoadNode(page));
   split->reset();
 
   if (node.is_leaf) {
-    size_t pos = std::upper_bound(node.keys.begin(), node.keys.end(), key) -
-                 node.keys.begin();
-    node.keys.insert(node.keys.begin() + pos, key);
-    node.rids.insert(node.rids.begin() + pos, rid);
+    // Keys ascend along the leaf chain, so an identical posting sits left
+    // of `pos`: in this leaf, or in an earlier one when the key's run
+    // reaches this leaf's first slot. Nothing is written before this check.
+    size_t pos = UpperBound(node.keys, entry.key);
+    size_t run = pos;
+    while (run > 0 && node.keys[run - 1] == entry.key) {
+      if (node.rids[--run] == entry.rid) {
+        return Status::AlreadyExists("posting already present");
+      }
+    }
+    if (run == 0) {
+      SAE_ASSIGN_OR_RETURN(bool exists, Contains(entry.key, entry.rid));
+      if (exists) return Status::AlreadyExists("posting already present");
+    }
+    node.keys.insert(node.keys.begin() + pos, entry.key);
+    node.rids.insert(node.rids.begin() + pos, entry.rid);
+    if (with_digests_) {
+      node.digests.insert(node.digests.begin() + pos, entry.digest);
+    }
 
     if (node.keys.size() > max_leaf_) {
       size_t mid = node.keys.size() / 2;
       Node right;
       right.is_leaf = true;
-      right.keys.assign(node.keys.begin() + mid, node.keys.end());
-      right.rids.assign(node.rids.begin() + mid, node.rids.end());
+      right.keys = TakeTail(&node.keys, mid);
+      right.rids = TakeTail(&node.rids, mid);
+      if (with_digests_) right.digests = TakeTail(&node.digests, mid);
       right.next = node.next;
-      node.keys.resize(mid);
-      node.rids.resize(mid);
       SAE_ASSIGN_OR_RETURN(PageId right_page, NewNode(right));
       node.next = right_page;
-      *split = SplitResult{right.keys.front(), right_page};
+      *split = SplitResult{right.keys.front(), right_page, NodeDigest(right)};
     }
+    *self_digest = NodeDigest(node);
     return StoreNode(page, node);
   }
 
-  size_t idx = std::upper_bound(node.keys.begin(), node.keys.end(), key) -
-               node.keys.begin();
+  size_t idx = UpperBound(node.keys, entry.key);
   std::optional<SplitResult> child_split;
-  SAE_RETURN_NOT_OK(InsertRec(node.children[idx], key, rid, &child_split));
-  if (!child_split.has_value()) return Status::OK();
+  crypto::Digest child_digest;
+  SAE_RETURN_NOT_OK(
+      InsertRec(node.children[idx], entry, &child_split, &child_digest));
+  // A plain node changes only when its child split.
+  if (!with_digests_ && !child_split.has_value()) return Status::OK();
+  if (with_digests_) node.digests[idx] = child_digest;
 
-  node.keys.insert(node.keys.begin() + idx, child_split->separator);
-  node.children.insert(node.children.begin() + idx + 1,
-                       child_split->right_page);
+  if (child_split.has_value()) {
+    node.keys.insert(node.keys.begin() + idx, child_split->separator);
+    node.children.insert(node.children.begin() + idx + 1,
+                         child_split->right_page);
+    if (with_digests_) {
+      node.digests.insert(node.digests.begin() + idx + 1,
+                          child_split->right_digest);
+    }
 
-  if (node.keys.size() > max_internal_) {
-    size_t mid = node.keys.size() / 2;
-    Key separator = node.keys[mid];
-    Node right;
-    right.is_leaf = false;
-    right.keys.assign(node.keys.begin() + mid + 1, node.keys.end());
-    right.children.assign(node.children.begin() + mid + 1,
-                          node.children.end());
-    node.keys.resize(mid);
-    node.children.resize(mid + 1);
-    SAE_ASSIGN_OR_RETURN(PageId right_page, NewNode(right));
-    *split = SplitResult{separator, right_page};
+    if (node.keys.size() > max_internal_) {
+      size_t mid = node.keys.size() / 2;
+      Key separator = node.keys[mid];
+      Node right;
+      right.is_leaf = false;
+      right.keys = TakeTail(&node.keys, mid + 1);
+      right.children = TakeTail(&node.children, mid + 1);
+      if (with_digests_) right.digests = TakeTail(&node.digests, mid + 1);
+      node.keys.resize(mid);
+      SAE_ASSIGN_OR_RETURN(PageId right_page, NewNode(right));
+      *split = SplitResult{separator, right_page, NodeDigest(right)};
+    }
   }
+  *self_digest = NodeDigest(node);
   return StoreNode(page, node);
 }
 
-Status BPlusTree::RangeSearch(Key lo, Key hi,
-                              std::vector<BTreeEntry>* out) const {
+template <typename Entry>
+Status BPlusTree::RangeSearchImpl(Key lo, Key hi,
+                                  std::vector<Entry>* out) const {
   if (lo > hi) return Status::InvalidArgument("lo > hi");
 
   // Descend to the leftmost leaf that may contain `lo`. Duplicate keys can
   // straddle a split boundary, so use lower_bound on separators.
   PageId page = root_;
+  size_t depth = 0;
   for (;;) {
-    SAE_ASSIGN_OR_RETURN(Node node, LoadNode(page));
-    if (node.is_leaf) break;
-    size_t idx = std::lower_bound(node.keys.begin(), node.keys.end(), lo) -
-                 node.keys.begin();
-    page = node.children[idx];
+    SAE_ASSIGN_OR_RETURN(NodeView node, ReadNode(page, depth));
+    if (node->is_leaf) break;
+    page = node->children[LowerBound(node->keys, lo)];
+    ++depth;
   }
 
   while (page != storage::kInvalidPageId) {
-    SAE_ASSIGN_OR_RETURN(Node leaf, LoadNode(page));
-    size_t pos = std::lower_bound(leaf.keys.begin(), leaf.keys.end(), lo) -
-                 leaf.keys.begin();
-    for (; pos < leaf.keys.size(); ++pos) {
-      if (leaf.keys[pos] > hi) return Status::OK();
-      out->push_back(BTreeEntry{leaf.keys[pos], leaf.rids[pos]});
+    SAE_ASSIGN_OR_RETURN(NodeView leaf, ReadNode(page, depth));
+    for (size_t pos = LowerBound(leaf->keys, lo); pos < leaf->keys.size();
+         ++pos) {
+      if (leaf->keys[pos] > hi) return Status::OK();
+      if constexpr (std::is_same_v<Entry, DigestEntry>) {
+        out->push_back(
+            DigestEntry{leaf->keys[pos], leaf->rids[pos], leaf->digests[pos]});
+      } else {
+        out->push_back(BTreeEntry{leaf->keys[pos], leaf->rids[pos]});
+      }
     }
-    page = leaf.next;
+    page = leaf->next;
   }
   return Status::OK();
 }
 
+Status BPlusTree::RangeSearch(Key lo, Key hi,
+                              std::vector<BTreeEntry>* out) const {
+  return RangeSearchImpl(lo, hi, out);
+}
+
+Status BPlusTree::RangeSearch(Key lo, Key hi,
+                              std::vector<DigestEntry>* out) const {
+  SAE_CHECK(with_digests_);
+  return RangeSearchImpl(lo, hi, out);
+}
+
 Result<bool> BPlusTree::Contains(Key key, Rid rid) const {
   PageId page = root_;
+  size_t depth = 0;
   for (;;) {
-    SAE_ASSIGN_OR_RETURN(Node node, LoadNode(page));
-    if (node.is_leaf) break;
-    size_t idx = std::lower_bound(node.keys.begin(), node.keys.end(), key) -
-                 node.keys.begin();
-    page = node.children[idx];
+    SAE_ASSIGN_OR_RETURN(NodeView node, ReadNode(page, depth));
+    if (node->is_leaf) break;
+    page = node->children[LowerBound(node->keys, key)];
+    ++depth;
   }
+  // A run of duplicates may continue into the following leaves.
   while (page != storage::kInvalidPageId) {
-    SAE_ASSIGN_OR_RETURN(Node leaf, LoadNode(page));
-    size_t pos = std::lower_bound(leaf.keys.begin(), leaf.keys.end(), key) -
-                 leaf.keys.begin();
-    for (; pos < leaf.keys.size(); ++pos) {
-      if (leaf.keys[pos] != key) return false;
-      if (leaf.rids[pos] == rid) return true;
+    SAE_ASSIGN_OR_RETURN(NodeView leaf, ReadNode(page, depth));
+    for (size_t pos = LowerBound(leaf->keys, key); pos < leaf->keys.size();
+         ++pos) {
+      if (leaf->keys[pos] != key) return false;
+      if (leaf->rids[pos] == rid) return true;
     }
-    page = leaf.next;  // run of duplicates may continue in the next leaf
-    if (page != storage::kInvalidPageId) {
-      SAE_ASSIGN_OR_RETURN(Node peek, LoadNode(page));
-      if (peek.keys.empty() || peek.keys.front() != key) return false;
-    }
+    page = leaf->next;
   }
   return false;
 }
 
 Status BPlusTree::Delete(Key key, Rid rid) {
   bool underflow = false;
-  SAE_RETURN_NOT_OK(DeleteRec(root_, key, rid, &underflow));
+  crypto::Digest root_digest;
+  SAE_RETURN_NOT_OK(DeleteRec(root_, key, rid, &underflow, &root_digest));
+  root_digest_ = root_digest;
   if (underflow) {
     SAE_ASSIGN_OR_RETURN(Node root, LoadNode(root_));
     if (!root.is_leaf && root.keys.empty()) {
       PageId old = root_;
       root_ = root.children[0];
-      SAE_RETURN_NOT_OK(pool_->Free(old));
-      --node_count_;
+      if (with_digests_) root_digest_ = root.digests[0];
+      SAE_RETURN_NOT_OK(FreeNode(old));
       --height_;
     }
   }
@@ -283,18 +424,20 @@ Status BPlusTree::Delete(Key key, Rid rid) {
   return Status::OK();
 }
 
-Status BPlusTree::DeleteRec(PageId page, Key key, Rid rid, bool* underflow) {
+Status BPlusTree::DeleteRec(PageId page, Key key, Rid rid, bool* underflow,
+                            crypto::Digest* self_digest) {
   SAE_ASSIGN_OR_RETURN(Node node, LoadNode(page));
   *underflow = false;
 
   if (node.is_leaf) {
-    size_t pos = std::lower_bound(node.keys.begin(), node.keys.end(), key) -
-                 node.keys.begin();
-    for (; pos < node.keys.size() && node.keys[pos] == key; ++pos) {
+    for (size_t pos = LowerBound(node.keys, key);
+         pos < node.keys.size() && node.keys[pos] == key; ++pos) {
       if (node.rids[pos] == rid) {
         node.keys.erase(node.keys.begin() + pos);
         node.rids.erase(node.rids.begin() + pos);
+        if (with_digests_) node.digests.erase(node.digests.begin() + pos);
         *underflow = node.keys.size() < MinOccupancy(node);
+        *self_digest = NodeDigest(node);
         return StoreNode(page, node);
       }
     }
@@ -303,21 +446,23 @@ Status BPlusTree::DeleteRec(PageId page, Key key, Rid rid, bool* underflow) {
 
   // Duplicate keys may live in any child whose separator range touches
   // `key`; probe candidates left to right.
-  size_t first = std::lower_bound(node.keys.begin(), node.keys.end(), key) -
-                 node.keys.begin();
-  size_t last = std::upper_bound(node.keys.begin(), node.keys.end(), key) -
-                node.keys.begin();
-  for (size_t idx = first; idx <= last; ++idx) {
+  size_t last = UpperBound(node.keys, key);
+  for (size_t idx = LowerBound(node.keys, key); idx <= last; ++idx) {
     bool child_underflow = false;
-    Status st = DeleteRec(node.children[idx], key, rid, &child_underflow);
+    crypto::Digest child_digest;
+    Status st = DeleteRec(node.children[idx], key, rid, &child_underflow,
+                          &child_digest);
     if (st.code() == StatusCode::kNotFound) continue;
     SAE_RETURN_NOT_OK(st);
+    // A plain node changes only when its child underflowed.
+    if (!with_digests_ && !child_underflow) return Status::OK();
+    if (with_digests_) node.digests[idx] = child_digest;
     if (child_underflow) {
       SAE_RETURN_NOT_OK(FixUnderflow(&node, idx));
       *underflow = node.keys.size() < MinOccupancy(node);
-      return StoreNode(page, node);
     }
-    return Status::OK();
+    *self_digest = NodeDigest(node);
+    return StoreNode(page, node);
   }
   return Status::NotFound("posting not found");
 }
@@ -327,9 +472,11 @@ Status BPlusTree::FixUnderflow(Node* parent, size_t child_idx) {
   SAE_ASSIGN_OR_RETURN(Node child, LoadNode(child_page));
 
   // Try borrowing from the left sibling.
+  PageId left_page = storage::kInvalidPageId;
+  Node left;
   if (child_idx > 0) {
-    PageId left_page = parent->children[child_idx - 1];
-    SAE_ASSIGN_OR_RETURN(Node left, LoadNode(left_page));
+    left_page = parent->children[child_idx - 1];
+    SAE_ASSIGN_OR_RETURN(left, LoadNode(left_page));
     if (left.keys.size() > MinOccupancy(left)) {
       if (child.is_leaf) {
         child.keys.insert(child.keys.begin(), left.keys.back());
@@ -344,15 +491,21 @@ Status BPlusTree::FixUnderflow(Node* parent, size_t child_idx) {
         left.keys.pop_back();
         left.children.pop_back();
       }
-      SAE_RETURN_NOT_OK(StoreNode(left_page, left));
-      return StoreNode(child_page, child);
+      if (with_digests_) {
+        child.digests.insert(child.digests.begin(), left.digests.back());
+        left.digests.pop_back();
+      }
+      return StoreSiblings(parent, child_idx - 1, left_page, left, child_page,
+                           child);
     }
   }
 
   // Try borrowing from the right sibling.
+  PageId right_page = storage::kInvalidPageId;
+  Node right;
   if (child_idx + 1 < parent->children.size()) {
-    PageId right_page = parent->children[child_idx + 1];
-    SAE_ASSIGN_OR_RETURN(Node right, LoadNode(right_page));
+    right_page = parent->children[child_idx + 1];
+    SAE_ASSIGN_OR_RETURN(right, LoadNode(right_page));
     if (right.keys.size() > MinOccupancy(right)) {
       if (child.is_leaf) {
         child.keys.push_back(right.keys.front());
@@ -367,56 +520,63 @@ Status BPlusTree::FixUnderflow(Node* parent, size_t child_idx) {
         right.keys.erase(right.keys.begin());
         right.children.erase(right.children.begin());
       }
-      SAE_RETURN_NOT_OK(StoreNode(right_page, right));
-      return StoreNode(child_page, child);
+      if (with_digests_) {
+        child.digests.push_back(right.digests.front());
+        right.digests.erase(right.digests.begin());
+      }
+      return StoreSiblings(parent, child_idx, child_page, child, right_page,
+                           right);
     }
   }
 
   // Merge with a sibling. Prefer absorbing `child` into the left sibling.
   if (child_idx > 0) {
-    PageId left_page = parent->children[child_idx - 1];
-    SAE_ASSIGN_OR_RETURN(Node left, LoadNode(left_page));
-    if (child.is_leaf) {
-      left.keys.insert(left.keys.end(), child.keys.begin(), child.keys.end());
-      left.rids.insert(left.rids.end(), child.rids.begin(), child.rids.end());
-      left.next = child.next;
-    } else {
-      left.keys.push_back(parent->keys[child_idx - 1]);
-      left.keys.insert(left.keys.end(), child.keys.begin(), child.keys.end());
-      left.children.insert(left.children.end(), child.children.begin(),
-                           child.children.end());
-    }
-    SAE_RETURN_NOT_OK(StoreNode(left_page, left));
-    SAE_RETURN_NOT_OK(pool_->Free(child_page));
-    --node_count_;
-    parent->keys.erase(parent->keys.begin() + child_idx - 1);
-    parent->children.erase(parent->children.begin() + child_idx);
-    return Status::OK();
+    return MergeSiblings(parent, child_idx - 1, left_page, &left, child_page,
+                         child);
   }
+  SAE_CHECK(right_page != storage::kInvalidPageId);
+  return MergeSiblings(parent, child_idx, child_page, &child, right_page,
+                       right);
+}
 
-  SAE_CHECK(child_idx + 1 < parent->children.size());
-  PageId right_page = parent->children[child_idx + 1];
-  SAE_ASSIGN_OR_RETURN(Node right, LoadNode(right_page));
-  if (child.is_leaf) {
-    child.keys.insert(child.keys.end(), right.keys.begin(), right.keys.end());
-    child.rids.insert(child.rids.end(), right.rids.begin(), right.rids.end());
-    child.next = right.next;
-  } else {
-    child.keys.push_back(parent->keys[child_idx]);
-    child.keys.insert(child.keys.end(), right.keys.begin(), right.keys.end());
-    child.children.insert(child.children.end(), right.children.begin(),
-                          right.children.end());
+Status BPlusTree::StoreSiblings(Node* parent, size_t idx, PageId left_page,
+                                const Node& left, PageId right_page,
+                                const Node& right) {
+  SAE_RETURN_NOT_OK(StoreNode(left_page, left));
+  SAE_RETURN_NOT_OK(StoreNode(right_page, right));
+  if (with_digests_) {
+    parent->digests[idx] = NodeDigest(left);
+    parent->digests[idx + 1] = NodeDigest(right);
   }
-  SAE_RETURN_NOT_OK(StoreNode(child_page, child));
-  SAE_RETURN_NOT_OK(pool_->Free(right_page));
-  --node_count_;
-  parent->keys.erase(parent->keys.begin() + child_idx);
-  parent->children.erase(parent->children.begin() + child_idx + 1);
   return Status::OK();
 }
 
-Status BPlusTree::BulkLoad(const std::vector<BTreeEntry>& sorted,
-                           double fill) {
+Status BPlusTree::MergeSiblings(Node* parent, size_t idx, PageId left_page,
+                                Node* left, PageId right_page,
+                                const Node& right) {
+  if (left->is_leaf) {
+    Append(&left->rids, right.rids);
+    left->next = right.next;
+  } else {
+    left->keys.push_back(parent->keys[idx]);
+    Append(&left->children, right.children);
+  }
+  Append(&left->keys, right.keys);
+  Append(&left->digests, right.digests);
+  SAE_RETURN_NOT_OK(StoreNode(left_page, *left));
+  SAE_RETURN_NOT_OK(FreeNode(right_page));
+  parent->keys.erase(parent->keys.begin() + idx);
+  parent->children.erase(parent->children.begin() + idx + 1);
+  if (with_digests_) {
+    parent->digests.erase(parent->digests.begin() + idx + 1);
+    parent->digests[idx] = NodeDigest(*left);
+  }
+  return Status::OK();
+}
+
+template <typename Entry>
+Status BPlusTree::BulkLoadImpl(const std::vector<Entry>& sorted,
+                               double fill) {
   if (entry_count_ != 0 || node_count_ != 1) {
     return Status::InvalidArgument("bulk load requires an empty tree");
   }
@@ -429,8 +589,8 @@ Status BPlusTree::BulkLoad(const std::vector<BTreeEntry>& sorted,
     }
   }
   if (sorted.empty()) return Status::OK();
+  node_cache_.Clear();
 
-  // Reuse the pre-allocated empty root page as the first leaf.
   size_t min_leaf = std::max<size_t>(1, max_leaf_ / 2);
   size_t leaf_target = std::max<size_t>(
       min_leaf, static_cast<size_t>(double(max_leaf_) * fill));
@@ -444,14 +604,36 @@ Status BPlusTree::BulkLoad(const std::vector<BTreeEntry>& sorted,
   std::vector<LevelEntry> level;
   level.reserve(leaf_sizes.size());
 
+  // Digest mode: one batched hash per tree level. A node's digest preimage
+  // is its digest column, so the whole level rides the multi-buffer kernels
+  // (NodeDigest would hash node-at-a-time). `columns` keeps the level's
+  // columns alive until the batch call; `level_digests` parallels `level`.
+  std::vector<std::vector<crypto::Digest>> columns;
+  std::vector<crypto::Digest> level_digests;
+  auto hash_level = [&] {
+    std::vector<crypto::ByteSpan> spans(columns.size());
+    for (size_t i = 0; i < columns.size(); ++i) {
+      spans[i] = crypto::ByteSpan{columns[i].data(),
+                                  columns[i].size() * kDigestSize};
+    }
+    level_digests.assign(columns.size(), crypto::Digest{});
+    crypto::ComputeDigests(spans.data(), spans.size(), level_digests.data(),
+                           scheme_);
+    columns.clear();
+  };
+
   size_t offset = 0;
   PageId prev_leaf = storage::kInvalidPageId;
   for (size_t li = 0; li < leaf_sizes.size(); ++li) {
     Node leaf;
     leaf.is_leaf = true;
     for (size_t i = 0; i < leaf_sizes[li]; ++i) {
-      leaf.keys.push_back(sorted[offset + i].key);
-      leaf.rids.push_back(sorted[offset + i].rid);
+      const Entry& e = sorted[offset + i];
+      leaf.keys.push_back(e.key);
+      leaf.rids.push_back(e.rid);
+      if constexpr (std::is_same_v<Entry, DigestEntry>) {
+        leaf.digests.push_back(e.digest);
+      }
     }
     offset += leaf_sizes[li];
 
@@ -469,7 +651,9 @@ Status BPlusTree::BulkLoad(const std::vector<BTreeEntry>& sorted,
     }
     prev_leaf = page;
     level.push_back(LevelEntry{leaf.keys.front(), page});
+    if (with_digests_) columns.push_back(std::move(leaf.digests));
   }
+  if (with_digests_) hash_level();
 
   height_ = 1;
   size_t min_children = max_internal_ / 2 + 1;
@@ -490,25 +674,42 @@ Status BPlusTree::BulkLoad(const std::vector<BTreeEntry>& sorted,
         internal.keys.push_back(level[pos + i].first_key);
         internal.children.push_back(level[pos + i].page);
       }
+      if (with_digests_) {
+        internal.digests.assign(level_digests.begin() + pos,
+                                level_digests.begin() + pos + gs);
+      }
       SAE_ASSIGN_OR_RETURN(PageId page, NewNode(internal));
       next_level.push_back(LevelEntry{level[pos].first_key, page});
+      if (with_digests_) columns.push_back(std::move(internal.digests));
       pos += gs;
     }
+    if (with_digests_) hash_level();
     level = std::move(next_level);
     ++height_;
   }
 
   root_ = level.front().page;
+  if (with_digests_) root_digest_ = level_digests.front();
   entry_count_ = sorted.size();
   return Status::OK();
 }
 
+Status BPlusTree::BulkLoad(const std::vector<BTreeEntry>& sorted,
+                           double fill) {
+  return BulkLoadImpl(sorted, fill);
+}
+
+Status BPlusTree::BulkLoad(const std::vector<DigestEntry>& sorted,
+                           double fill) {
+  SAE_CHECK(with_digests_);
+  return BulkLoadImpl(sorted, fill);
+}
+
 Status BPlusTree::ValidateRec(PageId page, size_t depth, std::optional<Key> lo,
-                              std::optional<Key> hi, size_t* leaf_depth,
-                              size_t* entries, size_t* nodes,
-                              std::vector<PageId>* leaves_in_order) const {
+                              std::optional<Key> hi, ValidateWalk* walk,
+                              crypto::Digest* digest) const {
   SAE_ASSIGN_OR_RETURN(Node node, LoadNode(page));
-  ++*nodes;
+  ++walk->nodes;
 
   for (size_t i = 1; i < node.keys.size(); ++i) {
     if (node.keys[i - 1] > node.keys[i]) {
@@ -525,13 +726,14 @@ Status BPlusTree::ValidateRec(PageId page, size_t depth, std::optional<Key> lo,
     if (node.keys.size() > max_leaf_) {
       return Status::Corruption("leaf overflow");
     }
-    if (*leaf_depth == 0) {
-      *leaf_depth = depth;
-    } else if (*leaf_depth != depth) {
+    if (walk->leaf_depth == 0) {
+      walk->leaf_depth = depth;
+    } else if (walk->leaf_depth != depth) {
       return Status::Corruption("leaves at differing depths");
     }
-    *entries += node.keys.size();
-    leaves_in_order->push_back(page);
+    walk->entries += node.keys.size();
+    walk->leaves_in_order.push_back(page);
+    *digest = NodeDigest(node);
     return Status::OK();
   }
 
@@ -545,41 +747,46 @@ Status BPlusTree::ValidateRec(PageId page, size_t depth, std::optional<Key> lo,
     return Status::Corruption("internal underflow");
   }
   for (size_t i = 0; i < node.children.size(); ++i) {
-    std::optional<Key> child_lo = (i == 0) ? lo : std::optional(node.keys[i - 1]);
+    std::optional<Key> child_lo =
+        (i == 0) ? lo : std::optional(node.keys[i - 1]);
     std::optional<Key> child_hi =
         (i == node.keys.size()) ? hi : std::optional(node.keys[i]);
+    crypto::Digest child_digest;
     SAE_RETURN_NOT_OK(ValidateRec(node.children[i], depth + 1, child_lo,
-                                  child_hi, leaf_depth, entries, nodes,
-                                  leaves_in_order));
+                                  child_hi, walk, &child_digest));
+    if (with_digests_ && child_digest != node.digests[i]) {
+      return Status::Corruption("stale child digest");
+    }
   }
+  *digest = NodeDigest(node);
   return Status::OK();
 }
 
 Status BPlusTree::Validate() const {
-  size_t leaf_depth = 0, entries = 0, nodes = 0;
-  std::vector<PageId> leaves;
-  SAE_RETURN_NOT_OK(ValidateRec(root_, 1, std::nullopt, std::nullopt,
-                                &leaf_depth, &entries, &nodes, &leaves));
-  if (entries != entry_count_) {
+  ValidateWalk walk;
+  crypto::Digest digest;
+  SAE_RETURN_NOT_OK(
+      ValidateRec(root_, 1, std::nullopt, std::nullopt, &walk, &digest));
+  if (walk.entries != entry_count_) {
     return Status::Corruption("entry count mismatch");
   }
-  if (nodes != node_count_) {
+  if (walk.nodes != node_count_) {
     return Status::Corruption("node count mismatch");
   }
-  if (leaf_depth != height_) {
+  if (walk.leaf_depth != height_) {
     return Status::Corruption("height mismatch");
   }
-  // The left-to-right leaf order must match the next-pointer chain.
-  for (size_t i = 0; i + 1 < leaves.size(); ++i) {
-    SAE_ASSIGN_OR_RETURN(Node leaf, LoadNode(leaves[i]));
-    if (leaf.next != leaves[i + 1]) {
-      return Status::Corruption("broken leaf chain");
-    }
+  if (digest != root_digest_) {
+    return Status::Corruption("root digest stale");
   }
-  if (!leaves.empty()) {
-    SAE_ASSIGN_OR_RETURN(Node last, LoadNode(leaves.back()));
-    if (last.next != storage::kInvalidPageId) {
-      return Status::Corruption("dangling leaf chain tail");
+  // The left-to-right leaf order must match the next-pointer chain.
+  const std::vector<PageId>& leaves = walk.leaves_in_order;
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    SAE_ASSIGN_OR_RETURN(Node leaf, LoadNode(leaves[i]));
+    PageId expected =
+        i + 1 < leaves.size() ? leaves[i + 1] : storage::kInvalidPageId;
+    if (leaf.next != expected) {
+      return Status::Corruption("broken leaf chain");
     }
   }
   return Status::OK();

@@ -34,7 +34,7 @@ constexpr Key kMaxKey = std::numeric_limits<Key>::max();
 
 SaeSystem::SaeSystem(const Options& options)
     : UpdatePipeline({SnapshotState::kSae, uint32_t(options.record_size),
-                      options.scheme},
+                      options.scheme, {}, {}},
                      options.durability),
       options_(options),
       owner_(options.record_size),
@@ -154,7 +154,7 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
 
 TomSystem::TomSystem(const Options& options)
     : UpdatePipeline({SnapshotState::kTom, uint32_t(options.record_size),
-                      options.scheme},
+                      options.scheme, {}, {}},
                      options.durability),
       options_(options),
       codec_(options.record_size),
@@ -217,9 +217,7 @@ Status TomSystem::Apply(const WalUpdate& update, Traffic* traffic) {
 Status TomSystem::Capture(bool with_records, SnapshotState* state) {
   state->signature = owner_.signature();
   if (!with_records) return Status::OK();
-  SAE_ASSIGN_OR_RETURN(TomServiceProvider::QueryResponse range,
-                       sp_.ExecuteRange(kMinKey, kMaxKey));
-  state->records = std::move(range.results);
+  SAE_ASSIGN_OR_RETURN(state->records, sp_.RangeRecords(kMinKey, kMaxKey));
   return Status::OK();
 }
 

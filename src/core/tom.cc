@@ -194,14 +194,21 @@ Result<TomServiceProvider::QueryResponse> TomServiceProvider::ExecuteRange(
     Key lo, Key hi) const {
   // Traversal 1: locate and fetch the result records (each dataset page
   // fetched once per contiguous run). Traversal 2: build the VO.
-  SAE_ASSIGN_OR_RETURN(std::vector<storage::Rid> rids, RangeRids(lo, hi));
   QueryResponse response;
-  response.results.reserve(rids.size());
-  SAE_RETURN_NOT_OK(heap_.GetMany(rids, [&](size_t, const uint8_t* data) {
-    response.results.push_back(codec_.Deserialize(data));
-  }));
+  SAE_ASSIGN_OR_RETURN(response.results, RangeRecords(lo, hi));
   SAE_ASSIGN_OR_RETURN(response.vo, BuildVo(lo, hi));
   return response;
+}
+
+Result<std::vector<Record>> TomServiceProvider::RangeRecords(Key lo,
+                                                             Key hi) const {
+  SAE_ASSIGN_OR_RETURN(std::vector<storage::Rid> rids, RangeRids(lo, hi));
+  std::vector<Record> records;
+  records.reserve(rids.size());
+  SAE_RETURN_NOT_OK(heap_.GetMany(rids, [&](size_t, const uint8_t* data) {
+    records.push_back(codec_.Deserialize(data));
+  }));
+  return records;
 }
 
 Result<std::shared_ptr<const CachedAnswer>> TomServiceProvider::ServeQuery(

@@ -144,6 +144,11 @@ class TomServiceProvider {
   /// call from many threads concurrently (no concurrent updates).
   Result<QueryResponse> ExecuteRange(Key lo, Key hi) const;
 
+  /// The records with lo <= key <= hi in key order, read from the dataset
+  /// file without a VO (the checkpoint capture reads the whole table so).
+  /// Thread-safety matches ExecuteRange.
+  Result<std::vector<Record>> RangeRecords(Key lo, Key hi) const;
+
   /// An executed query plan: claimed answer, witness records (what the VO
   /// authenticates), and the VO over the underlying range.
   struct PlanResponse {

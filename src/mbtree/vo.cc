@@ -182,7 +182,7 @@ Status ComputeNodeDigest(const VoNode& node,
   }
   if (digests.empty()) {
     // Empty tree (e.g. an empty shard of a partitioned deployment): the
-    // digest of zero digests, mirroring MbTree::NodeDigest, so the VO of
+    // digest of zero digests, mirroring BPlusTree::NodeDigest, so the VO of
     // an honestly empty result reconstructs the signed empty-root digest.
     // Not a forgery vector: a non-empty signed tree has no node with this
     // digest, so a fabricated empty node still fails the signature check.

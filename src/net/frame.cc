@@ -4,16 +4,20 @@
 
 #include "net/frame.h"
 
+#include <cstring>
+
 #include "util/codec.h"
 
 namespace sae::net {
 
 void AppendFrame(std::vector<uint8_t>* out, const uint8_t* payload,
                  size_t len) {
-  uint8_t header[kFrameHeaderBytes];
-  EncodeU32(header, uint32_t(len));
-  out->insert(out->end(), header, header + kFrameHeaderBytes);
-  out->insert(out->end(), payload, payload + len);
+  // Size once, then copy: GCC proves these bounds, not vector::insert's.
+  size_t at = out->size();
+  out->resize(at + kFrameHeaderBytes + len);
+  uint8_t* frame = out->data() + at;
+  EncodeU32(frame, uint32_t(len));
+  if (len != 0) std::memcpy(frame + kFrameHeaderBytes, payload, len);
 }
 
 std::vector<uint8_t> EncodeFrame(const std::vector<uint8_t>& payload) {

@@ -5,6 +5,8 @@
 
 #include "net/server.h"
 
+#include <cstring>
+
 #include "core/messages.h"
 #include "mbtree/vo.h"
 
@@ -38,9 +40,10 @@ SharedPayload ProofFrame(const std::shared_ptr<const core::CachedAnswer>& a) {
 std::vector<uint8_t> ControlFrame(uint8_t tag) { return {tag}; }
 
 std::vector<uint8_t> ErrorFrame(const Status& status) {
-  std::vector<uint8_t> payload = {kCtlError};
   const std::string& msg = status.message();
-  payload.insert(payload.end(), msg.begin(), msg.end());
+  std::vector<uint8_t> payload(1 + msg.size());
+  payload[0] = kCtlError;
+  if (!msg.empty()) std::memcpy(payload.data() + 1, msg.data(), msg.size());
   return payload;
 }
 

@@ -56,10 +56,10 @@ Result<std::unique_ptr<XbTree>> XbTree::Create(BufferPool* pool,
             kChunkHeaderSize + per_chunk * kDupTupleSize <=
                 storage::kPageSize - kSlabHeaderSize);
 
-  auto tree = std::unique_ptr<XbTree>(new XbTree(
-      pool, max_entries, per_chunk,
-      storage::NodeCacheOptions{options.hot_cache_levels,
-                                options.hot_cache_entries}));
+  storage::NodeCacheOptions cache;  // the default entry cap
+  cache.hot_levels = options.hot_cache_levels;
+  auto tree = std::unique_ptr<XbTree>(
+      new XbTree(pool, max_entries, per_chunk, cache));
   SAE_CHECK(tree->ChunksPerPage() <= 256);  // slot must fit in 8 bits
   Node root;
   root.is_leaf = true;

@@ -65,7 +65,6 @@ struct XbTreeOptions {
   /// memoized and invalidated precisely along every update path, so
   /// steady-state VT generation parses only the leaf frontier. 0 disables.
   size_t hot_cache_levels = 2;
-  size_t hot_cache_entries = 1024;
 };
 
 /// Disk-based XOR B-tree. Const methods (GenerateVT, Validate) are safe to

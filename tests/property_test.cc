@@ -1,12 +1,14 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Cross-cutting property suites: fanout sweeps for all three trees,
+// Cross-cutting property suites: fanout sweeps for all three trees, a
+// plain-versus-digest-mode shape check of the one B+-tree under churn,
 // an exhaustive VT check over every (lo, hi) pair of a small domain,
 // deserializer robustness under random byte corruption, and a buffer-pool
 // stress test against a direct-store reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <tuple>
 
@@ -120,6 +122,73 @@ INSTANTIATE_TEST_SUITE_P(Fanouts, MbFanoutSweep,
                          ::testing::Values(Fanout{2, 2}, Fanout{4, 3},
                                            Fanout{3, 6}, Fanout{12, 12},
                                            Fanout{40, 5}));
+
+// The MB-tree is the B+-tree with a digest column: one seeded script of
+// inserts, deletes and refused re-inserts over duplicate keys must leave a
+// plain tree and an MB-tree with the same fanouts in the same shape after
+// every step.
+TEST(DigestColumnTest, PlainAndMbTreesShareOneStructure) {
+  for (auto [max_leaf, max_internal] :
+       {Fanout{2, 2}, Fanout{3, 2}, Fanout{5, 4}, Fanout{8, 4}}) {
+    SCOPED_TRACE(testing::Message() << "fanout " << max_leaf << "/"
+                                    << max_internal);
+    InMemoryPageStore plain_store, mb_store;
+    BufferPool plain_pool(&plain_store, 512), mb_pool(&mb_store, 512);
+    btree::BPlusTreeOptions plain_options;
+    plain_options.max_leaf_entries = max_leaf;
+    plain_options.max_internal_keys = max_internal;
+    mbtree::MbTreeOptions mb_options;
+    mb_options.max_leaf_entries = max_leaf;
+    mb_options.max_internal_keys = max_internal;
+    auto plain = btree::BPlusTree::Create(&plain_pool, plain_options)
+                     .ValueOrDie();
+    auto mb = mbtree::MbTree::Create(&mb_pool, mb_options).ValueOrDie();
+
+    Rng rng(uint64_t(max_leaf * 977 + max_internal));
+    std::vector<std::pair<uint32_t, uint64_t>> live;
+    uint64_t next_id = 1;
+    size_t max_height = 0;
+    for (int step = 0; step < 500; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      if (live.empty() || rng.NextDouble() < 0.6) {
+        uint32_t key = uint32_t(rng.NextBounded(40));  // many duplicates
+        uint64_t id = next_id++;
+        ASSERT_TRUE(plain->Insert(key, id).ok());
+        ASSERT_TRUE(mb->Insert(mbtree::MbEntry{key, id, DigestFor(id)}).ok());
+        live.emplace_back(key, id);
+      } else {
+        size_t victim = rng.NextBounded(live.size());
+        auto [key, id] = live[victim];
+        ASSERT_TRUE(plain->Delete(key, id).ok());
+        ASSERT_TRUE(mb->Delete(key, id).ok());
+        live.erase(live.begin() + victim);
+      }
+      if (!live.empty() && step % 4 == 0) {  // re-inserting is refused
+        auto [key, id] = live[rng.NextBounded(live.size())];
+        ASSERT_EQ(plain->Insert(key, id).code(), StatusCode::kAlreadyExists);
+        ASSERT_EQ(mb->Insert(mbtree::MbEntry{key, id, DigestFor(id)}).code(),
+                  StatusCode::kAlreadyExists);
+      }
+
+      std::vector<btree::BTreeEntry> plain_leaves;
+      std::vector<mbtree::MbEntry> mb_leaves;
+      ASSERT_TRUE(plain->RangeSearch(0, UINT32_MAX, &plain_leaves).ok());
+      ASSERT_TRUE(mb->RangeSearch(0, UINT32_MAX, &mb_leaves).ok());
+      ASSERT_EQ(plain_leaves.size(), mb_leaves.size());
+      for (size_t i = 0; i < plain_leaves.size(); ++i) {
+        ASSERT_EQ(plain_leaves[i].key, mb_leaves[i].key) << "entry " << i;
+        ASSERT_EQ(plain_leaves[i].rid, mb_leaves[i].rid) << "entry " << i;
+      }
+      ASSERT_EQ(plain_leaves.size(), live.size());
+      ASSERT_EQ(plain->height(), mb->height());
+      ASSERT_EQ(plain->node_count(), mb->node_count());
+      ASSERT_TRUE(plain->Validate().ok());
+      ASSERT_TRUE(mb->Validate().ok());
+      max_height = std::max(max_height, plain->height());
+    }
+    EXPECT_GT(max_height, 2u);  // the script split internal nodes
+  }
+}
 
 class XbFanoutSweep : public ::testing::TestWithParam<Fanout> {};
 
