@@ -310,10 +310,10 @@ int main() {
   for (uint64_t id = 1; id <= n_records; ++id) {
     dataset.push_back(codec.MakeRecord(id, uint32_t(id)));
   }
-  core::ServiceProvider sp(
-      core::ServiceProviderOptions{.record_size = kRecordSize});
-  core::TrustedEntity te(
-      core::TrustedEntityOptions{.record_size = kRecordSize});
+  core::ServiceProvider sp(core::ServiceProviderOptions{
+      .record_size = kRecordSize, .answer_cache = {}});
+  core::TrustedEntity te(core::TrustedEntityOptions{
+      .record_size = kRecordSize, .xb_options = {}, .vt_cache = {}});
   SAE_CHECK_OK(sp.LoadDataset(dataset));
   SAE_CHECK_OK(te.LoadDataset(dataset));
   sp.SetEpoch(1);

@@ -193,7 +193,7 @@ inline TomSpBundle BuildTomSp(const std::vector<storage::Record>& sorted,
   core::TomServiceProvider::Options options;
   options.record_size = kRecordSize;
   auto sp = std::make_unique<core::TomServiceProvider>(options);
-  SAE_CHECK_OK(sp->LoadDataset(sorted, {}));
+  SAE_CHECK_OK(sp->LoadDataset(sorted));
 
   Rng rng(0x5AE2009);
   crypto::RsaPrivateKey key = crypto::RsaGenerateKey(&rng, rsa_bits);
@@ -201,12 +201,8 @@ inline TomSpBundle BuildTomSp(const std::vector<storage::Record>& sorted,
   // epoch-stamped root commitment for that epoch.
   crypto::RsaSignature sig = crypto::RsaSignDigest(
       key, crypto::EpochStampedDigest(sp->ads().root_digest(), 0));
-  // Re-install the dataset signature (LoadDataset consumed an empty one).
-  TomSpBundle bundle{std::move(sp), key.PublicKey()};
-  // ApplyInsert/ApplyDelete would normally refresh it; here we reload by
-  // rebuilding the response path's signature directly.
-  bundle.sp->SetSignature(std::move(sig), 0);
-  return bundle;
+  sp->SetSignature(std::move(sig), 0);
+  return TomSpBundle{std::move(sp), key.PublicKey()};
 }
 
 inline void PrintHeader(const char* title, const char* columns) {

@@ -87,8 +87,8 @@ Status Retry(Fn&& fn) {
 // --- party processes ------------------------------------------------------------
 
 int RunSp(uint16_t port) {
-  core::ServiceProvider sp(
-      core::ServiceProviderOptions{.record_size = kRecordSize});
+  core::ServiceProvider sp(core::ServiceProviderOptions{
+      .record_size = kRecordSize, .answer_cache = {}});
   net::SpServer server(&sp, {.port = port});
   if (!server.Start().ok()) return 1;
   std::printf("[sp]     pid %d serving on port %u\n", getpid(),
@@ -101,8 +101,8 @@ int RunSp(uint16_t port) {
 }
 
 int RunTe(uint16_t port) {
-  core::TrustedEntity te(
-      core::TrustedEntityOptions{.record_size = kRecordSize});
+  core::TrustedEntity te(core::TrustedEntityOptions{
+      .record_size = kRecordSize, .xb_options = {}, .vt_cache = {}});
   net::TeServer server(&te, {.port = port});
   if (!server.Start().ok()) return 1;
   std::printf("[te]     pid %d serving on port %u\n", getpid(),

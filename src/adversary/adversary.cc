@@ -40,24 +40,16 @@ Result<std::shared_ptr<const core::CachedAnswer>> Replay(
   return source.ServeQuery(request);
 }
 
-const RecordCodec& CodecOf(const core::ServiceProvider& sp) {
-  return sp.table().codec();
-}
-const RecordCodec& CodecOf(const core::TomServiceProvider& sp) {
-  return sp.codec();
-}
-
 // Replaces the cache entry for (request, current epoch) with a tampered
 // copy of `served`, which keeps its proof bytes.
-template <typename Sp>
 Result<std::shared_ptr<const core::CachedAnswer>> Poison(
-    Sp* sp, const dbms::QueryRequest& request,
+    core::ServiceProvider* sp, const dbms::QueryRequest& request,
     const core::CachedAnswer& served, uint64_t seed) {
   uint64_t epoch = sp->epoch();
   SAE_ASSIGN_OR_RETURN(
       std::vector<uint8_t> tampered,
       TamperAnswer(served.answer_msg, request, AttackMode::kTamperPayload,
-                   CodecOf(*sp), seed, epoch));
+                   sp->table().codec(), seed, epoch));
   auto poisoned = std::make_shared<const core::CachedAnswer>(
       core::CachedAnswer{std::move(tampered), served.proof_msg});
   sp->answer_cache().Insert(core::AnswerCache::Key::For(request, epoch),
@@ -67,14 +59,6 @@ Result<std::shared_ptr<const core::CachedAnswer>> Poison(
 
 // The tamper seed PoisonCache uses.
 constexpr uint64_t kPoisonSeed = 42;
-
-template <typename Sp>
-Result<std::shared_ptr<const core::CachedAnswer>> PoisonServed(
-    Sp* sp, const dbms::QueryRequest& request) {
-  SAE_ASSIGN_OR_RETURN(std::shared_ptr<const core::CachedAnswer> served,
-                       sp->ServeQuery(request));
-  return Poison(sp, request, *served, kPoisonSeed);
-}
 
 }  // namespace
 
@@ -95,12 +79,9 @@ Result<std::vector<uint8_t>> TamperAnswer(
 
 Result<std::shared_ptr<const core::CachedAnswer>> PoisonCache(
     core::ServiceProvider* sp, const dbms::QueryRequest& request) {
-  return PoisonServed(sp, request);
-}
-
-Result<std::shared_ptr<const core::CachedAnswer>> PoisonCache(
-    core::TomServiceProvider* sp, const dbms::QueryRequest& request) {
-  return PoisonServed(sp, request);
+  SAE_ASSIGN_OR_RETURN(std::shared_ptr<const core::CachedAnswer> served,
+                       sp->ServeQuery(request));
+  return Poison(sp, request, *served, kPoisonSeed);
 }
 
 // --- SAE ---------------------------------------------------------------------
@@ -122,7 +103,7 @@ Result<std::shared_ptr<const core::CachedAnswer>> SaeSpAttack::OnAnswer(
   }
   SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> answer_msg,
                        TamperAnswer(served->answer_msg, request, mode_,
-                                    CodecOf(*sp_), seed, claimed));
+                                    sp_->table().codec(), seed, claimed));
   return std::make_shared<const core::CachedAnswer>(
       core::CachedAnswer{std::move(answer_msg), {}});
 }
@@ -165,7 +146,7 @@ Result<std::shared_ptr<const core::CachedAnswer>> TomSpAttack::OnAnswer(
   }
   SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> answer_msg,
                        TamperAnswer(served->answer_msg, request, mode_,
-                                    CodecOf(*sp_), seed, vo.epoch));
+                                    sp_->table().codec(), seed, vo.epoch));
   return std::make_shared<const core::CachedAnswer>(
       core::CachedAnswer{std::move(answer_msg), vo.Serialize()});
 }
@@ -193,13 +174,17 @@ Adversary<core::TomSystem>::Adversary(core::TomSystem* system)
   uint64_t epoch = 0;
   core::SnapshotState state = system->CaptureState(&epoch).ValueOrDie();
   stale_signature_ = state.signature;
-  stale_ = std::make_unique<core::TomServiceProvider>(
-      core::TomServiceProvider::Options{o.record_size, o.scheme,
-                                        o.sp_index_pool_pages,
-                                        o.sp_heap_pool_pages, o.mb_options,
-                                        o.sp_answer_cache});
-  SAE_CHECK_OK(
-      stale_->LoadDataset(state.records, state.signature, epoch));
+  core::TomServiceProvider::Options sp_options;
+  sp_options.record_size = o.record_size;
+  sp_options.index_pool_pages = o.sp_index_pool_pages;
+  sp_options.heap_pool_pages = o.sp_heap_pool_pages;
+  sp_options.answer_cache = o.sp_answer_cache;
+  sp_options.scheme = o.scheme;
+  sp_options.mb_options = o.mb_options;
+  stale_ = std::make_unique<core::TomServiceProvider>(sp_options);
+  // The captured shape rebuilds the very tree the stale signature covers.
+  SAE_CHECK_OK(stale_->LoadDataset(state.records, state.shape));
+  stale_->SetSignature(state.signature, epoch);
 }
 
 namespace {

@@ -55,8 +55,6 @@ Result<std::vector<uint8_t>> TamperAnswer(
 /// persists. The TOM copy keeps the honest VO, which disproves it.
 Result<std::shared_ptr<const core::CachedAnswer>> PoisonCache(
     core::ServiceProvider* sp, const dbms::QueryRequest& request);
-Result<std::shared_ptr<const core::CachedAnswer>> PoisonCache(
-    core::TomServiceProvider* sp, const dbms::QueryRequest& request);
 
 /// A compromised SAE SP as a tap on SaeSystem::ExecuteQuery. `sp` is the
 /// system's live SP (kPoisonedCache writes its cache); `stale`, when given,

@@ -36,18 +36,16 @@ size_t PageMaxInternal(size_t w) {
          InternalEntrySize(w);  // 509 / 144
 }
 
-// Splits `total` items into near-equal chunks aiming at `target` items per
-// chunk while honoring the hard occupancy bounds [min_size, hard_cap].
-// A single (possibly slim) chunk is returned when total <= min_size — that
-// chunk becomes the root. Used by bulk load so no node over- or underflows.
-std::vector<size_t> PlanChunks(size_t total, size_t target, size_t hard_cap,
-                               size_t min_size) {
-  SAE_CHECK(min_size >= 1 && min_size <= hard_cap && target >= 1);
+// Splits `total` items into the fewest near-equal chunks of at most `cap`
+// items, none below `min_size`. A single (possibly slim) chunk is returned
+// when total <= min_size — that chunk becomes the root. PlanShape uses it
+// so no node of a fresh bulk load over- or underflows.
+std::vector<size_t> PlanChunks(size_t total, size_t cap, size_t min_size) {
+  SAE_CHECK(min_size >= 1 && min_size <= cap);
   if (total <= min_size) return {total};
-  size_t n = (total + target - 1) / target;
-  if (n == 0) n = 1;
+  size_t n = (total + cap - 1) / cap;
   while (n > 1 && total / n < min_size) --n;
-  while ((total + n - 1) / n > hard_cap) ++n;
+  while ((total + n - 1) / n > cap) ++n;
   SAE_CHECK(n >= 1 && total / n >= std::min(min_size, total));
   std::vector<size_t> sizes(n, total / n);
   for (size_t i = 0; i < total % n; ++i) ++sizes[i];
@@ -218,12 +216,17 @@ Status BPlusTree::StoreNode(PageId id, const Node& node) {
   return Status::OK();
 }
 
-Result<PageId> BPlusTree::NewNode(const Node& node) {
+Result<PageId> BPlusTree::AllocNode() {
   SAE_ASSIGN_OR_RETURN(auto ref, pool_->New());
   PageId id = ref.id();
   ref.Release();
-  SAE_RETURN_NOT_OK(StoreNode(id, node));
   ++node_count_;
+  return id;
+}
+
+Result<PageId> BPlusTree::NewNode(const Node& node) {
+  SAE_ASSIGN_OR_RETURN(PageId id, AllocNode());
+  SAE_RETURN_NOT_OK(StoreNode(id, node));
   return id;
 }
 
@@ -239,6 +242,9 @@ size_t BPlusTree::MinOccupancy(const Node& node) const {
 }
 
 Status BPlusTree::Insert(Key key, Rid rid) {
+  if (with_digests_) {
+    return Status::InvalidArgument("a digest-mode posting needs its digest");
+  }
   return Insert(DigestEntry{key, rid, crypto::Digest{}});
 }
 
@@ -339,24 +345,25 @@ Status BPlusTree::InsertRec(PageId page, const DigestEntry& entry,
   return StoreNode(page, node);
 }
 
+Result<BPlusTree::NodeView> BPlusTree::DescendToLeaf(Key key,
+                                                      size_t* depth) const {
+  // Duplicate keys can straddle a split boundary, so follow lower_bound on
+  // the separators to the leftmost candidate leaf.
+  PageId page = root_;
+  for (*depth = 0;; ++*depth) {
+    SAE_ASSIGN_OR_RETURN(NodeView node, ReadNode(page, *depth));
+    if (node->is_leaf) return node;
+    page = node->children[LowerBound(node->keys, key)];
+  }
+}
+
 template <typename Entry>
 Status BPlusTree::RangeSearchImpl(Key lo, Key hi,
                                   std::vector<Entry>* out) const {
   if (lo > hi) return Status::InvalidArgument("lo > hi");
-
-  // Descend to the leftmost leaf that may contain `lo`. Duplicate keys can
-  // straddle a split boundary, so use lower_bound on separators.
-  PageId page = root_;
   size_t depth = 0;
+  SAE_ASSIGN_OR_RETURN(NodeView leaf, DescendToLeaf(lo, &depth));
   for (;;) {
-    SAE_ASSIGN_OR_RETURN(NodeView node, ReadNode(page, depth));
-    if (node->is_leaf) break;
-    page = node->children[LowerBound(node->keys, lo)];
-    ++depth;
-  }
-
-  while (page != storage::kInvalidPageId) {
-    SAE_ASSIGN_OR_RETURN(NodeView leaf, ReadNode(page, depth));
     for (size_t pos = LowerBound(leaf->keys, lo); pos < leaf->keys.size();
          ++pos) {
       if (leaf->keys[pos] > hi) return Status::OK();
@@ -367,9 +374,10 @@ Status BPlusTree::RangeSearchImpl(Key lo, Key hi,
         out->push_back(BTreeEntry{leaf->keys[pos], leaf->rids[pos]});
       }
     }
-    page = leaf->next;
+    PageId next = leaf->next;
+    if (next == storage::kInvalidPageId) return Status::OK();
+    SAE_ASSIGN_OR_RETURN(leaf, ReadNode(next, depth));
   }
-  return Status::OK();
 }
 
 Status BPlusTree::RangeSearch(Key lo, Key hi,
@@ -384,25 +392,19 @@ Status BPlusTree::RangeSearch(Key lo, Key hi,
 }
 
 Result<bool> BPlusTree::Contains(Key key, Rid rid) const {
-  PageId page = root_;
   size_t depth = 0;
-  for (;;) {
-    SAE_ASSIGN_OR_RETURN(NodeView node, ReadNode(page, depth));
-    if (node->is_leaf) break;
-    page = node->children[LowerBound(node->keys, key)];
-    ++depth;
-  }
+  SAE_ASSIGN_OR_RETURN(NodeView leaf, DescendToLeaf(key, &depth));
   // A run of duplicates may continue into the following leaves.
-  while (page != storage::kInvalidPageId) {
-    SAE_ASSIGN_OR_RETURN(NodeView leaf, ReadNode(page, depth));
+  for (;;) {
     for (size_t pos = LowerBound(leaf->keys, key); pos < leaf->keys.size();
          ++pos) {
       if (leaf->keys[pos] != key) return false;
       if (leaf->rids[pos] == rid) return true;
     }
-    page = leaf->next;
+    PageId next = leaf->next;
+    if (next == storage::kInvalidPageId) return false;
+    SAE_ASSIGN_OR_RETURN(leaf, ReadNode(next, depth));
   }
-  return false;
 }
 
 Status BPlusTree::Delete(Key key, Rid rid) {
@@ -574,35 +576,73 @@ Status BPlusTree::MergeSiblings(Node* parent, size_t idx, PageId left_page,
   return Status::OK();
 }
 
-template <typename Entry>
-Status BPlusTree::BulkLoadImpl(const std::vector<Entry>& sorted,
-                               double fill) {
+TreeShape BPlusTree::PlanShape(size_t entries) const {
+  TreeShape shape;
+  std::vector<size_t> sizes =
+      PlanChunks(entries, max_leaf_, std::max<size_t>(1, max_leaf_ / 2));
+  for (;;) {
+    shape.emplace_back(sizes.begin(), sizes.end());
+    if (sizes.size() <= 1) return shape;
+    sizes =
+        PlanChunks(sizes.size(), max_internal_ + 1, max_internal_ / 2 + 1);
+  }
+}
+
+Status BPlusTree::CheckShape(const TreeShape& shape, size_t entries) const {
+  if (shape.empty() || shape.back().size() != 1) {
+    return Status::InvalidArgument("tree shape must end in a single root");
+  }
+  if (entries == 0) {
+    return shape.size() == 1 && shape[0][0] == 0
+               ? Status::OK()
+               : Status::InvalidArgument("an empty tree is one empty leaf");
+  }
+  size_t below = entries;  // what the level's nodes must hold between them
+  for (size_t level = 0; level < shape.size(); ++level) {
+    // A leaf holds 1..max_leaf_ entries, an internal node 2..max_internal_+1
+    // children.
+    const size_t lo = level == 0 ? 1 : 2;
+    const size_t hi = level == 0 ? max_leaf_ : max_internal_ + 1;
+    size_t total = 0;
+    for (uint32_t fanout : shape[level]) {
+      if (fanout < lo || fanout > hi) {
+        return Status::InvalidArgument(
+            "tree shape does not fit this tree's fanouts");
+      }
+      total += fanout;
+    }
+    if (total != below) {
+      return Status::InvalidArgument("tree shape does not add up");
+    }
+    below = shape[level].size();
+  }
+  return Status::OK();
+}
+
+Status BPlusTree::BulkLoad(const std::vector<BTreeEntry>& sorted,
+                           const std::vector<crypto::Digest>& digests,
+                           const TreeShape& shape) {
   if (entry_count_ != 0 || node_count_ != 1) {
     return Status::InvalidArgument("bulk load requires an empty tree");
   }
-  if (fill <= 0.0 || fill > 1.0) {
-    return Status::InvalidArgument("fill must be in (0, 1]");
+  if (digests.size() != (with_digests_ ? sorted.size() : 0)) {
+    return Status::InvalidArgument("digest column does not match the tree");
   }
   for (size_t i = 1; i < sorted.size(); ++i) {
     if (sorted[i - 1].key > sorted[i].key) {
       return Status::InvalidArgument("entries not sorted by key");
     }
   }
+  SAE_RETURN_NOT_OK(CheckShape(shape, sorted.size()));
   if (sorted.empty()) return Status::OK();
   node_cache_.Clear();
-
-  size_t min_leaf = std::max<size_t>(1, max_leaf_ / 2);
-  size_t leaf_target = std::max<size_t>(
-      min_leaf, static_cast<size_t>(double(max_leaf_) * fill));
-  std::vector<size_t> leaf_sizes =
-      PlanChunks(sorted.size(), leaf_target, max_leaf_, min_leaf);
 
   struct LevelEntry {
     Key first_key;
     PageId page;
   };
   std::vector<LevelEntry> level;
-  level.reserve(leaf_sizes.size());
+  level.reserve(shape[0].size());
 
   // Digest mode: one batched hash per tree level. A node's digest preimage
   // is its digest column, so the whole level rides the multi-buffer kernels
@@ -622,87 +662,106 @@ Status BPlusTree::BulkLoadImpl(const std::vector<Entry>& sorted,
     columns.clear();
   };
 
+  // Each leaf takes its successor's page before it is written, so it is
+  // stored once, already linked. The first recycles the empty root page.
   size_t offset = 0;
-  PageId prev_leaf = storage::kInvalidPageId;
-  for (size_t li = 0; li < leaf_sizes.size(); ++li) {
+  PageId page = root_;
+  for (size_t li = 0; li < shape[0].size(); ++li) {
     Node leaf;
     leaf.is_leaf = true;
-    for (size_t i = 0; i < leaf_sizes[li]; ++i) {
-      const Entry& e = sorted[offset + i];
-      leaf.keys.push_back(e.key);
-      leaf.rids.push_back(e.rid);
-      if constexpr (std::is_same_v<Entry, DigestEntry>) {
-        leaf.digests.push_back(e.digest);
-      }
+    const size_t end = offset + shape[0][li];
+    for (size_t i = offset; i < end; ++i) {
+      leaf.keys.push_back(sorted[i].key);
+      leaf.rids.push_back(sorted[i].rid);
     }
-    offset += leaf_sizes[li];
-
-    PageId page;
-    if (li == 0) {
-      page = root_;  // recycle the initial empty root page
-      SAE_RETURN_NOT_OK(StoreNode(page, leaf));
-    } else {
-      SAE_ASSIGN_OR_RETURN(page, NewNode(leaf));
+    if (with_digests_) {
+      leaf.digests.assign(digests.begin() + offset, digests.begin() + end);
     }
-    if (prev_leaf != storage::kInvalidPageId) {
-      SAE_ASSIGN_OR_RETURN(Node prev, LoadNode(prev_leaf));
-      prev.next = page;
-      SAE_RETURN_NOT_OK(StoreNode(prev_leaf, prev));
+    offset = end;
+    if (li + 1 < shape[0].size()) {
+      SAE_ASSIGN_OR_RETURN(leaf.next, AllocNode());
     }
-    prev_leaf = page;
+    SAE_RETURN_NOT_OK(StoreNode(page, leaf));
     level.push_back(LevelEntry{leaf.keys.front(), page});
     if (with_digests_) columns.push_back(std::move(leaf.digests));
+    page = leaf.next;
   }
   if (with_digests_) hash_level();
 
-  height_ = 1;
-  size_t min_children = max_internal_ / 2 + 1;
-  size_t target_children = std::max<size_t>(
-      min_children,
-      static_cast<size_t>(double(max_internal_ + 1) * fill));
-  while (level.size() > 1) {
-    std::vector<size_t> group_sizes = PlanChunks(
-        level.size(), target_children, max_internal_ + 1, min_children);
+  for (size_t height = 1; height < shape.size(); ++height) {
     std::vector<LevelEntry> next_level;
-    next_level.reserve(group_sizes.size());
+    next_level.reserve(shape[height].size());
     size_t pos = 0;
-    for (size_t gs : group_sizes) {
+    for (uint32_t fanout : shape[height]) {
       Node internal;
       internal.is_leaf = false;
       internal.children.push_back(level[pos].page);
-      for (size_t i = 1; i < gs; ++i) {
+      for (size_t i = 1; i < fanout; ++i) {
         internal.keys.push_back(level[pos + i].first_key);
         internal.children.push_back(level[pos + i].page);
       }
       if (with_digests_) {
         internal.digests.assign(level_digests.begin() + pos,
-                                level_digests.begin() + pos + gs);
+                                level_digests.begin() + pos + fanout);
       }
-      SAE_ASSIGN_OR_RETURN(PageId page, NewNode(internal));
-      next_level.push_back(LevelEntry{level[pos].first_key, page});
+      SAE_ASSIGN_OR_RETURN(PageId internal_page, NewNode(internal));
+      next_level.push_back(LevelEntry{level[pos].first_key, internal_page});
       if (with_digests_) columns.push_back(std::move(internal.digests));
-      pos += gs;
+      pos += fanout;
     }
     if (with_digests_) hash_level();
     level = std::move(next_level);
-    ++height_;
   }
 
   root_ = level.front().page;
   if (with_digests_) root_digest_ = level_digests.front();
+  height_ = shape.size();
   entry_count_ = sorted.size();
   return Status::OK();
 }
 
-Status BPlusTree::BulkLoad(const std::vector<BTreeEntry>& sorted,
-                           double fill) {
-  return BulkLoadImpl(sorted, fill);
+Status BPlusTree::BulkLoad(const std::vector<BTreeEntry>& sorted) {
+  return BulkLoad(sorted, {}, PlanShape(sorted.size()));
 }
 
-Status BPlusTree::BulkLoad(const std::vector<DigestEntry>& sorted,
-                           double fill) {
-  SAE_CHECK(with_digests_);
-  return BulkLoadImpl(sorted, fill);
+Status BPlusTree::BulkLoad(const std::vector<DigestEntry>& sorted) {
+  std::vector<BTreeEntry> postings;
+  std::vector<crypto::Digest> digests;
+  postings.reserve(sorted.size());
+  digests.reserve(sorted.size());
+  for (const DigestEntry& e : sorted) {
+    postings.push_back(BTreeEntry{e.key, e.rid});
+    digests.push_back(e.digest);
+  }
+  return BulkLoad(postings, digests, PlanShape(sorted.size()));
+}
+
+Status BPlusTree::Walk(TreeShape* shape, std::vector<Rid>* rids) const {
+  shape->clear();
+  if (rids != nullptr) rids->clear();
+  std::vector<PageId> level{root_};
+  for (size_t depth = 0;; ++depth) {
+    std::vector<uint32_t> fanouts;
+    fanouts.reserve(level.size());
+    std::vector<PageId> below;
+    bool leaves = false;
+    for (PageId page : level) {
+      SAE_ASSIGN_OR_RETURN(NodeView node, ReadNode(page, depth));
+      leaves = node->is_leaf;
+      if (leaves) {
+        fanouts.push_back(uint32_t(node->keys.size()));
+        if (rids != nullptr) Append(rids, node->rids);
+      } else {
+        fanouts.push_back(uint32_t(node->children.size()));
+        Append(&below, node->children);
+      }
+    }
+    shape->push_back(std::move(fanouts));
+    if (leaves) break;  // every leaf sits at the same depth
+    level = std::move(below);
+  }
+  std::reverse(shape->begin(), shape->end());
+  return Status::OK();
 }
 
 Status BPlusTree::ValidateRec(PageId page, size_t depth, std::optional<Key> lo,

@@ -68,31 +68,67 @@ struct BPlusTreeOptions {
   size_t max_internal_keys = 0;
 };
 
-/// Disk-based B+-tree. Const methods (RangeSearch, Contains, Validate) are
-/// safe to call from many threads over a thread-safe BufferPool; mutations
-/// (single-writer model) require exclusive access to the tree.
+/// A tree's node fan-outs, level by level from the leaves up: shape[0] holds
+/// each leaf's entry count in key order, shape[i] each level-i node's child
+/// count, and the last level is the root alone. Together with the postings
+/// in key order it pins the tree exactly — the same postings bulk-loaded
+/// into the same shape give byte-identical nodes and the same root digest.
+using TreeShape = std::vector<std::vector<uint32_t>>;
+
+/// Disk-based B+-tree. Const methods (RangeSearch, Contains, Walk, Validate)
+/// are safe to call from many threads over a thread-safe BufferPool;
+/// mutations (single-writer model) require exclusive access to the tree.
 class BPlusTree {
  public:
   /// Creates an empty plain-mode tree rooted at a fresh leaf page.
   static Result<std::unique_ptr<BPlusTree>> Create(
       BufferPool* pool, const BPlusTreeOptions& options = {});
 
+  virtual ~BPlusTree() = default;
+  BPlusTree(const BPlusTree&) = delete;
+  BPlusTree& operator=(const BPlusTree&) = delete;
+
   /// Inserts a posting; duplicates (same key, different rid) are allowed,
-  /// and re-inserting an identical (key, rid) pair is an error.
+  /// and re-inserting an identical (key, rid) pair is an error. The digest
+  /// is the posting's digest-column value: required in digest mode, ignored
+  /// in plain mode (the (key, rid) form is plain mode's).
+  Status Insert(const DigestEntry& entry);
   Status Insert(Key key, Rid rid);
 
   /// Removes the posting (key, rid); NotFound if absent.
   Status Delete(Key key, Rid rid);
 
-  /// Appends all postings with lo <= key <= hi to `out` in key order.
+  /// Appends all postings with lo <= key <= hi to `out` in key order (the
+  /// DigestEntry form, with their digests, in digest mode only).
   Status RangeSearch(Key lo, Key hi, std::vector<BTreeEntry>* out) const;
+  Status RangeSearch(Key lo, Key hi, std::vector<DigestEntry>* out) const;
 
   /// True iff the exact posting exists.
   Result<bool> Contains(Key key, Rid rid) const;
 
-  /// Bottom-up bulk load from key-sorted postings into an empty tree.
-  /// `fill` in (0, 1] controls leaf/internal occupancy.
-  Status BulkLoad(const std::vector<BTreeEntry>& sorted, double fill = 1.0);
+  /// The shape a fresh bulk load of `entries` postings builds: full nodes,
+  /// the remainder spread so that no node underflows.
+  TreeShape PlanShape(size_t entries) const;
+
+  /// Bottom-up bulk load into an empty tree: `sorted` in key order, with
+  /// the parallel digest column in digest mode (`digests` empty in plain
+  /// mode), laid out exactly as `shape`. Every node is written once.
+  Status BulkLoad(const std::vector<BTreeEntry>& sorted,
+                  const std::vector<crypto::Digest>& digests,
+                  const TreeShape& shape);
+  /// The same over the planned shape: plain mode takes postings, digest
+  /// mode postings with their digests.
+  Status BulkLoad(const std::vector<BTreeEntry>& sorted);
+  Status BulkLoad(const std::vector<DigestEntry>& sorted);
+
+  /// One level-by-level pass over the tree: its shape and, when `rids` is
+  /// given, every posting's rid in key order — what BulkLoad needs to
+  /// rebuild this very tree.
+  Status Walk(TreeShape* shape, std::vector<Rid>* rids) const;
+
+  bool with_digests() const { return with_digests_; }
+  /// The digest column's hash scheme (digest mode).
+  crypto::HashScheme scheme() const { return scheme_; }
 
   size_t size() const { return entry_count_; }
   size_t node_count() const { return node_count_; }
@@ -152,11 +188,6 @@ class BPlusTree {
   /// filled into the node cache.
   Result<NodeView> ReadNode(PageId id, size_t depth) const;
 
-  // The digest-mode forms of the public operations (digests must be set).
-  Status Insert(const DigestEntry& entry);
-  Status RangeSearch(Key lo, Key hi, std::vector<DigestEntry>* out) const;
-  Status BulkLoad(const std::vector<DigestEntry>& sorted, double fill);
-
   /// Digest mode: the current root digest (the value the DO signs).
   const crypto::Digest& root_digest() const { return root_digest_; }
 
@@ -167,12 +198,21 @@ class BPlusTree {
  private:
   Result<Node> LoadNode(PageId id) const;
   Status StoreNode(PageId id, const Node& node);
+  /// Takes a fresh page for a node that StoreNode writes later.
+  Result<PageId> AllocNode();
   Result<PageId> NewNode(const Node& node);
   Status FreeNode(PageId id);
 
   /// H(concatenated digest column); the all-zero digest in plain mode,
   /// which hashes nothing.
   crypto::Digest NodeDigest(const Node& node) const;
+
+  /// Descends from the root to the leftmost leaf that may hold `key` and
+  /// returns it, with its depth in `depth`.
+  Result<NodeView> DescendToLeaf(Key key, size_t* depth) const;
+
+  /// OK iff `shape` lays out `entries` postings within this tree's fanouts.
+  Status CheckShape(const TreeShape& shape, size_t entries) const;
 
   struct SplitResult {
     Key separator;
@@ -208,8 +248,6 @@ class BPlusTree {
 
   template <typename Entry>
   Status RangeSearchImpl(Key lo, Key hi, std::vector<Entry>* out) const;
-  template <typename Entry>
-  Status BulkLoadImpl(const std::vector<Entry>& sorted, double fill);
 
   struct ValidateWalk {
     size_t leaf_depth = 0;

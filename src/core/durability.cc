@@ -59,36 +59,78 @@ Status GetHeader(ByteReader* r, const std::string& what, State* state) {
 }
 
 // The tail both checkpoint payloads close with: the length-prefixed TOM
-// root signature (empty for SAE), then nothing.
-void PutSignature(ByteWriter* w, const std::vector<uint8_t>& signature) {
-  w->PutU32(uint32_t(signature.size()));
-  w->PutBytes(signature.data(), signature.size());
+// root signature (empty for SAE), then, for TOM only, the MB-tree shape as
+// a u32 level count and, per level, a u32 node count and one u16 fan-out
+// per node.
+template <typename State>
+void PutTail(ByteWriter* w, const State& state) {
+  w->PutU32(uint32_t(state.signature.size()));
+  w->PutBytes(state.signature.data(), state.signature.size());
+  if (state.model != SnapshotState::kTom) return;
+  w->PutU32(uint32_t(state.shape.size()));
+  for (const std::vector<uint32_t>& level : state.shape) {
+    w->PutU32(uint32_t(level.size()));
+    for (uint32_t fanout : level) w->PutU16(uint16_t(fanout));
+  }
 }
 
-Status GetSignature(ByteReader* r, const std::string& what,
-                    std::vector<uint8_t>* signature) {
+template <typename State>
+Status GetTail(ByteReader* r, const std::string& what, State* state) {
   uint32_t sig_len = r->GetU32();
   if (r->failed() || sig_len > r->remaining()) {
     return Status::Corruption(what + " signature does not decode");
   }
-  signature->resize(sig_len);
-  if (sig_len > 0 && !r->GetBytes(signature->data(), sig_len)) {
+  state->signature.resize(sig_len);
+  if (sig_len > 0 && !r->GetBytes(state->signature.data(), sig_len)) {
     return Status::Corruption(what + " signature does not decode");
   }
-  if (r->remaining() != 0) {
+  if (state->model == SnapshotState::kTom) {
+    if (r->remaining() == 0) {
+      return Status::Unimplemented(
+          what + " predates the TOM tree-shape format; re-outsource from "
+                 "the data owner");
+    }
+    uint32_t levels = r->GetU32();
+    if (r->failed() || uint64_t(levels) * 4 > r->remaining()) {
+      return Status::Corruption(what + " tree shape does not decode");
+    }
+    state->shape.resize(levels);
+    for (std::vector<uint32_t>& level : state->shape) {
+      uint32_t nodes = r->GetU32();
+      if (r->failed() || uint64_t(nodes) * 2 > r->remaining()) {
+        return Status::Corruption(what + " tree shape does not decode");
+      }
+      level.reserve(nodes);
+      for (uint32_t i = 0; i < nodes; ++i) level.push_back(r->GetU16());
+    }
+  }
+  if (r->failed() || r->remaining() != 0) {
     return Status::Corruption(what + " payload has trailing bytes");
   }
   return Status::OK();
 }
 
-std::vector<Record> SortedByKey(std::map<RecordId, Record> by_id) {
-  std::vector<Record> records;
-  records.reserve(by_id.size());
-  for (auto& [id, record] : by_id) records.push_back(std::move(record));
-  std::sort(records.begin(), records.end(),
-            [](const Record& a, const Record& b) {
-              return a.key != b.key ? a.key < b.key : a.id < b.id;
+// A composed record's place in index order: within a run of equal keys the
+// base snapshot's records come first, in payload order, then each delta
+// link's upserts in payload order.
+struct RankedRecord {
+  Record record;
+  uint64_t rank = 0;
+};
+
+std::vector<Record> InIndexOrder(std::map<RecordId, RankedRecord> by_id) {
+  std::vector<RankedRecord> ranked;
+  ranked.reserve(by_id.size());
+  for (auto& [id, entry] : by_id) ranked.push_back(std::move(entry));
+  std::sort(ranked.begin(), ranked.end(),
+            [](const RankedRecord& a, const RankedRecord& b) {
+              return a.record.key != b.record.key
+                         ? a.record.key < b.record.key
+                         : a.rank < b.rank;
             });
+  std::vector<Record> records;
+  records.reserve(ranked.size());
+  for (RankedRecord& entry : ranked) records.push_back(std::move(entry.record));
   return records;
 }
 
@@ -131,7 +173,7 @@ std::vector<uint8_t> EncodeSnapshotState(const SnapshotState& state) {
   PutHeader(&w, state);
   w.PutU32(uint32_t(state.records.size()));
   for (const Record& record : state.records) PutRecord(&w, record);
-  PutSignature(&w, state.signature);
+  PutTail(&w, state);
   return w.Release();
 }
 
@@ -149,7 +191,7 @@ Result<SnapshotState> DecodeSnapshotState(
     }
     state.records.push_back(std::move(record));
   }
-  SAE_RETURN_NOT_OK(GetSignature(&r, "snapshot", &state.signature));
+  SAE_RETURN_NOT_OK(GetTail(&r, "snapshot", &state));
   return state;
 }
 
@@ -160,7 +202,7 @@ std::vector<uint8_t> EncodeDeltaState(const DeltaState& state) {
   for (const Record& record : state.upserts) PutRecord(&w, record);
   w.PutU32(uint32_t(state.removes.size()));
   for (RecordId id : state.removes) w.PutU64(id);
-  PutSignature(&w, state.signature);
+  PutTail(&w, state);
   return w.Release();
 }
 
@@ -183,7 +225,7 @@ Result<DeltaState> DecodeDeltaState(const std::vector<uint8_t>& payload) {
   }
   state.removes.reserve(removes);
   for (uint32_t i = 0; i < removes; ++i) state.removes.push_back(r.GetU64());
-  SAE_RETURN_NOT_OK(GetSignature(&r, "delta", &state.signature));
+  SAE_RETURN_NOT_OK(GetTail(&r, "delta", &state));
   return state;
 }
 
@@ -216,18 +258,18 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
   // Compose the newest intact chain: the base full snapshot, then every
   // delta that validly links onto it. Each link's removes-then-upserts
   // replays the net changes of its checkpoint window; the tail's signature
-  // speaks for the composed state.
+  // and shape speak for the composed state.
   auto chain = mgr->snapshots_.LoadChain();
   if (chain.ok()) {
     SAE_ASSIGN_OR_RETURN(SnapshotState base,
                          DecodeSnapshotState(chain.value().base_payload));
-    std::map<RecordId, Record> by_id;
+    std::map<RecordId, RankedRecord> by_id;
+    uint64_t rank = 0;
     for (Record& record : base.records) {
       RecordId id = record.id;
-      by_id[id] = std::move(record);
+      by_id[id] = RankedRecord{std::move(record), rank++};
     }
     uint64_t tail_epoch = chain.value().base_epoch;
-    std::vector<uint8_t> signature = std::move(base.signature);
     for (storage::SnapshotStore::ChainLink& link : chain.value().deltas) {
       SAE_ASSIGN_OR_RETURN(DeltaState delta, DecodeDeltaState(link.payload));
       if (delta.model != base.model ||
@@ -239,22 +281,18 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
       for (RecordId id : delta.removes) by_id.erase(id);
       for (Record& record : delta.upserts) {
         RecordId id = record.id;
-        by_id[id] = std::move(record);
+        by_id[id] = RankedRecord{std::move(record), rank++};
       }
-      signature = std::move(delta.signature);
+      base.signature = std::move(delta.signature);
+      base.shape = std::move(delta.shape);
       tail_epoch = link.epoch;
     }
-    SnapshotState composed;
-    composed.model = base.model;
-    composed.record_size = base.record_size;
-    composed.scheme = base.scheme;
-    composed.records = SortedByKey(std::move(by_id));
-    composed.signature = std::move(signature);
+    base.records = InIndexOrder(std::move(by_id));
     mgr->recovered_.has_snapshot = true;
     mgr->recovered_.snapshot_epoch = tail_epoch;
     mgr->recovered_.snapshot_fell_back = chain.value().fell_back;
     mgr->recovered_.chain_deltas = chain.value().deltas.size();
-    mgr->recovered_.snapshot = std::move(composed);
+    mgr->recovered_.snapshot = std::move(base);
     mgr->have_chain_ = true;
     mgr->chain_tail_epoch_ = tail_epoch;
     mgr->chain_length_ = chain.value().deltas.size();
@@ -330,6 +368,7 @@ Result<uint64_t> DurabilityManager::StageUpdate(const WalUpdate& update) {
   PendingChange change;
   change.present = update.op == WalUpdate::kInsert;
   if (change.present) change.record = update.record;
+  change.epoch = update.epoch;
   pending_[id] = std::move(change);
   return seq;
 }
@@ -439,14 +478,25 @@ Status DurabilityManager::CheckpointDelta(uint64_t epoch,
   delta.record_size = header.record_size;
   delta.scheme = header.scheme;
   delta.signature = std::move(header.signature);
+  delta.shape = std::move(header.shape);
   {
     std::lock_guard<std::mutex> lock(state_mu_);
+    std::vector<PendingChange*> upserts;
     for (auto& [id, change] : pending_) {
       if (change.present) {
-        delta.upserts.push_back(std::move(change.record));
+        upserts.push_back(&change);
       } else {
         delta.removes.push_back(id);
       }
+    }
+    if (delta.model == SnapshotState::kTom) {
+      std::sort(upserts.begin(), upserts.end(),
+                [](PendingChange* a, PendingChange* b) {
+                  return a->epoch < b->epoch;
+                });
+    }
+    for (PendingChange* change : upserts) {
+      delta.upserts.push_back(std::move(change->record));
     }
     job.base_epoch = chain_tail_epoch_;
   }

@@ -56,6 +56,7 @@
 #include <thread>
 #include <vector>
 
+#include "btree/bplus_tree.h"
 #include "crypto/digest.h"
 #include "storage/record.h"
 #include "storage/snapshot.h"
@@ -121,7 +122,11 @@ Result<WalUpdate> DecodeWalUpdate(const std::vector<uint8_t>& payload);
 
 /// The checkpointed system state a FULL snapshot payload carries. Records
 /// are the full dataset in key order; TOM also persists the epoch-stamped
-/// root signature, which recovery cross-checks against a fresh re-signing.
+/// root signature, which recovery cross-checks against a fresh re-signing,
+/// and the MB-tree's shape, in whose leaf order the records then are: the
+/// signed root is only reproducible from the same records in the same
+/// nodes. A TOM payload without a shape predates this format and is
+/// refused with kUnimplemented.
 struct SnapshotState {
   enum Model : uint8_t { kSae = 1, kTom = 2 };
   uint8_t model = kSae;
@@ -129,6 +134,7 @@ struct SnapshotState {
   crypto::HashScheme scheme = crypto::HashScheme::kSha1;
   std::vector<Record> records;
   std::vector<uint8_t> signature;  // TOM root signature; empty for SAE
+  btree::TreeShape shape;          // TOM MB-tree shape; empty for SAE
 };
 
 std::vector<uint8_t> EncodeSnapshotState(const SnapshotState& state);
@@ -138,14 +144,19 @@ Result<SnapshotState> DecodeSnapshotState(const std::vector<uint8_t>& payload);
 /// base checkpoint and its own epoch. Applying `removes` then `upserts` to
 /// the base state yields the state at `epoch` — a delete+reinsert of the
 /// same id collapses into the upsert. TOM deltas carry the root signature
-/// AT this delta's epoch, so a composed chain is still byte-provable.
+/// and the MB-tree shape AT this delta's epoch, so a composed chain is
+/// still byte-provable. An MB-tree keeps a run of equal keys in insertion
+/// order, so TOM upserts are listed in update order (SAE's ascend by id):
+/// recovery composes each key's run as the base's order followed by each
+/// link's upserts in turn.
 struct DeltaState {
   uint8_t model = SnapshotState::kSae;
   uint32_t record_size = 0;
   crypto::HashScheme scheme = crypto::HashScheme::kSha1;
-  std::vector<Record> upserts;     // present after this delta, id-ascending
+  std::vector<Record> upserts;     // present after this delta
   std::vector<RecordId> removes;   // absent after this delta, ascending
   std::vector<uint8_t> signature;  // TOM root signature; empty for SAE
+  btree::TreeShape shape;          // TOM MB-tree shape; empty for SAE
 };
 
 std::vector<uint8_t> EncodeDeltaState(const DeltaState& state);
@@ -256,8 +267,8 @@ class DurabilityManager {
   /// Captures a DELTA checkpoint at `epoch` from the pending-change set
   /// accumulated since the previous capture (O(changes) under the lock),
   /// chained onto that capture's epoch. `header` supplies the payload
-  /// header and TOM's root signature; its records are unused. Same
-  /// quiescence requirement.
+  /// header and TOM's root signature and tree shape; its records are
+  /// unused. Same quiescence requirement.
   Status CheckpointDelta(uint64_t epoch, SnapshotState header);
 
   /// Blocks until every captured checkpoint is durable (or failed);
@@ -273,10 +284,12 @@ class DurabilityManager {
   DurabilityManager(const DurabilityOptions& options, storage::Vfs* vfs);
 
   /// The net in-memory effect of updates since the last checkpoint
-  /// capture: id -> present (with bytes) or absent.
+  /// capture: id -> present (with bytes) or absent, as of the update at
+  /// `epoch`.
   struct PendingChange {
     bool present = false;
     Record record;
+    uint64_t epoch = 0;
   };
 
   /// One captured checkpoint awaiting serialization + write.

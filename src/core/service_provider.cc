@@ -1,7 +1,7 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Implements the service provider (core/service_provider.h): a plain
-// dbms::Table answering range queries with no authentication machinery.
+// Implements the service provider (core/service_provider.h): a dbms::Table
+// answering range queries; the proof hook is empty for SAE.
 
 #include "core/service_provider.h"
 
@@ -11,18 +11,30 @@
 namespace sae::core {
 
 ServiceProvider::ServiceProvider(const Options& options)
+    : ServiceProvider(options, [](storage::BufferPool* pool) {
+        return btree::BPlusTree::Create(pool);
+      }) {}
+
+ServiceProvider::ServiceProvider(const Options& options,
+                                 const IndexFactory& make_index)
     : index_pool_(&index_store_, options.index_pool_pages),
       heap_pool_(&heap_store_, options.heap_pool_pages),
       answer_cache_(options.answer_cache) {
-  auto table =
-      dbms::Table::Create(&index_pool_, &heap_pool_, options.record_size);
-  SAE_CHECK(table.ok());
-  table_ = std::move(table).ValueOrDie();
+  auto index = make_index(&index_pool_);
+  SAE_CHECK(index.ok());
+  table_ = dbms::Table::Create(std::move(index).ValueOrDie(), &heap_pool_,
+                               options.record_size);
 }
 
 Status ServiceProvider::LoadDataset(const std::vector<Record>& sorted) {
   answer_cache_.InvalidateAll();
   return table_->BulkLoad(sorted);
+}
+
+Status ServiceProvider::LoadDataset(const std::vector<Record>& records,
+                                    const btree::TreeShape& shape) {
+  answer_cache_.InvalidateAll();
+  return table_->BulkLoad(records, shape);
 }
 
 Status ServiceProvider::InsertRecord(const Record& record) {
@@ -51,8 +63,9 @@ Result<std::shared_ptr<const CachedAnswer>> ServiceProvider::ServeQuery(
   SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
                        BuildQueryAnswer(request, rids, table_->heap(),
                                         key.epoch));
-  auto served =
-      std::make_shared<const CachedAnswer>(CachedAnswer{std::move(bytes), {}});
+  SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> proof, Prove(request, key.epoch));
+  auto served = std::make_shared<const CachedAnswer>(
+      CachedAnswer{std::move(bytes), std::move(proof)});
   answer_cache_.Insert(key, served);
   return served;
 }

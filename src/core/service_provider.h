@@ -2,13 +2,16 @@
 //
 // The service provider (SP) of SAE (paper §II): a *conventional* DBMS with
 // no authentication machinery whatsoever — heap file + plain B+-tree. This
-// is the point of the model: "query processing is as fast as in conventional
-// database systems".
+// is the point of the model: "query processing is as fast as in
+// conventional database systems". TOM's SP (core/tom.h) is this same class
+// with the table's index in digest mode, plus the DO's signature and the VO
+// its proof hook ships beside every answer.
 
 #ifndef SAE_CORE_SERVICE_PROVIDER_H_
 #define SAE_CORE_SERVICE_PROVIDER_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -41,9 +44,16 @@ class ServiceProvider {
   using Options = ServiceProviderOptions;
 
   explicit ServiceProvider(const Options& options = {});
+  virtual ~ServiceProvider() = default;
+  ServiceProvider(const ServiceProvider&) = delete;
+  ServiceProvider& operator=(const ServiceProvider&) = delete;
 
   /// Ingests the initial dataset (sorted by key; stored clustered).
   Status LoadDataset(const std::vector<Record>& sorted);
+  /// Ingests a checkpointed table: `records` in index order, the index laid
+  /// out as `shape` (dbms::Table::Dump's output).
+  Status LoadDataset(const std::vector<Record>& records,
+                     const btree::TreeShape& shape);
 
   Status InsertRecord(const Record& record);
   Status DeleteRecord(RecordId id);
@@ -115,6 +125,22 @@ class ServiceProvider {
   size_t HeapStorageBytes() const { return table_->HeapSizeBytes(); }
   size_t StorageBytes() const {
     return IndexStorageBytes() + HeapStorageBytes();
+  }
+
+ protected:
+  /// Makes the table's empty index over the index pool.
+  using IndexFactory =
+      std::function<Result<std::unique_ptr<btree::BPlusTree>>(
+          storage::BufferPool*)>;
+
+  ServiceProvider(const Options& options, const IndexFactory& make_index);
+
+  /// The proof hook: the bytes a cache miss ships beside the answer it
+  /// builds (CachedAnswer::proof_msg) for `request` at `epoch`. SAE's
+  /// conventional SP proves nothing.
+  virtual Result<std::vector<uint8_t>> Prove(
+      const dbms::QueryRequest& /*request*/, uint64_t /*epoch*/) const {
+    return std::vector<uint8_t>{};
   }
 
  private:

@@ -7,7 +7,6 @@
 #include "core/system.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/messages.h"
 #include "sim/cost_model.h"
@@ -25,8 +24,16 @@ std::vector<Record> SortByKey(std::vector<Record> records) {
   return records;
 }
 
-constexpr Key kMinKey = std::numeric_limits<Key>::min();
-constexpr Key kMaxKey = std::numeric_limits<Key>::max();
+TomServiceProvider::Options SpOptions(const TomSystemOptions& options) {
+  TomServiceProvider::Options sp;
+  sp.record_size = options.record_size;
+  sp.index_pool_pages = options.sp_index_pool_pages;
+  sp.heap_pool_pages = options.sp_heap_pool_pages;
+  sp.answer_cache = options.sp_answer_cache;
+  sp.scheme = options.scheme;
+  sp.mb_options = options.mb_options;
+  return sp;
+}
 
 }  // namespace
 
@@ -34,7 +41,7 @@ constexpr Key kMaxKey = std::numeric_limits<Key>::max();
 
 SaeSystem::SaeSystem(const Options& options)
     : UpdatePipeline({SnapshotState::kSae, uint32_t(options.record_size),
-                      options.scheme, {}, {}},
+                      options.scheme, {}, {}, {}},
                      options.durability),
       options_(options),
       owner_(options.record_size),
@@ -154,7 +161,7 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
 
 TomSystem::TomSystem(const Options& options)
     : UpdatePipeline({SnapshotState::kTom, uint32_t(options.record_size),
-                      options.scheme, {}, {}},
+                      options.scheme, {}, {}, {}},
                      options.durability),
       options_(options),
       codec_(options.record_size),
@@ -162,30 +169,18 @@ TomSystem::TomSystem(const Options& options)
                                    options.rsa_modulus_bits, options.rsa_seed,
                                    options.do_pool_pages,
                                    options.mb_options}),
-      sp_(TomServiceProvider::Options{options.record_size, options.scheme,
-                                      options.sp_index_pool_pages,
-                                      options.sp_heap_pool_pages,
-                                      options.mb_options,
-                                      options.sp_answer_cache}),
+      sp_(SpOptions(options)),
       client_memo_(options.client_memo) {}
 
 Status TomSystem::Load(const std::vector<Record>& records) {
   std::unique_lock<std::shared_mutex> lock(rw_mu_);
-  SAE_RETURN_NOT_OK(LoadLocked(records, /*ship=*/true));
-  return FinishLoad();
-}
-
-Status TomSystem::LoadLocked(const std::vector<Record>& records, bool ship) {
   std::vector<Record> sorted = SortByKey(records);
   SAE_RETURN_NOT_OK(owner_.LoadDataset(sorted));
-  if (ship) {
-    std::vector<uint8_t> shipment = SerializeRecords(sorted, codec_);
-    std::vector<uint8_t> sig_msg =
-        SerializeSignature(owner_.signature(), owner_.epoch());
-    do_sp_.Send(shipment);
-    do_sp_.Send(sig_msg);
-  }
-  return sp_.LoadDataset(sorted, owner_.signature(), owner_.epoch());
+  do_sp_.Send(SerializeRecords(sorted, codec_));
+  do_sp_.Send(SerializeSignature(owner_.signature(), owner_.epoch()));
+  SAE_RETURN_NOT_OK(
+      sp_.LoadDataset(sorted, owner_.signature(), owner_.epoch()));
+  return FinishLoad();
 }
 
 Status TomSystem::Apply(const WalUpdate& update, Traffic* traffic) {
@@ -215,23 +210,26 @@ Status TomSystem::Apply(const WalUpdate& update, Traffic* traffic) {
 }
 
 Status TomSystem::Capture(bool with_records, SnapshotState* state) {
+  // The tree's shape rides along with the signature in every checkpoint:
+  // the same records bulk-loaded into any other shape would hash to a
+  // different root.
   state->signature = owner_.signature();
-  if (!with_records) return Status::OK();
-  SAE_ASSIGN_OR_RETURN(state->records, sp_.RangeRecords(kMinKey, kMaxKey));
-  return Status::OK();
+  return sp_.table().Dump(with_records ? &state->records : nullptr,
+                          &state->shape);
 }
 
 Status TomSystem::Restore(const SnapshotState& state, uint64_t epoch) {
-  SAE_RETURN_NOT_OK(LoadLocked(state.records, /*ship=*/false));
-  SAE_RETURN_NOT_OK(owner_.RestoreEpoch(epoch));
-  // The re-signed recovered root must byte-match the persisted signature:
-  // this proves the rebuilt ADS is identical to the checkpointed one
-  // before any client sees it.
+  // Rebuild the owner's ADS in the checkpointed shape and re-sign it at the
+  // snapshot epoch. The signature must byte-match the persisted one: this
+  // proves the rebuilt ADS is the one the DO signed before any client sees
+  // it. The SP's table is rebuilt from the same records and shape.
+  SAE_RETURN_NOT_OK(owner_.Restore(state.records, state.shape, epoch));
   if (owner_.signature() != state.signature) {
     return Status::Corruption(
         "recovered root signature does not match the snapshot");
   }
-  sp_.SetSignature(owner_.signature(), owner_.epoch());
+  SAE_RETURN_NOT_OK(sp_.LoadDataset(state.records, state.shape));
+  sp_.SetSignature(owner_.signature(), epoch);
   return Status::OK();
 }
 

@@ -324,10 +324,6 @@ class TomSystem : public UpdatePipeline {
   const RecordCodec& codec() const { return codec_; }
 
  private:
-  /// Load body shared with Restore; `ship` meters the DO->SP channel
-  /// (recovery reads local disk, nothing crosses the network).
-  Status LoadLocked(const std::vector<Record>& records, bool ship);
-
   // The pipeline's model hook: the DO -> SP update path, the MB-tree and
   // its signature.
   uint64_t OwnerEpoch() const override { return owner_.epoch(); }

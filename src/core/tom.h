@@ -2,8 +2,9 @@
 //
 // The traditional outsourcing model (TOM, paper §I and Fig. 1), implemented
 // as the experimental baseline: the DO builds and maintains an MB-Tree ADS
-// locally and signs its root; the SP mirrors the ADS, answers range queries
-// with result + VO; the client reconstructs the root digest from the VO and
+// locally and signs its root; the SP is SAE's conventional DBMS with its
+// index in digest mode (the same MB-tree) and answers range queries with
+// result + VO; the client reconstructs the root digest from the VO and
 // checks the DO's signature.
 
 #ifndef SAE_CORE_TOM_H_
@@ -13,13 +14,11 @@
 #include <memory>
 #include <vector>
 
-#include "core/answer_cache.h"
+#include "core/service_provider.h"
 #include "crypto/rsa.h"
 #include "dbms/query.h"
 #include "mbtree/mb_tree.h"
-#include "sim/channel.h"
 #include "storage/buffer_pool.h"
-#include "storage/heap_file.h"
 #include "storage/page_store.h"
 #include "storage/record.h"
 #include "util/status.h"
@@ -53,6 +52,18 @@ class TomDataOwner {
   /// at epoch 1.
   Status LoadDataset(const std::vector<Record>& sorted);
 
+  /// Recovery: rebuilds the ADS from a checkpoint — `records` in index
+  /// order, laid out as `shape` — and signs its root at the checkpoint's
+  /// `epoch`. The caller cross-checks the new signature against the
+  /// snapshot's persisted one: equality proves the recovered ADS is the one
+  /// that was signed.
+  Status Restore(const std::vector<Record>& records,
+                 const btree::TreeShape& shape, uint64_t epoch);
+
+  /// Moves the epoch to `epoch` and re-signs the current root under it
+  /// (out-of-band re-signing; Restore's last step).
+  Status RestoreEpoch(uint64_t epoch);
+
   Status InsertRecord(const Record& record);
   Status DeleteRecord(RecordId id);
 
@@ -68,18 +79,14 @@ class TomDataOwner {
   /// pre-validates updates with this before logging them.
   bool HasRecord(RecordId id) const { return key_of_id_.count(id) > 0; }
 
-  /// Recovery: rewinds the epoch to `epoch` (the snapshot's) after a
-  /// fresh LoadDataset of the snapshot records, and re-signs the root
-  /// under it. The caller cross-checks the new signature against the
-  /// snapshot's persisted one — equality proves the recovered ADS is
-  /// byte-identical to the checkpointed state.
-  Status RestoreEpoch(uint64_t epoch);
-
   /// Local ADS footprint — the DO-side burden TOM imposes.
   size_t AdsStorageBytes() const { return mb_->SizeBytes(); }
   const mbtree::MbTree& ads() const { return *mb_; }
 
  private:
+  /// Loads the ADS over `records` laid out as `shape`.
+  Status Build(const std::vector<Record>& records,
+               const btree::TreeShape& shape);
   Status Resign();
 
   Options options_;
@@ -93,25 +100,25 @@ class TomDataOwner {
   uint64_t epoch_ = 0;
 };
 
-struct TomServiceProviderOptions {
-  size_t record_size = storage::kDefaultRecordSize;
+/// SAE's SP options plus the ADS: its hash scheme and MB-tree fanouts. The
+/// answer cache holds serialized (answer, VO) responses.
+struct TomServiceProviderOptions : ServiceProviderOptions {
   crypto::HashScheme scheme = crypto::HashScheme::kSha1;
-  size_t index_pool_pages = 1024;
-  size_t heap_pool_pages = 1024;
   mbtree::MbTreeOptions mb_options;
-  /// Epoch-keyed cache of serialized (answer, VO) responses; invalidated
-  /// wholesale whenever a new signature/epoch is installed. Never trusted —
-  /// clients verify hits like misses.
-  AnswerCacheOptions answer_cache;
 };
 
-/// TOM's service provider: ADS-augmented DBMS answering queries with VOs.
-class TomServiceProvider {
+/// TOM's service provider: SAE's conventional SP whose table indexes with
+/// the MB-tree, plus the DO's root signature and the VO its proof hook
+/// ships beside every freshly built answer. Loads, updates, queries, the
+/// answer cache and the pool and storage accounting are the base class's.
+class TomServiceProvider : public ServiceProvider {
  public:
   using Options = TomServiceProviderOptions;
 
   explicit TomServiceProvider(const Options& options = {});
 
+  /// The unsigned loads; a signature arrives with SetSignature.
+  using ServiceProvider::LoadDataset;
   /// Ingests the dataset plus the DO's root signature and its epoch.
   Status LoadDataset(const std::vector<Record>& sorted,
                      crypto::RsaSignature signature, uint64_t epoch = 0);
@@ -126,14 +133,8 @@ class TomServiceProvider {
   /// ApplyDelete.
   void SetSignature(crypto::RsaSignature sig, uint64_t epoch) {
     signature_ = std::move(sig);
-    epoch_ = epoch;
-    answer_cache_.InvalidateAll();
+    SetEpoch(epoch);
   }
-
-  /// The epoch the mirrored ADS reflects.
-  uint64_t epoch() const { return epoch_; }
-
-  const RecordCodec& codec() const { return codec_; }
 
   struct QueryResponse {
     std::vector<Record> results;          // key order
@@ -144,11 +145,6 @@ class TomServiceProvider {
   /// call from many threads concurrently (no concurrent updates).
   Result<QueryResponse> ExecuteRange(Key lo, Key hi) const;
 
-  /// The records with lo <= key <= hi in key order, read from the dataset
-  /// file without a VO (the checkpoint capture reads the whole table so).
-  /// Thread-safety matches ExecuteRange.
-  Result<std::vector<Record>> RangeRecords(Key lo, Key hi) const;
-
   /// An executed query plan: claimed answer, witness records (what the VO
   /// authenticates), and the VO over the underlying range.
   struct PlanResponse {
@@ -157,72 +153,28 @@ class TomServiceProvider {
     mbtree::VerificationObject vo;
   };
 
-  /// The SP's unit of output: the serialized answer shipment and VO for
-  /// `request`, encoded once. A repeat of (request, epoch) returns the very
-  /// buffer the first call produced — no traversal, no codec work. A miss
-  /// builds the answer from the heap slots with BuildQueryAnswer
-  /// (core/messages.h), exactly as SAE's SP does, adds the serialized VO
-  /// and shares that buffer with the answer cache. Callers ship the bytes
-  /// as they are. Thread-safety matches ExecuteRange.
-  Result<std::shared_ptr<const CachedAnswer>> ServeQuery(
-      const dbms::QueryRequest& request) const;
-
-  /// Executes any verified-plan operator: the decoded form of ServeQuery
-  /// (witness and VO as in ExecuteRange, answer equal to the shared rule
+  /// Executes any verified-plan operator: the decoded form of ServeQuery,
+  /// whose served buffer carries the VO bytes in proof_msg (witness and VO
+  /// as in ExecuteRange, answer equal to the shared rule
   /// dbms::EvaluateAnswer over the witness). Thread-safety matches
   /// ExecuteRange.
   Result<PlanResponse> ExecutePlan(const dbms::QueryRequest& request) const;
 
-  const mbtree::MbTree& ads() const { return *mb_; }
-
-  AnswerCacheStats answer_cache_stats() const { return answer_cache_.stats(); }
-  /// The answer cache itself (see ServiceProvider::answer_cache).
-  AnswerCache& answer_cache() { return answer_cache_; }
-
-  /// Snapshots of the pools' global counters; diff two snapshots to measure
-  /// the work in between (replaces the racy reset-then-read pattern).
-  storage::BufferPool::Stats index_pool_stats() const {
-    return index_pool_.stats();
-  }
-  storage::BufferPool::Stats heap_pool_stats() const {
-    return heap_pool_.stats();
-  }
-
-  /// Calling-thread-only counters for exact per-query attribution.
-  storage::BufferPool::Stats index_pool_thread_stats() const {
-    return index_pool_.ThreadStats();
-  }
-  storage::BufferPool::Stats heap_pool_thread_stats() const {
-    return heap_pool_.ThreadStats();
-  }
-
-  size_t IndexStorageBytes() const { return mb_->SizeBytes(); }
-  size_t HeapStorageBytes() const { return heap_.SizeBytes(); }
-  size_t StorageBytes() const {
-    return IndexStorageBytes() + HeapStorageBytes();
+  /// The table's index: the MB-tree mirroring the DO's ADS.
+  const mbtree::MbTree& ads() const {
+    return static_cast<const mbtree::MbTree&>(table().index());
   }
 
  private:
-  /// The heap locations of the records with lo <= key <= hi, in key order.
-  Result<std::vector<storage::Rid>> RangeRids(Key lo, Key hi) const;
+  /// The serialized VO for the request's range, stamped with `epoch`.
+  Result<std::vector<uint8_t>> Prove(const dbms::QueryRequest& request,
+                                     uint64_t epoch) const override;
   /// The epoch-stamped, signed VO for [lo, hi]; boundary records are
   /// fetched from the dataset file.
-  Result<mbtree::VerificationObject> BuildVo(Key lo, Key hi) const;
+  Result<mbtree::VerificationObject> BuildVo(Key lo, Key hi,
+                                             uint64_t epoch) const;
 
-  Options options_;
-  RecordCodec codec_;
-  storage::InMemoryPageStore index_store_;
-  storage::InMemoryPageStore heap_store_;
-  // The pools lock internally; const reads fetch pages via stored pointers.
-  storage::BufferPool index_pool_;
-  storage::BufferPool heap_pool_;
-  storage::HeapFile heap_;
-  std::unique_ptr<mbtree::MbTree> mb_;
-  std::map<RecordId, storage::Rid> rid_of_id_;
   crypto::RsaSignature signature_;
-  uint64_t epoch_ = 0;
-  // mutable: const queries fill the cache; AnswerCache locks internally.
-  mutable AnswerCache answer_cache_;
 };
 
 /// TOM's client-side verifier.

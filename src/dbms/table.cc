@@ -1,22 +1,24 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Implements Table (dbms/table.h): heap-file storage plus B+-tree index
-// with separate buffer pools, range queries, updates and bulk load.
+// Implements Table (dbms/table.h): heap-file storage plus a B+-tree index
+// in either mode, with separate buffer pools, range queries, updates, bulk
+// load and the shape-preserving dump/reload.
 
 #include "dbms/table.h"
 
 #include <algorithm>
 
+#include "crypto/digest.h"
 #include "util/macros.h"
 
 namespace sae::dbms {
 
-Result<std::unique_ptr<Table>> Table::Create(BufferPool* index_pool,
-                                             BufferPool* heap_pool,
-                                             size_t record_size) {
-  auto table = std::unique_ptr<Table>(new Table(heap_pool, record_size));
-  SAE_ASSIGN_OR_RETURN(table->index_, btree::BPlusTree::Create(index_pool));
-  return table;
+std::unique_ptr<Table> Table::Create(std::unique_ptr<btree::BPlusTree> index,
+                                     BufferPool* heap_pool,
+                                     size_t record_size) {
+  SAE_CHECK(index != nullptr && index->size() == 0);
+  return std::unique_ptr<Table>(
+      new Table(std::move(index), heap_pool, record_size));
 }
 
 Status Table::Insert(const Record& record) {
@@ -25,7 +27,13 @@ Status Table::Insert(const Record& record) {
   }
   std::vector<uint8_t> bytes = codec_.Serialize(record);
   SAE_ASSIGN_OR_RETURN(Rid rid, heap_.Insert(bytes.data()));
-  Status st = index_->Insert(record.key, rid);
+  // Digest mode posts H(record bytes); plain mode hashes nothing.
+  btree::DigestEntry posting{record.key, rid, crypto::Digest{}};
+  if (index_->with_digests()) {
+    posting.digest = crypto::ComputeDigest(bytes.data(), bytes.size(),
+                                           index_->scheme());
+  }
+  Status st = index_->Insert(posting);
   if (!st.ok()) {
     SAE_CHECK_OK(heap_.Delete(rid));
     return st;
@@ -82,18 +90,23 @@ Status Table::RangeQuery(Key lo, Key hi, std::vector<Record>* out) const {
 }
 
 Status Table::BulkLoad(const std::vector<Record>& sorted_by_key) {
+  return BulkLoad(sorted_by_key, index_->PlanShape(sorted_by_key.size()));
+}
+
+Status Table::BulkLoad(const std::vector<Record>& records,
+                       const btree::TreeShape& shape) {
   if (size() != 0) {
     return Status::InvalidArgument("bulk load requires an empty table");
   }
-  for (size_t i = 1; i < sorted_by_key.size(); ++i) {
-    if (sorted_by_key[i - 1].key > sorted_by_key[i].key) {
+  for (size_t i = 1; i < records.size(); ++i) {
+    if (records[i - 1].key > records[i].key) {
       return Status::InvalidArgument("records not sorted by key");
     }
   }
   std::vector<btree::BTreeEntry> postings;
-  postings.reserve(sorted_by_key.size());
+  postings.reserve(records.size());
   std::vector<uint8_t> bytes(codec_.record_size());
-  for (const Record& record : sorted_by_key) {
+  for (const Record& record : records) {
     if (!rid_of_id_.emplace(record.id, 0).second) {
       return Status::InvalidArgument("duplicate record id in dataset");
     }
@@ -102,7 +115,25 @@ Status Table::BulkLoad(const std::vector<Record>& sorted_by_key) {
     rid_of_id_[record.id] = rid;
     postings.push_back(btree::BTreeEntry{record.key, rid});
   }
-  return index_->BulkLoad(postings);
+  // Digest mode hashes the whole dataset in one multi-buffer batch.
+  std::vector<crypto::Digest> digests;
+  if (index_->with_digests()) {
+    digests = storage::DigestRecords(records, codec_, index_->scheme());
+  }
+  return index_->BulkLoad(postings, digests, shape);
+}
+
+Status Table::Dump(std::vector<Record>* records,
+                   btree::TreeShape* shape) const {
+  std::vector<Rid> rids;
+  SAE_RETURN_NOT_OK(
+      index_->Walk(shape, records != nullptr ? &rids : nullptr));
+  if (records == nullptr) return Status::OK();
+  records->clear();
+  records->reserve(rids.size());
+  return heap_.GetMany(rids, [&](size_t, const uint8_t* data) {
+    records->push_back(codec_.Deserialize(data));
+  });
 }
 
 }  // namespace sae::dbms

@@ -1,10 +1,14 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// The "conventional DBMS" the SP runs under SAE (paper §II): a heap file of
-// fixed-size records plus a plain B+-tree on the query attribute. Index and
+// The relational table both SPs run (paper §II): a heap file of fixed-size
+// records plus one B+-tree on the query attribute. SAE's SP is a
+// *conventional* DBMS, so its index is the plain tree; TOM's SP is the same
+// DBMS carrying an ADS, so its index is the tree in digest mode (the
+// MB-tree), where each posting also carries H(record bytes). The table
+// serves both the same way and branches only on its index's mode. Index and
 // dataset pages live in *separate* buffer pools so experiments can account
-// index node accesses and dataset-page fetches independently (see the Fig. 6
-// cost-accounting note in docs/ARCHITECTURE.md §5.1).
+// index node accesses and dataset-page fetches independently (see the
+// Fig. 6 cost-accounting note in docs/ARCHITECTURE.md §5.1).
 
 #ifndef SAE_DBMS_TABLE_H_
 #define SAE_DBMS_TABLE_H_
@@ -31,11 +35,11 @@ using storage::Rid;
 /// A single-attribute-indexed relational table.
 class Table {
  public:
-  /// \param index_pool buffer pool for B+-tree pages (not owned)
-  /// \param heap_pool  buffer pool for dataset pages (not owned)
-  static Result<std::unique_ptr<Table>> Create(BufferPool* index_pool,
-                                               BufferPool* heap_pool,
-                                               size_t record_size);
+  /// \param index     the empty index, a tree in either mode
+  /// \param heap_pool buffer pool for dataset pages (not owned)
+  static std::unique_ptr<Table> Create(std::unique_ptr<btree::BPlusTree> index,
+                                       BufferPool* heap_pool,
+                                       size_t record_size);
 
   /// Inserts a record; the record id must be unique.
   Status Insert(const Record& record);
@@ -61,6 +65,15 @@ class Table {
   /// key order, so range results are clustered).
   Status BulkLoad(const std::vector<Record>& sorted_by_key);
 
+  /// Loads `records`, in index order, into an empty table whose index is
+  /// laid out as `shape` — the inverse of Dump.
+  Status BulkLoad(const std::vector<Record>& records,
+                  const btree::TreeShape& shape);
+
+  /// The index's shape and, when `records` is given, every record in index
+  /// order, from one walk of the index.
+  Status Dump(std::vector<Record>* records, btree::TreeShape* shape) const;
+
   size_t size() const { return heap_.size(); }
   const btree::BPlusTree& index() const { return *index_; }
   const storage::HeapFile& heap() const { return heap_; }
@@ -70,8 +83,11 @@ class Table {
   size_t HeapSizeBytes() const { return heap_.SizeBytes(); }
 
  private:
-  Table(BufferPool* heap_pool, size_t record_size)
-      : codec_(record_size), heap_(heap_pool, record_size) {}
+  Table(std::unique_ptr<btree::BPlusTree> index, BufferPool* heap_pool,
+        size_t record_size)
+      : codec_(record_size),
+        heap_(heap_pool, record_size),
+        index_(std::move(index)) {}
 
   RecordCodec codec_;
   storage::HeapFile heap_;

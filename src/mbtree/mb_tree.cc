@@ -13,15 +13,17 @@
 
 namespace sae::mbtree {
 
-MbTree::MbTree(BufferPool* pool, const MbTreeOptions& options)
+MbTree::MbTree(BufferPool* pool, const MbTreeOptions& options,
+               crypto::HashScheme scheme)
     : BPlusTree(pool,
                 btree::BPlusTreeOptions{options.max_leaf_entries,
                                         options.max_internal_keys},
-                DigestColumn{options.scheme, options.hot_cache_levels}) {}
+                DigestColumn{scheme, options.hot_cache_levels}) {}
 
 Result<std::unique_ptr<MbTree>> MbTree::Create(BufferPool* pool,
-                                               const MbTreeOptions& options) {
-  auto tree = std::unique_ptr<MbTree>(new MbTree(pool, options));
+                                               const MbTreeOptions& options,
+                                               crypto::HashScheme scheme) {
+  auto tree = std::unique_ptr<MbTree>(new MbTree(pool, options, scheme));
   SAE_RETURN_NOT_OK(tree->Init());
   return tree;
 }

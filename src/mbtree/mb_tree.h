@@ -37,11 +37,11 @@ using storage::Rid;
 /// A leaf posting: key, record location, record digest.
 using MbEntry = btree::DigestEntry;
 
-/// Fanout overrides for tests (0 = derive from page size).
+/// Fanout overrides for tests (0 = derive from page size) and the digest
+/// cache depth. The hash scheme is MbTree::Create's argument.
 struct MbTreeOptions {
   size_t max_leaf_entries = 0;
   size_t max_internal_keys = 0;
-  crypto::HashScheme scheme = crypto::HashScheme::kSha1;
   /// Hot-level digest cache: parsed nodes at depth < hot_cache_levels are
   /// memoized and invalidated precisely along every update path, so
   /// steady-state traversals only parse (and hash over) the leaf frontier.
@@ -49,30 +49,17 @@ struct MbTreeOptions {
   size_t hot_cache_levels = 2;
 };
 
-/// Merkle B+-tree: the B+-tree with its digest column. Const methods
-/// (RangeSearch, BuildVo, Validate) are safe to call from many threads over
-/// a thread-safe BufferPool; mutations require exclusive access to the tree.
-class MbTree : private btree::BPlusTree {
+/// Merkle B+-tree: the B+-tree with its digest column, whose whole public
+/// interface it keeps (insert, delete, range search, bulk load, walk).
+/// Const methods (RangeSearch, BuildVo, Validate) are safe to call from
+/// many threads over a thread-safe BufferPool; mutations require exclusive
+/// access to the tree.
+class MbTree : public btree::BPlusTree {
  public:
+  /// An empty tree whose digests hash under `scheme`.
   static Result<std::unique_ptr<MbTree>> Create(
-      BufferPool* pool, const MbTreeOptions& options = {});
-
-  /// Inserts a posting, updating digests along the path; re-inserting an
-  /// identical (key, rid) pair is an error.
-  Status Insert(const MbEntry& entry) { return BPlusTree::Insert(entry); }
-
-  /// Removes the posting (key, rid); NotFound if absent.
-  using BPlusTree::Delete;
-
-  /// Bottom-up bulk load from key-sorted postings into an empty tree.
-  Status BulkLoad(const std::vector<MbEntry>& sorted, double fill = 1.0) {
-    return BPlusTree::BulkLoad(sorted, fill);
-  }
-
-  /// Plain range search (no VO) — what the SP uses to locate result rids.
-  Status RangeSearch(Key lo, Key hi, std::vector<MbEntry>* out) const {
-    return BPlusTree::RangeSearch(lo, hi, out);
-  }
+      BufferPool* pool, const MbTreeOptions& options = {},
+      crypto::HashScheme scheme = crypto::HashScheme::kSha1);
 
   /// Fetches a record's canonical bytes given its rid — supplied by the SP
   /// so boundary records are pulled from the (access-counted) dataset file.
@@ -87,24 +74,15 @@ class MbTree : private btree::BPlusTree {
   /// Current root digest (the value the DO signs).
   using BPlusTree::root_digest;
 
-  using BPlusTree::height;
-  using BPlusTree::max_internal_keys;
-  using BPlusTree::max_leaf_entries;
-  using BPlusTree::node_count;
-  using BPlusTree::size;
-  using BPlusTree::SizeBytes;
-
   /// Hot-level node cache counters (hits/misses/invalidations/evictions);
   /// snapshot by value, diff to measure a span.
   storage::NodeCacheStats digest_cache_stats() const {
     return node_cache_stats();
   }
 
-  /// Structural + digest-consistency check. Test hook; O(n).
-  using BPlusTree::Validate;
-
  private:
-  MbTree(BufferPool* pool, const MbTreeOptions& options);
+  MbTree(BufferPool* pool, const MbTreeOptions& options,
+         crypto::HashScheme scheme);
 
   Result<std::optional<MbEntry>> Predecessor(Key lo) const;
   Result<std::optional<MbEntry>> Successor(Key hi) const;

@@ -35,6 +35,25 @@ SharedPayload ProofFrame(const std::shared_ptr<const core::CachedAnswer>& a) {
   return SharedPayload(a, &a->proof_msg);
 }
 
+// The query case both SPs share: the served answer frame, then under TOM
+// (`with_proof`) the VO frame — exactly the in-process sends.
+void ServeQueryFrames(const core::ServiceProvider& sp,
+                      const std::vector<uint8_t>& request, bool with_proof,
+                      std::vector<SharedPayload>* responses) {
+  auto req = core::DeserializeQueryRequest(request);
+  if (!req.ok()) {
+    responses->push_back(Share(ErrorFrame(req.status())));
+    return;
+  }
+  auto served = sp.ServeQuery(req.value());
+  if (!served.ok()) {
+    responses->push_back(Share(ErrorFrame(served.status())));
+    return;
+  }
+  responses->push_back(AnswerFrame(served.value()));
+  if (with_proof) responses->push_back(ProofFrame(served.value()));
+}
+
 }  // namespace
 
 std::vector<uint8_t> ControlFrame(uint8_t tag) { return {tag}; }
@@ -69,20 +88,9 @@ void SpServer::Handle(std::vector<uint8_t> request,
     return;
   }
   switch (request[0]) {
-    case kTagQueryRequest: {
-      auto req = core::DeserializeQueryRequest(request);
-      if (!req.ok()) {
-        responses->push_back(Share(ErrorFrame(req.status())));
-        return;
-      }
-      auto served = sp_->ServeQuery(req.value());
-      if (!served.ok()) {
-        responses->push_back(Share(ErrorFrame(served.status())));
-        return;
-      }
-      responses->push_back(AnswerFrame(served.value()));
+    case kTagQueryRequest:
+      ServeQueryFrames(*sp_, request, /*with_proof=*/false, responses);
       return;
-    }
     case kTagRecords: {
       auto records = core::DeserializeRecords(request, codec);
       if (!records.ok()) {
@@ -226,28 +234,15 @@ TomSpServer::TomSpServer(core::TomServiceProvider* sp,
 
 void TomSpServer::Handle(std::vector<uint8_t> request,
                          std::vector<SharedPayload>* responses) {
-  const RecordCodec& codec = sp_->codec();
+  const RecordCodec& codec = sp_->table().codec();
   if (request.empty()) {
     responses->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
     return;
   }
   switch (request[0]) {
-    case kTagQueryRequest: {
-      auto req = core::DeserializeQueryRequest(request);
-      if (!req.ok()) {
-        responses->push_back(Share(ErrorFrame(req.status())));
-        return;
-      }
-      auto served = sp_->ServeQuery(req.value());
-      if (!served.ok()) {
-        responses->push_back(Share(ErrorFrame(served.status())));
-        return;
-      }
-      // Two frames, exactly the two in-process sends: answer then VO.
-      responses->push_back(AnswerFrame(served.value()));
-      responses->push_back(ProofFrame(served.value()));
+    case kTagQueryRequest:
+      ServeQueryFrames(*sp_, request, /*with_proof=*/true, responses);
       return;
-    }
     case kTagRecords: {
       // The TOM load/update protocol pairs data with the DO's signature:
       // records (or a delete) are buffered until the Signature frame

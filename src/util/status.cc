@@ -66,6 +66,11 @@ Status CombineShardStatuses(
                                 "shards in the same answer are fresh");
 }
 
+const Status& OkStatus() {
+  static const Status ok;
+  return ok;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out = CodeName(code_);

@@ -89,6 +89,9 @@ class Status {
   std::string message_;
 };
 
+/// The OK status every successful Result reports.
+const Status& OkStatus();
+
 /// Either a value of type T or an error Status. Accessing the value of an
 /// errored Result is a programming error (SAE_CHECK).
 template <typename T>
@@ -102,8 +105,7 @@ class Result {
   bool ok() const { return std::holds_alternative<T>(var_); }
 
   const Status& status() const {
-    static const Status kOk = Status::OK();
-    return ok() ? kOk : std::get<Status>(var_);
+    return ok() ? OkStatus() : std::get<Status>(var_);
   }
 
   T& value() {

@@ -216,16 +216,47 @@ TEST_F(BTreeTest, BulkLoadedTreeSupportsUpdates) {
   EXPECT_EQ(tree->size(), 300u);
 }
 
-TEST_F(BTreeTest, BulkLoadPartialFill) {
+TEST_F(BTreeTest, BulkLoadFollowsShape) {
   std::vector<BTreeEntry> entries;
   for (uint32_t k = 0; k < 400; ++k) entries.push_back(BTreeEntry{k, k});
   auto full = MakeTree(8, 8);
-  auto seventy = MakeTree(8, 8);
-  ASSERT_TRUE(full->BulkLoad(entries, 1.0).ok());
-  ASSERT_TRUE(seventy->BulkLoad(entries, 0.7).ok());
+  ASSERT_TRUE(full->BulkLoad(entries).ok());
+  // Five-entry leaves, eight leaves per parent, then a two-way root.
+  TreeShape shape{std::vector<uint32_t>(80, 5), std::vector<uint32_t>(10, 8),
+                  {5, 5}, {2}};
+  auto slim = MakeTree(8, 8);
+  ASSERT_TRUE(slim->BulkLoad(entries, {}, shape).ok());
   ASSERT_TRUE(full->Validate().ok());
-  ASSERT_TRUE(seventy->Validate().ok());
-  EXPECT_GT(seventy->node_count(), full->node_count());
+  ASSERT_TRUE(slim->Validate().ok());
+  EXPECT_GT(slim->node_count(), full->node_count());
+  EXPECT_EQ(slim->height(), 4u);
+
+  // Walk reads back the shape and the postings' order.
+  TreeShape walked;
+  std::vector<storage::Rid> rids;
+  ASSERT_TRUE(slim->Walk(&walked, &rids).ok());
+  EXPECT_EQ(walked, shape);
+  ASSERT_EQ(rids.size(), 400u);
+  for (uint32_t k = 0; k < 400; ++k) EXPECT_EQ(rids[k], k);
+  ASSERT_TRUE(full->Walk(&walked, nullptr).ok());
+  EXPECT_EQ(walked, full->PlanShape(400));
+}
+
+TEST_F(BTreeTest, BulkLoadRejectsShapesThatDoNotFit) {
+  std::vector<BTreeEntry> entries;
+  for (uint32_t k = 0; k < 20; ++k) entries.push_back(BTreeEntry{k, k});
+  const TreeShape bad[] = {
+      {},                  // no root
+      {{10, 10}},          // two roots
+      {{10, 9}, {2}},      // 19 entries, not 20
+      {{12, 8}, {2}},      // a leaf over max_leaf_entries
+      {{5, 5, 5, 5}, {4}, {1}},  // a one-child internal node
+  };
+  for (const TreeShape& shape : bad) {
+    auto tree = MakeTree(8, 8);
+    EXPECT_EQ(tree->BulkLoad(entries, {}, shape).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(BTreeTest, DefaultFanoutsMatchPageMath) {

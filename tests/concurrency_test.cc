@@ -141,7 +141,7 @@ class SaeConcurrencyTest : public ::testing::Test {
  protected:
   SaeConcurrencyTest()
       : system_(SaeSystem::Options{kRecSize, crypto::HashScheme::kSha1, 256,
-                                   256, 256, {}, {}, {}, {}}) {
+                                   256, 256, {}, {}, {}, {}, {}}) {
     SAE_CHECK_OK(system_.Load(SmallDataset(2000)));
   }
 
@@ -440,7 +440,7 @@ void RunCachedReadersVsWriter(System* system, size_t queries_per_reader) {
 
 TEST(CacheConcurrencyTest, SaeCachedReadsVerifyDuringWrites) {
   SaeSystem system(SaeSystem::Options{kRecSize, crypto::HashScheme::kSha1,
-                                      256, 256, 256, {}, {}, {}, {}});
+                                      256, 256, 256, {}, {}, {}, {}, {}});
   SAE_CHECK_OK(system.Load(SmallDataset(2000)));
   RunCachedReadersVsWriter(&system, 60);
   core::SaeCacheStats stats = system.cache_stats();

@@ -1,13 +1,15 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Unit tests for the Table facade: CRUD, range execution, bulk load, and
-// separate index/heap access accounting.
+// Unit tests for the Table facade: CRUD, range execution, bulk load,
+// separate index/heap access accounting, and the digest-mode index with
+// its shape-preserving dump and reload.
 
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "dbms/table.h"
+#include "mbtree/mb_tree.h"
 #include "storage/page_store.h"
 #include "util/random.h"
 
@@ -20,9 +22,8 @@ class TableTest : public ::testing::Test {
  protected:
   TableTest()
       : index_pool_(&index_store_, 256), heap_pool_(&heap_store_, 256) {
-    auto t = Table::Create(&index_pool_, &heap_pool_, 100);
-    EXPECT_TRUE(t.ok());
-    table_ = std::move(t).ValueOrDie();
+    table_ = Table::Create(btree::BPlusTree::Create(&index_pool_).ValueOrDie(),
+                           &heap_pool_, 100);
   }
 
   Record Make(uint64_t id, uint32_t key) {
@@ -124,7 +125,8 @@ TEST_F(TableTest, BulkLoadRejectsUnsortedAndDuplicates) {
   std::vector<Record> unsorted{Make(1, 10), Make(2, 5)};
   EXPECT_FALSE(table_->BulkLoad(unsorted).ok());
 
-  auto t2 = Table::Create(&index_pool_, &heap_pool_, 100).ValueOrDie();
+  auto t2 = Table::Create(btree::BPlusTree::Create(&index_pool_).ValueOrDie(),
+                          &heap_pool_, 100);
   std::vector<Record> dup_id{Make(1, 5), Make(1, 10)};
   EXPECT_FALSE(t2->BulkLoad(dup_id).ok());
 }
@@ -154,6 +156,60 @@ TEST_F(TableTest, StorageAccountingGrowsWithData) {
   ASSERT_TRUE(table_->BulkLoad(records).ok());
   EXPECT_GT(table_->HeapSizeBytes(), heap0);
   EXPECT_GT(table_->IndexSizeBytes(), 0u);
+}
+
+// In digest mode (TOM's MB-tree) every posting carries H(record bytes), and
+// Dump + the shaped BulkLoad rebuild a grown index node for node: the same
+// shape, the same records in the same order, the same root digest.
+TEST(DigestTableTest, DumpRebuildsTheSameIndex) {
+  InMemoryPageStore stores[4];
+  BufferPool pools[4] = {{&stores[0], 64}, {&stores[1], 64},
+                         {&stores[2], 64}, {&stores[3], 64}};
+  mbtree::MbTreeOptions fanouts;
+  fanouts.max_leaf_entries = 4;
+  fanouts.max_internal_keys = 3;
+  auto make = [&](int i) {
+    return Table::Create(mbtree::MbTree::Create(&pools[2 * i], fanouts,
+                                                crypto::HashScheme::kSha1)
+                             .ValueOrDie(),
+                         &pools[2 * i + 1], 100);
+  };
+  std::unique_ptr<Table> live = make(0);
+  std::vector<Record> seed;
+  for (uint64_t id = 1; id <= 20; ++id) {
+    seed.push_back(live->codec().MakeRecord(id, uint32_t(id * 10)));
+  }
+  ASSERT_TRUE(live->BulkLoad(seed).ok());
+  // Splits, and a run of equal keys inserted in descending id order.
+  for (uint64_t id = 60; id > 40; --id) {
+    ASSERT_TRUE(live->Insert(live->codec().MakeRecord(id, 55)).ok());
+  }
+  ASSERT_TRUE(live->Delete(3).ok());
+
+  std::vector<btree::DigestEntry> postings;
+  const auto& index = static_cast<const mbtree::MbTree&>(live->index());
+  ASSERT_TRUE(index.RangeSearch(0, 1000, &postings).ok());
+  for (const btree::DigestEntry& posting : postings) {
+    std::vector<uint8_t> bytes(100);
+    ASSERT_TRUE(live->heap().Get(posting.rid, bytes.data()).ok());
+    EXPECT_EQ(posting.digest, crypto::ComputeDigest(bytes.data(), bytes.size(),
+                                                    crypto::HashScheme::kSha1));
+  }
+
+  std::vector<Record> records;
+  btree::TreeShape shape;
+  ASSERT_TRUE(live->Dump(&records, &shape).ok());
+  EXPECT_GT(shape.size(), 2u);
+  std::unique_ptr<Table> rebuilt = make(1);
+  ASSERT_TRUE(rebuilt->BulkLoad(records, shape).ok());
+  const auto& copy = static_cast<const mbtree::MbTree&>(rebuilt->index());
+  EXPECT_EQ(copy.root_digest(), index.root_digest());
+  ASSERT_TRUE(copy.Validate().ok());
+  std::vector<Record> again;
+  btree::TreeShape again_shape;
+  ASSERT_TRUE(rebuilt->Dump(&again, &again_shape).ok());
+  EXPECT_EQ(again, records);
+  EXPECT_EQ(again_shape, shape);
 }
 
 }  // namespace

@@ -287,9 +287,10 @@ class NetServingTest : public ::testing::Test {
  protected:
   void SetUp() override {
     sp_ = std::make_unique<core::ServiceProvider>(
-        core::ServiceProviderOptions{.record_size = kRecSize});
-    te_ = std::make_unique<core::TrustedEntity>(
-        core::TrustedEntityOptions{.record_size = kRecSize});
+        core::ServiceProviderOptions{.record_size = kRecSize,
+                                     .answer_cache = {}});
+    te_ = std::make_unique<core::TrustedEntity>(core::TrustedEntityOptions{
+        .record_size = kRecSize, .xb_options = {}, .vt_cache = {}});
     sp_server_ = std::make_unique<net::SpServer>(sp_.get());
     te_server_ = std::make_unique<net::TeServer>(te_.get());
     ASSERT_TRUE(sp_server_->Start().ok());
@@ -606,10 +607,12 @@ TEST(SharedPayloadFramingTest, PipelinedLargeAnswersSurviveShortWrites) {
 class TomNetTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    owner_ = std::make_unique<core::TomDataOwner>(
-        core::TomDataOwnerOptions{.record_size = kRecSize});
-    sp_ = std::make_unique<core::TomServiceProvider>(
-        core::TomServiceProviderOptions{.record_size = kRecSize});
+    core::TomDataOwnerOptions owner_options;
+    owner_options.record_size = kRecSize;
+    owner_ = std::make_unique<core::TomDataOwner>(owner_options);
+    core::TomServiceProviderOptions sp_options;
+    sp_options.record_size = kRecSize;
+    sp_ = std::make_unique<core::TomServiceProvider>(sp_options);
     dataset_ = Dataset(100);
     ASSERT_TRUE(owner_->LoadDataset(dataset_).ok());
 

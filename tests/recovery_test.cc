@@ -124,6 +124,36 @@ std::vector<Op> UpdateSchedule() {
   return ops;  // 13 updates -> epochs 2..14, checkpoints at 5, 9, 13
 }
 
+// The split leg's schedule, for the 30-record seed under the split
+// fanouts: a dozen inserts alternating between keys 100 and 105 (a seed
+// key too) split leaves and then internal nodes, each key's run growing
+// in DESCENDING id order, twice per checkpoint window — an MB-tree keeps a
+// run in insertion order, so recovery must rebuild that order, not sort
+// by id. Deletes of seed records 1..6 underflow the leftmost leaves into
+// borrows and merges, and a delete + re-insert of id 199 moves it to the
+// end of its run. 20 updates -> epochs 2..21, checkpoints every 4.
+std::vector<Op> SplitSchedule() {
+  std::vector<Op> ops;
+  for (int i = 0; i < 12; ++i) {
+    ops.push_back({true, RecordId(200 - i), Key(100 + 5 * (i % 2))});
+  }
+  for (RecordId id = 1; id <= 6; ++id) ops.push_back({false, id, 0});
+  ops.push_back({false, RecordId(199), 0});
+  ops.push_back({true, RecordId(199), Key(105)});
+  return ops;
+}
+
+// MB-tree fanouts small enough that 30 records and the split schedule
+// split (and merge) leaves and internal nodes: 8 leaves of <= 4 entries
+// under internal nodes of <= 4 children.
+constexpr size_t kSplitLeaf = 4;
+constexpr size_t kSplitInternal = 3;
+
+void ShrinkFanouts(TomSystem::Options* options) {
+  options->mb_options.max_leaf_entries = kSplitLeaf;
+  options->mb_options.max_internal_keys = kSplitInternal;
+}
+
 template <typename System>
 Status ApplyOp(System* system, const Op& op, const RecordCodec& codec) {
   return op.insert ? system->Insert(codec.MakeRecord(op.id, op.key))
@@ -136,10 +166,10 @@ Status ApplyOp(System* system, const Op& op, const RecordCodec& codec) {
 // (the armed crash) and reports how many updates SUCCEEDED before it.
 template <typename System>
 Status RunWorkload(System* system, const RecordCodec& codec,
-                   size_t* updates_applied) {
+                   const std::vector<Op>& ops, size_t* updates_applied) {
   *updates_applied = 0;
   SAE_RETURN_NOT_OK(system->Load(SeedDataset(codec, 30)));
-  for (const Op& op : UpdateSchedule()) {
+  for (const Op& op : ops) {
     SAE_RETURN_NOT_OK(ApplyOp(system, op, codec));
     ++*updates_applied;
     SAE_RETURN_NOT_OK(system->WaitForCheckpoints());
@@ -147,17 +177,15 @@ Status RunWorkload(System* system, const RecordCodec& codec,
   return Status::OK();
 }
 
-// Builds the never-crashed twin holding the first `updates` schedule
-// entries (pure in-memory, no durability).
+// Builds the never-crashed twin holding the first `updates` entries of
+// `ops` (pure in-memory, no durability), configured as `options` is.
 template <typename System>
-std::unique_ptr<System> BuildTwin(crypto::HashScheme scheme, size_t updates,
+std::unique_ptr<System> BuildTwin(typename System::Options options,
+                                  const std::vector<Op>& ops, size_t updates,
                                   const RecordCodec& codec) {
-  typename System::Options options;
-  options.record_size = kRecordSize;
-  options.scheme = scheme;
+  options.durability = {};
   auto twin = std::make_unique<System>(options);
   EXPECT_TRUE(twin->Load(SeedDataset(codec, 30)).ok());
-  std::vector<Op> ops = UpdateSchedule();
   for (size_t i = 0; i < updates; ++i) {
     EXPECT_TRUE(ApplyOp(twin.get(), ops[i], codec).ok());
   }
@@ -193,24 +221,48 @@ std::vector<Record> FullScan(System* system) {
 
 // --- the crash-point matrix --------------------------------------------------
 
+// `split` runs TomSystem with kSplitFanouts through SplitSchedule instead
+// of the default fanouts through UpdateSchedule.
 template <typename System>
-void RunCrashMatrix(crypto::HashScheme scheme, bool full_only) {
+void RunCrashMatrix(crypto::HashScheme scheme, bool full_only,
+                    bool split = false) {
   RecordCodec codec(kRecordSize);
+  const std::vector<Op> ops = split ? SplitSchedule() : UpdateSchedule();
+  auto options_for = [&](FaultFs* fs) {
+    auto options = DurableOptions<System>(scheme, fs, "/db", full_only);
+    if constexpr (std::is_same_v<System, TomSystem>) {
+      if (split) ShrinkFanouts(&options);
+    }
+    return options;
+  };
 
   // Pass 1: crash-free run counts the barriers and fixes the final state.
   FaultFs clean_fs;
   size_t total_updates = 0;
   {
-    auto system = std::make_unique<System>(
-        DurableOptions<System>(scheme, &clean_fs, "/db", full_only));
+    auto system = std::make_unique<System>(options_for(&clean_fs));
     size_t applied = 0;
-    ASSERT_TRUE(RunWorkload(system.get(), codec, &applied).ok());
+    ASSERT_TRUE(RunWorkload(system.get(), codec, ops, &applied).ok());
     total_updates = applied;
-    // The schedule the matrix crashes through: the Load baseline plus
-    // three cadence checkpoints, either delta, delta, full or all full.
+    // The schedule the matrix crashes through: the Load baseline plus one
+    // cadence checkpoint per kSnapshotInterval updates, every third of
+    // them full (delta, delta, full, ...) or all full.
+    const uint64_t cadence = ops.size() / kSnapshotInterval;
+    const uint64_t full = 1 + (full_only ? cadence : cadence / 3);
     DurabilityStats stats = system->durability_stats();
-    EXPECT_EQ(stats.checkpoints_full, full_only ? 4u : 2u);
-    EXPECT_EQ(stats.checkpoints_delta, full_only ? 0u : 2u);
+    EXPECT_EQ(stats.checkpoints_full, full);
+    EXPECT_EQ(stats.checkpoints_delta, 1 + cadence - full);
+    if constexpr (std::is_same_v<System, TomSystem>) {
+      if (split) {
+        // The seed loads 8 leaves under 2 internal nodes; the schedule
+        // split both levels.
+        btree::TreeShape shape;
+        ASSERT_TRUE(system->sp().table().index().Walk(&shape, nullptr).ok());
+        ASSERT_EQ(shape.size(), 3u);
+        EXPECT_GT(shape[0].size(), 8u);
+        EXPECT_GT(shape[1].size(), 2u);
+      }
+    }
   }
   const uint64_t sync_points = clean_fs.sync_points();
   ASSERT_GT(sync_points, kSnapshotInterval);  // sanity: barriers happened
@@ -227,16 +279,14 @@ void RunCrashMatrix(crypto::HashScheme scheme, bool full_only) {
     fs.CrashAtSyncPoint(k);
     size_t applied = 0;
     {
-      auto system = std::make_unique<System>(
-          DurableOptions<System>(scheme, &fs, "/db", full_only));
-      Status st = RunWorkload(system.get(), codec, &applied);
+      auto system = std::make_unique<System>(options_for(&fs));
+      Status st = RunWorkload(system.get(), codec, ops, &applied);
       ASSERT_FALSE(st.ok());  // the armed crash must have fired
       ASSERT_TRUE(fs.crashed());
     }
     fs.DropVolatile();  // power loss: volatile bytes are gone
 
-    auto recovered =
-        System::Recover(DurableOptions<System>(scheme, &fs, "/db", full_only));
+    auto recovered = System::Recover(options_for(&fs));
     if (!recovered.ok()) {
       // Only legitimate before the epoch-1 baseline snapshot is durable:
       // its temp-file sync is barrier 1 and its rename is barrier 2, so
@@ -262,7 +312,8 @@ void RunCrashMatrix(crypto::HashScheme scheme, bool full_only) {
     VerifySweep(&system);
 
     // (c) differentially equal to the never-crashed twin of that prefix.
-    auto twin = BuildTwin<System>(scheme, size_t(epoch - 1), codec);
+    auto twin = BuildTwin<System>(options_for(&fs), ops, size_t(epoch - 1),
+                                  codec);
     EXPECT_EQ(twin->epoch(), epoch);
     EXPECT_EQ(FullScan(twin.get()), FullScan(&system));
     if constexpr (std::is_same_v<System, TomSystem>) {
@@ -342,6 +393,28 @@ TEST(RecoveryMatrix, TomSha1FullSnapshotsOnlyEveryCrashPointRecovers) {
 TEST(RecoveryMatrix, TomSha256FullSnapshotsOnlyEveryCrashPointRecovers) {
   RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha256Trunc,
                             /*full_only=*/true);
+}
+
+// The TOM split leg: every crash point of a schedule that splits and
+// merges leaves and internal nodes must recover the exact signed tree.
+TEST(RecoveryMatrix, TomSha1SplitsEveryCrashPointRecovers) {
+  RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha1, /*full_only=*/false,
+                            /*split=*/true);
+}
+
+TEST(RecoveryMatrix, TomSha256SplitsEveryCrashPointRecovers) {
+  RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha256Trunc,
+                            /*full_only=*/false, /*split=*/true);
+}
+
+TEST(RecoveryMatrix, TomSha1SplitsFullSnapshotsOnlyEveryCrashPointRecovers) {
+  RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha1, /*full_only=*/true,
+                            /*split=*/true);
+}
+
+TEST(RecoveryMatrix, TomSha256SplitsFullSnapshotsOnlyEveryCrashPointRecovers) {
+  RunCrashMatrix<TomSystem>(crypto::HashScheme::kSha256Trunc,
+                            /*full_only=*/true, /*split=*/true);
 }
 
 // --- WAL fuzzing -------------------------------------------------------------
@@ -862,6 +935,97 @@ TEST(RollbackAdversary, TomClientRejectsSnapshotRollback) {
 
 // --- misc recovery semantics -------------------------------------------------
 
+// Regression: TOM recovery used to bulk-load the checkpointed records into
+// a freshly planned tree. 400 records load as four 100-entry leaves; eight
+// inserts into the first make it 108/100/100/100, while a bulk load of the
+// 408 records spreads them 4 x 102 — no split needed for a different root
+// digest, and the re-signed root then failed the snapshot signature. The
+// checkpoint now carries the tree's shape, on both schedules.
+void ExpectTomRecoversAfterInserts(bool full_only) {
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  auto options = DurableOptions<TomSystem>(crypto::HashScheme::kSha1, &fs,
+                                           "/db", full_only);
+  crypto::RsaSignature live_signature;
+  std::vector<Record> live;
+  {
+    TomSystem system(options);
+    ASSERT_TRUE(system.Load(SeedDataset(codec, 400)).ok());
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(system.Insert(codec.MakeRecord(RecordId(1000 + i),
+                                                 Key(17 + 10 * i)))
+                      .ok());
+    }
+    ASSERT_TRUE(system.WaitForCheckpoints().ok());
+    live_signature = system.owner().signature();
+    live = FullScan(&system);
+  }
+  fs.DropVolatile();
+  auto recovered = TomSystem::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(recovered.value()->epoch(), 9u);
+  EXPECT_EQ(recovered.value()->owner().signature(), live_signature);
+  EXPECT_EQ(FullScan(recovered.value().get()), live);
+  VerifySweep(recovered.value().get());
+}
+
+TEST(Recovery, TomRecoversAfterInsertsReshapeTheTree) {
+  ExpectTomRecoversAfterInserts(/*full_only=*/false);
+}
+
+TEST(Recovery, TomFullSnapshotsRecoverAfterInsertsReshapeTheTree) {
+  ExpectTomRecoversAfterInserts(/*full_only=*/true);
+}
+
+// A TOM snapshot written before checkpoints carried the tree shape ends
+// right after the signature. Recovery refuses it with kUnimplemented
+// rather than rebuilding a tree the signature may not cover; SAE payloads
+// never carried a shape and keep their bytes.
+TEST(Recovery, OldFormatTomSnapshotIsRejected) {
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  auto options =
+      DurableOptions<TomSystem>(crypto::HashScheme::kSha1, &fs, "/db");
+  SnapshotState state;
+  {
+    TomSystem system(options);
+    ASSERT_TRUE(system.Load(SeedDataset(codec, 20)).ok());
+    state = system.CaptureState().ValueOrDie();
+  }
+  ASSERT_EQ(state.shape, (btree::TreeShape{{20}}));
+  std::vector<uint8_t> payload = core::EncodeSnapshotState(state);
+  // The one-leaf shape: u32 level count, u32 node count, u16 fan-out.
+  payload.resize(payload.size() - (4 + 4 + 2));
+  EXPECT_EQ(core::DecodeSnapshotState(payload).status().code(),
+            StatusCode::kUnimplemented);
+  core::DeltaState delta;
+  delta.model = SnapshotState::kTom;
+  delta.record_size = kRecordSize;
+  std::vector<uint8_t> delta_payload = core::EncodeDeltaState(delta);
+  delta_payload.resize(delta_payload.size() - 4);  // the empty shape
+  EXPECT_EQ(core::DecodeDeltaState(delta_payload).status().code(),
+            StatusCode::kUnimplemented);
+
+  // Replace the epoch-1 baseline with its old-format twin.
+  storage::SnapshotStore store(&fs, "/db");
+  ASSERT_TRUE(store.Write(1, payload).ok());
+  fs.DropVolatile();
+  auto recovered = TomSystem::Recover(options);
+  EXPECT_EQ(recovered.status().code(), StatusCode::kUnimplemented)
+      << recovered.status().message();
+
+  // SAE: header, record count, records, signature length — nothing after.
+  SnapshotState sae;
+  sae.record_size = kRecordSize;
+  sae.records = SeedDataset(codec, 3);
+  size_t record_bytes = 0;
+  for (const Record& record : sae.records) {
+    record_bytes += 8 + 4 + 4 + record.payload.size();
+  }
+  EXPECT_EQ(core::EncodeSnapshotState(sae).size(),
+            1 + 4 + 1 + 4 + record_bytes + 4);
+}
+
 TEST(Recovery, FailedUpdateIsRetractedFromTheWal) {
   RecordCodec codec(kRecordSize);
   FaultFs fs;
@@ -1127,6 +1291,39 @@ TEST(Recovery, ShardedSystemRecoversEveryShardAndItsDirectory) {
   // The rebuilt directory routes deletes: removing a recovered record
   // works without re-listing the dataset.
   EXPECT_TRUE(system.Delete(RecordId(501)).ok());
+}
+
+TEST(Recovery, ShardedTomSystemRecoversSplitShards) {
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  core::ShardedTomSystem::Options options;
+  options.base =
+      DurableOptions<TomSystem>(crypto::HashScheme::kSha1, &fs, "/db");
+  ShrinkFanouts(&options.base);
+  core::ShardRouter router({100, 200});  // 3 shards
+  std::vector<Record> live;
+  std::vector<uint64_t> live_epochs;
+  {
+    core::ShardedTomSystem system(router, options);
+    ASSERT_TRUE(system.Load(SeedDataset(codec, 30)).ok());
+    // Every shard takes enough inserts to split its leaves and internal
+    // nodes, some on seed keys, plus deletes.
+    for (int i = 0; i < 27; ++i) {
+      Record record = codec.MakeRecord(RecordId(500 + i), Key(15 + 10 * i));
+      ASSERT_TRUE(system.Insert(record).ok());
+    }
+    ASSERT_TRUE(system.Delete(RecordId(2)).ok());
+    ASSERT_TRUE(system.Delete(RecordId(25)).ok());
+    ASSERT_TRUE(system.WaitForCheckpoints().ok());
+    live = FullScan(&system);
+    live_epochs = system.ShardEpochs();
+  }
+  fs.DropVolatile();
+  auto recovered = core::ShardedTomSystem::Recover(router, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(recovered.value()->ShardEpochs(), live_epochs);
+  EXPECT_EQ(FullScan(recovered.value().get()), live);
+  VerifySweep(recovered.value().get());
 }
 
 TEST(Recovery, ShardedDurabilityStatsCountSkippedCheckpoints) {
