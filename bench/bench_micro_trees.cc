@@ -2,16 +2,23 @@
 //
 // Micro benchmarks for the three index structures (google-benchmark):
 // range search, VT generation, VO construction and point updates, with
-// node-access counters reported alongside wall time.
+// node-access counters reported alongside wall time. Two read-path benches
+// follow, single-threaded over a loaded SAE system: the SP's uncached
+// answer build (index descent, heap fetch, answer encode) and the client's
+// check of a served buffer (SaeClientMemo::VerifyAnswer: decode, then a
+// memo hit or a witness re-hash).
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "btree/bplus_tree.h"
+#include "core/client_memo.h"
+#include "core/system.h"
 #include "mbtree/mb_tree.h"
 #include "storage/page_store.h"
 #include "util/random.h"
+#include "workload/dataset.h"
 #include "xbtree/xb_tree.h"
 
 namespace {
@@ -201,5 +208,71 @@ void BM_XbTree_Insert(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_XbTree_Insert);
+
+// --- SAE read path ---------------------------------------------------------------
+
+// 100K records of 500 bytes, every verified-path cache off, so each
+// ServeQuery is a miss that runs the plan.
+core::SaeSystem* SharedSae() {
+  static core::SaeSystem* system = [] {
+    auto* s = new core::SaeSystem(core::SaeSystemOptions().DisableCaches());
+    workload::DatasetSpec spec;
+    spec.cardinality = kTreeSize;
+    SAE_CHECK_OK(s->Load(workload::GenerateDataset(spec)));
+    return s;
+  }();
+  return system;
+}
+
+std::vector<dbms::QueryRequest> RandomScans(size_t n) {
+  Rng rng(7);
+  std::vector<dbms::QueryRequest> requests;
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t lo = uint32_t(rng.NextBounded(kDomain - kExtent));
+    requests.push_back(dbms::QueryRequest::Scan(lo, lo + kExtent));
+  }
+  return requests;
+}
+
+// The SP miss path: descent, heap fetch and answer encode for a 0.5% scan.
+void BM_SaeSp_ServeMiss(benchmark::State& state) {
+  const core::ServiceProvider& sp = SharedSae()->sp();
+  const std::vector<dbms::QueryRequest> requests = RandomScans(256);
+  size_t i = 0;
+  uint64_t bytes = 0;
+  for (auto _ : state) {
+    auto served = sp.ServeQuery(requests[i++ % requests.size()]);
+    SAE_CHECK(served.ok());
+    bytes += served.value()->answer_msg.size();
+  }
+  state.SetBytesProcessed(int64_t(bytes));
+}
+BENCHMARK(BM_SaeSp_ServeMiss)->Unit(benchmark::kMicrosecond);
+
+// The client's check of one served buffer, as SaeSystem::ExecuteQuery makes
+// it: arg 1 replays the memo (decode + hit), arg 0 re-hashes the witness
+// every time (decode + XOR + answer check).
+void BM_SaeClient_VerifyServed(benchmark::State& state) {
+  core::SaeSystem* system = SharedSae();
+  const dbms::QueryRequest request = RandomScans(1)[0];
+  auto served = system->sp().ServeQuery(request).ValueOrDie();
+  core::VerificationToken vt = system->te().GenerateVt(request).ValueOrDie();
+  core::SaeClientMemo memo(state.range(0) != 0
+                               ? core::AnswerCacheOptions{}
+                               : core::AnswerCacheOptions::Disabled());
+  for (auto _ : state) {
+    auto checked = memo.VerifyAnswer(request, served, vt, system->epoch(),
+                                     system->codec(),
+                                     system->options().scheme);
+    SAE_CHECK(checked.ok() && checked.value().verification.ok());
+    benchmark::DoNotOptimize(checked.value().received.witness.data());
+  }
+  state.SetBytesProcessed(int64_t(state.iterations()) *
+                          int64_t(served->answer_msg.size()));
+}
+BENCHMARK(BM_SaeClient_VerifyServed)
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

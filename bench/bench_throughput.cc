@@ -42,27 +42,45 @@ std::vector<core::BatchQuery> MakeEngineBatch() {
   return batch;
 }
 
-// The sweeps below time a batch that repeats their warm-up batch, so they
+// One sweep point times at least this much wall clock: a single batch
+// (400 queries, ~70 ms at four workers on a 4-core host) is too short to
+// time, and its q/s swung by more than 3x between runs.
+constexpr double kMinTimedMs = 1000.0;
+
+// Runs `run_batch` (one engine batch of `batch_size` queries, every answer
+// verified) once to warm the pools and the workers' thread-local counters,
+// then repeatedly until kMinTimedMs of batch wall time has passed. Returns
+// the summed stats; `total` is the first timed batch's.
+template <typename RunBatch>
+core::BatchStats TimeBatches(size_t batch_size, RunBatch run_batch) {
+  SAE_CHECK(run_batch().stats.accepted == batch_size);
+  core::BatchStats sum;
+  do {
+    core::BatchStats one = run_batch().stats;
+    SAE_CHECK(one.accepted == batch_size);
+    if (sum.queries == 0) sum.total = one.total;
+    sum.queries += one.queries;
+    sum.accepted += one.accepted;
+    sum.wall_ms += one.wall_ms;
+  } while (sum.wall_ms < kMinTimedMs);
+  return sum;
+}
+
+// The sweeps below time batches that repeat their warm-up batch, so they
 // run on systems built with every verified-path cache off (DisableCaches):
-// with caches on, the timed run would measure cache hits, not serving.
+// with caches on, the timed runs would measure cache hits, not serving.
 template <typename System>
 void RunSweep(const char* model, System* system,
               const std::vector<core::BatchQuery>& batch) {
   double single_thread_qps = 0.0;
   for (size_t threads : {1, 2, 4, 8}) {
     core::QueryEngine engine(core::QueryEngineOptions{threads});
-    // Warm the pools (and the workers' thread-local counters) once so the
-    // timed run measures steady-state serving, then time the batch.
-    auto warm = engine.Run(system, batch);
-    SAE_CHECK(warm.stats.accepted == batch.size());
-    auto run = engine.Run(system, batch);
-    SAE_CHECK(run.stats.accepted == batch.size());
-
-    double qps = run.stats.QueriesPerSecond();
+    core::BatchStats run = TimeBatches(
+        batch.size(), [&] { return engine.Run(system, batch); });
+    double qps = run.QueriesPerSecond();
     if (threads == 1) single_thread_qps = qps;
     std::printf("%6s %8zu %10.0f %9.2fx %13.3f\n", model, threads, qps,
-                qps / single_thread_qps,
-                run.stats.wall_ms / double(run.stats.queries));
+                qps / single_thread_qps, run.wall_ms / double(run.queries));
     std::fflush(stdout);
   }
 }
@@ -85,16 +103,13 @@ void RunShardSweep(const std::vector<storage::Record>& dataset,
         core::ShardRouter::Balanced(dataset, shards), options);
     SAE_CHECK_OK(system.Load(dataset));
     core::QueryEngine engine(core::QueryEngineOptions{4});
-    auto warm = engine.RunBatch(&system, batch);
-    SAE_CHECK(warm.stats.accepted == batch.size());
-    auto run = engine.RunBatch(&system, batch);
-    SAE_CHECK(run.stats.accepted == batch.size());
+    core::BatchStats run = TimeBatches(
+        batch.size(), [&] { return engine.RunBatch(&system, batch); });
     std::printf("%8zu %10.0f %15.3f %15llu\n", system.num_shards(),
-                run.stats.QueriesPerSecond(),
-                run.stats.wall_ms / double(run.stats.queries),
-                (unsigned long long)(run.stats.total.sp_index_accesses +
-                                     run.stats.total.sp_heap_accesses +
-                                     run.stats.total.te_accesses));
+                run.QueriesPerSecond(), run.wall_ms / double(run.queries),
+                (unsigned long long)(run.total.sp_index_accesses +
+                                     run.total.sp_heap_accesses +
+                                     run.total.te_accesses));
     std::fflush(stdout);
   }
 }
@@ -399,8 +414,8 @@ int main() {
   }
 
   std::printf("# speedup is relative to the 1-thread run of the same "
-              "model; batch = %zu queries\n",
-              batch.size());
+              "model; batch = %zu queries, repeated for >= %.0f ms per row\n",
+              batch.size(), kMinTimedMs);
 
   RunShardSweep(dataset, batch);
 

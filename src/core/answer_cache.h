@@ -80,6 +80,13 @@ struct CachedAnswer {
   std::vector<uint8_t> proof_msg;  ///< empty for SAE's conventional SP
 };
 
+/// `served`'s answer shipment as a buffer that co-owns `served`: what
+/// DeserializeQueryAnswer decodes in place.
+inline std::shared_ptr<const std::vector<uint8_t>> AnswerBytesOf(
+    const std::shared_ptr<const CachedAnswer>& served) {
+  return {served, &served->answer_msg};
+}
+
 class AnswerCache {
  public:
   /// (range, op, top-k limit, epoch) — everything that determines the

@@ -116,9 +116,9 @@ Result<VerifiedAnswer> SaeClientMemo::VerifyAnswer(
     const std::shared_ptr<const CachedAnswer>& served,
     const VerificationToken& vt, uint64_t published_epoch,
     const storage::RecordCodec& codec, crypto::HashScheme scheme) {
-  // Decoded here, so the bytes memoized are the bytes verified.
+  // Decoded here, in place, so the bytes memoized are the bytes verified.
   SAE_ASSIGN_OR_RETURN(QueryAnswerMessage received,
-                       DeserializeQueryAnswer(served->answer_msg, codec));
+                       DeserializeQueryAnswer(AnswerBytesOf(served), codec));
   Status verification =
       Verify(request, served, received.answer, received.witness, vt,
              received.epoch, published_epoch, codec, scheme);
@@ -186,10 +186,10 @@ Result<VerifiedAnswer> TomClientMemo::VerifyAnswer(
     const std::shared_ptr<const CachedAnswer>& served,
     const crypto::RsaPublicKey& owner_key, const storage::RecordCodec& codec,
     crypto::HashScheme scheme, uint64_t published_epoch) {
-  // Decoded here, so the bytes memoized are the bytes verified.
+  // Decoded here, in place, so the bytes memoized are the bytes verified.
   VerifiedAnswer out;
   SAE_ASSIGN_OR_RETURN(out.received,
-                       DeserializeQueryAnswer(served->answer_msg, codec));
+                       DeserializeQueryAnswer(AnswerBytesOf(served), codec));
   SAE_ASSIGN_OR_RETURN(
       out.vo, mbtree::VerificationObject::Deserialize(served->proof_msg));
 

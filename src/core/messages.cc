@@ -40,13 +40,19 @@ void PutRecords(ByteWriter* w, const std::vector<Record>& records,
                 w->Extend(records.size() * codec.record_size()));
 }
 
-// Reads `count` fixed-size records; false on truncation.
+// Reads `count` fixed-size records; false on truncation. With `images`
+// (the shared buffer being read) the payloads view it; otherwise they copy.
 bool GetRecords(ByteReader* r, uint64_t count, const RecordCodec& codec,
-                std::vector<Record>* out) {
+                std::vector<Record>* out,
+                storage::SharedImages* images = nullptr) {
   if (count > r->remaining() / codec.record_size()) return false;
   const uint8_t* data = r->Take(size_t(count) * codec.record_size());
   if (data == nullptr) return false;
-  codec.DeserializeMany(data, size_t(count), out);
+  if (images != nullptr) {
+    codec.DeserializeMany(images, data, size_t(count), out);
+  } else {
+    codec.DeserializeMany(data, size_t(count), out);
+  }
   return true;
 }
 }  // namespace
@@ -147,7 +153,15 @@ Result<std::vector<uint8_t>> BuildQueryAnswer(
 
 Result<QueryAnswerMessage> DeserializeQueryAnswer(
     const std::vector<uint8_t>& bytes, const RecordCodec& codec) {
-  ByteReader r(bytes);
+  return DeserializeQueryAnswer(
+      std::make_shared<const std::vector<uint8_t>>(bytes), codec);
+}
+
+Result<QueryAnswerMessage> DeserializeQueryAnswer(
+    std::shared_ptr<const std::vector<uint8_t>> bytes,
+    const RecordCodec& codec) {
+  ByteReader r(*bytes);
+  storage::SharedImages images(std::move(bytes));
   if (r.GetU8() != kTagQueryAnswer) {
     return Status::Corruption("not a query answer message");
   }
@@ -167,7 +181,8 @@ Result<QueryAnswerMessage> DeserializeQueryAnswer(
     return Status::Corruption("record size mismatch");
   }
   uint64_t n_answer = r.GetU64();
-  if (r.failed() || !GetRecords(&r, n_answer, codec, &msg.answer.records)) {
+  if (r.failed() ||
+      !GetRecords(&r, n_answer, codec, &msg.answer.records, &images)) {
     return Status::Corruption("query answer rows truncated");
   }
   uint64_t n_witness = r.GetU64();
@@ -175,7 +190,7 @@ Result<QueryAnswerMessage> DeserializeQueryAnswer(
   // must consume the remainder of the message exactly.
   if (r.failed() || r.remaining() % codec.record_size() != 0 ||
       n_witness != r.remaining() / codec.record_size() ||
-      !GetRecords(&r, n_witness, codec, &msg.witness)) {
+      !GetRecords(&r, n_witness, codec, &msg.witness, &images)) {
     return Status::Corruption("query answer witness truncated");
   }
   if (msg.answer.op != dbms::QueryOp::kTopK && n_answer != 0) {

@@ -8,6 +8,7 @@
 #define SAE_CORE_MESSAGES_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -109,8 +110,17 @@ Result<std::vector<uint8_t>> BuildQueryAnswer(
     const dbms::QueryRequest& request, const std::vector<storage::Rid>& rids,
     const storage::HeapFile& heap, uint64_t epoch);
 
+/// Decodes an answer shipment into a private copy of its bytes.
 Result<QueryAnswerMessage> DeserializeQueryAnswer(
     const std::vector<uint8_t>& bytes, const RecordCodec& codec);
+
+/// Decodes a shared answer shipment in place: the records' payloads view
+/// `*bytes` (storage::SharedImages), and all of them together keep one
+/// reference to it. Clients decode the SP's served buffer (an answer-cache
+/// entry, aliased from its CachedAnswer) or a received frame this way.
+Result<QueryAnswerMessage> DeserializeQueryAnswer(
+    std::shared_ptr<const std::vector<uint8_t>> bytes,
+    const RecordCodec& codec);
 
 /// True when two answer shipments are byte-equal outside their epoch
 /// stamps: the same answer and witness, whatever epoch each claims.

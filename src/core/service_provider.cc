@@ -76,7 +76,7 @@ Result<ServiceProvider::PlanResult> ServiceProvider::ExecutePlan(
                        ServeQuery(request));
   SAE_ASSIGN_OR_RETURN(
       QueryAnswerMessage msg,
-      DeserializeQueryAnswer(served->answer_msg, table_->codec()));
+      DeserializeQueryAnswer(AnswerBytesOf(served), table_->codec()));
   return PlanResult{std::move(msg.answer), std::move(msg.witness)};
 }
 

@@ -84,7 +84,8 @@ class ServiceProvider {
 
   /// Executes any verified-plan operator: the decoded form of ServeQuery
   /// (the underlying range scan, answer derived with the shared rule
-  /// dbms::EvaluateAnswer). Thread-safety matches ExecuteRange.
+  /// dbms::EvaluateAnswer), its records viewing the served buffer in place.
+  /// Thread-safety matches ExecuteRange.
   Result<PlanResult> ExecutePlan(const dbms::QueryRequest& request) const;
 
   const dbms::Table& table() const { return *table_; }

@@ -168,7 +168,7 @@ Result<TomServiceProvider::PlanResponse> TomServiceProvider::ExecutePlan(
                        ServeQuery(request));
   SAE_ASSIGN_OR_RETURN(
       QueryAnswerMessage msg,
-      DeserializeQueryAnswer(served->answer_msg, table().codec()));
+      DeserializeQueryAnswer(AnswerBytesOf(served), table().codec()));
   PlanResponse plan;
   plan.answer = std::move(msg.answer);
   plan.witness = std::move(msg.witness);

@@ -5,6 +5,7 @@
 
 #include "net/client_transport.h"
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -176,8 +177,12 @@ Result<NetVerifiedAnswer> NetSaeClient::Query(
   SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> vt_bytes, te_lease.Recv());
   SAE_RETURN_NOT_OK(CheckFrame(vt_bytes));
 
-  SAE_ASSIGN_OR_RETURN(core::QueryAnswerMessage message,
-                       core::DeserializeQueryAnswer(answer_bytes, codec_));
+  // The frame moves into a shared buffer the witness views in place.
+  SAE_ASSIGN_OR_RETURN(
+      core::QueryAnswerMessage message,
+      core::DeserializeQueryAnswer(
+          std::make_shared<const std::vector<uint8_t>>(std::move(answer_bytes)),
+          codec_));
   SAE_ASSIGN_OR_RETURN(core::VerificationToken vt,
                        core::DeserializeVt(vt_bytes));
 
@@ -227,8 +232,11 @@ Result<NetTomVerifiedAnswer> NetTomClient::Query(
   SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> vo_bytes, sp_lease.Recv());
   SAE_RETURN_NOT_OK(CheckFrame(vo_bytes));
 
-  SAE_ASSIGN_OR_RETURN(core::QueryAnswerMessage message,
-                       core::DeserializeQueryAnswer(answer_bytes, codec_));
+  SAE_ASSIGN_OR_RETURN(
+      core::QueryAnswerMessage message,
+      core::DeserializeQueryAnswer(
+          std::make_shared<const std::vector<uint8_t>>(std::move(answer_bytes)),
+          codec_));
   SAE_ASSIGN_OR_RETURN(mbtree::VerificationObject vo,
                        mbtree::VerificationObject::Deserialize(vo_bytes));
 

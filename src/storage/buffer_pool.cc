@@ -2,6 +2,7 @@
 //
 // Implements the LRU BufferPool (storage/buffer_pool.h) and its logical
 // node-access / frame-miss counters — the paper's cost instrumentation.
+// Frames point at the store's pages, so no page is ever copied.
 // One mutex guards all frame bookkeeping; counters are atomic and also
 // mirrored into per-thread slots so workers can attribute accesses to the
 // query they are running without touching shared mutable state.
@@ -27,6 +28,7 @@ BufferPool::PageRef& BufferPool::PageRef::operator=(PageRef&& other) noexcept {
     Release();
     pool_ = other.pool_;
     frame_ = other.frame_;
+    page_ = other.page_;
     id_ = other.id_;
     other.pool_ = nullptr;
   }
@@ -35,13 +37,12 @@ BufferPool::PageRef& BufferPool::PageRef::operator=(PageRef&& other) noexcept {
 
 Page& BufferPool::PageRef::Mutable() {
   SAE_CHECK(valid());
-  pool_->MarkDirty(frame_);
-  return pool_->frames_[frame_].page;
+  return *page_;
 }
 
 const Page& BufferPool::PageRef::Get() const {
   SAE_CHECK(valid());
-  return pool_->frames_[frame_].page;
+  return *page_;
 }
 
 void BufferPool::PageRef::Release() {
@@ -58,8 +59,6 @@ BufferPool::BufferPool(InMemoryPageStore* store, size_t capacity)
   free_frames_.reserve(capacity_);
   for (size_t i = capacity_; i-- > 0;) free_frames_.push_back(i);
 }
-
-BufferPool::~BufferPool() { SAE_CHECK_OK(FlushAll()); }
 
 void BufferPool::CountAccess(bool miss) {
   accesses_.fetch_add(1, std::memory_order_relaxed);
@@ -126,14 +125,21 @@ Result<size_t> BufferPool::GrabFrame(bool* evicted) {
   lru_.pop_front();
   Frame& f = frames_[victim];
   f.in_lru = false;
-  if (f.dirty) {
-    SAE_RETURN_NOT_OK(store_->Write(f.id, f.page));
-  }
   table_.erase(f.id);
   f.in_use = false;
-  f.dirty = false;
   *evicted = true;
   return victim;
+}
+
+BufferPool::PageRef BufferPool::Pin(size_t frame, PageId id, Page* page) {
+  Frame& f = frames_[frame];
+  f.page = page;
+  f.id = id;
+  f.pin_count = 1;
+  f.in_use = true;
+  f.in_lru = false;
+  table_[id] = frame;
+  return PageRef(this, frame, page, id);
 }
 
 Result<BufferPool::PageRef> BufferPool::Fetch(PageId id) {
@@ -149,24 +155,17 @@ Result<BufferPool::PageRef> BufferPool::Fetch(PageId id) {
         f.in_lru = false;
       }
       ++f.pin_count;
-      return PageRef(this, it->second, id);
+      return PageRef(this, it->second, f.page, id);
     }
 
     miss = true;
     SAE_ASSIGN_OR_RETURN(size_t frame, GrabFrame(&evicted));
-    Frame& f = frames_[frame];
-    Status st = store_->Read(id, &f.page);
-    if (!st.ok()) {
+    Page* page = store_->PageAt(id);
+    if (page == nullptr) {
       free_frames_.push_back(frame);
-      return st;
+      return Status::InvalidArgument("reading unallocated page");
     }
-    f.id = id;
-    f.pin_count = 1;
-    f.dirty = false;
-    f.in_use = true;
-    f.in_lru = false;
-    table_[id] = frame;
-    return PageRef(this, frame, id);
+    return Pin(frame, id, page);
   }();
   CountAccess(miss);
   if (evicted) CountEviction();
@@ -179,15 +178,7 @@ Result<BufferPool::PageRef> BufferPool::New() {
     std::lock_guard<std::mutex> lock(mu_);
     SAE_ASSIGN_OR_RETURN(PageId id, store_->Allocate());
     SAE_ASSIGN_OR_RETURN(size_t frame, GrabFrame(&evicted));
-    Frame& f = frames_[frame];
-    f.page.Zero();
-    f.id = id;
-    f.pin_count = 1;
-    f.dirty = true;
-    f.in_use = true;
-    f.in_lru = false;
-    table_[id] = frame;
-    return PageRef(this, frame, id);
+    return Pin(frame, id, store_->PageAt(id));
   }();
   CountAccess(/*miss=*/false);
   CountAllocation();
@@ -208,22 +199,10 @@ Status BufferPool::Free(PageId id) {
       f.in_lru = false;
     }
     f.in_use = false;
-    f.dirty = false;
     free_frames_.push_back(it->second);
     table_.erase(it);
   }
   return store_->Free(id);
-}
-
-Status BufferPool::FlushAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Frame& f : frames_) {
-    if (f.in_use && f.dirty) {
-      SAE_RETURN_NOT_OK(store_->Write(f.id, f.page));
-      f.dirty = false;
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace sae::storage

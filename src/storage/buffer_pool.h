@@ -6,6 +6,12 @@
 // fetch (what the paper charges); `Stats::misses` counts frame faults, which
 // the buffer-capacity ablation uses.
 //
+// The store already holds every page in memory, so a frame is not a copy:
+// it points at the store's own `Page`. The pool only simulates residency —
+// which pages a pool of `capacity` frames would hold under LRU — for the
+// counters; a miss pins the store page in place, `Mutable()` writes it
+// directly, and eviction drops the frame without writing anything back.
+//
 // Concurrency: the pool is safe for any number of concurrent readers (and
 // for readers concurrent with a single writer touching disjoint pages). An
 // internal mutex guards the frame table / LRU / pin counts, counters are
@@ -13,10 +19,9 @@
 // reference. Per-thread counters (`ThreadStats()`) let a worker attribute
 // node accesses to the query it is executing without racing other workers;
 // callers diff two snapshots, so the counters themselves never need
-// resetting. Page *contents* are protected by the pin discipline: a pinned
-// frame is never evicted or reused, so `PageRef::Get()` may read it without
-// the mutex; writers (`Mutable()`) require that no other thread holds a ref
-// to the same page.
+// resetting. Page *contents* are protected by the pin discipline: a ref
+// reads its page without the mutex, and writers (`Mutable()`) require that
+// no other thread holds a ref to the same page.
 
 #ifndef SAE_STORAGE_BUFFER_POOL_H_
 #define SAE_STORAGE_BUFFER_POOL_H_
@@ -45,8 +50,8 @@ class BufferPool {
   /// ratios between fields matter.
   struct Stats {
     uint64_t accesses = 0;   // logical page fetches (hits + misses)
-    uint64_t misses = 0;     // fetches that had to read the store
-    uint64_t evictions = 0;  // frames written back / dropped to make room
+    uint64_t misses = 0;     // fetches of a page not resident in a frame
+    uint64_t evictions = 0;  // frames dropped to make room
     uint64_t allocations = 0;  // new pages created through the pool
 
     /// Component-wise delta: the cost of the work between two snapshots.
@@ -79,8 +84,8 @@ class BufferPool {
     bool valid() const { return pool_ != nullptr; }
     PageId id() const { return id_; }
 
-    /// Mutable access automatically marks the frame dirty. The caller must
-    /// be the only thread holding a ref to this page.
+    /// Writes the store's page in place. The caller must be the only thread
+    /// holding a ref to this page.
     Page& Mutable();
     const Page& Get() const;
 
@@ -89,21 +94,21 @@ class BufferPool {
 
    private:
     friend class BufferPool;
-    PageRef(BufferPool* pool, size_t frame, PageId id)
-        : pool_(pool), frame_(frame), id_(id) {}
+    PageRef(BufferPool* pool, size_t frame, Page* page, PageId id)
+        : pool_(pool), frame_(frame), page_(page), id_(id) {}
 
     BufferPool* pool_ = nullptr;
     size_t frame_ = 0;
+    Page* page_ = nullptr;
     PageId id_ = kInvalidPageId;
   };
 
-  /// \param store     backing page store (not owned; accessed only under the
-  ///                  pool's internal lock)
+  /// \param store     backing page store (not owned; its page table is
+  ///                  accessed only under the pool's internal lock)
   /// \param capacity  max resident frames; must allow the deepest pin chain
   ///                  (a root-to-leaf path plus siblings, per concurrent
   ///                  reader; 16 per thread is plenty)
   BufferPool(InMemoryPageStore* store, size_t capacity);
-  ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -117,9 +122,6 @@ class BufferPool {
 
   /// Frees a page (must not be pinned); drops any cached frame.
   Status Free(PageId id);
-
-  /// Writes back all dirty frames.
-  Status FlushAll();
 
   /// Snapshot of the global counters (every thread's fetches).
   Stats stats() const;
@@ -138,21 +140,22 @@ class BufferPool {
   size_t capacity() const { return capacity_; }
 
  private:
+  // A resident page: a pointer to the store's own page, never a copy.
   struct Frame {
-    Page page;
+    Page* page = nullptr;
     PageId id = kInvalidPageId;
     int pin_count = 0;
-    bool dirty = false;
     bool in_use = false;
     std::list<size_t>::iterator lru_pos;  // valid iff pin_count == 0 && in_use
     bool in_lru = false;
   };
 
   void Unpin(size_t frame);
-  void MarkDirty(size_t frame) { frames_[frame].dirty = true; }
   // Finds a free frame, evicting if necessary; sets *evicted when a victim
   // was pushed out. Returns frame index. Caller must hold mu_.
   Result<size_t> GrabFrame(bool* evicted);
+  // Makes `frame` resident for `page` and pins it. Caller must hold mu_.
+  PageRef Pin(size_t frame, PageId id, Page* page);
 
   // Bump the global atomics and this thread's counters. Called outside mu_
   // so the hash-map lookup never extends the critical section.
@@ -163,11 +166,11 @@ class BufferPool {
   InMemoryPageStore* store_;
   size_t capacity_;
 
-  // mu_ guards frames_ metadata (pin counts, dirty/in-use flags, ids),
-  // free_frames_, lru_, table_, and all store calls. Page *contents* of
-  // pinned frames are read outside the lock (see class comment). A miss
-  // copies the page from the in-memory store under the lock; that copy is
-  // a memcpy, so one pool-wide mutex is the whole locking scheme.
+  // mu_ guards frames_ metadata (pin counts, in-use flags, ids),
+  // free_frames_, lru_, table_, and all store calls. Page *contents* are
+  // read outside the lock (see class comment). A miss only looks the page
+  // up in the in-memory store, so one pool-wide mutex is the whole locking
+  // scheme.
   mutable std::mutex mu_;
   std::vector<Frame> frames_;
   std::vector<size_t> free_frames_;

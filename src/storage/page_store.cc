@@ -34,20 +34,4 @@ Status InMemoryPageStore::Free(PageId id) {
   return Status::OK();
 }
 
-Status InMemoryPageStore::Read(PageId id, Page* out) const {
-  if (!IsLive(id)) {
-    return Status::InvalidArgument("reading unallocated page");
-  }
-  *out = *pages_[id];
-  return Status::OK();
-}
-
-Status InMemoryPageStore::Write(PageId id, const Page& page) {
-  if (!IsLive(id)) {
-    return Status::InvalidArgument("writing unallocated page");
-  }
-  *pages_[id] = page;
-  return Status::OK();
-}
-
 }  // namespace sae::storage

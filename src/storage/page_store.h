@@ -1,8 +1,9 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // InMemoryPageStore: the page-granular store under every BufferPool. Pages
-// live on the heap, so disk latency is modeled exclusively by the paper's
-// 10 ms/node-access charge instead of the host machine's SSD. Nothing is
+// live on the heap and the pool reads and writes them in place, so disk
+// latency is modeled exclusively by the paper's 10 ms/node-access charge
+// instead of the host machine's SSD. Nothing is
 // re-attached from it after a restart: durability is the WAL plus the
 // snapshot chain (core/durability.h), and recovery bulk-loads the
 // checkpointed records into fresh stores.
@@ -28,8 +29,9 @@ class InMemoryPageStore {
   /// error.
   Status Free(PageId id);
 
-  Status Read(PageId id, Page* out) const;
-  Status Write(PageId id, const Page& page);
+  /// The page itself, or nullptr when `id` is not allocated. The address
+  /// stays valid until the page is freed.
+  Page* PageAt(PageId id) { return IsLive(id) ? pages_[id].get() : nullptr; }
 
   /// Pages currently allocated (live), excluding freed ones.
   size_t LivePageCount() const { return live_count_; }

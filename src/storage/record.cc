@@ -18,17 +18,23 @@ namespace sae::storage {
 
 // --- Payload -----------------------------------------------------------------
 
-Payload::Block* Payload::NewBlock(size_t size, size_t refs) {
+Payload::Block* Payload::NewBlock(size_t size) {
   // One allocation: the count, then the bytes.
-  return new (::operator new(sizeof(Block) + size)) Block(refs);
+  return new (::operator new(sizeof(Block) + size)) Block(1, false);
+}
+
+void Payload::Unref(Block* block) {
+  if (block->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  if (block->views_images) {
+    delete static_cast<ServedBlock*>(block);
+  } else {
+    block->~Block();
+    ::operator delete(block);
+  }
 }
 
 void Payload::Release() {
-  if (block_ != nullptr &&
-      block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    block_->~Block();
-    ::operator delete(block_);
-  }
+  if (block_ != nullptr) Unref(block_);
   block_ = nullptr;
   data_ = nullptr;
   size_ = 0;
@@ -36,7 +42,7 @@ void Payload::Release() {
 
 Payload::Payload(size_t size) {
   if (size == 0) return;
-  block_ = NewBlock(size, 1);
+  block_ = NewBlock(size);
   std::memset(block_->bytes(), 0, size);
   data_ = block_->bytes();
   size_ = size;
@@ -44,7 +50,7 @@ Payload::Payload(size_t size) {
 
 Payload::Payload(const uint8_t* data, size_t size) {
   if (size == 0) return;
-  block_ = NewBlock(size, 1);
+  block_ = NewBlock(size);
   std::memcpy(block_->bytes(), data, size);
   data_ = block_->bytes();
   size_ = size;
@@ -85,9 +91,12 @@ Payload& Payload::operator=(Payload&& other) noexcept {
 
 uint8_t* Payload::MutableData() {
   if (block_ == nullptr) return nullptr;
-  // Sole holder of the block: nobody else can observe an in-place write.
+  // Sole holder of an owned block: nobody else can observe an in-place
+  // write. A shared image buffer is read beyond the block's count (other
+  // clients read the same answer-cache entry), so it is never written.
   // Otherwise detach onto a private copy of just this payload's bytes.
-  if (block_->refs.load(std::memory_order_acquire) != 1) {
+  if (block_->views_images ||
+      block_->refs.load(std::memory_order_acquire) != 1) {
     *this = Payload(data_, size_);
   }
   return const_cast<uint8_t*>(data_);
@@ -96,6 +105,17 @@ uint8_t* Payload::MutableData() {
 bool operator==(const Payload& a, const Payload& b) {
   return a.size_ == b.size_ &&
          (a.data_ == b.data_ || std::memcmp(a.data_, b.data_, a.size_) == 0);
+}
+
+// --- SharedImages ------------------------------------------------------------
+
+SharedImages::~SharedImages() {
+  if (block_ != nullptr) Payload::Unref(block_);
+}
+
+Payload::Block* SharedImages::block() {
+  if (block_ == nullptr) block_ = new Payload::ServedBlock(std::move(owner_));
+  return block_;
 }
 
 // --- RecordCodec -------------------------------------------------------------
@@ -127,22 +147,19 @@ Record RecordCodec::Deserialize(const uint8_t* data) const {
   return r;
 }
 
-void RecordCodec::DeserializeMany(const uint8_t* data, size_t n,
-                                  std::vector<Record>* out) const {
+void RecordCodec::DeserializeMany(SharedImages* images, const uint8_t* data,
+                                  size_t n, std::vector<Record>* out) const {
   out->reserve(out->size() + n);
-  if (n == 0) return;
   const size_t ps = payload_size();
-  // One block holds all n images (one memcpy); each payload adopts one of
-  // its n references and views its own slot past the 12-byte header.
-  Payload::Block* block =
-      ps == 0 ? nullptr : Payload::NewBlock(n * record_size_, n);
-  const uint8_t* images = data;
-  if (block != nullptr) {
-    std::memcpy(block->bytes(), data, n * record_size_);
-    images = block->bytes();
+  // n more references to the one block, in one atomic add; each payload
+  // adopts one and views its own slot past the 12-byte header.
+  Payload::Block* block = nullptr;
+  if (n != 0 && ps != 0) {
+    block = images->block();
+    block->refs.fetch_add(n, std::memory_order_relaxed);
   }
   for (size_t i = 0; i < n; ++i) {
-    const uint8_t* image = images + i * record_size_;
+    const uint8_t* image = data + i * record_size_;
     Record r;
     r.id = IdOf(image);
     r.key = KeyOf(image);
@@ -151,6 +168,25 @@ void RecordCodec::DeserializeMany(const uint8_t* data, size_t n,
     }
     out->push_back(std::move(r));
   }
+}
+
+void RecordCodec::DeserializeMany(const uint8_t* data, size_t n,
+                                  std::vector<Record>* out) const {
+  auto copy = std::make_shared<const std::vector<uint8_t>>(
+      data, data + n * record_size_);
+  SharedImages images(copy);
+  DeserializeMany(&images, copy->data(), n, out);
+}
+
+const uint8_t* RecordCodec::InPlaceImage(const Record& record) const {
+  const Payload& p = record.payload;
+  if (p.block_ == nullptr || !p.block_->views_images ||
+      p.size_ != payload_size()) {
+    return nullptr;
+  }
+  const uint8_t* image = p.data_ - kRecordHeaderSize;
+  if (IdOf(image) != record.id || KeyOf(image) != record.key) return nullptr;
+  return image;
 }
 
 Record RecordCodec::MakeRecord(RecordId id, Key key) const {
@@ -179,13 +215,21 @@ std::vector<crypto::Digest> DigestRecords(const std::vector<Record>& records,
   // still giving the multi-buffer hash kernels full batches.
   constexpr size_t kChunk = 1024;
   const size_t chunk = std::min(records.size(), kChunk);
-  std::vector<uint8_t> buf(chunk * rs);
+  std::vector<uint8_t> buf;  // sized on the first record without an image
   std::vector<crypto::ByteSpan> spans(chunk);
   for (size_t base = 0; base < records.size(); base += kChunk) {
     const size_t n = std::min(kChunk, records.size() - base);
+    size_t serialized = 0;
     for (size_t i = 0; i < n; ++i) {
-      codec.Serialize(records[base + i], buf.data() + i * rs);
-      spans[i] = crypto::ByteSpan{buf.data() + i * rs, rs};
+      const Record& record = records[base + i];
+      const uint8_t* image = codec.InPlaceImage(record);
+      if (image == nullptr) {
+        if (buf.empty()) buf.resize(chunk * rs);
+        uint8_t* slot = buf.data() + serialized++ * rs;
+        codec.Serialize(record, slot);
+        image = slot;
+      }
+      spans[i] = crypto::ByteSpan{image, rs};
     }
     crypto::ComputeDigests(spans.data(), n, out.data() + base, scheme);
   }

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <vector>
 
 #include "crypto/digest.h"
@@ -34,11 +35,12 @@ inline constexpr size_t kRecordHeaderSize = 12;
 
 /// A record's payload bytes: immutable and reference-counted, so copying a
 /// Record shares its bytes instead of duplicating them, and the records of
-/// one decoded message all slice a single block
-/// (RecordCodec::DeserializeMany). A writer calls MutableData(), which
-/// copies the bytes first when anyone else holds them. There is no
-/// non-const operator[] on purpose: with implicit copy-on-write, a
-/// reference taken before a copy would write into both copies.
+/// one decoded message all view, without a copy, the shared buffer they
+/// were decoded from (RecordCodec::DeserializeMany, SharedImages). A
+/// writer calls MutableData(), which copies the bytes first when anyone
+/// else may hold them. There is no non-const operator[] on purpose: with
+/// implicit copy-on-write, a reference taken before a copy would write
+/// into both copies.
 class Payload {
  public:
   Payload() = default;
@@ -65,7 +67,9 @@ class Payload {
   uint8_t operator[](size_t i) const { return data_[i]; }
 
   /// Writable bytes, private to this payload: shared bytes are copied
-  /// first, so no other holder sees the write. nullptr when empty.
+  /// first, so no other holder sees the write. Bytes that view a shared
+  /// buffer are always copied, even by their only holder: the buffer is
+  /// not this payload's to write. nullptr when empty.
   uint8_t* MutableData();
 
   friend bool operator==(const Payload& a, const Payload& b);
@@ -75,14 +79,26 @@ class Payload {
 
  private:
   friend class RecordCodec;
+  friend class SharedImages;
 
-  /// A heap block: its reference count, then the bytes.
+  /// A reference-counted block that payloads slice: either the bytes
+  /// themselves, which follow it, or a ServedBlock.
   struct Block {
-    explicit Block(size_t n) : refs(n) {}
+    Block(size_t n, bool v) : refs(n), views_images(v) {}
     std::atomic<size_t> refs;
+    /// A ServedBlock: its payloads view canonical record images that
+    /// someone else owns, each just past its 12-byte header.
+    bool views_images;
     uint8_t* bytes() { return reinterpret_cast<uint8_t*>(this + 1); }
   };
-  static Block* NewBlock(size_t size, size_t refs);
+  /// Keeps the owner of a shared image buffer alive for its views.
+  struct ServedBlock : Block {
+    explicit ServedBlock(std::shared_ptr<const void> o)
+        : Block(1, true), owner(std::move(o)) {}
+    std::shared_ptr<const void> owner;
+  };
+  static Block* NewBlock(size_t size);
+  static void Unref(Block* block);
 
   /// Takes over one of `block`'s references and views `size` bytes at
   /// `data` inside it.
@@ -108,6 +124,33 @@ struct Record {
   }
 };
 
+/// A buffer of canonical record images that someone else owns and shares —
+/// an SP answer-cache entry, a received frame — which decoded records view
+/// in place (RecordCodec::DeserializeMany) instead of copying. Every record
+/// decoded through one SharedImages shares one reference to the owner,
+/// however many records there are. Lifetime: one kept record keeps the
+/// whole buffer alive; copy its payload (Payload(data(), size())) to
+/// detach. The views copy on MutableData(), since other readers share the
+/// buffer.
+class SharedImages {
+ public:
+  /// `owner` keeps alive the bytes later decodes view.
+  explicit SharedImages(std::shared_ptr<const void> owner)
+      : owner_(std::move(owner)) {}
+  SharedImages(const SharedImages&) = delete;
+  SharedImages& operator=(const SharedImages&) = delete;
+  ~SharedImages();
+
+ private:
+  friend class RecordCodec;
+  /// The block every view shares, made on first use; holds one reference
+  /// of its own until this object dies.
+  Payload::Block* block();
+
+  std::shared_ptr<const void> owner_;
+  Payload::ServedBlock* block_ = nullptr;
+};
+
 /// Serializes/deserializes records at a fixed total size.
 class RecordCodec {
  public:
@@ -126,10 +169,22 @@ class RecordCodec {
   Record Deserialize(const uint8_t* data) const;
 
   /// Appends the `n` records whose canonical images lie back to back at
-  /// `data` (n * record_size() bytes). The images are copied into one
-  /// block that every decoded payload slices: one allocation for all `n`.
+  /// `data`, a range inside the buffer `images` shares (n * record_size()
+  /// bytes). The payloads view the images in place: no copy, and no
+  /// allocation per record.
+  void DeserializeMany(SharedImages* images, const uint8_t* data, size_t n,
+                       std::vector<Record>* out) const;
+
+  /// As above for bytes nobody shares: they are copied once into a buffer
+  /// that the decoded payloads view.
   void DeserializeMany(const uint8_t* data, size_t n,
                        std::vector<Record>* out) const;
+
+  /// The canonical image of `record` (its Serialize bytes) read in place,
+  /// or nullptr when there is none to read: the payload does not view a
+  /// decoded image, is not the image's full-size slice, or the record's id
+  /// or key no longer equal the image header (edited after decode).
+  const uint8_t* InPlaceImage(const Record& record) const;
 
   /// The id and key of a canonical record image, read in place.
   static RecordId IdOf(const uint8_t* data) { return DecodeU64(data); }
@@ -146,9 +201,11 @@ class RecordCodec {
 
 /// out[i] = H(serialize(records[i])) for every record, digested in batches
 /// through crypto::ComputeDigests so the multi-buffer hash kernels see up to
-/// 16 records per pass. Serialization happens into a chunk-sized contiguous
-/// scratch buffer (cache-resident), not one allocation per record. This is
-/// the shared hot loop of TE/DO dataset loads and client witness re-hashing.
+/// 16 records per pass. A record decoded from images is hashed where its
+/// image lies (RecordCodec::InPlaceImage); any other is serialized into a
+/// chunk-sized contiguous scratch buffer (cache-resident), not one
+/// allocation per record. This is the shared hot loop of TE/DO dataset
+/// loads and client witness re-hashing.
 std::vector<crypto::Digest> DigestRecords(const std::vector<Record>& records,
                                           const RecordCodec& codec,
                                           crypto::HashScheme scheme);

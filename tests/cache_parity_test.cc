@@ -325,6 +325,116 @@ TEST(ServedAnswerTest, TomMissAndHitsServeOneGoldenBuffer) {
   }
 }
 
+// True when `record`'s payload lies inside `bytes`.
+bool ViewsBuffer(const Record& record, const std::vector<uint8_t>& bytes) {
+  return record.payload.data() >= bytes.data() &&
+         record.payload.data() < bytes.data() + bytes.size();
+}
+
+// The witness an in-process query hands back views the SP's answer-cache
+// entry in place. A client writing its records copies them first, so the
+// buffer every other client is served stays the SP's answer, and the next
+// query still verifies and replays the client memo.
+TEST(ServedAnswerTest, SaeClientWritesNeverReachTheServedBuffer) {
+  SaeSystem system(SmallSaeOptions(crypto::HashScheme::kSha1));
+  Rng rng(13);
+  uint64_t next_id = 1;
+  ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
+  const ServiceProvider& sp = system.sp();
+  for (const dbms::QueryRequest& request : EveryOperator(2000, 9000)) {
+    SaeSystem::QueryOutcome first = system.ExecuteQuery(request).value();
+    ASSERT_TRUE(first.verification.ok()) << int(request.op);
+    auto served = sp.ServeQuery(request).value();
+    for (Record& record : first.results) {
+      EXPECT_TRUE(ViewsBuffer(record, served->answer_msg));
+      record.payload.MutableData()[0] ^= 0xFF;
+      EXPECT_FALSE(ViewsBuffer(record, served->answer_msg));
+    }
+    for (Record& record : first.answer.records) {
+      record.payload.MutableData()[0] ^= 0xFF;
+    }
+    std::vector<Record> witness =
+        sp.ExecuteRange(request.lo, request.hi).value();
+    EXPECT_EQ(served->answer_msg,
+              SerializeQueryAnswer(dbms::EvaluateAnswer(request, witness),
+                                   witness, sp.epoch(), system.codec()))
+        << int(request.op);
+    SaeCacheStats before = system.cache_stats();
+    SaeSystem::QueryOutcome second = system.ExecuteQuery(request).value();
+    EXPECT_TRUE(second.verification.ok()) << int(request.op);
+    EXPECT_EQ(second.results, witness);
+    SaeCacheStats after = system.cache_stats();
+    EXPECT_EQ(after.sp_answer.hits - before.sp_answer.hits, 1u);
+    EXPECT_EQ(after.client_memo.hits - before.client_memo.hits, 1u);
+  }
+}
+
+TEST(ServedAnswerTest, TomClientWritesNeverReachTheServedBuffer) {
+  TomSystem system(SmallTomOptions(crypto::HashScheme::kSha1));
+  Rng rng(14);
+  uint64_t next_id = 1;
+  ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
+  const TomServiceProvider& sp = system.sp();
+  for (const dbms::QueryRequest& request : EveryOperator(2000, 9000)) {
+    TomSystem::QueryOutcome first = system.ExecuteQuery(request).value();
+    ASSERT_TRUE(first.verification.ok()) << int(request.op);
+    auto served = sp.ServeQuery(request).value();
+    for (Record& record : first.results) {
+      EXPECT_TRUE(ViewsBuffer(record, served->answer_msg));
+      record.payload.MutableData()[0] ^= 0xFF;
+    }
+    std::vector<Record> witness =
+        sp.ExecuteRange(request.lo, request.hi).value().results;
+    EXPECT_EQ(served->answer_msg,
+              SerializeQueryAnswer(dbms::EvaluateAnswer(request, witness),
+                                   witness, sp.epoch(), system.codec()))
+        << int(request.op);
+    TomCacheStats before = system.cache_stats();
+    TomSystem::QueryOutcome second = system.ExecuteQuery(request).value();
+    EXPECT_TRUE(second.verification.ok()) << int(request.op);
+    EXPECT_EQ(second.results, witness);
+    TomCacheStats after = system.cache_stats();
+    EXPECT_EQ(after.client_memo.hits - before.client_memo.hits, 1u);
+  }
+}
+
+// Decoded records keep their served buffer alive on their own: with one
+// entry in the SP cache and the client memo, the next query evicts the
+// buffer from both, and the records still read it (ASan would flag a read
+// after free). The buffer dies with the last of them.
+TEST(ServedAnswerTest, RecordsOutliveTheirCachedAnswersEviction) {
+  SaeSystem::Options options = SmallSaeOptions(crypto::HashScheme::kSha1);
+  options.sp_answer_cache.max_entries = 1;
+  options.client_memo.max_entries = 1;
+  SaeSystem system(options);
+  Rng rng(15);
+  uint64_t next_id = 1;
+  ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
+  const dbms::QueryRequest first = dbms::QueryRequest::TopK(2000, 9000, 5);
+  const dbms::QueryRequest other = dbms::QueryRequest::Scan(100, 1500);
+  SaeSystem::QueryOutcome kept = system.ExecuteQuery(first).value();
+  ASSERT_TRUE(kept.verification.ok());
+  std::weak_ptr<const CachedAnswer> watch =
+      system.sp().ServeQuery(first).value();
+  SaeCacheStats before = system.cache_stats();
+  ASSERT_TRUE(system.ExecuteQuery(other).value().verification.ok());
+  SaeCacheStats after = system.cache_stats();
+  EXPECT_EQ(after.sp_answer.evictions - before.sp_answer.evictions, 1u);
+  EXPECT_EQ(after.client_memo.evictions - before.client_memo.evictions, 1u);
+  EXPECT_FALSE(watch.expired());
+
+  std::vector<Record> witness =
+      system.sp().ExecuteRange(first.lo, first.hi).value();
+  EXPECT_EQ(kept.results, witness);
+  EXPECT_EQ(kept.answer, dbms::EvaluateAnswer(first, witness));
+  kept.results.clear();
+  EXPECT_FALSE(watch.expired());  // the top-k rows view it too
+  kept.answer.records.resize(1);
+  EXPECT_FALSE(watch.expired());
+  kept.answer.records.clear();
+  EXPECT_TRUE(watch.expired());
+}
+
 // --- Client memos keyed on the served buffer --------------------------------
 
 // Verifies `served` through `memo` as SaeSystem::ExecuteQuery does: fetch
