@@ -19,21 +19,8 @@ namespace sae::core {
 // ServedAnswerMemo
 // ---------------------------------------------------------------------------
 
-size_t ServedAnswerMemo::RequestKeyHash::operator()(
-    const dbms::QueryRequest& r) const {
-  uint64_t h = 0x9E3779B97F4A7C15ull;
-  auto mix = [&h](uint64_t v) {
-    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  };
-  mix(uint64_t(r.op));
-  mix(r.lo);
-  mix(r.hi);
-  mix(r.limit);
-  return size_t(h);
-}
-
 ServedAnswerMemo::ServedAnswerMemo(const AnswerCacheOptions& options)
-    : options_(options) {}
+    : options_(options), seen_(options.max_entries) {}
 
 namespace {
 
@@ -49,11 +36,14 @@ bool SameServedBytes(const CachedAnswer& a, const CachedAnswer& b) {
 
 bool ServedAnswerMemo::Lookup(
     const dbms::QueryRequest& request,
-    const std::shared_ptr<const CachedAnswer>& served, Verdict* verdict) {
+    const std::shared_ptr<const CachedAnswer>& served, Verdict* verdict,
+    bool* admit) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(request);
   if (it == map_.end() || !SameServedBytes(*it->second.served, *served)) {
     ++stats_.misses;
+    *admit = seen_.RecordMiss(request);
+    if (!*admit) ++stats_.declined;
     return false;
   }
   ++stats_.hits;
@@ -69,7 +59,10 @@ void ServedAnswerMemo::Insert(const dbms::QueryRequest& request,
   std::lock_guard<std::mutex> lock(mu_);
   // The check runs off the parties' lock, so a query that read an older
   // epoch can finish after another one has already expired that epoch.
-  if (published_epoch < seen_epoch_) return;
+  if (published_epoch < seen_epoch_) {
+    ++stats_.declined;
+    return;
+  }
   ++stats_.insertions;
   auto it = map_.find(request);
   if (it != map_.end()) {
@@ -156,7 +149,8 @@ Status SaeClientMemo::Verify(const dbms::QueryRequest& request,
       Client::CheckFreshness(vt, claimed_epoch, published_epoch));
 
   ServedAnswerMemo::Verdict memo;
-  if (enabled() && memo_.Lookup(request, served, &memo)) {
+  bool admit = false;
+  if (enabled() && memo_.Lookup(request, served, &memo, &admit)) {
     // A repeat of verified bytes: the memoized XOR *is* ResultXor(witness)
     // by determinism, so comparing it against the LIVE token digest gives
     // the same verdict a fresh re-hash would — including rejection when
@@ -168,7 +162,7 @@ Status SaeClientMemo::Verify(const dbms::QueryRequest& request,
   crypto::Digest xor_digest = Client::ResultXor(witness, codec, scheme);
   SAE_RETURN_NOT_OK(Client::CompareXor(xor_digest, vt.digest));
   Status answer_check = dbms::CheckAnswer(request, witness, claimed);
-  if (enabled()) {
+  if (admit) {
     // Memoize only token-matched responses: an XOR mismatch never reaches
     // here, so a poisoned response can't seed the memo.
     memo_.Insert(request, std::move(served), {xor_digest, answer_check},
@@ -198,11 +192,12 @@ Result<VerifiedAnswer> TomClientMemo::VerifyAnswer(
   if (!out.verification.ok()) return out;
 
   ServedAnswerMemo::Verdict memo;
+  bool admit = false;
   if (enabled()) {
     // Every VO re-signs the epoch-stamped root, so entries from an older
     // epoch can never byte-match again — reclaim them eagerly.
     memo_.DropAllIfEpochMoved(published_epoch);
-    if (memo_.Lookup(request, served, &memo)) {
+    if (memo_.Lookup(request, served, &memo, &admit)) {
       out.verification = memo.status;
       return out;
     }
@@ -217,7 +212,7 @@ Result<VerifiedAnswer> TomClientMemo::VerifyAnswer(
       codec, scheme, out.vo.epoch);
   // Memoize only accepted responses, so a cheating SP's bytes never hold a
   // memo slot.
-  if (enabled() && out.verification.ok()) {
+  if (admit && out.verification.ok()) {
     memo_.Insert(request, served, {{}, out.verification}, published_epoch);
   }
   return out;

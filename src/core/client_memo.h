@@ -60,7 +60,8 @@ struct VerifiedAnswer {
 /// The table both memos share: request -> the served buffer the client
 /// verified and the verdict of its pure work. A lookup hits only when the
 /// buffer now served repeats the stored one: the same object, or equal VO
-/// bytes and answer bytes equal outside the answer's epoch stamp.
+/// bytes and answer bytes equal outside the answer's epoch stamp. Like the
+/// AnswerCache it admits a request only on its second miss (SeenRequests).
 /// Thread-safe; every call takes the lock once.
 class ServedAnswerMemo {
  public:
@@ -76,9 +77,11 @@ class ServedAnswerMemo {
   /// Counts a hit or a miss; on a hit fills `*verdict`. A byte-equal hit
   /// re-points the entry at `served`, so the memo keeps co-owning the
   /// buffer the SP now serves and the next repeat is a pointer comparison.
+  /// On a miss `*admit` says whether the request had missed before: only
+  /// then should the caller Insert its verdict.
   bool Lookup(const dbms::QueryRequest& request,
               const std::shared_ptr<const CachedAnswer>& served,
-              Verdict* verdict);
+              Verdict* verdict, bool* admit);
 
   /// Keeps `served` unless `published_epoch`, the epoch it was checked
   /// against, is older than one DropAllIfEpochMoved has already seen: such
@@ -88,16 +91,14 @@ class ServedAnswerMemo {
               uint64_t published_epoch);
 
   /// Drops every entry (counted as invalidations) the first time
-  /// `published_epoch` exceeds every epoch seen before.
+  /// `published_epoch` exceeds every epoch seen before. The seen requests
+  /// stay, so a hot request is re-admitted on its next miss.
   void DropAllIfEpochMoved(uint64_t published_epoch);
 
   AnswerCacheStats stats() const;
   size_t size() const;
 
  private:
-  struct RequestKeyHash {
-    size_t operator()(const dbms::QueryRequest& r) const;
-  };
   struct Slot {
     std::shared_ptr<const CachedAnswer> served;
     Verdict verdict;
@@ -107,7 +108,8 @@ class ServedAnswerMemo {
   AnswerCacheOptions options_;
   mutable std::mutex mu_;
   std::list<dbms::QueryRequest> lru_;  // front = most recent
-  std::unordered_map<dbms::QueryRequest, Slot, RequestKeyHash> map_;
+  std::unordered_map<dbms::QueryRequest, Slot, RequestHash> map_;
+  SeenRequests seen_;
   AnswerCacheStats stats_;
   uint64_t seen_epoch_ = 0;  ///< latest published epoch seen (TOM expiry)
 };

@@ -54,9 +54,11 @@ void DataOwner::PublishEpoch(ServiceProvider* sp, TrustedEntity* te,
 Status DataOwner::Outsource(ServiceProvider* sp, TrustedEntity* te,
                             sim::Channel* to_sp, sim::Channel* to_te) {
   std::vector<Record> sorted = SortedDataset();
-  std::vector<uint8_t> shipment = SerializeRecords(sorted, codec_);
-  to_sp->Send(shipment);
-  to_te->Send(shipment);
+  // The parties load `sorted` itself; the channels count what it weighs as
+  // a records message.
+  size_t shipment = RecordsMessageSize(sorted.size(), codec_);
+  to_sp->SendBytes(shipment);
+  to_te->SendBytes(shipment);
   SAE_RETURN_NOT_OK(sp->LoadDataset(sorted));
   SAE_RETURN_NOT_OK(te->LoadDataset(sorted));
   PublishEpoch(sp, te, to_sp, to_te);  // the initial shipment is epoch 1

@@ -236,10 +236,17 @@ Result<std::vector<uint64_t>> DeserializeShardEpochs(
   return epochs;
 }
 
+// Records message header: tag, record size, record count.
+constexpr size_t kRecordsHeaderSize = 1 + 4 + 8;
+
+size_t RecordsMessageSize(size_t n, const RecordCodec& codec) {
+  return kRecordsHeaderSize + n * codec.record_size();
+}
+
 std::vector<uint8_t> SerializeRecords(const std::vector<Record>& records,
                                       const RecordCodec& codec) {
   ByteWriter w;
-  w.Reserve(13 + records.size() * codec.record_size());
+  w.Reserve(RecordsMessageSize(records.size(), codec));
   w.PutU8(kTagRecords);
   w.PutU32(uint32_t(codec.record_size()));
   PutRecords(&w, records, codec);

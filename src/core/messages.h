@@ -29,6 +29,10 @@ using storage::RecordCodec;
 /// Dataset shipment (DO -> SP, DO -> TE): count + fixed-size record images.
 std::vector<uint8_t> SerializeRecords(const std::vector<Record>& records,
                                       const RecordCodec& codec);
+/// SerializeRecords(records, codec).size() for `n` records, without
+/// building the message: what a metered channel counts for a shipment the
+/// parties receive as loaded records.
+size_t RecordsMessageSize(size_t n, const RecordCodec& codec);
 Result<std::vector<Record>> DeserializeRecords(
     const std::vector<uint8_t>& bytes, const RecordCodec& codec);
 

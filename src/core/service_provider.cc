@@ -57,7 +57,8 @@ Result<std::vector<Record>> ServiceProvider::ExecuteRange(Key lo,
 Result<std::shared_ptr<const CachedAnswer>> ServiceProvider::ServeQuery(
     const dbms::QueryRequest& request) const {
   AnswerCache::Key key = AnswerCache::Key::For(request, epoch());
-  if (auto hit = answer_cache_.Lookup(key)) return hit;
+  bool admit = false;
+  if (auto hit = answer_cache_.Lookup(key, &admit)) return hit;
   std::vector<storage::Rid> rids;
   SAE_RETURN_NOT_OK(table_->RangeRids(request.lo, request.hi, &rids));
   SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
@@ -66,7 +67,9 @@ Result<std::shared_ptr<const CachedAnswer>> ServiceProvider::ServeQuery(
   SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> proof, Prove(request, key.epoch));
   auto served = std::make_shared<const CachedAnswer>(
       CachedAnswer{std::move(bytes), std::move(proof)});
-  answer_cache_.Insert(key, served);
+  // A first miss is not kept: cold traffic would fill the cache with
+  // answers that never hit, and `served` is freed once the caller drops it.
+  if (admit) answer_cache_.Insert(key, served);
   return served;
 }
 

@@ -176,7 +176,7 @@ Status TomSystem::Load(const std::vector<Record>& records) {
   std::unique_lock<std::shared_mutex> lock(rw_mu_);
   std::vector<Record> sorted = SortByKey(records);
   SAE_RETURN_NOT_OK(owner_.LoadDataset(sorted));
-  do_sp_.Send(SerializeRecords(sorted, codec_));
+  do_sp_.SendBytes(RecordsMessageSize(sorted.size(), codec_));
   do_sp_.Send(SerializeSignature(owner_.signature(), owner_.epoch()));
   SAE_RETURN_NOT_OK(
       sp_.LoadDataset(sorted, owner_.signature(), owner_.epoch()));

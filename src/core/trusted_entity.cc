@@ -54,16 +54,15 @@ Result<VerificationToken> TrustedEntity::GenerateVt(Key lo, Key hi) const {
   key.lo = lo;
   key.hi = hi;
   key.epoch = vt.epoch;
-  if (vt_cache_.enabled()) {
-    if (auto hit = vt_cache_.Lookup(key)) {
-      SAE_CHECK(hit->answer_msg.size() == crypto::Digest::kSize);
-      std::copy(hit->answer_msg.begin(), hit->answer_msg.end(),
-                vt.digest.bytes.begin());
-      return vt;
-    }
+  bool admit = false;
+  if (auto hit = vt_cache_.Lookup(key, &admit)) {
+    SAE_CHECK(hit->answer_msg.size() == crypto::Digest::kSize);
+    std::copy(hit->answer_msg.begin(), hit->answer_msg.end(),
+              vt.digest.bytes.begin());
+    return vt;
   }
   SAE_ASSIGN_OR_RETURN(vt.digest, xb_->GenerateVT(lo, hi));
-  if (vt_cache_.enabled()) {
+  if (admit) {
     std::vector<uint8_t> bytes(vt.digest.bytes.begin(), vt.digest.bytes.end());
     vt_cache_.Insert(key, std::make_shared<const CachedAnswer>(
                               CachedAnswer{std::move(bytes), {}}));

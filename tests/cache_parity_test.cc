@@ -17,8 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adversary/adversary.h"
@@ -205,6 +207,8 @@ TEST(CacheEffectivenessTest, SaeRepeatQueryHitsEveryCache) {
   ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
 
   dbms::QueryRequest request = dbms::QueryRequest::Scan(1000, 5000);
+  // The first miss is declined, the second is admitted.
+  ASSERT_TRUE(system.Query(request).value().verification.ok());
   ASSERT_TRUE(system.Query(request).value().verification.ok());
   SaeCacheStats before = system.cache_stats();
   ASSERT_TRUE(system.Query(request).value().verification.ok());
@@ -233,6 +237,8 @@ TEST(CacheEffectivenessTest, TomRepeatQueryHitsAnswerAndDigestCaches) {
   ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
 
   dbms::QueryRequest request = dbms::QueryRequest::Count(1000, 9000);
+  // The first miss is declined, the second is admitted.
+  ASSERT_TRUE(system.Query(request).value().verification.ok());
   ASSERT_TRUE(system.Query(request).value().verification.ok());
   TomCacheStats before = system.cache_stats();
   ASSERT_TRUE(system.Query(request).value().verification.ok());
@@ -272,9 +278,10 @@ std::vector<dbms::QueryRequest> EveryOperator(Key lo, Key hi) {
           dbms::QueryRequest::TopK(lo, hi, 4)};
 }
 
-// The SP's unit of output is encoded once: the miss and every later hit
-// serve the golden encoding of the uncached plan, and hits hand out the
-// very buffer the miss produced — no re-encode, no decode.
+// The SP's unit of output is encoded once: the admitted miss and every
+// later hit serve the golden encoding of the uncached plan, and hits hand
+// out the very buffer the miss produced — no re-encode, no decode. The
+// request's first miss is served golden bytes too, but is not kept.
 TEST(ServedAnswerTest, SaeMissAndHitsServeOneGoldenBuffer) {
   SaeSystem system(SmallSaeOptions(crypto::HashScheme::kSha1));
   Rng rng(10);
@@ -287,6 +294,8 @@ TEST(ServedAnswerTest, SaeMissAndHitsServeOneGoldenBuffer) {
     std::vector<uint8_t> golden = SerializeQueryAnswer(
         dbms::EvaluateAnswer(request, witness), witness, sp.epoch(),
         system.codec());
+    auto declined = sp.ServeQuery(request).value();
+    EXPECT_EQ(declined->answer_msg, golden) << int(request.op);
     AnswerCacheStats before = sp.answer_cache_stats();
     auto miss = sp.ServeQuery(request).value();
     auto hit = sp.ServeQuery(request).value();
@@ -315,6 +324,8 @@ TEST(ServedAnswerTest, TomMissAndHitsServeOneGoldenBuffer) {
         dbms::EvaluateAnswer(request, range.results), range.results,
         sp.epoch(), system.codec());
     std::vector<uint8_t> golden_vo = range.vo.Serialize();
+    auto declined = sp.ServeQuery(request).value();
+    EXPECT_EQ(declined->proof_msg, golden_vo) << int(request.op);
     auto miss = sp.ServeQuery(request).value();
     auto hit = sp.ServeQuery(request).value();
     auto again = sp.ServeQuery(request).value();
@@ -332,7 +343,7 @@ bool ViewsBuffer(const Record& record, const std::vector<uint8_t>& bytes) {
 }
 
 // The witness an in-process query hands back views the SP's answer-cache
-// entry in place. A client writing its records copies them first, so the
+// entry in place (once the request is admitted, on its second miss). A client writing its records copies them first, so the
 // buffer every other client is served stays the SP's answer, and the next
 // query still verifies and replays the client memo.
 TEST(ServedAnswerTest, SaeClientWritesNeverReachTheServedBuffer) {
@@ -342,6 +353,7 @@ TEST(ServedAnswerTest, SaeClientWritesNeverReachTheServedBuffer) {
   ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
   const ServiceProvider& sp = system.sp();
   for (const dbms::QueryRequest& request : EveryOperator(2000, 9000)) {
+    ASSERT_TRUE(system.ExecuteQuery(request).value().verification.ok());
     SaeSystem::QueryOutcome first = system.ExecuteQuery(request).value();
     ASSERT_TRUE(first.verification.ok()) << int(request.op);
     auto served = sp.ServeQuery(request).value();
@@ -376,6 +388,7 @@ TEST(ServedAnswerTest, TomClientWritesNeverReachTheServedBuffer) {
   ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
   const TomServiceProvider& sp = system.sp();
   for (const dbms::QueryRequest& request : EveryOperator(2000, 9000)) {
+    ASSERT_TRUE(system.ExecuteQuery(request).value().verification.ok());
     TomSystem::QueryOutcome first = system.ExecuteQuery(request).value();
     ASSERT_TRUE(first.verification.ok()) << int(request.op);
     auto served = sp.ServeQuery(request).value();
@@ -399,9 +412,9 @@ TEST(ServedAnswerTest, TomClientWritesNeverReachTheServedBuffer) {
 }
 
 // Decoded records keep their served buffer alive on their own: with one
-// entry in the SP cache and the client memo, the next query evicts the
-// buffer from both, and the records still read it (ASan would flag a read
-// after free). The buffer dies with the last of them.
+// entry in the SP cache and the client memo, the next admitted query evicts
+// the buffer from both, and the records still read it (ASan would flag a
+// read after free). The buffer dies with the last of them.
 TEST(ServedAnswerTest, RecordsOutliveTheirCachedAnswersEviction) {
   SaeSystem::Options options = SmallSaeOptions(crypto::HashScheme::kSha1);
   options.sp_answer_cache.max_entries = 1;
@@ -412,11 +425,13 @@ TEST(ServedAnswerTest, RecordsOutliveTheirCachedAnswersEviction) {
   ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
   const dbms::QueryRequest first = dbms::QueryRequest::TopK(2000, 9000, 5);
   const dbms::QueryRequest other = dbms::QueryRequest::Scan(100, 1500);
+  ASSERT_TRUE(system.ExecuteQuery(first).value().verification.ok());
   SaeSystem::QueryOutcome kept = system.ExecuteQuery(first).value();
   ASSERT_TRUE(kept.verification.ok());
   std::weak_ptr<const CachedAnswer> watch =
       system.sp().ServeQuery(first).value();
   SaeCacheStats before = system.cache_stats();
+  ASSERT_TRUE(system.ExecuteQuery(other).value().verification.ok());
   ASSERT_TRUE(system.ExecuteQuery(other).value().verification.ok());
   SaeCacheStats after = system.cache_stats();
   EXPECT_EQ(after.sp_answer.evictions - before.sp_answer.evictions, 1u);
@@ -503,8 +518,10 @@ TEST_F(ClientMemoTest, SaeSameBufferHits) {
   auto served = sae_.sp().ServeQuery(request_).value();
   EXPECT_TRUE(SaeMemoVerify(sae_, &sae_memo_, request_, served).ok());
   EXPECT_TRUE(SaeMemoVerify(sae_, &sae_memo_, request_, served).ok());
+  EXPECT_TRUE(SaeMemoVerify(sae_, &sae_memo_, request_, served).ok());
   AnswerCacheStats stats = sae_memo_.stats();
-  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.declined, 1u);
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.hits, 1u);
 }
@@ -513,8 +530,10 @@ TEST_F(ClientMemoTest, TomSameBufferHits) {
   auto served = tom_.sp().ServeQuery(request_).value();
   EXPECT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, served).ok());
   EXPECT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, served).ok());
+  EXPECT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, served).ok());
   AnswerCacheStats stats = tom_memo_.stats();
-  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.declined, 1u);
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.hits, 1u);
 }
@@ -523,6 +542,7 @@ TEST_F(ClientMemoTest, TomSameBufferHits) {
 // Record-typed caller's encoding) is the same answer.
 TEST_F(ClientMemoTest, SaeByteEqualBufferHits) {
   auto served = sae_.sp().ServeQuery(request_).value();
+  ASSERT_TRUE(SaeMemoVerify(sae_, &sae_memo_, request_, served).ok());
   ASSERT_TRUE(SaeMemoVerify(sae_, &sae_memo_, request_, served).ok());
   auto copy = CopyOf(served);
   ASSERT_NE(copy.get(), served.get());
@@ -536,18 +556,19 @@ TEST_F(ClientMemoTest, SaeByteEqualBufferHits) {
                                 crypto::HashScheme::kSha1)
                   .ok());
   AnswerCacheStats stats = sae_memo_.stats();
-  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.hits, 2u);
 }
 
 TEST_F(ClientMemoTest, TomByteEqualBufferHits) {
   auto served = tom_.sp().ServeQuery(request_).value();
   ASSERT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, served).ok());
+  ASSERT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, served).ok());
   auto copy = CopyOf(served);
   ASSERT_NE(copy.get(), served.get());
   EXPECT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, copy).ok());
   AnswerCacheStats stats = tom_memo_.stats();
-  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.hits, 1u);
 }
 
@@ -556,6 +577,7 @@ TEST_F(ClientMemoTest, TomByteEqualBufferHits) {
 // honest buffer still hits.
 TEST_F(ClientMemoTest, SaeOneByteDifferentBufferMissesAndIsNeverMemoized) {
   auto honest = sae_.sp().ServeQuery(request_).value();
+  ASSERT_TRUE(SaeMemoVerify(sae_, &sae_memo_, request_, honest).ok());
   ASSERT_TRUE(SaeMemoVerify(sae_, &sae_memo_, request_, honest).ok());
   auto poisoned = adversary::PoisonCache(&sae_.sp(), request_).value();
   ASSERT_EQ(BytesDiffering(poisoned->answer_msg, honest->answer_msg), 1u);
@@ -574,6 +596,7 @@ TEST_F(ClientMemoTest, SaeOneByteDifferentBufferMissesAndIsNeverMemoized) {
 
 TEST_F(ClientMemoTest, TomOneByteDifferentBufferMissesAndIsNeverMemoized) {
   auto honest = tom_.sp().ServeQuery(request_).value();
+  ASSERT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, honest).ok());
   ASSERT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, honest).ok());
   auto poisoned = adversary::PoisonCache(&tom_.sp(), request_).value();
   ASSERT_EQ(BytesDiffering(poisoned->answer_msg, honest->answer_msg), 1u);
@@ -604,7 +627,8 @@ TEST_F(ClientMemoTest, RejectedFirstAnswerIsNeverMemoized) {
   EXPECT_EQ(tom_memo_.stats().insertions, 0u);
 }
 
-// The in-system memo on a repeat loop: after one warm pass every verified
+// The in-system memo on a repeat loop: after two warm passes (the first
+// miss of each request is declined, the second admitted) every verified
 // query is a memo hit.
 TEST_F(ClientMemoTest, RepeatLoopHitRatioStaysOne) {
   std::vector<dbms::QueryRequest> pool;
@@ -613,9 +637,11 @@ TEST_F(ClientMemoTest, RepeatLoopHitRatioStaysOne) {
       pool.push_back(r);
     }
   }
-  for (const dbms::QueryRequest& r : pool) {
-    ASSERT_TRUE(sae_.Query(r).value().verification.ok());
-    ASSERT_TRUE(tom_.Query(r).value().verification.ok());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const dbms::QueryRequest& r : pool) {
+      ASSERT_TRUE(sae_.Query(r).value().verification.ok());
+      ASSERT_TRUE(tom_.Query(r).value().verification.ok());
+    }
   }
   SaeCacheStats sae0 = sae_.cache_stats();
   TomCacheStats tom0 = tom_.cache_stats();
@@ -639,8 +665,10 @@ TEST_F(ClientMemoTest, RepeatLoopHitRatioStaysOne) {
 // SP re-encodes the answer under the new epoch, and the bytes outside the
 // epoch stamp still match. The TOM memo expires with the epoch.
 TEST_F(ClientMemoTest, EpochBumpOnAnUntouchedRange) {
-  ASSERT_TRUE(sae_.Query(request_).value().verification.ok());
-  ASSERT_TRUE(tom_.Query(request_).value().verification.ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(sae_.Query(request_).value().verification.ok());
+    ASSERT_TRUE(tom_.Query(request_).value().verification.ok());
+  }
   storage::RecordCodec codec(kRecSize);
   ASSERT_TRUE(sae_.Insert(codec.MakeRecord(999999, 15000)).ok());
   ASSERT_TRUE(tom_.Insert(codec.MakeRecord(999999, 15000)).ok());
@@ -665,15 +693,306 @@ TEST_F(ClientMemoTest, TomAnswerCheckedAgainstAnExpiredEpochIsNotKept) {
   ASSERT_TRUE(tom_.Insert(codec.MakeRecord(999999, 15000)).ok());
   auto new_served = tom_.sp().ServeQuery(request_).value();
   ASSERT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, new_served).ok());
+  ASSERT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, new_served).ok());
   EXPECT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, old_served,
                             old_epoch)
                   .ok());
   AnswerCacheStats stats = tom_memo_.stats();
-  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.declined, 2u);
   EXPECT_EQ(tom_memo_.size(), 1u);
   EXPECT_TRUE(TomMemoVerify(tom_, &tom_memo_, request_, new_served).ok());
   EXPECT_EQ(tom_memo_.stats().hits, 1u);
+}
+
+// --- Second-miss admission ---------------------------------------------------
+
+// Looks `request` up in `cache` at `epoch` as ServiceProvider::ServeQuery
+// does and inserts only an admitted miss. True on a hit.
+bool ServeThrough(AnswerCache* cache, const dbms::QueryRequest& request,
+                  uint64_t epoch) {
+  AnswerCache::Key key = AnswerCache::Key::For(request, epoch);
+  bool admit = false;
+  if (cache->Lookup(key, &admit) != nullptr) return true;
+  if (admit) cache->Insert(key, Blob(uint8_t(request.lo)));
+  return false;
+}
+
+// The memo counterpart, as the client memos' Verify paths do.
+bool VerifyThrough(ServedAnswerMemo* memo, const dbms::QueryRequest& request,
+                   const std::shared_ptr<const CachedAnswer>& served,
+                   uint64_t published_epoch) {
+  ServedAnswerMemo::Verdict verdict;
+  bool admit = false;
+  if (memo->Lookup(request, served, &verdict, &admit)) return true;
+  if (admit) memo->Insert(request, served, {}, published_epoch);
+  return false;
+}
+
+TEST(AdmissionTest, DistinctRequestsAreNeverKept) {
+  AnswerCache cache{AnswerCacheOptions{}};
+  ServedAnswerMemo memo{AnswerCacheOptions{}};
+  auto served = Blob(0x5A);
+  for (Key lo = 0; lo < 4096; ++lo) {
+    dbms::QueryRequest request = dbms::QueryRequest::Scan(lo, lo + 10);
+    EXPECT_FALSE(ServeThrough(&cache, request, 1));
+    EXPECT_FALSE(VerifyThrough(&memo, request, served, 1));
+  }
+  for (const AnswerCacheStats& stats : {cache.stats(), memo.stats()}) {
+    EXPECT_EQ(stats.misses, 4096u);
+    EXPECT_EQ(stats.declined, 4096u);
+    EXPECT_EQ(stats.insertions, 0u);
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(memo.size(), 0u);
+}
+
+TEST(AdmissionTest, SecondMissInsertsAndThirdLookupHits) {
+  AnswerCache cache{AnswerCacheOptions{}};
+  ServedAnswerMemo memo{AnswerCacheOptions{}};
+  auto served = Blob(0x5A);
+  const dbms::QueryRequest request = dbms::QueryRequest::TopK(3, 90, 5);
+  EXPECT_FALSE(ServeThrough(&cache, request, 1));
+  EXPECT_FALSE(VerifyThrough(&memo, request, served, 1));
+  EXPECT_EQ(cache.stats().insertions, 0u);
+  EXPECT_EQ(memo.stats().insertions, 0u);
+  EXPECT_FALSE(ServeThrough(&cache, request, 1));
+  EXPECT_FALSE(VerifyThrough(&memo, request, served, 1));
+  EXPECT_EQ(cache.stats().insertions, 1u);
+  EXPECT_EQ(memo.stats().insertions, 1u);
+  EXPECT_TRUE(ServeThrough(&cache, request, 1));
+  EXPECT_TRUE(VerifyThrough(&memo, request, served, 1));
+  for (const AnswerCacheStats& stats : {cache.stats(), memo.stats()}) {
+    EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.declined, 1u);
+    EXPECT_EQ(stats.insertions, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+  }
+}
+
+// The seen set keys on the request, not the epoch: a hot request whose
+// entry an epoch bump dropped is kept again on its first miss after it.
+TEST(AdmissionTest, HotRequestIsAdmittedOnItsFirstMissAfterAnEpochBump) {
+  AnswerCache cache{AnswerCacheOptions{}};
+  ServedAnswerMemo memo{AnswerCacheOptions{}};
+  const dbms::QueryRequest request = dbms::QueryRequest::Sum(40, 400);
+  for (int i = 0; i < 3; ++i) ServeThrough(&cache, request, 1);
+  ASSERT_EQ(cache.stats().hits, 1u);
+  cache.InvalidateAll();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(ServeThrough(&cache, request, 2));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(ServeThrough(&cache, request, 2));
+  EXPECT_EQ(cache.stats().declined, 1u);
+
+  auto at1 = Blob(1);
+  auto at2 = Blob(2);
+  for (int i = 0; i < 3; ++i) VerifyThrough(&memo, request, at1, 1);
+  ASSERT_EQ(memo.stats().hits, 1u);
+  memo.DropAllIfEpochMoved(2);
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_FALSE(VerifyThrough(&memo, request, at2, 2));
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_TRUE(VerifyThrough(&memo, request, at2, 2));
+  EXPECT_EQ(memo.stats().declined, 1u);
+
+  // The same at system level: an update bumps the epoch and drops the SP
+  // and TE entries; the next query refills both.
+  SaeSystem system(SmallSaeOptions(crypto::HashScheme::kSha1));
+  Rng rng(16);
+  uint64_t next_id = 1;
+  ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
+  const dbms::QueryRequest hot = dbms::QueryRequest::Scan(2000, 9000);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(system.ExecuteQuery(hot).value().verification.ok());
+  }
+  storage::RecordCodec codec(kRecSize);
+  ASSERT_TRUE(system.Insert(codec.MakeRecord(999999, 15000)).ok());
+  SaeCacheStats before = system.cache_stats();
+  ASSERT_TRUE(system.ExecuteQuery(hot).value().verification.ok());
+  SaeCacheStats delta = system.cache_stats();
+  EXPECT_EQ(delta.sp_answer.insertions - before.sp_answer.insertions, 1u);
+  EXPECT_EQ(delta.sp_answer.declined, before.sp_answer.declined);
+  EXPECT_EQ(delta.te_vt.insertions - before.te_vt.insertions, 1u);
+  EXPECT_EQ(delta.client_memo.hits - before.client_memo.hits, 1u);
+  EXPECT_EQ(system.sp().answer_cache().size(), 1u);
+}
+
+// The seen set holds the last max_entries distinct requests to miss: one
+// whose last miss is older than that is declined again.
+TEST(AdmissionTest, SeenSetIsBoundedByMaxEntries) {
+  constexpr size_t kMax = 8;
+  AnswerCache cache({true, kMax});
+  ServedAnswerMemo memo({true, kMax});
+  auto served = Blob(0x5A);
+  const dbms::QueryRequest old = dbms::QueryRequest::Count(1, 2);
+  auto others = [&](Key base, size_t n) {
+    for (Key i = 0; i < n; ++i) {
+      dbms::QueryRequest request = dbms::QueryRequest::Scan(base + i, 9999);
+      ServeThrough(&cache, request, 1);
+      VerifyThrough(&memo, request, served, 1);
+    }
+  };
+  // kMax - 1 distinct misses in between: `old` is still remembered.
+  ServeThrough(&cache, old, 1);
+  VerifyThrough(&memo, old, served, 1);
+  others(100, kMax - 1);
+  AnswerCacheStats cache0 = cache.stats();
+  AnswerCacheStats memo0 = memo.stats();
+  EXPECT_FALSE(ServeThrough(&cache, old, 1));
+  EXPECT_FALSE(VerifyThrough(&memo, old, served, 1));
+  EXPECT_EQ((cache.stats() - cache0).insertions, 1u);
+  EXPECT_EQ((memo.stats() - memo0).insertions, 1u);
+
+  // kMax distinct misses in between: `old` was forgotten.
+  const dbms::QueryRequest forgotten = dbms::QueryRequest::Count(3, 4);
+  ServeThrough(&cache, forgotten, 1);
+  VerifyThrough(&memo, forgotten, served, 1);
+  others(200, kMax);
+  cache0 = cache.stats();
+  memo0 = memo.stats();
+  EXPECT_FALSE(ServeThrough(&cache, forgotten, 1));
+  EXPECT_FALSE(VerifyThrough(&memo, forgotten, served, 1));
+  EXPECT_EQ((cache.stats() - cache0).declined, 1u);
+  EXPECT_EQ((memo.stats() - memo0).declined, 1u);
+  EXPECT_EQ((cache.stats() - cache0).insertions, 0u);
+  EXPECT_EQ((memo.stats() - memo0).insertions, 0u);
+}
+
+// Distinct requests per operator and range: no two calls repeat.
+dbms::QueryRequest ColdRequest(size_t i) {
+  Key lo = Key(i % 1000) * 10;
+  Key hi = lo + 2000 + Key(i / 1000) * 10;
+  return EveryOperator(lo, hi)[i % 7];
+}
+
+void ExpectReconciled(const AnswerCacheStats& stats, uint64_t lookups,
+                      const char* cache) {
+  EXPECT_EQ(stats.hits + stats.misses, lookups) << cache;
+  EXPECT_EQ(stats.insertions + stats.declined, stats.misses) << cache;
+}
+
+// Cold traffic leaves every cache of a default-cache system empty; a pool
+// of repeated requests then hits everywhere on its third pass.
+TEST(AdmissionTest, ColdQueriesLeaveSaeCachesEmptyAndRepeatsStillHit) {
+  SaeSystem system(SmallSaeOptions(crypto::HashScheme::kSha1));
+  Rng rng(17);
+  uint64_t next_id = 1;
+  ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
+  constexpr size_t kCold = 2000;
+  for (size_t i = 0; i < kCold; ++i) {
+    ASSERT_TRUE(system.ExecuteQuery(ColdRequest(i)).value().verification.ok());
+  }
+  SaeCacheStats cold = system.cache_stats();
+  EXPECT_EQ(system.sp().answer_cache().size(), 0u);
+  EXPECT_EQ(cold.sp_answer.insertions, 0u);
+  EXPECT_EQ(cold.te_vt.insertions, 0u);
+  EXPECT_EQ(cold.client_memo.insertions, 0u);
+  EXPECT_EQ(cold.sp_answer.declined, kCold);
+  ExpectReconciled(cold.sp_answer, kCold, "sp");
+  ExpectReconciled(cold.te_vt, kCold, "te");
+  ExpectReconciled(cold.client_memo, kCold, "memo");
+
+  std::vector<dbms::QueryRequest> pool;
+  for (size_t i = 0; i < 64; ++i) {
+    pool.push_back(dbms::QueryRequest::TopK(Key(i) * 100, 15000, 3));
+  }
+  for (int pass = 0; pass < 3; ++pass) {
+    SaeCacheStats before = system.cache_stats();
+    for (const dbms::QueryRequest& request : pool) {
+      ASSERT_TRUE(system.ExecuteQuery(request).value().verification.ok());
+    }
+    SaeCacheStats delta = system.cache_stats();
+    double expected = pass == 2 ? 1.0 : 0.0;
+    EXPECT_EQ((delta.sp_answer - before.sp_answer).HitRate(), expected);
+    EXPECT_EQ((delta.te_vt - before.te_vt).HitRate(), expected);
+    EXPECT_EQ((delta.client_memo - before.client_memo).HitRate(), expected);
+  }
+  SaeCacheStats total = system.cache_stats();
+  const uint64_t lookups = kCold + 3 * pool.size();
+  ExpectReconciled(total.sp_answer, lookups, "sp");
+  ExpectReconciled(total.te_vt, lookups, "te");
+  ExpectReconciled(total.client_memo, lookups, "memo");
+  EXPECT_EQ(system.sp().answer_cache().size(), pool.size());
+}
+
+TEST(AdmissionTest, ColdQueriesLeaveTomCachesEmptyAndRepeatsStillHit) {
+  TomSystem system(SmallTomOptions(crypto::HashScheme::kSha1));
+  Rng rng(18);
+  uint64_t next_id = 1;
+  ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
+  constexpr size_t kCold = 2000;
+  for (size_t i = 0; i < kCold; ++i) {
+    ASSERT_TRUE(system.ExecuteQuery(ColdRequest(i)).value().verification.ok());
+  }
+  TomCacheStats cold = system.cache_stats();
+  EXPECT_EQ(system.sp().answer_cache().size(), 0u);
+  EXPECT_EQ(cold.sp_answer.insertions, 0u);
+  EXPECT_EQ(cold.client_memo.insertions, 0u);
+  ExpectReconciled(cold.sp_answer, kCold, "sp");
+  ExpectReconciled(cold.client_memo, kCold, "memo");
+
+  std::vector<dbms::QueryRequest> pool;
+  for (size_t i = 0; i < 64; ++i) {
+    pool.push_back(dbms::QueryRequest::TopK(Key(i) * 100, 15000, 3));
+  }
+  for (int pass = 0; pass < 3; ++pass) {
+    TomCacheStats before = system.cache_stats();
+    for (const dbms::QueryRequest& request : pool) {
+      ASSERT_TRUE(system.ExecuteQuery(request).value().verification.ok());
+    }
+    TomCacheStats delta = system.cache_stats();
+    double expected = pass == 2 ? 1.0 : 0.0;
+    EXPECT_EQ((delta.sp_answer - before.sp_answer).HitRate(), expected);
+    EXPECT_EQ((delta.client_memo - before.client_memo).HitRate(), expected);
+  }
+  TomCacheStats total = system.cache_stats();
+  const uint64_t lookups = kCold + 3 * pool.size();
+  ExpectReconciled(total.sp_answer, lookups, "sp");
+  ExpectReconciled(total.client_memo, lookups, "memo");
+}
+
+// Eight threads send the same cold request at once. Exactly one miss is
+// the first and is declined; whoever misses next is admitted, so the
+// answer is kept once and every count still reconciles.
+TEST(AdmissionTest, EightThreadsRacingOneColdRequest) {
+  SaeSystem system(SmallSaeOptions(crypto::HashScheme::kSha1));
+  Rng rng(19);
+  uint64_t next_id = 1;
+  ASSERT_TRUE(system.Load(MakeDataset(400, &rng, &next_id)).ok());
+  constexpr size_t kThreads = 8;
+  const dbms::QueryRequest request = dbms::QueryRequest::Scan(1000, 12000);
+  std::atomic<size_t> ready{0};
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      auto outcome = system.ExecuteQuery(request);
+      if (!outcome.ok() || !outcome.value().verification.ok()) {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0u);
+  SaeCacheStats stats = system.cache_stats();
+  for (const AnswerCacheStats* cache :
+       {&stats.sp_answer, &stats.te_vt, &stats.client_memo}) {
+    ExpectReconciled(*cache, kThreads, "raced");
+    EXPECT_EQ(cache->declined, 1u);
+    EXPECT_GE(cache->insertions, 1u);
+  }
+  EXPECT_EQ(system.sp().answer_cache().size(), 1u);
+  // Once the race is over the request hits everywhere.
+  SaeCacheStats before = system.cache_stats();
+  ASSERT_TRUE(system.ExecuteQuery(request).value().verification.ok());
+  SaeCacheStats after = system.cache_stats();
+  EXPECT_EQ(after.sp_answer.hits - before.sp_answer.hits, 1u);
+  EXPECT_EQ(after.te_vt.hits - before.te_vt.hits, 1u);
+  EXPECT_EQ(after.client_memo.hits - before.client_memo.hits, 1u);
 }
 
 // --- The differential parity harness -----------------------------------------

@@ -12,6 +12,7 @@
 #include "core/data_owner.h"
 #include "core/messages.h"
 #include "core/service_provider.h"
+#include "core/system.h"
 #include "core/tom.h"
 #include "core/trusted_entity.h"
 #include "util/random.h"
@@ -49,6 +50,44 @@ TEST(MessagesTest, RecordsSizeIsPredictable) {
   std::vector<Record> records = SmallDataset(10);
   // 13-byte header + n * record_size.
   EXPECT_EQ(SerializeRecords(records, codec).size(), 13 + 10 * kRecSize);
+}
+
+TEST(MessagesTest, RecordsMessageSizeMatchesTheSerializedMessage) {
+  for (size_t record_size : {12u, 500u}) {
+    RecordCodec codec(record_size);
+    for (size_t n : {0u, 1u, 1000u}) {
+      std::vector<Record> records;
+      for (size_t i = 0; i < n; ++i) {
+        records.push_back(codec.MakeRecord(i + 1, uint32_t(i * 7)));
+      }
+      EXPECT_EQ(RecordsMessageSize(n, codec),
+                SerializeRecords(records, codec).size())
+          << "record size " << record_size << ", n " << n;
+    }
+  }
+}
+
+// Load meters the dataset shipment by its size alone. The totals are the
+// ones the serialized shipment gave: dataset plus epoch notice (SAE, on
+// both owner channels) or plus the signed root (TOM).
+TEST(MessagesTest, LoadMetersTheDatasetShipmentByteForByte) {
+  std::vector<Record> dataset = SmallDataset(1000);
+  SaeSystem::Options sae_options;
+  sae_options.record_size = kRecSize;
+  SaeSystem sae(sae_options);
+  ASSERT_TRUE(sae.Load(dataset).ok());
+  EXPECT_EQ(sae.do_sp_channel().total_bytes(), 64022u);
+  EXPECT_EQ(sae.do_te_channel().total_bytes(), 64022u);
+  EXPECT_EQ(sae.do_sp_channel().messages(), 2u);
+  EXPECT_EQ(sae.do_te_channel().messages(), 2u);
+
+  TomSystem::Options tom_options;
+  tom_options.record_size = kRecSize;
+  tom_options.rsa_modulus_bits = 512;
+  TomSystem tom(tom_options);
+  ASSERT_TRUE(tom.Load(dataset).ok());
+  EXPECT_EQ(tom.do_sp_channel().total_bytes(), 64088u);
+  EXPECT_EQ(tom.do_sp_channel().messages(), 2u);
 }
 
 TEST(MessagesTest, QueryRoundTrip) {
