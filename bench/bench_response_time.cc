@@ -49,8 +49,9 @@ int main() {
               core::SerializeRecords(results.value(), codec).size();
 
           sim::Stopwatch watch;
-          SAE_CHECK(core::Client::VerifyResult(results.value(), vt.value(),
-                                               codec)
+          SAE_CHECK(core::Client::CompareXor(
+                        core::Client::ResultXor(results.value(), codec),
+                        vt.value().digest)
                         .ok());
           double verify_ms = watch.ElapsedMs();
           sae_total += sim::SaeResponseMs(net, sp_ms, te_ms, result_bytes,

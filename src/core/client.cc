@@ -31,34 +31,6 @@ Status Client::CompareXor(const crypto::Digest& computed,
   return Status::OK();
 }
 
-Status Client::VerifyResult(const std::vector<Record>& results,
-                            const crypto::Digest& vt,
-                            const RecordCodec& codec,
-                            crypto::HashScheme scheme) {
-  return CompareXor(ResultXor(results, codec, scheme), vt);
-}
-
-Status Client::VerifyShardedResult(
-    storage::Key lo, storage::Key hi, const std::vector<ShardSlice>& slices,
-    const std::vector<storage::Key>& fences,
-    const std::vector<uint64_t>& published_epochs, const RecordCodec& codec,
-    crypto::HashScheme scheme,
-    std::vector<std::pair<size_t, Status>>* per_shard) {
-  std::vector<storage::KeySlice> cover;
-  cover.reserve(slices.size());
-  for (const ShardSlice& slice : slices) {
-    cover.push_back(storage::KeySlice{slice.shard, slice.lo, slice.hi});
-  }
-  return storage::VerifyCompositeSlices(
-      fences, lo, hi, cover, published_epochs,
-      [&](size_t i, const storage::KeySlice&, uint64_t published) {
-        return VerifyResult(slices[i].results, slices[i].vt,
-                            slices[i].claimed_epoch, published, codec,
-                            scheme);
-      },
-      per_shard);
-}
-
 Status Client::VerifyAnswer(const dbms::QueryRequest& request,
                             const dbms::QueryAnswer& claimed,
                             const std::vector<Record>& witness,
@@ -66,44 +38,9 @@ Status Client::VerifyAnswer(const dbms::QueryRequest& request,
                             uint64_t claimed_epoch, uint64_t published_epoch,
                             const RecordCodec& codec,
                             crypto::HashScheme scheme) {
-  SAE_RETURN_NOT_OK(VerifyResult(witness, vt, claimed_epoch, published_epoch,
-                                 codec, scheme));
+  SAE_RETURN_NOT_OK(CheckFreshness(vt, claimed_epoch, published_epoch));
+  SAE_RETURN_NOT_OK(CompareXor(ResultXor(witness, codec, scheme), vt.digest));
   return dbms::CheckAnswer(request, witness, claimed);
-}
-
-Status Client::VerifyShardedAnswer(
-    const dbms::QueryRequest& request, const dbms::QueryAnswer& composite,
-    const std::vector<ShardSlice>& slices,
-    const std::vector<storage::Key>& fences,
-    const std::vector<uint64_t>& published_epochs, const RecordCodec& codec,
-    crypto::HashScheme scheme,
-    std::vector<std::pair<size_t, Status>>* per_shard) {
-  std::vector<storage::KeySlice> cover;
-  cover.reserve(slices.size());
-  for (const ShardSlice& slice : slices) {
-    cover.push_back(storage::KeySlice{slice.shard, slice.lo, slice.hi});
-  }
-  SAE_RETURN_NOT_OK(storage::VerifyCompositeSlices(
-      fences, request.lo, request.hi, cover, published_epochs,
-      [&](size_t i, const storage::KeySlice&, uint64_t published) {
-        dbms::QueryRequest sub = request;
-        sub.lo = slices[i].lo;
-        sub.hi = slices[i].hi;
-        return VerifyAnswer(sub, slices[i].answer, slices[i].results,
-                            slices[i].vt, slices[i].claimed_epoch, published,
-                            codec, scheme);
-      },
-      per_shard));
-  // Every slice answer is now individually authenticated; the composite
-  // must be exactly their fold.
-  std::vector<dbms::QueryAnswer> parts;
-  parts.reserve(slices.size());
-  for (const ShardSlice& slice : slices) parts.push_back(slice.answer);
-  if (composite != dbms::MergeAnswers(request, parts)) {
-    return Status::VerificationFailure(
-        "composite answer does not fold from the verified shard answers");
-  }
-  return Status::OK();
 }
 
 Status Client::CheckFreshness(const VerificationToken& vt,
@@ -124,15 +61,6 @@ Status Client::CheckFreshness(const VerificationToken& vt,
     return Status::VerificationFailure("SP claims a future epoch");
   }
   return Status::OK();
-}
-
-Status Client::VerifyResult(const std::vector<Record>& results,
-                            const VerificationToken& vt,
-                            uint64_t claimed_epoch, uint64_t published_epoch,
-                            const RecordCodec& codec,
-                            crypto::HashScheme scheme) {
-  SAE_RETURN_NOT_OK(CheckFreshness(vt, claimed_epoch, published_epoch));
-  return VerifyResult(results, vt.digest, codec, scheme);
 }
 
 }  // namespace sae::core

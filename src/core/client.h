@@ -8,13 +8,11 @@
 #ifndef SAE_CORE_CLIENT_H_
 #define SAE_CORE_CLIENT_H_
 
-#include <utility>
 #include <vector>
 
 #include "core/epoch.h"
 #include "crypto/digest.h"
 #include "dbms/query.h"
-#include "storage/key_range.h"
 #include "storage/record.h"
 #include "util/status.h"
 
@@ -31,9 +29,16 @@ class Client {
       const std::vector<Record>& results, const RecordCodec& codec,
       crypto::HashScheme scheme = crypto::HashScheme::kSha1);
 
-  /// The epoch gates of the full client check, on their own (steps 1-2 of
-  /// VerifyResult below): token and SP claim must both speak for the
-  /// published epoch. SaeClientMemo runs these fresh on every query.
+  /// The epoch gates of the full client check, in order:
+  ///   1. the TE token must speak for the published epoch (a lagging token
+  ///      is a replayed/stale VT -> kStaleEpoch);
+  ///   2. the SP's claimed epoch must match the published one (a lagging
+  ///      claim means the SP answered from a pre-update snapshot ->
+  ///      kStaleEpoch).
+  /// Freshness is checked before the XOR so a replay is reported as
+  /// staleness, not as generic corruption. An SP that lies about its
+  /// claimed epoch simply degrades to the XOR check and is caught by the
+  /// fresh token. SaeClientMemo runs these fresh on every query.
   static Status CheckFreshness(const VerificationToken& vt,
                                uint64_t claimed_epoch,
                                uint64_t published_epoch);
@@ -43,97 +48,19 @@ class Client {
   static Status CompareXor(const crypto::Digest& computed,
                            const crypto::Digest& token_digest);
 
-  /// OK when the result matches the token; VerificationFailure otherwise.
-  static Status VerifyResult(
-      const std::vector<Record>& results, const crypto::Digest& vt,
-      const RecordCodec& codec,
-      crypto::HashScheme scheme = crypto::HashScheme::kSha1);
-
-  /// Token-typed convenience: XOR check only (no freshness reference —
-  /// standalone TE set-ups without a publishing DO stay at epoch 0).
-  static Status VerifyResult(
-      const std::vector<Record>& results, const VerificationToken& vt,
-      const RecordCodec& codec,
-      crypto::HashScheme scheme = crypto::HashScheme::kSha1) {
-    return VerifyResult(results, vt.digest, codec, scheme);
-  }
-
-  /// The full epoch-aware client check, in order:
-  ///   1. the TE token must speak for the published epoch (a lagging token
-  ///      is a replayed/stale VT -> kStaleEpoch);
-  ///   2. the SP's claimed epoch must match the published one (a lagging
-  ///      claim means the SP answered from a pre-update snapshot ->
-  ///      kStaleEpoch);
-  ///   3. the result XOR must match the token digest.
-  /// Freshness is checked first so a replay is reported as staleness, not
-  /// as generic corruption. An SP that lies about its claimed epoch simply
-  /// degrades to case 3 and is caught by the fresh token.
-  static Status VerifyResult(
-      const std::vector<Record>& results, const VerificationToken& vt,
-      uint64_t claimed_epoch, uint64_t published_epoch,
-      const RecordCodec& codec,
-      crypto::HashScheme scheme = crypto::HashScheme::kSha1);
-
-  /// The operator-typed client check: the epoch-aware gates and the XOR
-  /// match run over the *witness* (the range record set the TE's token
-  /// speaks for), and once the witness is authenticated the derived answer
-  /// is recomputed from it and compared field-for-field with the SP's
-  /// claim (dbms::CheckAnswer). A tampered COUNT/SUM/MIN/MAX or truncated
-  /// top-k is a kVerificationFailure even though the witness verifies.
+  /// The operator-typed client check: the epoch gates (CheckFreshness) and
+  /// the XOR match run over the *witness* (the range record set the TE's
+  /// token speaks for), and once the witness is authenticated the derived
+  /// answer is recomputed from it and compared field-for-field with the
+  /// SP's claim (dbms::CheckAnswer). A tampered COUNT/SUM/MIN/MAX or
+  /// truncated top-k is a kVerificationFailure even though the witness
+  /// verifies.
   static Status VerifyAnswer(
       const dbms::QueryRequest& request, const dbms::QueryAnswer& claimed,
       const std::vector<Record>& witness, const VerificationToken& vt,
       uint64_t claimed_epoch, uint64_t published_epoch,
       const RecordCodec& codec,
       crypto::HashScheme scheme = crypto::HashScheme::kSha1);
-
-  /// One shard's slice of a stitched sharded-SAE answer as a thin client
-  /// receives it: the clipped sub-range, the witness records, the shard's
-  /// claimed partial answer, that shard's TE token, and the epoch the
-  /// shard's SP claimed. (`answer` is ignored by the record-shaped
-  /// VerifyShardedResult; VerifyShardedAnswer checks it.)
-  struct ShardSlice {
-    size_t shard = 0;
-    storage::Key lo = 0;
-    storage::Key hi = 0;
-    std::vector<Record> results;
-    dbms::QueryAnswer answer;
-    VerificationToken vt;
-    uint64_t claimed_epoch = 0;
-  };
-
-  /// Composite verification for a sharded SAE deployment — the SAE analog
-  /// of mbtree::VerifyComposite, needing only the DO-published trusted
-  /// state (fence keys + per-shard epoch vector): (1) the slices must tile
-  /// [lo, hi] exactly along the fences (fence-key completeness), (2) each
-  /// slice must pass the full epoch-aware check against its own shard's
-  /// published epoch, (3) the per-shard verdicts fold via
-  /// CombineShardStatuses (uniformly stale -> kStaleEpoch, mixed
-  /// fresh/stale -> kShardEpochSkew, corruption -> kVerificationFailure
-  /// naming the shard). `per_shard` (optional) receives one verdict per
-  /// slice so honest sub-results survive a rejection.
-  static Status VerifyShardedResult(
-      storage::Key lo, storage::Key hi,
-      const std::vector<ShardSlice>& slices,
-      const std::vector<storage::Key>& fences,
-      const std::vector<uint64_t>& published_epochs, const RecordCodec& codec,
-      crypto::HashScheme scheme = crypto::HashScheme::kSha1,
-      std::vector<std::pair<size_t, Status>>* per_shard = nullptr);
-
-  /// Operator-typed composite verification: the same fence-cover + epoch
-  /// machinery as VerifyShardedResult, but each slice runs the full
-  /// VerifyAnswer check (witness proof + partial-answer recomputation) for
-  /// its clipped sub-request, and the claimed composite answer must equal
-  /// the fold of the now-verified per-shard answers
-  /// (dbms::MergeAnswers) — so a router tier that mis-folds, or one shard
-  /// that lies about its partial aggregate, is rejected with attribution.
-  static Status VerifyShardedAnswer(
-      const dbms::QueryRequest& request, const dbms::QueryAnswer& composite,
-      const std::vector<ShardSlice>& slices,
-      const std::vector<storage::Key>& fences,
-      const std::vector<uint64_t>& published_epochs, const RecordCodec& codec,
-      crypto::HashScheme scheme = crypto::HashScheme::kSha1,
-      std::vector<std::pair<size_t, Status>>* per_shard = nullptr);
 };
 
 }  // namespace sae::core

@@ -81,7 +81,7 @@ Status GetTail(ByteReader* r, const std::string& what, State* state) {
     return Status::Corruption(what + " signature does not decode");
   }
   state->signature.resize(sig_len);
-  if (sig_len > 0 && !r->GetBytes(state->signature.data(), sig_len)) {
+  if (!r->GetBytes(state->signature.data(), sig_len)) {
     return Status::Corruption(what + " signature does not decode");
   }
   if (state->model == SnapshotState::kTom) {

@@ -6,11 +6,10 @@
 // shard(s) a query touches and (b) check that a stitched multi-shard
 // answer tiles the query range exactly — the fence-key completeness
 // argument of docs/SHARDING.md. The fence math itself lives in
-// storage/key_range.h, shared with the composite-proof verifiers so the
-// router and the clients can never disagree about shard ownership: shard s
-// owns the half-open fence interval [fence_{s-1}, fence_s), rendered
-// inclusive as [shard_lo(s), shard_hi(s)], and adjacent shards abut with
-// no gap (shard_hi(s) + 1 == shard_lo(s + 1)).
+// storage/key_range.h: shard s owns the half-open fence interval
+// [fence_{s-1}, fence_s), rendered inclusive as [shard_lo(s),
+// shard_hi(s)], and adjacent shards abut with no gap
+// (shard_hi(s) + 1 == shard_lo(s + 1)).
 
 #ifndef SAE_CORE_SHARD_ROUTER_H_
 #define SAE_CORE_SHARD_ROUTER_H_
@@ -30,7 +29,7 @@ using storage::Record;
 /// Routes keys and ranges to range-partitioned shards.
 class ShardRouter {
  public:
-  /// One shard's clipped view of a query (shared with the verifiers).
+  /// One shard's clipped view of a query.
   using Slice = storage::KeySlice;
 
   /// Builds a router from ascending interior fence keys; N shards need
@@ -69,8 +68,8 @@ class ShardRouter {
     return storage::PartitionKeyRange(fences_, lo, hi);
   }
 
-  /// Client-side structural check on a stitched answer: the slices must
-  /// tile [lo, hi] exactly along the trusted fences (see
+  /// Structural check on a stitched answer (ShardedSystem::ExecuteQuery):
+  /// the slices must tile [lo, hi] exactly along the trusted fences (see
   /// storage::VerifyKeyCover).
   Status VerifyCover(Key lo, Key hi, const std::vector<Slice>& slices) const {
     return storage::VerifyKeyCover(fences_, lo, hi, slices);

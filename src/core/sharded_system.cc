@@ -159,11 +159,12 @@ ShardedSystem<Base>::ExecuteQuery(const dbms::QueryRequest& request,
   }
   outcome.answer = dbms::MergeAnswers(request, parts);
 
-  // Composite verification: fence-key tiling first (defense in depth — the
-  // slices come from our own router here, but a deserialized answer goes
-  // through the same check), then the cross-shard epoch fold over the
-  // per-slice verdicts (each already covers its witness AND its partial
-  // answer, so one aggregate-lying shard surfaces here with attribution).
+  // The one composite check of a stitched answer: fence-key tiling first
+  // (it holds by construction while the slices come from this router; a
+  // tier that receives slices would run the same check), then the
+  // cross-shard epoch fold over the per-slice verdicts (each already
+  // covers its witness AND its partial answer, so one aggregate-lying
+  // shard surfaces here with attribution).
   Status cover = router_.VerifyCover(request.lo, request.hi, plan);
   outcome.verification =
       cover.ok() ? CombineShardStatuses(verdicts) : std::move(cover);
@@ -277,20 +278,5 @@ Status ShardedSystem<Base>::WaitForCheckpoints() {
 
 template class ShardedSystem<SaeSystem>;
 template class ShardedSystem<TomSystem>;
-
-mbtree::CompositeVo BuildCompositeVo(
-    const ShardedTomSystem::QueryOutcome& outcome) {
-  mbtree::CompositeVo cvo;
-  cvo.parts.reserve(outcome.slices.size());
-  for (const ShardedTomSystem::Slice& slice : outcome.slices) {
-    mbtree::CompositeVoPart part;
-    part.shard = uint32_t(slice.shard);
-    part.lo = slice.lo;
-    part.hi = slice.hi;
-    part.vo = slice.outcome.vo;
-    cvo.parts.push_back(std::move(part));
-  }
-  return cvo;
-}
 
 }  // namespace sae::core

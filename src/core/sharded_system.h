@@ -35,7 +35,6 @@
 #include "core/query_engine.h"
 #include "core/shard_router.h"
 #include "core/system.h"
-#include "mbtree/composite_vo.h"
 
 namespace sae::core {
 
@@ -176,13 +175,6 @@ class ShardedSystem {
 
 using ShardedSaeSystem = ShardedSystem<SaeSystem>;
 using ShardedTomSystem = ShardedSystem<TomSystem>;
-
-/// Assembles the wire-level composite proof from a sharded TOM outcome
-/// whose slices all executed (mbtree::CompositeVo: per-slice sub-range +
-/// VO). What an SP tier ships to a thin client that verifies with
-/// mbtree::VerifyComposite instead of trusting per-shard verdicts.
-mbtree::CompositeVo BuildCompositeVo(
-    const ShardedTomSystem::QueryOutcome& outcome);
 
 }  // namespace sae::core
 

@@ -662,28 +662,4 @@ std::vector<Status> SigChainClient::VerifyBatch(
   return verdicts;
 }
 
-Status VerifyComposite(Key lo, Key hi,
-                       const std::vector<ShardedChainSlice>& slices,
-                       const std::vector<Key>& fences,
-                       const crypto::RsaPublicKey& owner_key,
-                       const RecordCodec& codec, crypto::HashScheme scheme,
-                       const std::vector<uint64_t>& published_epochs,
-                       std::vector<std::pair<size_t, Status>>* per_shard) {
-  std::vector<storage::KeySlice> cover;
-  cover.reserve(slices.size());
-  for (const ShardedChainSlice& slice : slices) {
-    cover.push_back(storage::KeySlice{slice.shard, slice.lo, slice.hi});
-  }
-  // Per-shard chain verification against each shard's published epoch,
-  // over the shared tiling/fold scaffold (storage::VerifyCompositeSlices).
-  return storage::VerifyCompositeSlices(
-      fences, lo, hi, cover, published_epochs,
-      [&](size_t i, const storage::KeySlice&, uint64_t published) {
-        return SigChainClient::Verify(slices[i].lo, slices[i].hi,
-                                      slices[i].results, slices[i].vo,
-                                      owner_key, codec, scheme, published);
-      },
-      per_shard);
-}
-
 }  // namespace sae::sigchain

@@ -31,7 +31,6 @@
 #include "dbms/query.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
-#include "storage/key_range.h"
 #include "storage/page_store.h"
 #include "storage/record.h"
 #include "btree/bplus_tree.h"
@@ -230,36 +229,6 @@ class SigChainSp {
   uint64_t epoch_ = 0;
   crypto::RsaSignature epoch_sig_;
 };
-
-/// One shard's slice of a sharded signature-chain deployment: the clipped
-/// sub-range it owns, its records, and its own chain VO (each shard is an
-/// independently chained dataset with its own sentinels and epoch token).
-struct ShardedChainSlice {
-  uint32_t shard = 0;
-  Key lo = 0;
-  Key hi = 0;
-  std::vector<Record> results;
-  SigChainVo vo;
-};
-
-/// Composite verification for a range stitched from several chain shards
-/// (the sigchain analog of mbtree::VerifyComposite): the slices must tile
-/// [lo, hi] along the trusted fences (storage::VerifyKeyCover — fence-key
-/// completeness), each slice verifies against its own chain and its
-/// shard's published epoch, and the per-shard verdicts fold via
-/// sae::CombineShardStatuses (uniformly stale -> kStaleEpoch, mixed
-/// fresh/stale -> kShardEpochSkew, corruption -> kVerificationFailure
-/// naming the shard; reported per slice through `per_shard`). The scheme's
-/// known freshness limitation (see EpochTokenDigest) applies per shard,
-/// unchanged.
-Status VerifyComposite(Key lo, Key hi,
-                       const std::vector<ShardedChainSlice>& slices,
-                       const std::vector<Key>& fences,
-                       const crypto::RsaPublicKey& owner_key,
-                       const RecordCodec& codec, crypto::HashScheme scheme,
-                       const std::vector<uint64_t>& published_epochs,
-                       std::vector<std::pair<size_t, Status>>* per_shard =
-                           nullptr);
 
 /// Client side verification.
 class SigChainClient {

@@ -62,26 +62,4 @@ Status VerifyKeyCover(const std::vector<Key>& fences, Key lo, Key hi,
   return Status::OK();
 }
 
-Status VerifyCompositeSlices(
-    const std::vector<Key>& fences, Key lo, Key hi,
-    const std::vector<KeySlice>& slices,
-    const std::vector<uint64_t>& published_epochs,
-    const std::function<Status(size_t index, const KeySlice& slice,
-                               uint64_t published_epoch)>& verify_slice,
-    std::vector<std::pair<size_t, Status>>* per_shard) {
-  if (per_shard != nullptr) per_shard->clear();
-  SAE_RETURN_NOT_OK(VerifyKeyCover(fences, lo, hi, slices));
-  std::vector<std::pair<size_t, Status>> verdicts;
-  verdicts.reserve(slices.size());
-  for (size_t i = 0; i < slices.size(); ++i) {
-    uint64_t published = slices[i].shard < published_epochs.size()
-                             ? published_epochs[slices[i].shard]
-                             : 0;
-    verdicts.emplace_back(slices[i].shard,
-                          verify_slice(i, slices[i], published));
-  }
-  if (per_shard != nullptr) *per_shard = verdicts;
-  return CombineShardStatuses(verdicts);
-}
-
 }  // namespace sae::storage

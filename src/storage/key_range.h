@@ -1,19 +1,14 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Fence-key range partitioning shared by every layer that reasons about a
-// sharded key space: core::ShardRouter (routing), mbtree::VerifyComposite
-// and sigchain::VerifyComposite (client-side completeness of stitched
-// proofs). One implementation so the router and the verifiers can never
-// disagree about which shard owns a key: given ascending interior fences
-// f_1 < ... < f_{N-1}, shard s owns the half-open interval [f_s, f_{s+1})
-// with f_0 = 0 and f_N = 2^32, rendered inclusive as
-// [ShardLowerBound(s), ShardUpperBound(s)].
+// Fence-key range partitioning of a sharded key space, the math behind
+// core::ShardRouter's routing and its cover check on a stitched answer:
+// given ascending interior fences f_1 < ... < f_{N-1}, shard s owns the
+// half-open interval [f_s, f_{s+1}) with f_0 = 0 and f_N = 2^32, rendered
+// inclusive as [ShardLowerBound(s), ShardUpperBound(s)].
 
 #ifndef SAE_STORAGE_KEY_RANGE_H_
 #define SAE_STORAGE_KEY_RANGE_H_
 
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "storage/record.h"
@@ -46,32 +41,13 @@ Key ShardUpperBound(const std::vector<Key>& fences, size_t shard);
 std::vector<KeySlice> PartitionKeyRange(const std::vector<Key>& fences,
                                         Key lo, Key hi);
 
-/// Client-side tiling check on a stitched answer: the slices must equal
+/// Tiling check on a stitched answer: the slices must equal
 /// PartitionKeyRange(fences, lo, hi) — same shards, same clipped bounds,
 /// no gap, overlap, or fence violation. An SP hiding a shard's
 /// contribution, serving one twice, or moving a fence to swallow a
 /// neighbour's keys fails here before any cryptography runs.
 Status VerifyKeyCover(const std::vector<Key>& fences, Key lo, Key hi,
                       const std::vector<KeySlice>& slices);
-
-/// The composite-verification scaffold shared by every scheme's stitched
-/// verifier (core::Client::VerifyShardedResult, mbtree::VerifyComposite,
-/// sigchain::VerifyComposite), so the policy lives once, next to the
-/// fence math: (1) the slices must tile [lo, hi] along the trusted fences
-/// (VerifyKeyCover) before any cryptography runs; (2) `verify_slice` runs
-/// per slice with that shard's published epoch — 0 when the published
-/// vector is too short, which fails closed downstream (a proof claiming
-/// an epoch above its published reference is a forgery); (3) the
-/// per-shard verdicts are reported through `per_shard` (optional) and
-/// folded with sae::CombineShardStatuses (all stale -> kStaleEpoch,
-/// mixed -> kShardEpochSkew, corruption -> failure naming the shard).
-Status VerifyCompositeSlices(
-    const std::vector<Key>& fences, Key lo, Key hi,
-    const std::vector<KeySlice>& slices,
-    const std::vector<uint64_t>& published_epochs,
-    const std::function<Status(size_t index, const KeySlice& slice,
-                               uint64_t published_epoch)>& verify_slice,
-    std::vector<std::pair<size_t, Status>>* per_shard = nullptr);
 
 }  // namespace sae::storage
 

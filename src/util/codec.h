@@ -85,7 +85,9 @@ class ByteReader {
 
   bool GetBytes(uint8_t* dst, size_t n) {
     if (!Ok(n)) return false;
-    std::memcpy(dst, data_ + pos_, n);
+    // An empty destination vector's data() may be null, and memcpy with a
+    // null pointer is undefined even for zero bytes.
+    if (n > 0) std::memcpy(dst, data_ + pos_, n);
     pos_ += n;
     return true;
   }

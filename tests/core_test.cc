@@ -167,7 +167,8 @@ TEST(ClientTest, XorMatchesManualComputation) {
     manual ^= crypto::ComputeDigest(bytes.data(), bytes.size());
   }
   EXPECT_EQ(Client::ResultXor(records, codec), manual);
-  EXPECT_TRUE(Client::VerifyResult(records, manual, codec).ok());
+  EXPECT_TRUE(
+      Client::CompareXor(Client::ResultXor(records, codec), manual).ok());
 }
 
 TEST(ClientTest, OrderInvariance) {
@@ -175,7 +176,7 @@ TEST(ClientTest, OrderInvariance) {
   std::vector<Record> records = SmallDataset(8);
   crypto::Digest vt = Client::ResultXor(records, codec);
   std::reverse(records.begin(), records.end());
-  EXPECT_TRUE(Client::VerifyResult(records, vt, codec).ok());
+  EXPECT_TRUE(Client::CompareXor(Client::ResultXor(records, codec), vt).ok());
 }
 
 TEST(ClientTest, EmptyResultHasZeroXor) {
@@ -251,9 +252,10 @@ TEST_F(SaeEntitiesTest, HonestQueryVerifies) {
   EXPECT_EQ(results.value().size(), 101u);
   auto vt = te_.GenerateVt(500, 1500);
   ASSERT_TRUE(vt.ok());
-  EXPECT_TRUE(Client::VerifyResult(results.value(), vt.value(),
-                                   owner_.codec())
-                  .ok());
+  EXPECT_TRUE(
+      Client::CompareXor(Client::ResultXor(results.value(), owner_.codec()),
+                         vt.value().digest)
+          .ok());
 }
 
 TEST_F(SaeEntitiesTest, UpdatesPropagate) {
@@ -270,7 +272,9 @@ TEST_F(SaeEntitiesTest, UpdatesPropagate) {
   auto vt = te_.GenerateVt(0, 10000);
   ASSERT_TRUE(vt.ok());
   EXPECT_TRUE(
-      Client::VerifyResult(results.value(), vt.value(), owner_.codec()).ok());
+      Client::CompareXor(Client::ResultXor(results.value(), owner_.codec()),
+                         vt.value().digest)
+          .ok());
 }
 
 TEST_F(SaeEntitiesTest, EpochPublishedToBothParties) {
@@ -299,18 +303,20 @@ TEST_F(SaeEntitiesTest, EpochPublishedToBothParties) {
   // The full client check accepts only the published epoch.
   auto results = sp_.ExecuteRange(0, 10000).ValueOrDie();
   auto vt = te_.GenerateVt(0, 10000).ValueOrDie();
-  EXPECT_TRUE(Client::VerifyResult(results, vt, sp_.epoch(), owner_.epoch(),
-                                   owner_.codec())
+  dbms::QueryRequest scan = dbms::QueryRequest::Scan(0, 10000);
+  dbms::QueryAnswer answer = dbms::EvaluateAnswer(scan, results);
+  EXPECT_TRUE(Client::VerifyAnswer(scan, answer, results, vt, sp_.epoch(),
+                                   owner_.epoch(), owner_.codec())
                   .ok());
   // Stale token (older epoch) -> distinct freshness failure.
   VerificationToken stale = vt;
   stale.epoch = 1;
-  EXPECT_EQ(Client::VerifyResult(results, stale, sp_.epoch(),
+  EXPECT_EQ(Client::VerifyAnswer(scan, answer, results, stale, sp_.epoch(),
                                  owner_.epoch(), owner_.codec())
                 .code(),
             StatusCode::kStaleEpoch);
   // Stale SP claim -> distinct freshness failure.
-  EXPECT_EQ(Client::VerifyResult(results, vt, /*claimed=*/1,
+  EXPECT_EQ(Client::VerifyAnswer(scan, answer, results, vt, /*claimed=*/1,
                                  owner_.epoch(), owner_.codec())
                 .code(),
             StatusCode::kStaleEpoch);

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 
-#include "core/client.h"
 #include "core/messages.h"
 #include "core/sharded_system.h"
 #include "core/system.h"
@@ -392,63 +391,6 @@ TEST(ShardedOperatorTest, TomCrossShardAggregatesFoldAndVerify) {
         << dbms::QueryOpName(request.op);
     ExpectMatchesOracle(composite.value(), request, all);
   }
-}
-
-TEST(ShardedOperatorTest, ThinClientVerifiesCompositeAnswer) {
-  core::ShardedSaeSystem::Options options;
-  options.base.record_size = kRecSize;
-  std::vector<Record> all = Dataset(400);
-  core::ShardedSaeSystem sharded(core::ShardRouter({300, 600}), options);
-  SAE_CHECK_OK(sharded.Load(all));
-  RecordCodec codec(kRecSize);
-
-  QueryRequest request = QueryRequest::Sum(100, 800);
-  auto outcome = sharded.Query(request);
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_TRUE(outcome.value().verification.ok());
-
-  // Re-verify from published trusted state only, as a thin client would.
-  auto slices_of = [&](const core::ShardedSaeSystem::QueryOutcome& o) {
-    std::vector<core::Client::ShardSlice> slices;
-    for (const auto& slice : o.slices) {
-      core::Client::ShardSlice s;
-      s.shard = slice.shard;
-      s.lo = slice.lo;
-      s.hi = slice.hi;
-      s.results = slice.outcome.results;
-      s.answer = slice.outcome.answer;
-      s.vt = slice.outcome.vt;
-      s.claimed_epoch = slice.outcome.claimed_epoch;
-      slices.push_back(std::move(s));
-    }
-    return slices;
-  };
-  std::vector<core::Client::ShardSlice> slices = slices_of(outcome.value());
-  EXPECT_TRUE(core::Client::VerifyShardedAnswer(
-                  request, outcome.value().answer, slices,
-                  sharded.router().fences(), sharded.ShardEpochs(), codec)
-                  .ok());
-
-  // A mis-folded composite (router tier lying about the SUM) is rejected
-  // even though every slice is individually genuine.
-  dbms::QueryAnswer forged = outcome.value().answer;
-  forged.sum += 7;
-  EXPECT_EQ(core::Client::VerifyShardedAnswer(
-                request, forged, slices, sharded.router().fences(),
-                sharded.ShardEpochs(), codec)
-                .code(),
-            StatusCode::kVerificationFailure);
-
-  // A tampered slice answer is rejected with attribution.
-  slices[1].answer.sum += 1;
-  std::vector<std::pair<size_t, Status>> per_shard;
-  Status st = core::Client::VerifyShardedAnswer(
-      request, outcome.value().answer, slices, sharded.router().fences(),
-      sharded.ShardEpochs(), codec, crypto::HashScheme::kSha1, &per_shard);
-  EXPECT_EQ(st.code(), StatusCode::kVerificationFailure);
-  ASSERT_EQ(per_shard.size(), slices.size());
-  EXPECT_FALSE(per_shard[1].second.ok());
-  EXPECT_TRUE(per_shard[0].second.ok());
 }
 
 // --- sigchain operator verifier ---------------------------------------------------

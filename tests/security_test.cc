@@ -908,7 +908,9 @@ TEST(VtAlgebraTest, SwappingRecordsAcrossRangesIsDetected) {
 
   std::vector<Record> swapped = in_range;
   swapped[3] = out_of_range[3];
-  EXPECT_FALSE(core::Client::VerifyResult(swapped, vt, codec).ok());
+  EXPECT_FALSE(
+      core::Client::CompareXor(core::Client::ResultXor(swapped, codec), vt)
+          .ok());
 }
 
 TEST(VtAlgebraTest, PayloadBitFlipChangesToken) {
@@ -918,7 +920,9 @@ TEST(VtAlgebraTest, PayloadBitFlipChangesToken) {
   for (size_t byte : {0u, 7u, 20u, 51u}) {
     std::vector<Record> tampered = records;
     tampered[0].payload.MutableData()[byte] ^= 0x01;
-    EXPECT_FALSE(core::Client::VerifyResult(tampered, vt, codec).ok())
+    EXPECT_FALSE(
+        core::Client::CompareXor(core::Client::ResultXor(tampered, codec), vt)
+            .ok())
         << "byte " << byte;
   }
 }
@@ -934,12 +938,16 @@ TEST(VtAlgebraTest, PairCancellationRequiresIdenticalRecords) {
   crypto::Digest vt = core::Client::ResultXor(honest, codec);
   std::vector<Record> padded{a, b, b};
   // b ^ b cancels: the multiset {a, b, b} has the same XOR as {a}.
-  EXPECT_TRUE(core::Client::VerifyResult(padded, vt, codec).ok());
+  EXPECT_TRUE(
+      core::Client::CompareXor(core::Client::ResultXor(padded, codec), vt)
+          .ok());
   // ...but {a, b, b'} with b' != b never matches.
   Record b_prime = b;
   b_prime.payload.MutableData()[0] ^= 1;
   std::vector<Record> broken{a, b, b_prime};
-  EXPECT_FALSE(core::Client::VerifyResult(broken, vt, codec).ok());
+  EXPECT_FALSE(
+      core::Client::CompareXor(core::Client::ResultXor(broken, codec), vt)
+          .ok());
 }
 
 TEST(VtAlgebraTest, EndToEndDuplicatePairAttackVisibility) {

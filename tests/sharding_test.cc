@@ -7,8 +7,7 @@
 // the sharded malicious-SP matrix (one compromised shard among honest
 // ones must be detected and attributed without poisoning the honest
 // slices), cross-shard epoch agreement (kStaleEpoch vs kShardEpochSkew),
-// composite VO round-trips, and shard-parallel updates (run under
-// ThreadSanitizer in CI).
+// and shard-parallel updates (run under ThreadSanitizer in CI).
 
 #include <algorithm>
 #include <atomic>
@@ -23,7 +22,6 @@
 #include "core/shard_router.h"
 #include "core/sharded_system.h"
 #include "core/system.h"
-#include "mbtree/composite_vo.h"
 #include "workload/dataset.h"
 #include "workload/queries.h"
 
@@ -625,189 +623,6 @@ TEST(ShardedSaeTest, ShardEpochVectorMessageRoundTrips) {
 
   std::vector<uint8_t> truncated(msg.begin(), msg.end() - 3);
   EXPECT_FALSE(core::DeserializeShardEpochs(truncated).ok());
-}
-
-TEST(ShardedSaeTest, ThinClientCompositeVerification) {
-  // The SAE analog of mbtree::VerifyComposite: a thin client re-verifies a
-  // stitched answer from the DO-published fences + epoch vector alone.
-  auto dataset = MakeDataset(500);  // keys 10..5000
-  ShardRouter router({2000, 3500});
-  ShardedSaeSystem sharded(router, ShardedOptions<SaeSystem>());
-  ASSERT_TRUE(sharded.Load(dataset).ok());
-
-  auto outcome = sharded.Query(1000, 4000);
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_EQ(outcome.value().slices.size(), 3u);
-
-  std::vector<core::Client::ShardSlice> slices;
-  for (const auto& slice : outcome.value().slices) {
-    core::Client::ShardSlice thin;
-    thin.shard = slice.shard;
-    thin.lo = slice.lo;
-    thin.hi = slice.hi;
-    thin.results = slice.outcome.results;
-    thin.vt = slice.outcome.vt;
-    thin.claimed_epoch = slice.outcome.claimed_epoch;
-    slices.push_back(std::move(thin));
-  }
-  RecordCodec codec(kRecSize);
-  std::vector<std::pair<size_t, Status>> verdicts;
-  Status st = core::Client::VerifyShardedResult(
-      1000, 4000, slices, router.fences(), sharded.ShardEpochs(), codec,
-      crypto::HashScheme::kSha1, &verdicts);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  ASSERT_EQ(verdicts.size(), 3u);
-
-  // Tamper one record inside shard 1's slice: attributed failure.
-  auto tampered = slices;
-  ASSERT_FALSE(tampered[1].results.empty());
-  tampered[1].results[0].payload.MutableData()[0] ^= 0x5A;
-  st = core::Client::VerifyShardedResult(1000, 4000, tampered,
-                                         router.fences(),
-                                         sharded.ShardEpochs(), codec,
-                                         crypto::HashScheme::kSha1,
-                                         &verdicts);
-  EXPECT_EQ(st.code(), StatusCode::kVerificationFailure);
-  EXPECT_TRUE(verdicts[0].second.ok());
-  EXPECT_FALSE(verdicts[1].second.ok());
-  EXPECT_TRUE(verdicts[2].second.ok());
-
-  // A published vector fresher than one slice's epoch: skew; fresher than
-  // all: uniform staleness.
-  std::vector<uint64_t> published = sharded.ShardEpochs();
-  published[2] += 1;
-  st = core::Client::VerifyShardedResult(1000, 4000, slices,
-                                         router.fences(), published, codec,
-                                         crypto::HashScheme::kSha1, nullptr);
-  EXPECT_EQ(st.code(), StatusCode::kShardEpochSkew);
-  for (uint64_t& epoch : published) epoch += 1;
-  st = core::Client::VerifyShardedResult(1000, 4000, slices,
-                                         router.fences(), published, codec,
-                                         crypto::HashScheme::kSha1, nullptr);
-  EXPECT_EQ(st.code(), StatusCode::kStaleEpoch);
-
-  // A hidden slice fails the fence-cover check.
-  auto hidden = slices;
-  hidden.erase(hidden.begin() + 1);
-  st = core::Client::VerifyShardedResult(1000, 4000, hidden,
-                                         router.fences(),
-                                         sharded.ShardEpochs(), codec,
-                                         crypto::HashScheme::kSha1, nullptr);
-  EXPECT_EQ(st.code(), StatusCode::kVerificationFailure);
-}
-
-// --- composite VO (wire-level proof) -----------------------------------------
-
-class CompositeVoTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dataset_ = MakeDataset(400);  // keys 10..4000
-    router_ = ShardRouter({1500, 3000});
-    system_ = std::make_unique<ShardedTomSystem>(router_,
-                                                 ShardedOptions<TomSystem>());
-    ASSERT_TRUE(system_->Load(dataset_).ok());
-  }
-
-  crypto::RsaPublicKey OwnerKey() {
-    return system_->shard(0).owner().public_key();
-  }
-
-  std::vector<Record> dataset_;
-  ShardRouter router_{std::vector<Key>{}};
-  std::unique_ptr<ShardedTomSystem> system_;
-};
-
-TEST_F(CompositeVoTest, RoundTripsAndVerifies) {
-  auto outcome = system_->Query(1000, 3500);
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_TRUE(outcome.value().verification.ok());
-  ASSERT_EQ(outcome.value().slices.size(), 3u);
-
-  mbtree::CompositeVo cvo = core::BuildCompositeVo(outcome.value());
-  std::vector<uint8_t> bytes = cvo.Serialize();
-  auto decoded = mbtree::CompositeVo::Deserialize(bytes);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().Serialize(), bytes);
-
-  RecordCodec codec(kRecSize);
-  std::vector<mbtree::ShardVoVerdict> verdicts;
-  Status st = mbtree::VerifyComposite(
-      decoded.value(), 1000, 3500, outcome.value().results,
-      router_.fences(), OwnerKey(), codec, crypto::HashScheme::kSha1,
-      system_->ShardEpochs(), &verdicts);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  ASSERT_EQ(verdicts.size(), 3u);
-  for (const auto& verdict : verdicts) {
-    EXPECT_TRUE(verdict.status.ok());
-    EXPECT_EQ(verdict.epoch, 1u);
-  }
-}
-
-TEST_F(CompositeVoTest, DetectsTamperedRecordInOneShard) {
-  auto outcome = system_->Query(1000, 3500);
-  ASSERT_TRUE(outcome.ok());
-  mbtree::CompositeVo cvo = core::BuildCompositeVo(outcome.value());
-
-  std::vector<Record> tampered = outcome.value().results;
-  // Corrupt a record owned by the middle shard (keys 1500..2999).
-  for (Record& record : tampered) {
-    if (record.key >= 1500 && record.key < 3000) {
-      record.payload.MutableData()[0] ^= 0xFF;
-      break;
-    }
-  }
-  RecordCodec codec(kRecSize);
-  std::vector<mbtree::ShardVoVerdict> verdicts;
-  Status st = mbtree::VerifyComposite(
-      cvo, 1000, 3500, tampered, router_.fences(), OwnerKey(), codec,
-      crypto::HashScheme::kSha1, system_->ShardEpochs(), &verdicts);
-  EXPECT_EQ(st.code(), StatusCode::kVerificationFailure);
-  // Attribution: only the middle shard's verdict fails.
-  ASSERT_EQ(verdicts.size(), 3u);
-  EXPECT_TRUE(verdicts[0].status.ok());
-  EXPECT_FALSE(verdicts[1].status.ok());
-  EXPECT_TRUE(verdicts[2].status.ok());
-}
-
-TEST_F(CompositeVoTest, DetectsHiddenShardSlice) {
-  auto outcome = system_->Query(1000, 3500);
-  ASSERT_TRUE(outcome.ok());
-  mbtree::CompositeVo cvo = core::BuildCompositeVo(outcome.value());
-  cvo.parts.erase(cvo.parts.begin() + 1);  // hide the middle shard
-
-  std::vector<Record> results;
-  for (const Record& record : outcome.value().results) {
-    if (record.key < 1500 || record.key >= 3000) results.push_back(record);
-  }
-  RecordCodec codec(kRecSize);
-  Status st = mbtree::VerifyComposite(
-      cvo, 1000, 3500, results, router_.fences(), OwnerKey(), codec,
-      crypto::HashScheme::kSha1, system_->ShardEpochs(), nullptr);
-  EXPECT_EQ(st.code(), StatusCode::kVerificationFailure);
-}
-
-TEST_F(CompositeVoTest, StaleShardEpochIsSkewAgainstFreshVector) {
-  auto outcome = system_->Query(1000, 3500);
-  ASSERT_TRUE(outcome.ok());
-  mbtree::CompositeVo cvo = core::BuildCompositeVo(outcome.value());
-
-  // The DO publishes a fresher epoch for shard 1 than its VO carries —
-  // e.g. the client fetched the vector after an update the SP has not
-  // applied. The composite must read as skew, not generic corruption.
-  std::vector<uint64_t> published = system_->ShardEpochs();
-  published[1] += 1;
-  RecordCodec codec(kRecSize);
-  Status st = mbtree::VerifyComposite(
-      cvo, 1000, 3500, outcome.value().results, router_.fences(), OwnerKey(),
-      codec, crypto::HashScheme::kSha1, published, nullptr);
-  EXPECT_EQ(st.code(), StatusCode::kShardEpochSkew);
-
-  // Every entry fresher than its VO: a uniform replay -> kStaleEpoch.
-  for (uint64_t& epoch : published) epoch += 1;
-  st = mbtree::VerifyComposite(cvo, 1000, 3500, outcome.value().results,
-                               router_.fences(), OwnerKey(), codec,
-                               crypto::HashScheme::kSha1, published, nullptr);
-  EXPECT_EQ(st.code(), StatusCode::kStaleEpoch);
 }
 
 // --- engine integration ------------------------------------------------------

@@ -334,113 +334,6 @@ TEST(CondensedRsaTest, MissingOrExtraSignatureFails) {
   EXPECT_FALSE(VerifyCondensed(key.PublicKey(), digests, full).ok());
 }
 
-// --- sharded composite verification ------------------------------------------
-
-class ShardedSigChainTest : public ::testing::Test {
- protected:
-  static constexpr storage::Key kFence = 1000;
-
-  void SetUp() override {
-    // Two chain shards split on the fence; the same rsa_seed gives both
-    // shard owners one logical DO key, as in the sharded systems.
-    SigChainOwner::Options owner_options;
-    owner_options.record_size = kRecSize;
-    owner_options.rsa_modulus_bits = 512;
-    SigChainSp::Options sp_options;
-    sp_options.record_size = kRecSize;
-    sp_options.signature_bytes = 64;
-
-    std::vector<std::vector<Record>> partitions(2);
-    for (uint64_t id = 1; id <= 200; ++id) {
-      Record record = codec_.MakeRecord(id, uint32_t(id * 10));
-      partitions[record.key >= kFence ? 1 : 0].push_back(record);
-    }
-    for (size_t s = 0; s < 2; ++s) {
-      owners_.push_back(std::make_unique<SigChainOwner>(owner_options));
-      sps_.push_back(std::make_unique<SigChainSp>(sp_options));
-      auto sigs = owners_[s]->SignDataset(partitions[s]);
-      ASSERT_TRUE(sigs.ok());
-      ASSERT_TRUE(sps_[s]
-                      ->LoadDataset(partitions[s], sigs.value(),
-                                    owners_[s]->public_key())
-                      .ok());
-      sps_[s]->SetEpoch(owners_[s]->epoch(),
-                        owners_[s]->epoch_signature());
-    }
-  }
-
-  // Executes [lo, hi] against both shards and stitches the slices the way
-  // a sharded SP tier would.
-  std::vector<ShardedChainSlice> QueryComposite(storage::Key lo,
-                                                storage::Key hi) {
-    std::vector<ShardedChainSlice> slices;
-    auto parts = storage::PartitionKeyRange({kFence}, lo, hi);
-    for (const auto& part : parts) {
-      auto response = sps_[part.shard]->ExecuteRange(part.lo, part.hi);
-      EXPECT_TRUE(response.ok());
-      ShardedChainSlice slice;
-      slice.shard = uint32_t(part.shard);
-      slice.lo = part.lo;
-      slice.hi = part.hi;
-      slice.results = std::move(response.value().results);
-      slice.vo = std::move(response.value().vo);
-      slices.push_back(std::move(slice));
-    }
-    return slices;
-  }
-
-  std::vector<uint64_t> PublishedEpochs() const {
-    return {owners_[0]->epoch(), owners_[1]->epoch()};
-  }
-
-  RecordCodec codec_{kRecSize};
-  std::vector<std::unique_ptr<SigChainOwner>> owners_;
-  std::vector<std::unique_ptr<SigChainSp>> sps_;
-};
-
-TEST_F(ShardedSigChainTest, CrossShardCompositeVerifies) {
-  auto slices = QueryComposite(500, 1500);
-  ASSERT_EQ(slices.size(), 2u);
-  std::vector<std::pair<size_t, Status>> per_shard;
-  Status st = VerifyComposite(500, 1500, slices, {kFence},
-                              owners_[0]->public_key(), codec_,
-                              crypto::HashScheme::kSha1, PublishedEpochs(),
-                              &per_shard);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  ASSERT_EQ(per_shard.size(), 2u);
-  EXPECT_TRUE(per_shard[0].second.ok());
-  EXPECT_TRUE(per_shard[1].second.ok());
-}
-
-TEST_F(ShardedSigChainTest, HiddenSliceFailsFenceCover) {
-  auto slices = QueryComposite(500, 1500);
-  slices.pop_back();  // pretend the upper shard had nothing
-  Status st = VerifyComposite(500, 1500, slices, {kFence},
-                              owners_[0]->public_key(), codec_,
-                              crypto::HashScheme::kSha1, PublishedEpochs(),
-                              nullptr);
-  EXPECT_EQ(st.code(), StatusCode::kVerificationFailure);
-}
-
-TEST_F(ShardedSigChainTest, LaggingShardIsSkewUniformLagIsStale) {
-  auto slices = QueryComposite(500, 1500);
-  // Shard 1's DO advances its epoch (an update the SP has not absorbed):
-  // that slice is stale while shard 0 is fresh -> skew.
-  owners_[1]->AdvanceEpoch();
-  Status st = VerifyComposite(500, 1500, slices, {kFence},
-                              owners_[0]->public_key(), codec_,
-                              crypto::HashScheme::kSha1, PublishedEpochs(),
-                              nullptr);
-  EXPECT_EQ(st.code(), StatusCode::kShardEpochSkew);
-
-  // Both shards lagging uniformly -> a replay, reported as staleness.
-  owners_[0]->AdvanceEpoch();
-  st = VerifyComposite(500, 1500, slices, {kFence},
-                       owners_[0]->public_key(), codec_,
-                       crypto::HashScheme::kSha1, PublishedEpochs(), nullptr);
-  EXPECT_EQ(st.code(), StatusCode::kStaleEpoch);
-}
-
 TEST(ChainDigestTest, SentinelsDistinctAndStable) {
   EXPECT_NE(LowSentinel(), HighSentinel());
   crypto::Digest a = crypto::ComputeDigest("a", 1);

@@ -131,6 +131,26 @@ TEST(CodecTest, EmptyStringRoundTrip) {
   EXPECT_FALSE(r.failed());
 }
 
+// A decoder reading a zero-length field (an empty signature or boundary)
+// into an empty vector hands GetBytes a null destination; the read must
+// succeed without touching memory or moving the cursor.
+TEST(CodecTest, ZeroByteReadIntoEmptyVector) {
+  std::vector<uint8_t> buf = {1, 2, 3};
+  ByteReader r(buf);
+  EXPECT_EQ(r.GetU8(), 1);
+  std::vector<uint8_t> empty;
+  EXPECT_TRUE(r.GetBytes(empty.data(), 0));
+  EXPECT_FALSE(r.failed());
+  EXPECT_EQ(r.remaining(), 2u);
+  EXPECT_EQ(r.GetU8(), 2);
+
+  std::vector<uint8_t> none;
+  ByteReader at_end(none);
+  EXPECT_TRUE(at_end.GetBytes(empty.data(), 0));
+  EXPECT_FALSE(at_end.failed());
+  EXPECT_EQ(at_end.remaining(), 0u);
+}
+
 // --- rng -----------------------------------------------------------------------
 
 TEST(RngTest, DeterministicForSeed) {
