@@ -71,7 +71,7 @@ void PrintDurabilityStats(const core::DurabilityStats& stats,
   std::printf(
       "stats %-22s wal %llu recs / %llu syncs (%.1f recs/sync, %.1f KiB)  "
       "ckpts %llu full + %llu delta (chain %llu)  ckpt bytes %.1f KiB total, "
-      "last %.1f KiB in %.2f ms\n",
+      "last %.1f KiB in %.2f ms, %.1f ms lifetime\n",
       tag, (unsigned long long)stats.wal_records,
       (unsigned long long)stats.wal_syncs, stats.avg_group_records,
       double(stats.wal_bytes) / 1024.0,
@@ -79,7 +79,8 @@ void PrintDurabilityStats(const core::DurabilityStats& stats,
       (unsigned long long)stats.checkpoints_delta,
       (unsigned long long)stats.delta_chain_length,
       double(stats.checkpoint_bytes_total) / 1024.0,
-      double(stats.last_checkpoint_bytes) / 1024.0, stats.last_checkpoint_ms);
+      double(stats.last_checkpoint_bytes) / 1024.0, stats.last_checkpoint_ms,
+      stats.checkpoint_ms_total);
 }
 
 /// Runs `ops` operations, every 10th an insert (the paper's read-mostly

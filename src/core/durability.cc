@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
+#include <utility>
 
 #include "util/codec.h"
 
@@ -15,11 +17,19 @@ namespace sae::core {
 
 namespace {
 
+// Bytes one record takes in a payload: id, key, payload length, payload.
+uint64_t EncodedSize(const Record& record) {
+  return 8 + 4 + 4 + record.payload.size();
+}
+
 void PutRecord(ByteWriter* w, const Record& record) {
-  w->PutU64(record.id);
-  w->PutU32(record.key);
-  w->PutU32(uint32_t(record.payload.size()));
-  w->PutBytes(record.payload.data(), record.payload.size());
+  uint8_t* out = w->Extend(EncodedSize(record));
+  EncodeU64(out, record.id);
+  EncodeU32(out + 8, record.key);
+  EncodeU32(out + 12, uint32_t(record.payload.size()));
+  if (!record.payload.empty()) {
+    std::memcpy(out + 16, record.payload.data(), record.payload.size());
+  }
 }
 
 bool GetRecord(ByteReader* r, Record* out) {
@@ -110,29 +120,76 @@ Status GetTail(ByteReader* r, const std::string& what, State* state) {
   return Status::OK();
 }
 
-// A composed record's place in index order: within a run of equal keys the
-// base snapshot's records come first, in payload order, then each delta
-// link's upserts in payload order.
-struct RankedRecord {
-  Record record;
-  uint64_t rank = 0;
-};
-
-std::vector<Record> InIndexOrder(std::map<RecordId, RankedRecord> by_id) {
-  std::vector<RankedRecord> ranked;
-  ranked.reserve(by_id.size());
-  for (auto& [id, entry] : by_id) ranked.push_back(std::move(entry));
-  std::sort(ranked.begin(), ranked.end(),
-            [](const RankedRecord& a, const RankedRecord& b) {
-              return a.record.key != b.record.key
-                         ? a.record.key < b.record.key
-                         : a.rank < b.rank;
-            });
-  std::vector<Record> records;
-  records.reserve(ranked.size());
-  for (RankedRecord& entry : ranked) records.push_back(std::move(entry.record));
-  return records;
+RecordId IdOf(const WalUpdate& update) {
+  return update.op == WalUpdate::kInsert ? update.record.id : update.id;
 }
+
+// The net effect of a pending log, as a delta lists it: the newest change
+// to each id wins. Removes ascend by id; upserts ascend by id for SAE and
+// follow the log — update order — for TOM, whose equal-key runs keep
+// insertion order. The header, signature and shape come from `header`.
+DeltaState NetChanges(std::vector<WalUpdate> log, SnapshotState header) {
+  DeltaState delta;
+  delta.model = header.model;
+  delta.record_size = header.record_size;
+  delta.scheme = header.scheme;
+  delta.signature = std::move(header.signature);
+  delta.shape = std::move(header.shape);
+  std::map<RecordId, size_t> newest;  // id -> index of its last change
+  for (size_t i = 0; i < log.size(); ++i) newest[IdOf(log[i])] = i;
+  std::vector<size_t> upserts;
+  for (const auto& [id, i] : newest) {
+    if (log[i].op == WalUpdate::kInsert) {
+      upserts.push_back(i);
+    } else {
+      delta.removes.push_back(id);
+    }
+  }
+  if (delta.model == SnapshotState::kTom) {
+    std::sort(upserts.begin(), upserts.end());
+  }
+  delta.upserts.reserve(upserts.size());
+  for (size_t i : upserts) delta.upserts.push_back(std::move(log[i].record));
+  return delta;
+}
+
+// A full snapshot payload streams out in chunks of at most this many bytes
+// (a larger record goes out as a chunk of its own).
+constexpr size_t kChunkBytes = size_t(1) << 20;
+
+// The full snapshot payload of an image, never built whole: `header`'s
+// header and the record count, the image's records in index order, then
+// `header`'s signature and shape — EncodeSnapshotState's bytes.
+struct FullPayload {
+  ByteWriter head;
+  ByteWriter tail;
+  uint64_t size = 0;
+
+  FullPayload(const SnapshotState& header, const CheckpointImage& image) {
+    PutHeader(&head, header);
+    head.PutU32(uint32_t(image.size()));
+    PutTail(&tail, header);
+    size = head.size() + image.encoded_bytes() + tail.size();
+  }
+
+  Status Stream(const CheckpointImage& image,
+                storage::SnapshotStore::PayloadSink* sink) const {
+    SAE_RETURN_NOT_OK(sink->Put(head.bytes().data(), head.size()));
+    ByteWriter chunk;
+    chunk.Reserve(kChunkBytes);
+    SAE_RETURN_NOT_OK(image.ForEach([&](const Record& record) {
+      if (chunk.size() > 0 &&
+          chunk.size() + EncodedSize(record) > kChunkBytes) {
+        SAE_RETURN_NOT_OK(sink->Put(chunk.bytes().data(), chunk.size()));
+        chunk.Clear();
+      }
+      PutRecord(&chunk, record);
+      return Status::OK();
+    }));
+    SAE_RETURN_NOT_OK(sink->Put(chunk.bytes().data(), chunk.size()));
+    return sink->Put(tail.bytes().data(), tail.size());
+  }
+};
 
 }  // namespace
 
@@ -229,6 +286,41 @@ Result<DeltaState> DecodeDeltaState(const std::vector<uint8_t>& payload) {
   return state;
 }
 
+void CheckpointImage::Reset(uint8_t model) {
+  ranked_ = model == SnapshotState::kTom;
+  next_rank_ = 0;
+  encoded_bytes_ = 0;
+  ordered_.clear();
+  slot_of_.clear();
+}
+
+void CheckpointImage::Erase(RecordId id) {
+  auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return;
+  encoded_bytes_ -= EncodedSize(it->second->second);
+  ordered_.erase(it->second);
+  slot_of_.erase(it);
+}
+
+void CheckpointImage::Apply(const std::vector<RecordId>& removes,
+                            std::vector<Record> upserts) {
+  for (RecordId id : removes) Erase(id);
+  for (Record& record : upserts) {
+    Erase(record.id);
+    const Slot slot{record.key, ranked_ ? next_rank_++ : record.id};
+    const RecordId id = record.id;
+    encoded_bytes_ += EncodedSize(record);
+    slot_of_[id] = ordered_.emplace(slot, std::move(record)).first;
+  }
+}
+
+std::vector<Record> CheckpointImage::Records() const {
+  std::vector<Record> records;
+  records.reserve(ordered_.size());
+  for (const auto& [slot, record] : ordered_) records.push_back(record);
+  return records;
+}
+
 DurabilityManager::DurabilityManager(const DurabilityOptions& options,
                                      storage::Vfs* vfs)
     : options_(options),
@@ -255,20 +347,17 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
   auto mgr = std::unique_ptr<DurabilityManager>(
       new DurabilityManager(options, vfs));
 
-  // Compose the newest intact chain: the base full snapshot, then every
-  // delta that validly links onto it. Each link's removes-then-upserts
-  // replays the net changes of its checkpoint window; the tail's signature
-  // and shape speak for the composed state.
+  // Compose the newest intact chain into the checkpoint image: the base
+  // full snapshot, then every delta that validly links onto it. Each
+  // link's removes-then-upserts replays the net changes of its checkpoint
+  // window; the tail's signature and shape speak for the composed state.
   auto chain = mgr->snapshots_.LoadChain();
   if (chain.ok()) {
     SAE_ASSIGN_OR_RETURN(SnapshotState base,
                          DecodeSnapshotState(chain.value().base_payload));
-    std::map<RecordId, RankedRecord> by_id;
-    uint64_t rank = 0;
-    for (Record& record : base.records) {
-      RecordId id = record.id;
-      by_id[id] = RankedRecord{std::move(record), rank++};
-    }
+    chain.value().base_payload = {};
+    mgr->image_.Reset(base.model);
+    mgr->image_.Apply({}, std::move(base.records));
     uint64_t tail_epoch = chain.value().base_epoch;
     for (storage::SnapshotStore::ChainLink& link : chain.value().deltas) {
       SAE_ASSIGN_OR_RETURN(DeltaState delta, DecodeDeltaState(link.payload));
@@ -278,16 +367,12 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
         return Status::Corruption(
             "delta configuration does not match its chain base");
       }
-      for (RecordId id : delta.removes) by_id.erase(id);
-      for (Record& record : delta.upserts) {
-        RecordId id = record.id;
-        by_id[id] = RankedRecord{std::move(record), rank++};
-      }
+      mgr->image_.Apply(delta.removes, std::move(delta.upserts));
       base.signature = std::move(delta.signature);
       base.shape = std::move(delta.shape);
       tail_epoch = link.epoch;
     }
-    base.records = InIndexOrder(std::move(by_id));
+    base.records = mgr->image_.Records();
     mgr->recovered_.has_snapshot = true;
     mgr->recovered_.snapshot_epoch = tail_epoch;
     mgr->recovered_.snapshot_fell_back = chain.value().fell_back;
@@ -353,23 +438,21 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     mgr->recovered_.wal_truncated = true;
     SAE_RETURN_NOT_OK(mgr->wal_->TruncateAfterRecord(keep));
   }
+  // The records the caller replays past the chain are changes since its
+  // tail capture like any staged update: the next checkpoint must carry
+  // them, or sealing the WAL for it would drop their only durable copy.
+  for (const WalUpdate& update : mgr->recovered_.wal_tail) {
+    if (update.epoch > mgr->recovered_.snapshot_epoch) {
+      mgr->pending_.push_back(update);
+    }
+  }
   return mgr;
 }
 
 Result<uint64_t> DurabilityManager::StageUpdate(const WalUpdate& update) {
   SAE_ASSIGN_OR_RETURN(uint64_t seq, wal_->Stage(EncodeWalUpdate(update)));
   std::lock_guard<std::mutex> lock(state_mu_);
-  RecordId id = update.op == WalUpdate::kInsert ? update.record.id : update.id;
-  auto it = pending_.find(id);
-  last_staged_id_ = id;
-  last_staged_had_prev_ = it != pending_.end();
-  if (last_staged_had_prev_) last_staged_prev_ = it->second;
-  undo_armed_ = true;
-  PendingChange change;
-  change.present = update.op == WalUpdate::kInsert;
-  if (change.present) change.record = update.record;
-  change.epoch = update.epoch;
-  pending_[id] = std::move(change);
+  pending_.push_back(update);
   return seq;
 }
 
@@ -379,17 +462,13 @@ Status DurabilityManager::CommitStaged(uint64_t seq) {
 
 Status DurabilityManager::UndoFailedUpdate() {
   SAE_RETURN_NOT_OK(wal_->UndoLastStaged());
+  // The retracted update must not leak into the next checkpoint, and
+  // (having never applied) it must not advance the cadence either —
+  // ShouldSnapshot only counts applied updates. No capture runs between a
+  // stage and its undo (captures wait for quiescence), so it is the log's
+  // last entry.
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (!undo_armed_) return Status::OK();
-  // The retracted update's net change must not leak into the next delta
-  // checkpoint, and (having never applied) it must not advance the
-  // cadence either — ShouldSnapshot only counts applied updates.
-  if (last_staged_had_prev_) {
-    pending_[last_staged_id_] = last_staged_prev_;
-  } else {
-    pending_.erase(last_staged_id_);
-  }
-  undo_armed_ = false;
+  if (!pending_.empty()) pending_.pop_back();
   return Status::OK();
 }
 
@@ -402,14 +481,12 @@ Status DurabilityManager::RetractStagedFrom(uint64_t first_epoch) {
   // caller acknowledges the failure, or a crash in between would resurrect
   // the suffix the caller just reported as failed.
   SAE_RETURN_NOT_OK(wal_->Commit(seq));
+  // The retracted records are the log's suffix from `first_epoch` on
+  // (staged epochs only grow between retractions).
   std::lock_guard<std::mutex> lock(state_mu_);
-  // The pending-change set has one level of undo; a retracted multi-record
-  // suffix cannot be selectively unwound from it. Drop it wholesale and
-  // force the next checkpoint FULL, so no delta claims to account for
-  // changes the map no longer carries.
-  pending_.clear();
-  undo_armed_ = false;
-  pending_incomplete_ = true;
+  while (!pending_.empty() && pending_.back().epoch >= first_epoch) {
+    pending_.pop_back();
+  }
   return Status::OK();
 }
 
@@ -425,7 +502,7 @@ bool DurabilityManager::NextCheckpointIsFull() const {
   // snapshot can re-cover the retained WAL windows and resume segment GC.
   if (chain_broken_.load(std::memory_order_acquire)) return true;
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (!have_chain_ || pending_incomplete_) return true;
+  if (!have_chain_) return true;
   return chain_length_ + 1 >= options_.full_snapshot_every;
 }
 
@@ -438,15 +515,12 @@ Status DurabilityManager::CaptureLocked(CheckpointJob job, bool wait) {
   SAE_ASSIGN_OR_RETURN(job.sealed_wal_seq, wal_->Rotate());
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    pending_.clear();
+    job.changes = std::exchange(pending_, {});
     updates_since_checkpoint_ = 0;
-    undo_armed_ = false;
+    job.base_epoch = chain_tail_epoch_;
     have_chain_ = true;
     chain_tail_epoch_ = job.epoch;
     chain_length_ = job.full ? 0 : chain_length_ + 1;
-    // A full capture carries complete state, so a pending set dropped by a
-    // retraction no longer owes anything to the next delta.
-    if (job.full) pending_incomplete_ = false;
   }
   if (wait) return RunCheckpointJob(job);
   std::lock_guard<std::mutex> lock(ckpt_mu_);
@@ -459,51 +533,50 @@ Status DurabilityManager::CaptureLocked(CheckpointJob job, bool wait) {
   return Status::OK();
 }
 
-Status DurabilityManager::CheckpointFull(uint64_t epoch, SnapshotState state,
-                                         bool wait) {
+Status DurabilityManager::CheckpointBaseline(uint64_t epoch,
+                                             SnapshotState state) {
+  CheckpointJob job;
+  job.full = true;
+  job.seed = true;
+  job.epoch = epoch;
+  job.state = std::move(state);
+  return CaptureLocked(std::move(job), /*wait=*/true);
+}
+
+Status DurabilityManager::CheckpointFull(uint64_t epoch,
+                                         SnapshotState header) {
   CheckpointJob job;
   job.full = true;
   job.epoch = epoch;
-  job.full_state = std::move(state);
-  return CaptureLocked(std::move(job), wait);
+  job.state = std::move(header);
+  return CaptureLocked(std::move(job), /*wait=*/false);
 }
 
 Status DurabilityManager::CheckpointDelta(uint64_t epoch,
                                           SnapshotState header) {
   CheckpointJob job;
-  job.full = false;
   job.epoch = epoch;
-  DeltaState& delta = job.delta_state;
-  delta.model = header.model;
-  delta.record_size = header.record_size;
-  delta.scheme = header.scheme;
-  delta.signature = std::move(header.signature);
-  delta.shape = std::move(header.shape);
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    std::vector<PendingChange*> upserts;
-    for (auto& [id, change] : pending_) {
-      if (change.present) {
-        upserts.push_back(&change);
-      } else {
-        delta.removes.push_back(id);
-      }
-    }
-    if (delta.model == SnapshotState::kTom) {
-      std::sort(upserts.begin(), upserts.end(),
-                [](PendingChange* a, PendingChange* b) {
-                  return a->epoch < b->epoch;
-                });
-    }
-    for (PendingChange* change : upserts) {
-      delta.upserts.push_back(std::move(change->record));
-    }
-    job.base_epoch = chain_tail_epoch_;
-  }
+  job.state = std::move(header);
   return CaptureLocked(std::move(job), /*wait=*/false);
 }
 
-Status DurabilityManager::RunCheckpointJob(const CheckpointJob& job) {
+Status DurabilityManager::RunCheckpointJob(CheckpointJob& job) {
+  auto start = std::chrono::steady_clock::now();
+  // Move the image to this capture's state first, whether or not this
+  // job's file lands: the next capture's changes build on it, and a full
+  // that repairs a broken chain writes it.
+  if (job.seed) {
+    // The seed is the whole state at its epoch; nothing logged before it
+    // (a reused directory's WAL tail) applies on top.
+    image_.Reset(job.state.model);
+    image_.Apply({}, std::move(job.state.records));
+    job.changes.clear();
+  }
+  DeltaState delta = NetChanges(std::move(job.changes), job.state);
+  std::vector<uint8_t> delta_payload;
+  if (!job.full) delta_payload = EncodeDeltaState(delta);
+  image_.Apply(delta.removes, std::move(delta.upserts));
+
   if (!job.full && chain_broken_.load(std::memory_order_acquire)) {
     // An earlier checkpoint write failed, so this delta's base never
     // reached the disk: writing it would chain onto a missing link, and
@@ -515,13 +588,20 @@ Status DurabilityManager::RunCheckpointJob(const CheckpointJob& job) {
     ++checkpoints_skipped_;
     return Status::IoError("delta checkpoint skipped: chain broken upstream");
   }
-  auto start = std::chrono::steady_clock::now();
-  std::vector<uint8_t> payload = job.full
-                                     ? EncodeSnapshotState(job.full_state)
-                                     : EncodeDeltaState(job.delta_state);
-  Status st = job.full ? snapshots_.Write(job.epoch, payload)
-                       : snapshots_.WriteDelta(job.base_epoch, job.epoch,
-                                               payload);
+  uint64_t bytes = 0;
+  Status st;
+  if (job.full) {
+    // Streamed out of the image: no payload buffer is ever built.
+    FullPayload payload(job.state, image_);
+    bytes = payload.size;
+    st = snapshots_.Write(job.epoch, payload.size,
+                          [&](storage::SnapshotStore::PayloadSink* sink) {
+                            return payload.Stream(image_, sink);
+                          });
+  } else {
+    bytes = delta_payload.size();
+    st = snapshots_.WriteDelta(job.base_epoch, job.epoch, delta_payload);
+  }
   if (st.ok()) {
     if (job.full) {
       // A durable full snapshot carries complete state: the chain is whole
@@ -539,8 +619,8 @@ Status DurabilityManager::RunCheckpointJob(const CheckpointJob& job) {
     }
   } else {
     // The checkpoint never reached its final name: the sealed segments are
-    // now the ONLY durable copy of this window's changes (the pending set
-    // was recycled at capture). Gate WAL GC — and, via
+    // now the ONLY durable copy of this window's changes (the pending log
+    // was handed over at capture). Gate WAL GC — and, via
     // NextCheckpointIsFull, force the next checkpoint full — until a
     // durable full snapshot re-covers them.
     chain_broken_.store(true, std::memory_order_release);
@@ -550,10 +630,11 @@ Status DurabilityManager::RunCheckpointJob(const CheckpointJob& job) {
                   .count();
   {
     std::lock_guard<std::mutex> lock(ckpt_mu_);
+    checkpoint_ms_total_ += ms;
     if (st.ok()) {
       ++(job.full ? checkpoints_full_ : checkpoints_delta_);
-      checkpoint_bytes_total_ += payload.size();
-      last_checkpoint_bytes_ = payload.size();
+      checkpoint_bytes_total_ += bytes;
+      last_checkpoint_bytes_ = bytes;
       last_checkpoint_ms_ = ms;
     } else if (ckpt_status_.ok()) {
       ckpt_status_ = st;
@@ -614,6 +695,7 @@ DurabilityStats DurabilityManager::stats() const {
     s.checkpoint_bytes_total = checkpoint_bytes_total_;
     s.last_checkpoint_bytes = last_checkpoint_bytes_;
     s.last_checkpoint_ms = last_checkpoint_ms_;
+    s.checkpoint_ms_total = checkpoint_ms_total_;
   }
   return s;
 }

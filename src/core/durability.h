@@ -18,18 +18,37 @@
 // the records inserted/deleted since the previous checkpoint — O(changes),
 // not O(state) — chained onto it by epoch; every `full_snapshot_every`-th
 // checkpoint compacts the chain into a fresh full snapshot, which also
-// garbage-collects chains beyond the newest `keep_snapshots`. The write
-// path only CAPTURES the (small) pending-change set under the writer lock;
-// one checkpoint thread serializes and writes it, so queries and updates
-// never stall behind checkpoint I/O. The WAL rotates to a fresh segment at
-// each capture, and the sealed segments are dropped only after the
-// checkpoint they feed is durable — a crash mid-checkpoint recovers from
-// the previous chain plus the retained segments, losing nothing. A FAILED
-// checkpoint write gates segment GC entirely: later delta captures are
-// skipped (their base never reached the disk) and the next checkpoint is
-// forced FULL; only once that full snapshot is durable — re-covering every
-// retained window — does GC resume. Segments are thus only ever dropped
-// under a durable checkpoint that covers them.
+// garbage-collects chains beyond the newest `keep_snapshots`.
+//
+// Both kinds are built from the manager's own state, never from a copy of
+// the live dataset:
+//  * The PENDING LOG is an exact log of the updates staged since the last
+//    capture: StageUpdate appends, a failed apply pops its entry, a
+//    retraction cuts the log at its first epoch, and recovery's WAL replay
+//    joins it (so the next checkpoint carries the replayed records, and
+//    sealing the WAL for it drops nothing that is not in a checkpoint).
+//  * The CHECKPOINT IMAGE is the state of the newest capture, in index
+//    order: SAE by (key, id), TOM by (key, rank), the MB-tree's leaf
+//    order. It is seeded once — by the Load baseline, the one capture that
+//    copies the dataset, or by Open's composed chain — and every capture's
+//    net change set moves it forward on the checkpoint thread, through the
+//    same removes-then-ranked-upserts step that composes a chain. It
+//    costs about 140 B per record on top of the payload bytes, which SAE's
+//    image shares with the owner's master copy (TOM's owner keeps none).
+// A capture under the writer lock is therefore O(changes) for either kind
+// (plus TOM's root signature and tree shape): it seals the WAL and moves
+// the pending log into a job. The one checkpoint thread nets the log,
+// advances the image, and writes either the delta or a full snapshot
+// streamed straight out of the image into the snapshot file in chunks of
+// at most 1 MB — no whole-payload buffer exists. The sealed segments are
+// dropped only after the checkpoint they feed is durable — a crash
+// mid-checkpoint recovers from the previous chain plus the retained
+// segments, losing nothing. A FAILED checkpoint write gates segment GC
+// entirely: later delta captures are skipped (their base never reached the
+// disk; the image still advances) and the next checkpoint is forced FULL;
+// only once that full snapshot is durable — re-covering every retained
+// window — does GC resume. Segments are thus only ever dropped under a
+// durable checkpoint that covers them.
 //
 // Recovery (UpdatePipeline::RecoverSystem) inverts this: load the newest
 // intact chain (full snapshot composed with every validly linked delta —
@@ -54,6 +73,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "btree/bplus_tree.h"
@@ -62,6 +83,7 @@
 #include "storage/snapshot.h"
 #include "storage/vfs.h"
 #include "storage/wal.h"
+#include "util/macros.h"
 #include "util/status.h"
 
 namespace sae::core {
@@ -179,14 +201,58 @@ struct DurabilityStats {
   uint64_t checkpoint_bytes_total = 0; ///< payload bytes written, lifetime
   uint64_t last_checkpoint_bytes = 0;
   double last_checkpoint_ms = 0.0;     ///< serialize+write wall time
+  double checkpoint_ms_total = 0.0;    ///< serialize+write time, lifetime
+};
+
+/// The state of the newest checkpoint capture, in index order: SAE by
+/// (key, id); TOM by (key, rank), where a record's rank grows with the
+/// time it entered the image, so each run of equal keys keeps the
+/// MB-tree's insertion order. Apply is the one step that both composes a
+/// recovered chain and moves the image forward by a capture's changes.
+class CheckpointImage {
+ public:
+  /// Empties the image and fixes its record order to `model`'s.
+  void Reset(uint8_t model);
+
+  /// Removes every id in `removes` (absent ids are skipped), then places
+  /// each upsert — replacing any record with its id — ranked after every
+  /// record already in the image, in list order.
+  void Apply(const std::vector<RecordId>& removes, std::vector<Record> upserts);
+
+  size_t size() const { return ordered_.size(); }
+  /// Bytes the records take in a snapshot payload (id, key, length,
+  /// payload per record).
+  uint64_t encoded_bytes() const { return encoded_bytes_; }
+  std::vector<Record> Records() const;
+
+  /// Calls `fn(record)` for every record in index order; stops at and
+  /// returns the first failure.
+  template <typename Fn>
+  Status ForEach(Fn fn) const {
+    for (const auto& [slot, record] : ordered_) SAE_RETURN_NOT_OK(fn(record));
+    return Status::OK();
+  }
+
+ private:
+  using Slot = std::pair<Key, uint64_t>;  // (key, id) SAE, (key, rank) TOM
+  using Ordered = std::map<Slot, Record>;
+
+  void Erase(RecordId id);
+
+  bool ranked_ = false;  // TOM
+  uint64_t next_rank_ = 0;
+  uint64_t encoded_bytes_ = 0;
+  Ordered ordered_;
+  std::unordered_map<RecordId, Ordered::iterator> slot_of_;
 };
 
 /// Owns a system's durable state: the segmented WAL, the snapshot chain,
-/// the pending-change set feeding delta checkpoints, the checkpoint thread
-/// and the cadence counter. Opened at Load (fresh directory) or at Recover
-/// (existing directory — `recovered()` then exposes what the disk held).
-/// Stage/undo/checkpoint-capture calls are made under the owning system's
-/// writer lock; CommitStaged and WaitForCheckpoints are called outside it.
+/// the pending log and checkpoint image feeding checkpoints, the
+/// checkpoint thread and the cadence counter. Opened at Load (fresh
+/// directory) or at Recover (existing directory — `recovered()` then
+/// exposes what the disk held). Stage/undo/checkpoint-capture calls are
+/// made under the owning system's writer lock; CommitStaged and
+/// WaitForCheckpoints are called outside it.
 class DurabilityManager {
  public:
   /// What recovery found on disk: the newest intact chain composed into
@@ -196,7 +262,9 @@ class DurabilityManager {
   /// epoch that does not follow the composed chain) end the prefix and are
   /// cut off, never replayed. A kAbort record drops the retracted suffix
   /// (epoch >= the abort's) from the replay tail — acknowledged failures
-  /// never resurrect.
+  /// never resurrect. The tail records past the chain also start the
+  /// pending log: the caller replays them, and the next checkpoint must
+  /// carry them.
   struct Recovered {
     bool has_snapshot = false;
     uint64_t snapshot_epoch = 0;  ///< epoch of the composed chain tail
@@ -217,9 +285,9 @@ class DurabilityManager {
 
   const Recovered& recovered() const { return recovered_; }
 
-  /// Stages one update record into the WAL buffer (volatile) and tracks
-  /// its net change for the next delta checkpoint. Returns the commit
-  /// sequence to pass to CommitStaged. Caller holds the writer lock.
+  /// Stages one update record into the WAL buffer (volatile) and appends
+  /// it to the pending log. Returns the commit sequence to pass to
+  /// CommitStaged. Caller holds the writer lock.
   Result<uint64_t> StageUpdate(const WalUpdate& update);
 
   /// Makes every record staged up to `seq` durable — the durability commit
@@ -228,20 +296,19 @@ class DurabilityManager {
   /// groups can form.
   Status CommitStaged(uint64_t seq);
 
-  /// Rolls the WAL and the pending-change set back over the last
-  /// StageUpdate after the in-memory apply failed, so neither
-  /// the log nor the next delta claims an update that did not happen.
-  /// Caller holds the writer lock.
+  /// Rolls the WAL and the pending log back over the last StageUpdate
+  /// after the in-memory apply failed, so neither the log nor the next
+  /// checkpoint claims an update that did not happen. Caller holds the
+  /// writer lock.
   Status UndoFailedUpdate();
 
   /// Durably retracts every logged-but-unpublished record with epoch >=
-  /// `first_epoch` by appending and syncing a kAbort marker. Once this
-  /// returns OK, recovery will never replay the retracted suffix — even if
-  /// its records were already synced — and the caller may keep using the
-  /// pipeline. The pending-change set cannot selectively unwind a
-  /// multi-record suffix, so it is dropped and the next checkpoint is
-  /// forced FULL. On failure the suffix's post-crash outcome is unknown;
-  /// the caller must fail stop. Caller holds the writer lock.
+  /// `first_epoch` by appending and syncing a kAbort marker, and cuts the
+  /// pending log there. Once this returns OK, recovery will never replay
+  /// the retracted suffix — even if its records were already synced — and
+  /// the caller may keep using the pipeline. On failure the suffix's
+  /// post-crash outcome is unknown; the caller must fail stop. Caller holds
+  /// the writer lock.
   Status RetractStagedFrom(uint64_t first_epoch);
 
   /// Counts one APPLIED update; true when the checkpoint cadence is due.
@@ -250,25 +317,28 @@ class DurabilityManager {
   bool ShouldSnapshot();
 
   /// True when the next checkpoint must persist full state: no chain yet,
-  /// the compaction cadence
-  /// (`full_snapshot_every`) is reached, a checkpoint write failed (the
-  /// on-disk chain is broken; a full re-covers it and resumes WAL GC), or
-  /// a retraction dropped the pending-change set.
+  /// the compaction cadence (`full_snapshot_every`) is reached, or a
+  /// checkpoint write failed (the on-disk chain is broken; a full re-covers
+  /// it and resumes WAL GC).
   bool NextCheckpointIsFull() const;
 
-  /// Captures a FULL checkpoint of `state` at `epoch`: rotates the WAL
-  /// (sealing the segments this checkpoint makes redundant) and hands the
-  /// state to the checkpoint thread — or, with `wait`, writes it inline, so
-  /// the Load baseline is durable when Load returns. Resets the
-  /// pending-change set, the chain, and the cadence counter. Caller holds
-  /// the writer lock at a quiescent point (nothing staged-but-unapplied).
-  Status CheckpointFull(uint64_t epoch, SnapshotState state, bool wait);
+  /// The Load baseline: seeds the checkpoint image with `state` (the whole
+  /// dataset at `epoch`, in index order) and writes it as a full snapshot
+  /// before returning, so the baseline is durable when Load returns.
+  /// Resets the pending log, the chain and the cadence counter. Caller
+  /// holds the writer lock at a quiescent point (nothing
+  /// staged-but-unapplied).
+  Status CheckpointBaseline(uint64_t epoch, SnapshotState state);
 
-  /// Captures a DELTA checkpoint at `epoch` from the pending-change set
-  /// accumulated since the previous capture (O(changes) under the lock),
-  /// chained onto that capture's epoch. `header` supplies the payload
-  /// header and TOM's root signature and tree shape; its records are
-  /// unused. Same quiescence requirement.
+  /// Captures a cadence checkpoint at `epoch`, FULL or DELTA: rotates the
+  /// WAL (sealing the segments this checkpoint makes redundant) and hands
+  /// the pending log to the checkpoint thread — O(changes) under the lock.
+  /// There the log moves the image forward, and a full writes the image
+  /// while a delta writes the log's net changes, chained onto the previous
+  /// capture's epoch. `header` supplies the payload header and TOM's root
+  /// signature and tree shape at `epoch`; its records are unused. Same
+  /// quiescence requirement.
+  Status CheckpointFull(uint64_t epoch, SnapshotState header);
   Status CheckpointDelta(uint64_t epoch, SnapshotState header);
 
   /// Blocks until every captured checkpoint is durable (or failed);
@@ -283,34 +353,29 @@ class DurabilityManager {
  private:
   DurabilityManager(const DurabilityOptions& options, storage::Vfs* vfs);
 
-  /// The net in-memory effect of updates since the last checkpoint
-  /// capture: id -> present (with bytes) or absent, as of the update at
-  /// `epoch`.
-  struct PendingChange {
-    bool present = false;
-    Record record;
-    uint64_t epoch = 0;
-  };
-
   /// One captured checkpoint awaiting serialization + write.
   struct CheckpointJob {
     bool full = false;
+    bool seed = false;             // the Load baseline: state.records seed
+                                   // the image
     uint64_t epoch = 0;
     uint64_t base_epoch = 0;       // delta: the chain link target
-    SnapshotState full_state;      // full captures
-    DeltaState delta_state;        // delta captures
+    SnapshotState state;           // header, TOM signature and shape
+    std::vector<WalUpdate> changes;  // the pending log this capture closed
     uint64_t sealed_wal_seq = 0;   // segments <= this die once durable
   };
 
-  /// Rotation + bookkeeping shared by both capture flavors; the caller
-  /// fills the payload side of `job`. `wait` writes inline instead of
-  /// queueing (the Load baseline).
+  /// Rotation + bookkeeping shared by every capture; moves the pending
+  /// log into `job`. `wait` writes inline instead of queueing (the Load
+  /// baseline).
   Status CaptureLocked(CheckpointJob job, bool wait);
-  /// Serializes and writes one captured checkpoint; drops the WAL
-  /// segments it made redundant once it is durable. While the chain is
-  /// broken (an earlier checkpoint write failed) delta jobs are SKIPPED —
-  /// no write, no segment drop — until a durable full repairs it.
-  Status RunCheckpointJob(const CheckpointJob& job);
+  /// Advances the image by one captured checkpoint and writes it; drops
+  /// the WAL segments it made redundant once it is durable. While the
+  /// chain is broken (an earlier checkpoint write failed) delta jobs are
+  /// SKIPPED — no write, no segment drop — until a durable full repairs
+  /// it. Runs on the checkpoint thread (the inline baseline runs before
+  /// that thread exists), which alone touches the image.
+  Status RunCheckpointJob(CheckpointJob& job);
   void CheckpointThreadMain();
 
   DurabilityOptions options_;
@@ -323,20 +388,14 @@ class DurabilityManager {
   // writer lock; state_mu_ additionally guards it against concurrent
   // stats() readers.
   mutable std::mutex state_mu_;
-  std::map<RecordId, PendingChange> pending_;
+  std::vector<WalUpdate> pending_;  // staged since the last capture
   uint64_t updates_since_checkpoint_ = 0;
   uint64_t chain_tail_epoch_ = 0;  // base of the next delta
   uint64_t chain_length_ = 0;      // deltas since the last full
   bool have_chain_ = false;        // a full snapshot exists to chain onto
-  // Undo info for the last staged update (one level deep, like the WAL's).
-  RecordId last_staged_id_ = 0;
-  bool last_staged_had_prev_ = false;
-  PendingChange last_staged_prev_;
-  bool undo_armed_ = false;
-  // Set by RetractStagedFrom (the pending set was dropped wholesale, so a
-  // delta could no longer account for every change since the last
-  // capture); forces the next checkpoint full, cleared by a full capture.
-  bool pending_incomplete_ = false;
+
+  // The state of the newest capture; see CheckpointImage.
+  CheckpointImage image_;
 
   // Checkpoint pipeline.
   mutable std::mutex ckpt_mu_;
@@ -360,6 +419,7 @@ class DurabilityManager {
   uint64_t checkpoint_bytes_total_ = 0;
   uint64_t last_checkpoint_bytes_ = 0;
   double last_checkpoint_ms_ = 0.0;
+  double checkpoint_ms_total_ = 0.0;
 };
 
 }  // namespace sae::core

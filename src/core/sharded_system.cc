@@ -258,6 +258,7 @@ DurabilityStats ShardedSystem<Base>::durability_stats() const {
         std::max(total.last_checkpoint_bytes, s.last_checkpoint_bytes);
     total.last_checkpoint_ms =
         std::max(total.last_checkpoint_ms, s.last_checkpoint_ms);
+    total.checkpoint_ms_total += s.checkpoint_ms_total;
   }
   total.avg_group_records =
       total.wal_syncs > 0

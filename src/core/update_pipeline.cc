@@ -87,17 +87,18 @@ void UpdatePipeline::RetractSuffix(uint64_t first_epoch) {
 }
 
 Status UpdatePipeline::Checkpoint(bool baseline) {
-  const bool full = baseline || durability_->NextCheckpointIsFull();
+  // Only the Load baseline copies the dataset: it seeds the manager's
+  // checkpoint image, and every later checkpoint, full or delta, is built
+  // from that image and the pending log (O(changes) here; TOM's capture
+  // adds the root signature and tree shape AT this epoch, so the written
+  // chain stays byte-provable at recovery).
   SnapshotState state = header_;
-  SAE_RETURN_NOT_OK(Capture(full, &state));
+  SAE_RETURN_NOT_OK(Capture(/*with_records=*/baseline, &state));
   const uint64_t epoch = OwnerEpoch();
-  if (!full) {
-    // O(changes): the pending set accumulated at stage time IS the delta;
-    // TOM's carries the root signature AT this epoch, so the composed
-    // chain stays byte-provable at recovery.
-    return durability_->CheckpointDelta(epoch, std::move(state));
-  }
-  return durability_->CheckpointFull(epoch, std::move(state), baseline);
+  if (baseline) return durability_->CheckpointBaseline(epoch, std::move(state));
+  return durability_->NextCheckpointIsFull()
+             ? durability_->CheckpointFull(epoch, std::move(state))
+             : durability_->CheckpointDelta(epoch, std::move(state));
 }
 
 Result<uint64_t> UpdatePipeline::Run(WalUpdate update) {
@@ -198,7 +199,7 @@ Result<uint64_t> UpdatePipeline::Run(WalUpdate update) {
     if (durability_->ShouldSnapshot() && staged_epoch_ == OwnerEpoch()) {
       // Checkpoint only at a quiescent point (nothing staged-but-unapplied):
       // the WAL rotation inside the capture is then barrier-free and the
-      // pending set is exactly the state delta. The cadence counter stays
+      // pending log holds exactly the applied changes. The cadence counter stays
       // due until the last committer of a burst lands here. The update
       // itself is already durable; a failing checkpoint still surfaces.
       SAE_RETURN_NOT_OK(Checkpoint(/*baseline=*/false));

@@ -87,8 +87,9 @@ class UpdatePipeline {
     return stats_;
   }
 
-  /// The full checkpoint payload of the current epoch (dataset in key
-  /// order, plus TOM's root signature), under the reader lock. `epoch`, when
+  /// The full checkpoint payload of the current epoch (dataset in index
+  /// order, plus TOM's root signature and tree shape), under the reader
+  /// lock — what a full snapshot written at this epoch holds. `epoch`, when
   /// given, receives the epoch the payload belongs to, read under the same
   /// lock.
   Result<SnapshotState> CaptureState(uint64_t* epoch = nullptr);
@@ -155,8 +156,10 @@ class UpdatePipeline {
   /// epoch. Live updates and WAL replay both come through here.
   virtual Status Apply(const WalUpdate& update, Traffic* traffic) = 0;
   /// Fills the checkpoint payload of the current epoch into `state` (whose
-  /// header the pipeline set): the root signature always (TOM; SAE has
-  /// none), the whole dataset in key order only `with_records`.
+  /// header the pipeline set): the root signature and tree shape always
+  /// (TOM; SAE has none), the whole dataset in index order only
+  /// `with_records` — at Load and in CaptureState, never for a cadence
+  /// checkpoint.
   virtual Status Capture(bool with_records, SnapshotState* state) = 0;
   /// Rebuilds every party from a recovered snapshot at `epoch` and proves
   /// the rebuilt authentication state is the checkpointed one.
@@ -178,7 +181,8 @@ class UpdatePipeline {
   /// re-arms a new generation; poisons the pipeline if that fails.
   void RetractSuffix(uint64_t first_epoch);
   /// Captures a full (or, per the compaction schedule, delta) checkpoint
-  /// of the current epoch; `baseline` writes a full one synchronously.
+  /// of the current epoch; `baseline` seeds the manager's image with the
+  /// dataset and writes it synchronously.
   Status Checkpoint(bool baseline);
   void Publish() {
     published_epoch_.store(OwnerEpoch(), std::memory_order_release);

@@ -85,34 +85,79 @@ std::string SnapshotStore::DeltaPathFor(uint64_t base_epoch,
   return dir_ + "/" + name;
 }
 
-Status SnapshotStore::WriteImage(const std::vector<uint8_t>& image,
-                                 const std::string& final_path) {
+namespace {
+
+/// Streams payload bytes into the temp file right behind its header,
+/// carrying the CRC along.
+class FileSink final : public SnapshotStore::PayloadSink {
+ public:
+  FileSink(VfsFile* file, uint64_t offset, uint32_t crc)
+      : file_(file), offset_(offset), crc_(crc) {}
+
+  Status Put(const uint8_t* data, size_t n) override {
+    if (n == 0) return Status::OK();  // an empty vector's data() may be null
+    SAE_RETURN_NOT_OK(file_->WriteAt(offset_, data, n));
+    crc_ = Crc32(data, n, crc_);
+    offset_ += n;
+    return Status::OK();
+  }
+
+  uint64_t offset() const { return offset_; }
+  uint32_t crc() const { return crc_; }
+
+ private:
+  VfsFile* file_;
+  uint64_t offset_;
+  uint32_t crc_;
+};
+
+SnapshotStore::PayloadSource WholePayload(
+    const std::vector<uint8_t>& payload) {
+  return [&payload](SnapshotStore::PayloadSink* sink) {
+    return sink->Put(payload.data(), payload.size());
+  };
+}
+
+}  // namespace
+
+Status SnapshotStore::WriteFile(const std::vector<uint8_t>& header,
+                                uint64_t payload_len,
+                                const PayloadSource& source,
+                                const std::string& final_path) {
   // Temp-then-rename: content becomes durable at the Sync, the name at the
   // Rename. A crash before the rename leaves only snap.tmp (ignored by the
   // name parsers); a crash after it leaves a complete file.
+  SAE_RETURN_NOT_OK(vfs_->MkDir(dir_));
   const std::string tmp = dir_ + "/" + kTmpName;
   {
     SAE_ASSIGN_OR_RETURN(std::unique_ptr<VfsFile> file, vfs_->Open(tmp, true));
-    SAE_RETURN_NOT_OK(file->Truncate(0));
-    SAE_RETURN_NOT_OK(file->WriteAt(0, image.data(), image.size()));
+    // Sized once: the streamed writes below fill it without regrowing it.
+    const uint64_t end = header.size() + payload_len;
+    SAE_RETURN_NOT_OK(file->Truncate(end + 4));
+    SAE_RETURN_NOT_OK(file->WriteAt(0, header.data(), header.size()));
+    FileSink sink(file.get(), header.size(),
+                  Crc32(header.data(), header.size()));
+    SAE_RETURN_NOT_OK(source(&sink));
+    if (sink.offset() != end) {
+      return Status::InvalidArgument(
+          "snapshot payload does not match its declared length");
+    }
+    uint8_t trailer[4];
+    EncodeU32(trailer, sink.crc());
+    SAE_RETURN_NOT_OK(file->WriteAt(end, trailer, sizeof(trailer)));
     SAE_RETURN_NOT_OK(file->Sync());
   }
   return vfs_->Rename(tmp, final_path);
 }
 
-Status SnapshotStore::Write(uint64_t epoch,
-                            const std::vector<uint8_t>& payload) {
-  SAE_RETURN_NOT_OK(vfs_->MkDir(dir_));
-
-  std::vector<uint8_t> image(kSnapshotHeader + payload.size() + 4);
-  EncodeU32(image.data(), kSnapshotMagic);
-  EncodeU32(image.data() + 4, kSnapshotVersion);
-  EncodeU64(image.data() + 8, epoch);
-  EncodeU64(image.data() + 16, uint64_t(payload.size()));
-  std::copy(payload.begin(), payload.end(), image.begin() + kSnapshotHeader);
-  EncodeU32(image.data() + kSnapshotHeader + payload.size(),
-            Crc32(image.data(), kSnapshotHeader + payload.size()));
-  SAE_RETURN_NOT_OK(WriteImage(image, PathFor(epoch)));
+Status SnapshotStore::Write(uint64_t epoch, uint64_t payload_len,
+                            const PayloadSource& source) {
+  std::vector<uint8_t> header(kSnapshotHeader);
+  EncodeU32(header.data(), kSnapshotMagic);
+  EncodeU32(header.data() + 4, kSnapshotVersion);
+  EncodeU64(header.data() + 8, epoch);
+  EncodeU64(header.data() + 16, payload_len);
+  SAE_RETURN_NOT_OK(WriteFile(header, payload_len, source, PathFor(epoch)));
 
   // Chain GC: a new full snapshot completes the previous chain. Keep the
   // newest keep_ fulls and every delta at or above the oldest kept full
@@ -135,19 +180,27 @@ Status SnapshotStore::Write(uint64_t epoch,
   return Status::OK();
 }
 
+Status SnapshotStore::Write(uint64_t epoch,
+                            const std::vector<uint8_t>& payload) {
+  return Write(epoch, payload.size(), WholePayload(payload));
+}
+
+Status SnapshotStore::WriteDelta(uint64_t base_epoch, uint64_t epoch,
+                                 uint64_t payload_len,
+                                 const PayloadSource& source) {
+  std::vector<uint8_t> header(kDeltaHeader);
+  EncodeU32(header.data(), kDeltaMagic);
+  EncodeU32(header.data() + 4, kSnapshotVersion);
+  EncodeU64(header.data() + 8, base_epoch);
+  EncodeU64(header.data() + 16, epoch);
+  EncodeU64(header.data() + 24, payload_len);
+  return WriteFile(header, payload_len, source,
+                   DeltaPathFor(base_epoch, epoch));
+}
+
 Status SnapshotStore::WriteDelta(uint64_t base_epoch, uint64_t epoch,
                                  const std::vector<uint8_t>& payload) {
-  SAE_RETURN_NOT_OK(vfs_->MkDir(dir_));
-  std::vector<uint8_t> image(kDeltaHeader + payload.size() + 4);
-  EncodeU32(image.data(), kDeltaMagic);
-  EncodeU32(image.data() + 4, kSnapshotVersion);
-  EncodeU64(image.data() + 8, base_epoch);
-  EncodeU64(image.data() + 16, epoch);
-  EncodeU64(image.data() + 24, uint64_t(payload.size()));
-  std::copy(payload.begin(), payload.end(), image.begin() + kDeltaHeader);
-  EncodeU32(image.data() + kDeltaHeader + payload.size(),
-            Crc32(image.data(), kDeltaHeader + payload.size()));
-  return WriteImage(image, DeltaPathFor(base_epoch, epoch));
+  return WriteDelta(base_epoch, epoch, payload.size(), WholePayload(payload));
 }
 
 Result<std::vector<uint64_t>> SnapshotStore::ListEpochs() const {

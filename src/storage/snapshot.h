@@ -13,7 +13,10 @@
 //                              whose tail is the newest durable state
 //
 // Atomicity protocol (write-temp-then-rename), identical for both kinds:
-//   1. write  <dir>/snap.tmp  = header + payload + CRC-32 trailer
+//   1. write  <dir>/snap.tmp  = header + payload + CRC-32 trailer, sized
+//                               once to its final length and streamed in
+//                               (the CRC runs along with the bytes; no
+//                               whole-file buffer is ever built)
 //   2. sync it                           (sync point: content durable)
 //   3. rename to its final name          (sync point: name durable)
 //   4. (full writes only) GC whole chains older than the newest `keep`
@@ -27,6 +30,7 @@
 #define SAE_STORAGE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,13 +47,29 @@ class SnapshotStore {
   /// newest).
   SnapshotStore(Vfs* vfs, std::string dir, size_t keep = 2);
 
-  /// Persists `payload` as the FULL snapshot for `epoch` (see protocol
-  /// above). Two sync points. GCs chains beyond the newest `keep`.
+  /// Where a streamed payload goes: each Put appends the next `n` bytes.
+  class PayloadSink {
+   public:
+    virtual ~PayloadSink() = default;
+    virtual Status Put(const uint8_t* data, size_t n) = 0;
+  };
+  /// Puts exactly the promised payload length into the sink, in order, in
+  /// pieces of any size.
+  using PayloadSource = std::function<Status(PayloadSink*)>;
+
+  /// Persists the `payload_len` bytes `source` streams as the FULL
+  /// snapshot for `epoch` (see protocol above). Two sync points. GCs
+  /// chains beyond the newest `keep`. A source that puts any other length
+  /// fails the write before the rename.
+  Status Write(uint64_t epoch, uint64_t payload_len,
+               const PayloadSource& source);
   Status Write(uint64_t epoch, const std::vector<uint8_t>& payload);
 
-  /// Persists `payload` as the DELTA from the checkpoint at `base_epoch`
-  /// to `epoch`. Two sync points. No GC — a chain is collected as a whole
+  /// Persists a DELTA from the checkpoint at `base_epoch` to `epoch`, as
+  /// Write does. Two sync points. No GC — a chain is collected as a whole
   /// when a later full snapshot retires it.
+  Status WriteDelta(uint64_t base_epoch, uint64_t epoch, uint64_t payload_len,
+                    const PayloadSource& source);
   Status WriteDelta(uint64_t base_epoch, uint64_t epoch,
                     const std::vector<uint8_t>& payload);
 
@@ -108,9 +128,11 @@ class SnapshotStore {
  private:
   std::string PathFor(uint64_t epoch) const;
   std::string DeltaPathFor(uint64_t base_epoch, uint64_t epoch) const;
-  /// Shared temp-write + sync + rename tail of both Write flavors.
-  Status WriteImage(const std::vector<uint8_t>& image,
-                    const std::string& final_path);
+  /// The one writer behind both file kinds: `header`, then the streamed
+  /// payload, then the CRC trailer into the temp file; sync; rename.
+  Status WriteFile(const std::vector<uint8_t>& header, uint64_t payload_len,
+                   const PayloadSource& source,
+                   const std::string& final_path);
 
   Vfs* vfs_;
   std::string dir_;

@@ -15,15 +15,23 @@ namespace sae::storage {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+// tables[0] is the bytewise table; tables[k][i] is the CRC of byte i
+// followed by k zero bytes, so eight lookups fold in eight bytes at once.
+struct Crc32Tables {
+  uint32_t tables[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
       }
-      entries[i] = crc;
+      tables[0][i] = crc;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t prev = tables[k - 1][i];
+        tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+      }
     }
   }
 };
@@ -33,13 +41,21 @@ constexpr size_t kWalSeqDigits = 20;  // zero-padded u64 — names sort by seq
 
 }  // namespace
 
-uint32_t Crc32(const uint8_t* data, size_t len) {
-  static const Crc32Table table;
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = (crc >> 8) ^ table.entries[(crc ^ data[i]) & 0xFF];
+uint32_t Crc32(const uint8_t* data, size_t len, uint32_t crc) {
+  static const Crc32Tables crc_tables;
+  const auto& t = crc_tables.tables;
+  crc = ~crc;
+  for (; len >= 8; data += 8, len -= 8) {
+    uint32_t lo = DecodeU32(data) ^ crc;
+    uint32_t hi = DecodeU32(data + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
-  return crc ^ 0xFFFFFFFFu;
+  for (; len > 0; ++data, --len) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFF];
+  }
+  return ~crc;
 }
 
 Result<WalContents> ReadLog(Vfs* vfs, const std::string& path) {

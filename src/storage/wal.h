@@ -58,7 +58,10 @@ inline constexpr uint32_t kMaxWalPayload = 1u << 20;
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the WAL and snapshot
 /// integrity checksum. Not cryptographic: it detects torn writes and media
 /// corruption; authenticity comes from the verification layer above.
-uint32_t Crc32(const uint8_t* data, size_t len);
+/// `crc` carries a running checksum across pieces: Crc32(b, nb, Crc32(a,
+/// na)) equals the one-shot CRC of a || b, and 0 starts a fresh one.
+/// Slice-by-8: eight table lookups per 8 input bytes.
+uint32_t Crc32(const uint8_t* data, size_t len, uint32_t crc = 0);
 
 /// The scanned content of a log file: the records of the valid prefix, the
 /// byte offset where validity ends, and whether garbage followed it.

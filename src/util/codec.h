@@ -50,6 +50,8 @@ class ByteWriter {
   /// Reserves room for `total` bytes in all, so a writer whose final size
   /// is known grows once.
   void Reserve(size_t total) { buf_.reserve(total); }
+  /// Empties the buffer, keeping its capacity.
+  void Clear() { buf_.clear(); }
   /// Appends `len` zero bytes and returns where they start, for callers
   /// that encode in place; valid until the next Put.
   uint8_t* Extend(size_t len) {

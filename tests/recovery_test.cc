@@ -20,8 +20,11 @@
 // snapshot atomicity/fallback checks including a corrupt middle delta
 // link, the rollback adversary (an SP restored from an older durable
 // chain is rejected by the unmodified client freshness gate as
-// kStaleEpoch), and a concurrency suite driving many writers through the
-// group-commit pipeline (also the TSan CI target).
+// kStaleEpoch), the checkpoint image and pending log (every full snapshot
+// streamed from the image equals a live capture; a second crash keeps the
+// WAL tail the first recovery replayed), and a concurrency suite driving
+// many writers through the group-commit pipeline (also the TSan CI
+// target).
 
 #include <gtest/gtest.h>
 
@@ -29,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -658,6 +662,51 @@ TEST(SnapshotStore, LoadChainComposesBasePlusLinkedDeltas) {
   EXPECT_EQ(chain.value().deltas[1].epoch, 9u);
   EXPECT_EQ(chain.value().deltas[1].payload, std::vector<uint8_t>{0x59});
   EXPECT_FALSE(chain.value().fell_back);
+}
+
+// A payload streamed in pieces lands as the same file bytes as the whole
+// payload written at once, for both file kinds; a source that puts another
+// length than it declared fails before the rename, leaving no file.
+TEST(SnapshotStore, StreamedPayloadWritesTheSameFileBytes) {
+  std::vector<uint8_t> payload(1000);
+  for (size_t i = 0; i < payload.size(); ++i) payload[i] = uint8_t(i * 7);
+  auto in_pieces = [&](size_t put_bytes) {
+    return [&payload, put_bytes](storage::SnapshotStore::PayloadSink* sink) {
+      for (size_t at = 0; at < put_bytes; at += 300) {
+        SAE_RETURN_NOT_OK(sink->Put(payload.data() + at,
+                                    std::min<size_t>(300, put_bytes - at)));
+      }
+      return Status::OK();
+    };
+  };
+  auto file_bytes = [](FaultFs* fs, const std::string& path) {
+    auto file = fs->Open(path, false);
+    EXPECT_TRUE(file.ok());
+    std::vector<uint8_t> bytes(file.value()->Size().ValueOrDie());
+    EXPECT_TRUE(file.value()->ReadAt(0, bytes.data(), bytes.size()).ok());
+    return bytes;
+  };
+  FaultFs whole_fs, streamed_fs;
+  storage::SnapshotStore whole(&whole_fs, "/snaps");
+  storage::SnapshotStore streamed(&streamed_fs, "/snaps");
+  ASSERT_TRUE(whole.Write(4, payload).ok());
+  ASSERT_TRUE(whole.WriteDelta(4, 6, payload).ok());
+  ASSERT_TRUE(streamed.Write(4, payload.size(), in_pieces(payload.size())).ok());
+  ASSERT_TRUE(streamed
+                  .WriteDelta(4, 6, payload.size(), in_pieces(payload.size()))
+                  .ok());
+  for (const std::string& name :
+       {std::string("snap-00000000000000000004"), DeltaFileName(4, 6)}) {
+    EXPECT_EQ(file_bytes(&streamed_fs, "/snaps/" + name),
+              file_bytes(&whole_fs, "/snaps/" + name))
+        << name;
+  }
+
+  EXPECT_EQ(streamed.Write(8, payload.size(), in_pieces(payload.size() - 1))
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(streamed_fs.Exists("/snaps/snap-00000000000000000008"));
+  EXPECT_EQ(streamed.LoadLatest().ValueOrDie().epoch, 4u);
 }
 
 TEST(SnapshotStore, CorruptMiddleDeltaEndsTheChainAtTheBreak) {
@@ -1363,6 +1412,213 @@ TEST(Recovery, ShardedDurabilityStatsCountSkippedCheckpoints) {
   }
   EXPECT_GT(per_shard, 0u);
   EXPECT_EQ(system.durability_stats().checkpoints_skipped, per_shard);
+}
+
+// --- the pending log and the checkpoint image --------------------------------
+
+// Regression: recovery replays the WAL tail past the chain through the
+// live apply path, around the stage path. Those records must join the
+// pending log: otherwise the next checkpoint chains onto the recovered
+// tail without them, sealing the WAL for it drops the segment that held
+// them, and a second crash silently loses updates the first recovery kept.
+// `next_is_full` makes that next checkpoint a full snapshot instead of a
+// delta.
+template <typename System>
+void RunSecondCrashKeepsTheReplayedWalTail(bool next_is_full) {
+  SCOPED_TRACE(next_is_full ? "next checkpoint full" : "next checkpoint delta");
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  auto options = DurableOptions<System>(crypto::HashScheme::kSha1, &fs, "/db");
+  // The first cadence checkpoint (epoch 5) is a delta either way; after it
+  // the chain holds one link, so every 2nd makes the next one full.
+  options.durability.full_snapshot_every = next_is_full ? 2 : 8;
+  {
+    System system(options);
+    ASSERT_TRUE(system.Load(SeedDataset(codec, 12)).ok());
+    for (RecordId id = 100; id <= 105; ++id) {
+      ASSERT_TRUE(system.Insert(codec.MakeRecord(id, Key(300 + id))).ok());
+    }
+    ASSERT_TRUE(system.WaitForCheckpoints().ok());
+  }
+  fs.DropVolatile();  // crash 1: ids 104 and 105 live only in the WAL
+  {
+    auto recovered = System::Recover(options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+    System& system = *recovered.value();
+    ASSERT_EQ(system.epoch(), 7u);
+    ASSERT_EQ(system.durability()->recovered().snapshot_epoch, 5u);
+    for (RecordId id = 200; id <= 203; ++id) {
+      ASSERT_TRUE(system.Insert(codec.MakeRecord(id, Key(300 + id))).ok());
+    }
+    ASSERT_TRUE(system.WaitForCheckpoints().ok());
+    DurabilityStats stats = system.durability_stats();
+    EXPECT_EQ(stats.checkpoints_full, next_is_full ? 1u : 0u);
+    EXPECT_EQ(stats.checkpoints_delta, next_is_full ? 0u : 1u);
+  }
+  fs.DropVolatile();  // crash 2, after the epoch-11 checkpoint sealed the WAL
+  auto recovered = System::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  System& system = *recovered.value();
+  EXPECT_EQ(system.epoch(), 11u);
+  VerifySweep(&system);
+  std::vector<RecordId> ids;
+  for (const Record& record : FullScan(&system)) ids.push_back(record.id);
+  std::sort(ids.begin(), ids.end());
+  std::vector<RecordId> expected;
+  for (RecordId id = 1; id <= 12; ++id) expected.push_back(id);
+  for (RecordId id = 100; id <= 105; ++id) expected.push_back(id);
+  for (RecordId id = 200; id <= 203; ++id) expected.push_back(id);
+  EXPECT_EQ(ids, expected);
+  for (RecordId id : {RecordId(104), RecordId(105)}) {
+    auto outcome = system.Query(dbms::QueryRequest::Point(Key(300 + id)));
+    ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+    EXPECT_TRUE(outcome.value().verification.ok());
+    ASSERT_EQ(outcome.value().results.size(), 1u) << "id " << id << " lost";
+    EXPECT_EQ(outcome.value().results[0].id, id);
+  }
+}
+
+TEST(Recovery, SecondCrashKeepsTheReplayedWalTail) {
+  for (bool next_is_full : {false, true}) {
+    RunSecondCrashKeepsTheReplayedWalTail<SaeSystem>(next_is_full);
+    RunSecondCrashKeepsTheReplayedWalTail<TomSystem>(next_is_full);
+  }
+}
+
+// Every cadence full snapshot is streamed out of the manager's checkpoint
+// image, never captured from the live system. The file it writes must hold
+// byte for byte the payload a capture of the live system at that epoch
+// encodes — SAE's (key, id) order, TOM's leaf order and shape. The seeded
+// schedule crosses deletes, a delete and reinsert of one id inside one
+// checkpoint window, equal-key runs (and, for TOM, leaf and internal
+// splits), a failed group fsync (its retraction cuts the pending log) and
+// a failed checkpoint write followed by the forced full.
+template <typename System>
+void RunImageParity(uint64_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  auto options = DurableOptions<System>(crypto::HashScheme::kSha1, &fs, "/db");
+  if constexpr (std::is_same_v<System, TomSystem>) ShrinkFanouts(&options);
+  System system(options);
+  ASSERT_TRUE(system.Load(SeedDataset(codec, 30)).ok());
+  std::map<RecordId, Key> present;
+  for (const Record& record : SeedDataset(codec, 30)) {
+    present[record.id] = record.key;
+  }
+  storage::SnapshotStore store(&fs, "/db");
+  uint64_t fulls_seen = system.durability_stats().checkpoints_full;
+  size_t checked = 0;
+  bool reinserted = false, retracted = false, write_failed = false;
+  size_t checked_after_failed_write = 0;
+
+  auto check_new_full = [&] {
+    DurabilityStats stats = system.durability_stats();
+    if (stats.checkpoints_full == fulls_seen) return;
+    fulls_seen = stats.checkpoints_full;
+    auto latest = store.LoadLatest();
+    ASSERT_TRUE(latest.ok()) << latest.status().message();
+    ASSERT_EQ(latest.value().epoch, system.epoch());
+    auto captured = system.CaptureState();
+    ASSERT_TRUE(captured.ok());
+    EXPECT_EQ(latest.value().payload,
+              core::EncodeSnapshotState(captured.value()))
+        << "full snapshot at epoch " << system.epoch();
+    ++checked;
+    if (write_failed) ++checked_after_failed_write;
+  };
+  auto insert = [&](RecordId id, Key key) {
+    ASSERT_TRUE(system.Insert(codec.MakeRecord(id, key)).ok());
+    present[id] = key;
+  };
+  auto remove = [&](RecordId id) {
+    ASSERT_TRUE(system.Delete(id).ok());
+    present.erase(id);
+  };
+
+  const Key hot_keys[] = {100, 105, 110};  // 105 is a seed key too
+  uint64_t rand_state = seed;
+  RecordId next_id = 1000;
+  for (int step = 0; step < 120; ++step) {
+    const uint64_t window = system.durability_stats().updates_since_checkpoint;
+    bool checkpoint_fails = false;
+    if (!reinserted && step >= 17 && window + 2 <= kSnapshotInterval - 1) {
+      // Both halves land in one window: the delete's remove and the
+      // reinsert's upsert of the same id net to one upsert, which moves
+      // the record to the end of its key's run.
+      auto it = present.begin();
+      std::advance(it, NextRand(&rand_state) % present.size());
+      const RecordId id = it->first;
+      remove(id);
+      insert(id, hot_keys[NextRand(&rand_state) % 3]);
+      reinserted = true;
+    } else if (!retracted && step >= 40) {
+      // Counting from arming, barrier 1 is this insert's group fsync: it
+      // fails, and the durable abort marker retracts the staged record.
+      fs.FailAtSyncPoint(1);
+      EXPECT_EQ(system.Insert(codec.MakeRecord(next_id++, 105)).code(),
+                StatusCode::kIoError);
+      retracted = true;
+    } else if (!write_failed && step >= 70 &&
+               window == kSnapshotInterval - 1) {
+      // This insert completes the window: barrier 1 is its fsync, barrier
+      // 2 the checkpoint's temp-file sync, which fails transiently. The
+      // next checkpoint is forced full.
+      fs.FailAtSyncPoint(2);
+      insert(next_id++, hot_keys[NextRand(&rand_state) % 3]);
+      checkpoint_fails = true;
+      write_failed = true;
+    } else if (NextRand(&rand_state) % 10 < 3 && present.size() > 10) {
+      auto it = present.begin();
+      std::advance(it, NextRand(&rand_state) % present.size());
+      remove(it->first);
+    } else {
+      const uint64_t r = NextRand(&rand_state) % 10;
+      insert(next_id++, r < 7 ? hot_keys[r % 3] : Key(NextRand(&rand_state) % 400));
+    }
+    EXPECT_EQ(system.WaitForCheckpoints().ok(), !checkpoint_fails);
+    check_new_full();
+  }
+  EXPECT_TRUE(reinserted && retracted && write_failed);
+  EXPECT_GE(checked, 6u);
+  EXPECT_GE(checked_after_failed_write, 1u);
+  if constexpr (std::is_same_v<System, TomSystem>) {
+    btree::TreeShape shape;
+    ASSERT_TRUE(system.sp().table().index().Walk(&shape, nullptr).ok());
+    EXPECT_GE(shape.size(), 3u);  // leaves and internal nodes split
+  }
+
+  // The chain the image wrote, deltas included, recovers the live state.
+  std::vector<Record> live = FullScan(&system);
+  EXPECT_EQ(live.size(), present.size());
+  fs.DropVolatile();
+  auto recovered = System::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(recovered.value()->epoch(), system.epoch());
+  std::vector<Record> recovered_scan = FullScan(recovered.value().get());
+  if constexpr (std::is_same_v<System, SaeSystem>) {
+    // A live SAE table keeps a reinserted record at the end of its key's
+    // run; a recovered one is loaded in (key, id) order. Both verify.
+    for (std::vector<Record>* scan : {&live, &recovered_scan}) {
+      std::sort(scan->begin(), scan->end(),
+                [](const Record& a, const Record& b) {
+                  return a.key != b.key ? a.key < b.key : a.id < b.id;
+                });
+    }
+  } else {
+    EXPECT_EQ(recovered.value()->owner().signature(),
+              system.owner().signature());
+  }
+  EXPECT_EQ(recovered_scan, live);
+  VerifySweep(recovered.value().get());
+}
+
+TEST(Recovery, SaeFullSnapshotsFromTheImageMatchALiveCapture) {
+  for (uint64_t seed : {1, 2}) RunImageParity<SaeSystem>(seed);
+}
+
+TEST(Recovery, TomFullSnapshotsFromTheImageMatchALiveCapture) {
+  for (uint64_t seed : {1, 2}) RunImageParity<TomSystem>(seed);
 }
 
 // --- concurrent durable writers (the TSan CI target) -------------------------

@@ -1,13 +1,15 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Unit tests for src/storage: the in-memory page store, buffer pool
-// pin/evict semantics and access accounting, record codec, heap file.
+// pin/evict semantics and access accounting, record codec, heap file, and
+// the CRC-32 behind the WAL and snapshot files.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "storage/heap_file.h"
 #include "storage/page_store.h"
 #include "storage/record.h"
+#include "storage/wal.h"
 #include "util/random.h"
 
 namespace sae::storage {
@@ -709,6 +712,61 @@ TEST(HeapFileStressTest, RandomInsertDeleteAgainstModel) {
     ASSERT_TRUE(heap.Get(rid, out.data()).ok());
     EXPECT_EQ(codec.Deserialize(out.data()), record);
   }
+}
+
+// --- CRC-32 ---------------------------------------------------------------------
+
+// The textbook bytewise CRC-32 (reflected 0xEDB88320), one bit at a time:
+// the reference the table-driven Crc32 must agree with.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()),
+                  check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, MatchesTheBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(2024);
+  std::vector<uint8_t> buffer(8 + 70);
+  for (int round = 0; round < 4; ++round) {
+    for (uint8_t& byte : buffer) byte = uint8_t(rng.Next());
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t len = 0; len <= 70; ++len) {
+        const uint8_t* data = buffer.data() + offset;
+        ASSERT_EQ(Crc32(data, len), BitwiseCrc32(data, len))
+            << "offset " << offset << ", length " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, StreamedCrcSplitAnywhereEqualsTheOneShotCrc) {
+  Rng rng(77);
+  std::vector<uint8_t> buffer(300);
+  for (uint8_t& byte : buffer) byte = uint8_t(rng.Next());
+  const uint32_t whole = Crc32(buffer.data(), buffer.size());
+  for (size_t split = 0; split <= buffer.size(); ++split) {
+    uint32_t first = Crc32(buffer.data(), split);
+    ASSERT_EQ(Crc32(buffer.data() + split, buffer.size() - split, first),
+              whole)
+        << "split at " << split;
+  }
+  // Three pieces, the middle one empty, carry the same way.
+  uint32_t running = Crc32(buffer.data(), 123);
+  running = Crc32(buffer.data() + 123, 0, running);
+  EXPECT_EQ(Crc32(buffer.data() + 123, buffer.size() - 123, running), whole);
 }
 
 }  // namespace
