@@ -113,13 +113,13 @@ void RunShardedMixedSection() {
 
   for (size_t shards : ShardCounts()) {
     core::ShardedSaeSystem::Options options;
-    options.base.record_size = kRecordSize;
+    options.record_size = kRecordSize;
     core::ShardedSaeSystem system(
         core::ShardRouter::Balanced(dataset, shards), options);
     SAE_CHECK_OK(system.Load(dataset));
     core::QueryEngine engine(core::QueryEngine::Options{4});
     core::MixedStats stats =
-        engine.RunMixedBatch(&system, MakeMixedOps(kOps, 0.50, 3));
+        engine.RunMixed(&system, MakeMixedOps(kOps, 0.50, 3));
     std::printf("%8zu %8.0f %9.0f %12.3f %11.3f %9zu\n", system.num_shards(),
                 stats.QueriesPerSecond(),
                 stats.wall_ms > 0

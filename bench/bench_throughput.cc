@@ -97,14 +97,14 @@ void RunShardSweep(const std::vector<storage::Record>& dataset,
   std::printf("# shards        q/s   mean-resp(ms)   node-accesses\n");
   for (size_t shards : ShardCounts()) {
     core::ShardedSaeSystem::Options options;
-    options.base.record_size = kRecordSize;
-    options.base.DisableCaches();
+    options.record_size = kRecordSize;
+    options.DisableCaches();
     core::ShardedSaeSystem system(
         core::ShardRouter::Balanced(dataset, shards), options);
     SAE_CHECK_OK(system.Load(dataset));
     core::QueryEngine engine(core::QueryEngineOptions{4});
     core::BatchStats run = TimeBatches(
-        batch.size(), [&] { return engine.RunBatch(&system, batch); });
+        batch.size(), [&] { return engine.Run(&system, batch); });
     std::printf("%8zu %10.0f %15.3f %15llu\n", system.num_shards(),
                 run.QueriesPerSecond(), run.wall_ms / double(run.queries),
                 (unsigned long long)(run.total.sp_index_accesses +
@@ -137,7 +137,7 @@ void RunOperatorSweep(const char* model, System* system) {
     }
     core::QueryEngine engine(core::QueryEngineOptions{4});
     core::BatchStats run = TimeBatches(
-        batch.size(), [&] { return engine.RunBatch(system, batch); });
+        batch.size(), [&] { return engine.Run(system, batch); });
     std::printf("%6s %8s %10.0f %15.3f %15zu\n", model,
                 sae::dbms::QueryOpName(op), run.QueriesPerSecond(),
                 run.wall_ms / double(run.queries),

@@ -47,7 +47,7 @@ bool RunShardedAct(const std::vector<storage::Record>& dataset,
   constexpr size_t kBadShard = 2;
 
   ShardedSaeSystem::Options options;
-  options.base.record_size = record_size;
+  options.record_size = record_size;
   ShardRouter router = ShardRouter::Balanced(dataset, kShards);
   ShardedSaeSystem system(router, options);
   if (!system.Load(dataset).ok()) {

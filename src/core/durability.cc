@@ -325,7 +325,7 @@ DurabilityManager::DurabilityManager(const DurabilityOptions& options,
                                      storage::Vfs* vfs)
     : options_(options),
       vfs_(vfs),
-      snapshots_(vfs, options.dir, options.keep_snapshots) {}
+      snapshots_(vfs, options.dir) {}
 
 DurabilityManager::~DurabilityManager() {
   {

@@ -18,7 +18,8 @@
 // the records inserted/deleted since the previous checkpoint — O(changes),
 // not O(state) — chained onto it by epoch; every `full_snapshot_every`-th
 // checkpoint compacts the chain into a fresh full snapshot, which also
-// garbage-collects chains beyond the newest `keep_snapshots`.
+// garbage-collects chains beyond the newest two
+// (storage::SnapshotStore::kKeepChains).
 //
 // Both kinds are built from the manager's own state, never from a copy of
 // the live dataset:
@@ -105,9 +106,6 @@ struct DurabilityOptions {
   /// values bound replay length at the price of checkpoint I/O — the
   /// cadence sweep in bench_durability quantifies the trade.
   uint64_t snapshot_interval = 64;
-  /// Full-snapshot chains kept by GC; >= 2 keeps a whole fallback chain
-  /// behind a corrupt newest.
-  size_t keep_snapshots = 2;
   /// Every Nth checkpoint is a full snapshot compacting the chain (and
   /// bounding recovery to at most N-1 delta loads). 0 or 1 = always full.
   uint64_t full_snapshot_every = 8;

@@ -59,24 +59,4 @@ void QueryEngine::Dispatch(size_t count,
   job_ = nullptr;
 }
 
-QueryEngine::SaeBatch QueryEngine::Run(SaeSystem* system,
-                                       const std::vector<BatchQuery>& queries) {
-  return RunBatch(system, queries);
-}
-
-QueryEngine::TomBatch QueryEngine::Run(TomSystem* system,
-                                       const std::vector<BatchQuery>& queries) {
-  return RunBatch(system, queries);
-}
-
-MixedStats QueryEngine::RunMixed(SaeSystem* system,
-                                 const std::vector<BatchOp>& ops) {
-  return RunMixedBatch(system, ops);
-}
-
-MixedStats QueryEngine::RunMixed(TomSystem* system,
-                                 const std::vector<BatchOp>& ops) {
-  return RunMixedBatch(system, ops);
-}
-
 }  // namespace sae::core

@@ -153,36 +153,17 @@ class QueryEngine {
   using SaeBatch = Batch<SaeSystem>;
   using TomBatch = Batch<TomSystem>;
 
-  /// Runs the batch to completion against the shared system. The generic
-  /// template serves any conforming system (the sharded systems route
-  /// their batches through it); the named overloads keep call sites terse.
+  /// Runs the batch to completion against the shared system (unsharded or
+  /// sharded alike).
   template <typename System>
-  Batch<System> RunBatch(System* system,
-                         const std::vector<BatchQuery>& queries);
-  SaeBatch Run(SaeSystem* system, const std::vector<BatchQuery>& queries);
-  TomBatch Run(TomSystem* system, const std::vector<BatchQuery>& queries);
-
-  /// Bare fan-out primitive: executes task(0) .. task(count - 1) across the
-  /// worker pool (inline when the engine owns no workers) and returns when
-  /// all have completed. Not re-entrant — a task must never call back into
-  /// the engine that is running it (nested fan-out needs a second engine,
-  /// which is exactly what the sharded systems own for per-query
-  /// multi-shard dispatch).
-  void RunTasks(size_t count, const std::function<void(size_t)>& task) {
-    Dispatch(count, task);
-  }
+  Batch<System> Run(System* system, const std::vector<BatchQuery>& queries);
 
   /// Runs a mixed read/write batch: workers claim ops in order, queries
   /// take the system's reader lock and updates its writer lock, so the
   /// schedule interleaves genuinely. Returns aggregate stats (q/s and
-  /// per-update latency — what bench_ablation_updates reports). Generic
-  /// for the same reason as RunBatch: sharded systems qualify.
+  /// per-update latency — what bench_ablation_updates reports).
   template <typename System>
-  MixedStats RunMixedBatch(System* system, const std::vector<BatchOp>& ops);
-  MixedStats RunMixed(SaeSystem* system, const std::vector<BatchOp>& ops);
-  MixedStats RunMixed(TomSystem* system, const std::vector<BatchOp>& ops);
-
-  size_t worker_threads() const { return workers_.size(); }
+  MixedStats RunMixed(System* system, const std::vector<BatchOp>& ops);
 
  private:
   /// Executes task(0) .. task(count - 1) across the pool (inline when the
@@ -208,7 +189,7 @@ class QueryEngine {
 // --- template definitions ---------------------------------------------------
 
 template <typename System>
-QueryEngine::Batch<System> QueryEngine::RunBatch(
+QueryEngine::Batch<System> QueryEngine::Run(
     System* system, const std::vector<BatchQuery>& queries) {
   using Outcome = typename System::QueryOutcome;
   Batch<System> batch;
@@ -246,8 +227,8 @@ QueryEngine::Batch<System> QueryEngine::RunBatch(
 }
 
 template <typename System>
-MixedStats QueryEngine::RunMixedBatch(System* system,
-                                      const std::vector<BatchOp>& ops) {
+MixedStats QueryEngine::RunMixed(System* system,
+                                 const std::vector<BatchOp>& ops) {
   MixedStats stats;
 
   // Per-op slots filled by disjoint workers, reduced after the barrier.

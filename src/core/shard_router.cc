@@ -1,8 +1,8 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Implements ShardRouter fence construction (core/shard_router.h): checked
-// fences, equal-width domain splits, and data-balanced fence selection.
-// Routing and cover checks delegate to storage/key_range.h.
+// Implements ShardRouter (core/shard_router.h): checked fences,
+// equal-width domain splits, data-balanced fence selection, and the fence
+// math that routes keys and clips ranges.
 
 #include "core/shard_router.h"
 
@@ -18,6 +18,34 @@ ShardRouter::ShardRouter(std::vector<Key> fences)
     SAE_CHECK(fences_[i] != 0);
     SAE_CHECK(i == 0 || fences_[i - 1] < fences_[i]);
   }
+}
+
+size_t ShardRouter::ShardOf(Key key) const {
+  return size_t(std::upper_bound(fences_.begin(), fences_.end(), key) -
+                fences_.begin());
+}
+
+Key ShardRouter::shard_lo(size_t shard) const {
+  SAE_CHECK(shard <= fences_.size());
+  return shard == 0 ? 0 : fences_[shard - 1];
+}
+
+Key ShardRouter::shard_hi(size_t shard) const {
+  SAE_CHECK(shard <= fences_.size());
+  return shard == fences_.size() ? kMaxKey : fences_[shard] - 1;
+}
+
+std::vector<ShardRouter::Slice> ShardRouter::Partition(Key lo, Key hi) const {
+  std::vector<Slice> slices;
+  if (lo > hi) return slices;
+  size_t first = ShardOf(lo);
+  size_t last = ShardOf(hi);
+  slices.reserve(last - first + 1);
+  for (size_t s = first; s <= last; ++s) {
+    slices.push_back(
+        Slice{s, std::max(lo, shard_lo(s)), std::min(hi, shard_hi(s))});
+  }
+  return slices;
 }
 
 ShardRouter ShardRouter::EqualWidth(size_t shards, Key domain_max) {

@@ -2,14 +2,14 @@
 //
 // Range partitioning of the key space across N independent SP shards. The
 // router is trusted configuration: the DO chooses the fence keys, ships
-// them to every party, and clients use the same fences to (a) address the
-// shard(s) a query touches and (b) check that a stitched multi-shard
-// answer tiles the query range exactly — the fence-key completeness
-// argument of docs/SHARDING.md. The fence math itself lives in
-// storage/key_range.h: shard s owns the half-open fence interval
-// [fence_{s-1}, fence_s), rendered inclusive as [shard_lo(s),
-// shard_hi(s)], and adjacent shards abut with no gap
-// (shard_hi(s) + 1 == shard_lo(s + 1)).
+// them to every party, and clients use the same fences to address the
+// shard(s) a query touches. Because the client itself clips the range
+// along these fences, a stitched multi-shard answer tiles the query range
+// by construction — the fence-key completeness argument of
+// docs/SHARDING.md. Given ascending interior fences f_1 < ... < f_{N-1},
+// shard s owns the half-open interval [f_s, f_{s+1}) with f_0 = 0 and
+// f_N = 2^32, rendered inclusive as [shard_lo(s), shard_hi(s)], and
+// adjacent shards abut with no gap (shard_hi(s) + 1 == shard_lo(s + 1)).
 
 #ifndef SAE_CORE_SHARD_ROUTER_H_
 #define SAE_CORE_SHARD_ROUTER_H_
@@ -17,9 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "storage/key_range.h"
 #include "storage/record.h"
-#include "util/status.h"
 
 namespace sae::core {
 
@@ -29,8 +27,18 @@ using storage::Record;
 /// Routes keys and ranges to range-partitioned shards.
 class ShardRouter {
  public:
-  /// One shard's clipped view of a query.
-  using Slice = storage::KeySlice;
+  /// One shard's clipped, inclusive view of a query range.
+  struct Slice {
+    size_t shard = 0;
+    Key lo = 0;
+    Key hi = 0;
+
+    friend bool operator==(const Slice& a, const Slice& b) {
+      return a.shard == b.shard && a.lo == b.lo && a.hi == b.hi;
+    }
+  };
+
+  static constexpr Key kMaxKey = ~Key{0};
 
   /// Builds a router from ascending interior fence keys; N shards need
   /// N - 1 fences (none = one shard owning the whole key space). Fences
@@ -52,30 +60,15 @@ class ShardRouter {
   const std::vector<Key>& fences() const { return fences_; }
 
   /// The shard owning `key`.
-  size_t ShardOf(Key key) const { return storage::ShardOfKey(fences_, key); }
+  size_t ShardOf(Key key) const;
 
   /// Inclusive bounds of shard s: [shard_lo(s), shard_hi(s)].
-  Key shard_lo(size_t shard) const {
-    return storage::ShardLowerBound(fences_, shard);
-  }
-  Key shard_hi(size_t shard) const {
-    return storage::ShardUpperBound(fences_, shard);
-  }
+  Key shard_lo(size_t shard) const;
+  Key shard_hi(size_t shard) const;
 
   /// Clips [lo, hi] against the fences: one slice per shard the range
   /// overlaps, ascending by shard (therefore by key). Empty when lo > hi.
-  std::vector<Slice> Partition(Key lo, Key hi) const {
-    return storage::PartitionKeyRange(fences_, lo, hi);
-  }
-
-  /// Structural check on a stitched answer (ShardedSystem::ExecuteQuery):
-  /// the slices must tile [lo, hi] exactly along the trusted fences (see
-  /// storage::VerifyKeyCover).
-  Status VerifyCover(Key lo, Key hi, const std::vector<Slice>& slices) const {
-    return storage::VerifyKeyCover(fences_, lo, hi, slices);
-  }
-
-  static constexpr Key kMaxKey = storage::kMaxShardKey;
+  std::vector<Slice> Partition(Key lo, Key hi) const;
 
  private:
   std::vector<Key> fences_;  // ascending interior fences

@@ -1,14 +1,13 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Implements the sharded execution tier (core/sharded_system.h): dataset
-// partitioning, parallel multi-shard query fan-out with composite
-// verification, and shard-routed updates that bump only the owning
+// partitioning, inline multi-shard query fan-out with the composite
+// verdict fold, and shard-routed updates that bump only the owning
 // shard's epoch. Explicitly instantiated for SaeSystem and TomSystem.
 
 #include "core/sharded_system.h"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -23,36 +22,31 @@ std::string ShardDurabilityDir(const std::string& dir, size_t shard) {
   return dir + "/shard-" + std::to_string(shard);
 }
 
-/// `options.base` with the durability directory rebased for shard `s` (a
+/// `options` with the durability directory rebased for shard `s` (a
 /// no-op when durability is off).
-template <typename Base>
-typename Base::Options ShardOptions(
-    const typename ShardedSystem<Base>::Options& options, size_t s) {
-  typename Base::Options base = options.base;
-  if (base.durability.enabled) {
-    base.durability.dir = ShardDurabilityDir(base.durability.dir, s);
+template <typename Options>
+Options ShardOptions(Options options, size_t s) {
+  if (options.durability.enabled) {
+    options.durability.dir = ShardDurabilityDir(options.durability.dir, s);
   }
-  return base;
+  return options;
 }
 
 }  // namespace
 
 template <typename Base>
 ShardedSystem<Base>::ShardedSystem(ShardRouter router, const Options& options)
-    : router_(std::move(router)),
-      options_(options),
-      fanout_(QueryEngineOptions{options.fanout_workers}) {
+    : router_(std::move(router)) {
   shards_.reserve(router_.num_shards());
   for (size_t s = 0; s < router_.num_shards(); ++s) {
-    shards_.push_back(
-        std::make_unique<Base>(ShardOptions<Base>(options_, s)));
+    shards_.push_back(std::make_unique<Base>(ShardOptions(options, s)));
   }
 }
 
 template <typename Base>
 Result<std::unique_ptr<ShardedSystem<Base>>> ShardedSystem<Base>::Recover(
     ShardRouter router, const Options& options) {
-  if (!options.base.durability.enabled) {
+  if (!options.durability.enabled) {
     return Status::InvalidArgument("recovery needs durability enabled");
   }
   auto system =
@@ -60,7 +54,7 @@ Result<std::unique_ptr<ShardedSystem<Base>>> ShardedSystem<Base>::Recover(
   std::lock_guard<std::mutex> lock(system->directory_mu_);
   for (size_t s = 0; s < system->shards_.size(); ++s) {
     SAE_ASSIGN_OR_RETURN(system->shards_[s],
-                         Base::Recover(ShardOptions<Base>(options, s)));
+                         Base::Recover(ShardOptions(options, s)));
     // The recovered dataset rebuilds the id -> key routing directory.
     SAE_ASSIGN_OR_RETURN(SnapshotState state,
                          system->shards_[s]->CaptureState());
@@ -107,33 +101,14 @@ ShardedSystem<Base>::ExecuteQuery(const dbms::QueryRequest& request,
   std::vector<ShardRouter::Slice> plan =
       router_.Partition(request.lo, request.hi);
 
-  // Fan the per-shard sub-queries out — the same operator, range-clipped
-  // to each shard's slice. Each shard's ExecuteQuery takes that shard's
-  // own reader lock and verifies its slice (witness proof + partial-answer
-  // recomputation) against that shard's published epoch on the thread that
-  // ran it; a compromised shard corrupts only its own slice.
-  using BaseOutcome = typename Base::QueryOutcome;
-  std::vector<std::optional<Result<BaseOutcome>>> slots(plan.size());
-  std::function<void(size_t)> sub_query = [&](size_t i) {
-    dbms::QueryRequest sub = request;
-    sub.lo = plan[i].lo;
-    sub.hi = plan[i].hi;
-    slots[i].emplace(shards_[plan[i].shard]->ExecuteQuery(sub, tap));
-  };
-  // The worker pool runs one job at a time (QueryEngine::Dispatch is
-  // single-caller), so the first concurrent query in takes it via the
-  // try-lock and the rest fan out inline on their own threads — never
-  // blocking on, or racing over, the shared job state.
-  std::unique_lock<std::mutex> fan_lock(fanout_mu_, std::try_to_lock);
-  if (fan_lock.owns_lock() && fanout_.worker_threads() > 0) {
-    fanout_.RunTasks(plan.size(), sub_query);
-  } else {
-    for (size_t i = 0; i < plan.size(); ++i) sub_query(i);
-  }
-
-  // Stitch witness slices and fold the partial answers. An execution error
-  // (as opposed to a verification verdict) on any shard fails the whole
-  // query, mirroring the unsharded systems.
+  // Run the per-shard sub-queries inline — the same operator, range-clipped
+  // to each shard's slice — and stitch their witnesses and partial answers.
+  // Each shard's ExecuteQuery takes that shard's own reader lock and
+  // verifies its slice (witness proof + partial-answer recomputation)
+  // against that shard's published epoch; a compromised shard corrupts
+  // only its own slice. An execution error (as opposed to a verification
+  // verdict) on any shard fails the whole query, mirroring the unsharded
+  // systems.
   QueryOutcome outcome;
   outcome.request = request;
   outcome.slices.reserve(plan.size());
@@ -141,14 +116,18 @@ ShardedSystem<Base>::ExecuteQuery(const dbms::QueryRequest& request,
   verdicts.reserve(plan.size());
   std::vector<dbms::QueryAnswer> parts;
   parts.reserve(plan.size());
-  for (size_t i = 0; i < plan.size(); ++i) {
-    Result<BaseOutcome>& slot = *slots[i];
-    if (!slot.ok()) return slot.status();
+  for (const ShardRouter::Slice& part : plan) {
+    dbms::QueryRequest sub = request;
+    sub.lo = part.lo;
+    sub.hi = part.hi;
+    Result<typename Base::QueryOutcome> result =
+        shards_[part.shard]->ExecuteQuery(sub, tap);
+    if (!result.ok()) return result.status();
     Slice slice;
-    slice.shard = plan[i].shard;
-    slice.lo = plan[i].lo;
-    slice.hi = plan[i].hi;
-    slice.outcome = std::move(slot.value());
+    slice.shard = part.shard;
+    slice.lo = part.lo;
+    slice.hi = part.hi;
+    slice.outcome = std::move(result.value());
     outcome.results.insert(outcome.results.end(),
                            slice.outcome.results.begin(),
                            slice.outcome.results.end());
@@ -159,15 +138,12 @@ ShardedSystem<Base>::ExecuteQuery(const dbms::QueryRequest& request,
   }
   outcome.answer = dbms::MergeAnswers(request, parts);
 
-  // The one composite check of a stitched answer: fence-key tiling first
-  // (it holds by construction while the slices come from this router; a
-  // tier that receives slices would run the same check), then the
-  // cross-shard epoch fold over the per-slice verdicts (each already
-  // covers its witness AND its partial answer, so one aggregate-lying
-  // shard surfaces here with attribution).
-  Status cover = router_.VerifyCover(request.lo, request.hi, plan);
-  outcome.verification =
-      cover.ok() ? CombineShardStatuses(verdicts) : std::move(cover);
+  // The composite verdict: the slices tile [lo, hi] by construction (the
+  // router clipped the range along the trusted fences), so it is the
+  // cross-shard epoch fold over the per-slice verdicts. Each of those
+  // already covers its witness AND its partial answer, so one
+  // aggregate-lying shard surfaces here with attribution.
+  outcome.verification = CombineShardStatuses(verdicts);
   return outcome;
 }
 

@@ -5,16 +5,16 @@
 // system (its own auth state — XB-tree at the TE under SAE, MB-tree +
 // epoch-stamped root signature under TOM — its own reader-writer lock,
 // its own epoch counter). Point and range queries route to the owning
-// shard(s); a range spanning several shards fans out in parallel over a
-// QueryEngine worker pool and the per-shard answers are stitched into a
-// composite result whose verification checks, in order:
+// shard(s); a range spanning several shards runs one clipped sub-query
+// per shard inline on the calling thread (batch parallelism comes from an
+// outer QueryEngine), and the per-shard answers are stitched into a
+// composite result. The slices tile the query range by construction (the
+// router clips it along the trusted fences), so the composite verdict is
+// the fold of the per-shard verdicts:
 //
-//   1. structural fence-key completeness — the returned slices must tile
-//      the query range exactly along the trusted fences
-//      (ShardRouter::VerifyCover);
-//   2. per-shard cryptographic verification — each slice carries its
+//   1. per-shard cryptographic verification — each slice carries its
 //      shard's own VT / VO, checked against that shard's published epoch;
-//   3. cross-shard epoch agreement — fresh and stale shards mixed in one
+//   2. cross-shard epoch agreement — fresh and stale shards mixed in one
 //      answer is a torn snapshot (StatusCode::kShardEpochSkew); uniformly
 //      stale is a replay (kStaleEpoch); any record-level corruption is a
 //      kVerificationFailure naming the shard.
@@ -32,7 +32,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/query_engine.h"
 #include "core/shard_router.h"
 #include "core/system.h"
 
@@ -45,27 +44,17 @@ struct ShardUpdate {
 };
 
 /// N-shard wrapper over any single-shard system (SaeSystem, TomSystem).
-/// Each shard is a full Base instance; the wrapper owns the router, the
-/// fan-out engine for multi-shard queries, and the id -> key directory that
-/// routes deletes. Thread-safe to the same degree as Base: queries and
-/// updates may run concurrently from any number of threads, and updates to
-/// different shards proceed in parallel (no global writer lock exists).
+/// Each shard is a full Base instance; the wrapper owns the router and the
+/// id -> key directory that routes deletes. Thread-safe to the same degree
+/// as Base: queries and updates may run concurrently from any number of
+/// threads, and updates to different shards proceed in parallel (no global
+/// writer lock exists).
 template <typename Base>
 class ShardedSystem {
  public:
-  struct Options {
-    typename Base::Options base;  ///< applied to every shard (under TOM the
-                                  ///< shared rsa_seed keeps one DO key)
-    /// Worker threads of the internal fan-out engine used by multi-shard
-    /// queries. 0 = fan out inline on the calling thread; batch-level
-    /// parallelism then comes from an outer QueryEngine, which is the
-    /// right default (nesting two pools oversubscribes small hosts).
-    /// The pool serves one query's fan-out at a time (QueryEngine jobs
-    /// are single-caller); a query arriving while the pool is busy fans
-    /// out inline instead of waiting, so concurrent callers never block
-    /// on — or race over — the shared pool.
-    size_t fanout_workers = 0;
-  };
+  /// Applied to every shard, with the durability directory rebased per
+  /// shard (under TOM the shared rsa_seed keeps one DO key).
+  using Options = typename Base::Options;
 
   explicit ShardedSystem(ShardRouter router, const Options& options = {});
 
@@ -108,13 +97,14 @@ class ShardedSystem {
     QueryCosts costs;           ///< summed across slices
   };
 
-  /// Routes, fans out, stitches, folds partial answers, verifies. Each
-  /// shard executes the plan clipped to its slice (same operator, clipped
-  /// range) and verifies its own partial answer against its own proof; an
-  /// execution error on any shard fails the whole query (errored Result);
-  /// verification failures are reported per shard in `slices` and folded
-  /// into `verification` with attribution. `tap` is forwarded to every
-  /// shard the router picks, with that shard's sub-request.
+  /// Routes, runs the sub-queries, stitches, folds partial answers and
+  /// verdicts. Each shard executes the plan clipped to its slice (same
+  /// operator, clipped range) and verifies its own partial answer against
+  /// its own proof; an execution error on any shard fails the whole query
+  /// (errored Result); verification failures are reported per shard in
+  /// `slices` and folded into `verification` with attribution. `tap` is
+  /// forwarded to every shard the router picks, with that shard's
+  /// sub-request.
   Result<QueryOutcome> ExecuteQuery(const dbms::QueryRequest& request,
                                     QueryTap* tap = nullptr);
   /// Range-scan compatibility wrapper.
@@ -158,13 +148,7 @@ class ShardedSystem {
 
  private:
   ShardRouter router_;
-  Options options_;
   std::vector<std::unique_ptr<Base>> shards_;
-  // The fan-out pool plus the try-lock that hands it to one multi-shard
-  // query at a time (QueryEngine::Dispatch is single-job-only; see
-  // ExecuteQuery).
-  QueryEngine fanout_;
-  std::mutex fanout_mu_;
 
   // Routes deletes (and cross-shard duplicate-id checks) without asking
   // every shard. Guarded by its own mutex; the critical section is a map

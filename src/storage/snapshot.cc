@@ -2,7 +2,7 @@
 //
 // Implements the snapshot store (storage/snapshot.h): the temp-then-rename
 // write protocol for full and delta files, the CRC-validated chain walk
-// with fallback, and chain-aware keep-N GC.
+// with fallback, and chain-aware GC keeping the newest kKeepChains.
 //
 // On-disk full-snapshot layout (little-endian):
 //   [magic u32][version u32][epoch u64][payload_len u64]
@@ -66,8 +66,8 @@ bool ParseDeltaName(const std::string& name, uint64_t* base,
 
 }  // namespace
 
-SnapshotStore::SnapshotStore(Vfs* vfs, std::string dir, size_t keep)
-    : vfs_(vfs), dir_(std::move(dir)), keep_(keep < 1 ? 1 : keep) {}
+SnapshotStore::SnapshotStore(Vfs* vfs, std::string dir)
+    : vfs_(vfs), dir_(std::move(dir)) {}
 
 std::string SnapshotStore::PathFor(uint64_t epoch) const {
   char name[32];
@@ -160,14 +160,14 @@ Status SnapshotStore::Write(uint64_t epoch, uint64_t payload_len,
   SAE_RETURN_NOT_OK(WriteFile(header, payload_len, source, PathFor(epoch)));
 
   // Chain GC: a new full snapshot completes the previous chain. Keep the
-  // newest keep_ fulls and every delta at or above the oldest kept full
+  // newest kKeepChains fulls and every delta at or above the oldest kept full
   // (those are the kept chains' links); everything below belongs to a
   // retired chain. Runs after the rename so a crash during GC can only
   // lose already-redundant files.
   SAE_ASSIGN_OR_RETURN(std::vector<uint64_t> epochs, ListEpochs());
-  if (epochs.size() > keep_) {
-    uint64_t cutoff = epochs[epochs.size() - keep_];
-    for (size_t i = 0; i + keep_ < epochs.size(); ++i) {
+  if (epochs.size() > kKeepChains) {
+    uint64_t cutoff = epochs[epochs.size() - kKeepChains];
+    for (size_t i = 0; i + kKeepChains < epochs.size(); ++i) {
       SAE_RETURN_NOT_OK(vfs_->Remove(PathFor(epochs[i])));
     }
     SAE_ASSIGN_OR_RETURN(auto links, ListDeltaLinks());
@@ -230,7 +230,7 @@ SnapshotStore::ListDeltaLinks() const {
 Result<SnapshotStore::Loaded> SnapshotStore::LoadLatest() const {
   SAE_ASSIGN_OR_RETURN(std::vector<uint64_t> epochs, ListEpochs());
   // Newest first; any file that fails validation is skipped in favor of
-  // the next-newest (the keep >= 2 fallback).
+  // the next-newest (the kKeepChains = 2 fallback).
   for (size_t attempt = 0; attempt < epochs.size(); ++attempt) {
     uint64_t epoch = epochs[epochs.size() - 1 - attempt];
     auto file_or = vfs_->Open(PathFor(epoch), false);

@@ -19,7 +19,8 @@
 //                               whole-file buffer is ever built)
 //   2. sync it                           (sync point: content durable)
 //   3. rename to its final name          (sync point: name durable)
-//   4. (full writes only) GC whole chains older than the newest `keep`
+//   4. (full writes only) GC whole chains older than the newest
+//      kKeepChains
 // A crash anywhere leaves either the previous chain set intact or the new
 // file fully in place — a torn file is never visible under a final name,
 // and a bit-flipped one fails its CRC: LoadChain never composes past a bad
@@ -42,10 +43,12 @@ namespace sae::storage {
 
 class SnapshotStore {
  public:
-  /// `dir` must exist (or be creatable); the newest `keep` full-snapshot
-  /// chains survive GC (>= 2 keeps a whole fallback chain behind a corrupt
-  /// newest).
-  SnapshotStore(Vfs* vfs, std::string dir, size_t keep = 2);
+  /// Full-snapshot chains that survive GC: two keep a whole fallback
+  /// chain behind a corrupt newest.
+  static constexpr size_t kKeepChains = 2;
+
+  /// `dir` must exist (or be creatable).
+  SnapshotStore(Vfs* vfs, std::string dir);
 
   /// Where a streamed payload goes: each Put appends the next `n` bytes.
   class PayloadSink {
@@ -59,8 +62,8 @@ class SnapshotStore {
 
   /// Persists the `payload_len` bytes `source` streams as the FULL
   /// snapshot for `epoch` (see protocol above). Two sync points. GCs
-  /// chains beyond the newest `keep`. A source that puts any other length
-  /// fails the write before the rename.
+  /// chains beyond the newest kKeepChains. A source that puts any other
+  /// length fails the write before the rename.
   Status Write(uint64_t epoch, uint64_t payload_len,
                const PayloadSource& source);
   Status Write(uint64_t epoch, const std::vector<uint8_t>& payload);
@@ -136,7 +139,6 @@ class SnapshotStore {
 
   Vfs* vfs_;
   std::string dir_;
-  size_t keep_;
 };
 
 }  // namespace sae::storage

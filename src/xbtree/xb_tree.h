@@ -60,7 +60,7 @@ struct XbTuple {
 /// Fanout overrides for tests (0 = use defaults).
 struct XbTreeOptions {
   size_t max_entries = 0;       ///< keyed entries per node (default 126)
-  size_t tuples_per_chunk = 0;  ///< tuples per duplicate chunk (default 2)
+  size_t tuples_per_chunk = 0;  ///< tuples per duplicate chunk (default 1)
   /// Hot-level digest cache: parsed nodes at depth < hot_cache_levels are
   /// memoized and invalidated precisely along every update path, so
   /// steady-state VT generation parses only the leaf frontier. 0 disables.

@@ -13,6 +13,7 @@
 #include <algorithm>
 
 #include "core/messages.h"
+#include "core/query_engine.h"
 #include "core/sharded_system.h"
 #include "core/system.h"
 #include "dbms/query.h"
@@ -347,7 +348,7 @@ TEST(TomOperatorTest, AllOperatorsVerifyAgainstOracle) {
 
 TEST(ShardedOperatorTest, CrossShardAggregatesFoldAndVerify) {
   core::ShardedSaeSystem::Options options;
-  options.base.record_size = kRecSize;
+  options.record_size = kRecSize;
   std::vector<Record> all = Dataset(500);
   core::ShardedSaeSystem sharded(core::ShardRouter({200, 400, 700}), options);
   SAE_CHECK_OK(sharded.Load(all));
@@ -378,8 +379,8 @@ TEST(ShardedOperatorTest, CrossShardAggregatesFoldAndVerify) {
 
 TEST(ShardedOperatorTest, TomCrossShardAggregatesFoldAndVerify) {
   core::ShardedTomSystem::Options options;
-  options.base.record_size = kRecSize;
-  options.base.rsa_modulus_bits = 512;
+  options.record_size = kRecSize;
+  options.rsa_modulus_bits = 512;
   std::vector<Record> all = Dataset(300);
   core::ShardedTomSystem sharded(core::ShardRouter({300, 600}), options);
   SAE_CHECK_OK(sharded.Load(all));

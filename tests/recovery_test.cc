@@ -732,7 +732,7 @@ TEST(SnapshotStore, CorruptMiddleDeltaEndsTheChainAtTheBreak) {
 
 TEST(SnapshotStore, GcKeepsTheNewestTwoChains) {
   FaultFs fs;
-  storage::SnapshotStore store(&fs, "/snaps", 2);
+  storage::SnapshotStore store(&fs, "/snaps");
   ASSERT_TRUE(store.Write(1, {1}).ok());
   ASSERT_TRUE(store.WriteDelta(1, 2, {2}).ok());
   ASSERT_TRUE(store.WriteDelta(2, 3, {3}).ok());
@@ -1304,7 +1304,7 @@ TEST(Recovery, ShardedSystemRecoversEveryShardAndItsDirectory) {
   RecordCodec codec(kRecordSize);
   FaultFs fs;
   core::ShardedSaeSystem::Options options;
-  options.base =
+  options =
       DurableOptions<SaeSystem>(crypto::HashScheme::kSha1, &fs, "/db");
   core::ShardRouter router({100, 200});  // 3 shards
   const std::vector<Op> ops = {
@@ -1346,9 +1346,9 @@ TEST(Recovery, ShardedTomSystemRecoversSplitShards) {
   RecordCodec codec(kRecordSize);
   FaultFs fs;
   core::ShardedTomSystem::Options options;
-  options.base =
+  options =
       DurableOptions<TomSystem>(crypto::HashScheme::kSha1, &fs, "/db");
-  ShrinkFanouts(&options.base);
+  ShrinkFanouts(&options);
   core::ShardRouter router({100, 200});  // 3 shards
   std::vector<Record> live;
   std::vector<uint64_t> live_epochs;
@@ -1384,7 +1384,7 @@ TEST(Recovery, ShardedDurabilityStatsCountSkippedCheckpoints) {
   RecordCodec codec(kRecordSize);
   FaultFs fs;
   core::ShardedSaeSystem::Options options;
-  options.base =
+  options =
       DurableOptions<SaeSystem>(crypto::HashScheme::kSha1, &fs, "/db");
   core::ShardRouter router({100, 200});  // 3 shards; every key below is
                                          // shard 0's
@@ -1725,9 +1725,9 @@ TEST(DurableConcurrency, ShardedDurableWritersAcrossShards) {
   FaultFs fs;
   fs.SetSyncLatency(20);
   core::ShardedSaeSystem::Options options;
-  options.base =
+  options =
       DurableOptions<SaeSystem>(crypto::HashScheme::kSha1, &fs, "/db");
-  options.base.durability.snapshot_interval = 8;
+  options.durability.snapshot_interval = 8;
   core::ShardRouter router({100, 200});  // 3 shards
   constexpr int kThreads = 3;
   constexpr int kPerThread = 16;

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <random>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -68,7 +70,7 @@ std::vector<uint8_t> Flatten(const std::vector<Record>& records) {
 template <typename Base>
 typename ShardedSystem<Base>::Options ShardedOptions() {
   typename ShardedSystem<Base>::Options options;
-  options.base.record_size = kRecSize;
+  options.record_size = kRecSize;
   return options;
 }
 
@@ -122,23 +124,87 @@ TEST(ShardRouterTest, PartitionClipsAtFences) {
   EXPECT_EQ(straddle[1].lo, 100u);
 }
 
-TEST(ShardRouterTest, VerifyCoverRejectsGapsOverlapsAndForeignFences) {
-  ShardRouter router({100, 200});
-  auto good = router.Partition(50, 250);
-  EXPECT_TRUE(router.VerifyCover(50, 250, good).ok());
+// A router over 1-8 shards with seeded random fences drawn from
+// [1, domain_max].
+ShardRouter RandomRouter(std::mt19937* rng, Key domain_max) {
+  size_t shards = 1 + (*rng)() % 8;
+  std::uniform_int_distribution<Key> fence_key(1, domain_max);
+  std::set<Key> fences;
+  while (fences.size() + 1 < shards) fences.insert(fence_key(*rng));
+  return ShardRouter(std::vector<Key>(fences.begin(), fences.end()));
+}
 
-  auto missing = good;
-  missing.erase(missing.begin() + 1);  // hide the middle shard
-  EXPECT_FALSE(router.VerifyCover(50, 250, missing).ok());
+// The query-range endpoints where tiling can break: key 0, both sides of
+// every fence, and the top of the key space.
+std::vector<Key> EdgeKeys(const ShardRouter& router) {
+  std::vector<Key> keys = {0, ShardRouter::kMaxKey};
+  for (Key fence : router.fences()) {
+    keys.push_back(fence - 1);
+    keys.push_back(fence);
+  }
+  return keys;
+}
 
-  auto moved = good;
-  moved[0].hi = 120;  // shard 0 claims keys beyond its fence
-  moved[1].lo = 121;
-  EXPECT_FALSE(router.VerifyCover(50, 250, moved).ok());
+// The invariant the composite verdict relies on: Partition tiles every
+// query range exactly along the fences, so a stitched answer built from it
+// is complete by construction.
+TEST(ShardRouterTest, PartitionTilesEveryRange) {
+  std::mt19937 rng(20090401);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Half the routers crowd a small domain (adjacent fences, a fence at
+    // 1), half spread their fences over the whole key space.
+    Key domain_max = trial % 2 == 0 ? 64 : ShardRouter::kMaxKey;
+    ShardRouter router = RandomRouter(&rng, domain_max);
+    std::vector<Key> keys = EdgeKeys(router);
+    for (int i = 0; i < 4; ++i) keys.push_back(Key(rng()));
+    for (Key lo : keys) {
+      for (Key hi : keys) {
+        SCOPED_TRACE(::testing::Message() << "trial " << trial << " ["
+                                          << lo << ", " << hi << "]");
+        auto slices = router.Partition(lo, hi);
+        ASSERT_EQ(!slices.empty(), lo <= hi);
+        if (slices.empty()) continue;
+        EXPECT_EQ(slices.front().lo, lo);
+        EXPECT_EQ(slices.back().hi, hi);
+        for (size_t i = 0; i < slices.size(); ++i) {
+          const ShardRouter::Slice& slice = slices[i];
+          EXPECT_LE(router.shard_lo(slice.shard), slice.lo);
+          EXPECT_LE(slice.lo, slice.hi);
+          EXPECT_LE(slice.hi, router.shard_hi(slice.shard));
+          if (i + 1 < slices.size()) {
+            EXPECT_EQ(uint64_t(slice.hi) + 1, uint64_t(slices[i + 1].lo));
+            EXPECT_EQ(slice.shard + 1, slices[i + 1].shard);
+          }
+        }
+      }
+    }
+  }
 
-  auto short_cover = good;
-  short_cover[2].hi = 240;  // stops before the query's upper bound
-  EXPECT_FALSE(router.VerifyCover(50, 250, short_cover).ok());
+  // A sharded query executes exactly the router's partition.
+  auto dataset = MakeDataset(100, 20);  // keys 20..2000
+  for (int trial = 0; trial < 6; ++trial) {
+    ShardRouter router = RandomRouter(&rng, 2000);
+    ShardedSaeSystem sharded(router, ShardedOptions<SaeSystem>());
+    ASSERT_TRUE(sharded.Load(dataset).ok());
+    std::vector<Key> keys = EdgeKeys(router);
+    keys.push_back(1000);
+    for (Key lo : keys) {
+      for (Key hi : keys) {
+        if (lo > hi) continue;
+        SCOPED_TRACE(::testing::Message() << "trial " << trial << " ["
+                                          << lo << ", " << hi << "]");
+        auto outcome = sharded.ExecuteQuery(lo, hi);
+        ASSERT_TRUE(outcome.ok());
+        EXPECT_TRUE(outcome.value().verification.ok());
+        std::vector<ShardRouter::Slice> executed;
+        for (const auto& slice : outcome.value().slices) {
+          executed.push_back(ShardRouter::Slice{slice.shard, slice.lo,
+                                                slice.hi});
+        }
+        EXPECT_EQ(executed, router.Partition(lo, hi));
+      }
+    }
+  }
 }
 
 TEST(ShardRouterTest, EqualWidthAndBalancedProduceValidFences) {
@@ -637,7 +703,7 @@ TEST(ShardedEngineTest, BatchesRunAgainstShardedSystems) {
     batch.push_back(BatchQuery{lo, lo + 600});
   }
   QueryEngine engine(core::QueryEngineOptions{3});
-  auto run = engine.RunBatch(&sharded, batch);
+  auto run = engine.Run(&sharded, batch);
   EXPECT_EQ(run.stats.accepted, batch.size());
   EXPECT_EQ(run.stats.rejected + run.stats.failed, 0u);
 
@@ -645,7 +711,7 @@ TEST(ShardedEngineTest, BatchesRunAgainstShardedSystems) {
   adversary::ShardedSaeAdversary attacker(&sharded);
   std::vector<BatchQuery> bad = batch;
   for (auto& q : bad) q.tap = attacker.Tap(AttackMode::kTamperPayload);
-  auto rejected = engine.RunBatch(&sharded, bad);
+  auto rejected = engine.Run(&sharded, bad);
   EXPECT_EQ(rejected.stats.rejected, bad.size());
 }
 
@@ -666,7 +732,7 @@ TEST(ShardedEngineTest, MixedBatchesRouteUpdatesAcrossShards) {
     }
   }
   QueryEngine engine(core::QueryEngineOptions{4});
-  core::MixedStats stats = engine.RunMixedBatch(&sharded, ops);
+  core::MixedStats stats = engine.RunMixed(&sharded, ops);
   EXPECT_EQ(stats.updates, 10u);
   EXPECT_EQ(stats.update_failures, 0u);
   EXPECT_EQ(stats.accepted, stats.queries);
@@ -675,14 +741,11 @@ TEST(ShardedEngineTest, MixedBatchesRouteUpdatesAcrossShards) {
 
 // --- shard-parallel writers (ThreadSanitizer target) -------------------------
 
-TEST(ShardedConcurrencyTest, ConcurrentQueriesShareTheFanoutPoolSafely) {
-  // Regression: the internal fan-out QueryEngine serves one job at a
-  // time; with fanout_workers > 0, concurrent multi-shard queries used to
-  // race over its job state (empty result slots -> crash). Now the first
-  // query in takes the pool via a try-lock and the rest fan out inline.
+TEST(ShardedConcurrencyTest, ConcurrentMultiShardQueriesVerify) {
+  // Multi-shard queries from several threads at once: each fans out
+  // inline on its own thread under the shards' reader locks.
   auto dataset = MakeDataset(400);  // keys 10..4000
   auto options = ShardedOptions<SaeSystem>();
-  options.fanout_workers = 2;
   ShardedSaeSystem sharded(ShardRouter({1500, 3000}), options);
   ASSERT_TRUE(sharded.Load(dataset).ok());
 
