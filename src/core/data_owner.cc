@@ -14,31 +14,12 @@ namespace sae::core {
 
 DataOwner::DataOwner(size_t record_size) : codec_(record_size) {}
 
-Status DataOwner::SetDataset(const std::vector<Record>& records) {
-  master_.clear();
-  epoch_ = 0;  // nothing outsourced yet; Outsource publishes epoch 1
-  for (const Record& record : records) {
-    if (!master_.emplace(record.id, record).second) {
-      return Status::InvalidArgument("duplicate record id");
-    }
-  }
-  return Status::OK();
-}
-
 std::vector<Record> DataOwner::SortedDataset() const {
   std::vector<Record> out;
   out.reserve(master_.size());
   for (const auto& [id, record] : master_) out.push_back(record);
-  std::sort(out.begin(), out.end(), [](const Record& a, const Record& b) {
-    return a.key != b.key ? a.key < b.key : a.id < b.id;
-  });
+  std::sort(out.begin(), out.end(), storage::ByKeyId);
   return out;
-}
-
-Result<Record> DataOwner::Get(RecordId id) const {
-  auto it = master_.find(id);
-  if (it == master_.end()) return Status::NotFound("no record with this id");
-  return it->second;
 }
 
 void DataOwner::PublishEpoch(ServiceProvider* sp, TrustedEntity* te,
@@ -51,16 +32,30 @@ void DataOwner::PublishEpoch(ServiceProvider* sp, TrustedEntity* te,
   te->SetEpoch(epoch_);
 }
 
-Status DataOwner::Outsource(ServiceProvider* sp, TrustedEntity* te,
+Status DataOwner::Outsource(const std::vector<Record>& records,
+                            ServiceProvider* sp, TrustedEntity* te,
                             sim::Channel* to_sp, sim::Channel* to_te) {
-  std::vector<Record> sorted = SortedDataset();
-  // The parties load `sorted` itself; the channels count what it weighs as
-  // a records message.
-  size_t shipment = RecordsMessageSize(sorted.size(), codec_);
+  std::unordered_map<RecordId, Record> master;
+  master.reserve(records.size());
+  for (const Record& record : records) {
+    if (!master.emplace(record.id, record).second) {
+      return Status::InvalidArgument("duplicate record id");
+    }
+  }
+  master_ = std::move(master);
+  epoch_ = 0;  // nothing outsourced yet; the shipment publishes epoch 1
+
+  // Generated datasets and recovered snapshots arrive sorted and ship as
+  // they are.
+  std::vector<Record> copy;
+  const std::vector<Record>& shipped = storage::SortedByKeyId(records, &copy);
+  // The parties load `shipped` itself; the channels count what it weighs
+  // as a records message.
+  size_t shipment = RecordsMessageSize(shipped.size(), codec_);
   to_sp->SendBytes(shipment);
   to_te->SendBytes(shipment);
-  SAE_RETURN_NOT_OK(sp->LoadDataset(sorted));
-  SAE_RETURN_NOT_OK(te->LoadDataset(sorted));
+  SAE_RETURN_NOT_OK(sp->LoadDataset(shipped));
+  SAE_RETURN_NOT_OK(te->LoadDataset(shipped));
   PublishEpoch(sp, te, to_sp, to_te);  // the initial shipment is epoch 1
   return Status::OK();
 }

@@ -7,7 +7,7 @@
 #ifndef SAE_CORE_DATA_OWNER_H_
 #define SAE_CORE_DATA_OWNER_H_
 
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "core/service_provider.h"
@@ -23,19 +23,15 @@ class DataOwner {
  public:
   explicit DataOwner(size_t record_size = storage::kDefaultRecordSize);
 
-  /// Installs the master dataset. Record ids must be unique.
-  Status SetDataset(const std::vector<Record>& records);
-
-  /// Master copy sorted by key (the shipping order).
-  std::vector<Record> SortedDataset() const;
-
-  size_t size() const { return master_.size(); }
-  Result<Record> Get(RecordId id) const;
-
-  /// Ships the dataset to both parties over the metered channels (paper
-  /// Fig. 2 "Initial dataset" arrows); the parties build their structures.
-  Status Outsource(ServiceProvider* sp, TrustedEntity* te,
-                   sim::Channel* to_sp, sim::Channel* to_te);
+  /// Installs `records` as the master copy and ships them to both parties
+  /// over the metered channels (paper Fig. 2 "Initial dataset" arrows),
+  /// which build their structures from them; publishes epoch 1. Record ids
+  /// must be unique: a duplicate is rejected before anything changes. The
+  /// parties receive `records` itself when it is in (key, id) order, else a
+  /// sorted copy.
+  Status Outsource(const std::vector<Record>& records, ServiceProvider* sp,
+                   TrustedEntity* te, sim::Channel* to_sp,
+                   sim::Channel* to_te);
 
   /// Update paths: apply to the master copy, bump the epoch, and propagate
   /// record + epoch notice to both parties.
@@ -66,13 +62,17 @@ class DataOwner {
 
   const RecordCodec& codec() const { return codec_; }
 
+  /// The master copy in shipping order, (key, id): what a checkpoint of
+  /// the current epoch holds.
+  std::vector<Record> SortedDataset() const;
+
  private:
   /// Bumps the epoch and announces it to both parties (wire notice + state).
   void PublishEpoch(ServiceProvider* sp, TrustedEntity* te,
                     sim::Channel* to_sp, sim::Channel* to_te);
 
   RecordCodec codec_;
-  std::map<RecordId, Record> master_;
+  std::unordered_map<RecordId, Record> master_;
   uint64_t epoch_ = 0;
 };
 

@@ -305,12 +305,18 @@ void CheckpointImage::Erase(RecordId id) {
 void CheckpointImage::Apply(const std::vector<RecordId>& removes,
                             std::vector<Record> upserts) {
   for (RecordId id : removes) Erase(id);
+  // Only a seed (an empty image) reserves: sizing the index to every
+  // delta would rehash it whenever a delta's bucket count differs.
+  if (slot_of_.empty()) slot_of_.reserve(upserts.size());
   for (Record& record : upserts) {
     Erase(record.id);
     const Slot slot{record.key, ranked_ ? next_rank_++ : record.id};
     const RecordId id = record.id;
     encoded_bytes_ += EncodedSize(record);
-    slot_of_[id] = ordered_.emplace(slot, std::move(record)).first;
+    // A seed arrives in slot order, so the end is the usual place; any
+    // other slot falls back to the logarithmic search.
+    slot_of_[id] =
+        ordered_.emplace_hint(ordered_.end(), slot, std::move(record));
   }
 }
 

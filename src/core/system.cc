@@ -6,8 +6,6 @@
 
 #include "core/system.h"
 
-#include <algorithm>
-
 #include "core/messages.h"
 #include "sim/cost_model.h"
 #include "util/macros.h"
@@ -15,14 +13,6 @@
 namespace sae::core {
 
 namespace {
-
-std::vector<Record> SortByKey(std::vector<Record> records) {
-  std::sort(records.begin(), records.end(),
-            [](const Record& a, const Record& b) {
-              return a.key != b.key ? a.key < b.key : a.id < b.id;
-            });
-  return records;
-}
 
 TomServiceProvider::Options SpOptions(const TomSystemOptions& options) {
   TomServiceProvider::Options sp;
@@ -61,8 +51,7 @@ Status SaeSystem::Load(const std::vector<Record>& records) {
 }
 
 Status SaeSystem::LoadLocked(const std::vector<Record>& records) {
-  SAE_RETURN_NOT_OK(owner_.SetDataset(records));
-  return owner_.Outsource(&sp_, &te_, &do_sp_, &do_te_);
+  return owner_.Outsource(records, &sp_, &te_, &do_sp_, &do_te_);
 }
 
 Status SaeSystem::Apply(const WalUpdate& update, Traffic* traffic) {
@@ -174,7 +163,8 @@ TomSystem::TomSystem(const Options& options)
 
 Status TomSystem::Load(const std::vector<Record>& records) {
   std::unique_lock<std::shared_mutex> lock(rw_mu_);
-  std::vector<Record> sorted = SortByKey(records);
+  std::vector<Record> copy;
+  const std::vector<Record>& sorted = storage::SortedByKeyId(records, &copy);
   SAE_RETURN_NOT_OK(owner_.LoadDataset(sorted));
   do_sp_.SendBytes(RecordsMessageSize(sorted.size(), codec_));
   do_sp_.Send(SerializeSignature(owner_.signature(), owner_.epoch()));

@@ -103,18 +103,27 @@ Status Table::BulkLoad(const std::vector<Record>& records,
       return Status::InvalidArgument("records not sorted by key");
     }
   }
-  std::vector<btree::BTreeEntry> postings;
-  postings.reserve(records.size());
-  std::vector<uint8_t> bytes(codec_.record_size());
+  // Every id is checked before the heap sees a record, so a rejected load
+  // leaves the table empty. The catalog entries' addresses survive
+  // rehashing; the heap fills them in as it places each record.
+  std::vector<Rid*> rid_slots;
+  rid_slots.reserve(records.size());
+  rid_of_id_.reserve(records.size());
   for (const Record& record : records) {
-    if (!rid_of_id_.emplace(record.id, 0).second) {
+    auto [it, fresh] = rid_of_id_.emplace(record.id, storage::kInvalidRid);
+    if (!fresh) {
+      rid_of_id_.clear();
       return Status::InvalidArgument("duplicate record id in dataset");
     }
-    codec_.Serialize(record, bytes.data());
-    SAE_ASSIGN_OR_RETURN(Rid rid, heap_.Insert(bytes.data()));
-    rid_of_id_[record.id] = rid;
-    postings.push_back(btree::BTreeEntry{record.key, rid});
+    rid_slots.push_back(&it->second);
   }
+  std::vector<btree::BTreeEntry> postings(records.size());
+  SAE_RETURN_NOT_OK(heap_.InsertMany(
+      records.size(), [&](size_t i, Rid rid, uint8_t* slot) {
+        codec_.Serialize(records[i], slot);
+        *rid_slots[i] = rid;
+        postings[i] = btree::BTreeEntry{records[i].key, rid};
+      }));
   // Digest mode hashes the whole dataset in one multi-buffer batch.
   std::vector<crypto::Digest> digests;
   if (index_->with_digests()) {

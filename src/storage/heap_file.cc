@@ -23,43 +23,53 @@ HeapFile::HeapFile(BufferPool* pool, size_t record_size)
 HeapFile::~HeapFile() = default;
 
 Result<Rid> HeapFile::Insert(const uint8_t* data) {
-  PageId page_id;
-  BufferPool::PageRef ref;
-  if (!pages_with_room_.empty()) {
-    page_id = pages_with_room_.back();
-    SAE_ASSIGN_OR_RETURN(ref, pool_->Fetch(page_id));
-  } else {
-    SAE_ASSIGN_OR_RETURN(ref, pool_->New());
-    page_id = ref.id();
+  Rid out = kInvalidRid;
+  SAE_RETURN_NOT_OK(InsertMany(1, [&](size_t, Rid rid, uint8_t* slot) {
+    std::memcpy(slot, data, record_size_);
+    out = rid;
+  }));
+  return out;
+}
+
+Status HeapFile::InsertMany(size_t count, const SlotWriter& write) {
+  size_t i = 0;
+  while (i < count) {
+    // The page an Insert would pick: the newest page with room, else a
+    // fresh one.
+    BufferPool::PageRef ref;
+    if (!pages_with_room_.empty()) {
+      SAE_ASSIGN_OR_RETURN(ref, pool_->Fetch(pages_with_room_.back()));
+    } else {
+      SAE_ASSIGN_OR_RETURN(ref, pool_->New());
+      Page& page = ref.Mutable();
+      EncodeU32(page.bytes(), kMagic);
+      EncodeU16(page.bytes() + 4, uint16_t(slots_per_page_));
+      EncodeU16(page.bytes() + 6, 0);
+      pages_.push_back(ref.id());
+      pages_with_room_.push_back(ref.id());
+    }
+    const PageId page_id = ref.id();
     Page& page = ref.Mutable();
-    EncodeU32(page.bytes(), kMagic);
-    EncodeU16(page.bytes() + 4, uint16_t(slots_per_page_));
-    EncodeU16(page.bytes() + 6, 0);
-    pages_.push_back(page_id);
-    pages_with_room_.push_back(page_id);
+    uint8_t* bitmap = page.bytes() + kBitmapOffset;
+    size_t used = DecodeU16(page.bytes() + 6);
+    SAE_CHECK(used < slots_per_page_);
+    // Free slots in ascending order: the first free slot each Insert
+    // would take in turn.
+    for (uint32_t slot = 0; slot < slots_per_page_ && i < count; ++slot) {
+      if (TestBit(bitmap, slot)) continue;
+      SetBit(bitmap, slot);
+      ++used;
+      ++record_count_;
+      write(i++, MakeRid(page_id, slot),
+            page.bytes() + kHeaderSize + slot * record_size_);
+    }
+    EncodeU16(page.bytes() + 6, uint16_t(used));
+    if (used == slots_per_page_) {
+      // Page is now full; drop it from the free stack (it is on top).
+      pages_with_room_.pop_back();
+    }
   }
-
-  Page& page = ref.Mutable();
-  uint8_t* bitmap = page.bytes() + kBitmapOffset;
-  uint16_t used = DecodeU16(page.bytes() + 6);
-  SAE_CHECK(used < slots_per_page_);
-
-  uint32_t slot = 0;
-  while (TestBit(bitmap, slot)) ++slot;
-  SAE_CHECK(slot < slots_per_page_);
-
-  SetBit(bitmap, slot);
-  EncodeU16(page.bytes() + 6, uint16_t(used + 1));
-  std::memcpy(page.bytes() + kHeaderSize + slot * record_size_, data,
-              record_size_);
-
-  if (size_t(used) + 1 == slots_per_page_) {
-    // Page is now full; drop it from the free stack (it is on top).
-    SAE_CHECK(pages_with_room_.back() == page_id);
-    pages_with_room_.pop_back();
-  }
-  ++record_count_;
-  return MakeRid(page_id, slot);
+  return Status::OK();
 }
 
 Status HeapFile::Get(Rid rid, uint8_t* out) const {

@@ -54,6 +54,17 @@ class HeapFile {
   /// Inserts `record_size` bytes; returns the new record's location.
   Result<Rid> Insert(const uint8_t* data);
 
+  /// Writes record `i`'s `record_size` bytes into `slot`, the place
+  /// InsertMany chose for it at `rid`.
+  using SlotWriter =
+      std::function<void(size_t i, Rid rid, uint8_t* slot)>;
+
+  /// Inserts `count` records exactly as `count` Insert calls in a row
+  /// would — the same rids, page ids and page bytes, and the same pool
+  /// frames and LRU order — but pins each page once for all the records
+  /// it takes, not once per record. Insert is InsertMany of one record.
+  Status InsertMany(size_t count, const SlotWriter& write);
+
   /// Copies the record at `rid` into `out` (record_size bytes).
   Status Get(Rid rid, uint8_t* out) const;
 

@@ -205,6 +205,16 @@ Record RecordCodec::MakeRecord(RecordId id, Key key) const {
   return r;
 }
 
+const std::vector<Record>& SortedByKeyId(const std::vector<Record>& records,
+                                         std::vector<Record>* copy) {
+  if (std::is_sorted(records.begin(), records.end(), ByKeyId)) {
+    return records;
+  }
+  *copy = records;
+  std::sort(copy->begin(), copy->end(), ByKeyId);
+  return *copy;
+}
+
 std::vector<crypto::Digest> DigestRecords(const std::vector<Record>& records,
                                           const RecordCodec& codec,
                                           crypto::HashScheme scheme) {

@@ -124,6 +124,16 @@ struct Record {
   }
 };
 
+/// (key, id) order: the order a DO ships a dataset in and an SP stores it.
+inline bool ByKeyId(const Record& a, const Record& b) {
+  return a.key != b.key ? a.key < b.key : a.id < b.id;
+}
+
+/// `records` itself when it is already in (key, id) order — one O(n)
+/// check — else a sorted copy of it, kept in `*copy`.
+const std::vector<Record>& SortedByKeyId(const std::vector<Record>& records,
+                                         std::vector<Record>* copy);
+
 /// A buffer of canonical record images that someone else owns and shares —
 /// an SP answer-cache entry, a received frame — which decoded records view
 /// in place (RecordCodec::DeserializeMany) instead of copying. Every record

@@ -32,10 +32,7 @@ std::vector<storage::Record> GenerateDataset(const DatasetSpec& spec) {
     }
   }
 
-  std::sort(records.begin(), records.end(),
-            [](const storage::Record& a, const storage::Record& b) {
-              return a.key != b.key ? a.key < b.key : a.id < b.id;
-            });
+  std::sort(records.begin(), records.end(), storage::ByKeyId);
   return records;
 }
 

@@ -226,8 +226,8 @@ class SaeEntitiesTest : public ::testing::Test {
         owner_(kRecSize) {}
 
   void Outsource(size_t n) {
-    ASSERT_TRUE(owner_.SetDataset(SmallDataset(n)).ok());
-    ASSERT_TRUE(owner_.Outsource(&sp_, &te_, &do_sp_, &do_te_).ok());
+    ASSERT_TRUE(
+        owner_.Outsource(SmallDataset(n), &sp_, &te_, &do_sp_, &do_te_).ok());
   }
 
   ServiceProvider sp_;
@@ -459,6 +459,124 @@ TEST_F(TomEntitiesTest, MbTreeFanoutBelowBPlusTree) {
   // The ADS digests shrink fanout: 127 vs 340 at the leaf level — the
   // mechanism behind TOM's higher SP cost in Fig. 6.
   EXPECT_LT(sp_.ads().max_leaf_entries(), 340u / 2);
+}
+
+// --- one-pass Load -----------------------------------------------------------
+
+// A dataset with many records per key, so the (key, id) order within a key
+// is exercised, and a copy of it in a seeded random order.
+std::vector<Record> RunsOfKeys(size_t n) {
+  RecordCodec codec(kRecSize);
+  std::vector<Record> out;
+  for (uint64_t id = 1; id <= n; ++id) {
+    out.push_back(codec.MakeRecord(id, uint32_t((id * 7) % 53 * 10)));
+  }
+  std::sort(out.begin(), out.end(), storage::ByKeyId);
+  return out;
+}
+
+std::vector<Record> Shuffled(std::vector<Record> records, uint64_t seed) {
+  Rng rng(seed);
+  for (size_t i = records.size(); i > 1; --i) {
+    std::swap(records[i - 1], records[rng.NextBounded(i)]);
+  }
+  return records;
+}
+
+// Every byte the loaded parties serve for a fixed set of plans — the SP's
+// answer message, and the TE's token (SAE) or the SP's VO (TOM) — plus the
+// SP table's records and index shape, from one walk of its index.
+template <typename Sp>
+std::vector<std::vector<uint8_t>> ServedBytes(const Sp& sp,
+                                              const TrustedEntity* te) {
+  const std::vector<dbms::QueryRequest> plans = {
+      dbms::QueryRequest::Scan(0, 1000),   dbms::QueryRequest::Scan(95, 255),
+      dbms::QueryRequest::Point(250),      dbms::QueryRequest::Count(20, 400),
+      dbms::QueryRequest::Sum(0, 530),     dbms::QueryRequest::Min(31, 300),
+      dbms::QueryRequest::Max(31, 300),    dbms::QueryRequest::TopK(0, 520, 5)};
+  std::vector<std::vector<uint8_t>> out;
+  for (const dbms::QueryRequest& plan : plans) {
+    auto served = sp.ServeQuery(plan);
+    EXPECT_TRUE(served.ok());
+    if (!served.ok()) return out;
+    out.push_back(served.value()->answer_msg);
+    if (te != nullptr) {
+      out.push_back(SerializeVt(te->GenerateVt(plan).ValueOrDie()));
+    } else {
+      out.push_back(served.value()->proof_msg);
+    }
+  }
+  std::vector<Record> records;
+  btree::TreeShape shape;
+  EXPECT_TRUE(sp.table().Dump(&records, &shape).ok());
+  RecordCodec codec(kRecSize);
+  out.push_back(SerializeRecords(records, codec));
+  for (const std::vector<uint32_t>& level : shape) {
+    out.push_back(std::vector<uint8_t>(
+        reinterpret_cast<const uint8_t*>(level.data()),
+        reinterpret_cast<const uint8_t*>(level.data() + level.size())));
+  }
+  return out;
+}
+
+TEST_F(SaeEntitiesTest, OutsourceRejectsADuplicateIdBeforeAnyChange) {
+  Outsource(20);
+  std::vector<Record> dup = SmallDataset(5);
+  dup.push_back(dup[2]);
+  DataOwner fresh(kRecSize);
+  EXPECT_EQ(fresh.Outsource(dup, &sp_, &te_, &do_sp_, &do_te_).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fresh.epoch(), 0u);
+  EXPECT_FALSE(fresh.HasRecord(1));
+
+  // A loaded owner keeps its master copy and epoch, and the parties
+  // receive nothing.
+  const uint64_t shipped = do_sp_.total_bytes() + do_te_.total_bytes();
+  EXPECT_EQ(owner_.Outsource(dup, &sp_, &te_, &do_sp_, &do_te_).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(owner_.epoch(), 1u);
+  EXPECT_EQ(owner_.SortedDataset(), SmallDataset(20));
+  EXPECT_EQ(do_sp_.total_bytes() + do_te_.total_bytes(), shipped);
+  EXPECT_EQ(sp_.table().size(), 20u);
+}
+
+TEST(SystemLoadTest, SaeLoadsAShuffledCopyToTheSameBytes) {
+  const std::vector<Record> sorted = RunsOfKeys(500);
+  SaeSystem::Options options;
+  options.record_size = kRecSize;
+  SaeSystem from_sorted(options), from_shuffled(options);
+  ASSERT_TRUE(from_sorted.Load(sorted).ok());
+  ASSERT_TRUE(from_shuffled.Load(Shuffled(sorted, 7)).ok());
+  EXPECT_EQ(ServedBytes(from_shuffled.sp(), &from_shuffled.te()),
+            ServedBytes(from_sorted.sp(), &from_sorted.te()));
+  EXPECT_EQ(from_shuffled.do_sp_channel().total_bytes(),
+            from_sorted.do_sp_channel().total_bytes());
+  auto a = from_sorted.Query(dbms::QueryRequest::Sum(0, 300));
+  auto b = from_shuffled.Query(dbms::QueryRequest::Sum(0, 300));
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_TRUE(b.value().verification.ok());
+  EXPECT_EQ(b.value().answer.sum, a.value().answer.sum);
+  EXPECT_EQ(SerializeVt(b.value().vt), SerializeVt(a.value().vt));
+  EXPECT_EQ(b.value().results, a.value().results);
+}
+
+TEST(SystemLoadTest, TomLoadsAShuffledCopyToTheSameBytes) {
+  const std::vector<Record> sorted = RunsOfKeys(500);
+  TomSystem::Options options;
+  options.record_size = kRecSize;
+  options.rsa_modulus_bits = 512;
+  TomSystem from_sorted(options), from_shuffled(options);
+  ASSERT_TRUE(from_sorted.Load(sorted).ok());
+  ASSERT_TRUE(from_shuffled.Load(Shuffled(sorted, 7)).ok());
+  EXPECT_EQ(ServedBytes(from_shuffled.sp(), nullptr),
+            ServedBytes(from_sorted.sp(), nullptr));
+  EXPECT_EQ(from_shuffled.owner().signature(), from_sorted.owner().signature());
+  auto a = from_sorted.Query(dbms::QueryRequest::Sum(0, 300));
+  auto b = from_shuffled.Query(dbms::QueryRequest::Sum(0, 300));
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_TRUE(b.value().verification.ok());
+  EXPECT_EQ(b.value().answer.sum, a.value().answer.sum);
+  EXPECT_EQ(b.value().results, a.value().results);
 }
 
 }  // namespace

@@ -131,6 +131,31 @@ TEST_F(TableTest, BulkLoadRejectsUnsortedAndDuplicates) {
   EXPECT_FALSE(t2->BulkLoad(dup_id).ok());
 }
 
+TEST_F(TableTest, BulkLoadRejectedForDuplicateIdLeavesTableEmpty) {
+  // The duplicate comes last: every id is checked before the heap is
+  // written, so nothing of the rejected load stays behind.
+  std::vector<Record> dup_id{Make(1, 5), Make(2, 7), Make(1, 10)};
+  Status st = table_->BulkLoad(dup_id);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(table_->size(), 0u);
+  EXPECT_EQ(table_->heap().PageCount(), 0u);
+  EXPECT_EQ(table_->Get(2).status().code(), StatusCode::kNotFound);
+
+  // The same table takes a valid load afterwards.
+  std::vector<Record> records{Make(1, 5), Make(2, 7), Make(3, 10)};
+  ASSERT_TRUE(table_->BulkLoad(records).ok());
+  EXPECT_EQ(table_->size(), 3u);
+  ASSERT_TRUE(table_->index().Validate().ok());
+  for (const Record& record : records) {
+    auto got = table_->Get(record.id);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value(), record);
+  }
+  std::vector<Record> out;
+  ASSERT_TRUE(table_->RangeQuery(0, 100, &out).ok());
+  EXPECT_EQ(out, records);
+}
+
 TEST_F(TableTest, IndexAndHeapAccessesAreSeparated) {
   std::vector<Record> records;
   for (uint64_t id = 1; id <= 2000; ++id) {

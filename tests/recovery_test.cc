@@ -1621,6 +1621,80 @@ TEST(Recovery, TomFullSnapshotsFromTheImageMatchALiveCapture) {
   for (uint64_t seed : {1, 2}) RunImageParity<TomSystem>(seed);
 }
 
+// --- one-pass Load: input order does not reach the disk ----------------------
+
+// Every file under `dir`, by name, with its current bytes.
+std::map<std::string, std::vector<uint8_t>> DirBytes(FaultFs* fs,
+                                                     const std::string& dir) {
+  std::map<std::string, std::vector<uint8_t>> out;
+  auto names = fs->List(dir);
+  EXPECT_TRUE(names.ok());
+  if (!names.ok()) return out;
+  for (const std::string& name : names.value()) {
+    auto file = fs->Open(dir + "/" + name, /*create=*/false);
+    EXPECT_TRUE(file.ok()) << name;
+    if (!file.ok()) continue;
+    std::vector<uint8_t>& bytes = out[name];
+    bytes.resize(file.value()->Size().ValueOrDie());
+    auto read = file.value()->ReadAt(0, bytes.data(), bytes.size());
+    EXPECT_TRUE(read.ok() && read.value() == bytes.size()) << name;
+  }
+  return out;
+}
+
+// A durable Load from a shuffled copy of the dataset writes the same
+// files (the baseline snapshot, and a WAL segment if one is kept), byte
+// for byte, as a Load from the
+// sorted dataset, and the shuffled system's directory recovers.
+template <typename System>
+void ExpectShuffledLoadWritesTheSameFiles() {
+  RecordCodec codec(kRecordSize);
+  std::vector<Record> sorted;
+  for (RecordId id = 1; id <= 200; ++id) {
+    sorted.push_back(codec.MakeRecord(id, Key((id * 7) % 13 * 10)));
+  }
+  std::sort(sorted.begin(), sorted.end(), storage::ByKeyId);
+  std::vector<Record> shuffled = sorted;
+  uint64_t rand_state = 11;
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[NextRand(&rand_state) % i]);
+  }
+  ASSERT_NE(shuffled, sorted);
+
+  FaultFs sorted_fs, shuffled_fs;
+  auto sorted_options =
+      DurableOptions<System>(crypto::HashScheme::kSha1, &sorted_fs, "/db");
+  auto shuffled_options =
+      DurableOptions<System>(crypto::HashScheme::kSha1, &shuffled_fs, "/db");
+  {
+    System from_sorted(sorted_options), from_shuffled(shuffled_options);
+    ASSERT_TRUE(from_sorted.Load(sorted).ok());
+    ASSERT_TRUE(from_shuffled.Load(shuffled).ok());
+  }
+  auto files = DirBytes(&shuffled_fs, "/db");
+  size_t written = 0;
+  for (const auto& [name, bytes] : files) written += bytes.size();
+  EXPECT_GT(written, sorted.size() * kRecordSize);  // the baseline snapshot
+  EXPECT_EQ(files, DirBytes(&sorted_fs, "/db"));
+
+  shuffled_fs.DropVolatile();
+  auto recovered = System::Recover(shuffled_options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(recovered.value()->epoch(), 1u);
+  std::vector<Record> scan = FullScan(recovered.value().get());
+  std::sort(scan.begin(), scan.end(), storage::ByKeyId);
+  EXPECT_EQ(scan, sorted);
+  VerifySweep(recovered.value().get());
+}
+
+TEST(Recovery, SaeShuffledLoadWritesTheSameBaselineFiles) {
+  ExpectShuffledLoadWritesTheSameFiles<SaeSystem>();
+}
+
+TEST(Recovery, TomShuffledLoadWritesTheSameBaselineFiles) {
+  ExpectShuffledLoadWritesTheSameFiles<TomSystem>();
+}
+
 // --- concurrent durable writers (the TSan CI target) -------------------------
 
 TEST(DurableConcurrency, GroupCommitManyWritersRecoverExactly) {

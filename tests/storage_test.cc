@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -712,6 +714,105 @@ TEST(HeapFileStressTest, RandomInsertDeleteAgainstModel) {
     ASSERT_TRUE(heap.Get(rid, out.data()).ok());
     EXPECT_EQ(codec.Deserialize(out.data()), record);
   }
+}
+
+// Two heaps over their own small pools (4 frames, so loads evict), driven
+// with the same history: one places each batch with InsertMany, the other
+// one record at a time with Insert.
+struct HeapTwin {
+  explicit HeapTwin(size_t record_size)
+      : pool(&store, 4), heap(&pool, record_size) {}
+  InMemoryPageStore store;
+  BufferPool pool;
+  HeapFile heap;
+};
+
+std::vector<uint8_t> HeapRecordBytes(const RecordCodec& codec, size_t i) {
+  return codec.Serialize(codec.MakeRecord(i + 1, uint32_t(i * 7)));
+}
+
+TEST(HeapFileBulkTest, InsertManyMatchesPerRecordInsertPageForPage) {
+  RecordCodec codec(500);  // 8 slots a page
+  HeapTwin bulk(500), single(500);
+  size_t next = 0;
+  std::vector<Rid> bulk_rids, single_rids;
+  auto insert_batch = [&](size_t n) {
+    ASSERT_TRUE(bulk.heap
+                    .InsertMany(n,
+                                [&](size_t i, Rid rid, uint8_t* slot) {
+                                  std::vector<uint8_t> bytes =
+                                      HeapRecordBytes(codec, next + i);
+                                  std::memcpy(slot, bytes.data(), 500);
+                                  bulk_rids.push_back(rid);
+                                })
+                    .ok());
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<uint8_t> bytes = HeapRecordBytes(codec, next + i);
+      auto rid = single.heap.Insert(bytes.data());
+      ASSERT_TRUE(rid.ok());
+      single_rids.push_back(rid.value());
+    }
+    next += n;
+  };
+  // Fill some pages, punch holes in three of them (the newest-first free
+  // stack then holds pages with room out of id order), and refill across
+  // the holes, a partial last page and fresh pages.
+  insert_batch(29);
+  for (size_t victim : {28u, 2u, 3u, 12u, 20u}) {
+    ASSERT_TRUE(bulk.heap.Delete(bulk_rids[victim]).ok());
+    ASSERT_TRUE(single.heap.Delete(single_rids[victim]).ok());
+  }
+  insert_batch(0);
+  insert_batch(3);
+  insert_batch(44);
+  // A later Insert fills the partial last page the same way on both.
+  ASSERT_EQ(bulk.heap.size() % bulk.heap.slots_per_page(), 7u);
+  const size_t pages = bulk.heap.PageCount();
+  insert_batch(1);
+  EXPECT_EQ(bulk.heap.PageCount(), pages);
+
+  EXPECT_EQ(bulk_rids, single_rids);
+  // Insert's placement rule: the page that gained room last goes first
+  // (pages 2, 1 and 0 regained room in that reverse order; the partial
+  // page 3 had room all along), lowest free slot first, then fresh pages.
+  const std::vector<Rid> refill = {MakeRid(2, 4), MakeRid(1, 4),
+                                   MakeRid(0, 2), MakeRid(0, 3),
+                                   MakeRid(3, 4), MakeRid(3, 5),
+                                   MakeRid(3, 6), MakeRid(3, 7),
+                                   MakeRid(4, 0)};
+  EXPECT_EQ(std::vector<Rid>(single_rids.begin() + 29,
+                             single_rids.begin() + 29 + refill.size()),
+            refill);
+  ASSERT_EQ(bulk.heap.PageCount(), single.heap.PageCount());
+  EXPECT_EQ(bulk.heap.size(), single.heap.size());
+  for (PageId id = 0; id < bulk.heap.PageCount(); ++id) {
+    const Page* a = bulk.store.PageAt(id);
+    const Page* b = single.store.PageAt(id);
+    ASSERT_TRUE(a != nullptr && b != nullptr) << "page " << id;
+    EXPECT_EQ(a->data, b->data) << "page " << id;
+  }
+  // Same residency: the same frames were allocated, missed and evicted,
+  // and fetching every page now misses and hits in the same pattern (the
+  // LRU order matches). The bulk path pins each page once, not once per
+  // record.
+  BufferPool::Stats bulk_stats = bulk.pool.stats();
+  BufferPool::Stats single_stats = single.pool.stats();
+  EXPECT_EQ(bulk_stats.allocations, single_stats.allocations);
+  EXPECT_EQ(bulk_stats.misses, single_stats.misses);
+  EXPECT_EQ(bulk_stats.evictions, single_stats.evictions);
+  EXPECT_LT(bulk_stats.accesses, single_stats.accesses);
+  std::vector<bool> bulk_misses, single_misses;
+  for (PageId id = bulk.heap.PageCount(); id-- > 0;) {
+    for (HeapTwin* twin : {&bulk, &single}) {
+      uint64_t misses = twin->pool.stats().misses;
+      ASSERT_TRUE(twin->pool.Fetch(id).ok());
+      (twin == &bulk ? bulk_misses : single_misses)
+          .push_back(twin->pool.stats().misses > misses);
+    }
+  }
+  EXPECT_EQ(bulk_misses, single_misses);
+  EXPECT_NE(std::count(bulk_misses.begin(), bulk_misses.end(), true), 0);
+  EXPECT_NE(std::count(bulk_misses.begin(), bulk_misses.end(), false), 0);
 }
 
 // --- CRC-32 ---------------------------------------------------------------------
