@@ -391,8 +391,8 @@ int main() {
   std::printf("# malicious-SP probe: rejected (%s)\n",
               poisoned.status().ToString().c_str());
 
-  uint64_t accepted = sp_server.frame_server().connections_accepted() +
-                      te_server.frame_server().connections_accepted();
+  uint64_t accepted = sp_server.connections_accepted() +
+                      te_server.connections_accepted();
 
   const char* json_path = std::getenv("SAE_BENCH_JSON");
   if (json_path == nullptr) json_path = "BENCH_net.json";

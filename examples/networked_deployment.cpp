@@ -96,7 +96,7 @@ int RunSp(uint16_t port) {
   WaitForStopSignal();
   server.Stop();
   std::printf("[sp]     served %llu frames, exiting\n",
-              (unsigned long long)server.frame_server().frames_served());
+              (unsigned long long)server.frames_served());
   return 0;
 }
 
@@ -110,7 +110,7 @@ int RunTe(uint16_t port) {
   WaitForStopSignal();
   server.Stop();
   std::printf("[te]     served %llu frames, exiting\n",
-              (unsigned long long)server.frame_server().frames_served());
+              (unsigned long long)server.frames_served());
   return 0;
 }
 

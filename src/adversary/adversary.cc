@@ -117,6 +117,23 @@ Result<std::vector<uint8_t>> SaeSpAttack::OnToken(
   return core::SerializeVt(vt);
 }
 
+Result<std::shared_ptr<const core::CachedAnswer>> PairPaddingTap::OnAnswer(
+    const dbms::QueryRequest& request, uint64_t /*published*/,
+    std::shared_ptr<const core::CachedAnswer> served) {
+  const bool inside = pad_.key >= request.lo && pad_.key <= request.hi;
+  if (inside != (leg_ == Leg::kDuplicatePair)) return served;
+  SAE_ASSIGN_OR_RETURN(core::QueryAnswerMessage plan,
+                       core::DeserializeQueryAnswer(served->answer_msg, codec_));
+  auto at = std::upper_bound(
+      plan.witness.begin(), plan.witness.end(), pad_.key,
+      [](Key key, const Record& record) { return key < record.key; });
+  plan.witness.insert(at, 2, pad_);
+  return std::make_shared<const core::CachedAnswer>(core::CachedAnswer{
+      core::SerializeQueryAnswer(dbms::EvaluateAnswer(request, plan.witness),
+                                 plan.witness, plan.epoch, codec_),
+      {}});
+}
+
 // --- TOM ---------------------------------------------------------------------
 
 Result<std::shared_ptr<const core::CachedAnswer>> TomSpAttack::OnAnswer(

@@ -82,6 +82,33 @@ class SaeSpAttack final : public core::QueryTap {
   std::atomic<uint64_t> seed_{0xBADC0DE};
 };
 
+/// An SAE SP that pads each answer with two copies of `pad`. The XOR of
+/// unkeyed digests cancels the pair, so the token still matches and only
+/// the client's witness check (core::Client::CheckWitness) can reject it:
+///   - kDuplicatePair: `pad` is a made-up record inside the range, so an
+///     id repeats; an answer whose range does not hold it passes unchanged
+///     (a sharded query pads only the slice that holds it);
+///   - kOutOfRangePair: `pad` is a real record outside every range.
+/// The pair sits where key order puts it and the answer is re-derived from
+/// the padded witness, so each leg trips only the check it targets.
+/// Stateless, so thread-safe.
+class PairPaddingTap final : public core::QueryTap {
+ public:
+  enum class Leg { kDuplicatePair, kOutOfRangePair };
+
+  PairPaddingTap(Leg leg, Record pad, const RecordCodec& codec)
+      : leg_(leg), pad_(std::move(pad)), codec_(codec) {}
+
+  Result<std::shared_ptr<const core::CachedAnswer>> OnAnswer(
+      const dbms::QueryRequest& request, uint64_t published,
+      std::shared_ptr<const core::CachedAnswer> served) override;
+
+ private:
+  Leg leg_;
+  Record pad_;
+  RecordCodec codec_;
+};
+
 /// A compromised TOM SP as a tap on TomSystem::ExecuteQuery: as
 /// SaeSpAttack, with the VO in the served answer. kStaleVt presents
 /// `stale_signature` (the root signature at the replica's epoch) against

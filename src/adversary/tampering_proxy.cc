@@ -12,32 +12,23 @@
 
 namespace sae::adversary {
 
-TamperingProxy::TamperingProxy(net::Endpoint upstream, size_t record_size,
-                               size_t answer_frames)
-    : upstream_(std::move(upstream)),
-      codec_(record_size),
-      answer_frames_(answer_frames),
-      server_({}, [this](std::vector<uint8_t> request,
-                              std::vector<net::SharedPayload>* responses) {
-        Handle(std::move(request), responses);
-      }) {}
+namespace {
 
-void TamperingProxy::Handle(std::vector<uint8_t> request,
-                            std::vector<net::SharedPayload>* responses) {
-  // Runs on the proxy's event-loop thread; a blocking upstream round trip
-  // is fine for a test adversary.
+// Relays one request upstream and its responses back, tampering the answer
+// frame of a query. Runs on the proxy's event-loop thread; a blocking
+// upstream round trip is fine for a test adversary.
+void Relay(net::ClientTransport* upstream, const RecordCodec& codec,
+           size_t answer_frames, std::atomic<uint64_t>* tampered,
+           const std::vector<uint8_t>& request,
+           std::vector<net::SharedPayload>* responses) {
   Result<dbms::QueryRequest> query = core::DeserializeQueryRequest(request);
-  auto lease = upstream_.Acquire();
-  if (!lease.ok()) {
-    responses->push_back(net::Share(net::ErrorFrame(lease.status())));
-    return;
-  }
-  Status sent = lease.value().Send(request);
+  auto lease = upstream->Acquire();
+  Status sent = lease.ok() ? lease.value().Send(request) : lease.status();
   if (!sent.ok()) {
     responses->push_back(net::Share(net::ErrorFrame(sent)));
     return;
   }
-  size_t frames = query.ok() ? answer_frames_ : 1;
+  size_t frames = query.ok() ? answer_frames : 1;
   for (size_t i = 0; i < frames; ++i) {
     auto frame = lease.value().Recv();
     if (!frame.ok()) {
@@ -50,18 +41,34 @@ void TamperingProxy::Handle(std::vector<uint8_t> request,
       return;
     }
     if (i == 0 && query.ok()) {
-      auto answer = core::DeserializeQueryAnswer(frame.value(), codec_);
+      auto answer = core::DeserializeQueryAnswer(frame.value(), codec);
       if (answer.ok()) {
-        uint64_t seed = tampered_.fetch_add(1, std::memory_order_relaxed);
-        auto tampered =
-            TamperAnswer(frame.value(), query.value(),
-                         AttackMode::kTamperPayload, codec_, seed,
-                         answer.value().epoch);
-        if (tampered.ok()) frame = std::move(tampered).ValueOrDie();
+        uint64_t seed = tampered->fetch_add(1, std::memory_order_relaxed);
+        auto forged = TamperAnswer(frame.value(), query.value(),
+                                   AttackMode::kTamperPayload, codec, seed,
+                                   answer.value().epoch);
+        if (forged.ok()) frame = std::move(forged).ValueOrDie();
       }
     }
     responses->push_back(net::Share(std::move(frame).ValueOrDie()));
   }
 }
+
+}  // namespace
+
+TamperingProxy::TamperingProxy(std::shared_ptr<std::atomic<uint64_t>> tampered,
+                               net::Endpoint upstream, size_t record_size,
+                               size_t answer_frames)
+    : net::FrameServer(
+          {},
+          [upstream = std::make_shared<net::ClientTransport>(
+               std::move(upstream)),
+           codec = RecordCodec(record_size), answer_frames,
+           tampered](std::vector<uint8_t> request,
+                     std::vector<net::SharedPayload>* responses) {
+            Relay(upstream.get(), codec, answer_frames, tampered.get(),
+                  request, responses);
+          }),
+      tampered_(std::move(tampered)) {}
 
 }  // namespace sae::adversary

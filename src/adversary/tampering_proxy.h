@@ -12,16 +12,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <utility>
 
 #include "net/client_transport.h"
 #include "net/event_loop.h"
-#include "storage/record.h"
-#include "util/status.h"
 
 namespace sae::adversary {
 
-class TamperingProxy {
+class TamperingProxy : public net::FrameServer {
  public:
   /// `answer_frames` is how many frames the SP sends per query: 1 for the
   /// SAE SP, 2 (answer, then VO) for the TOM SP. Only the answer frame is
@@ -29,26 +28,23 @@ class TamperingProxy {
   /// frame ends the relay of its request, since the SP sends nothing after
   /// it.
   TamperingProxy(net::Endpoint upstream, size_t record_size,
-                 size_t answer_frames = 1);
-
-  Status Start() { return server_.Start(); }
-  void Stop() { server_.Stop(); }
-  uint16_t port() const { return server_.port(); }
+                 size_t answer_frames = 1)
+      : TamperingProxy(std::make_shared<std::atomic<uint64_t>>(0),
+                       std::move(upstream), record_size, answer_frames) {}
 
   /// Query answers tampered so far.
   uint64_t tampered() const {
-    return tampered_.load(std::memory_order_relaxed);
+    return tampered_->load(std::memory_order_relaxed);
   }
 
  private:
-  void Handle(std::vector<uint8_t> request,
-              std::vector<net::SharedPayload>* responses);
+  // The relay handler co-owns the counter, so it outlives this object
+  // until the loop thread is joined.
+  TamperingProxy(std::shared_ptr<std::atomic<uint64_t>> tampered,
+                 net::Endpoint upstream, size_t record_size,
+                 size_t answer_frames);
 
-  net::ClientTransport upstream_;
-  storage::RecordCodec codec_;
-  size_t answer_frames_;
-  std::atomic<uint64_t> tampered_{0};
-  net::FrameServer server_;
+  std::shared_ptr<std::atomic<uint64_t>> tampered_;
 };
 
 }  // namespace sae::adversary

@@ -30,14 +30,9 @@
 namespace sae::core {
 
 struct AnswerCacheOptions {
-  bool enabled = true;
-  size_t max_entries = 1024;
+  size_t max_entries = 1024;  ///< 0 disables the cache
 
-  static AnswerCacheOptions Disabled() {
-    AnswerCacheOptions o;
-    o.enabled = false;
-    return o;
-  }
+  static AnswerCacheOptions Disabled() { return AnswerCacheOptions{0}; }
 };
 
 /// Counters of one AnswerCache; snapshot by value, diff to measure a span
@@ -145,7 +140,7 @@ class AnswerCache {
 
   explicit AnswerCache(const AnswerCacheOptions& options = {});
 
-  bool enabled() const { return options_.enabled && options_.max_entries > 0; }
+  bool enabled() const { return options_.max_entries > 0; }
 
   /// nullptr on miss (or when disabled). Hits refresh LRU position. On a
   /// miss `*admit` (if given) says whether the request had missed before:

@@ -5,6 +5,9 @@
 
 #include "core/client.h"
 
+#include <random>
+#include <utility>
+
 #include "util/macros.h"
 
 namespace sae::core {
@@ -40,7 +43,40 @@ Status Client::VerifyAnswer(const dbms::QueryRequest& request,
                             crypto::HashScheme scheme) {
   SAE_RETURN_NOT_OK(CheckFreshness(vt, claimed_epoch, published_epoch));
   SAE_RETURN_NOT_OK(CompareXor(ResultXor(witness, codec, scheme), vt.digest));
+  SAE_RETURN_NOT_OK(CheckWitness(request, witness));
   return dbms::CheckAnswer(request, witness, claimed);
+}
+
+Status Client::CheckWitness(const dbms::QueryRequest& request,
+                            const std::vector<Record>& witness) {
+  // Ids go into an open-addressing set, O(n) without a sort. The hash
+  // multiplier is drawn once per process, so an SP cannot pick ids that
+  // all collide.
+  static const uint64_t multiplier =
+      (uint64_t(std::random_device{}()) << 32 | std::random_device{}()) | 1;
+  int bits = 4;
+  while ((size_t{1} << bits) < 2 * witness.size()) ++bits;
+  const size_t mask = (size_t{1} << bits) - 1;
+  std::vector<std::pair<bool, storage::RecordId>> seen(mask + 1);
+  storage::Key prev = request.lo;
+  for (const Record& record : witness) {
+    if (record.key < request.lo || record.key > request.hi) {
+      return Status::VerificationFailure(
+          "witness record lies outside the queried range");
+    }
+    if (record.key < prev) {
+      return Status::VerificationFailure("witness keys are out of order");
+    }
+    prev = record.key;
+    size_t i = size_t((record.id * multiplier) >> (64 - bits));
+    for (; seen[i].first; i = (i + 1) & mask) {
+      if (seen[i].second == record.id) {
+        return Status::VerificationFailure("witness repeats a record id");
+      }
+    }
+    seen[i] = {true, record.id};
+  }
+  return Status::OK();
 }
 
 Status Client::CheckFreshness(const VerificationToken& vt,

@@ -2,8 +2,10 @@
 //
 // SAE client-side verification (paper §II): hash every record the SP
 // returned, XOR the digests, and compare with the TE's token. A corrupt
-// result (RS - DS) ∪ IS escapes detection only when DS⊕ = IS⊕, which is
-// computationally infeasible for a collision-resistant hash.
+// result (RS - DS) ∪ IS escapes the XOR only when DS⊕ = IS⊕. The XOR of
+// unkeyed digests is linear, though: a pair of identical records cancels
+// (CheckWitness rejects that), and an SP free to pick more than 160
+// distinct records can solve for the token (XHASH, Bellare & Micciancio).
 
 #ifndef SAE_CORE_CLIENT_H_
 #define SAE_CORE_CLIENT_H_
@@ -48,13 +50,21 @@ class Client {
   static Status CompareXor(const crypto::Digest& computed,
                            const crypto::Digest& token_digest);
 
-  /// The operator-typed client check: the epoch gates (CheckFreshness) and
-  /// the XOR match run over the *witness* (the range record set the TE's
-  /// token speaks for), and once the witness is authenticated the derived
-  /// answer is recomputed from it and compared field-for-field with the
-  /// SP's claim (dbms::CheckAnswer). A tampered COUNT/SUM/MIN/MAX or
-  /// truncated top-k is a kVerificationFailure even though the witness
-  /// verifies.
+  /// The witness shape an honest SP ships, checked after the XOR match:
+  /// every key lies in [request.lo, request.hi], keys never decrease, and
+  /// no id repeats. It rejects a witness padded with a pair of identical
+  /// records, which the XOR cannot see. (key, id) need not ascend: the
+  /// B+-tree places an inserted key after the equal ones already there.
+  static Status CheckWitness(const dbms::QueryRequest& request,
+                             const std::vector<Record>& witness);
+
+  /// The operator-typed client check: the epoch gates (CheckFreshness),
+  /// the XOR match and CheckWitness run over the *witness* (the range
+  /// record set the TE's token speaks for), and once the witness is
+  /// authenticated the derived answer is recomputed from it and compared
+  /// field-for-field with the SP's claim (dbms::CheckAnswer). A tampered
+  /// COUNT/SUM/MIN/MAX or truncated top-k is a kVerificationFailure even
+  /// though the witness verifies.
   static Status VerifyAnswer(
       const dbms::QueryRequest& request, const dbms::QueryAnswer& claimed,
       const std::vector<Record>& witness, const VerificationToken& vt,

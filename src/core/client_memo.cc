@@ -161,7 +161,10 @@ Status SaeClientMemo::Verify(const dbms::QueryRequest& request,
 
   crypto::Digest xor_digest = Client::ResultXor(witness, codec, scheme);
   SAE_RETURN_NOT_OK(Client::CompareXor(xor_digest, vt.digest));
-  Status answer_check = dbms::CheckAnswer(request, witness, claimed);
+  Status answer_check = Client::CheckWitness(request, witness);
+  if (answer_check.ok()) {
+    answer_check = dbms::CheckAnswer(request, witness, claimed);
+  }
   if (admit) {
     // Memoize only token-matched responses: an XOR mismatch never reaches
     // here, so a poisoned response can't seed the memo.

@@ -67,12 +67,13 @@ class ServedAnswerMemo {
  public:
   struct Verdict {
     crypto::Digest xor_digest;  ///< SAE: Client::ResultXor(witness)
-    Status status;  ///< SAE: the answer check; TOM: the gate-free verdict
+    /// SAE: the witness and answer checks; TOM: the gate-free verdict.
+    Status status;
   };
 
   explicit ServedAnswerMemo(const AnswerCacheOptions& options);
 
-  bool enabled() const { return options_.enabled && options_.max_entries > 0; }
+  bool enabled() const { return options_.max_entries > 0; }
 
   /// Counts a hit or a miss; on a hit fills `*verdict`. A byte-equal hit
   /// re-points the entry at `served`, so the memo keeps co-owning the
@@ -114,8 +115,9 @@ class ServedAnswerMemo {
   uint64_t seen_epoch_ = 0;  ///< latest published epoch seen (TOM expiry)
 };
 
-/// Memoizes Client::VerifyAnswer's pure work (witness XOR + answer
-/// recomputation). Verdicts are bit-identical to the unmemoized call.
+/// Memoizes Client::VerifyAnswer's pure work (witness XOR, witness shape
+/// and answer recomputation). Verdicts are bit-identical to the unmemoized
+/// call.
 class SaeClientMemo {
  public:
   explicit SaeClientMemo(const AnswerCacheOptions& options) : memo_(options) {}

@@ -73,12 +73,15 @@ Result<std::unique_ptr<ShardedSystem<Base>>> ShardedSystem<Base>::Recover(
 
 template <typename Base>
 Status ShardedSystem<Base>::Load(const std::vector<Record>& records) {
+  // Refused before any shard loads: no shard is left half outsourced.
+  SAE_RETURN_NOT_OK(shards_[0]->CheckLoad(records));
   std::vector<std::vector<Record>> partitions(shards_.size());
   {
     std::lock_guard<std::mutex> lock(directory_mu_);
     directory_.clear();
     for (const Record& record : records) {
       if (!directory_.emplace(record.id, record.key).second) {
+        directory_.clear();  // no id of a refused load stays routable
         return Status::InvalidArgument("duplicate record id");
       }
       partitions[router_.ShardOf(record.key)].push_back(record);

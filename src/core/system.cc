@@ -45,9 +45,14 @@ SaeSystem::SaeSystem(const Options& options)
       client_memo_(options.client_memo) {}
 
 Status SaeSystem::Load(const std::vector<Record>& records) {
+  SAE_RETURN_NOT_OK(CheckLoad(records));
   std::unique_lock<std::shared_mutex> lock(rw_mu_);
-  SAE_RETURN_NOT_OK(LoadLocked(records));
-  return FinishLoad();
+  // The owner ships the sorted dataset, and the baseline checkpoint is of
+  // the same vector.
+  std::vector<Record> copy;
+  const std::vector<Record>& sorted = storage::SortedByKeyId(records, &copy);
+  SAE_RETURN_NOT_OK(LoadLocked(sorted));
+  return FinishLoad(sorted);
 }
 
 Status SaeSystem::LoadLocked(const std::vector<Record>& records) {
@@ -162,6 +167,7 @@ TomSystem::TomSystem(const Options& options)
       client_memo_(options.client_memo) {}
 
 Status TomSystem::Load(const std::vector<Record>& records) {
+  SAE_RETURN_NOT_OK(CheckLoad(records));
   std::unique_lock<std::shared_mutex> lock(rw_mu_);
   std::vector<Record> copy;
   const std::vector<Record>& sorted = storage::SortedByKeyId(records, &copy);
@@ -170,7 +176,8 @@ Status TomSystem::Load(const std::vector<Record>& records) {
   do_sp_.Send(SerializeSignature(owner_.signature(), owner_.epoch()));
   SAE_RETURN_NOT_OK(
       sp_.LoadDataset(sorted, owner_.signature(), owner_.epoch()));
-  return FinishLoad();
+  // A bulk load keeps `sorted` in leaf order: it is the baseline's dataset.
+  return FinishLoad(sorted);
 }
 
 Status TomSystem::Apply(const WalUpdate& update, Traffic* traffic) {

@@ -112,9 +112,9 @@ struct SaeSystemOptions {
   /// against: every verified-path cache off, everything else identical.
   SaeSystemOptions& DisableCaches() {
     xb_options.hot_cache_levels = 0;
-    sp_answer_cache.enabled = false;
-    te_vt_cache.enabled = false;
-    client_memo.enabled = false;
+    sp_answer_cache.max_entries = 0;
+    te_vt_cache.max_entries = 0;
+    client_memo.max_entries = 0;
     return *this;
   }
 };
@@ -249,8 +249,8 @@ struct TomSystemOptions {
   /// against: every verified-path cache off, everything else identical.
   TomSystemOptions& DisableCaches() {
     mb_options.hot_cache_levels = 0;
-    sp_answer_cache.enabled = false;
-    client_memo.enabled = false;
+    sp_answer_cache.max_entries = 0;
+    client_memo.max_entries = 0;
     return *this;
   }
 };

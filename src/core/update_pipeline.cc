@@ -19,12 +19,21 @@ Result<SnapshotState> UpdatePipeline::CaptureState(uint64_t* epoch) {
   return state;
 }
 
-Status UpdatePipeline::FinishLoad() {
+Status UpdatePipeline::CheckLoad(const std::vector<Record>& records) const {
+  for (const Record& record : records) {
+    if (!Fits(record)) {
+      return Status::InvalidArgument("record payload exceeds the record size");
+    }
+  }
+  return Status::OK();
+}
+
+Status UpdatePipeline::FinishLoad(const std::vector<Record>& sorted) {
   Publish();
   if (!durability_options_.enabled) return Status::OK();
   SAE_ASSIGN_OR_RETURN(durability_,
                        DurabilityManager::Open(durability_options_));
-  return Checkpoint(/*baseline=*/true);
+  return Checkpoint(&sorted);
 }
 
 Status UpdatePipeline::RecoverLocked() {
@@ -41,6 +50,9 @@ Status UpdatePipeline::RecoverLocked() {
       rec.snapshot.scheme != header_.scheme) {
     return Status::Corruption("snapshot configuration does not match options");
   }
+  if (!CheckLoad(rec.snapshot.records).ok()) {
+    return Status::Corruption("snapshot record exceeds the record size");
+  }
   SAE_RETURN_NOT_OK(Restore(rec.snapshot, rec.snapshot_epoch));
   // Replay the WAL tail through the live apply path. Records at or below
   // the snapshot epoch are already inside it (a crash can land between the
@@ -50,6 +62,9 @@ Status UpdatePipeline::RecoverLocked() {
     if (update.epoch <= rec.snapshot_epoch) continue;
     if (update.epoch != OwnerEpoch() + 1) {
       return Status::Corruption("wal epoch does not follow recovered state");
+    }
+    if (update.op == WalUpdate::kInsert && !Fits(update.record)) {
+      return Status::Corruption("wal record exceeds the record size");
     }
     Traffic traffic;
     Status applied = Apply(update, &traffic);
@@ -86,16 +101,19 @@ void UpdatePipeline::RetractSuffix(uint64_t first_epoch) {
   apply_cv_.notify_all();
 }
 
-Status UpdatePipeline::Checkpoint(bool baseline) {
-  // Only the Load baseline copies the dataset: it seeds the manager's
-  // checkpoint image, and every later checkpoint, full or delta, is built
-  // from that image and the pending log (O(changes) here; TOM's capture
-  // adds the root signature and tree shape AT this epoch, so the written
-  // chain stays byte-provable at recovery).
+Status UpdatePipeline::Checkpoint(const std::vector<Record>* baseline) {
+  // Only the Load baseline copies the dataset, the one Load shipped: it
+  // seeds the manager's checkpoint image, and every later checkpoint, full
+  // or delta, is built from that image and the pending log (O(changes)
+  // here; TOM's capture adds the root signature and tree shape AT this
+  // epoch, so the written chain stays byte-provable at recovery).
   SnapshotState state = header_;
-  SAE_RETURN_NOT_OK(Capture(/*with_records=*/baseline, &state));
+  SAE_RETURN_NOT_OK(Capture(/*with_records=*/false, &state));
   const uint64_t epoch = OwnerEpoch();
-  if (baseline) return durability_->CheckpointBaseline(epoch, std::move(state));
+  if (baseline != nullptr) {
+    state.records = *baseline;
+    return durability_->CheckpointBaseline(epoch, std::move(state));
+  }
   return durability_->NextCheckpointIsFull()
              ? durability_->CheckpointFull(epoch, std::move(state))
              : durability_->CheckpointDelta(epoch, std::move(state));
@@ -111,6 +129,10 @@ Result<uint64_t> UpdatePipeline::Run(WalUpdate update) {
   };
   const bool insert = update.op == WalUpdate::kInsert;
   const RecordId id = insert ? update.record.id : update.id;
+  if (insert && !Fits(update.record)) {
+    return fail(
+        Status::InvalidArgument("record payload exceeds the record size"));
+  }
   // Write-ahead ordering: validate first — against the owner state PLUS
   // everything staged ahead of us, so the WAL never records an update its
   // apply would reject — then make the record durable, and only then
@@ -202,7 +224,7 @@ Result<uint64_t> UpdatePipeline::Run(WalUpdate update) {
       // pending log holds exactly the applied changes. The cadence counter stays
       // due until the last committer of a burst lands here. The update
       // itself is already durable; a failing checkpoint still surfaces.
-      SAE_RETURN_NOT_OK(Checkpoint(/*baseline=*/false));
+      SAE_RETURN_NOT_OK(Checkpoint(/*baseline=*/nullptr));
     }
   }
   return OwnerEpoch();

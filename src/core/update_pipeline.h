@@ -34,6 +34,7 @@
 #include <shared_mutex>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/durability.h"
 #include "util/macros.h"
@@ -74,6 +75,10 @@ class UpdatePipeline {
     return InsertVersioned(record).status();
   }
   Status Delete(RecordId id) { return DeleteVersioned(id).status(); }
+
+  /// Load's head: InvalidArgument when a payload exceeds the record size,
+  /// which the parties' record codec could not serialize.
+  Status CheckLoad(const std::vector<Record>& records) const;
 
   /// Latest published epoch (the client's freshness reference), readable
   /// without any lock.
@@ -116,11 +121,12 @@ class UpdatePipeline {
   UpdatePipeline(const SnapshotState& header, const DurabilityOptions& options)
       : header_(header), durability_options_(options) {}
 
-  /// Load's tail (writer lock held, parties loaded at epoch 1): publishes
-  /// the epoch and, with durability on, opens the WAL and writes the
-  /// epoch-1 baseline snapshot synchronously — until it is durable, a
-  /// crash means re-outsourcing from the DO's master copy.
-  Status FinishLoad();
+  /// Load's tail (writer lock held, parties loaded at epoch 1 from
+  /// `sorted`, the dataset in index order): publishes the epoch and, with
+  /// durability on, opens the WAL and writes `sorted` as the epoch-1
+  /// baseline synchronously — until it is durable, a crash means
+  /// re-outsourcing from the DO's master copy.
+  Status FinishLoad(const std::vector<Record>& sorted);
 
   /// Rebuilds a `System` from its durability directory after a crash:
   /// opens it, checks the snapshot's model and configuration, restores it
@@ -158,8 +164,8 @@ class UpdatePipeline {
   /// Fills the checkpoint payload of the current epoch into `state` (whose
   /// header the pipeline set): the root signature and tree shape always
   /// (TOM; SAE has none), the whole dataset in index order only
-  /// `with_records` — at Load and in CaptureState, never for a cadence
-  /// checkpoint.
+  /// `with_records` — in CaptureState, never for a checkpoint (the Load
+  /// baseline takes the dataset Load shipped).
   virtual Status Capture(bool with_records, SnapshotState* state) = 0;
   /// Rebuilds every party from a recovered snapshot at `epoch` and proves
   /// the rebuilt authentication state is the checkpointed one.
@@ -181,9 +187,14 @@ class UpdatePipeline {
   /// re-arms a new generation; poisons the pipeline if that fails.
   void RetractSuffix(uint64_t first_epoch);
   /// Captures a full (or, per the compaction schedule, delta) checkpoint
-  /// of the current epoch; `baseline` seeds the manager's image with the
-  /// dataset and writes it synchronously.
-  Status Checkpoint(bool baseline);
+  /// of the current epoch; a `baseline` dataset instead seeds the
+  /// manager's image and is written synchronously.
+  Status Checkpoint(const std::vector<Record>* baseline);
+  /// Whether `record`'s payload fits the configured record size.
+  bool Fits(const Record& record) const {
+    return record.payload.size() + storage::kRecordHeaderSize <=
+           header_.record_size;
+  }
   void Publish() {
     published_epoch_.store(OwnerEpoch(), std::memory_order_release);
   }

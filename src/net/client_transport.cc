@@ -16,6 +16,13 @@
 
 namespace sae::net {
 
+namespace {
+
+// Idle sockets a pool keeps; a lease returned beyond this closes.
+constexpr size_t kMaxIdle = 64;
+
+}  // namespace
+
 struct ClientTransport::Lease::Conn {
   UniqueFd fd;
   FrameDecoder decoder;
@@ -23,8 +30,8 @@ struct ClientTransport::Lease::Conn {
   explicit Conn(int raw_fd) : fd(raw_fd) {}
 };
 
-ClientTransport::ClientTransport(Endpoint endpoint, size_t max_idle)
-    : endpoint_(std::move(endpoint)), max_idle_(max_idle) {}
+ClientTransport::ClientTransport(Endpoint endpoint)
+    : endpoint_(std::move(endpoint)) {}
 
 ClientTransport::~ClientTransport() = default;
 
@@ -97,7 +104,7 @@ Result<std::vector<uint8_t>> ClientTransport::Call(
 void ClientTransport::Release(std::unique_ptr<Lease::Conn> conn, bool broken) {
   if (broken) return;  // UniqueFd closes the dead socket
   std::lock_guard<std::mutex> lock(mu_);
-  if (idle_.size() < max_idle_) idle_.push_back(std::move(conn));
+  if (idle_.size() < kMaxIdle) idle_.push_back(std::move(conn));
 }
 
 Status CheckFrame(const std::vector<uint8_t>& payload) {

@@ -37,11 +37,12 @@ using storage::RecordCodec;
 /// A pool of blocking connections to one endpoint. Acquire() hands out a
 /// leased socket (reusing an idle one or dialing a fresh one); the lease
 /// returns it to the pool on destruction unless an I/O error marked it
-/// broken. Thread-safe; many threads can hold leases concurrently.
+/// broken, and the pool keeps at most 64 idle sockets. Thread-safe; many
+/// threads can hold leases concurrently.
 class ClientTransport {
  public:
   // Special members are out of line: Lease::Conn is complete in the .cc only.
-  explicit ClientTransport(Endpoint endpoint, size_t max_idle = 64);
+  explicit ClientTransport(Endpoint endpoint);
   ~ClientTransport();
 
   ClientTransport(const ClientTransport&) = delete;
@@ -81,13 +82,10 @@ class ClientTransport {
   /// response may be an error frame (kCtlError) — see ExpectAck/CheckFrame.
   Result<std::vector<uint8_t>> Call(const std::vector<uint8_t>& payload);
 
-  const Endpoint& endpoint() const { return endpoint_; }
-
  private:
   void Release(std::unique_ptr<Lease::Conn> conn, bool broken);
 
   Endpoint endpoint_;
-  size_t max_idle_;
   std::mutex mu_;
   std::vector<std::unique_ptr<Lease::Conn>> idle_;
 };
@@ -142,9 +140,6 @@ class NetSaeClient {
   /// The published epoch from the owner endpoint.
   Result<uint64_t> PublishedEpoch();
 
-  ClientTransport& sp() { return sp_; }
-  ClientTransport& te() { return te_; }
-
  private:
   NetSaeClientOptions options_;
   RecordCodec codec_;
@@ -181,8 +176,6 @@ class NetTomClient {
   Result<NetTomVerifiedAnswer> Query(const dbms::QueryRequest& request);
 
   Result<uint64_t> PublishedEpoch();
-
-  ClientTransport& sp() { return sp_; }
 
  private:
   NetTomClientOptions options_;

@@ -22,6 +22,9 @@ namespace {
 // iovec entries per sendmsg: two per frame (header, payload).
 constexpr size_t kMaxIov = 64;
 
+// Ready events taken per epoll_wait.
+constexpr int kMaxEvents = 256;
+
 }  // namespace
 
 FrameServer::FrameServer(FrameServerOptions options, FrameHandler handler)
@@ -69,10 +72,9 @@ void FrameServer::Stop() {
 }
 
 void FrameServer::Loop() {
-  std::vector<epoll_event> events(size_t(options_.max_events));
+  epoll_event events[kMaxEvents];
   while (!stop_requested_.load(std::memory_order_acquire)) {
-    int n = ::epoll_wait(epoll_fd_.get(), events.data(), options_.max_events,
-                         -1);
+    int n = ::epoll_wait(epoll_fd_.get(), events, kMaxEvents, -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -115,7 +117,7 @@ void FrameServer::AcceptAll() {
       ::close(fd);
       continue;
     }
-    auto conn = std::make_unique<Conn>(fd, options_.max_payload);
+    auto conn = std::make_unique<Conn>(fd);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;

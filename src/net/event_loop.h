@@ -40,11 +40,13 @@ using FrameHandler = std::function<void(std::vector<uint8_t> request,
 
 struct FrameServerOptions {
   uint16_t port = 0;  ///< 0 picks an ephemeral port (see FrameServer::port)
-  size_t max_payload = kMaxFramePayload;
-  int max_events = 256;  ///< epoll_wait batch size
 };
 
-/// A TCP server speaking the length-prefixed frame protocol.
+/// A TCP server speaking the length-prefixed frame protocol. Frames above
+/// kMaxFramePayload poison their connection. The party endpoints
+/// (net/server.h) and the test-side tampering proxy derive from it and add
+/// only a constructor: their handler owns all of their serving state, since
+/// the loop thread runs it until the destructor here has joined it.
 class FrameServer {
  public:
   FrameServer(FrameServerOptions options, FrameHandler handler);
@@ -79,6 +81,10 @@ class FrameServer {
     return protocol_errors_.load(std::memory_order_relaxed);
   }
 
+  /// The server itself: perfbench (net_cold.cc) reads protocol_errors()
+  /// through this name. Other callers use the counters directly.
+  const FrameServer& frame_server() const { return *this; }
+
  private:
   /// A queued response frame: its own header, the shared payload.
   struct OutFrame {
@@ -95,8 +101,7 @@ class FrameServer {
     size_t out_sent = 0;       ///< bytes of out.front() already written
     bool writable_armed = false;
 
-    explicit Conn(int raw_fd, size_t max_payload)
-        : fd(raw_fd), decoder(max_payload) {}
+    explicit Conn(int raw_fd) : fd(raw_fd) {}
   };
 
   void Loop();

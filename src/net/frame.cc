@@ -30,7 +30,8 @@ std::vector<uint8_t> EncodeFrame(const std::vector<uint8_t>& payload) {
 bool FrameDecoder::Feed(const uint8_t* data, size_t len) {
   if (failed_) return false;
   size_t pos = 0;
-  while (pos < len) {
+  // An empty payload closes with its header, before any further byte.
+  while (pos < len || (in_payload_ && payload_target_ == 0)) {
     if (!in_payload_) {
       // Accumulate the 4-byte header, then validate the declared length
       // BEFORE reserving a single payload byte.

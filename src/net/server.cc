@@ -1,19 +1,22 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Implements the party servers (net/server.h): tag-dispatched handlers over
-// the pinned wire messages plus the epoch control op.
+// Implements the party servers (net/server.h): one shared dispatch around
+// each party's handler for its pinned wire messages.
 
 #include "net/server.h"
 
 #include <cstring>
+#include <optional>
 
 #include "core/messages.h"
-#include "mbtree/vo.h"
+#include "util/macros.h"
 
 namespace sae::net {
 
+using storage::Key;
 using storage::Record;
 using storage::RecordCodec;
+using storage::RecordId;
 
 namespace {
 
@@ -26,33 +29,174 @@ constexpr uint8_t kTagDelete = 0x05;
 constexpr uint8_t kTagEpochNotice = 0x06;
 constexpr uint8_t kTagQueryRequest = 0x09;
 
-// The frames of a served answer alias the SP's shared buffer: the socket
-// sends the very bytes the answer cache holds.
-SharedPayload AnswerFrame(const std::shared_ptr<const core::CachedAnswer>& a) {
-  return SharedPayload(a, &a->answer_msg);
+using Responses = std::vector<SharedPayload>;
+
+/// A party's own tags: answers `request` (non-empty) into `out`, or returns
+/// false when the party does not speak its tag.
+using PartyHandler =
+    std::function<bool(const std::vector<uint8_t>& request, Responses* out)>;
+
+void Reply(const Status& st, Responses* out) {
+  out->push_back(Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
 }
-SharedPayload ProofFrame(const std::shared_ptr<const core::CachedAnswer>& a) {
-  return SharedPayload(a, &a->proof_msg);
+
+// The dispatch every party endpoint shares: the empty frame, the epoch
+// control op and the unknown-tag default around the party's own tags.
+FrameHandler PartyDispatch(std::function<uint64_t()> epoch,
+                           PartyHandler party) {
+  return [epoch = std::move(epoch), party = std::move(party)](
+             std::vector<uint8_t> request, Responses* out) {
+    if (request.empty()) {
+      out->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
+    } else if (request[0] == kCtlGetEpoch) {
+      out->push_back(Share(core::SerializeEpochNotice(epoch())));
+    } else if (!party(request, out)) {
+      out->push_back(
+          Share(ErrorFrame(Status::Corruption("unknown message tag"))));
+    }
+  };
 }
 
 // The query case both SPs share: the served answer frame, then under TOM
-// (`with_proof`) the VO frame — exactly the in-process sends.
+// (`with_proof`) the VO frame — exactly the in-process sends. The frames
+// alias the SP's shared buffer: the socket sends the very bytes the answer
+// cache holds.
 void ServeQueryFrames(const core::ServiceProvider& sp,
                       const std::vector<uint8_t>& request, bool with_proof,
-                      std::vector<SharedPayload>* responses) {
+                      Responses* out) {
   auto req = core::DeserializeQueryRequest(request);
-  if (!req.ok()) {
-    responses->push_back(Share(ErrorFrame(req.status())));
-    return;
-  }
-  auto served = sp.ServeQuery(req.value());
+  auto served = req.ok() ? sp.ServeQuery(req.value())
+                         : Result<std::shared_ptr<const core::CachedAnswer>>(
+                               req.status());
   if (!served.ok()) {
-    responses->push_back(Share(ErrorFrame(served.status())));
+    out->push_back(Share(ErrorFrame(served.status())));
     return;
   }
-  responses->push_back(AnswerFrame(served.value()));
-  if (with_proof) responses->push_back(ProofFrame(served.value()));
+  const std::shared_ptr<const core::CachedAnswer>& answer = served.value();
+  out->push_back(SharedPayload(answer, &answer->answer_msg));
+  if (with_proof) out->push_back(SharedPayload(answer, &answer->proof_msg));
 }
+
+Status DeleteFrom(core::ServiceProvider* sp, RecordId id, Key /*key*/) {
+  return sp->DeleteRecord(id);
+}
+Status DeleteFrom(core::TrustedEntity* te, RecordId id, Key key) {
+  return te->DeleteRecord(key, id);
+}
+
+// The DO -> party update frames both SAE parties take: the first Records
+// frame is the dataset and later ones are inserts, EpochNotice sets the
+// epoch, Delete removes one record.
+template <typename Party>
+Status ApplySaeUpdate(Party* party, const RecordCodec& codec, bool* loaded,
+                      const std::vector<uint8_t>& request) {
+  if (request[0] == kTagEpochNotice) {
+    SAE_ASSIGN_OR_RETURN(uint64_t epoch,
+                         core::DeserializeEpochNotice(request));
+    party->SetEpoch(epoch);
+    return Status::OK();
+  }
+  if (request[0] == kTagDelete) {
+    SAE_ASSIGN_OR_RETURN(auto del, core::DeserializeDelete(request));
+    return DeleteFrom(party, del.first, del.second);
+  }
+  SAE_ASSIGN_OR_RETURN(std::vector<Record> records,
+                       core::DeserializeRecords(request, codec));
+  if (*loaded) {
+    for (const Record& record : records) {
+      SAE_RETURN_NOT_OK(party->InsertRecord(record));
+    }
+    return Status::OK();
+  }
+  SAE_RETURN_NOT_OK(party->LoadDataset(records));
+  *loaded = true;
+  return Status::OK();
+}
+
+// An SAE party's handler: `serve` answers queries, and the update frames
+// go to ApplySaeUpdate. `codec` is the party's own.
+template <typename Party, typename Serve>
+FrameHandler SaeHandler(Party* party, const RecordCodec* codec, Serve serve) {
+  return PartyDispatch(
+      [party] { return party->epoch(); },
+      [party, codec, serve, loaded = false](
+          const std::vector<uint8_t>& request, Responses* out) mutable {
+        const uint8_t tag = request[0];
+        if (tag == kTagQueryRequest) {
+          serve(request, out);
+        } else if (tag == kTagRecords || tag == kTagEpochNotice ||
+                   tag == kTagDelete) {
+          Reply(ApplySaeUpdate(party, *codec, &loaded, request), out);
+        } else {
+          return false;
+        }
+        return true;
+      });
+}
+
+// The TOM SP's own tags. Its load/update protocol buffers a Records or
+// Delete frame until the DO's Signature frame commits it with its epoch; a
+// Signature frame on its own installs a re-signed root.
+class TomSpHandler {
+ public:
+  explicit TomSpHandler(core::TomServiceProvider* sp) : sp_(sp) {}
+
+  bool operator()(const std::vector<uint8_t>& request, Responses* out) {
+    switch (request[0]) {
+      case kTagQueryRequest:
+        ServeQueryFrames(*sp_, request, /*with_proof=*/true, out);
+        return true;
+      case kTagRecords:
+      case kTagDelete:
+        Reply(Stage(request), out);
+        return true;
+      case kTagSignature:
+        Reply(Commit(request), out);
+        return true;
+      default:
+        return false;
+    }
+  }
+
+ private:
+  Status Stage(const std::vector<uint8_t>& request) {
+    if (request[0] == kTagRecords) {
+      SAE_ASSIGN_OR_RETURN(records_, core::DeserializeRecords(
+                                         request, sp_->table().codec()));
+      return Status::OK();
+    }
+    SAE_ASSIGN_OR_RETURN(auto del, core::DeserializeDelete(request));
+    delete_ = del.first;
+    return Status::OK();
+  }
+
+  Status Commit(const std::vector<uint8_t>& request) {
+    SAE_ASSIGN_OR_RETURN(auto sig, core::DeserializeSignature(request));
+    auto [signature, epoch] = std::move(sig);
+    Status st;
+    if (records_.has_value() && !loaded_) {
+      st = sp_->LoadDataset(*records_, std::move(signature), epoch);
+      loaded_ = st.ok();
+    } else if (records_.has_value()) {
+      for (const Record& record : *records_) {
+        st = sp_->ApplyInsert(record, signature, epoch);
+        if (!st.ok()) break;
+      }
+    } else if (delete_.has_value()) {
+      st = sp_->ApplyDelete(*delete_, std::move(signature), epoch);
+    } else {
+      sp_->SetSignature(std::move(signature), epoch);
+    }
+    records_.reset();
+    delete_.reset();
+    return st;
+  }
+
+  core::TomServiceProvider* sp_;
+  bool loaded_ = false;
+  std::optional<std::vector<Record>> records_;
+  std::optional<RecordId> delete_;
+};
 
 }  // namespace
 
@@ -71,264 +215,38 @@ std::string DecodeErrorFrame(const std::vector<uint8_t>& payload) {
   return std::string(payload.begin() + 1, payload.end());
 }
 
-// --- SAE service provider -------------------------------------------------------
-
 SpServer::SpServer(core::ServiceProvider* sp, FrameServerOptions options)
-    : sp_(sp),
-      server_(options, [this](std::vector<uint8_t> request,
-                              std::vector<SharedPayload>* responses) {
-        Handle(std::move(request), responses);
-      }) {}
-
-void SpServer::Handle(std::vector<uint8_t> request,
-                      std::vector<SharedPayload>* responses) {
-  const RecordCodec& codec = sp_->table().codec();
-  if (request.empty()) {
-    responses->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
-    return;
-  }
-  switch (request[0]) {
-    case kTagQueryRequest:
-      ServeQueryFrames(*sp_, request, /*with_proof=*/false, responses);
-      return;
-    case kTagRecords: {
-      auto records = core::DeserializeRecords(request, codec);
-      if (!records.ok()) {
-        responses->push_back(Share(ErrorFrame(records.status())));
-        return;
-      }
-      Status st;
-      if (!loaded_) {
-        st = sp_->LoadDataset(records.value());
-        loaded_ = st.ok();
-      } else {
-        for (const Record& record : records.value()) {
-          st = sp_->InsertRecord(record);
-          if (!st.ok()) break;
-        }
-      }
-      responses->push_back(
-          Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
-      return;
-    }
-    case kTagEpochNotice: {
-      auto epoch = core::DeserializeEpochNotice(request);
-      if (!epoch.ok()) {
-        responses->push_back(Share(ErrorFrame(epoch.status())));
-        return;
-      }
-      sp_->SetEpoch(epoch.value());
-      responses->push_back(Share(ControlFrame(kCtlAck)));
-      return;
-    }
-    case kTagDelete: {
-      auto del = core::DeserializeDelete(request);
-      if (!del.ok()) {
-        responses->push_back(Share(ErrorFrame(del.status())));
-        return;
-      }
-      Status st = sp_->DeleteRecord(del.value().first);
-      responses->push_back(
-          Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
-      return;
-    }
-    case kCtlGetEpoch:
-      responses->push_back(Share(core::SerializeEpochNotice(sp_->epoch())));
-      return;
-    default:
-      responses->push_back(
-          Share(ErrorFrame(Status::Corruption("unknown message tag"))));
-  }
-}
-
-// --- SAE trusted entity ---------------------------------------------------------
+    : FrameServer(options,
+                  SaeHandler(sp, &sp->table().codec(),
+                             [sp](const std::vector<uint8_t>& request,
+                                  Responses* out) {
+                               ServeQueryFrames(*sp, request,
+                                                /*with_proof=*/false, out);
+                             })) {}
 
 TeServer::TeServer(core::TrustedEntity* te, FrameServerOptions options)
-    : te_(te),
-      server_(options, [this](std::vector<uint8_t> request,
-                              std::vector<SharedPayload>* responses) {
-        Handle(std::move(request), responses);
-      }) {}
-
-void TeServer::Handle(std::vector<uint8_t> request,
-                      std::vector<SharedPayload>* responses) {
-  if (request.empty()) {
-    responses->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
-    return;
-  }
-  switch (request[0]) {
-    case kTagQueryRequest: {
-      auto req = core::DeserializeQueryRequest(request);
-      if (!req.ok()) {
-        responses->push_back(Share(ErrorFrame(req.status())));
-        return;
-      }
-      auto vt = te_->GenerateVt(req.value());
-      if (!vt.ok()) {
-        responses->push_back(Share(ErrorFrame(vt.status())));
-        return;
-      }
-      responses->push_back(Share(core::SerializeVt(vt.value())));
-      return;
-    }
-    case kTagRecords: {
-      auto records = core::DeserializeRecords(request, te_->codec());
-      if (!records.ok()) {
-        responses->push_back(Share(ErrorFrame(records.status())));
-        return;
-      }
-      Status st;
-      if (!loaded_) {
-        st = te_->LoadDataset(records.value());
-        loaded_ = st.ok();
-      } else {
-        for (const Record& record : records.value()) {
-          st = te_->InsertRecord(record);
-          if (!st.ok()) break;
-        }
-      }
-      responses->push_back(
-          Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
-      return;
-    }
-    case kTagEpochNotice: {
-      auto epoch = core::DeserializeEpochNotice(request);
-      if (!epoch.ok()) {
-        responses->push_back(Share(ErrorFrame(epoch.status())));
-        return;
-      }
-      te_->SetEpoch(epoch.value());
-      responses->push_back(Share(ControlFrame(kCtlAck)));
-      return;
-    }
-    case kTagDelete: {
-      auto del = core::DeserializeDelete(request);
-      if (!del.ok()) {
-        responses->push_back(Share(ErrorFrame(del.status())));
-        return;
-      }
-      Status st =
-          te_->DeleteRecord(del.value().second, del.value().first);
-      responses->push_back(
-          Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
-      return;
-    }
-    case kCtlGetEpoch:
-      responses->push_back(Share(core::SerializeEpochNotice(te_->epoch())));
-      return;
-    default:
-      responses->push_back(
-          Share(ErrorFrame(Status::Corruption("unknown message tag"))));
-  }
-}
-
-// --- TOM service provider -------------------------------------------------------
+    : FrameServer(
+          options,
+          SaeHandler(te, &te->codec(), [te](const std::vector<uint8_t>& request,
+                                            Responses* out) {
+            auto req = core::DeserializeQueryRequest(request);
+            auto vt = req.ok() ? te->GenerateVt(req.value())
+                               : Result<core::VerificationToken>(req.status());
+            out->push_back(Share(vt.ok() ? core::SerializeVt(vt.value())
+                                         : ErrorFrame(vt.status())));
+          })) {}
 
 TomSpServer::TomSpServer(core::TomServiceProvider* sp,
                          FrameServerOptions options)
-    : sp_(sp),
-      server_(options, [this](std::vector<uint8_t> request,
-                              std::vector<SharedPayload>* responses) {
-        Handle(std::move(request), responses);
-      }) {}
-
-void TomSpServer::Handle(std::vector<uint8_t> request,
-                         std::vector<SharedPayload>* responses) {
-  const RecordCodec& codec = sp_->table().codec();
-  if (request.empty()) {
-    responses->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
-    return;
-  }
-  switch (request[0]) {
-    case kTagQueryRequest:
-      ServeQueryFrames(*sp_, request, /*with_proof=*/true, responses);
-      return;
-    case kTagRecords: {
-      // The TOM load/update protocol pairs data with the DO's signature:
-      // records (or a delete) are buffered until the Signature frame
-      // commits them with its epoch.
-      auto records = core::DeserializeRecords(request, codec);
-      if (!records.ok()) {
-        responses->push_back(Share(ErrorFrame(records.status())));
-        return;
-      }
-      pending_records_ = std::move(records).ValueOrDie();
-      has_pending_records_ = true;
-      responses->push_back(Share(ControlFrame(kCtlAck)));
-      return;
-    }
-    case kTagDelete: {
-      auto del = core::DeserializeDelete(request);
-      if (!del.ok()) {
-        responses->push_back(Share(ErrorFrame(del.status())));
-        return;
-      }
-      pending_delete_ = del.value().first;
-      has_pending_delete_ = true;
-      responses->push_back(Share(ControlFrame(kCtlAck)));
-      return;
-    }
-    case kTagSignature: {
-      auto sig = core::DeserializeSignature(request);
-      if (!sig.ok()) {
-        responses->push_back(Share(ErrorFrame(sig.status())));
-        return;
-      }
-      auto [signature, epoch] = std::move(sig).ValueOrDie();
-      Status st;
-      if (has_pending_records_ && !loaded_) {
-        st = sp_->LoadDataset(pending_records_, std::move(signature), epoch);
-        loaded_ = st.ok();
-      } else if (has_pending_records_) {
-        for (const Record& record : pending_records_) {
-          st = sp_->ApplyInsert(record, signature, epoch);
-          if (!st.ok()) break;
-        }
-      } else if (has_pending_delete_) {
-        st = sp_->ApplyDelete(pending_delete_, std::move(signature), epoch);
-      } else {
-        sp_->SetSignature(std::move(signature), epoch);
-      }
-      pending_records_.clear();
-      has_pending_records_ = false;
-      has_pending_delete_ = false;
-      responses->push_back(
-          Share(st.ok() ? ControlFrame(kCtlAck) : ErrorFrame(st)));
-      return;
-    }
-    case kCtlGetEpoch:
-      responses->push_back(Share(core::SerializeEpochNotice(sp_->epoch())));
-      return;
-    default:
-      responses->push_back(
-          Share(ErrorFrame(Status::Corruption("unknown message tag"))));
-  }
-}
-
-// --- data owner epoch endpoint --------------------------------------------------
+    : FrameServer(options, PartyDispatch([sp] { return sp->epoch(); },
+                                         TomSpHandler(sp))) {}
 
 OwnerServer::OwnerServer(std::function<uint64_t()> epoch_fn,
                          FrameServerOptions options)
-    : epoch_fn_(std::move(epoch_fn)),
-      server_(options, [this](std::vector<uint8_t> request,
-                              std::vector<SharedPayload>* responses) {
-        Handle(std::move(request), responses);
-      }) {}
-
-void OwnerServer::Handle(std::vector<uint8_t> request,
-                         std::vector<SharedPayload>* responses) {
-  if (request.empty()) {
-    responses->push_back(Share(ErrorFrame(Status::Corruption("empty frame"))));
-    return;
-  }
-  switch (request[0]) {
-    case kCtlGetEpoch:
-      responses->push_back(Share(core::SerializeEpochNotice(epoch_fn_())));
-      return;
-    default:
-      responses->push_back(
-          Share(ErrorFrame(Status::Corruption("unknown message tag"))));
-  }
-}
+    : FrameServer(options,
+                  PartyDispatch(std::move(epoch_fn),
+                                [](const std::vector<uint8_t>&, Responses*) {
+                                  return false;
+                                })) {}
 
 }  // namespace sae::net

@@ -1,11 +1,11 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// TCP server wrappers exposing the three parties behind frame endpoints.
-// Every frame payload is one of the golden-pinned wire messages, unchanged:
-// the payload's leading tag byte (core/messages.cc) doubles as the method
-// discriminator, so the bytes a client puts on the socket are exactly the
-// bytes the in-process protocol would have produced — the golden pins gate
-// the network path for free.
+// TCP endpoints for the three parties: each is a FrameServer whose handler
+// speaks the golden-pinned wire messages, unchanged. The payload's leading
+// tag byte (core/messages.cc) doubles as the method discriminator, so the
+// bytes a client puts on the socket are exactly the bytes the in-process
+// protocol would have produced — the golden pins gate the network path for
+// free.
 //
 // Request -> response per party:
 //   SP  (SAE):  QueryRequest(0x09) -> QueryAnswer(0x0A)
@@ -14,18 +14,22 @@
 //   load/update (DO -> SP/TE): Records(0x01), EpochNotice(0x06),
 //     Delete(0x05), Signature(0x04, TOM) -> control ack
 //
-// One *control* op lives outside the pinned tag space (0xF0+): epoch
-// discovery, the client's freshness reference. Any other tag gets an
-// "unknown message tag" error frame and the connection keeps serving.
+// Every party shares one dispatch around its own tags: an empty frame gets
+// an error frame, the one *control* op outside the pinned tag space (0xF0+,
+// epoch discovery, the client's freshness reference) answers the party's
+// epoch, and any other tag gets an "unknown message tag" error frame while
+// the connection keeps serving. A handler owns all of its party's serving
+// state (the party pointer, whether the dataset has loaded, TOM's pending
+// change), so nothing it touches dies before the loop thread is joined.
 
 #ifndef SAE_NET_SERVER_H_
 #define SAE_NET_SERVER_H_
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
-#include "core/data_owner.h"
 #include "core/service_provider.h"
 #include "core/tom.h"
 #include "core/trusted_entity.h"
@@ -48,85 +52,36 @@ std::vector<uint8_t> ErrorFrame(const Status& status);
 /// Decodes an error frame ("" when the payload is not one).
 std::string DecodeErrorFrame(const std::vector<uint8_t>& payload);
 
-/// SAE service provider behind TCP. Not thread-safe to mutate while
-/// running; the event loop serializes request handling.
-class SpServer {
+/// SAE service provider behind TCP. The event loop serializes request
+/// handling, so the SP is never mutated concurrently through the server.
+class SpServer : public FrameServer {
  public:
-  SpServer(core::ServiceProvider* sp, FrameServerOptions options = {});
-  Status Start() { return server_.Start(); }
-  void Stop() { server_.Stop(); }
-  uint16_t port() const { return server_.port(); }
-  const FrameServer& frame_server() const { return server_; }
-
- private:
-  void Handle(std::vector<uint8_t> request,
-              std::vector<SharedPayload>* responses);
-
-  core::ServiceProvider* sp_;
-  bool loaded_ = false;  ///< first Records frame = dataset, later = inserts
-  FrameServer server_;
+  explicit SpServer(core::ServiceProvider* sp, FrameServerOptions options = {});
 };
 
 /// SAE trusted entity behind TCP.
-class TeServer {
+class TeServer : public FrameServer {
  public:
-  TeServer(core::TrustedEntity* te, FrameServerOptions options = {});
-  Status Start() { return server_.Start(); }
-  void Stop() { server_.Stop(); }
-  uint16_t port() const { return server_.port(); }
-  const FrameServer& frame_server() const { return server_; }
-
- private:
-  void Handle(std::vector<uint8_t> request,
-              std::vector<SharedPayload>* responses);
-
-  core::TrustedEntity* te_;
-  bool loaded_ = false;  ///< first Records frame = dataset, later = inserts
-  FrameServer server_;
+  explicit TeServer(core::TrustedEntity* te, FrameServerOptions options = {});
 };
 
 /// TOM service provider behind TCP (answers are two frames: QueryAnswer
-/// then the MB-tree VO).
-class TomSpServer {
+/// then the MB-tree VO). TOM's load/update protocol pairs each data frame
+/// with the Signature frame that commits it; the handler buffers it in
+/// between.
+class TomSpServer : public FrameServer {
  public:
-  TomSpServer(core::TomServiceProvider* sp, FrameServerOptions options = {});
-  Status Start() { return server_.Start(); }
-  void Stop() { server_.Stop(); }
-  uint16_t port() const { return server_.port(); }
-  const FrameServer& frame_server() const { return server_; }
-
- private:
-  void Handle(std::vector<uint8_t> request,
-              std::vector<SharedPayload>* responses);
-
-  core::TomServiceProvider* sp_;
-  bool loaded_ = false;
-  /// TOM's load/update protocol pairs data frames with the Signature frame
-  /// that commits them (the DO signs every change); buffered in between.
-  std::vector<storage::Record> pending_records_;
-  bool has_pending_records_ = false;
-  storage::RecordId pending_delete_ = 0;
-  bool has_pending_delete_ = false;
-  FrameServer server_;
+  explicit TomSpServer(core::TomServiceProvider* sp,
+                       FrameServerOptions options = {});
 };
 
 /// The data owner's tiny epoch endpoint: clients ask it for the published
 /// epoch (their freshness reference — the DO is the only party a client
 /// trusts for this in SAE). `epoch_fn` reads whatever the owner publishes.
-class OwnerServer {
+class OwnerServer : public FrameServer {
  public:
-  OwnerServer(std::function<uint64_t()> epoch_fn,
-              FrameServerOptions options = {});
-  Status Start() { return server_.Start(); }
-  void Stop() { server_.Stop(); }
-  uint16_t port() const { return server_.port(); }
-
- private:
-  void Handle(std::vector<uint8_t> request,
-              std::vector<SharedPayload>* responses);
-
-  std::function<uint64_t()> epoch_fn_;
-  FrameServer server_;
+  explicit OwnerServer(std::function<uint64_t()> epoch_fn,
+                       FrameServerOptions options = {});
 };
 
 }  // namespace sae::net

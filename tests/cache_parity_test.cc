@@ -54,7 +54,7 @@ std::shared_ptr<const CachedAnswer> Blob(uint8_t fill) {
 }
 
 TEST(AnswerCacheTest, HitReturnsInsertedBytes) {
-  AnswerCache cache({true, 8});
+  AnswerCache cache({8});
   EXPECT_EQ(cache.Lookup(ScanKey(1, 2, 1)), nullptr);
   cache.Insert(ScanKey(1, 2, 1), Blob(0xAB));
   auto hit = cache.Lookup(ScanKey(1, 2, 1));
@@ -66,14 +66,14 @@ TEST(AnswerCacheTest, HitReturnsInsertedBytes) {
 }
 
 TEST(AnswerCacheTest, EpochIsPartOfTheKey) {
-  AnswerCache cache({true, 8});
+  AnswerCache cache({8});
   cache.Insert(ScanKey(1, 2, 1), Blob(0x01));
   EXPECT_EQ(cache.Lookup(ScanKey(1, 2, 2)), nullptr);
   EXPECT_NE(cache.Lookup(ScanKey(1, 2, 1)), nullptr);
 }
 
 TEST(AnswerCacheTest, OperatorAndLimitArePartOfTheKey) {
-  AnswerCache cache({true, 8});
+  AnswerCache cache({8});
   dbms::QueryRequest scan = dbms::QueryRequest::Scan(5, 9);
   dbms::QueryRequest count = dbms::QueryRequest::Count(5, 9);
   dbms::QueryRequest top3 = dbms::QueryRequest::TopK(5, 9, 3);
@@ -87,7 +87,7 @@ TEST(AnswerCacheTest, OperatorAndLimitArePartOfTheKey) {
 }
 
 TEST(AnswerCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
-  AnswerCache cache({true, 2});
+  AnswerCache cache({2});
   cache.Insert(ScanKey(1, 1, 1), Blob(1));
   cache.Insert(ScanKey(2, 2, 1), Blob(2));
   // Touch key 1 so key 2 becomes the LRU victim.
@@ -101,7 +101,7 @@ TEST(AnswerCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
 }
 
 TEST(AnswerCacheTest, InvalidateAllEmptiesAndCounts) {
-  AnswerCache cache({true, 8});
+  AnswerCache cache({8});
   cache.Insert(ScanKey(1, 1, 1), Blob(1));
   cache.Insert(ScanKey(2, 2, 1), Blob(2));
   cache.InvalidateAll();
@@ -823,8 +823,8 @@ TEST(AdmissionTest, HotRequestIsAdmittedOnItsFirstMissAfterAnEpochBump) {
 // whose last miss is older than that is declined again.
 TEST(AdmissionTest, SeenSetIsBoundedByMaxEntries) {
   constexpr size_t kMax = 8;
-  AnswerCache cache({true, kMax});
-  ServedAnswerMemo memo({true, kMax});
+  AnswerCache cache({kMax});
+  ServedAnswerMemo memo({kMax});
   auto served = Blob(0x5A);
   const dbms::QueryRequest old = dbms::QueryRequest::Count(1, 2);
   auto others = [&](Key base, size_t n) {

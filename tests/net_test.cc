@@ -6,8 +6,9 @@
 // the golden suite pins — and the networked SAE/TOM deployments: wire
 // loading, verified queries for every operator, a tampering proxy and a
 // poisoned SP answer cache that the networked client rejects, staleness
-// detection, unknown control tags, and a small concurrency smoke over
-// pooled transports.
+// detection, the dispatch every party server shares (malformed frames,
+// retired control tags, the epoch op), a small concurrency smoke over
+// pooled transports, and servers destroyed while a client keeps sending.
 
 #include <gtest/gtest.h>
 
@@ -65,6 +66,43 @@ void ExpectUnknownTags(uint16_t port) {
   }
 }
 
+// On one connection to a party server: an empty frame, a truncated
+// pinned message (a bare QueryRequest tag) and the retired control tags
+// each get an error frame, kCtlGetEpoch answers `epoch`, and the same
+// connection then still serves `request` with `frames` non-error frames.
+void ExpectSharedDispatch(uint16_t port, uint64_t epoch,
+                          const std::vector<uint8_t>& request, size_t frames) {
+  net::ClientTransport transport({.port = port});
+  auto lease = transport.Acquire();
+  ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+  auto call = [&](const std::vector<uint8_t>& frame) {
+    Status sent = lease.value().Send(frame);
+    return sent.ok() ? lease.value().Recv()
+                     : Result<std::vector<uint8_t>>(sent);
+  };
+  std::vector<std::vector<uint8_t>> malformed = RetiredControlFrames();
+  malformed.insert(malformed.begin(), {{}, {0x09}});
+  for (const std::vector<uint8_t>& frame : malformed) {
+    auto response = call(frame);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_FALSE(response.value().empty());
+    EXPECT_EQ(response.value()[0], net::kCtlError)
+        << "frame of " << frame.size() << " bytes on port " << port;
+  }
+  auto reply = call(net::ControlFrame(net::kCtlGetEpoch));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto answered = core::DeserializeEpochNotice(reply.value());
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(answered.value(), epoch);
+  ASSERT_TRUE(lease.value().Send(request).ok());
+  for (size_t i = 0; i < frames; ++i) {
+    auto served = lease.value().Recv();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_TRUE(net::CheckFrame(served.value()).ok())
+        << net::DecodeErrorFrame(served.value());
+  }
+}
+
 std::vector<Record> Dataset(size_t n) {
   RecordCodec codec(kRecSize);
   std::vector<Record> out;
@@ -107,6 +145,19 @@ TEST(FrameCodecTest, ByteAtATimeDelivery) {
   ASSERT_TRUE(decoder.Feed(&wire[wire.size() - 1], 1));
   ASSERT_TRUE(decoder.Next(&frame));
   EXPECT_EQ(frame, payload);
+}
+
+// A frame with an empty payload completes with its header alone: the peer
+// answers it without waiting for another frame.
+TEST(FrameCodecTest, EmptyFrameClosesWithItsHeader) {
+  std::vector<uint8_t> wire = net::EncodeFrame({});
+  ASSERT_EQ(wire.size(), net::kFrameHeaderBytes);
+  net::FrameDecoder decoder;
+  ASSERT_TRUE(decoder.Feed(wire.data(), wire.size()));
+  std::vector<uint8_t> frame = {0x01};
+  ASSERT_TRUE(decoder.Next(&frame));
+  EXPECT_TRUE(frame.empty());
+  EXPECT_EQ(decoder.buffered(), 0u);
 }
 
 TEST(FrameCodecTest, TruncatedFrameNeverCompletes) {
@@ -415,7 +466,21 @@ TEST_F(NetServingTest, RetiredControlTagsAreUnknown) {
   ASSERT_NO_FATAL_FAILURE(ExpectUnknownTags(te_server_->port()));
   ASSERT_NO_FATAL_FAILURE(ExpectUnknownTags(owner_server_->port()));
   EXPECT_EQ(sp_->answer_cache().size(), cached);
-  EXPECT_TRUE(sp_server_->frame_server().running());
+  EXPECT_TRUE(sp_server_->running());
+  auto verified = client_->Query(QueryRequest::Scan(100, 400));
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+}
+
+TEST_F(NetServingTest, EveryPartySharesOneDispatch) {
+  std::vector<uint8_t> query =
+      core::SerializeQueryRequest(QueryRequest::Scan(100, 400));
+  ASSERT_NO_FATAL_FAILURE(ExpectSharedDispatch(sp_server_->port(), 1, query, 1));
+  ASSERT_NO_FATAL_FAILURE(ExpectSharedDispatch(te_server_->port(), 1, query, 1));
+  published_epoch_ = 7;
+  ASSERT_NO_FATAL_FAILURE(ExpectSharedDispatch(
+      owner_server_->port(), 7, net::ControlFrame(net::kCtlGetEpoch), 1));
+  published_epoch_ = 1;
+  // The malformed frames changed nothing: the parties still verify.
   auto verified = client_->Query(QueryRequest::Scan(100, 400));
   ASSERT_TRUE(verified.ok()) << verified.status().ToString();
 }
@@ -504,7 +569,7 @@ TEST_F(NetServingTest, ConcurrentClientsAllVerify) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GE(sp_server_->frame_server().connections_accepted(),
+  EXPECT_GE(sp_server_->connections_accepted(),
             uint64_t(kThreads));
 }
 
@@ -718,6 +783,14 @@ TEST_F(TomNetTest, RetiredControlTagsAreUnknown) {
   ASSERT_TRUE(verified.ok()) << verified.status().ToString();
 }
 
+TEST_F(TomNetTest, SpSharesTheOneDispatch) {
+  ASSERT_NO_FATAL_FAILURE(ExpectSharedDispatch(
+      sp_server_->port(), owner_->epoch(),
+      core::SerializeQueryRequest(QueryRequest::Scan(100, 400)), 2));
+  auto verified = client_->Query(QueryRequest::Scan(100, 400));
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+}
+
 // Without the owner's epoch a TOM client cannot tell a replayed old-epoch
 // VO from a fresh one, so it refuses to run at all.
 TEST_F(TomNetTest, ClientWithoutOwnerIsRejected) {
@@ -781,6 +854,88 @@ TEST_F(TomNetTest, WireInsertCommitsWithSignature) {
   ASSERT_TRUE(verified.ok()) << verified.status().ToString();
   ASSERT_EQ(verified.value().witness.size(), 1u);
   EXPECT_EQ(verified.value().witness[0], extra);
+}
+
+// --- server lifetime -------------------------------------------------------------
+
+// Destroys a running server while a client thread keeps sending on a
+// connection it opened before: pipelined bursts keep the loop thread inside
+// the handler when the destructor stops it. The handler owns all serving
+// state, so nothing it touches is gone before the loop thread is joined
+// (the ASan and TSan jobs run this). `request` is answered with `frames`
+// frames.
+template <typename Server>
+void DestroyWhileSending(std::unique_ptr<Server> server,
+                         const std::vector<uint8_t>& request, size_t frames) {
+  ASSERT_TRUE(server->Start().ok());
+  auto fd = net::ConnectTcp({.port = server->port()});
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  net::UniqueFd conn(fd.value());
+  constexpr size_t kBurst = 8;
+  std::vector<uint8_t> burst;
+  for (size_t i = 0; i < kBurst; ++i) {
+    net::AppendFrame(&burst, request.data(), request.size());
+  }
+  std::atomic<uint64_t> answered{0};
+  std::thread client([&] {
+    // Runs until the dying server drops the connection.
+    net::FrameDecoder decoder;
+    for (;;) {
+      if (!net::SendAll(conn.get(), burst.data(), burst.size()).ok()) return;
+      for (size_t i = 0; i < kBurst * frames; ++i) {
+        if (!net::RecvFrame(conn.get(), &decoder).ok()) return;
+      }
+      answered.fetch_add(kBurst);
+    }
+  });
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (answered.load() < 4 * kBurst &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_GE(answered.load(), 4 * kBurst);
+  server.reset();
+  client.join();
+}
+
+TEST(ServerLifetimeTest, EveryServerDiesCleanlyWhileAClientSends) {
+  RecordCodec codec(kRecSize);
+  std::vector<Record> dataset = Dataset(100);
+  std::vector<uint8_t> query =
+      core::SerializeQueryRequest(QueryRequest::Scan(100, 400));
+
+  core::ServiceProviderOptions sp_options;
+  sp_options.record_size = kRecSize;
+  core::ServiceProvider sp(sp_options);
+  ASSERT_TRUE(sp.LoadDataset(dataset).ok());
+  sp.SetEpoch(1);
+  core::TrustedEntityOptions te_options;
+  te_options.record_size = kRecSize;
+  core::TrustedEntity te(te_options);
+  ASSERT_TRUE(te.LoadDataset(dataset).ok());
+  te.SetEpoch(1);
+  core::TomDataOwnerOptions owner_options;
+  owner_options.record_size = kRecSize;
+  core::TomDataOwner owner(owner_options);
+  ASSERT_TRUE(owner.LoadDataset(dataset).ok());
+  core::TomServiceProviderOptions tom_options;
+  tom_options.record_size = kRecSize;
+  core::TomServiceProvider tom_sp(tom_options);
+  ASSERT_TRUE(
+      tom_sp.LoadDataset(dataset, owner.signature(), owner.epoch()).ok());
+
+  DestroyWhileSending(std::make_unique<net::SpServer>(&sp), query, 1);
+  DestroyWhileSending(std::make_unique<net::TeServer>(&te), query, 1);
+  DestroyWhileSending(std::make_unique<net::TomSpServer>(&tom_sp), query, 2);
+  DestroyWhileSending(
+      std::make_unique<net::OwnerServer>([] { return uint64_t(1); }),
+      net::ControlFrame(net::kCtlGetEpoch), 1);
+  net::SpServer upstream(&sp);
+  ASSERT_TRUE(upstream.Start().ok());
+  DestroyWhileSending(std::make_unique<adversary::TamperingProxy>(
+                          net::Endpoint{.port = upstream.port()}, kRecSize),
+                      query, 1);
+  upstream.Stop();
 }
 
 }  // namespace

@@ -1695,6 +1695,136 @@ TEST(Recovery, TomShuffledLoadWritesTheSameBaselineFiles) {
   ExpectShuffledLoadWritesTheSameFiles<TomSystem>();
 }
 
+// --- records that do not fit the record size ----------------------------------
+
+// A record one byte too large for the codec, and one that just fits.
+Record OversizedRecord(const RecordCodec& codec) {
+  Record record = codec.MakeRecord(900, 95);
+  record.payload = storage::Payload(codec.payload_size() + 1);
+  return record;
+}
+
+// Insert and Load refuse a record whose payload exceeds the record size
+// (which the record codec cannot serialize) with InvalidArgument before
+// anything changes or is staged: the epoch, the durable files and what
+// Recover rebuilds are those of a history without it. A payload of exactly
+// the maximum size is accepted. `durable` runs the system on a FaultFs,
+// else in memory.
+template <typename System>
+void ExpectOversizedRecordsRefused(bool durable) {
+  RecordCodec codec(kRecordSize);
+  FaultFs fs;
+  typename System::Options options;
+  if (durable) {
+    options = DurableOptions<System>(crypto::HashScheme::kSha1, &fs, "/db");
+  }
+  options.record_size = kRecordSize;
+  const Record too_big = OversizedRecord(codec);
+  {
+    System refused(options);
+    std::vector<Record> data = SeedDataset(codec, 20);
+    data.push_back(too_big);
+    EXPECT_EQ(refused.Load(data).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(refused.epoch(), 0u);
+    EXPECT_TRUE(DirBytes(&fs, "/db").empty());
+  }
+  System system(options);
+  ASSERT_TRUE(system.Load(SeedDataset(codec, 20)).ok());
+  const Record largest = codec.MakeRecord(800, 85);
+  ASSERT_EQ(largest.payload.size(), kRecordSize - storage::kRecordHeaderSize);
+  ASSERT_TRUE(system.Insert(largest).ok());
+  const uint64_t epoch = system.epoch();
+  const auto files = DirBytes(&fs, "/db");
+
+  Status st = system.Insert(too_big);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(system.epoch(), epoch);
+  EXPECT_EQ(system.update_stats().failed, 1u);
+  EXPECT_EQ(DirBytes(&fs, "/db"), files);
+  std::vector<Record> live = FullScan(&system);
+  EXPECT_EQ(live.size(), 21u);
+  EXPECT_NE(std::find(live.begin(), live.end(), largest), live.end());
+  VerifySweep(&system);
+  if (!durable) return;
+
+  ASSERT_TRUE(system.WaitForCheckpoints().ok());
+  fs.DropVolatile();
+  auto recovered = System::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(recovered.value()->epoch(), epoch);
+  EXPECT_EQ(FullScan(recovered.value().get()), live);
+  VerifySweep(recovered.value().get());
+}
+
+TEST(OversizedRecord, SaeInMemoryIsRefused) {
+  ExpectOversizedRecordsRefused<SaeSystem>(/*durable=*/false);
+}
+TEST(OversizedRecord, TomInMemoryIsRefused) {
+  ExpectOversizedRecordsRefused<TomSystem>(/*durable=*/false);
+}
+TEST(OversizedRecord, SaeDurableIsRefusedAndRecovers) {
+  ExpectOversizedRecordsRefused<SaeSystem>(/*durable=*/true);
+}
+TEST(OversizedRecord, TomDurableIsRefusedAndRecovers) {
+  ExpectOversizedRecordsRefused<TomSystem>(/*durable=*/true);
+}
+
+// A durable directory that holds such a record anyway — in the WAL tail or
+// in the snapshot — makes Recover return kCorruption instead of aborting.
+template <typename System>
+void ExpectOversizedDurableRecordIsCorruption() {
+  RecordCodec codec(kRecordSize);
+  {
+    FaultFs fs;
+    auto options =
+        DurableOptions<System>(crypto::HashScheme::kSha1, &fs, "/db");
+    {
+      System system(options);
+      ASSERT_TRUE(system.Load(SeedDataset(codec, 20)).ok());
+      WalUpdate update = WalUpdate::Insert(OversizedRecord(codec));
+      update.epoch = system.epoch() + 1;
+      auto seq = system.durability()->StageUpdate(update);
+      ASSERT_TRUE(seq.ok());
+      ASSERT_TRUE(system.durability()->CommitStaged(seq.value()).ok());
+    }
+    fs.DropVolatile();
+    auto recovered = System::Recover(options);
+    EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption)
+        << recovered.status().ToString();
+    EXPECT_EQ(recovered.status().message(),
+              "wal record exceeds the record size");
+  }
+  FaultFs fs;
+  auto options = DurableOptions<System>(crypto::HashScheme::kSha1, &fs, "/db");
+  typename System::Options in_memory;
+  in_memory.record_size = kRecordSize;
+  System source(in_memory);
+  ASSERT_TRUE(source.Load(SeedDataset(codec, 20)).ok());
+  auto state = source.CaptureState();
+  ASSERT_TRUE(state.ok());
+  state.value().records.back().payload =
+      storage::Payload(codec.payload_size() + 1);
+  {
+    auto mgr = DurabilityManager::Open(options.durability);
+    ASSERT_TRUE(mgr.ok());
+    ASSERT_TRUE(
+        mgr.value()->CheckpointBaseline(1, std::move(state).ValueOrDie()).ok());
+  }
+  fs.DropVolatile();
+  auto recovered = System::Recover(options);
+  EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption)
+      << recovered.status().ToString();
+  EXPECT_EQ(recovered.status().message(),
+            "snapshot record exceeds the record size");
+}
+
+TEST(OversizedRecord, SaeDurableRecordIsCorruption) {
+  ExpectOversizedDurableRecordIsCorruption<SaeSystem>();
+}
+TEST(OversizedRecord, TomDurableRecordIsCorruption) {
+  ExpectOversizedDurableRecordIsCorruption<TomSystem>();
+}
+
 // --- concurrent durable writers (the TSan CI target) -------------------------
 
 TEST(DurableConcurrency, GroupCommitManyWritersRecoverExactly) {

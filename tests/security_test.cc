@@ -1,8 +1,9 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Adversarial security tests beyond simple result tampering: hand-crafted
-// malicious verification objects for TOM, forged tokens/signatures, and the
-// algebraic properties SAE's security argument rests on.
+// malicious verification objects for TOM, forged tokens/signatures, the
+// algebraic properties SAE's security argument rests on, and the SAE
+// client's rejection of witnesses an SP padded with cancelling pairs.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "adversary/adversary.h"
 #include "core/client.h"
+#include "core/messages.h"
 #include "core/system.h"
 #include "crypto/rsa.h"
 #include "mbtree/mb_tree.h"
@@ -963,6 +965,137 @@ TEST(VtAlgebraTest, EndToEndDuplicatePairAttackVisibility) {
   bool has_duplicate_ids = false;
   for (auto& [id, n] : id_count) has_duplicate_ids |= (n > 1);
   EXPECT_TRUE(has_duplicate_ids);
+}
+
+// --- witness padding: the pair cancellation, rejected --------------------------
+
+// An SP that pads the witness with two copies of one record keeps the XOR
+// intact (PairCancellationRequiresIdenticalRecords). The client's witness
+// check must reject both padding legs on every SAE client path, each with
+// the message of the one check it targets. The made-up record of the
+// duplicate leg shares its key with a real one.
+class WitnessPaddingTest : public ::testing::Test {
+ protected:
+  WitnessPaddingTest() : codec_(kRecSize) {
+    // Keys 300..3297 step 3: key 450 is id 150's.
+    for (uint64_t id = 100; id < 1100; ++id) {
+      dataset_.push_back(codec_.MakeRecord(id, uint32_t(id * 3)));
+    }
+  }
+
+  core::SaeSystemOptions Options() const {
+    core::SaeSystemOptions options;
+    options.record_size = kRecSize;
+    return options;
+  }
+
+  std::vector<dbms::QueryRequest> Requests() const {
+    return {dbms::QueryRequest::Scan(400, 500),
+            dbms::QueryRequest::Count(400, 500),
+            dbms::QueryRequest::TopK(400, 500, 3)};
+  }
+
+  // Every SAE client path, with `tap` standing in for the SP, must reject
+  // every request with a verification failure that names `why`.
+  void ExpectRejectedEverywhere(adversary::PairPaddingTap* tap,
+                                const std::string& why) {
+    for (bool cached : {true, false}) {
+      core::SaeSystemOptions options = Options();
+      if (!cached) options.DisableCaches();
+      core::SaeSystem system(options);
+      ASSERT_TRUE(system.Load(dataset_).ok());
+      for (const dbms::QueryRequest& request : Requests()) {
+        // Three runs: a miss, the admitted second miss, a memo hit.
+        for (int run = 0; run < 3; ++run) {
+          auto outcome = system.ExecuteQuery(request, tap);
+          ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+          Status st = outcome.value().verification;
+          EXPECT_EQ(st.code(), StatusCode::kVerificationFailure)
+              << "cached=" << cached << " run " << run << ": "
+              << st.ToString();
+          EXPECT_NE(st.message().find(why), std::string::npos)
+              << st.ToString();
+        }
+      }
+    }
+
+    core::ShardedSaeSystem sharded(core::ShardRouter({450}), Options());
+    ASSERT_TRUE(sharded.Load(dataset_).ok());
+    for (const dbms::QueryRequest& request : Requests()) {
+      auto outcome = sharded.ExecuteQuery(request, tap);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      Status st = outcome.value().verification;
+      EXPECT_EQ(st.code(), StatusCode::kVerificationFailure) << st.ToString();
+      EXPECT_NE(st.message().find(why), std::string::npos) << st.ToString();
+    }
+
+    // The check NetSaeClient runs on each networked answer.
+    core::SaeSystem system(Options());
+    ASSERT_TRUE(system.Load(dataset_).ok());
+    for (const dbms::QueryRequest& request : Requests()) {
+      auto served = system.sp().ServeQuery(request);
+      ASSERT_TRUE(served.ok());
+      auto padded = tap->OnAnswer(request, system.epoch(), served.value());
+      ASSERT_TRUE(padded.ok());
+      auto message =
+          core::DeserializeQueryAnswer(padded.value()->answer_msg, codec_);
+      ASSERT_TRUE(message.ok());
+      auto vt = system.te().GenerateVt(request);
+      ASSERT_TRUE(vt.ok());
+      // The pair cancels: the padded witness still matches the token.
+      const std::vector<Record>& witness = message.value().witness;
+      ASSERT_TRUE(core::Client::CompareXor(
+                      core::Client::ResultXor(witness, codec_),
+                      vt.value().digest)
+                      .ok());
+      Status st = core::Client::VerifyAnswer(
+          request, message.value().answer, witness, vt.value(),
+          message.value().epoch, system.epoch(), codec_);
+      EXPECT_EQ(st.code(), StatusCode::kVerificationFailure) << st.ToString();
+      EXPECT_EQ(st.message(), why);
+    }
+  }
+
+  RecordCodec codec_;
+  std::vector<Record> dataset_;
+};
+
+TEST_F(WitnessPaddingTest, DuplicatePairIsRejected) {
+  adversary::PairPaddingTap tap(adversary::PairPaddingTap::Leg::kDuplicatePair,
+                                codec_.MakeRecord(5000, 450), codec_);
+  ExpectRejectedEverywhere(&tap, "witness repeats a record id");
+}
+
+TEST_F(WitnessPaddingTest, OutOfRangePairIsRejected) {
+  // The real record with key 300, below every queried range.
+  adversary::PairPaddingTap tap(adversary::PairPaddingTap::Leg::kOutOfRangePair,
+                                dataset_.front(), codec_);
+  ExpectRejectedEverywhere(&tap, "witness record lies outside the queried range");
+}
+
+// The witness check does not ask (key, id) to ascend: the B+-tree places
+// an inserted key after the equal keys already there, so an honest answer
+// after an update can list equal keys with their ids out of order.
+TEST_F(WitnessPaddingTest, HonestEqualKeysOutOfIdOrderVerify) {
+  core::SaeSystem system(Options());
+  ASSERT_TRUE(system.Load(dataset_).ok());
+  ASSERT_TRUE(system.Insert(codec_.MakeRecord(5, 450)).ok());
+  auto outcome = system.ExecuteQuery(dbms::QueryRequest::Scan(400, 500));
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_TRUE(outcome.value().verification.ok())
+      << outcome.value().verification.ToString();
+  const std::vector<Record>& witness = outcome.value().results;
+  bool ids_descend = false;
+  for (size_t i = 1; i < witness.size(); ++i) {
+    ids_descend |= witness[i - 1].key == witness[i].key &&
+                   witness[i - 1].id > witness[i].id;
+  }
+  EXPECT_TRUE(ids_descend);
+  EXPECT_TRUE(core::Client::VerifyAnswer(
+                  dbms::QueryRequest::Scan(400, 500), outcome.value().answer,
+                  witness, outcome.value().vt, outcome.value().claimed_epoch,
+                  system.epoch(), codec_)
+                  .ok());
 }
 
 }  // namespace

@@ -324,6 +324,27 @@ TEST(ShardedSaeTest, CrossShardRangeMatchesUnshardedOracle) {
   EXPECT_EQ(Flatten(plain.value().results), Flatten(shard.value().results));
 }
 
+// A refused sharded Load changes nothing: a record too large for the
+// record size is refused before any shard loads, even when it belongs to
+// the last shard, and a duplicate id leaves no id of the refused dataset
+// in the router's directory (an insert of one is not "already present").
+TEST(ShardedSaeTest, RefusedLoadChangesNothing) {
+  RecordCodec codec(kRecSize);
+  auto oversized = MakeDataset(900);  // keys 10..9000
+  oversized.back().payload = storage::Payload(codec.payload_size() + 1);
+  auto duplicated = MakeDataset(900);
+  duplicated.push_back(duplicated.front());
+  for (const auto& dataset : {oversized, duplicated}) {
+    ShardedSaeSystem sharded(ShardRouter({3000, 6000}),
+                             ShardedOptions<SaeSystem>());
+    EXPECT_EQ(sharded.Load(dataset).code(), StatusCode::kInvalidArgument);
+    for (size_t s = 0; s < sharded.num_shards(); ++s) {
+      EXPECT_EQ(sharded.shard(s).epoch(), 0u) << "shard " << s;
+    }
+    EXPECT_TRUE(sharded.Insert(dataset[1]).ok());
+  }
+}
+
 TEST(ShardedSaeTest, RandomizedCrossShardRangesMatchOracle) {
   auto dataset = MakeDataset(800);
   SaeSystem::Options options;
