@@ -6,7 +6,8 @@
 // follow, single-threaded over a loaded SAE system: the SP's uncached
 // answer build (index descent, heap fetch, answer encode) and the client's
 // check of a served buffer (SaeClientMemo::VerifyAnswer: decode, then a
-// memo hit or a witness re-hash).
+// memo hit or a witness re-hash). One more times the buffer pool's own
+// per-access cost, alone and with three threads contending.
 
 #include <benchmark/benchmark.h>
 
@@ -208,6 +209,29 @@ void BM_XbTree_Insert(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_XbTree_Insert);
+
+// --- buffer pool -------------------------------------------------------------
+
+// One Fetch + unpin of a page picked uniformly from 12.5K, through a pool of
+// 1,024 frames (the SP heap pool at perfbench scale): about 92% of fetches
+// miss and evict. With 3 threads the pool's one mutex is contended.
+void BM_BufferPool_FetchUnpin(benchmark::State& state) {
+  constexpr size_t kPages = 12'500;
+  static InMemoryPageStore* store = new InMemoryPageStore;
+  static BufferPool* pool = [] {
+    auto* p = new BufferPool(store, 1024);
+    for (size_t i = 0; i < kPages; ++i) SAE_CHECK(p->New().ok());
+    return p;
+  }();
+  Rng rng(8 + uint64_t(state.thread_index()));
+  for (auto _ : state) {
+    auto ref = pool->Fetch(storage::PageId(rng.NextBounded(kPages)));
+    SAE_CHECK(ref.ok());
+    benchmark::DoNotOptimize(ref.value().Get().bytes()[0]);
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_BufferPool_FetchUnpin)->Threads(1)->Threads(3);
 
 // --- SAE read path ---------------------------------------------------------------
 

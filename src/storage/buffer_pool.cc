@@ -2,12 +2,17 @@
 //
 // Implements the LRU BufferPool (storage/buffer_pool.h) and its logical
 // node-access / frame-miss counters — the paper's cost instrumentation.
-// Frames point at the store's pages, so no page is ever copied.
-// One mutex guards all frame bookkeeping; counters are atomic and also
-// mirrored into per-thread slots so workers can attribute accesses to the
-// query they are running without touching shared mutable state.
+// Frames point at the store's pages, so no page is ever copied. The LRU
+// list is threaded through the frame array and the page table is a vector
+// indexed by the store's dense page ids, so the bookkeeping under the one
+// mutex is index arithmetic; the global counters are plain fields updated
+// under that same mutex. Per-thread counters live in per-pool slots that a
+// thread reaches through a one-entry thread-local cache.
 
 #include "storage/buffer_pool.h"
+
+#include <algorithm>
+#include <atomic>
 
 #include "util/macros.h"
 
@@ -15,11 +20,23 @@ namespace sae::storage {
 
 namespace {
 
-// Per-(thread, pool) counters, keyed by pool address. Entries of destroyed
-// pools are never erased; callers only consume snapshot *deltas*, so a
-// stale base value from a recycled address cancels out.
-thread_local std::unordered_map<const void*, BufferPool::Stats>
-    t_pool_stats;
+// Process-unique ids for pools and threads. A pool's serial is never
+// reused, so a pool built where a destroyed one lived starts its per-thread
+// counts at zero.
+std::atomic<uint64_t> g_next_serial{1};
+
+uint64_t NextSerial() {
+  return g_next_serial.fetch_add(1, std::memory_order_relaxed);
+}
+
+// The calling thread's id (0 until first needed) and the last pool whose
+// counters it touched.
+thread_local uint64_t t_thread = 0;
+struct CachedSlot {
+  uint64_t pool = 0;
+  BufferPool::Stats* stats = nullptr;
+};
+thread_local CachedSlot t_cached;
 
 }  // namespace
 
@@ -53,92 +70,109 @@ void BufferPool::PageRef::Release() {
 }
 
 BufferPool::BufferPool(InMemoryPageStore* store, size_t capacity)
-    : store_(store), capacity_(capacity) {
-  SAE_CHECK(capacity_ >= 4);
+    : store_(store), capacity_(capacity), serial_(NextSerial()) {
+  SAE_CHECK(capacity_ >= 4 && capacity_ < kNoFrame);
   frames_.resize(capacity_);
   free_frames_.reserve(capacity_);
-  for (size_t i = capacity_; i-- > 0;) free_frames_.push_back(i);
+  for (size_t i = capacity_; i-- > 0;) free_frames_.push_back(uint32_t(i));
 }
 
-void BufferPool::CountAccess(bool miss) {
-  accesses_.fetch_add(1, std::memory_order_relaxed);
-  Stats& tls = t_pool_stats[this];
-  ++tls.accesses;
-  if (miss) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    ++tls.misses;
+BufferPool::Stats& BufferPool::ThisThreadsStats() const {
+  if (t_cached.pool != serial_) {
+    if (t_thread == 0) t_thread = NextSerial();
+    std::lock_guard<std::mutex> lock(slots_mu_);
+    auto it = std::find_if(slots_.begin(), slots_.end(), [](const auto& s) {
+      return s.thread == t_thread;
+    });
+    ThreadSlot& slot = it != slots_.end()
+                           ? *it
+                           : slots_.emplace_back(ThreadSlot{t_thread, {}});
+    t_cached = CachedSlot{serial_, &slot.stats};
   }
+  return *t_cached.stats;
 }
 
-void BufferPool::CountEviction() {
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  ++t_pool_stats[this].evictions;
-}
-
-void BufferPool::CountAllocation() {
-  allocations_.fetch_add(1, std::memory_order_relaxed);
-  ++t_pool_stats[this].allocations;
+void BufferPool::CountForThisThread(bool miss, bool evicted, bool allocated) {
+  Stats& mine = ThisThreadsStats();
+  ++mine.accesses;
+  mine.misses += miss;
+  mine.evictions += evicted;
+  mine.allocations += allocated;
 }
 
 BufferPool::Stats BufferPool::stats() const {
-  Stats s;
-  s.accesses = accesses_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.allocations = allocations_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 BufferPool::Stats BufferPool::ThreadStats() const {
-  auto it = t_pool_stats.find(this);
-  return it == t_pool_stats.end() ? Stats{} : it->second;
+  return ThisThreadsStats();
 }
 
 void BufferPool::ResetStats() {
-  accesses_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  allocations_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_ = Stats{};
 }
 
-void BufferPool::Unpin(size_t frame) {
-  std::lock_guard<std::mutex> lock(mu_);
+void BufferPool::LruAppend(uint32_t frame) {
   Frame& f = frames_[frame];
-  SAE_CHECK(f.in_use && f.pin_count > 0);
-  if (--f.pin_count == 0) {
-    lru_.push_back(frame);
-    f.lru_pos = std::prev(lru_.end());
-    f.in_lru = true;
+  f.prev = lru_tail_;
+  f.next = kNoFrame;
+  if (lru_tail_ == kNoFrame) {
+    lru_head_ = frame;
+  } else {
+    frames_[lru_tail_].next = frame;
+  }
+  lru_tail_ = frame;
+}
+
+void BufferPool::LruUnlink(uint32_t frame) {
+  Frame& f = frames_[frame];
+  if (f.prev == kNoFrame) {
+    lru_head_ = f.next;
+  } else {
+    frames_[f.prev].next = f.next;
+  }
+  if (f.next == kNoFrame) {
+    lru_tail_ = f.prev;
+  } else {
+    frames_[f.next].prev = f.prev;
   }
 }
 
-Result<size_t> BufferPool::GrabFrame(bool* evicted) {
+void BufferPool::Unpin(uint32_t frame) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Frame& f = frames_[frame];
+  SAE_CHECK(f.pin_count > 0);
+  if (--f.pin_count == 0) LruAppend(frame);
+}
+
+uint32_t BufferPool::GrabFrame(bool* evicted) {
   if (!free_frames_.empty()) {
-    size_t frame = free_frames_.back();
+    uint32_t frame = free_frames_.back();
     free_frames_.pop_back();
     return frame;
   }
-  if (lru_.empty()) {
-    return Status::OutOfRange("all buffer frames pinned");
-  }
-  size_t victim = lru_.front();
-  lru_.pop_front();
-  Frame& f = frames_[victim];
-  f.in_lru = false;
-  table_.erase(f.id);
-  f.in_use = false;
+  uint32_t victim = lru_head_;
+  if (victim == kNoFrame) return kNoFrame;
+  LruUnlink(victim);
+  table_[frames_[victim].id] = kNoFrame;
+  ++stats_.evictions;
   *evicted = true;
   return victim;
 }
 
-BufferPool::PageRef BufferPool::Pin(size_t frame, PageId id, Page* page) {
+BufferPool::PageRef BufferPool::Pin(uint32_t frame, PageId id, Page* page) {
+  // The table grows only when the store's page-id space outgrows it.
+  if (id >= table_.size()) {
+    table_.resize(std::max<size_t>(size_t(id) + 1, 2 * table_.size()),
+                  kNoFrame);
+  }
+  table_[id] = frame;
   Frame& f = frames_[frame];
   f.page = page;
   f.id = id;
   f.pin_count = 1;
-  f.in_use = true;
-  f.in_lru = false;
-  table_[id] = frame;
   return PageRef(this, frame, page, id);
 }
 
@@ -147,19 +181,20 @@ Result<BufferPool::PageRef> BufferPool::Fetch(PageId id) {
   bool evicted = false;
   Result<PageRef> result = [&]() -> Result<PageRef> {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = table_.find(id);
-    if (it != table_.end()) {
-      Frame& f = frames_[it->second];
-      if (f.pin_count == 0 && f.in_lru) {
-        lru_.erase(f.lru_pos);
-        f.in_lru = false;
-      }
-      ++f.pin_count;
-      return PageRef(this, it->second, f.page, id);
+    ++stats_.accesses;
+    uint32_t frame = FrameOf(id);
+    if (frame != kNoFrame) {
+      Frame& f = frames_[frame];
+      if (f.pin_count++ == 0) LruUnlink(frame);
+      return PageRef(this, frame, f.page, id);
     }
 
     miss = true;
-    SAE_ASSIGN_OR_RETURN(size_t frame, GrabFrame(&evicted));
+    ++stats_.misses;
+    frame = GrabFrame(&evicted);
+    if (frame == kNoFrame) {
+      return Status::OutOfRange("all buffer frames pinned");
+    }
     Page* page = store_->PageAt(id);
     if (page == nullptr) {
       free_frames_.push_back(frame);
@@ -167,8 +202,7 @@ Result<BufferPool::PageRef> BufferPool::Fetch(PageId id) {
     }
     return Pin(frame, id, page);
   }();
-  CountAccess(miss);
-  if (evicted) CountEviction();
+  CountForThisThread(miss, evicted, /*allocated=*/false);
   return result;
 }
 
@@ -176,31 +210,30 @@ Result<BufferPool::PageRef> BufferPool::New() {
   bool evicted = false;
   Result<PageRef> result = [&]() -> Result<PageRef> {
     std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.accesses;
+    ++stats_.allocations;
     SAE_ASSIGN_OR_RETURN(PageId id, store_->Allocate());
-    SAE_ASSIGN_OR_RETURN(size_t frame, GrabFrame(&evicted));
+    uint32_t frame = GrabFrame(&evicted);
+    if (frame == kNoFrame) {
+      SAE_CHECK_OK(store_->Free(id));  // give the page back: no leak
+      return Status::OutOfRange("all buffer frames pinned");
+    }
     return Pin(frame, id, store_->PageAt(id));
   }();
-  CountAccess(/*miss=*/false);
-  CountAllocation();
-  if (evicted) CountEviction();
+  CountForThisThread(/*miss=*/false, evicted, /*allocated=*/true);
   return result;
 }
 
 Status BufferPool::Free(PageId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = table_.find(id);
-  if (it != table_.end()) {
-    Frame& f = frames_[it->second];
-    if (f.pin_count > 0) {
+  uint32_t frame = FrameOf(id);
+  if (frame != kNoFrame) {
+    if (frames_[frame].pin_count > 0) {
       return Status::InvalidArgument("freeing a pinned page");
     }
-    if (f.in_lru) {
-      lru_.erase(f.lru_pos);
-      f.in_lru = false;
-    }
-    f.in_use = false;
-    free_frames_.push_back(it->second);
-    table_.erase(it);
+    LruUnlink(frame);
+    table_[id] = kNoFrame;
+    free_frames_.push_back(frame);
   }
   return store_->Free(id);
 }

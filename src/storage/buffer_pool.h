@@ -13,24 +13,24 @@
 // directly, and eviction drops the frame without writing anything back.
 //
 // Concurrency: the pool is safe for any number of concurrent readers (and
-// for readers concurrent with a single writer touching disjoint pages). An
-// internal mutex guards the frame table / LRU / pin counts, counters are
-// atomic, and `stats()` returns a consistent snapshot instead of a racy
-// reference. Per-thread counters (`ThreadStats()`) let a worker attribute
-// node accesses to the query it is executing without racing other workers;
-// callers diff two snapshots, so the counters themselves never need
-// resetting. Page *contents* are protected by the pin discipline: a ref
-// reads its page without the mutex, and writers (`Mutable()`) require that
-// no other thread holds a ref to the same page.
+// for readers concurrent with a single writer touching disjoint pages). One
+// internal mutex guards the frame table, the LRU links, the pin counts and
+// the global counters; a fetch or unpin does nothing under it but index
+// arithmetic and plain increments (no allocation, no hashing, no atomics),
+// and `stats()` takes it to return a consistent snapshot. Per-thread
+// counters (`ThreadStats()`) let a worker attribute node accesses to the
+// query it is executing without racing other workers; callers diff two
+// snapshots, so the counters themselves never need resetting. Page
+// *contents* are protected by the pin discipline: a ref reads its page
+// without the mutex, and writers (`Mutable()`) require that no other
+// thread holds a ref to the same page.
 
 #ifndef SAE_STORAGE_BUFFER_POOL_H_
 #define SAE_STORAGE_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cstdint>
-#include <list>
+#include <deque>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/page.h"
@@ -44,10 +44,8 @@ class BufferPool {
  public:
   /// A snapshot of the pool's counters. Obtain via `stats()` (all threads)
   /// or `ThreadStats()` (calling thread only) and diff two snapshots to
-  /// measure the work in between. Each field is individually exact
-  /// (relaxed atomics); a `stats()` snapshot taken while workers are mid-
-  /// fetch is not cross-field consistent — snapshot quiescent pools when
-  /// ratios between fields matter.
+  /// measure the work in between. A `stats()` snapshot is taken under the
+  /// pool's lock, so its fields are consistent with one another.
   struct Stats {
     uint64_t accesses = 0;   // logical page fetches (hits + misses)
     uint64_t misses = 0;     // fetches of a page not resident in a frame
@@ -94,11 +92,11 @@ class BufferPool {
 
    private:
     friend class BufferPool;
-    PageRef(BufferPool* pool, size_t frame, Page* page, PageId id)
+    PageRef(BufferPool* pool, uint32_t frame, Page* page, PageId id)
         : pool_(pool), frame_(frame), page_(page), id_(id) {}
 
     BufferPool* pool_ = nullptr;
-    size_t frame_ = 0;
+    uint32_t frame_ = 0;
     Page* page_ = nullptr;
     PageId id_ = kInvalidPageId;
   };
@@ -132,55 +130,73 @@ class BufferPool {
   /// against concurrent queries and no reset of shared state.
   Stats ThreadStats() const;
 
-  /// Zeroes the global counters. Single-threaded convenience for tests and
-  /// benches; do not call while other threads use the pool (prefer
-  /// snapshot deltas, which need no reset).
+  /// Zeroes the global counters (not the per-thread ones). A convenience
+  /// for tests and benches; prefer snapshot deltas, which need no reset.
   void ResetStats();
 
   size_t capacity() const { return capacity_; }
 
  private:
-  // A resident page: a pointer to the store's own page, never a copy.
+  static constexpr uint32_t kNoFrame = 0xFFFFFFFFu;
+
+  // A frame: a pointer to the store's own page, never a copy. A frame is
+  // resident while the page table maps `id` to it, and sits in the LRU
+  // list exactly when it is resident and unpinned.
   struct Frame {
     Page* page = nullptr;
     PageId id = kInvalidPageId;
-    int pin_count = 0;
-    bool in_use = false;
-    std::list<size_t>::iterator lru_pos;  // valid iff pin_count == 0 && in_use
-    bool in_lru = false;
+    uint32_t pin_count = 0;
+    uint32_t prev = kNoFrame;  // LRU neighbours (toward least recent)
+    uint32_t next = kNoFrame;  // (toward most recent)
   };
 
-  void Unpin(size_t frame);
-  // Finds a free frame, evicting if necessary; sets *evicted when a victim
-  // was pushed out. Returns frame index. Caller must hold mu_.
-  Result<size_t> GrabFrame(bool* evicted);
-  // Makes `frame` resident for `page` and pins it. Caller must hold mu_.
-  PageRef Pin(size_t frame, PageId id, Page* page);
+  // One thread's counters in this pool. Only that thread touches `stats`;
+  // `thread` is written once, under slots_mu_. Cache-line sized so two
+  // threads' slots never share a line.
+  struct alignas(64) ThreadSlot {
+    uint64_t thread = 0;
+    Stats stats;
+  };
 
-  // Bump the global atomics and this thread's counters. Called outside mu_
-  // so the hash-map lookup never extends the critical section.
-  void CountAccess(bool miss);
-  void CountEviction();
-  void CountAllocation();
+  void Unpin(uint32_t frame);
+  // The frame holding `id`, or kNoFrame. Caller must hold mu_.
+  uint32_t FrameOf(PageId id) const {
+    return id < table_.size() ? table_[id] : kNoFrame;
+  }
+  // Caller must hold mu_ for the LRU and frame helpers below.
+  void LruAppend(uint32_t frame);
+  void LruUnlink(uint32_t frame);
+  // A free frame, evicting the least recently used unpinned one if need
+  // be (and counting the eviction); kNoFrame when every frame is pinned.
+  uint32_t GrabFrame(bool* evicted);
+  // Makes `frame` resident for `page` and pins it.
+  PageRef Pin(uint32_t frame, PageId id, Page* page);
+
+  // The calling thread's counters, through a one-entry thread-local cache
+  // keyed by serial_; a miss finds or adds the slot under slots_mu_.
+  Stats& ThisThreadsStats() const;
+  void CountForThisThread(bool miss, bool evicted, bool allocated);
 
   InMemoryPageStore* store_;
   size_t capacity_;
+  const uint64_t serial_;  // process-unique; never reused by a later pool
 
-  // mu_ guards frames_ metadata (pin counts, in-use flags, ids),
-  // free_frames_, lru_, table_, and all store calls. Page *contents* are
-  // read outside the lock (see class comment). A miss only looks the page
-  // up in the in-memory store, so one pool-wide mutex is the whole locking
-  // scheme.
+  // mu_ guards frames_ metadata, free_frames_, the LRU ends, table_,
+  // stats_, and all store calls. Page *contents* are read outside the lock
+  // (see class comment). A miss only looks the page up in the in-memory
+  // store, so this one mutex is all the frame bookkeeping needs.
   mutable std::mutex mu_;
   std::vector<Frame> frames_;
-  std::vector<size_t> free_frames_;
-  std::list<size_t> lru_;  // front = least recently used, unpinned only
-  std::unordered_map<PageId, size_t> table_;
+  std::vector<uint32_t> free_frames_;  // reserved to capacity_ up front
+  uint32_t lru_head_ = kNoFrame;       // least recently used
+  uint32_t lru_tail_ = kNoFrame;       // most recently used
+  std::vector<uint32_t> table_;        // PageId -> frame, kNoFrame if none
+  Stats stats_;
 
-  std::atomic<uint64_t> accesses_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> allocations_{0};
+  // slots_mu_ guards only the slot list, taken when a thread first
+  // touches this pool after touching another.
+  mutable std::mutex slots_mu_;
+  mutable std::deque<ThreadSlot> slots_;  // stable addresses
 };
 
 }  // namespace sae::storage

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -81,6 +82,8 @@ TEST(BufferPoolConcurrencyTest, ParallelFetchersSeeConsistentPages) {
   constexpr size_t kFetchesPerThread = 2000;
   std::atomic<size_t> mismatches{0};
   std::atomic<uint64_t> thread_access_sum{0};
+  std::atomic<uint64_t> thread_miss_sum{0};
+  std::atomic<uint64_t> thread_eviction_sum{0};
 
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
@@ -96,8 +99,10 @@ TEST(BufferPoolConcurrencyTest, ParallelFetchersSeeConsistentPages) {
         std::memcpy(&stamp, ref.value().Get().bytes(), sizeof(stamp));
         if (stamp != pick) mismatches.fetch_add(1);
       }
-      thread_access_sum.fetch_add(
-          (pool.ThreadStats() - start).accesses);
+      BufferPool::Stats mine = pool.ThreadStats() - start;
+      thread_access_sum.fetch_add(mine.accesses);
+      thread_miss_sum.fetch_add(mine.misses);
+      thread_eviction_sum.fetch_add(mine.evictions);
     });
   }
   for (auto& thread : threads) thread.join();
@@ -105,8 +110,101 @@ TEST(BufferPoolConcurrencyTest, ParallelFetchersSeeConsistentPages) {
   EXPECT_EQ(mismatches.load(), 0u);
   BufferPool::Stats delta = pool.stats() - before;
   EXPECT_EQ(delta.accesses, kThreads * kFetchesPerThread);
-  // The per-thread counters partition the global count exactly.
+  EXPECT_GT(delta.evictions, 0u);
+  // The per-thread counters partition the global counts exactly.
   EXPECT_EQ(thread_access_sum.load(), delta.accesses);
+  EXPECT_EQ(thread_miss_sum.load(), delta.misses);
+  EXPECT_EQ(thread_eviction_sum.load(), delta.evictions);
+}
+
+// The pool's writer contract: one thread creates, writes and frees its own
+// pages (New / Mutable / Free) while readers fetch theirs. Nobody sees
+// another page's bytes, and the per-thread counters still partition the
+// global ones.
+TEST(BufferPoolConcurrencyTest, SingleWriterOnDisjointPagesAlongsideReaders) {
+  storage::InMemoryPageStore store;
+  BufferPool pool(&store, 16);
+  constexpr size_t kReaders = kThreads - 1;
+  constexpr size_t kPagesPerReader = 12;
+  std::vector<std::vector<PageId>> reader_pages(kReaders);
+  for (size_t r = 0; r < kReaders; ++r) {
+    for (size_t i = 0; i < kPagesPerReader; ++i) {
+      auto ref = pool.New();
+      ASSERT_TRUE(ref.ok());
+      uint64_t stamp = r * 1000 + i;
+      std::memcpy(ref.value().Mutable().bytes(), &stamp, sizeof(stamp));
+      reader_pages[r].push_back(ref.value().id());
+    }
+  }
+  size_t pages_before = store.LivePageCount();
+
+  BufferPool::Stats before = pool.stats();
+  constexpr size_t kReaderFetches = 2000;
+  constexpr size_t kWriterRounds = 600;
+  std::atomic<size_t> mismatches{0};
+  std::mutex sums_mu;
+  BufferPool::Stats thread_sum;
+  auto add_mine = [&](const BufferPool::Stats& start) {
+    BufferPool::Stats mine = pool.ThreadStats() - start;
+    std::lock_guard<std::mutex> lock(sums_mu);
+    thread_sum += mine;
+  };
+
+  std::vector<std::thread> threads;
+  for (size_t r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      BufferPool::Stats start = pool.ThreadStats();
+      uint64_t state = 0x9E3779B97F4A7C15ull * (r + 1);
+      for (size_t i = 0; i < kReaderFetches; ++i) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        size_t pick = size_t(state >> 33) % kPagesPerReader;
+        auto ref = pool.Fetch(reader_pages[r][pick]);
+        ASSERT_TRUE(ref.ok());
+        uint64_t stamp = 0;
+        std::memcpy(&stamp, ref.value().Get().bytes(), sizeof(stamp));
+        if (stamp != r * 1000 + pick) mismatches.fetch_add(1);
+      }
+      add_mine(start);
+    });
+  }
+  size_t writer_live = 0;
+  threads.emplace_back([&] {
+    BufferPool::Stats start = pool.ThreadStats();
+    std::vector<PageId> mine;
+    for (size_t round = 0; round < kWriterRounds; ++round) {
+      auto ref = pool.New();
+      ASSERT_TRUE(ref.ok());
+      uint64_t stamp = 1'000'000 + round;
+      std::memcpy(ref.value().Mutable().bytes(), &stamp, sizeof(stamp));
+      mine.push_back(ref.value().id());
+      ref.value().Release();
+      // Re-read an older page of its own, then free every third one.
+      size_t pick = round % mine.size();
+      auto again = pool.Fetch(mine[pick]);
+      ASSERT_TRUE(again.ok());
+      std::memcpy(&stamp, again.value().Get().bytes(), sizeof(stamp));
+      if (stamp < 1'000'000) mismatches.fetch_add(1);
+      again.value().Release();
+      if (round % 3 == 2) {
+        ASSERT_TRUE(pool.Free(mine[pick]).ok());
+        mine.erase(mine.begin() + long(pick));
+      }
+    }
+    writer_live = mine.size();
+    add_mine(start);
+  });
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(store.LivePageCount(), pages_before + writer_live);
+  BufferPool::Stats delta = pool.stats() - before;
+  EXPECT_EQ(delta.accesses, kReaders * kReaderFetches + 2 * kWriterRounds);
+  EXPECT_EQ(delta.allocations, kWriterRounds);
+  EXPECT_GT(delta.evictions, 0u);
+  EXPECT_EQ(thread_sum.accesses, delta.accesses);
+  EXPECT_EQ(thread_sum.misses, delta.misses);
+  EXPECT_EQ(thread_sum.evictions, delta.evictions);
+  EXPECT_EQ(thread_sum.allocations, delta.allocations);
 }
 
 // --- sim: Channel sessions under concurrent senders --------------------------

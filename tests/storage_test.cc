@@ -9,10 +9,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <list>
 #include <map>
 #include <memory>
+#include <new>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -261,6 +266,215 @@ TEST(BufferPoolTest, FreePinnedPageFails) {
   auto ref = pool.New();
   ASSERT_TRUE(ref.ok());
   EXPECT_FALSE(pool.Free(ref.value().id()).ok());
+}
+
+// A New refused for want of a frame gives back the store page it took.
+TEST(BufferPoolTest, NewOnAFullyPinnedPoolLeavesTheStoreAlone) {
+  InMemoryPageStore store;
+  BufferPool pool(&store, 4);
+  std::vector<BufferPool::PageRef> refs;
+  for (int i = 0; i < 4; ++i) refs.push_back(pool.New().ValueOrDie());
+  ASSERT_EQ(pool.New().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(store.LivePageCount(), 4u);
+}
+
+// Per-thread counters belong to one pool object: a pool built in the
+// storage of a destroyed one starts from zero, not from its predecessor's
+// counts.
+TEST(BufferPoolTest, FreshPoolAtAReusedAddressStartsAtZero) {
+  InMemoryPageStore store;
+  alignas(BufferPool) unsigned char storage[sizeof(BufferPool)];
+  auto* first = new (storage) BufferPool(&store, 4);
+  PageId id = first->New().ValueOrDie().id();
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(first->Fetch(id).ok());
+  EXPECT_EQ(first->ThreadStats().accesses, 5u);
+  first->~BufferPool();
+
+  auto* second = new (storage) BufferPool(&store, 4);
+  ASSERT_EQ(static_cast<void*>(second), static_cast<void*>(first));
+  EXPECT_EQ(second->stats().accesses, 0u);
+  BufferPool::Stats mine = second->ThreadStats();
+  EXPECT_EQ(mine.accesses, 0u);
+  EXPECT_EQ(mine.misses, 0u);
+  EXPECT_EQ(mine.evictions, 0u);
+  EXPECT_EQ(mine.allocations, 0u);
+  ASSERT_TRUE(second->Fetch(id).ok());
+  EXPECT_EQ(second->ThreadStats().accesses, 1u);
+  EXPECT_EQ(second->ThreadStats().misses, 1u);
+  second->~BufferPool();
+}
+
+// The LRU policy written the plain way, as the pool first implemented it: a
+// std::list of the resident unpinned pages (front = least recently used)
+// and a hash map from each resident page to its pin count and list node.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t capacity) : free_frames_(capacity) {}
+
+  // Each call returns the status code the pool must return.
+  StatusCode Fetch(PageId id, bool live) {
+    ++stats.accesses;
+    auto it = resident_.find(id);
+    if (it != resident_.end()) {
+      if (it->second.pins++ == 0) lru_.erase(it->second.pos);
+      return StatusCode::kOk;
+    }
+    ++stats.misses;
+    if (!GrabFrame()) return StatusCode::kOutOfRange;
+    if (!live) {
+      ++free_frames_;
+      return StatusCode::kInvalidArgument;
+    }
+    resident_[id].pins = 1;
+    return StatusCode::kOk;
+  }
+  StatusCode New() {
+    ++stats.accesses;
+    ++stats.allocations;
+    return GrabFrame() ? StatusCode::kOk : StatusCode::kOutOfRange;
+  }
+  void Admit(PageId id) { resident_[id].pins = 1; }  // after a New succeeds
+  void Unpin(PageId id) {
+    Entry& e = resident_.at(id);
+    if (--e.pins == 0) e.pos = lru_.insert(lru_.end(), id);
+  }
+  StatusCode Free(PageId id) {
+    auto it = resident_.find(id);
+    if (it == resident_.end()) return StatusCode::kOk;
+    if (it->second.pins > 0) return StatusCode::kInvalidArgument;
+    lru_.erase(it->second.pos);
+    resident_.erase(it);
+    ++free_frames_;
+    return StatusCode::kOk;
+  }
+
+  BufferPool::Stats stats;
+
+ private:
+  struct Entry {
+    int pins = 0;
+    std::list<PageId>::iterator pos;
+  };
+
+  bool GrabFrame() {
+    if (free_frames_ > 0) {
+      --free_frames_;
+      return true;
+    }
+    if (lru_.empty()) return false;
+    resident_.erase(lru_.front());
+    lru_.pop_front();
+    ++stats.evictions;
+    return true;
+  }
+
+  size_t free_frames_;
+  std::list<PageId> lru_;
+  std::unordered_map<PageId, Entry> resident_;
+};
+
+// A seeded trace of fetches (hot and cold, of live and of unallocated
+// pages), news, frees (pinned ones refused) and pins held across steps,
+// replayed against the pool and the reference model in lockstep: every
+// step must agree on the outcome and on each counter's delta.
+TEST(BufferPoolTest, RandomTraceMatchesReferenceLru) {
+  constexpr size_t kFrames = 8;
+  constexpr int kSteps = 24000;
+  InMemoryPageStore store;
+  BufferPool pool(&store, kFrames);
+  ReferenceLru model(kFrames);
+  std::vector<PageId> live;
+  std::set<PageId> live_set;
+  struct Held {
+    PageId id;
+    BufferPool::PageRef ref;
+  };
+  std::vector<Held> held;
+  std::map<StatusCode, int> fetch_codes;
+  int pinned_frees = 0;
+  int refused_news = 0;
+  auto counts = [](const BufferPool::Stats& s) {
+    return std::make_tuple(s.accesses, s.misses, s.evictions, s.allocations);
+  };
+  BufferPool::Stats thread_start = pool.ThreadStats();
+  Rng rng(31337);
+  // Hold a successful ref across steps, or drop it (unpinning) at once.
+  auto keep_or_drop = [&](PageId id, BufferPool::PageRef ref) {
+    if (held.size() < 10 && rng.NextBool(0.3)) {
+      held.push_back(Held{id, std::move(ref)});
+    } else {
+      ref.Release();
+      model.Unpin(id);
+    }
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    BufferPool::Stats pool_before = pool.stats();
+    BufferPool::Stats model_before = model.stats;
+    uint64_t dice = rng.NextBounded(100);
+    if (dice < 8 || live.size() < 4) {
+      StatusCode want = model.New();
+      auto ref = pool.New();
+      ASSERT_EQ(ref.status().code(), want) << "New at step " << step;
+      if (ref.ok()) {
+        PageId id = ref.value().id();
+        ASSERT_TRUE(live_set.insert(id).second);
+        live.push_back(id);
+        model.Admit(id);
+        keep_or_drop(id, std::move(ref).ValueOrDie());
+      } else {
+        ++refused_news;
+      }
+    } else if (dice < 13 && live.size() > 4) {
+      // Now and then a page this trace holds a pin on: refused.
+      PageId id = !held.empty() && rng.NextBool(0.3)
+                      ? held[rng.NextBounded(held.size())].id
+                      : live[rng.NextBounded(live.size())];
+      StatusCode want = model.Free(id);
+      ASSERT_EQ(pool.Free(id).code(), want) << "Free at step " << step;
+      if (want == StatusCode::kOk) {
+        live.erase(std::find(live.begin(), live.end(), id));
+        live_set.erase(id);
+      } else {
+        ++pinned_frees;
+      }
+    } else if (dice < 45 && !held.empty()) {
+      size_t pick = size_t(rng.NextBounded(held.size()));
+      PageId id = held[pick].id;
+      held.erase(held.begin() + long(pick));  // unpins
+      model.Unpin(id);
+    } else {
+      PageId id;
+      if (dice < 50) {
+        // Any id, live or not, sometimes far beyond the store's pages.
+        id = rng.NextBool(0.5) ? PageId(rng.NextBounded(64))
+                               : PageId(1'000'000 + rng.NextBounded(8));
+      } else {
+        // Skewed over the live pages so a hot few stay resident.
+        size_t pick = size_t(rng.NextBounded(live.size()));
+        if (rng.NextBool(0.6)) pick %= std::min<size_t>(live.size(), 6);
+        id = live[pick];
+      }
+      StatusCode want = model.Fetch(id, live_set.count(id) > 0);
+      auto ref = pool.Fetch(id);
+      ASSERT_EQ(ref.status().code(), want) << "Fetch at step " << step;
+      ++fetch_codes[want];
+      if (ref.ok()) keep_or_drop(id, std::move(ref).ValueOrDie());
+    }
+    ASSERT_EQ(counts(pool.stats() - pool_before),
+              counts(model.stats - model_before))
+        << "counter deltas diverge at step " << step;
+  }
+  held.clear();
+  EXPECT_EQ(counts(pool.stats()), counts(model.stats));
+  EXPECT_EQ(counts(pool.ThreadStats() - thread_start), counts(model.stats));
+  // The trace reached every branch it is meant to cover.
+  EXPECT_GT(model.stats.evictions, 1000u);
+  EXPECT_GT(model.stats.accesses - model.stats.misses, 1000u);
+  EXPECT_GT(fetch_codes[StatusCode::kOutOfRange], 10);
+  EXPECT_GT(fetch_codes[StatusCode::kInvalidArgument], 100);
+  EXPECT_GT(refused_news, 0);
+  EXPECT_GT(pinned_frees, 100);
 }
 
 // --- record codec -----------------------------------------------------------------
