@@ -14,7 +14,6 @@
 // SAE_BENCH_JSON (env, default BENCH_crypto.json) names the output file.
 // SAE_BENCH_SCALE scales the per-measurement time budget.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -26,9 +25,6 @@
 #include "crypto/bigint.h"
 #include "crypto/digest.h"
 #include "crypto/rsa.h"
-#include "dbms/query.h"
-#include "sigchain/sig_chain.h"
-#include "util/macros.h"
 #include "util/random.h"
 
 using namespace sae;
@@ -77,51 +73,6 @@ double MeasureOpsPerSec(const std::function<void()>& fn) {
     ops += batch;
   }
   return ops / (elapsed / 1000.0);
-}
-
-// Measures two plans in alternating time slices and returns their ops/sec
-// as {a, b}. Frequency scaling and noisy neighbors hit adjacent slices
-// almost identically, so the *ratio* stays honest even when absolute
-// numbers drift — which separately-timed windows cannot guarantee.
-std::pair<double, double> MeasurePairedOpsPerSec(
-    const std::function<void()>& a, const std::function<void()>& b) {
-  using clock = std::chrono::steady_clock;
-  auto ms = [](clock::duration d) {
-    return std::chrono::duration<double, std::milli>(d).count();
-  };
-  // Calibrate on the first plan: grow the slice until it costs >= 2 ms.
-  size_t batch = 1;
-  for (;;) {
-    auto t0 = clock::now();
-    for (size_t i = 0; i < batch; ++i) a();
-    double elapsed = ms(clock::now() - t0);
-    if (elapsed >= 2.0 || batch >= (size_t(1) << 24)) break;
-    batch *= 4;
-  }
-  b();  // warm the second plan's caches before its first timed slice
-  // Ratios need many slice pairs to average out scheduler interrupts on a
-  // small host, so the pair gets a floor budget even at smoke scale.
-  const double budget = std::max(2.0 * MsBudget(), 150.0);
-  size_t ops_a = 0;
-  size_t ops_b = 0;
-  double elapsed_a = 0.0;
-  double elapsed_b = 0.0;
-  bool a_first = true;
-  while (elapsed_a + elapsed_b < budget) {
-    const std::function<void()>& first = a_first ? a : b;
-    const std::function<void()>& second = a_first ? b : a;
-    auto t0 = clock::now();
-    for (size_t i = 0; i < batch; ++i) first();
-    auto t1 = clock::now();
-    for (size_t i = 0; i < batch; ++i) second();
-    auto t2 = clock::now();
-    (a_first ? elapsed_a : elapsed_b) += ms(t1 - t0);
-    (a_first ? elapsed_b : elapsed_a) += ms(t2 - t1);
-    ops_a += batch;
-    ops_b += batch;
-    a_first = !a_first;  // alternate order so ramp trends cancel
-  }
-  return {ops_a / (elapsed_a / 1000.0), ops_b / (elapsed_b / 1000.0)};
 }
 
 struct Row {
@@ -270,81 +221,6 @@ int main() {
     Consume(crypto::BigInt::ModPow(base, key.d, key.n));
   }));
 
-  // Condensed-RSA batch verification sweep: VerifyBatch vs the per-item
-  // VerifyAnswer loop on the same items, under the accelerated dispatch.
-  // The contract this pins: batched is never slower at ANY size — the
-  // combined randomized check runs its products in one Montgomery context,
-  // and a crossover guard takes the per-item plan for lone items.
-  backend.set_force_scalar(false);
-  sigchain::SigChainOwner::Options owner_opts;
-  owner_opts.record_size = 64;
-  owner_opts.rsa_modulus_bits = 1024;
-  sigchain::SigChainSp::Options sp_opts;
-  sp_opts.record_size = 64;
-  sp_opts.signature_bytes = 128;  // matches 1024-bit RSA
-  sigchain::SigChainOwner owner(owner_opts);
-  sigchain::SigChainSp sp(sp_opts);
-  storage::RecordCodec codec(64);
-  std::vector<storage::Record> dataset;
-  for (uint64_t id = 1; id <= 2000; ++id) {
-    dataset.push_back(codec.MakeRecord(id, uint32_t(id * 10)));
-  }
-  auto dataset_sigs = owner.SignDataset(dataset);
-  SAE_CHECK(dataset_sigs.ok());
-  SAE_CHECK(
-      sp.LoadDataset(dataset, dataset_sigs.value(), owner.public_key()).ok());
-  sp.SetEpoch(owner.epoch(), owner.epoch_signature());
-  auto make_item = [&](uint32_t lo, uint32_t hi) {
-    auto response = std::move(sp.ExecuteRange(lo, hi)).ValueOrDie();
-    sigchain::SigChainClient::BatchItem item;
-    item.request = dbms::QueryRequest::Scan(lo, hi);
-    item.claimed = dbms::EvaluateAnswer(item.request, response.results);
-    item.witness = std::move(response.results);
-    item.vo = std::move(response.vo);
-    return item;
-  };
-  std::string batch_json;
-  std::printf("%-28s %14s %14s %9s\n", "# batch_verify (items)",
-              "per-item/s", "batched/s", "ratio");
-  for (size_t n : {size_t(1), size_t(2), size_t(4), size_t(8), size_t(16),
-                   size_t(32)}) {
-    std::vector<sigchain::SigChainClient::BatchItem> items;
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t lo = uint32_t(100 + 37 * i);
-      items.push_back(make_item(lo, lo + 190));  // ~20 records per item
-    }
-    auto run_per_item = [&] {
-      for (const auto& item : items) {
-        Status st = sigchain::SigChainClient::VerifyAnswer(
-            item.request, item.claimed, item.witness, item.vo,
-            owner.public_key(), codec, crypto::HashScheme::kSha1,
-            owner.epoch());
-        g_sink ^= uint8_t(st.ok());
-      }
-    };
-    uint64_t seed = 1;
-    auto run_batched = [&] {
-      auto verdicts = sigchain::SigChainClient::VerifyBatch(
-          items, owner.public_key(), codec, crypto::HashScheme::kSha1,
-          owner.epoch(), seed++);
-      g_sink ^= uint8_t(verdicts[0].ok());
-    };
-    auto [per_item, batched] =
-        MeasurePairedOpsPerSec(run_per_item, run_batched);
-    per_item *= double(n);
-    batched *= double(n);
-    double ratio = batched / per_item;
-    std::printf("%-28zu %14.0f %14.0f %8.2fx\n", n, per_item, batched, ratio);
-    std::fflush(stdout);
-    char bbuf[192];
-    std::snprintf(bbuf, sizeof(bbuf),
-                  "    {\"batch\": %zu, \"per_item_items_per_sec\": %.1f, "
-                  "\"batched_items_per_sec\": %.1f, \"ratio\": %.3f}",
-                  n, per_item, batched, ratio);
-    if (!batch_json.empty()) batch_json += ",\n";
-    batch_json += bbuf;
-  }
-
   std::string json;
   char buf[256];
   for (const Row& row : rows) {
@@ -371,10 +247,9 @@ int main() {
     std::fprintf(f,
                  "{\n  \"bench\": \"micro_crypto\",\n"
                  "  \"hash_kernel\": \"%s\", \"modexp_kernel\": \"%s\",\n"
-                 "  \"primitives\": [\n%s\n  ],\n"
-                 "  \"batch_verify\": [\n%s\n  ]\n}\n",
+                 "  \"primitives\": [\n%s\n  ]\n}\n",
                  backend.hash_kernel(), backend.modexp_kernel(),
-                 json.c_str(), batch_json.c_str());
+                 json.c_str());
     std::fclose(f);
     std::printf("# wrote %s\n", json_path);
   } else {

@@ -20,7 +20,6 @@
 #include "core/sharded_system.h"
 #include "crypto/backend.h"
 #include "fig_common.h"
-#include "sigchain/sig_chain.h"
 #include "workload/queries.h"
 
 using namespace sae;
@@ -302,80 +301,6 @@ bool RunCachedComparison(const char* model, System* cached, System* uncached,
   return parity;
 }
 
-// --- sig-chain batch verification --------------------------------------------
-//
-// VerifyBatch amortizes the epoch-token RSA check across the batch and
-// replaces the per-item condensed modexp with one combined check (shared-
-// squaring multi-exponentiation). Verdict-identical to per-item
-// VerifyAnswer; the speedup is what this section measures.
-
-double RunBatchVerifyBench(std::string* json) {
-  using clock = std::chrono::steady_clock;
-  constexpr size_t kRecords = 600;
-  constexpr size_t kItems = 48;
-
-  sigchain::SigChainOwner::Options owner_options;
-  owner_options.record_size = kRecordSize;
-  sigchain::SigChainOwner owner(owner_options);
-  sigchain::SigChainSp::Options sp_options;
-  sp_options.record_size = kRecordSize;
-  sigchain::SigChainSp sp(sp_options);
-  storage::RecordCodec codec(kRecordSize);
-
-  std::vector<storage::Record> records;
-  for (uint64_t id = 1; id <= kRecords; ++id) {
-    records.push_back(codec.MakeRecord(id, uint32_t(id * 100)));
-  }
-  auto sigs = owner.SignDataset(records);
-  SAE_CHECK_OK(sigs.status());
-  SAE_CHECK_OK(sp.LoadDataset(records, sigs.value(), owner.public_key()));
-  sp.SetEpoch(owner.epoch(), owner.epoch_signature());
-
-  std::vector<sigchain::SigChainClient::BatchItem> items;
-  Rng rng(0xBA7C4);
-  for (size_t i = 0; i < kItems; ++i) {
-    uint32_t lo = uint32_t(rng.NextBounded(kRecords * 100));
-    uint32_t hi = lo + 2000;
-    auto response = sp.ExecuteRange(lo, hi);
-    SAE_CHECK_OK(response.status());
-    sigchain::SigChainClient::BatchItem item;
-    item.request = dbms::QueryRequest::Scan(lo, hi);
-    item.claimed = dbms::EvaluateAnswer(item.request, response.value().results);
-    item.witness = std::move(response.value().results);
-    item.vo = std::move(response.value().vo);
-    items.push_back(std::move(item));
-  }
-
-  auto t0 = clock::now();
-  for (const auto& item : items) {
-    SAE_CHECK_OK(sigchain::SigChainClient::VerifyAnswer(
-        item.request, item.claimed, item.witness, item.vo,
-        owner.public_key(), codec, crypto::HashScheme::kSha1, owner.epoch()));
-  }
-  auto t1 = clock::now();
-  auto verdicts = sigchain::SigChainClient::VerifyBatch(
-      items, owner.public_key(), codec, crypto::HashScheme::kSha1,
-      owner.epoch());
-  auto t2 = clock::now();
-  for (const Status& verdict : verdicts) SAE_CHECK_OK(verdict);
-
-  double per_item_ms = Ms(t1 - t0);
-  double batch_ms = Ms(t2 - t1);
-  double speedup = per_item_ms / batch_ms;
-  std::printf("\n# Sig-chain batch verification (%zu items, RSA-%zu)\n",
-              kItems, owner_options.rsa_modulus_bits);
-  std::printf("# per-item: %.1f ms   batched: %.1f ms   speedup: %.2fx\n",
-              per_item_ms, batch_ms, speedup);
-
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "  \"batch_verify\": {\"items\": %zu, \"per_item_ms\": %.2f, "
-                "\"batch_ms\": %.2f, \"speedup\": %.3f}",
-                kItems, per_item_ms, batch_ms, speedup);
-  *json += buf;
-  return speedup;
-}
-
 }  // namespace
 
 int main() {
@@ -418,7 +343,7 @@ int main() {
 
   RunShardSweep(dataset, batch);
 
-  // --- cached vs uncached + batch verify, with BENCH_throughput.json ---------
+  // --- cached vs uncached, with BENCH_throughput.json ------------------------
   std::string json;
   bool parity_ok = true;
   std::printf("\n# Cached vs uncached: 95/5 read-heavy mixed workload "
@@ -446,10 +371,7 @@ int main() {
     parity_ok = RunCachedComparison("TOM", &cached, &uncached, &json) &&
                 parity_ok;
   }
-  json += "\n  ],\n";
-
-  RunBatchVerifyBench(&json);
-  json += "\n";
+  json += "\n  ]\n";
 
   const char* json_path = std::getenv("SAE_BENCH_JSON");
   if (json_path == nullptr) json_path = "BENCH_throughput.json";

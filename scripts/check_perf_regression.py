@@ -11,9 +11,8 @@ Understands every bench JSON shape the tree emits:
   * figure benches (BENCH_fig*.json) — the generic `rows` array written by
     bench::BenchJson, rows keyed by their string label fields;
   * BENCH_crypto.json — the `primitives` array (accelerated ops/sec per
-    primitive; the scalar column and the batch_verify ratios are
-    deliberately not gated — they are implementation comparisons, not
-    throughputs);
+    primitive; the scalar column is deliberately not gated — it is an
+    implementation comparison, not a throughput);
   * BENCH_net.json — the serving-tier q/s and latency percentiles.
 
 Metric direction is inferred from the name: qps / *_per_sec / *ops* are

@@ -3,9 +3,9 @@
 // Epoch versioning for the update pipeline. The DO owns a monotonically
 // increasing epoch counter: 0 before any data exists, 1 at the initial
 // outsourcing, +1 per insert/delete. Every piece of authentication state a
-// client consumes — the TE's verification token, the TOM root signature,
-// the sigchain epoch token — is stamped with the epoch it speaks for, and
-// verification rejects anything lagging the latest published epoch with
+// client consumes — the TE's verification token and the TOM root
+// signature — is stamped with the epoch it speaks for, and verification
+// rejects anything lagging the latest published epoch with
 // StatusCode::kStaleEpoch. This is what defeats replay: a pre-update
 // snapshot, however internally consistent, carries its old epoch.
 

@@ -333,8 +333,8 @@ BigInt BigInt::Mod(const BigInt& a, const BigInt& m) {
 BigInt BigInt::ModPow(const BigInt& base, const BigInt& exp, const BigInt& m) {
   SAE_CHECK(Compare(m, BigInt(1)) > 0);
   // Montgomery form needs gcd(R, m) = 1, i.e. an odd modulus — true for
-  // every RSA and sig-chain modulus. Single-limb moduli aren't worth the
-  // domain conversions; SAE_FORCE_SCALAR pins the reference ladder.
+  // every RSA modulus. Single-limb moduli aren't worth the domain
+  // conversions; SAE_FORCE_SCALAR pins the reference ladder.
   if (m.IsOdd() && m.limbs_.size() >= 2 && !Backend::Instance().force_scalar()) {
     return ModPowMont(base, exp, m);
   }
@@ -515,75 +515,6 @@ BigInt BigInt::ModPowMont(const BigInt& base, const BigInt& exp,
   return out;
 #endif  // __SIZEOF_INT128__
 }
-
-#ifdef __SIZEOF_INT128__
-
-Montgomery::Montgomery(const BigInt& modulus) {
-  if (!modulus.IsOdd() || modulus.limbs_.size() < 2 ||
-      Backend::Instance().force_scalar()) {
-    return;  // caller keeps its division-based fallback
-  }
-  modulus_ = modulus;
-  k_ = (modulus.limbs_.size() + 1) / 2;
-  n_ = PackLimbs(modulus.limbs_, k_);
-  n0inv_ = NegInvModWord(n_[0]);
-  one_m_ = PackLimbs(
-      BigInt::Mod(BigInt::ShiftLeft(BigInt(1), 64 * k_), modulus).limbs_, k_);
-  rr_ = PackLimbs(
-      BigInt::Mod(BigInt::ShiftLeft(BigInt(1), 128 * k_), modulus).limbs_, k_);
-  scratch_.resize(k_ + 2);
-  usable_ = true;
-}
-
-Montgomery::Value Montgomery::ToMont(const BigInt& x) const {
-  SAE_CHECK(usable_);
-  Value v = PackLimbs(BigInt::Mod(x, modulus_).limbs_, k_);
-  Value out(k_);
-  MontMul(v.data(), rr_.data(), n_.data(), k_, n0inv_, scratch_.data(),
-          out.data());
-  return out;
-}
-
-BigInt Montgomery::FromMont(const Value& v) const {
-  SAE_CHECK(usable_ && v.size() == k_);
-  Value unit(k_, 0);
-  unit[0] = 1;
-  Value acc(k_);
-  MontMul(v.data(), unit.data(), n_.data(), k_, n0inv_, scratch_.data(),
-          acc.data());
-  BigInt out;
-  out.limbs_.resize(2 * k_);
-  for (size_t i = 0; i < k_; ++i) {
-    out.limbs_[2 * i] = static_cast<uint32_t>(acc[i]);
-    out.limbs_[2 * i + 1] = static_cast<uint32_t>(acc[i] >> 32);
-  }
-  out.Trim();
-  return out;
-}
-
-void Montgomery::MulInPlace(Value* a, const Value& b) const {
-  SAE_CHECK(usable_ && a->size() == k_ && b.size() == k_);
-  MontMul(a->data(), b.data(), n_.data(), k_, n0inv_, scratch_.data(),
-          a->data());
-}
-
-#else  // !__SIZEOF_INT128__
-
-Montgomery::Montgomery(const BigInt&) {}
-
-Montgomery::Value Montgomery::ToMont(const BigInt&) const {
-  SAE_CHECK(false);
-  return {};
-}
-
-BigInt Montgomery::FromMont(const Value&) const {
-  SAE_CHECK(false);
-  return {};
-}
-
-void Montgomery::MulInPlace(Value*, const Value&) const { SAE_CHECK(false); }
-
-#endif  // __SIZEOF_INT128__
 
 BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {
   BigInt x = a, y = b;

@@ -3,7 +3,7 @@
 // Arbitrary-precision unsigned integers, sized for RSA (512-2048 bit moduli).
 // 32-bit limbs, little-endian limb order, always normalized (no leading zero
 // limbs). Division is Knuth's Algorithm D. Modular exponentiation with an odd
-// modulus (every RSA/sig-chain call) runs CIOS Montgomery multiplication under
+// modulus (every RSA call) runs CIOS Montgomery multiplication under
 // a fixed-window ladder — the TOM insert-signing hot path; the plain
 // square-and-multiply reference survives as ModPowScalar, stays the fallback
 // for even moduli and SAE_FORCE_SCALAR, and anchors the differential parity
@@ -115,53 +115,7 @@ class BigInt {
   static BigInt ModPowMont(const BigInt& base, const BigInt& exp,
                            const BigInt& m);
 
-  friend class Montgomery;
-
   std::vector<uint32_t> limbs_;  // little-endian, normalized
-};
-
-/// Reusable Montgomery-multiplication context over one fixed odd modulus.
-/// ModPow pays its domain setup (n0inv, R mod n, R^2 mod n) on every call;
-/// this class pays it once so workloads with thousands of modular products
-/// under the same modulus — condensed-RSA batch verification above all —
-/// get each product at one CIOS multiply instead of a full division.
-///
-/// usable() is false when the fast path can't run (no __int128, an even or
-/// single-limb modulus, or SAE_FORCE_SCALAR); callers must then keep their
-/// division-based fallback, which is exactly what the scalar-parity harness
-/// exercises.
-class Montgomery {
- public:
-  /// A value in the Montgomery domain: k 64-bit limbs, little-endian,
-  /// fixed width. Opaque outside ToMont/FromMont/MulInPlace.
-  using Value = std::vector<uint64_t>;
-
-  explicit Montgomery(const BigInt& modulus);
-
-  bool usable() const { return usable_; }
-
-  /// x (reduced mod n) into the Montgomery domain. Requires usable().
-  Value ToMont(const BigInt& x) const;
-
-  /// Back to an ordinary integer in [0, n). Requires usable().
-  BigInt FromMont(const Value& v) const;
-
-  /// The multiplicative identity (R mod n) in the domain.
-  const Value& One() const { return one_m_; }
-
-  /// *a = a * b mod n, both already in the domain. Not thread-safe: the
-  /// context owns the scratch buffer (one context per thread).
-  void MulInPlace(Value* a, const Value& b) const;
-
- private:
-  bool usable_ = false;
-  size_t k_ = 0;  // 64-bit limb count of the modulus
-  BigInt modulus_;
-  std::vector<uint64_t> n_;
-  uint64_t n0inv_ = 0;
-  Value one_m_;  // R mod n
-  Value rr_;     // R^2 mod n
-  mutable std::vector<uint64_t> scratch_;
 };
 
 }  // namespace sae::crypto

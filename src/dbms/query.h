@@ -4,13 +4,12 @@
 // plus an operator (scan, point, COUNT, SUM, MIN, MAX, top-k) and a typed
 // QueryAnswer carries the derived result. The authentication protocols stay
 // range-shaped underneath — every operator executes as a range scan whose
-// record set (the *witness*) is what the VT / VO / sigchain proof
-// authenticates — and the derived answer is verified *from the proof*: the
-// client recomputes the aggregate from the authenticated,
-// boundary-complete witness and compares it with the SP's claim
-// (CheckAnswer). An SP that returns a wrong COUNT/SUM/MIN/MAX or a
-// truncated top-k therefore fails verification even though every witness
-// byte it shipped is genuine. Sharded deployments fold per-shard partial
+// record set (the *witness*) is what the VT / VO authenticates — and the
+// derived answer is verified *from the proof*: the client recomputes the
+// aggregate from the authenticated, boundary-complete witness and compares
+// it with the SP's claim (CheckAnswer). An SP that returns a wrong
+// COUNT/SUM/MIN/MAX or a truncated top-k therefore fails verification even
+// though every witness byte it shipped is genuine. Sharded deployments fold per-shard partial
 // answers with MergeAnswers and verify each slice the same way.
 
 #ifndef SAE_DBMS_QUERY_H_

@@ -1,8 +1,8 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Implements Table (dbms/table.h): heap-file storage plus a B+-tree index
-// in either mode, with separate buffer pools, range queries, updates, bulk
-// load and the shape-preserving dump/reload.
+// in either mode, with separate buffer pools, range queries, inserts and
+// deletes, bulk load and the shape-preserving dump/reload.
 
 #include "dbms/table.h"
 
@@ -55,21 +55,6 @@ Status Table::Delete(RecordId id) {
   SAE_RETURN_NOT_OK(heap_.Delete(rid));
   rid_of_id_.erase(it);
   return Status::OK();
-}
-
-Status Table::Update(const Record& record) {
-  SAE_RETURN_NOT_OK(Delete(record.id));
-  return Insert(record);
-}
-
-Result<Record> Table::Get(RecordId id) const {
-  auto it = rid_of_id_.find(id);
-  if (it == rid_of_id_.end()) {
-    return Status::NotFound("no record with this id");
-  }
-  std::vector<uint8_t> bytes(codec_.record_size());
-  SAE_RETURN_NOT_OK(heap_.Get(it->second, bytes.data()));
-  return codec_.Deserialize(bytes.data());
 }
 
 Status Table::RangeRids(Key lo, Key hi, std::vector<Rid>* rids) const {

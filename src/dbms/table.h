@@ -47,11 +47,6 @@ class Table {
   /// Deletes the record with the given id.
   Status Delete(RecordId id);
 
-  /// Replaces the record with `record.id` (key changes are handled).
-  Status Update(const Record& record);
-
-  Result<Record> Get(RecordId id) const;
-
   /// All records with lo <= key <= hi, in key order. Dataset pages are
   /// fetched once per page run, as a real executor would.
   Status RangeQuery(Key lo, Key hi, std::vector<Record>* out) const;

@@ -2,9 +2,9 @@
 //
 // Length-prefixed framing for the TCP serving tier. A frame is a u32
 // little-endian payload length followed by exactly that many payload bytes;
-// the payload is one of the golden-pinned wire messages (core/messages.h,
-// sigchain VO) byte-for-byte, so nothing about the in-process serializations
-// changes when they cross a socket.
+// the payload is one of the golden-pinned wire messages (core/messages.h)
+// byte-for-byte, so nothing about the in-process serializations changes
+// when they cross a socket.
 //
 // The decoder is incremental: feed it whatever a nonblocking read returned
 // (a frame split across ten reads, or ten frames in one read, both work) and

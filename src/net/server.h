@@ -38,9 +38,8 @@
 
 namespace sae::net {
 
-/// Net-layer control tags. The pinned messages own 0x01..0x0A (and the
-/// sigchain VO 0xC5); control frames start at 0xF0 so the two spaces can
-/// never collide.
+/// Net-layer control tags. The pinned messages own 0x01..0x0A; control
+/// frames start at 0xF0 so the two spaces can never collide.
 inline constexpr uint8_t kCtlGetEpoch = 0xF0;   ///< -> EpochNotice payload
 inline constexpr uint8_t kCtlAck = 0xFD;        ///< empty success response
 inline constexpr uint8_t kCtlError = 0xFE;      ///< + utf-8 error message

@@ -22,7 +22,6 @@
 #include "crypto/bigint.h"
 #include "crypto/digest.h"
 #include "crypto/rsa.h"
-#include "sigchain/sig_chain.h"
 #include "util/hex.h"
 #include "util/random.h"
 
@@ -274,104 +273,27 @@ TEST(ModExpParityTest, RandomWidthsMatchScalarReference) {
 
 TEST(ModExpParityTest, EvenModulusAndEdgeOperands) {
   ScopedDispatch guard;
-  Backend::Instance().set_force_scalar(false);
-  // Even moduli must route around Montgomery; zero/one operands hit the
-  // window-ladder base cases.
+  Backend& backend = Backend::Instance();
+  // Only odd multi-limb moduli under accelerated dispatch take the CIOS
+  // ladder: even moduli of any width, and every modulus in a forced-scalar
+  // process, must route around it. Zero/one operands hit the window-ladder
+  // base cases.
   BigInt m_even(1 << 20);
-  BigInt m_odd = BigInt::Add(m_even, BigInt(1));
-  for (const BigInt& m : {m_even, m_odd}) {
-    for (uint64_t b : {uint64_t(0), uint64_t(1), uint64_t(2), ~uint64_t(0)}) {
-      for (uint64_t e : {uint64_t(0), uint64_t(1), uint64_t(2),
-                         uint64_t(65537)}) {
-        BigInt fast = BigInt::ModPow(BigInt(b), BigInt(e), m);
-        BigInt reference =
-            BigInt::ModPowScalar(BigInt(b), BigInt(e), m);
-        EXPECT_TRUE(fast == reference) << "b=" << b << " e=" << e;
-      }
-    }
-  }
-}
-
-// --- Montgomery context --------------------------------------------------------
-
-TEST(MontgomeryParityTest, ProductChainsMatchDivisionFold) {
-  ScopedDispatch guard;
-  Backend::Instance().set_force_scalar(false);
-  Rng rng(0x5EED'0008);
-  int exercised = 0;
-  for (int trial = 0; trial < 60; ++trial) {
-    size_t mod_bits = 96 + rng.NextBounded(1000);
-    BigInt m = RandomBigInt(&rng, mod_bits);
-    if (m.BitLength() < 65) continue;
-    if (!m.IsOdd()) m = BigInt::Add(m, BigInt(1));
-    Montgomery mont(m);
-    if (!mont.usable()) continue;  // platform without __int128
-    ++exercised;
-    size_t count = 1 + rng.NextBounded(20);
-    Montgomery::Value acc = mont.One();
-    BigInt reference(1);
-    for (size_t i = 0; i < count; ++i) {
-      BigInt x = RandomBigInt(&rng, 8 + rng.NextBounded(mod_bits + 64));
-      Montgomery::Value xm = mont.ToMont(x);
-      // To/from the domain must be the identity on reduced values.
-      EXPECT_TRUE(mont.FromMont(xm) == BigInt::Mod(x, m))
-          << "trial=" << trial << " i=" << i;
-      mont.MulInPlace(&acc, xm);
-      reference = BigInt::Mod(
-          BigInt::Mul(reference, BigInt::Mod(x, m)), m);
-    }
-    EXPECT_TRUE(mont.FromMont(acc) == reference)
-        << "trial=" << trial << " count=" << count;
-    // Squaring through the aliased in-place form.
-    mont.MulInPlace(&acc, acc);
-    EXPECT_TRUE(mont.FromMont(acc) ==
-                BigInt::Mod(BigInt::Mul(reference, reference), m))
-        << "trial=" << trial;
-  }
-  if (exercised == 0) GTEST_SKIP() << "Montgomery context unusable here";
-}
-
-TEST(MontgomeryParityTest, UnusableGates) {
-  ScopedDispatch guard;
-  Backend& backend = Backend::Instance();
-  Rng rng(0x5EED'0009);
-  BigInt odd_wide = RandomBigInt(&rng, 512);
-  if (!odd_wide.IsOdd()) odd_wide = BigInt::Add(odd_wide, BigInt(1));
-  // Forced-scalar processes must never take the Montgomery product path:
-  // that is exactly what the differential parity runs pin against.
-  backend.set_force_scalar(true);
-  EXPECT_FALSE(Montgomery(odd_wide).usable());
-  backend.set_force_scalar(false);
-  // Even and single-limb moduli route around it too.
-  EXPECT_FALSE(Montgomery(BigInt::Add(odd_wide, BigInt(1))).usable());
-  EXPECT_FALSE(Montgomery(BigInt(12345)).usable());
-}
-
-// --- batched chain digests -----------------------------------------------------
-
-TEST(ChainDigestParityTest, BatchedChainMatchesPerTriple) {
-  ScopedDispatch guard;
-  Backend& backend = Backend::Instance();
-  for (size_t count : {size_t(0), size_t(1), size_t(2), size_t(3), size_t(4),
-                       size_t(257)}) {
-    std::vector<Digest> ds(count);
-    for (size_t i = 0; i < count; ++i) {
-      ds[i] = ComputeDigest(&i, sizeof(i));
-    }
-    for (HashScheme scheme : {HashScheme::kSha1, HashScheme::kSha256Trunc}) {
-      backend.set_force_scalar(false);
-      std::vector<Digest> batched = sigchain::ChainDigests(ds, scheme);
-      backend.set_force_scalar(true);
-      if (count < 3) {
-        EXPECT_TRUE(batched.empty()) << "count=" << count;
-        continue;
-      }
-      ASSERT_EQ(batched.size(), count - 2);
-      for (size_t k = 1; k + 1 < count; ++k) {
-        EXPECT_EQ(Hex(batched[k - 1]),
-                  Hex(sigchain::ChainDigest(ds[k - 1], ds[k], ds[k + 1],
-                                            scheme)))
-            << "count=" << count << " k=" << k;
+  BigInt wide_even = BigInt::ShiftLeft(BigInt(0xF00D), 200);
+  for (bool force_scalar : {false, true}) {
+    backend.set_force_scalar(force_scalar);
+    for (const BigInt& m : {m_even, BigInt::Add(m_even, BigInt(1)), wide_even,
+                            BigInt::Add(wide_even, BigInt(1))}) {
+      for (uint64_t b :
+           {uint64_t(0), uint64_t(1), uint64_t(2), ~uint64_t(0)}) {
+        for (uint64_t e : {uint64_t(0), uint64_t(1), uint64_t(2),
+                           uint64_t(65537)}) {
+          BigInt fast = BigInt::ModPow(BigInt(b), BigInt(e), m);
+          BigInt reference = BigInt::ModPowScalar(BigInt(b), BigInt(e), m);
+          EXPECT_TRUE(fast == reference)
+              << "force_scalar=" << force_scalar << " bits=" << m.BitLength()
+              << " b=" << b << " e=" << e;
+        }
       }
     }
   }

@@ -1,6 +1,6 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Unit tests for the Table facade: CRUD, range execution, bulk load,
+// Unit tests for the Table facade: insert/delete, range execution, bulk load,
 // separate index/heap access accounting, and the digest-mode index with
 // its shape-preserving dump and reload.
 
@@ -40,9 +40,10 @@ class TableTest : public ::testing::Test {
 TEST_F(TableTest, InsertGetRoundTrip) {
   Record r = Make(1, 100);
   ASSERT_TRUE(table_->Insert(r).ok());
-  auto got = table_->Get(1);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value(), r);
+  std::vector<Record> out;
+  ASSERT_TRUE(table_->RangeQuery(100, 100, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], r);
   EXPECT_EQ(table_->size(), 1u);
 }
 
@@ -63,17 +64,19 @@ TEST_F(TableTest, DeleteRemovesFromIndexAndHeap) {
   ASSERT_TRUE(table_->Insert(Make(1, 100)).ok());
   ASSERT_TRUE(table_->Delete(1).ok());
   EXPECT_EQ(table_->size(), 0u);
-  EXPECT_EQ(table_->Get(1).status().code(), StatusCode::kNotFound);
   std::vector<Record> out;
   ASSERT_TRUE(table_->RangeQuery(0, 1000, &out).ok());
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(table_->Delete(1).code(), StatusCode::kNotFound);
 }
 
+// No party updates a record in place: a key change is a delete of the id
+// followed by an insert under the new key.
 TEST_F(TableTest, UpdateChangesKey) {
   ASSERT_TRUE(table_->Insert(Make(1, 100)).ok());
   Record moved = Make(1, 900);
-  ASSERT_TRUE(table_->Update(moved).ok());
+  ASSERT_TRUE(table_->Delete(1).ok());
+  ASSERT_TRUE(table_->Insert(moved).ok());
   std::vector<Record> out;
   ASSERT_TRUE(table_->RangeQuery(100, 100, &out).ok());
   EXPECT_TRUE(out.empty());
@@ -139,19 +142,15 @@ TEST_F(TableTest, BulkLoadRejectedForDuplicateIdLeavesTableEmpty) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(table_->size(), 0u);
   EXPECT_EQ(table_->heap().PageCount(), 0u);
-  EXPECT_EQ(table_->Get(2).status().code(), StatusCode::kNotFound);
+  std::vector<Record> out;
+  ASSERT_TRUE(table_->RangeQuery(0, 100, &out).ok());
+  EXPECT_TRUE(out.empty());
 
   // The same table takes a valid load afterwards.
   std::vector<Record> records{Make(1, 5), Make(2, 7), Make(3, 10)};
   ASSERT_TRUE(table_->BulkLoad(records).ok());
   EXPECT_EQ(table_->size(), 3u);
   ASSERT_TRUE(table_->index().Validate().ok());
-  for (const Record& record : records) {
-    auto got = table_->Get(record.id);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got.value(), record);
-  }
-  std::vector<Record> out;
   ASSERT_TRUE(table_->RangeQuery(0, 100, &out).ok());
   EXPECT_EQ(out, records);
 }

@@ -4,9 +4,9 @@
 // operators (point, COUNT, SUM, MIN, MAX, top-k) plus the scan baseline,
 // executed and verified end to end in SAE, TOM and sharded deployments,
 // replayed against a brute-force oracle; the dbms plan-layer primitives
-// (EvaluateAnswer / CheckAnswer / MergeAnswers); the wire round-trips; and
-// the sigchain operator verifier. The adversarial side of the operator
-// matrix lives in security_test.cc and sharding_test.cc.
+// (EvaluateAnswer / CheckAnswer / MergeAnswers); and the wire round-trips.
+// The adversarial side of the operator matrix lives in security_test.cc and
+// sharding_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "core/sharded_system.h"
 #include "core/system.h"
 #include "dbms/query.h"
-#include "sigchain/sig_chain.h"
 #include "workload/queries.h"
 
 namespace sae {
@@ -392,54 +391,6 @@ TEST(ShardedOperatorTest, TomCrossShardAggregatesFoldAndVerify) {
         << dbms::QueryOpName(request.op);
     ExpectMatchesOracle(composite.value(), request, all);
   }
-}
-
-// --- sigchain operator verifier ---------------------------------------------------
-
-TEST(SigChainOperatorTest, AggregateVerifiedFromChainProof) {
-  sigchain::SigChainOwner::Options owner_options;
-  owner_options.record_size = kRecSize;
-  owner_options.rsa_modulus_bits = 512;
-  sigchain::SigChainOwner owner(owner_options);
-  sigchain::SigChainSp::Options sp_options;
-  sp_options.record_size = kRecSize;
-  sp_options.signature_bytes = 64;
-  sigchain::SigChainSp sp(sp_options);
-
-  RecordCodec codec(kRecSize);
-  std::vector<Record> all;
-  for (uint64_t id = 1; id <= 120; ++id) {
-    all.push_back(codec.MakeRecord(id, uint32_t(id * 10)));
-  }
-  auto sigs = owner.SignDataset(all);
-  ASSERT_TRUE(sigs.ok());
-  ASSERT_TRUE(sp.LoadDataset(all, sigs.value(), owner.public_key()).ok());
-  sp.SetEpoch(owner.epoch(), owner.epoch_signature());
-
-  for (const QueryRequest& request : AllOperators(200, 800, 4)) {
-    // Each operator's proof covers its own underlying range (the point
-    // query's range is the single key).
-    auto resp = sp.ExecuteRange(request.lo, request.hi).ValueOrDie();
-    QueryAnswer answer = dbms::EvaluateAnswer(request, resp.results);
-    EXPECT_TRUE(sigchain::SigChainClient::VerifyAnswer(
-                    request, answer, resp.results, resp.vo,
-                    owner.public_key(), codec, crypto::HashScheme::kSha1,
-                    owner.epoch())
-                    .ok())
-        << dbms::QueryOpName(request.op);
-  }
-  auto response = sp.ExecuteRange(200, 800).ValueOrDie();
-
-  // A lying aggregate over a perfectly proven witness is rejected.
-  QueryRequest count = QueryRequest::Count(200, 800);
-  QueryAnswer lie = dbms::EvaluateAnswer(count, response.results);
-  ++lie.count;
-  EXPECT_EQ(sigchain::SigChainClient::VerifyAnswer(
-                count, lie, response.results, response.vo,
-                owner.public_key(), codec, crypto::HashScheme::kSha1,
-                owner.epoch())
-                .code(),
-            StatusCode::kVerificationFailure);
 }
 
 // --- operator-mix workload smoke over the engine ----------------------------------

@@ -17,7 +17,6 @@
 #include "crypto/rsa.h"
 #include "mbtree/mb_tree.h"
 #include "mbtree/vo.h"
-#include "sigchain/sig_chain.h"
 #include "storage/page_store.h"
 #include "util/random.h"
 #include "workload/dataset.h"
@@ -612,55 +611,6 @@ INSTANTIATE_TEST_SUITE_P(BothHashSchemes, AggregateMatrixTest,
                          ::testing::Values(crypto::HashScheme::kSha1,
                                            crypto::HashScheme::kSha256Trunc));
 
-// The third scheme: signature chaining. Its per-record signatures never
-// change, so freshness rides on the signed epoch token in every VO. Note
-// the token binds only the epoch number (sigchain has no root digest to
-// stamp — see EpochTokenDigest's documented limitation): it defeats token
-// replay, which is what this test pins, not stale-data-under-fresh-token.
-TEST(SigChainFreshnessTest, StaleEpochTokenRejected) {
-  sigchain::SigChainOwner::Options owner_options;
-  owner_options.record_size = kRecSize;
-  owner_options.rsa_modulus_bits = 512;
-  sigchain::SigChainOwner owner(owner_options);
-  sigchain::SigChainSp::Options sp_options;
-  sp_options.record_size = kRecSize;
-  sp_options.signature_bytes = 64;
-  sigchain::SigChainSp sp(sp_options);
-
-  auto records = MatrixDataset(120);
-  auto sigs = owner.SignDataset(records);
-  ASSERT_TRUE(sigs.ok());
-  ASSERT_TRUE(sp.LoadDataset(records, sigs.value(), owner.public_key()).ok());
-  sp.SetEpoch(owner.epoch(), owner.epoch_signature());
-  ASSERT_EQ(owner.epoch(), 1u);
-
-  storage::RecordCodec codec(kRecSize);
-  auto response = sp.ExecuteRange(200, 800).ValueOrDie();
-  // Fresh at epoch 1.
-  EXPECT_TRUE(sigchain::SigChainClient::Verify(
-                  200, 800, response.results, response.vo,
-                  owner.public_key(), codec, crypto::HashScheme::kSha1,
-                  owner.epoch())
-                  .ok());
-
-  // The DO publishes epoch 2 (an update happened); the replayed epoch-1 VO
-  // must now be rejected as stale — distinctly.
-  owner.AdvanceEpoch();
-  Status st = sigchain::SigChainClient::Verify(
-      200, 800, response.results, response.vo, owner.public_key(), codec,
-      crypto::HashScheme::kSha1, owner.epoch());
-  EXPECT_EQ(st.code(), StatusCode::kStaleEpoch);
-
-  // Forging the fresher epoch onto the old token breaks its signature.
-  sigchain::SigChainVo forged = response.vo;
-  forged.epoch = owner.epoch();
-  st = sigchain::SigChainClient::Verify(200, 800, response.results, forged,
-                                        owner.public_key(), codec,
-                                        crypto::HashScheme::kSha1,
-                                        owner.epoch());
-  EXPECT_EQ(st.code(), StatusCode::kVerificationFailure);
-}
-
 // --- cache adversaries ---------------------------------------------------------
 //
 // The caching layer's threat model: the SP's answer cache is SP-side state,
@@ -814,64 +764,6 @@ TEST_P(CacheAdversaryTest, PoisonWithoutCacheDoesNotPersist) {
 INSTANTIATE_TEST_SUITE_P(BothHashSchemes, CacheAdversaryTest,
                          ::testing::Values(crypto::HashScheme::kSha1,
                                            crypto::HashScheme::kSha256Trunc));
-
-// The sigchain analog of a stale cache replay: an SP memoizing serialized
-// (answer, VO) blobs replays one captured before the epoch advanced. The
-// replayed blob round-trips perfectly (it IS a genuine old answer) but the
-// epoch gate rejects it — in the single-item path and in VerifyBatch,
-// which must attribute the stale item without contaminating fresh ones.
-TEST(SigChainCacheReplayTest, CachedVoReplayAfterEpochBumpIsStale) {
-  sigchain::SigChainOwner::Options owner_options;
-  owner_options.record_size = kRecSize;
-  owner_options.rsa_modulus_bits = 512;
-  sigchain::SigChainOwner owner(owner_options);
-  sigchain::SigChainSp::Options sp_options;
-  sp_options.record_size = kRecSize;
-  sp_options.signature_bytes = 64;
-  sigchain::SigChainSp sp(sp_options);
-
-  auto records = MatrixDataset(120);
-  auto sigs = owner.SignDataset(records);
-  ASSERT_TRUE(sigs.ok());
-  ASSERT_TRUE(sp.LoadDataset(records, sigs.value(), owner.public_key()).ok());
-  sp.SetEpoch(owner.epoch(), owner.epoch_signature());
-
-  storage::RecordCodec codec(kRecSize);
-  auto response = sp.ExecuteRange(200, 800).ValueOrDie();
-  // The "cache": the serialized VO blob, exactly what an answer cache
-  // would store and replay.
-  std::vector<uint8_t> cached_blob = response.vo.Serialize();
-
-  owner.AdvanceEpoch();  // an update elsewhere bumps the published epoch
-
-  auto replayed = sigchain::SigChainVo::Deserialize(cached_blob);
-  ASSERT_TRUE(replayed.ok());
-  Status st = sigchain::SigChainClient::Verify(
-      200, 800, response.results, replayed.value(), owner.public_key(),
-      codec, crypto::HashScheme::kSha1, owner.epoch());
-  EXPECT_EQ(st.code(), StatusCode::kStaleEpoch);
-
-  // Batch path: one fresh item + the stale cached replay. Exactly the
-  // stale one is flagged.
-  sp.SetEpoch(owner.epoch(), owner.epoch_signature());
-  auto fresh = sp.ExecuteRange(900, 1500).ValueOrDie();
-  std::vector<sigchain::SigChainClient::BatchItem> items(2);
-  items[0].request = dbms::QueryRequest::Scan(900, 1500);
-  items[0].claimed = dbms::EvaluateAnswer(items[0].request, fresh.results);
-  items[0].witness = fresh.results;
-  items[0].vo = fresh.vo;
-  items[1].request = dbms::QueryRequest::Scan(200, 800);
-  items[1].claimed =
-      dbms::EvaluateAnswer(items[1].request, response.results);
-  items[1].witness = response.results;
-  items[1].vo = replayed.value();
-  std::vector<Status> verdicts = sigchain::SigChainClient::VerifyBatch(
-      items, owner.public_key(), codec, crypto::HashScheme::kSha1,
-      owner.epoch());
-  ASSERT_EQ(verdicts.size(), 2u);
-  EXPECT_TRUE(verdicts[0].ok()) << verdicts[0].ToString();
-  EXPECT_EQ(verdicts[1].code(), StatusCode::kStaleEpoch);
-}
 
 // --- SAE token properties -------------------------------------------------------
 
