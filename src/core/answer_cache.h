@@ -8,7 +8,8 @@
 // (SeenRequests), so traffic that never repeats holds no answer buffer.
 // The cache stores the exact wire bytes the SP would have sent (answer
 // shipment, and under TOM the VO as well); a hit replays those bytes
-// bit-for-bit, which is what the cache-parity harness verifies.
+// bit-for-bit, which is what the cache-parity harness verifies. The same
+// EpochCache, holding a token digest instead, is the TE's token memo.
 //
 // The cache is never trusted: the client verifies every answer against the
 // live TE token / root signature regardless of where the SP got the bytes.
@@ -18,14 +19,14 @@
 #define SAE_CORE_ANSWER_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dbms/query.h"
 #include "storage/record.h"
+#include "util/lru_table.h"
 
 namespace sae::core {
 
@@ -35,44 +36,8 @@ struct AnswerCacheOptions {
   static AnswerCacheOptions Disabled() { return AnswerCacheOptions{0}; }
 };
 
-/// Counters of one AnswerCache; snapshot by value, diff to measure a span
-/// (same pattern as BufferPool::Stats).
-struct AnswerCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  /// Misses whose answer was not kept: a request's first miss, or a memo
-  /// answer checked against an expired epoch. For honest traffic
-  /// insertions + declined == misses.
-  uint64_t declined = 0;
-  uint64_t insertions = 0;     ///< every Insert, a racing refill too
-  uint64_t evictions = 0;      ///< capacity-driven LRU removals
-  uint64_t invalidations = 0;  ///< entries dropped by InvalidateAll
-
-  double HitRate() const {
-    uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : double(hits) / double(total);
-  }
-
-  friend AnswerCacheStats operator-(AnswerCacheStats a,
-                                    const AnswerCacheStats& b) {
-    a.hits -= b.hits;
-    a.misses -= b.misses;
-    a.declined -= b.declined;
-    a.insertions -= b.insertions;
-    a.evictions -= b.evictions;
-    a.invalidations -= b.invalidations;
-    return a;
-  }
-  AnswerCacheStats& operator+=(const AnswerCacheStats& b) {
-    hits += b.hits;
-    misses += b.misses;
-    declined += b.declined;
-    insertions += b.insertions;
-    evictions += b.evictions;
-    invalidations += b.invalidations;
-    return *this;
-  }
-};
+/// The counters of every answer cache and memo (util/lru_table.h).
+using AnswerCacheStats = CacheStats;
 
 /// The serialized response a cache entry replays: the operator answer
 /// shipment (SerializeQueryAnswer bytes) and, under TOM, the VO bytes. It is
@@ -90,8 +55,30 @@ inline std::shared_ptr<const std::vector<uint8_t>> AnswerBytesOf(
   return {served, &served->answer_msg};
 }
 
+/// (range, op, top-k limit, epoch): everything that determines the honest
+/// response bytes.
+struct AnswerKey {
+  dbms::QueryOp op = dbms::QueryOp::kScan;
+  storage::Key lo = 0;
+  storage::Key hi = 0;
+  uint32_t limit = 0;
+  uint64_t epoch = 0;
+
+  static AnswerKey For(const dbms::QueryRequest& request, uint64_t epoch);
+
+  friend bool operator==(const AnswerKey& a, const AnswerKey& b) {
+    return a.op == b.op && a.lo == b.lo && a.hi == b.hi &&
+           a.limit == b.limit && a.epoch == b.epoch;
+  }
+};
+
+/// The one hash of every verified-path cache key: a request (seen set,
+/// client memos) hashes as its key at epoch 0.
 struct RequestHash {
-  size_t operator()(const dbms::QueryRequest& r) const;
+  size_t operator()(const AnswerKey& key) const;
+  size_t operator()(const dbms::QueryRequest& request) const {
+    return (*this)(AnswerKey::For(request, 0));
+  }
 };
 
 /// Second-miss admission, shared by the SP answer cache, the TE token memo
@@ -105,77 +92,86 @@ struct RequestHash {
 /// cache's lock guards it.
 class SeenRequests {
  public:
-  explicit SeenRequests(size_t capacity) : capacity_(capacity) {}
+  explicit SeenRequests(size_t capacity) : table_(capacity) {}
 
   /// Records a miss of `request`; true when it had missed before and is
   /// still remembered.
-  bool RecordMiss(const dbms::QueryRequest& request);
+  bool RecordMiss(const dbms::QueryRequest& request) {
+    if (table_.Lookup(request) != nullptr) return true;
+    table_.Insert(request, true);
+    return false;
+  }
 
  private:
-  using Order = std::list<dbms::QueryRequest>;
-
-  size_t capacity_;
-  Order order_;  // front = latest miss
-  std::unordered_map<dbms::QueryRequest, Order::iterator, RequestHash> index_;
+  LruTable<dbms::QueryRequest, bool, RequestHash> table_;  // keys only
 };
 
-class AnswerCache {
+/// An epoch-keyed LRU cache with second-miss admission: the SP answer cache
+/// (V = the served buffer) and the TE token memo (V = the token digest, as
+/// an optional so a miss has a value). Its hit test is the epoch in the key.
+/// Thread-safe; every call takes the lock once.
+template <typename V>
+class EpochCache {
  public:
-  /// (range, op, top-k limit, epoch) — everything that determines the
-  /// honest response bytes.
-  struct Key {
-    dbms::QueryOp op = dbms::QueryOp::kScan;
-    storage::Key lo = 0;
-    storage::Key hi = 0;
-    uint32_t limit = 0;
-    uint64_t epoch = 0;
+  using Key = AnswerKey;
 
-    static Key For(const dbms::QueryRequest& request, uint64_t epoch);
-
-    friend bool operator==(const Key& a, const Key& b) {
-      return a.op == b.op && a.lo == b.lo && a.hi == b.hi &&
-             a.limit == b.limit && a.epoch == b.epoch;
-    }
-  };
-
-  explicit AnswerCache(const AnswerCacheOptions& options = {});
+  explicit EpochCache(const AnswerCacheOptions& options = {})
+      : options_(options),
+        table_(options.max_entries),
+        seen_(options.max_entries) {}
 
   bool enabled() const { return options_.max_entries > 0; }
 
-  /// nullptr on miss (or when disabled). Hits refresh LRU position. On a
-  /// miss `*admit` (if given) says whether the request had missed before:
-  /// only then should the caller Insert the answer it computes.
-  std::shared_ptr<const CachedAnswer> Lookup(const Key& key,
-                                             bool* admit = nullptr);
+  /// V{} on miss (or when disabled). Hits refresh LRU position. On a miss
+  /// `*admit` (if given) says whether the request had missed before: only
+  /// then should the caller Insert the value it computes.
+  V Lookup(const Key& key, bool* admit = nullptr) {
+    if (admit != nullptr) *admit = false;
+    if (!enabled()) return V{};
+    std::lock_guard<std::mutex> lock(mu_);
+    if (const V* hit = table_.Lookup(key)) return *hit;
+    bool again =
+        seen_.RecordMiss(dbms::QueryRequest{key.op, key.lo, key.hi, key.limit});
+    if (!again) table_.CountDeclined();
+    if (admit != nullptr) *admit = again;
+    return V{};
+  }
 
-  /// Stores the shared buffer itself; a later hit returns this pointer.
-  /// Unconditional: admission is decided by Lookup.
-  void Insert(const Key& key, std::shared_ptr<const CachedAnswer> value);
+  /// Stores `value`; a later hit returns a copy of it (for the SP, the
+  /// shared buffer itself). Unconditional: admission is decided by Lookup.
+  /// Concurrent readers may race to fill the same miss; last writer wins
+  /// (both computed the same honest bytes).
+  void Insert(const Key& key, V value) {
+    if (!enabled()) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    table_.Insert(key, std::move(value));
+  }
 
   /// The epoch-bump hook: drops every resident entry. (Keys are epoch-
   /// stamped so retained entries could never hit again anyway — this
   /// reclaims their memory immediately.) The seen requests stay.
-  void InvalidateAll();
+  void InvalidateAll() {
+    std::lock_guard<std::mutex> lock(mu_);
+    table_.Clear();
+  }
 
-  AnswerCacheStats stats() const;
-  size_t size() const;
+  AnswerCacheStats stats() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.stats();
+  }
+  size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.size();
+  }
 
  private:
-  struct KeyHash {
-    size_t operator()(const Key& k) const;
-  };
-  struct Entry {
-    std::shared_ptr<const CachedAnswer> value;
-    std::list<Key>::iterator lru_pos;
-  };
-
   AnswerCacheOptions options_;
   mutable std::mutex mu_;
-  std::list<Key> lru_;  // front = most recent
-  std::unordered_map<Key, Entry, KeyHash> map_;
+  LruTable<Key, V, RequestHash> table_;
   SeenRequests seen_;
-  AnswerCacheStats stats_;
 };
+
+using AnswerCache = EpochCache<std::shared_ptr<const CachedAnswer>>;
 
 }  // namespace sae::core
 

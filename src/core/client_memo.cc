@@ -20,7 +20,9 @@ namespace sae::core {
 // ---------------------------------------------------------------------------
 
 ServedAnswerMemo::ServedAnswerMemo(const AnswerCacheOptions& options)
-    : options_(options), seen_(options.max_entries) {}
+    : options_(options),
+      table_(options.max_entries),
+      seen_(options.max_entries) {}
 
 namespace {
 
@@ -39,17 +41,16 @@ bool ServedAnswerMemo::Lookup(
     const std::shared_ptr<const CachedAnswer>& served, Verdict* verdict,
     bool* admit) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(request);
-  if (it == map_.end() || !SameServedBytes(*it->second.served, *served)) {
-    ++stats_.misses;
+  Slot* slot = table_.Lookup(request, [&](const Slot& stored) {
+    return SameServedBytes(*stored.served, *served);
+  });
+  if (slot == nullptr) {
     *admit = seen_.RecordMiss(request);
-    if (!*admit) ++stats_.declined;
+    if (!*admit) table_.CountDeclined();
     return false;
   }
-  ++stats_.hits;
-  if (it->second.served != served) it->second.served = served;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  *verdict = it->second.verdict;
+  if (slot->served != served) slot->served = served;
+  *verdict = slot->verdict;
   return true;
 }
 
@@ -60,44 +61,27 @@ void ServedAnswerMemo::Insert(const dbms::QueryRequest& request,
   // The check runs off the parties' lock, so a query that read an older
   // epoch can finish after another one has already expired that epoch.
   if (published_epoch < seen_epoch_) {
-    ++stats_.declined;
+    table_.CountDeclined();
     return;
   }
-  ++stats_.insertions;
-  auto it = map_.find(request);
-  if (it != map_.end()) {
-    it->second.served = std::move(served);
-    it->second.verdict = std::move(verdict);
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return;
-  }
-  lru_.push_front(request);
-  map_.emplace(request,
-               Slot{std::move(served), std::move(verdict), lru_.begin()});
-  while (map_.size() > options_.max_entries) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
+  table_.Insert(request, Slot{std::move(served), std::move(verdict)});
 }
 
 void ServedAnswerMemo::DropAllIfEpochMoved(uint64_t published_epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   if (published_epoch <= seen_epoch_) return;
   seen_epoch_ = published_epoch;
-  stats_.invalidations += map_.size();
-  map_.clear();
-  lru_.clear();
+  table_.Clear();
 }
 
 AnswerCacheStats ServedAnswerMemo::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  return table_.stats();
 }
 
 size_t ServedAnswerMemo::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
+  return table_.size();
 }
 
 // ---------------------------------------------------------------------------

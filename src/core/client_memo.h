@@ -33,10 +33,8 @@
 #define SAE_CORE_CLIENT_MEMO_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "core/answer_cache.h"
@@ -103,15 +101,12 @@ class ServedAnswerMemo {
   struct Slot {
     std::shared_ptr<const CachedAnswer> served;
     Verdict verdict;
-    std::list<dbms::QueryRequest>::iterator lru_pos;
   };
 
   AnswerCacheOptions options_;
   mutable std::mutex mu_;
-  std::list<dbms::QueryRequest> lru_;  // front = most recent
-  std::unordered_map<dbms::QueryRequest, Slot, RequestHash> map_;
+  LruTable<dbms::QueryRequest, Slot, RequestHash> table_;
   SeenRequests seen_;
-  AnswerCacheStats stats_;
   uint64_t seen_epoch_ = 0;  ///< latest published epoch seen (TOM expiry)
 };
 

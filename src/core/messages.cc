@@ -194,8 +194,8 @@ Result<QueryAnswerMessage> DeserializeQueryAnswer(
     return Status::Corruption("query answer witness truncated");
   }
   if (msg.answer.op != dbms::QueryOp::kTopK && n_answer != 0) {
-    // Only top-k ships answer rows of its own; scan/point rows are the
-    // witness (held once in `witness`, see dbms::OpReturnsRecords).
+    // Only top-k ships answer rows of its own (the ranked winners);
+    // scan/point rows are the witness, held once in `witness`.
     return Status::Corruption("non-top-k answer carries its own rows");
   }
   return msg;

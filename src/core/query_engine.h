@@ -45,16 +45,15 @@ struct BatchQuery {
       : request(request), tap(tap) {}
 };
 
-/// One operation of a mixed read/write batch: a query, an insert, or a
-/// delete. Updates ride the systems' writer lock, so a mixed batch
+/// One operation of a mixed read/write batch: a query or an insert.
+/// Updates ride the systems' writer lock, so a mixed batch
 /// exercises genuine reader/writer interleaving on the shared system.
 struct BatchOp {
-  enum class Kind { kQuery, kInsert, kDelete };
+  enum class Kind { kQuery, kInsert };
 
   Kind kind = Kind::kQuery;
   BatchQuery query;     // kQuery
   Record record;        // kInsert
-  RecordId id = 0;      // kDelete
 
   static BatchOp MakeQuery(Key lo, Key hi, QueryTap* tap = nullptr) {
     BatchOp op;
@@ -73,12 +72,6 @@ struct BatchOp {
     BatchOp op;
     op.kind = Kind::kInsert;
     op.record = std::move(record);
-    return op;
-  }
-  static BatchOp MakeDelete(RecordId id) {
-    BatchOp op;
-    op.kind = Kind::kDelete;
-    op.id = id;
     return op;
   }
 };
@@ -257,12 +250,6 @@ MixedStats QueryEngine::RunMixed(System* system,
       case BatchOp::Kind::kInsert: {
         sim::Stopwatch watch;
         slot.ok = system->Insert(op.record).ok();
-        slot.update_ms = watch.ElapsedMs();
-        break;
-      }
-      case BatchOp::Kind::kDelete: {
-        sim::Stopwatch watch;
-        slot.ok = system->Delete(op.id).ok();
         slot.update_ms = watch.ElapsedMs();
         break;
       }

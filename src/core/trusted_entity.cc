@@ -5,8 +5,6 @@
 
 #include "core/trusted_entity.h"
 
-#include <algorithm>
-
 #include "util/macros.h"
 
 namespace sae::core {
@@ -50,23 +48,19 @@ Status TrustedEntity::DeleteRecord(Key key, RecordId id) {
 Result<VerificationToken> TrustedEntity::GenerateVt(Key lo, Key hi) const {
   VerificationToken vt;
   vt.epoch = epoch();
-  AnswerCache::Key key;
+  // The token depends on the range alone: every operator over [lo, hi]
+  // shares one entry.
+  AnswerKey key;
   key.lo = lo;
   key.hi = hi;
   key.epoch = vt.epoch;
   bool admit = false;
-  if (auto hit = vt_cache_.Lookup(key, &admit)) {
-    SAE_CHECK(hit->answer_msg.size() == crypto::Digest::kSize);
-    std::copy(hit->answer_msg.begin(), hit->answer_msg.end(),
-              vt.digest.bytes.begin());
+  if (std::optional<crypto::Digest> hit = vt_cache_.Lookup(key, &admit)) {
+    vt.digest = *hit;
     return vt;
   }
   SAE_ASSIGN_OR_RETURN(vt.digest, xb_->GenerateVT(lo, hi));
-  if (admit) {
-    std::vector<uint8_t> bytes(vt.digest.bytes.begin(), vt.digest.bytes.end());
-    vt_cache_.Insert(key, std::make_shared<const CachedAnswer>(
-                              CachedAnswer{std::move(bytes), {}}));
-  }
+  if (admit) vt_cache_.Insert(key, vt.digest);
   return vt;
 }
 

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/answer_cache.h"
@@ -108,7 +109,7 @@ class TrustedEntity {
   std::unique_ptr<xbtree::XbTree> xb_;
   std::atomic<uint64_t> epoch_{0};
   // mutable: const token generation fills the memo; it locks internally.
-  mutable AnswerCache vt_cache_;
+  mutable EpochCache<std::optional<crypto::Digest>> vt_cache_;
 };
 
 }  // namespace sae::core

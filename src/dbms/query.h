@@ -41,15 +41,6 @@ enum class QueryOp : uint8_t {
 /// Stable lower-case name for logs, bench tables and test output.
 const char* QueryOpName(QueryOp op);
 
-/// True for the operators whose verified result is a record set. Only
-/// kTopK materializes rows in QueryAnswer::records (the ranked winners);
-/// scan/point rows ARE the witness the proof authenticates, held once in
-/// the outcome's `results`, never duplicated into the answer.
-inline bool OpReturnsRecords(QueryOp op) {
-  return op == QueryOp::kScan || op == QueryOp::kPoint ||
-         op == QueryOp::kTopK;
-}
-
 /// One verified query: a key range plus the operator applied to it.
 struct QueryRequest {
   QueryOp op = QueryOp::kScan;

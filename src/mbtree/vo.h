@@ -68,8 +68,6 @@ struct VerificationObject {
 
   static Result<VerificationObject> Deserialize(
       const std::vector<uint8_t>& bytes);
-
-  size_t SerializedSize() const { return Serialize().size(); }
 };
 
 /// Client-side verification (paper §I): first the freshness gate — the

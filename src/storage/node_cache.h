@@ -23,41 +23,16 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "storage/page.h"
+#include "util/lru_table.h"
 
 namespace sae::storage {
 
-/// Counters of one HotNodeCache. Snapshot by value and diff two snapshots
-/// to measure the work in between (same pattern as BufferPool::Stats).
-struct NodeCacheStats {
-  uint64_t hits = 0;           ///< cacheable-depth lookups served from cache
-  uint64_t misses = 0;         ///< cacheable-depth lookups that fell through
-  uint64_t invalidations = 0;  ///< entries dropped by Invalidate/Clear
-  uint64_t evictions = 0;      ///< entries dropped for capacity
-
-  double HitRate() const {
-    uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : double(hits) / double(total);
-  }
-
-  friend NodeCacheStats operator-(NodeCacheStats a, const NodeCacheStats& b) {
-    a.hits -= b.hits;
-    a.misses -= b.misses;
-    a.invalidations -= b.invalidations;
-    a.evictions -= b.evictions;
-    return a;
-  }
-  NodeCacheStats& operator+=(const NodeCacheStats& b) {
-    hits += b.hits;
-    misses += b.misses;
-    invalidations += b.invalidations;
-    evictions += b.evictions;
-    return *this;
-  }
-};
+/// Counters of one HotNodeCache (util/lru_table.h); it keeps no answers,
+/// so `declined` stays 0.
+using NodeCacheStats = CacheStats;
 
 struct NodeCacheOptions {
   size_t hot_levels = 2;     ///< cache nodes at depth < hot_levels (0 = off)
@@ -69,7 +44,8 @@ class HotNodeCache {
  public:
   using Options = NodeCacheOptions;
 
-  explicit HotNodeCache(const Options& options = {}) : options_(options) {}
+  explicit HotNodeCache(const Options& options = {})
+      : options_(options), table_(options.max_entries) {}
 
   bool enabled() const {
     return options_.hot_levels > 0 && options_.max_entries > 0;
@@ -79,32 +55,24 @@ class HotNodeCache {
     return enabled() && depth < options_.hot_levels;
   }
 
-  /// nullptr on miss or uncacheable depth.
+  /// nullptr on miss or uncacheable depth. Hits refresh LRU position.
   std::shared_ptr<const NodeT> Lookup(PageId id, size_t depth) const {
     if (!Caches(depth)) return nullptr;
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(id);
-    if (it == map_.end()) {
-      ++stats_.misses;
-      return nullptr;
-    }
-    ++stats_.hits;
-    return it->second;
+    const auto* hit = table_.Lookup(id);
+    return hit == nullptr ? nullptr : *hit;
   }
 
   /// Takes ownership of `node` and returns a shared holder for the caller's
-  /// own use; the cache keeps a reference only for cacheable depths.
+  /// own use; the cache keeps a reference only for cacheable depths. At
+  /// capacity the least recently used node goes; the hot-level set is far
+  /// below capacity in practice, and correctness never depends on what is
+  /// cached.
   std::shared_ptr<const NodeT> Insert(PageId id, size_t depth, NodeT node) {
     auto holder = std::make_shared<const NodeT>(std::move(node));
     if (!Caches(depth)) return holder;
     std::lock_guard<std::mutex> lock(mu_);
-    if (map_.count(id) == 0 && map_.size() >= options_.max_entries) {
-      // Any victim works: the hot-level set is far below capacity in
-      // practice, and correctness never depends on what is cached.
-      map_.erase(map_.begin());
-      ++stats_.evictions;
-    }
-    map_[id] = holder;
+    table_.Insert(id, holder);
     return holder;
   }
 
@@ -112,31 +80,30 @@ class HotNodeCache {
   void Invalidate(PageId id) {
     if (!enabled()) return;
     std::lock_guard<std::mutex> lock(mu_);
-    if (map_.erase(id) > 0) ++stats_.invalidations;
+    table_.Erase(id);
   }
 
   /// Wholesale invalidation (bulk load).
   void Clear() {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.invalidations += map_.size();
-    map_.clear();
+    table_.Clear();
   }
 
   NodeCacheStats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
+    return table_.stats();
   }
 
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
+    return table_.size();
   }
 
  private:
   Options options_;
   mutable std::mutex mu_;
-  mutable std::unordered_map<PageId, std::shared_ptr<const NodeT>> map_;
-  mutable NodeCacheStats stats_;
+  // mutable: const lookups count and refresh recency; mu_ guards it.
+  mutable LruTable<PageId, std::shared_ptr<const NodeT>> table_;
 };
 
 }  // namespace sae::storage

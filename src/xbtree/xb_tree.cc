@@ -25,11 +25,14 @@ constexpr size_t kEntrySize = 4 + 4 + crypto::Digest::kSize + 4; // 32
 constexpr size_t kSlabHeaderSize = 16;
 constexpr size_t kChunkHeaderSize = 8;  // count u16, pad u16, next u32
 constexpr size_t kDupTupleSize = 8 + crypto::Digest::kSize;      // 28
-// One tuple per chunk by default: the TE pays 36 bytes per tuple (28-byte
-// tuple + 8-byte chunk header), matching the paper's "the TE maintains only
-// two attributes and a digest for each record" accounting. Keys with many
+// One tuple per chunk: the TE pays 36 bytes per tuple (28-byte tuple +
+// 8-byte chunk header), matching the paper's "the TE maintains only two
+// attributes and a digest for each record" accounting. Keys with many
 // duplicates simply chain chunks.
-constexpr size_t kDefaultTuplesPerChunk = 1;
+constexpr size_t kChunkBytes = kChunkHeaderSize + kDupTupleSize;  // 36
+constexpr size_t kChunksPerPage =
+    (storage::kPageSize - kSlabHeaderSize) / kChunkBytes;          // 113
+static_assert(kChunksPerPage <= 256, "slot must fit in 8 bits");
 
 size_t DefaultMaxEntries() {
   return (storage::kPageSize - kNodeHeaderSize - kAnchorSize) / kEntrySize;
@@ -49,18 +52,11 @@ Result<std::unique_ptr<XbTree>> XbTree::Create(BufferPool* pool,
                                                const XbTreeOptions& options) {
   size_t max_entries =
       options.max_entries ? options.max_entries : DefaultMaxEntries();
-  size_t per_chunk = options.tuples_per_chunk ? options.tuples_per_chunk
-                                              : kDefaultTuplesPerChunk;
   SAE_CHECK(max_entries >= 2 && max_entries <= DefaultMaxEntries());
-  SAE_CHECK(per_chunk >= 1 &&
-            kChunkHeaderSize + per_chunk * kDupTupleSize <=
-                storage::kPageSize - kSlabHeaderSize);
 
   storage::NodeCacheOptions cache;  // the default entry cap
   cache.hot_levels = options.hot_cache_levels;
-  auto tree = std::unique_ptr<XbTree>(
-      new XbTree(pool, max_entries, per_chunk, cache));
-  SAE_CHECK(tree->ChunksPerPage() <= 256);  // slot must fit in 8 bits
+  auto tree = std::unique_ptr<XbTree>(new XbTree(pool, max_entries, cache));
   Node root;
   root.is_leaf = true;
   SAE_ASSIGN_OR_RETURN(tree->root_, tree->NewNode(root));
@@ -159,6 +155,9 @@ inline uint32_t ChunkSlot(uint32_t ref) { return ref & 0xFFu; }
 inline uint32_t MakeChunkRef(storage::PageId page, uint32_t slot) {
   return (page << 8) | slot;
 }
+inline size_t ChunkOffset(uint32_t ref) {
+  return kSlabHeaderSize + ChunkSlot(ref) * kChunkBytes;
+}
 }  // namespace
 
 Result<XbTree::ChunkRef> XbTree::AllocChunk() {
@@ -169,7 +168,7 @@ Result<XbTree::ChunkRef> XbTree::AllocChunk() {
     uint8_t* p = ref.Mutable().bytes();
     EncodeU32(p, kSlabMagic);
     slab_pages_.push_back(page_id);
-    for (size_t slot = ChunksPerPage(); slot-- > 0;) {
+    for (size_t slot = kChunksPerPage; slot-- > 0;) {
       free_chunks_.push_back(MakeChunkRef(page_id, uint32_t(slot)));
     }
   }
@@ -186,43 +185,18 @@ Status XbTree::FreeChunk(ChunkRef ref) {
   return Status::OK();
 }
 
-Result<XbTree::ChunkRef> XbTree::NewDupChain(RecordId id,
-                                             const crypto::Digest& digest) {
+Result<XbTree::ChunkRef> XbTree::PushDupChunk(RecordId id,
+                                              const crypto::Digest& digest,
+                                              ChunkRef head) {
   SAE_ASSIGN_OR_RETURN(ChunkRef ref, AllocChunk());
   SAE_ASSIGN_OR_RETURN(auto page, pool_->Fetch(ChunkPage(ref)));
-  uint8_t* c = page.Mutable().bytes() + kSlabHeaderSize +
-               ChunkSlot(ref) * ChunkBytes();
+  uint8_t* c = page.Mutable().bytes() + ChunkOffset(ref);
   EncodeU16(c, 1);
-  EncodeU32(c + 4, kInvalidChunk);
+  EncodeU32(c + 4, head);
   EncodeU64(c + kChunkHeaderSize, id);
   std::memcpy(c + kChunkHeaderSize + 8, digest.bytes.data(),
               crypto::Digest::kSize);
   return ref;
-}
-
-Status XbTree::DupChainInsert(Entry* entry, RecordId id,
-                              const crypto::Digest& digest) {
-  {
-    SAE_ASSIGN_OR_RETURN(auto page, pool_->Fetch(ChunkPage(entry->dup_head)));
-    uint8_t* c = page.Mutable().bytes() + kSlabHeaderSize +
-                 ChunkSlot(entry->dup_head) * ChunkBytes();
-    uint16_t count = DecodeU16(c);
-    if (count < tuples_per_chunk_) {
-      uint8_t* t = c + kChunkHeaderSize + count * kDupTupleSize;
-      EncodeU64(t, id);
-      std::memcpy(t + 8, digest.bytes.data(), crypto::Digest::kSize);
-      EncodeU16(c, uint16_t(count + 1));
-      return Status::OK();
-    }
-  }
-  // Head chunk full: prepend a fresh one.
-  SAE_ASSIGN_OR_RETURN(ChunkRef new_head, NewDupChain(id, digest));
-  SAE_ASSIGN_OR_RETURN(auto page, pool_->Fetch(ChunkPage(new_head)));
-  uint8_t* c = page.Mutable().bytes() + kSlabHeaderSize +
-               ChunkSlot(new_head) * ChunkBytes();
-  EncodeU32(c + 4, entry->dup_head);
-  entry->dup_head = new_head;
-  return Status::OK();
 }
 
 Result<crypto::Digest> XbTree::DupChainRemove(Entry* entry, RecordId id,
@@ -234,38 +208,23 @@ Result<crypto::Digest> XbTree::DupChainRemove(Entry* entry, RecordId id,
     ChunkRef next;
     {
       SAE_ASSIGN_OR_RETURN(auto page, pool_->Fetch(ChunkPage(cur)));
-      uint8_t* c = page.Mutable().bytes() + kSlabHeaderSize +
-                   ChunkSlot(cur) * ChunkBytes();
-      uint16_t count = DecodeU16(c);
+      uint8_t* c = page.Mutable().bytes() + ChunkOffset(cur);
       next = DecodeU32(c + 4);
-      for (uint16_t i = 0; i < count; ++i) {
-        uint8_t* t = c + kChunkHeaderSize + i * kDupTupleSize;
-        if (DecodeU64(t) == id) {
-          crypto::Digest digest;
-          std::memcpy(digest.bytes.data(), t + 8, crypto::Digest::kSize);
-          if (i + 1 < count) {
-            // Swap the last tuple into the hole.
-            const uint8_t* last =
-                c + kChunkHeaderSize + (count - 1) * kDupTupleSize;
-            std::memmove(t, last, kDupTupleSize);
-          }
-          EncodeU16(c, uint16_t(count - 1));
-          if (count - 1 == 0) {
-            // Unlink and recycle the empty chunk.
-            if (prev == kInvalidChunk) {
-              entry->dup_head = next;
-            } else {
-              SAE_ASSIGN_OR_RETURN(auto ppage,
-                                   pool_->Fetch(ChunkPage(prev)));
-              uint8_t* pc = ppage.Mutable().bytes() + kSlabHeaderSize +
-                            ChunkSlot(prev) * ChunkBytes();
-              EncodeU32(pc + 4, next);
-            }
-            SAE_RETURN_NOT_OK(FreeChunk(cur));
-            *now_empty = entry->dup_head == kInvalidChunk;
-          }
-          return digest;
+      const uint8_t* t = c + kChunkHeaderSize;
+      if (DecodeU64(t) == id) {
+        crypto::Digest digest;
+        std::memcpy(digest.bytes.data(), t + 8, crypto::Digest::kSize);
+        EncodeU16(c, 0);
+        // Unlink and recycle the emptied chunk.
+        if (prev == kInvalidChunk) {
+          entry->dup_head = next;
+        } else {
+          SAE_ASSIGN_OR_RETURN(auto ppage, pool_->Fetch(ChunkPage(prev)));
+          EncodeU32(ppage.Mutable().bytes() + ChunkOffset(prev) + 4, next);
         }
+        SAE_RETURN_NOT_OK(FreeChunk(cur));
+        *now_empty = entry->dup_head == kInvalidChunk;
+        return digest;
       }
     }
     prev = cur;
@@ -279,9 +238,7 @@ Status XbTree::FreeDupChain(ChunkRef head) {
     ChunkRef next;
     {
       SAE_ASSIGN_OR_RETURN(auto page, pool_->Fetch(ChunkPage(head)));
-      const uint8_t* c = page.Get().bytes() + kSlabHeaderSize +
-                         ChunkSlot(head) * ChunkBytes();
-      next = DecodeU32(c + 4);
+      next = DecodeU32(page.Get().bytes() + ChunkOffset(head) + 4);
     }
     SAE_RETURN_NOT_OK(FreeChunk(head));
     head = next;
@@ -298,14 +255,14 @@ Result<std::vector<std::pair<RecordId, crypto::Digest>>> XbTree::ReadDupChain(
     if (DecodeU32(p) != kSlabMagic) {
       return Status::Corruption("bad slab page magic");
     }
-    const uint8_t* c = p + kSlabHeaderSize + ChunkSlot(head) * ChunkBytes();
-    uint16_t count = DecodeU16(c);
-    for (uint16_t i = 0; i < count; ++i) {
-      const uint8_t* t = c + kChunkHeaderSize + i * kDupTupleSize;
-      crypto::Digest d;
-      std::memcpy(d.bytes.data(), t + 8, crypto::Digest::kSize);
-      out.emplace_back(DecodeU64(t), d);
+    const uint8_t* c = p + ChunkOffset(head);
+    if (DecodeU16(c) != 1) {
+      return Status::Corruption("duplicate chunk must hold one tuple");
     }
+    const uint8_t* t = c + kChunkHeaderSize;
+    crypto::Digest d;
+    std::memcpy(d.bytes.data(), t + 8, crypto::Digest::kSize);
+    out.emplace_back(DecodeU64(t), d);
     head = DecodeU32(c + 4);
   }
   return out;
@@ -342,8 +299,9 @@ Status XbTree::InsertRec(PageId page, Key key, RecordId id,
   size_t pos = it - node.entries.begin();
 
   if (pos < node.entries.size() && node.entries[pos].sk == key) {
-    // Existing key: append to its duplicate chain.
-    SAE_RETURN_NOT_OK(DupChainInsert(&node.entries[pos], id, digest));
+    // Existing key: prepend a chunk to its duplicate chain.
+    SAE_ASSIGN_OR_RETURN(node.entries[pos].dup_head,
+                         PushDupChunk(id, digest, node.entries[pos].dup_head));
     node.entries[pos].x ^= digest;
     return StoreNode(page, node);
   }
@@ -362,7 +320,8 @@ Status XbTree::InsertRec(PageId page, Key key, RecordId id,
     // New key: create its duplicate chain and leaf entry.
     Entry entry;
     entry.sk = key;
-    SAE_ASSIGN_OR_RETURN(entry.dup_head, NewDupChain(id, digest));
+    SAE_ASSIGN_OR_RETURN(entry.dup_head,
+                         PushDupChunk(id, digest, kInvalidChunk));
     entry.x = digest;
     node.entries.insert(node.entries.begin() + pos, entry);
     ++key_count_;
@@ -733,16 +692,12 @@ Status XbTree::BulkLoad(const std::vector<XbTuple>& sorted) {
   while (i < sorted.size()) {
     size_t j = i;
     KeyedItem item{sorted[i].key, kInvalidChunk, crypto::Digest::Zero()};
-    Entry chain_entry;  // reuse DupChainInsert via a scratch entry
-    SAE_ASSIGN_OR_RETURN(chain_entry.dup_head,
-                         NewDupChain(sorted[i].id, sorted[i].digest));
-    item.lxor ^= sorted[i].digest;
-    for (j = i + 1; j < sorted.size() && sorted[j].key == item.sk; ++j) {
-      SAE_RETURN_NOT_OK(
-          DupChainInsert(&chain_entry, sorted[j].id, sorted[j].digest));
+    for (; j < sorted.size() && sorted[j].key == item.sk; ++j) {
+      SAE_ASSIGN_OR_RETURN(
+          item.dup_head,
+          PushDupChunk(sorted[j].id, sorted[j].digest, item.dup_head));
       item.lxor ^= sorted[j].digest;
     }
-    item.dup_head = chain_entry.dup_head;
     items.push_back(item);
     i = j;
   }
@@ -900,18 +855,7 @@ Status XbTree::ValidateRec(PageId page, size_t depth, std::optional<Key> lo,
     crypto::Digest lxor;
     for (const auto& [id, d] : chain) lxor ^= d;
     *tuples += chain.size();
-    // Count the chain's chunks.
-    ChunkRef cr = e.dup_head;
-    while (cr != kInvalidChunk) {
-      ++*dup_pages;  // counter reused for live chunks
-      SAE_ASSIGN_OR_RETURN(auto ref, pool_->Fetch(cr >> 8));
-      const uint8_t* c = ref.Get().bytes() + kSlabHeaderSize +
-                         (cr & 0xFFu) * ChunkBytes();
-      if (DecodeU16(c) == 0) {
-        return Status::Corruption("empty chunk on a live chain");
-      }
-      cr = DecodeU32(c + 4);
-    }
+    *dup_pages += chain.size();  // counter reused for live chunks
     ++*keys;
 
     crypto::Digest expect = lxor;
@@ -960,7 +904,7 @@ Status XbTree::Validate() const {
     return Status::Corruption("dup chunk count mismatch");
   }
   if (chunks + free_chunks_.size() !=
-      slab_pages_.size() * ChunksPerPage()) {
+      slab_pages_.size() * kChunksPerPage) {
     return Status::Corruption("slab accounting mismatch");
   }
   if (tuple_count_ > 0 && leaf_depth != height_) {

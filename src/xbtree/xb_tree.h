@@ -27,8 +27,8 @@
 //               [e0: X 20B, c u32] then count x [sk u32, L u32, X 20B, c u32]
 //               -> 126 keyed entries max
 //   slab page : [magic u32][u16 used][u16 rsvd][rsvd u64] then fixed-size
-//               chunks [count u16, pad u16, next u32, T x (id u64, h 20B)];
-//               T = 1 by default -> 36 B per tuple, 113 chunks per page
+//               chunks [count u16, pad u16, next u32, id u64, h 20B], one
+//               tuple each -> 36 B per tuple, 113 chunks per page
 
 #ifndef SAE_XBTREE_XB_TREE_H_
 #define SAE_XBTREE_XB_TREE_H_
@@ -59,8 +59,7 @@ struct XbTuple {
 
 /// Fanout overrides for tests (0 = use defaults).
 struct XbTreeOptions {
-  size_t max_entries = 0;       ///< keyed entries per node (default 126)
-  size_t tuples_per_chunk = 0;  ///< tuples per duplicate chunk (default 1)
+  size_t max_entries = 0;  ///< keyed entries per node (default 126)
   /// Hot-level digest cache: parsed nodes at depth < hot_cache_levels are
   /// memoized and invalidated precisely along every update path, so
   /// steady-state VT generation parses only the leaf frontier. 0 disables.
@@ -103,7 +102,6 @@ class XbTree {
     return (node_count_ + dup_page_count()) * storage::kPageSize;
   }
   size_t max_entries() const { return max_entries_; }
-  size_t tuples_per_chunk() const { return tuples_per_chunk_; }
 
   /// Hot-level node cache counters (hits/misses/invalidations/evictions);
   /// snapshot by value, diff to measure a span.
@@ -135,12 +133,9 @@ class XbTree {
     std::vector<Entry> entries;
   };
 
-  XbTree(BufferPool* pool, size_t max_entries, size_t tuples_per_chunk,
+  XbTree(BufferPool* pool, size_t max_entries,
          const storage::NodeCacheOptions& cache_options = {})
-      : pool_(pool),
-        max_entries_(max_entries),
-        tuples_per_chunk_(tuples_per_chunk),
-        node_cache_(cache_options) {}
+      : pool_(pool), max_entries_(max_entries), node_cache_(cache_options) {}
 
   Result<Node> LoadNode(PageId id) const;
   /// Depth-aware load: serves hot levels (depth < hot_cache_levels, root at
@@ -160,17 +155,14 @@ class XbTree {
                                      size_t child_depth) const;
 
   // Duplicate-chunk slab helpers.
-  size_t ChunkBytes() const { return 8 + tuples_per_chunk_ * 28; }
-  size_t ChunksPerPage() const {
-    return (storage::kPageSize - 16) / ChunkBytes();
-  }
   Result<ChunkRef> AllocChunk();
   Status FreeChunk(ChunkRef ref);
 
   // Duplicate-chain operations over chunk refs stored in Entry::dup_head.
-  Result<ChunkRef> NewDupChain(RecordId id, const crypto::Digest& digest);
-  Status DupChainInsert(Entry* entry, RecordId id,
-                        const crypto::Digest& digest);
+  // Prepends a chunk holding (id, digest) to the chain at `head`
+  // (kInvalidChunk: a new chain); returns the new head.
+  Result<ChunkRef> PushDupChunk(RecordId id, const crypto::Digest& digest,
+                                ChunkRef head);
   // Removes `id` from the chain; sets *now_empty when the chain vanishes.
   // NotFound if absent.
   Result<crypto::Digest> DupChainRemove(Entry* entry, RecordId id,
@@ -209,7 +201,6 @@ class XbTree {
 
   BufferPool* pool_;
   size_t max_entries_;
-  size_t tuples_per_chunk_;
   PageId root_ = storage::kInvalidPageId;
   size_t tuple_count_ = 0;
   size_t key_count_ = 0;

@@ -19,6 +19,7 @@
 
 #include "adversary/adversary.h"
 #include "core/answer_cache.h"
+#include "core/client_memo.h"
 #include "core/query_engine.h"
 #include "core/system.h"
 #include "sim/channel.h"
@@ -383,7 +384,7 @@ TEST(TomConcurrencyTest, ThreadedBatchMatchesSerialRun) {
 // --- caches: readers hammering, writers invalidating -------------------------
 //
 // The verified-path caches (hot-level node memos, epoch-keyed answer
-// caches) sit on the shared read path, so cache fills race with cache hits
+// caches, the client memo) sit on the shared read path, so cache fills race with cache hits
 // and with writer-side invalidation. These tests drive that contention
 // directly; TSan (the CI tsan job runs this binary) checks the locking.
 
@@ -493,6 +494,76 @@ TEST(CacheConcurrencyTest, AnswerCacheReplaysExactBytesUnderInvalidation) {
   EXPECT_EQ(stats.hits, hit_count.load());
   EXPECT_GT(stats.invalidations, 0u);
   EXPECT_LE(cache.size(), options.max_entries);
+}
+
+// The client memo backing SaeClientMemo and TomClientMemo: readers look up
+// and fill a hot set of requests, each served one buffer and given a
+// verdict of its own, while another thread expires epochs as the TOM
+// memo's freshness path does. A hit must hand back that request's verdict
+// even when an epoch drop or an eviction races with it.
+TEST(CacheConcurrencyTest, ServedAnswerMemoSurvivesLookupInsertAndEpochDrop) {
+  core::AnswerCacheOptions options;
+  options.max_entries = 16;  // below the hot set: eviction churn too
+  core::ServedAnswerMemo memo(options);
+  constexpr uint32_t kRequests = 32;
+  auto request_for = [](uint32_t r) {
+    return dbms::QueryRequest::Scan(r * 100, r * 100 + 99);
+  };
+  auto verdict_for = [](uint32_t r) {
+    crypto::Digest digest;
+    digest.bytes[0] = uint8_t(r);
+    digest.bytes[1] = 0x5A;
+    return digest;
+  };
+  std::vector<std::shared_ptr<const core::CachedAnswer>> served;
+  for (uint32_t r = 0; r < kRequests; ++r) {
+    served.push_back(std::make_shared<const core::CachedAnswer>(
+        core::CachedAnswer{{uint8_t(r), 0xAB}, {}}));
+  }
+  std::atomic<uint64_t> epoch{1};
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> corrupt{0};
+  std::atomic<uint64_t> hit_count{0};
+
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t state = 0xFEEDull * (t + 1);
+      for (size_t i = 0; i < 20000; ++i) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        uint32_t r = uint32_t(state >> 33) % kRequests;
+        core::ServedAnswerMemo::Verdict verdict;
+        bool admit = false;
+        if (memo.Lookup(request_for(r), served[r], &verdict, &admit)) {
+          hit_count.fetch_add(1);
+          if (verdict.xor_digest != verdict_for(r)) corrupt.fetch_add(1);
+        } else if (admit) {
+          memo.Insert(request_for(r), served[r],
+                      {verdict_for(r), Status::OK()}, epoch.load());
+        }
+      }
+    });
+  }
+  std::thread dropper([&] {
+    // A minimum number of drops, as in the node-cache test above, so the
+    // invalidation assertion holds however the threads are scheduled.
+    size_t drops = 0;
+    while (!stop.load() || drops < 256) {
+      ++drops;
+      memo.DropAllIfEpochMoved(epoch.fetch_add(1) + 1);
+      std::this_thread::yield();
+    }
+  });
+  for (auto& thread : threads) thread.join();
+  stop.store(true);
+  dropper.join();
+
+  EXPECT_EQ(corrupt.load(), 0u);
+  core::AnswerCacheStats stats = memo.stats();
+  EXPECT_EQ(stats.hits, hit_count.load());
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.invalidations, 0u);
+  EXPECT_LE(memo.size(), options.max_entries);
 }
 
 // Readers replay a small hot set of verified queries (filling and hitting

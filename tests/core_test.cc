@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
+#include <memory>
+#include <unordered_map>
 
 #include "adversary/malicious_sp.h"
+#include "core/answer_cache.h"
 #include "core/client.h"
+#include "core/client_memo.h"
 #include "core/data_owner.h"
 #include "core/messages.h"
 #include "core/service_provider.h"
@@ -577,6 +582,358 @@ TEST(SystemLoadTest, TomLoadsAShuffledCopyToTheSameBytes) {
   EXPECT_TRUE(b.value().verification.ok());
   EXPECT_EQ(b.value().answer.sum, a.value().answer.sum);
   EXPECT_EQ(b.value().results, a.value().results);
+}
+
+// --- verified-path caches -----------------------------------------------------
+
+// The TE token depends on the range alone, so the memo keys on (range,
+// epoch): three operators over one range share one entry, while the SP
+// answer cache keys on the operator too.
+TEST(TokenMemoTest, KeyedByRangeAndEpochAlone) {
+  SaeSystem::Options options;
+  options.record_size = kRecSize;
+  SaeSystem system(options);
+  ASSERT_TRUE(system.Load(SmallDataset(200)).ok());
+
+  SaeCacheStats before = system.cache_stats();
+  for (const dbms::QueryRequest& request :
+       {dbms::QueryRequest::Scan(500, 1500),
+        dbms::QueryRequest::Count(500, 1500),
+        dbms::QueryRequest::TopK(500, 1500, 3)}) {
+    auto outcome = system.Query(request);
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_TRUE(outcome.value().verification.ok());
+  }
+  SaeCacheStats after = system.cache_stats();
+  AnswerCacheStats te = after.te_vt - before.te_vt;
+  EXPECT_EQ(te.misses, 2u);
+  EXPECT_EQ(te.declined, 1u);    // the scan: the range's first miss
+  EXPECT_EQ(te.insertions, 1u);  // the count: its second miss
+  EXPECT_EQ(te.hits, 1u);        // the top-k
+  AnswerCacheStats sp = after.sp_answer - before.sp_answer;
+  EXPECT_EQ(sp.misses, 3u);
+  EXPECT_EQ(sp.declined, 3u);
+  EXPECT_EQ(sp.hits, 0u);
+
+  // An update moves the epoch: the same range misses again.
+  RecordCodec codec(kRecSize);
+  ASSERT_TRUE(system.Insert(codec.MakeRecord(1000, 105)).ok());
+  before = system.cache_stats();
+  ASSERT_TRUE(system.Query(dbms::QueryRequest::Scan(500, 1500)).ok());
+  te = system.cache_stats().te_vt - before.te_vt;
+  EXPECT_EQ(te.misses, 1u);
+  EXPECT_EQ(te.hits, 0u);
+}
+
+// The list + map LRUs the answer cache, the client memo and the seen set
+// each carried before they shared util/lru_table.h, copied as references.
+// The answer cache evicted before inserting, the memo after.
+struct ReferenceSeen {
+  explicit ReferenceSeen(size_t capacity) : capacity(capacity) {}
+
+  bool RecordMiss(const dbms::QueryRequest& request) {
+    auto it = index.find(request);
+    if (it != index.end()) {
+      order.splice(order.begin(), order, it->second);
+      return true;
+    }
+    if (capacity == 0) return false;
+    if (index.size() >= capacity) {
+      index.erase(order.back());
+      order.pop_back();
+    }
+    order.push_front(request);
+    index.emplace(request, order.begin());
+    return false;
+  }
+
+  size_t capacity;
+  std::list<dbms::QueryRequest> order;
+  std::unordered_map<dbms::QueryRequest,
+                     std::list<dbms::QueryRequest>::iterator, RequestHash>
+      index;
+};
+
+struct ReferenceAnswerCache {
+  using Value = std::shared_ptr<const CachedAnswer>;
+
+  explicit ReferenceAnswerCache(size_t max) : max(max), seen(max) {}
+
+  Value Lookup(const AnswerCache::Key& key, bool* admit) {
+    *admit = false;
+    auto it = map.find(key);
+    if (it == map.end()) {
+      ++stats.misses;
+      bool again = seen.RecordMiss(
+          dbms::QueryRequest{key.op, key.lo, key.hi, key.limit});
+      if (!again) ++stats.declined;
+      *admit = again;
+      return nullptr;
+    }
+    ++stats.hits;
+    lru.splice(lru.begin(), lru, it->second.second);
+    return it->second.first;
+  }
+
+  void Insert(const AnswerCache::Key& key, Value value) {
+    ++stats.insertions;
+    auto it = map.find(key);
+    if (it != map.end()) {
+      it->second.first = std::move(value);
+      lru.splice(lru.begin(), lru, it->second.second);
+      return;
+    }
+    if (map.size() >= max) {
+      map.erase(lru.back());
+      lru.pop_back();
+      ++stats.evictions;
+    }
+    lru.push_front(key);
+    map[key] = {std::move(value), lru.begin()};
+  }
+
+  void InvalidateAll() {
+    stats.invalidations += map.size();
+    map.clear();
+    lru.clear();
+  }
+
+  size_t max;
+  std::list<AnswerCache::Key> lru;
+  std::unordered_map<AnswerCache::Key,
+                     std::pair<Value, std::list<AnswerCache::Key>::iterator>,
+                     RequestHash>
+      map;
+  ReferenceSeen seen;
+  AnswerCacheStats stats;
+};
+
+struct ReferenceMemo {
+  struct Slot {
+    std::shared_ptr<const CachedAnswer> served;
+    ServedAnswerMemo::Verdict verdict;
+    std::list<dbms::QueryRequest>::iterator lru_pos;
+  };
+
+  explicit ReferenceMemo(size_t max) : max(max), seen(max) {}
+
+  static bool Same(const CachedAnswer& a, const CachedAnswer& b) {
+    return &a == &b || (a.proof_msg == b.proof_msg &&
+                        SameAnswerUpToEpoch(a.answer_msg, b.answer_msg));
+  }
+
+  bool Lookup(const dbms::QueryRequest& request,
+              const std::shared_ptr<const CachedAnswer>& served,
+              ServedAnswerMemo::Verdict* verdict, bool* admit) {
+    auto it = map.find(request);
+    if (it == map.end() || !Same(*it->second.served, *served)) {
+      ++stats.misses;
+      *admit = seen.RecordMiss(request);
+      if (!*admit) ++stats.declined;
+      return false;
+    }
+    ++stats.hits;
+    it->second.served = served;
+    lru.splice(lru.begin(), lru, it->second.lru_pos);
+    *verdict = it->second.verdict;
+    return true;
+  }
+
+  void Insert(const dbms::QueryRequest& request,
+              std::shared_ptr<const CachedAnswer> served,
+              ServedAnswerMemo::Verdict verdict, uint64_t published_epoch) {
+    if (published_epoch < seen_epoch) {
+      ++stats.declined;
+      return;
+    }
+    ++stats.insertions;
+    auto it = map.find(request);
+    if (it != map.end()) {
+      it->second.served = std::move(served);
+      it->second.verdict = std::move(verdict);
+      lru.splice(lru.begin(), lru, it->second.lru_pos);
+      return;
+    }
+    lru.push_front(request);
+    map.emplace(request,
+                Slot{std::move(served), std::move(verdict), lru.begin()});
+    while (map.size() > max) {
+      map.erase(lru.back());
+      lru.pop_back();
+      ++stats.evictions;
+    }
+  }
+
+  void DropAllIfEpochMoved(uint64_t published_epoch) {
+    if (published_epoch <= seen_epoch) return;
+    seen_epoch = published_epoch;
+    stats.invalidations += map.size();
+    map.clear();
+    lru.clear();
+  }
+
+  size_t max;
+  std::list<dbms::QueryRequest> lru;
+  std::unordered_map<dbms::QueryRequest, Slot, RequestHash> map;
+  ReferenceSeen seen;
+  AnswerCacheStats stats;
+  uint64_t seen_epoch = 0;
+};
+
+void ExpectSameStats(const AnswerCacheStats& got, const AnswerCacheStats& want,
+                     size_t capacity, int step) {
+  ASSERT_EQ(got.hits, want.hits) << "cap " << capacity << " step " << step;
+  ASSERT_EQ(got.misses, want.misses) << "cap " << capacity << " step " << step;
+  ASSERT_EQ(got.declined, want.declined)
+      << "cap " << capacity << " step " << step;
+  ASSERT_EQ(got.insertions, want.insertions)
+      << "cap " << capacity << " step " << step;
+  ASSERT_EQ(got.evictions, want.evictions)
+      << "cap " << capacity << " step " << step;
+  ASSERT_EQ(got.invalidations, want.invalidations)
+      << "cap " << capacity << " step " << step;
+}
+
+// Twelve requests over three ranges: more than any capacity below, so
+// every trace evicts.
+dbms::QueryRequest TraceRequest(uint64_t i) {
+  Key lo = Key(i % 3) * 100;
+  switch (i / 3 % 4) {
+    case 0:
+      return dbms::QueryRequest::Scan(lo, lo + 50);
+    case 1:
+      return dbms::QueryRequest::Count(lo, lo + 50);
+    case 2:
+      return dbms::QueryRequest::TopK(lo, lo + 50, 3);
+    default:
+      return dbms::QueryRequest::TopK(lo, lo + 50, 5);
+  }
+}
+
+constexpr int kTraceSteps = 3000;  // per capacity: 24K steps per cache
+
+// Every trace must reach each counter, or a defect there could hide.
+void ExpectEveryCounterMoved(const AnswerCacheStats& total) {
+  EXPECT_GT(total.hits, 0u);
+  EXPECT_GT(total.declined, 0u);
+  EXPECT_GT(total.insertions, 0u);
+  EXPECT_GT(total.evictions, 0u);
+  EXPECT_GT(total.invalidations, 0u);
+}
+
+TEST(VerifiedPathCacheTest, AnswerCacheTraceMatchesReferenceLru) {
+  AnswerCacheStats total;
+  for (size_t capacity = 1; capacity <= 8; ++capacity) {
+    AnswerCache cache({capacity});
+    ReferenceAnswerCache ref(capacity);
+    Rng rng(1000 + capacity);
+    for (int step = 0; step < kTraceSteps; ++step) {
+      AnswerCache::Key key = AnswerCache::Key::For(
+          TraceRequest(rng.NextBounded(12)), 1 + rng.NextBounded(2));
+      uint64_t roll = rng.NextBounded(100);
+      if (roll < 55) {
+        bool admit = false;
+        bool ref_admit = false;
+        auto got = cache.Lookup(key, &admit);
+        auto want = ref.Lookup(key, &ref_admit);
+        ASSERT_EQ(got, want) << "cap " << capacity << " step " << step;
+        ASSERT_EQ(admit, ref_admit) << "cap " << capacity << " step " << step;
+      } else if (roll < 97) {
+        auto value = std::make_shared<const CachedAnswer>(
+            CachedAnswer{{uint8_t(step), uint8_t(step >> 8)}, {}});
+        cache.Insert(key, value);
+        ref.Insert(key, value);
+      } else {
+        cache.InvalidateAll();
+        ref.InvalidateAll();
+      }
+      ASSERT_EQ(cache.size(), ref.map.size())
+          << "cap " << capacity << " step " << step;
+      ExpectSameStats(cache.stats(), ref.stats, capacity, step);
+    }
+    total += cache.stats();
+  }
+  ExpectEveryCounterMoved(total);
+}
+
+TEST(VerifiedPathCacheTest, ServedAnswerMemoTraceMatchesReferenceLru) {
+  // Per request: two distinct buffers with equal bytes, one byte-equal up
+  // to the answer's epoch stamp, and one that differs.
+  constexpr size_t kEpochAt = 2;  // after the tag and operator bytes
+  auto buffer = [](uint64_t request, uint8_t fill, uint8_t epoch) {
+    std::vector<uint8_t> bytes(kEpochAt + 12, uint8_t(request));
+    bytes[kEpochAt] = epoch;
+    bytes.back() = fill;
+    return std::make_shared<const CachedAnswer>(
+        CachedAnswer{std::move(bytes), {}});
+  };
+  std::vector<std::vector<std::shared_ptr<const CachedAnswer>>> served(12);
+  for (uint64_t r = 0; r < 12; ++r) {
+    served[r] = {buffer(r, 1, 1), buffer(r, 1, 1), buffer(r, 1, 2),
+                 buffer(r, 2, 1)};
+  }
+  AnswerCacheStats total;
+  for (size_t capacity = 1; capacity <= 8; ++capacity) {
+    ServedAnswerMemo memo({capacity});
+    ReferenceMemo ref(capacity);
+    Rng rng(2000 + capacity);
+    uint64_t epoch = 1;
+    for (int step = 0; step < kTraceSteps; ++step) {
+      uint64_t r = rng.NextBounded(12);
+      dbms::QueryRequest request = TraceRequest(r);
+      const auto& buf = served[r][rng.NextBounded(4)];
+      uint64_t roll = rng.NextBounded(100);
+      if (roll < 55) {
+        ServedAnswerMemo::Verdict got, want;
+        bool admit = false;
+        bool ref_admit = false;
+        bool hit = memo.Lookup(request, buf, &got, &admit);
+        ASSERT_EQ(hit, ref.Lookup(request, buf, &want, &ref_admit))
+            << "cap " << capacity << " step " << step;
+        ASSERT_EQ(admit, ref_admit) << "cap " << capacity << " step " << step;
+        if (hit) {
+          ASSERT_EQ(got.xor_digest, want.xor_digest)
+              << "cap " << capacity << " step " << step;
+        }
+      } else if (roll < 95) {
+        // Sometimes checked against an epoch a drop already expired.
+        uint64_t checked = epoch - rng.NextBounded(2);
+        crypto::Digest digest;
+        digest.bytes[0] = uint8_t(step);
+        digest.bytes[1] = uint8_t(step >> 8);
+        memo.Insert(request, buf, {digest, Status::OK()}, checked);
+        ref.Insert(request, buf, {digest, Status::OK()}, checked);
+      } else {
+        // Mostly a new epoch, sometimes one already seen.
+        epoch += rng.NextBounded(3) == 0 ? 0 : 1;
+        memo.DropAllIfEpochMoved(epoch);
+        ref.DropAllIfEpochMoved(epoch);
+      }
+      ASSERT_EQ(memo.size(), ref.map.size())
+          << "cap " << capacity << " step " << step;
+      ExpectSameStats(memo.stats(), ref.stats, capacity, step);
+    }
+    total += memo.stats();
+  }
+  ExpectEveryCounterMoved(total);
+}
+
+TEST(VerifiedPathCacheTest, SeenRequestsTraceMatchesReferenceLru) {
+  size_t remembered = 0;
+  for (size_t capacity = 1; capacity <= 8; ++capacity) {
+    SeenRequests seen(capacity);
+    ReferenceSeen ref(capacity);
+    Rng rng(3000 + capacity);
+    for (int step = 0; step < kTraceSteps; ++step) {
+      dbms::QueryRequest request = TraceRequest(rng.NextBounded(12));
+      bool again = seen.RecordMiss(request);
+      ASSERT_EQ(again, ref.RecordMiss(request))
+          << "cap " << capacity << " step " << step;
+      remembered += again;
+    }
+  }
+  EXPECT_GT(remembered, 0u);
+  EXPECT_LT(remembered, 8u * kTraceSteps);
 }
 
 }  // namespace

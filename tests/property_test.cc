@@ -190,19 +190,21 @@ TEST(DigestColumnTest, PlainAndMbTreesShareOneStructure) {
   }
 }
 
+// (fanout, hot digest-cache levels): churn at every depth the hot-node
+// cache reaches must leave no stale cached node behind.
 class XbFanoutSweep : public ::testing::TestWithParam<Fanout> {};
 
 TEST_P(XbFanoutSweep, VtMatchesModelUnderChurn) {
-  auto [max_entries, per_chunk] = GetParam();
+  auto [max_entries, hot_levels] = GetParam();
   InMemoryPageStore store;
   BufferPool pool(&store, 1024);
   xbtree::XbTreeOptions options;
   options.max_entries = max_entries;
-  options.tuples_per_chunk = per_chunk;
+  options.hot_cache_levels = hot_levels;
   auto tree = xbtree::XbTree::Create(&pool, options).ValueOrDie();
 
   std::multimap<uint32_t, uint64_t> model;
-  Rng rng(uint64_t(max_entries * 271 + per_chunk));
+  Rng rng(uint64_t(max_entries * 271 + hot_levels));
   for (int step = 0; step < 600; ++step) {
     if (model.empty() || rng.NextBool(0.62)) {
       uint32_t key = uint32_t(rng.NextBounded(200));

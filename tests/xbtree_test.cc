@@ -28,10 +28,9 @@ class XbFixture : public ::testing::Test {
  protected:
   XbFixture() : pool_(&store_, 1024) {}
 
-  void MakeTree(size_t max_entries = 4, size_t tuples_per_chunk = 3) {
+  void MakeTree(size_t max_entries = 4) {
     XbTreeOptions options;
     options.max_entries = max_entries;
-    options.tuples_per_chunk = tuples_per_chunk;
     auto r = XbTree::Create(&pool_, options);
     ASSERT_TRUE(r.ok());
     tree_ = std::move(r).ValueOrDie();
@@ -101,7 +100,7 @@ TEST_F(XbFixture, RejectsInvertedRange) {
 TEST_F(XbFixture, PaperFigure3Example) {
   // Search keys {1,3,3,6,6,12,13,15,18,18,20,23,23,25} for tuples t1..t14,
   // query [5, 17] -> VT = t4 ^ t5 ^ t6 ^ t7 ^ t8 (paper §III).
-  MakeTree(2, 2);  // tiny fanout to force a multi-level tree
+  MakeTree(2);  // tiny fanout to force a multi-level tree
   const uint32_t keys[] = {1, 3, 3, 6, 6, 12, 13, 15, 18, 18, 20, 23, 23, 25};
   for (uint64_t i = 0; i < 14; ++i) Insert(keys[i], i + 1);
   ASSERT_TRUE(tree_->Validate().ok());
@@ -120,7 +119,7 @@ TEST_F(XbFixture, PaperFigure3Example) {
 }
 
 TEST_F(XbFixture, DuplicateChainsAcrossPages) {
-  MakeTree(4, 2);  // 2 tuples per duplicate chunk -> chains form quickly
+  MakeTree(4);  // one tuple per duplicate chunk -> a 20-chunk chain
   for (uint64_t id = 1; id <= 20; ++id) Insert(7, id);
   EXPECT_EQ(tree_->distinct_keys(), 1u);
   EXPECT_EQ(tree_->size(), 20u);
@@ -146,7 +145,7 @@ TEST_F(XbFixture, DeleteMissingTupleReportsNotFound) {
 }
 
 TEST_F(XbFixture, InsertSplitsKeepXConsistent) {
-  MakeTree(4, 3);
+  MakeTree(4);
   Rng rng(77);
   for (uint64_t id = 1; id <= 300; ++id) {
     Insert(uint32_t(rng.NextBounded(10000)), id);
@@ -163,7 +162,7 @@ TEST_F(XbFixture, InsertSplitsKeepXConsistent) {
 }
 
 TEST_F(XbFixture, DeleteRebalancesKeepXConsistent) {
-  MakeTree(4, 3);
+  MakeTree(4);
   Rng rng(78);
   std::vector<std::pair<uint32_t, uint64_t>> tuples;
   for (uint64_t id = 1; id <= 300; ++id) {
@@ -189,7 +188,7 @@ TEST_F(XbFixture, DeleteRebalancesKeepXConsistent) {
 }
 
 TEST_F(XbFixture, InternalKeyDeletionPullsSuccessor) {
-  MakeTree(2, 2);  // tiny fanout: most keys live in internal nodes
+  MakeTree(2);  // tiny fanout: most keys live in internal nodes
   for (uint64_t id = 1; id <= 40; ++id) Insert(uint32_t(id * 10), id);
   ASSERT_TRUE(tree_->Validate().ok());
   ASSERT_GT(tree_->height(), 2u);
@@ -203,7 +202,7 @@ TEST_F(XbFixture, InternalKeyDeletionPullsSuccessor) {
 }
 
 TEST_F(XbFixture, BulkLoadMatchesModel) {
-  MakeTree(4, 3);
+  MakeTree(4);
   Rng rng(79);
   std::vector<XbTuple> tuples;
   for (uint64_t id = 1; id <= 500; ++id) {
@@ -226,7 +225,7 @@ TEST_F(XbFixture, BulkLoadMatchesModel) {
 }
 
 TEST_F(XbFixture, BulkLoadedTreeSupportsUpdates) {
-  MakeTree(4, 3);
+  MakeTree(4);
   std::vector<XbTuple> tuples;
   for (uint64_t id = 1; id <= 200; ++id) {
     tuples.push_back(XbTuple{uint32_t(id * 2), id, DigestFor(id)});
@@ -260,7 +259,7 @@ TEST_F(XbFixture, DefaultFanoutMatchesPageMath) {
 }
 
 TEST_F(XbFixture, VtGenerationTouchesLogarithmicNodes) {
-  MakeTree(8, 3);
+  MakeTree(8);
   for (uint64_t id = 1; id <= 4000; ++id) {
     ASSERT_TRUE(tree_->Insert(uint32_t(id), id, DigestFor(id)).ok());
   }
@@ -280,7 +279,6 @@ TEST_P(XbRandomizedTest, VtAlwaysMatchesBruteForce) {
   BufferPool pool(&store, 2048);
   XbTreeOptions options;
   options.max_entries = 5;
-  options.tuples_per_chunk = 2;
   auto tree = XbTree::Create(&pool, options).ValueOrDie();
 
   std::multimap<uint32_t, uint64_t> model;
