@@ -22,35 +22,26 @@ void Relay(net::ClientTransport* upstream, const RecordCodec& codec,
            const std::vector<uint8_t>& request,
            std::vector<net::SharedPayload>* responses) {
   Result<dbms::QueryRequest> query = core::DeserializeQueryRequest(request);
-  auto lease = upstream->Acquire();
-  Status sent = lease.ok() ? lease.value().Send(request) : lease.status();
-  if (!sent.ok()) {
-    responses->push_back(net::Share(net::ErrorFrame(sent)));
+  auto relayed = net::Exchange(
+      {{upstream, request, query.ok() ? answer_frames : size_t{1}}});
+  if (!relayed.ok()) {
+    responses->push_back(net::Share(net::ErrorFrame(relayed.status())));
     return;
   }
-  size_t frames = query.ok() ? answer_frames : 1;
-  for (size_t i = 0; i < frames; ++i) {
-    auto frame = lease.value().Recv();
-    if (!frame.ok()) {
-      responses->push_back(net::Share(net::ErrorFrame(frame.status())));
-      return;
+  net::Frames& frames = relayed.value()[0];
+  // A failed query comes back as one error frame, relayed as it is.
+  if (query.ok() && net::CheckFrame(frames[0]).ok()) {
+    auto answer = core::DeserializeQueryAnswer(frames[0], codec);
+    if (answer.ok()) {
+      uint64_t seed = tampered->fetch_add(1, std::memory_order_relaxed);
+      auto forged = TamperAnswer(frames[0], query.value(),
+                                 AttackMode::kTamperPayload, codec, seed,
+                                 answer.value().epoch);
+      if (forged.ok()) frames[0] = std::move(forged).ValueOrDie();
     }
-    if (!net::CheckFrame(frame.value()).ok()) {
-      // A failed query gets one error frame and nothing after it.
-      responses->push_back(net::Share(std::move(frame).ValueOrDie()));
-      return;
-    }
-    if (i == 0 && query.ok()) {
-      auto answer = core::DeserializeQueryAnswer(frame.value(), codec);
-      if (answer.ok()) {
-        uint64_t seed = tampered->fetch_add(1, std::memory_order_relaxed);
-        auto forged = TamperAnswer(frame.value(), query.value(),
-                                   AttackMode::kTamperPayload, codec, seed,
-                                   answer.value().epoch);
-        if (forged.ok()) frame = std::move(forged).ValueOrDie();
-      }
-    }
-    responses->push_back(net::Share(std::move(frame).ValueOrDie()));
+  }
+  for (std::vector<uint8_t>& frame : frames) {
+    responses->push_back(net::Share(std::move(frame)));
   }
 }
 

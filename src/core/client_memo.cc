@@ -64,7 +64,12 @@ void ServedAnswerMemo::Insert(const dbms::QueryRequest& request,
     table_.CountDeclined();
     return;
   }
-  table_.Insert(request, Slot{std::move(served), std::move(verdict)});
+  table_.Insert(request, Slot{std::move(served), verdict});
+}
+
+void ServedAnswerMemo::Decline() {
+  std::lock_guard<std::mutex> lock(mu_);
+  table_.CountDeclined();
 }
 
 void ServedAnswerMemo::DropAllIfEpochMoved(uint64_t published_epoch) {
@@ -135,27 +140,25 @@ Status SaeClientMemo::Verify(const dbms::QueryRequest& request,
   ServedAnswerMemo::Verdict memo;
   bool admit = false;
   if (enabled() && memo_.Lookup(request, served, &memo, &admit)) {
-    // A repeat of verified bytes: the memoized XOR *is* ResultXor(witness)
-    // by determinism, so comparing it against the LIVE token digest gives
-    // the same verdict a fresh re-hash would — including rejection when
-    // an update moved the token for this range.
-    SAE_RETURN_NOT_OK(Client::CompareXor(memo.xor_digest, vt.digest));
-    return memo.status;
+    // A repeat of accepted bytes: its witness XOR *is* the digest it
+    // matched, by determinism, and its witness and answer checks passed.
+    // Comparing that digest against the LIVE token gives the verdict a
+    // fresh check would — including rejection when an update moved the
+    // token for this range.
+    return Client::CompareXor(memo.token_digest, vt.digest);
   }
 
-  crypto::Digest xor_digest = Client::ResultXor(witness, codec, scheme);
-  SAE_RETURN_NOT_OK(Client::CompareXor(xor_digest, vt.digest));
-  Status answer_check = Client::CheckWitness(request, witness);
-  if (answer_check.ok()) {
-    answer_check = dbms::CheckAnswer(request, witness, claimed);
-  }
+  Status verdict = Client::VerifyAnswer(request, claimed, witness, vt,
+                                        claimed_epoch, published_epoch,
+                                        codec, scheme);
   if (admit) {
-    // Memoize only token-matched responses: an XOR mismatch never reaches
-    // here, so a poisoned response can't seed the memo.
-    memo_.Insert(request, std::move(served), {xor_digest, answer_check},
-                 published_epoch);
+    if (verdict.ok()) {
+      memo_.Insert(request, std::move(served), {vt.digest}, published_epoch);
+    } else {
+      memo_.Decline();
+    }
   }
-  return answer_check;
+  return verdict;
 }
 
 // ---------------------------------------------------------------------------
@@ -184,10 +187,9 @@ Result<VerifiedAnswer> TomClientMemo::VerifyAnswer(
     // Every VO re-signs the epoch-stamped root, so entries from an older
     // epoch can never byte-match again — reclaim them eagerly.
     memo_.DropAllIfEpochMoved(published_epoch);
-    if (memo_.Lookup(request, served, &memo, &admit)) {
-      out.verification = memo.status;
-      return out;
-    }
+    // Only accepted answers are kept: a hit passed the gate just now and
+    // everything else before.
+    if (memo_.Lookup(request, served, &memo, &admit)) return out;
   }
 
   // The gate just proved vo.epoch == published_epoch, so handing vo.epoch
@@ -197,10 +199,12 @@ Result<VerifiedAnswer> TomClientMemo::VerifyAnswer(
   out.verification = TomClient::VerifyAnswer(
       request, out.received.answer, out.received.witness, out.vo, owner_key,
       codec, scheme, out.vo.epoch);
-  // Memoize only accepted responses, so a cheating SP's bytes never hold a
-  // memo slot.
-  if (admit && out.verification.ok()) {
-    memo_.Insert(request, served, {{}, out.verification}, published_epoch);
+  if (admit) {
+    if (out.verification.ok()) {
+      memo_.Insert(request, served, {}, published_epoch);
+    } else {
+      memo_.Decline();
+    }
   }
   return out;
 }

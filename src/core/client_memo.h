@@ -2,14 +2,16 @@
 //
 // Client-side verification memos: the client caches ITS OWN verification
 // work, never the server's claims. Each memo keys an entry by the query
-// request and holds the served buffer the client verified (which it
-// co-owns) plus the verdict of its pure work. A repeat is recognised when
-// the buffer now served is that same immutable object — one pointer
-// comparison — or byte-equal to it, so a hit proves the inputs are
-// identical to ones the client already processed, and replaying the
-// memoized pure computation (the witness XOR under SAE, the VO
-// reconstruction + RSA check under TOM) is sound by determinism, not by
-// trust. The freshness gates (token/VO epoch vs the published epoch) are
+// request and holds a served buffer the client accepted (which it
+// co-owns); the SAE memo adds the token digest that buffer matched. A
+// repeat is recognised when the buffer now served is that same immutable
+// object — one pointer comparison — or byte-equal to it, so a hit proves
+// the inputs are identical to ones the client already accepted, and
+// replaying that acceptance (the witness XOR, witness and answer checks
+// under SAE, the VO reconstruction + RSA check under TOM) is sound by
+// determinism, not by trust. A rejected answer is never kept, so a
+// cheating SP's bytes hold no memo slot and are checked afresh every
+// time. The freshness gates (token/VO epoch vs the published epoch) are
 // NOT memoized: they depend on the live published epoch and run on every
 // query, so stale replays and epoch forgeries are caught exactly as on the
 // uncached path.
@@ -20,14 +22,14 @@
 // turns a repeat of that buffer into a pointer comparison instead of a
 // re-hash.
 //
-// The SAE memo survives epoch bumps: the memoized XOR is a pure function
-// of the witness bytes, the byte comparison skips the answer's epoch stamp
-// (which the freshness gate checks on every call), and a hit still
-// compares the XOR against the LIVE token digest — if the range was
-// touched the token digest moved and the comparison fails exactly as a
-// fresh re-hash would. The TOM memo expires wholesale on epoch bumps
-// (every VO re-signs the epoch-stamped root, so no stale entry can ever
-// byte-match again) and drops them eagerly.
+// The SAE memo survives epoch bumps: the memoized digest is the witness
+// XOR, a pure function of the witness bytes, the byte comparison skips the
+// answer's epoch stamp (which the freshness gate checks on every call),
+// and a hit still compares it against the LIVE token digest — if the
+// range was touched the token digest moved and the comparison fails
+// exactly as a fresh re-hash would. The TOM memo expires wholesale on
+// epoch bumps (every VO re-signs the epoch-stamped root, so no stale entry
+// can ever byte-match again) and drops them eagerly.
 
 #ifndef SAE_CORE_CLIENT_MEMO_H_
 #define SAE_CORE_CLIENT_MEMO_H_
@@ -56,17 +58,17 @@ struct VerifiedAnswer {
 };
 
 /// The table both memos share: request -> the served buffer the client
-/// verified and the verdict of its pure work. A lookup hits only when the
-/// buffer now served repeats the stored one: the same object, or equal VO
-/// bytes and answer bytes equal outside the answer's epoch stamp. Like the
-/// AnswerCache it admits a request only on its second miss (SeenRequests).
-/// Thread-safe; every call takes the lock once.
+/// accepted. A lookup hits only when the buffer now served repeats the
+/// stored one: the same object, or equal VO bytes and answer bytes equal
+/// outside the answer's epoch stamp. Like the AnswerCache it admits a
+/// request only on its second miss (SeenRequests), and every miss is
+/// either inserted or declined: insertions + declined == misses on any
+/// traffic. Thread-safe; every call takes the lock once.
 class ServedAnswerMemo {
  public:
   struct Verdict {
-    crypto::Digest xor_digest;  ///< SAE: Client::ResultXor(witness)
-    /// SAE: the witness and answer checks; TOM: the gate-free verdict.
-    Status status;
+    /// SAE: the token digest the accepted witness XOR matched.
+    crypto::Digest token_digest;
   };
 
   explicit ServedAnswerMemo(const AnswerCacheOptions& options);
@@ -77,7 +79,8 @@ class ServedAnswerMemo {
   /// re-points the entry at `served`, so the memo keeps co-owning the
   /// buffer the SP now serves and the next repeat is a pointer comparison.
   /// On a miss `*admit` says whether the request had missed before: only
-  /// then should the caller Insert its verdict.
+  /// then should the caller Insert an accepted answer or Decline a
+  /// rejected one.
   bool Lookup(const dbms::QueryRequest& request,
               const std::shared_ptr<const CachedAnswer>& served,
               Verdict* verdict, bool* admit);
@@ -88,6 +91,9 @@ class ServedAnswerMemo {
   void Insert(const dbms::QueryRequest& request,
               std::shared_ptr<const CachedAnswer> served, Verdict verdict,
               uint64_t published_epoch);
+
+  /// Counts an admitted miss whose answer the client rejected as declined.
+  void Decline();
 
   /// Drops every entry (counted as invalidations) the first time
   /// `published_epoch` exceeds every epoch seen before. The seen requests
@@ -111,18 +117,18 @@ class ServedAnswerMemo {
 };
 
 /// Memoizes Client::VerifyAnswer's pure work (witness XOR, witness shape
-/// and answer recomputation). Verdicts are bit-identical to the unmemoized
-/// call.
+/// and answer recomputation) for the answers it accepted. Verdicts are
+/// bit-identical to the unmemoized call.
 class SaeClientMemo {
  public:
   explicit SaeClientMemo(const AnswerCacheOptions& options) : memo_(options) {}
 
   /// Drop-in replacement for decoding `served` and calling
   /// Client::VerifyAnswer: the freshness gate runs on every call; a repeat
-  /// of a token-matched buffer replays the memoized XOR (compared against
-  /// the live token digest) and the memoized answer check instead of
-  /// re-hashing the witness. Fails only when `served` does not decode; the
-  /// verdict is in the returned `verification`.
+  /// of an accepted buffer compares the token digest it matched against
+  /// the live one instead of re-hashing and re-checking the witness; a miss
+  /// runs Client::VerifyAnswer. Fails only when `served` does not decode;
+  /// the verdict is in the returned `verification`.
   Result<VerifiedAnswer> VerifyAnswer(
       const dbms::QueryRequest& request,
       const std::shared_ptr<const CachedAnswer>& served,
@@ -159,7 +165,8 @@ class SaeClientMemo {
 };
 
 /// Memoizes TomClient::VerifyAnswer's pure work (VO replay, RSA signature
-/// check, answer recomputation). Verdicts are bit-identical.
+/// check, answer recomputation) for the answers it accepted. Verdicts are
+/// bit-identical.
 class TomClientMemo {
  public:
   explicit TomClientMemo(const AnswerCacheOptions& options) : memo_(options) {}

@@ -466,18 +466,6 @@ Status DurabilityManager::CommitStaged(uint64_t seq) {
   return wal_->Commit(seq);
 }
 
-Status DurabilityManager::UndoFailedUpdate() {
-  SAE_RETURN_NOT_OK(wal_->UndoLastStaged());
-  // The retracted update must not leak into the next checkpoint, and
-  // (having never applied) it must not advance the cadence either —
-  // ShouldSnapshot only counts applied updates. No capture runs between a
-  // stage and its undo (captures wait for quiescence), so it is the log's
-  // last entry.
-  std::lock_guard<std::mutex> lock(state_mu_);
-  if (!pending_.empty()) pending_.pop_back();
-  return Status::OK();
-}
-
 Status DurabilityManager::RetractStagedFrom(uint64_t first_epoch) {
   WalUpdate abort;
   abort.op = WalUpdate::kAbort;

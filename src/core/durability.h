@@ -294,12 +294,6 @@ class DurabilityManager {
   /// groups can form.
   Status CommitStaged(uint64_t seq);
 
-  /// Rolls the WAL and the pending log back over the last StageUpdate
-  /// after the in-memory apply failed, so neither the log nor the next
-  /// checkpoint claims an update that did not happen. Caller holds the
-  /// writer lock.
-  Status UndoFailedUpdate();
-
   /// Durably retracts every logged-but-unpublished record with epoch >=
   /// `first_epoch` by appending and syncing a kAbort marker, and cuts the
   /// pending log there. Once this returns OK, recovery will never replay

@@ -53,7 +53,8 @@ template <typename Base>
 class ShardedSystem {
  public:
   /// Applied to every shard, with the durability directory rebased per
-  /// shard (under TOM the shared rsa_seed keeps one DO key).
+  /// shard (under TOM every shard's DO derives the same key from one fixed
+  /// seed).
   using Options = typename Base::Options;
 
   explicit ShardedSystem(ShardRouter router, const Options& options = {});

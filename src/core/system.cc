@@ -160,7 +160,7 @@ TomSystem::TomSystem(const Options& options)
       options_(options),
       codec_(options.record_size),
       owner_(TomDataOwner::Options{options.record_size, options.scheme,
-                                   options.rsa_modulus_bits, options.rsa_seed,
+                                   options.rsa_modulus_bits,
                                    options.do_pool_pages,
                                    options.mb_options}),
       sp_(SpOptions(options)),

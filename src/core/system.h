@@ -229,7 +229,6 @@ struct TomSystemOptions {
   size_t record_size = storage::kDefaultRecordSize;
   crypto::HashScheme scheme = crypto::HashScheme::kSha1;
   size_t rsa_modulus_bits = 1024;
-  uint64_t rsa_seed = 0x5AE2009;
   size_t do_pool_pages = 1024;
   size_t sp_index_pool_pages = 1024;
   size_t sp_heap_pool_pages = 1024;

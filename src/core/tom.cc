@@ -14,11 +14,19 @@ namespace sae::core {
 
 // --- TomDataOwner -------------------------------------------------------------
 
+namespace {
+
+// Every TOM data owner derives its signing key from this one seed, so the
+// shards of a ShardedSystem share one DO key and signatures reproduce.
+constexpr uint64_t kOwnerKeySeed = 0x5AE2009;
+
+}  // namespace
+
 TomDataOwner::TomDataOwner(const Options& options)
     : options_(options),
       codec_(options.record_size),
       pool_(&store_, options.pool_pages) {
-  Rng rng(options_.rsa_seed);
+  Rng rng(kOwnerKeySeed);
   key_ = crypto::RsaGenerateKey(&rng, options_.rsa_modulus_bits);
   auto tree = mbtree::MbTree::Create(&pool_, options_.mb_options,
                                      options_.scheme);

@@ -34,7 +34,6 @@ struct TomDataOwnerOptions {
   size_t record_size = storage::kDefaultRecordSize;
   crypto::HashScheme scheme = crypto::HashScheme::kSha1;
   size_t rsa_modulus_bits = 1024;
-  uint64_t rsa_seed = 0x5AE2009;
   size_t pool_pages = 1024;
   mbtree::MbTreeOptions mb_options;
 };

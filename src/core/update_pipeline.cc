@@ -189,27 +189,11 @@ Result<uint64_t> UpdatePipeline::Run(WalUpdate update) {
   stats_.auth_bytes += traffic.auth_bytes;
   stats_.latency_ms += watch.ElapsedMs();
   if (!st.ok()) {
-    if (durability_ != nullptr && staged_epoch_ != my_epoch) {
-      // Later updates already staged (and validated) on top of our durable
-      // record; none of them can ever publish.
-      RetractSuffix(my_epoch);
-    } else if (durability_ != nullptr) {
-      // Ours is the newest staged record: retract it — the log and the
-      // pending delta must not claim an update that did not happen. It may
-      // already be durable (group fsync), and recovery's contiguity check
-      // only cuts epoch GAPS, so prefer the physical stage undo (leaves the
-      // log byte-identical to a never-staged history) and fall back to a
-      // durable abort marker. If neither lands, its post-crash outcome is
-      // unknown: fail stop.
-      if (durability_->UndoFailedUpdate().ok() ||
-          durability_->RetractStagedFrom(my_epoch).ok()) {
-        staged_epoch_ = my_epoch - 1;
-        ClearStagedPresence(id, my_epoch);
-      } else {
-        wal_dead_ = true;
-      }
-      apply_cv_.notify_all();
-    }
+    // Our record is durable, or may be (group fsync), and so may be the
+    // records staged after it, which can never publish now: retract the
+    // suffix from ours on with an abort marker, so neither the log nor the
+    // next checkpoint claims an update that did not happen.
+    if (durability_ != nullptr) RetractSuffix(my_epoch);
     ++stats_.failed;
     return st;
   }

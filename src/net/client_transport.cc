@@ -18,93 +18,70 @@ namespace sae::net {
 
 namespace {
 
-// Idle sockets a pool keeps; a lease returned beyond this closes.
+// Idle sockets a pool keeps; a lease released beyond this closes.
 constexpr size_t kMaxIdle = 64;
 
 }  // namespace
 
-struct ClientTransport::Lease::Conn {
-  UniqueFd fd;
-  FrameDecoder decoder;
-
-  explicit Conn(int raw_fd) : fd(raw_fd) {}
-};
-
-ClientTransport::ClientTransport(Endpoint endpoint)
-    : endpoint_(std::move(endpoint)) {}
-
-ClientTransport::~ClientTransport() = default;
-
-ClientTransport::Lease::Lease() = default;
-
-ClientTransport::Lease::Lease(ClientTransport* owner,
-                              std::unique_ptr<Conn> conn)
-    : owner_(owner), conn_(std::move(conn)) {}
-
-ClientTransport::Lease::Lease(Lease&& other) noexcept
-    : owner_(other.owner_), conn_(std::move(other.conn_)),
-      broken_(other.broken_) {
-  other.owner_ = nullptr;
-}
-
-ClientTransport::Lease::~Lease() {
-  if (owner_ != nullptr && conn_ != nullptr) {
-    owner_->Release(std::move(conn_), broken_);
-  }
-}
-
-ClientTransport::Lease& ClientTransport::Lease::operator=(
-    Lease&& other) noexcept {
-  if (this != &other) {
-    if (owner_ != nullptr && conn_ != nullptr) {
-      owner_->Release(std::move(conn_), broken_);
-    }
-    owner_ = other.owner_;
-    conn_ = std::move(other.conn_);
-    broken_ = other.broken_;
-    other.owner_ = nullptr;
-  }
-  return *this;
-}
-
 Status ClientTransport::Lease::Send(const std::vector<uint8_t>& payload) {
-  if (conn_ == nullptr) return Status::InvalidArgument("empty lease");
-  Status st = SendFrame(conn_->fd.get(), payload);
-  if (!st.ok()) broken_ = true;
-  return st;
+  return SendFrame(fd_.get(), payload);
 }
 
 Result<std::vector<uint8_t>> ClientTransport::Lease::Recv() {
-  if (conn_ == nullptr) return Status::InvalidArgument("empty lease");
-  auto frame = RecvFrame(conn_->fd.get(), &conn_->decoder);
-  if (!frame.ok()) broken_ = true;
-  return frame;
+  return RecvFrame(fd_.get(), &decoder_);
 }
 
 Result<ClientTransport::Lease> ClientTransport::Acquire() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!idle_.empty()) {
-      std::unique_ptr<Lease::Conn> conn = std::move(idle_.back());
+      Lease lease = std::move(idle_.back());
       idle_.pop_back();
-      return Lease(this, std::move(conn));
+      return lease;
     }
   }
   SAE_ASSIGN_OR_RETURN(int fd, ConnectTcp(endpoint_));
-  return Lease(this, std::make_unique<Lease::Conn>(fd));
+  return Lease(fd);
+}
+
+void ClientTransport::Release(Lease lease) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (idle_.size() < kMaxIdle) idle_.push_back(std::move(lease));
+}
+
+Result<std::vector<Frames>> Exchange(std::initializer_list<ExchangeLeg> legs) {
+  // A lease that leaves on an early return closes its socket, whatever its
+  // leg still had in flight.
+  std::vector<ClientTransport::Lease> leases;
+  leases.reserve(legs.size());
+  for (const ExchangeLeg& leg : legs) {
+    SAE_ASSIGN_OR_RETURN(ClientTransport::Lease lease,
+                         leg.transport->Acquire());
+    leases.push_back(std::move(lease));
+  }
+  for (size_t i = 0; i < legs.size(); ++i) {
+    SAE_RETURN_NOT_OK(leases[i].Send(legs.begin()[i].request));
+  }
+  std::vector<Frames> responses(legs.size());
+  for (size_t i = 0; i < legs.size(); ++i) {
+    Frames& frames = responses[i];
+    while (frames.size() < legs.begin()[i].frames) {
+      SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> frame, leases[i].Recv());
+      frames.push_back(std::move(frame));
+      if (!CheckFrame(frames.back()).ok()) break;  // nothing follows it
+    }
+  }
+  // Every leg was read to its end: only now may its socket serve again.
+  for (size_t i = 0; i < legs.size(); ++i) {
+    legs.begin()[i].transport->Release(std::move(leases[i]));
+  }
+  return responses;
 }
 
 Result<std::vector<uint8_t>> ClientTransport::Call(
     const std::vector<uint8_t>& payload) {
-  SAE_ASSIGN_OR_RETURN(Lease lease, Acquire());
-  SAE_RETURN_NOT_OK(lease.Send(payload));
-  return lease.Recv();
-}
-
-void ClientTransport::Release(std::unique_ptr<Lease::Conn> conn, bool broken) {
-  if (broken) return;  // UniqueFd closes the dead socket
-  std::lock_guard<std::mutex> lock(mu_);
-  if (idle_.size() < kMaxIdle) idle_.push_back(std::move(conn));
+  SAE_ASSIGN_OR_RETURN(std::vector<Frames> legs, Exchange({{this, payload}}));
+  return std::move(legs[0][0]);
 }
 
 Status CheckFrame(const std::vector<uint8_t>& payload) {
@@ -139,6 +116,16 @@ Result<uint64_t> FetchEpoch(ClientTransport* transport) {
 
 namespace {
 
+// The clients reject every error frame an exchange brought back.
+Status CheckFrames(const std::vector<Frames>& legs) {
+  for (const Frames& frames : legs) {
+    for (const std::vector<uint8_t>& frame : frames) {
+      SAE_RETURN_NOT_OK(CheckFrame(frame));
+    }
+  }
+  return Status::OK();
+}
+
 // Both clients take their freshness reference from the owner: without it a
 // replayed old-epoch answer would verify.
 Status CheckOwner(const Endpoint& owner, const char* client) {
@@ -167,36 +154,22 @@ Result<uint64_t> NetSaeClient::PublishedEpoch() {
 Result<NetVerifiedAnswer> NetSaeClient::Query(
     const dbms::QueryRequest& request) {
   SAE_RETURN_NOT_OK(CheckOwner(options_.owner, "NetSaeClient"));
-  // Lease one socket per party, write all requests, then read all
-  // responses: the SP, TE and owner round trips overlap on the wire — the
-  // paper's parallel fan-out with plain blocking sockets.
-  SAE_ASSIGN_OR_RETURN(ClientTransport::Lease sp_lease, sp_.Acquire());
-  SAE_ASSIGN_OR_RETURN(ClientTransport::Lease te_lease, te_.Acquire());
-  SAE_ASSIGN_OR_RETURN(ClientTransport::Lease owner_lease, owner_.Acquire());
-
-  std::vector<uint8_t> query = core::SerializeQueryRequest(request);
-  SAE_RETURN_NOT_OK(sp_lease.Send(query));
-  SAE_RETURN_NOT_OK(te_lease.Send(query));
-  SAE_RETURN_NOT_OK(owner_lease.Send(ControlFrame(kCtlGetEpoch)));
-
-  SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> answer_bytes, sp_lease.Recv());
-  SAE_RETURN_NOT_OK(CheckFrame(answer_bytes));
-  SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> vt_bytes, te_lease.Recv());
-  SAE_RETURN_NOT_OK(CheckFrame(vt_bytes));
-
+  const std::vector<uint8_t> query = core::SerializeQueryRequest(request);
+  SAE_ASSIGN_OR_RETURN(std::vector<Frames> legs,
+                       Exchange({{&sp_, query},
+                                 {&te_, query},
+                                 {&owner_, ControlFrame(kCtlGetEpoch)}}));
+  SAE_RETURN_NOT_OK(CheckFrames(legs));
   // The frame moves into a shared buffer the witness views in place.
   SAE_ASSIGN_OR_RETURN(
       core::QueryAnswerMessage message,
       core::DeserializeQueryAnswer(
-          std::make_shared<const std::vector<uint8_t>>(std::move(answer_bytes)),
+          std::make_shared<const std::vector<uint8_t>>(std::move(legs[0][0])),
           codec_));
   SAE_ASSIGN_OR_RETURN(core::VerificationToken vt,
-                       core::DeserializeVt(vt_bytes));
-
-  SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> epoch_bytes, owner_lease.Recv());
-  SAE_RETURN_NOT_OK(CheckFrame(epoch_bytes));
+                       core::DeserializeVt(legs[1][0]));
   SAE_ASSIGN_OR_RETURN(uint64_t published,
-                       core::DeserializeEpochNotice(epoch_bytes));
+                       core::DeserializeEpochNotice(legs[2][0]));
 
   SAE_RETURN_NOT_OK(core::Client::VerifyAnswer(
       request, message.answer, message.witness, vt, message.epoch, published,
@@ -227,30 +200,21 @@ Result<uint64_t> NetTomClient::PublishedEpoch() {
 Result<NetTomVerifiedAnswer> NetTomClient::Query(
     const dbms::QueryRequest& request) {
   SAE_RETURN_NOT_OK(CheckOwner(options_.owner, "NetTomClient"));
-  SAE_ASSIGN_OR_RETURN(ClientTransport::Lease sp_lease, sp_.Acquire());
-  SAE_ASSIGN_OR_RETURN(ClientTransport::Lease owner_lease, owner_.Acquire());
-
-  SAE_RETURN_NOT_OK(sp_lease.Send(core::SerializeQueryRequest(request)));
-  SAE_RETURN_NOT_OK(owner_lease.Send(ControlFrame(kCtlGetEpoch)));
-
   // The TOM SP answers with two frames: the answer shipment then the VO.
-  SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> answer_bytes, sp_lease.Recv());
-  SAE_RETURN_NOT_OK(CheckFrame(answer_bytes));
-  SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> vo_bytes, sp_lease.Recv());
-  SAE_RETURN_NOT_OK(CheckFrame(vo_bytes));
-
+  SAE_ASSIGN_OR_RETURN(
+      std::vector<Frames> legs,
+      Exchange({{&sp_, core::SerializeQueryRequest(request), 2},
+                {&owner_, ControlFrame(kCtlGetEpoch)}}));
+  SAE_RETURN_NOT_OK(CheckFrames(legs));
   SAE_ASSIGN_OR_RETURN(
       core::QueryAnswerMessage message,
       core::DeserializeQueryAnswer(
-          std::make_shared<const std::vector<uint8_t>>(std::move(answer_bytes)),
+          std::make_shared<const std::vector<uint8_t>>(std::move(legs[0][0])),
           codec_));
   SAE_ASSIGN_OR_RETURN(mbtree::VerificationObject vo,
-                       mbtree::VerificationObject::Deserialize(vo_bytes));
-
-  SAE_ASSIGN_OR_RETURN(std::vector<uint8_t> epoch_bytes, owner_lease.Recv());
-  SAE_RETURN_NOT_OK(CheckFrame(epoch_bytes));
+                       mbtree::VerificationObject::Deserialize(legs[0][1]));
   SAE_ASSIGN_OR_RETURN(uint64_t current_epoch,
-                       core::DeserializeEpochNotice(epoch_bytes));
+                       core::DeserializeEpochNotice(legs[1][0]));
 
   SAE_RETURN_NOT_OK(core::TomClient::VerifyAnswer(
       request, message.answer, message.witness, vo, options_.owner_key,

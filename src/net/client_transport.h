@@ -1,23 +1,26 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Client side of the serving tier: a pooled blocking transport plus
-// networked counterparts of the in-process Client/TomClient call shapes.
+// Client side of the serving tier: a pooled blocking transport, the one
+// exchange every networked round trip runs through, and networked
+// counterparts of the in-process Client/TomClient call shapes.
 //
-// The transport keeps a pool of connected sockets per endpoint; a query
-// leases one socket per party, writes the request frames, then reads the
-// responses — so the SAE client's SP and TE round trips overlap exactly as
-// in the paper's parallel fan-out (Fig. 2), with plain blocking sockets.
-// Every answer that reaches the caller has already passed the full
-// client-side verification (XOR/VO check, freshness gates, answer
-// recomputation); a tampered or stale response surfaces as the
-// corresponding Status, never as data.
+// An exchange leases one socket per party, writes every request, then
+// reads every response — so the SAE client's SP, TE and owner round trips
+// overlap exactly as in the paper's parallel fan-out (Fig. 2), with plain
+// blocking sockets. Its sockets go back to their pools only once every
+// response was read, so a pooled socket never holds an unread response
+// that a later query would take for its own. Every answer that reaches
+// the caller has already passed the full client-side verification
+// (XOR/VO check, freshness gates, answer recomputation); a tampered or
+// stale response surfaces as the corresponding Status, never as data.
 
 #ifndef SAE_NET_CLIENT_TRANSPORT_H_
 #define SAE_NET_CLIENT_TRANSPORT_H_
 
 #include <cstdint>
-#include <memory>
+#include <initializer_list>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/client.h"
@@ -34,60 +37,75 @@ namespace sae::net {
 using storage::Record;
 using storage::RecordCodec;
 
-/// A pool of blocking connections to one endpoint. Acquire() hands out a
-/// leased socket (reusing an idle one or dialing a fresh one); the lease
-/// returns it to the pool on destruction unless an I/O error marked it
-/// broken, and the pool keeps at most 64 idle sockets. Thread-safe; many
-/// threads can hold leases concurrently.
+class ClientTransport;
+
+/// One leg of an Exchange: `request` for `transport`'s endpoint, answered
+/// with `frames` response frames — or with one lone error frame, after
+/// which the server sends nothing more.
+struct ExchangeLeg {
+  ClientTransport* transport;
+  const std::vector<uint8_t>& request;
+  size_t frames = 1;
+};
+
+/// The response frames of one leg, in order.
+using Frames = std::vector<std::vector<uint8_t>>;
+
+/// Runs one round trip per leg: leases a connection per leg, writes every
+/// request before it reads any response (the legs overlap on the wire),
+/// then reads each leg's frames in leg order. Error frames come back as
+/// frames; the caller decides what they mean. The connections go back to
+/// their pools only when every leg was read to its end; any failed dial,
+/// send or receive closes all of them, so no pooled socket ever holds an
+/// unread response.
+Result<std::vector<Frames>> Exchange(std::initializer_list<ExchangeLeg> legs);
+
+/// A pool of blocking connections to one endpoint. Only Exchange returns a
+/// connection to it; the pool keeps at most 64 idle sockets. Thread-safe;
+/// many threads can run exchanges on one transport concurrently.
 class ClientTransport {
  public:
-  // Special members are out of line: Lease::Conn is complete in the .cc only.
-  explicit ClientTransport(Endpoint endpoint);
-  ~ClientTransport();
+  explicit ClientTransport(Endpoint endpoint)
+      : endpoint_(std::move(endpoint)) {}
 
   ClientTransport(const ClientTransport&) = delete;
   ClientTransport& operator=(const ClientTransport&) = delete;
 
+  /// One connection taken from the pool. It never returns itself: a lease
+  /// dropped outside Exchange closes its socket.
   class Lease {
    public:
-    Lease();
-    ~Lease();
-    Lease(Lease&& other) noexcept;
-    Lease& operator=(Lease&& other) noexcept;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    bool valid() const { return conn_ != nullptr; }
-
-    /// Writes one frame (blocking). An error poisons the lease.
+    /// Writes one frame (blocking).
     Status Send(const std::vector<uint8_t>& payload);
 
-    /// Reads the next complete frame (blocking). An error poisons the lease.
+    /// Reads the next complete frame (blocking).
     Result<std::vector<uint8_t>> Recv();
 
    private:
     friend class ClientTransport;
-    struct Conn;
-    Lease(ClientTransport* owner, std::unique_ptr<Conn> conn);
+    explicit Lease(int fd) : fd_(fd) {}
 
-    ClientTransport* owner_ = nullptr;
-    std::unique_ptr<Conn> conn_;
-    bool broken_ = false;
+    UniqueFd fd_;
+    FrameDecoder decoder_;
   };
 
   /// Leases a pooled connection, dialing a new one when the pool is empty.
   Result<Lease> Acquire();
 
-  /// One request -> one response round trip on a pooled connection. The
-  /// response may be an error frame (kCtlError) — see ExpectAck/CheckFrame.
+  /// One request -> one response: an Exchange of one leg. The response may
+  /// be an error frame (kCtlError) — see ExpectAck/CheckFrame.
   Result<std::vector<uint8_t>> Call(const std::vector<uint8_t>& payload);
 
  private:
-  void Release(std::unique_ptr<Lease::Conn> conn, bool broken);
+  friend Result<std::vector<Frames>> Exchange(
+      std::initializer_list<ExchangeLeg> legs);
+
+  /// Pools a connection whose responses were all read.
+  void Release(Lease lease);
 
   Endpoint endpoint_;
   std::mutex mu_;
-  std::vector<std::unique_ptr<Lease::Conn>> idle_;
+  std::vector<Lease> idle_;
 };
 
 /// Rejects error frames: OK for any non-error payload, the carried message

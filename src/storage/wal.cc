@@ -165,7 +165,6 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     log->sealed_bytes_.erase(last_live);
     log->open_first_segment_ = seqs.front();
   }
-  log->prev_end_ = log->end_;
   log->staged_count_ = log->durable_count_ = all.records.size();
   if (contents != nullptr) *contents = std::move(all);
   return log;
@@ -191,7 +190,6 @@ Result<uint64_t> WriteAheadLog::Stage(const uint8_t* payload, size_t len) {
   SAE_RETURN_NOT_OK(active_file_->WriteAt(end_, header, kWalRecordHeader));
   SAE_RETURN_NOT_OK(
       active_file_->WriteAt(end_ + kWalRecordHeader, payload, len));
-  prev_end_ = end_;
   end_ += kWalRecordHeader + len;
   ++staged_count_;
   ++stats_.staged_records;
@@ -238,21 +236,6 @@ Status WriteAheadLog::Append(const uint8_t* payload, size_t len) {
   return Commit(seq);
 }
 
-Status WriteAheadLog::UndoLastStaged() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (prev_end_ > end_ || staged_count_ == 0) {
-    return Status::InvalidArgument("no staged record to undo");
-  }
-  if (prev_end_ == end_) return Status::OK();  // already undone
-  SAE_RETURN_NOT_OK(EnsureActiveOpenLocked());
-  SAE_RETURN_NOT_OK(active_file_->Truncate(prev_end_));
-  SAE_RETURN_NOT_OK(active_file_->Sync());  // one sync point, as TruncateTo
-  end_ = prev_end_;
-  --staged_count_;
-  if (durable_count_ > staged_count_) durable_count_ = staged_count_;
-  return Status::OK();
-}
-
 Result<uint64_t> WriteAheadLog::Rotate() {
   std::unique_lock<std::mutex> lock(mu_);
   if (end_ == 0) {
@@ -289,7 +272,6 @@ Result<uint64_t> WriteAheadLog::Rotate() {
   active_seq_ = sealed + 1;
   active_file_.reset();
   end_ = 0;
-  prev_end_ = 0;
   return sealed;
 }
 
@@ -325,7 +307,6 @@ Status WriteAheadLog::TruncateAfterRecord(size_t keep) {
     sealed_bytes_.erase(pos.segment);
   }
   end_ = pos.end_offset;
-  prev_end_ = pos.end_offset;
   SAE_RETURN_NOT_OK(EnsureActiveOpenLocked());
   // Volatile until the next sync — the scan would cut the same tail again.
   SAE_RETURN_NOT_OK(active_file_->Truncate(end_));

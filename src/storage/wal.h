@@ -119,11 +119,6 @@ class WriteAheadLog {
     return Append(payload.data(), payload.size());
   }
 
-  /// Retracts the most recently staged record (its in-memory apply
-  /// failed) and syncs the shortened segment (one sync point). Only valid
-  /// when nothing staged after it.
-  Status UndoLastStaged();
-
   /// Seals the active segment at a checkpoint capture and returns its
   /// sequence number; the next Stage opens segment seq+1. Syncs the sealed
   /// segment first if it holds staged-but-undurable records (callers
@@ -172,7 +167,6 @@ class WriteAheadLog {
   std::shared_ptr<VfsFile> active_file_;  // shared: a leader's in-flight
                                           // sync survives a Rotate swap
   uint64_t end_ = 0;            // valid end offset in the active segment
-  uint64_t prev_end_ = 0;       // end before the last Stage (for undo)
   std::map<uint64_t, uint64_t> sealed_bytes_;  // seq -> size of sealed segs
   uint64_t staged_count_ = 0;   // records staged, cumulative
   uint64_t durable_count_ = 0;  // records known durable

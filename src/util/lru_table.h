@@ -25,8 +25,9 @@ struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   /// Misses whose value was not kept: a request's first miss, or a memo
-  /// answer checked against an expired epoch. For honest traffic through
-  /// an admitting cache insertions + declined == misses.
+  /// answer the client rejected or checked against an expired epoch. For
+  /// honest traffic through an admitting cache insertions + declined ==
+  /// misses; through a client memo on any traffic.
   uint64_t declined = 0;
   uint64_t insertions = 0;     ///< every Insert, a racing refill too
   uint64_t evictions = 0;      ///< capacity-driven LRU removals

@@ -536,10 +536,10 @@ TEST(CacheConcurrencyTest, ServedAnswerMemoSurvivesLookupInsertAndEpochDrop) {
         bool admit = false;
         if (memo.Lookup(request_for(r), served[r], &verdict, &admit)) {
           hit_count.fetch_add(1);
-          if (verdict.xor_digest != verdict_for(r)) corrupt.fetch_add(1);
+          if (verdict.token_digest != verdict_for(r)) corrupt.fetch_add(1);
         } else if (admit) {
           memo.Insert(request_for(r), served[r],
-                      {verdict_for(r), Status::OK()}, epoch.load());
+                      {verdict_for(r)}, epoch.load());
         }
       }
     });

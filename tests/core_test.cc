@@ -625,6 +625,52 @@ TEST(TokenMemoTest, KeyedByRangeAndEpochAlone) {
   EXPECT_EQ(te.hits, 0u);
 }
 
+// A lying aggregate over the honest witness matches the token, so only the
+// answer check rejects it. The memo keeps accepted answers alone: every
+// repeat is rejected afresh, none holds a slot, and each rejected miss that
+// was admitted counts as declined, so insertions + declined == misses.
+TEST(ClientMemoTest, TokenMatchedLyingAggregateIsNeverKept) {
+  RecordCodec codec(kRecSize);
+  const dbms::QueryRequest request = dbms::QueryRequest::Count(100, 400);
+  std::vector<Record> witness;
+  for (const Record& r : SmallDataset(100)) {
+    if (r.key >= request.lo && r.key <= request.hi) witness.push_back(r);
+  }
+  VerificationToken vt;
+  vt.digest = Client::ResultXor(witness, codec);
+  vt.epoch = 1;
+  const dbms::QueryAnswer honest = dbms::EvaluateAnswer(request, witness);
+  dbms::QueryAnswer lying = honest;
+  ++lying.count;
+
+  SaeClientMemo memo{AnswerCacheOptions{}};
+  for (int i = 0; i < 4; ++i) {
+    Status verdict =
+        memo.VerifyAnswer(request, lying, witness, vt, 1, 1, codec,
+                          crypto::HashScheme::kSha1);
+    EXPECT_EQ(verdict.code(), StatusCode::kVerificationFailure)
+        << "repeat " << i << ": " << verdict.ToString();
+    EXPECT_EQ(memo.size(), 0u) << "repeat " << i;
+  }
+  AnswerCacheStats stats = memo.stats();
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.insertions, 0u);
+  EXPECT_EQ(stats.insertions + stats.declined, stats.misses);
+
+  // The honest answer for the same request is kept and then hits.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(memo.VerifyAnswer(request, honest, witness, vt, 1, 1, codec,
+                                  crypto::HashScheme::kSha1)
+                    .ok());
+  }
+  stats = memo.stats();
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.insertions + stats.declined, stats.misses);
+  EXPECT_EQ(memo.size(), 1u);
+}
+
 // The list + map LRUs the answer cache, the client memo and the seen set
 // each carried before they shared util/lru_table.h, copied as references.
 // The answer cache evicted before inserting, the memo after.
@@ -892,7 +938,7 @@ TEST(VerifiedPathCacheTest, ServedAnswerMemoTraceMatchesReferenceLru) {
             << "cap " << capacity << " step " << step;
         ASSERT_EQ(admit, ref_admit) << "cap " << capacity << " step " << step;
         if (hit) {
-          ASSERT_EQ(got.xor_digest, want.xor_digest)
+          ASSERT_EQ(got.token_digest, want.token_digest)
               << "cap " << capacity << " step " << step;
         }
       } else if (roll < 95) {
@@ -901,8 +947,8 @@ TEST(VerifiedPathCacheTest, ServedAnswerMemoTraceMatchesReferenceLru) {
         crypto::Digest digest;
         digest.bytes[0] = uint8_t(step);
         digest.bytes[1] = uint8_t(step >> 8);
-        memo.Insert(request, buf, {digest, Status::OK()}, checked);
-        ref.Insert(request, buf, {digest, Status::OK()}, checked);
+        memo.Insert(request, buf, {digest}, checked);
+        ref.Insert(request, buf, {digest}, checked);
       } else {
         // Mostly a new epoch, sometimes one already seen.
         epoch += rng.NextBounded(3) == 0 ? 0 : 1;

@@ -6,9 +6,11 @@
 // the golden suite pins — and the networked SAE/TOM deployments: wire
 // loading, verified queries for every operator, a tampering proxy and a
 // poisoned SP answer cache that the networked client rejects, staleness
-// detection, the dispatch every party server shares (malformed frames,
-// retired control tags, the epoch op), a small concurrency smoke over
-// pooled transports, and servers destroyed while a client keeps sending.
+// detection, an SP that fails a query mid-exchange (no pooled socket may
+// keep the unread responses for the next query), the dispatch every party
+// server shares (malformed frames, retired control tags, the epoch op), a
+// small concurrency smoke over pooled transports, and servers destroyed
+// while a client keeps sending.
 
 #include <gtest/gtest.h>
 
@@ -101,6 +103,41 @@ void ExpectSharedDispatch(uint16_t port, uint64_t epoch,
     EXPECT_TRUE(net::CheckFrame(served.value()).ok())
         << net::DecodeErrorFrame(served.value());
   }
+}
+
+// A test-side SP in front of the honest one at `upstream`: it answers the
+// first query with an error frame, the second with `stale` (the frames the
+// replica served before an update), and relays every later query.
+std::unique_ptr<net::FrameServer> ErrorThenStaleSp(
+    uint16_t upstream, std::vector<std::vector<uint8_t>> stale) {
+  auto link =
+      std::make_shared<net::ClientTransport>(net::Endpoint{.port = upstream});
+  auto queries = std::make_shared<size_t>(0);
+  return std::make_unique<net::FrameServer>(
+      net::FrameServerOptions{},
+      [link, queries, stale = std::move(stale)](
+          std::vector<uint8_t> request,
+          std::vector<net::SharedPayload>* responses) {
+        switch ((*queries)++) {
+          case 0:
+            responses->push_back(net::Share(
+                net::ErrorFrame(Status::IoError("SP failed this query"))));
+            return;
+          case 1:
+            for (const std::vector<uint8_t>& frame : stale) {
+              responses->push_back(net::Share(frame));
+            }
+            return;
+        }
+        auto relayed = net::Exchange({{link.get(), request, stale.size()}});
+        if (!relayed.ok()) {
+          responses->push_back(net::Share(net::ErrorFrame(relayed.status())));
+          return;
+        }
+        for (std::vector<uint8_t>& frame : relayed.value()[0]) {
+          responses->push_back(net::Share(std::move(frame)));
+        }
+      });
 }
 
 std::vector<Record> Dataset(size_t n) {
@@ -605,6 +642,91 @@ TEST_F(NetServingTest, PoisonedCachePersistsUntilEpochBump) {
   EXPECT_EQ(fresh.value().claimed_epoch, 2u);
 }
 
+// The SP fails a query with an error frame, the DO moves to epoch 2, and
+// the SP then serves its pre-update answer. The TE and owner responses of
+// the failed query must not wait in the pool for the retry: the retry reads
+// the epoch-2 token and epoch, so its epoch-1 answer is stale.
+TEST_F(NetServingTest, ErrorFrameThenStaleAnswerIsRejected) {
+  const QueryRequest request = QueryRequest::Scan(100, 400);
+  net::ClientTransport sp_link({.port = sp_server_->port()});
+  auto stale = sp_link.Call(core::SerializeQueryRequest(request));
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  std::unique_ptr<net::FrameServer> sp =
+      ErrorThenStaleSp(sp_server_->port(), {stale.value()});
+  ASSERT_TRUE(sp->Start().ok());
+  net::NetSaeClient victim(net::NetSaeClientOptions{
+      .sp = {.port = sp->port()},
+      .te = {.port = te_server_->port()},
+      .owner = {.port = owner_server_->port()},
+      .record_size = kRecSize});
+
+  auto failed = victim.Query(request);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError)
+      << failed.status().ToString();
+
+  RecordCodec codec(kRecSize);
+  Record extra = codec.MakeRecord(101, 105);
+  net::ClientTransport te_link({.port = te_server_->port()});
+  for (net::ClientTransport* link : {&sp_link, &te_link}) {
+    ASSERT_TRUE(
+        net::CallExpectAck(link, core::SerializeRecords({extra}, codec)).ok());
+    ASSERT_TRUE(net::CallExpectAck(link, core::SerializeEpochNotice(2)).ok());
+  }
+  published_epoch_ = 2;
+
+  auto retry = victim.Query(request);
+  ASSERT_FALSE(retry.ok()) << "accepted an answer claiming epoch "
+                           << retry.value().claimed_epoch << " at published "
+                           << retry.value().published_epoch;
+  EXPECT_EQ(retry.status().code(), StatusCode::kStaleEpoch)
+      << retry.status().ToString();
+
+  auto honest = victim.Query(request);
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  EXPECT_EQ(honest.value().claimed_epoch, 2u);
+  EXPECT_EQ(honest.value().published_epoch, 2u);
+  sp->Stop();
+}
+
+// The SP reads a query and closes the socket without an answer: the SP
+// leg's receive fails mid-exchange while the TE and owner responses are
+// still unread. The next query, for another range, must get its own token.
+TEST_F(NetServingTest, SpClosingMidExchangeLeavesNoUnreadResponse) {
+  std::atomic<bool> read{false};
+  auto dropper = std::make_unique<net::FrameServer>(
+      net::FrameServerOptions{},
+      [&read](std::vector<uint8_t>, std::vector<net::SharedPayload>*) {
+        read = true;
+      });
+  ASSERT_TRUE(dropper->Start().ok());
+  const uint16_t port = dropper->port();
+  net::NetSaeClient victim(net::NetSaeClientOptions{
+      .sp = {.port = port},
+      .te = {.port = te_server_->port()},
+      .owner = {.port = owner_server_->port()},
+      .record_size = kRecSize});
+  // Stop closes the connection the query is waiting on.
+  std::thread closer([&] {
+    while (!read.load()) std::this_thread::yield();
+    dropper->Stop();
+  });
+  auto dropped = victim.Query(QueryRequest::Scan(100, 400));
+  closer.join();
+  ASSERT_FALSE(dropped.ok());
+  EXPECT_EQ(dropped.status().code(), StatusCode::kIoError)
+      << dropped.status().ToString();
+
+  // The honest SP takes over the port.
+  dropper.reset();
+  net::SpServer honest(sp_.get(), {.port = port});
+  ASSERT_TRUE(honest.Start().ok());
+  auto verified = victim.Query(QueryRequest::Scan(200, 300));
+  ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+  EXPECT_EQ(verified.value().witness.size(), 11u);
+  honest.Stop();
+}
+
 // The server queues shared payloads and resumes them across short writes:
 // 32 pipelined 250 KB answers — most of them the one cached buffer — must
 // each arrive byte-identical to the golden encoding. The client holds its
@@ -854,6 +976,54 @@ TEST_F(TomNetTest, WireInsertCommitsWithSignature) {
   ASSERT_TRUE(verified.ok()) << verified.status().ToString();
   ASSERT_EQ(verified.value().witness.size(), 1u);
   EXPECT_EQ(verified.value().witness[0], extra);
+}
+
+// The TOM counterpart: the SP fails a query with an error frame, the DO
+// signs epoch 2, and the SP then serves its pre-update answer and VO. The
+// owner's response to the failed query must not be read by the retry.
+TEST_F(TomNetTest, ErrorFrameThenStaleVoIsRejected) {
+  const QueryRequest request = QueryRequest::Scan(100, 400);
+  const std::vector<uint8_t> query = core::SerializeQueryRequest(request);
+  net::ClientTransport sp_link({.port = sp_server_->port()});
+  auto stale = net::Exchange({{&sp_link, query, 2}});
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  ASSERT_EQ(stale.value()[0].size(), 2u);
+  std::unique_ptr<net::FrameServer> sp =
+      ErrorThenStaleSp(sp_server_->port(), stale.value()[0]);
+  ASSERT_TRUE(sp->Start().ok());
+  net::NetTomClient victim(net::NetTomClientOptions{
+      .sp = {.port = sp->port()},
+      .owner = {.port = owner_server_->port()},
+      .owner_key = owner_->public_key(),
+      .record_size = kRecSize});
+
+  auto failed = victim.Query(request);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError)
+      << failed.status().ToString();
+
+  RecordCodec codec(kRecSize);
+  Record extra = codec.MakeRecord(101, 105);
+  ASSERT_TRUE(owner_->InsertRecord(extra).ok());
+  ASSERT_TRUE(
+      net::CallExpectAck(&sp_link, core::SerializeRecords({extra}, codec))
+          .ok());
+  ASSERT_TRUE(net::CallExpectAck(
+                  &sp_link, core::SerializeSignature(owner_->signature(),
+                                                     owner_->epoch()))
+                  .ok());
+
+  auto retry = victim.Query(request);
+  ASSERT_FALSE(retry.ok()) << "accepted a VO of epoch "
+                           << retry.value().vo_epoch << " at owner epoch "
+                           << owner_->epoch();
+  EXPECT_EQ(retry.status().code(), StatusCode::kStaleEpoch)
+      << retry.status().ToString();
+
+  auto honest = victim.Query(request);
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  EXPECT_EQ(honest.value().vo_epoch, owner_->epoch());
+  sp->Stop();
 }
 
 // --- server lifetime -------------------------------------------------------------
