@@ -1,7 +1,7 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Implements the durability subsystem (core/durability.h): WAL-record,
-// snapshot and delta codecs, the chain-composing open/recovery path, the
+// Implements the durability subsystem (core/durability.h): the WAL-record
+// and checkpoint codecs, the chain-composing open/recovery path, the
 // stage/commit write path, and the background checkpoint pipeline.
 
 #include "core/durability.h"
@@ -43,37 +43,22 @@ bool GetRecord(ByteReader* r, Record* out) {
   return true;
 }
 
-// The header both checkpoint payloads open with: model tag, record size,
-// hash scheme.
-template <typename State>
-void PutHeader(ByteWriter* w, const State& state) {
+// The payload bytes ahead of the records: model tag, record size, hash
+// scheme, record count.
+void PutHead(ByteWriter* w, const SnapshotState& state, uint32_t count) {
   w->PutU8(state.model);
   w->PutU32(state.record_size);
   w->PutU8(uint8_t(state.scheme));
+  w->PutU32(count);
 }
 
-template <typename State>
-Status GetHeader(ByteReader* r, const std::string& what, State* state) {
-  state->model = r->GetU8();
-  state->record_size = r->GetU32();
-  uint8_t scheme = r->GetU8();
-  if (state->model != SnapshotState::kSae &&
-      state->model != SnapshotState::kTom) {
-    return Status::Corruption(what + " has unknown model tag");
-  }
-  if (scheme > uint8_t(crypto::HashScheme::kSha256Trunc)) {
-    return Status::Corruption(what + " has unknown hash scheme");
-  }
-  state->scheme = crypto::HashScheme(scheme);
-  return Status::OK();
-}
-
-// The tail both checkpoint payloads close with: the length-prefixed TOM
-// root signature (empty for SAE), then, for TOM only, the MB-tree shape as
-// a u32 level count and, per level, a u32 node count and one u16 fan-out
-// per node.
-template <typename State>
-void PutTail(ByteWriter* w, const State& state) {
+// The payload bytes behind the records: the remove list (u32 count, u64
+// ids), the length-prefixed TOM root signature (empty for SAE), then, for
+// TOM only, the MB-tree shape as a u32 level count and, per level, a u32
+// node count and one u16 fan-out per node.
+void PutTail(ByteWriter* w, const SnapshotState& state) {
+  w->PutU32(uint32_t(state.removes.size()));
+  for (RecordId id : state.removes) w->PutU64(id);
   w->PutU32(uint32_t(state.signature.size()));
   w->PutBytes(state.signature.data(), state.signature.size());
   if (state.model != SnapshotState::kTom) return;
@@ -84,57 +69,18 @@ void PutTail(ByteWriter* w, const State& state) {
   }
 }
 
-template <typename State>
-Status GetTail(ByteReader* r, const std::string& what, State* state) {
-  uint32_t sig_len = r->GetU32();
-  if (r->failed() || sig_len > r->remaining()) {
-    return Status::Corruption(what + " signature does not decode");
-  }
-  state->signature.resize(sig_len);
-  if (!r->GetBytes(state->signature.data(), sig_len)) {
-    return Status::Corruption(what + " signature does not decode");
-  }
-  if (state->model == SnapshotState::kTom) {
-    if (r->remaining() == 0) {
-      return Status::Unimplemented(
-          what + " predates the TOM tree-shape format; re-outsource from "
-                 "the data owner");
-    }
-    uint32_t levels = r->GetU32();
-    if (r->failed() || uint64_t(levels) * 4 > r->remaining()) {
-      return Status::Corruption(what + " tree shape does not decode");
-    }
-    state->shape.resize(levels);
-    for (std::vector<uint32_t>& level : state->shape) {
-      uint32_t nodes = r->GetU32();
-      if (r->failed() || uint64_t(nodes) * 2 > r->remaining()) {
-        return Status::Corruption(what + " tree shape does not decode");
-      }
-      level.reserve(nodes);
-      for (uint32_t i = 0; i < nodes; ++i) level.push_back(r->GetU16());
-    }
-  }
-  if (r->failed() || r->remaining() != 0) {
-    return Status::Corruption(what + " payload has trailing bytes");
-  }
-  return Status::OK();
-}
-
 RecordId IdOf(const WalUpdate& update) {
   return update.op == WalUpdate::kInsert ? update.record.id : update.id;
 }
 
-// The net effect of a pending log, as a delta lists it: the newest change
+// The net effect of a pending log, as a link lists it: the newest change
 // to each id wins. Removes ascend by id; upserts ascend by id for SAE and
 // follow the log — update order — for TOM, whose equal-key runs keep
 // insertion order. The header, signature and shape come from `header`.
-DeltaState NetChanges(std::vector<WalUpdate> log, SnapshotState header) {
-  DeltaState delta;
-  delta.model = header.model;
-  delta.record_size = header.record_size;
-  delta.scheme = header.scheme;
-  delta.signature = std::move(header.signature);
-  delta.shape = std::move(header.shape);
+SnapshotState NetChanges(std::vector<WalUpdate> log, SnapshotState header) {
+  SnapshotState link = std::move(header);
+  link.records.clear();
+  link.removes.clear();
   std::map<RecordId, size_t> newest;  // id -> index of its last change
   for (size_t i = 0; i < log.size(); ++i) newest[IdOf(log[i])] = i;
   std::vector<size_t> upserts;
@@ -142,32 +88,32 @@ DeltaState NetChanges(std::vector<WalUpdate> log, SnapshotState header) {
     if (log[i].op == WalUpdate::kInsert) {
       upserts.push_back(i);
     } else {
-      delta.removes.push_back(id);
+      link.removes.push_back(id);
     }
   }
-  if (delta.model == SnapshotState::kTom) {
+  if (link.model == SnapshotState::kTom) {
     std::sort(upserts.begin(), upserts.end());
   }
-  delta.upserts.reserve(upserts.size());
-  for (size_t i : upserts) delta.upserts.push_back(std::move(log[i].record));
-  return delta;
+  link.records.reserve(upserts.size());
+  for (size_t i : upserts) link.records.push_back(std::move(log[i].record));
+  return link;
 }
 
 // A full snapshot payload streams out in chunks of at most this many bytes
 // (a larger record goes out as a chunk of its own).
 constexpr size_t kChunkBytes = size_t(1) << 20;
 
-// The full snapshot payload of an image, never built whole: `header`'s
-// header and the record count, the image's records in index order, then
-// `header`'s signature and shape — EncodeSnapshotState's bytes.
+// The full snapshot payload of an image — the link from the empty state —
+// never built whole: `header`'s header and the record count, the image's
+// records in index order, then `header`'s (empty) remove list, signature
+// and shape — EncodeSnapshotState's bytes.
 struct FullPayload {
   ByteWriter head;
   ByteWriter tail;
   uint64_t size = 0;
 
   FullPayload(const SnapshotState& header, const CheckpointImage& image) {
-    PutHeader(&head, header);
-    head.PutU32(uint32_t(image.size()));
+    PutHead(&head, header, uint32_t(image.size()));
     PutTail(&tail, header);
     size = head.size() + image.encoded_bytes() + tail.size();
   }
@@ -227,8 +173,7 @@ Result<WalUpdate> DecodeWalUpdate(const std::vector<uint8_t>& payload) {
 
 std::vector<uint8_t> EncodeSnapshotState(const SnapshotState& state) {
   ByteWriter w;
-  PutHeader(&w, state);
-  w.PutU32(uint32_t(state.records.size()));
+  PutHead(&w, state, uint32_t(state.records.size()));
   for (const Record& record : state.records) PutRecord(&w, record);
   PutTail(&w, state);
   return w.Release();
@@ -238,51 +183,63 @@ Result<SnapshotState> DecodeSnapshotState(
     const std::vector<uint8_t>& payload) {
   ByteReader r(payload);
   SnapshotState state;
-  SAE_RETURN_NOT_OK(GetHeader(&r, "snapshot", &state));
-  uint32_t count = r.GetU32();
+  state.model = r.GetU8();
+  state.record_size = r.GetU32();
+  const uint8_t scheme = r.GetU8();
+  if (state.model != SnapshotState::kSae &&
+      state.model != SnapshotState::kTom) {
+    return Status::Corruption("checkpoint has unknown model tag");
+  }
+  if (scheme > uint8_t(crypto::HashScheme::kSha256Trunc)) {
+    return Status::Corruption("checkpoint has unknown hash scheme");
+  }
+  state.scheme = crypto::HashScheme(scheme);
+  // Every record takes at least its id, key and length: a count the bytes
+  // left cannot hold is refused before anything is reserved for it.
+  const uint32_t count = r.GetU32();
+  if (r.failed() || count > r.remaining() / 16) {
+    return Status::Corruption("checkpoint record count does not decode");
+  }
   state.records.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     Record record;
     if (!GetRecord(&r, &record)) {
-      return Status::Corruption("snapshot record does not decode");
+      return Status::Corruption("checkpoint record does not decode");
     }
     state.records.push_back(std::move(record));
   }
-  SAE_RETURN_NOT_OK(GetTail(&r, "snapshot", &state));
-  return state;
-}
-
-std::vector<uint8_t> EncodeDeltaState(const DeltaState& state) {
-  ByteWriter w;
-  PutHeader(&w, state);
-  w.PutU32(uint32_t(state.upserts.size()));
-  for (const Record& record : state.upserts) PutRecord(&w, record);
-  w.PutU32(uint32_t(state.removes.size()));
-  for (RecordId id : state.removes) w.PutU64(id);
-  PutTail(&w, state);
-  return w.Release();
-}
-
-Result<DeltaState> DecodeDeltaState(const std::vector<uint8_t>& payload) {
-  ByteReader r(payload);
-  DeltaState state;
-  SAE_RETURN_NOT_OK(GetHeader(&r, "delta", &state));
-  uint32_t upserts = r.GetU32();
-  state.upserts.reserve(upserts);
-  for (uint32_t i = 0; i < upserts; ++i) {
-    Record record;
-    if (!GetRecord(&r, &record)) {
-      return Status::Corruption("delta upsert record does not decode");
-    }
-    state.upserts.push_back(std::move(record));
-  }
-  uint32_t removes = r.GetU32();
+  const uint32_t removes = r.GetU32();
   if (r.failed() || uint64_t(removes) * 8 > r.remaining()) {
-    return Status::Corruption("delta remove list does not decode");
+    return Status::Corruption("checkpoint remove list does not decode");
   }
   state.removes.reserve(removes);
   for (uint32_t i = 0; i < removes; ++i) state.removes.push_back(r.GetU64());
-  SAE_RETURN_NOT_OK(GetTail(&r, "delta", &state));
+  const uint32_t sig_len = r.GetU32();
+  if (r.failed() || sig_len > r.remaining()) {
+    return Status::Corruption("checkpoint signature does not decode");
+  }
+  state.signature.resize(sig_len);
+  if (!r.GetBytes(state.signature.data(), sig_len)) {
+    return Status::Corruption("checkpoint signature does not decode");
+  }
+  if (state.model == SnapshotState::kTom) {
+    const uint32_t levels = r.GetU32();
+    if (r.failed() || uint64_t(levels) * 4 > r.remaining()) {
+      return Status::Corruption("checkpoint tree shape does not decode");
+    }
+    state.shape.resize(levels);
+    for (std::vector<uint32_t>& level : state.shape) {
+      const uint32_t nodes = r.GetU32();
+      if (r.failed() || uint64_t(nodes) * 2 > r.remaining()) {
+        return Status::Corruption("checkpoint tree shape does not decode");
+      }
+      level.reserve(nodes);
+      for (uint32_t i = 0; i < nodes; ++i) level.push_back(r.GetU16());
+    }
+  }
+  if (r.failed() || r.remaining() != 0) {
+    return Status::Corruption("checkpoint payload has trailing bytes");
+  }
   return state;
 }
 
@@ -353,40 +310,41 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
   auto mgr = std::unique_ptr<DurabilityManager>(
       new DurabilityManager(options, vfs));
 
-  // Compose the newest intact chain into the checkpoint image: the base
-  // full snapshot, then every delta that validly links onto it. Each
-  // link's removes-then-upserts replays the net changes of its checkpoint
-  // window; the tail's signature and shape speak for the composed state.
+  // Compose the newest intact chain into the checkpoint image: every link,
+  // the base-0 full snapshot included, applied in order to an empty image.
+  // Each link's removes-then-upserts replays the net changes of its
+  // checkpoint window; the tail's signature and shape speak for the
+  // composed state. A link's payload is dropped as soon as it is decoded.
   auto chain = mgr->snapshots_.LoadChain();
   if (chain.ok()) {
-    SAE_ASSIGN_OR_RETURN(SnapshotState base,
-                         DecodeSnapshotState(chain.value().base_payload));
-    chain.value().base_payload = {};
-    mgr->image_.Reset(base.model);
-    mgr->image_.Apply({}, std::move(base.records));
-    uint64_t tail_epoch = chain.value().base_epoch;
-    for (storage::SnapshotStore::ChainLink& link : chain.value().deltas) {
-      SAE_ASSIGN_OR_RETURN(DeltaState delta, DecodeDeltaState(link.payload));
-      if (delta.model != base.model ||
-          delta.record_size != base.record_size ||
-          delta.scheme != base.scheme) {
+    std::vector<storage::SnapshotStore::Link>& links = chain.value().links;
+    SnapshotState state;
+    for (size_t i = 0; i < links.size(); ++i) {
+      SAE_ASSIGN_OR_RETURN(SnapshotState link,
+                           DecodeSnapshotState(links[i].payload));
+      links[i].payload = {};
+      if (i == 0) {
+        mgr->image_.Reset(link.model);
+      } else if (link.model != state.model ||
+                 link.record_size != state.record_size ||
+                 link.scheme != state.scheme) {
         return Status::Corruption(
-            "delta configuration does not match its chain base");
+            "checkpoint link configuration does not match its chain base");
       }
-      mgr->image_.Apply(delta.removes, std::move(delta.upserts));
-      base.signature = std::move(delta.signature);
-      base.shape = std::move(delta.shape);
-      tail_epoch = link.epoch;
+      mgr->image_.Apply(link.removes, std::move(link.records));
+      state = std::move(link);
     }
-    base.records = mgr->image_.Records();
+    state.removes.clear();
+    state.records = mgr->image_.Records();
+    const uint64_t tail_epoch = links.back().epoch;
     mgr->recovered_.has_snapshot = true;
     mgr->recovered_.snapshot_epoch = tail_epoch;
     mgr->recovered_.snapshot_fell_back = chain.value().fell_back;
-    mgr->recovered_.chain_deltas = chain.value().deltas.size();
-    mgr->recovered_.snapshot = std::move(base);
+    mgr->recovered_.chain_deltas = links.size() - 1;
+    mgr->recovered_.snapshot = std::move(state);
     mgr->have_chain_ = true;
     mgr->chain_tail_epoch_ = tail_epoch;
-    mgr->chain_length_ = chain.value().deltas.size();
+    mgr->chain_length_ = links.size() - 1;
   } else if (chain.status().code() != StatusCode::kNotFound) {
     return chain.status();
   }
@@ -537,18 +495,9 @@ Status DurabilityManager::CheckpointBaseline(uint64_t epoch,
   return CaptureLocked(std::move(job), /*wait=*/true);
 }
 
-Status DurabilityManager::CheckpointFull(uint64_t epoch,
-                                         SnapshotState header) {
+Status DurabilityManager::Checkpoint(uint64_t epoch, SnapshotState header) {
   CheckpointJob job;
-  job.full = true;
-  job.epoch = epoch;
-  job.state = std::move(header);
-  return CaptureLocked(std::move(job), /*wait=*/false);
-}
-
-Status DurabilityManager::CheckpointDelta(uint64_t epoch,
-                                          SnapshotState header) {
-  CheckpointJob job;
+  job.full = NextCheckpointIsFull();
   job.epoch = epoch;
   job.state = std::move(header);
   return CaptureLocked(std::move(job), /*wait=*/false);
@@ -566,10 +515,10 @@ Status DurabilityManager::RunCheckpointJob(CheckpointJob& job) {
     image_.Apply({}, std::move(job.state.records));
     job.changes.clear();
   }
-  DeltaState delta = NetChanges(std::move(job.changes), job.state);
+  SnapshotState link = NetChanges(std::move(job.changes), job.state);
   std::vector<uint8_t> delta_payload;
-  if (!job.full) delta_payload = EncodeDeltaState(delta);
-  image_.Apply(delta.removes, std::move(delta.upserts));
+  if (!job.full) delta_payload = EncodeSnapshotState(link);
+  image_.Apply(link.removes, std::move(link.records));
 
   if (!job.full && chain_broken_.load(std::memory_order_acquire)) {
     // An earlier checkpoint write failed, so this delta's base never
@@ -585,16 +534,20 @@ Status DurabilityManager::RunCheckpointJob(CheckpointJob& job) {
   uint64_t bytes = 0;
   Status st;
   if (job.full) {
-    // Streamed out of the image: no payload buffer is ever built.
+    // The link from the empty state, streamed out of the image: no payload
+    // buffer is ever built.
     FullPayload payload(job.state, image_);
     bytes = payload.size;
-    st = snapshots_.Write(job.epoch, payload.size,
+    st = snapshots_.Write(/*base=*/0, job.epoch, bytes,
                           [&](storage::SnapshotStore::PayloadSink* sink) {
                             return payload.Stream(image_, sink);
                           });
   } else {
     bytes = delta_payload.size();
-    st = snapshots_.WriteDelta(job.base_epoch, job.epoch, delta_payload);
+    st = snapshots_.Write(job.base_epoch, job.epoch, bytes,
+                          [&](storage::SnapshotStore::PayloadSink* sink) {
+                            return sink->Put(delta_payload.data(), bytes);
+                          });
   }
   if (st.ok()) {
     if (job.full) {

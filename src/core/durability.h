@@ -1,10 +1,10 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// The durability subsystem the systems (core/system.h) plug into: WAL
-// record, full-snapshot and delta-snapshot payload formats plus the
-// DurabilityManager that owns a system's on-disk state (one directory:
-// `wal-<seq>` segments, `snap-<epoch>` full snapshots and
-// `delta-<base>-<epoch>` chain links; storage/wal.h + storage/snapshot.h).
+// The durability subsystem the systems (core/system.h) plug into: the WAL
+// record and checkpoint payload formats plus the DurabilityManager that
+// owns a system's on-disk state (one directory: `wal-<seq>` segments and
+// `ckpt-<base>-<epoch>` checkpoint links, a base-0 link being a full
+// snapshot; storage/wal.h + storage/snapshot.h).
 //
 // Write-ahead contract: the update pipeline (core/update_pipeline.h)
 // validates the op against the owner, stages the WAL record — stamped with
@@ -14,15 +14,16 @@
 // recoverable; one whose record did not never happened.
 //
 // Checkpoints run every `snapshot_interval` updates so the WAL (and
-// recovery replay) stays short. The steady-state checkpoint persists only
-// the records inserted/deleted since the previous checkpoint — O(changes),
-// not O(state) — chained onto it by epoch; every `full_snapshot_every`-th
-// checkpoint compacts the chain into a fresh full snapshot, which also
-// garbage-collects chains beyond the newest two
-// (storage::SnapshotStore::kKeepChains).
+// recovery replay) stays short. The manager alone decides what each one
+// writes. The steady-state checkpoint persists only the records
+// inserted/deleted since the previous checkpoint — O(changes), not
+// O(state) — as a link from the previous checkpoint's epoch; every
+// `full_snapshot_every`-th checkpoint compacts the chain into a link from
+// the empty state (a full snapshot), which also garbage-collects chains
+// beyond the newest two (storage::SnapshotStore::kKeepChains).
 //
-// Both kinds are built from the manager's own state, never from a copy of
-// the live dataset:
+// Both are built from the manager's own state, never from a copy of the
+// live dataset:
 //  * The PENDING LOG is an exact log of the updates staged since the last
 //    capture: StageUpdate appends, a failed apply pops its entry, a
 //    retraction cuts the log at its first epoch, and recovery's WAL replay
@@ -39,11 +40,11 @@
 // A capture under the writer lock is therefore O(changes) for either kind
 // (plus TOM's root signature and tree shape): it seals the WAL and moves
 // the pending log into a job. The one checkpoint thread nets the log,
-// advances the image, and writes either the delta or a full snapshot
-// streamed straight out of the image into the snapshot file in chunks of
-// at most 1 MB — no whole-payload buffer exists. The sealed segments are
-// dropped only after the checkpoint they feed is durable — a crash
-// mid-checkpoint recovers from the previous chain plus the retained
+// advances the image, and writes either the net changes or a full
+// snapshot streamed straight out of the image into the checkpoint file in
+// chunks of at most 1 MB — no whole-payload buffer exists. The sealed
+// segments are dropped only after the checkpoint they feed is durable — a
+// crash mid-checkpoint recovers from the previous chain plus the retained
 // segments, losing nothing. A FAILED checkpoint write gates segment GC
 // entirely: later delta captures are skipped (their base never reached the
 // disk; the image still advances) and the next checkpoint is forced FULL;
@@ -52,15 +53,16 @@
 // durable checkpoint that covers them.
 //
 // Recovery (UpdatePipeline::RecoverSystem) inverts this: load the newest
-// intact chain (full snapshot composed with every validly linked delta —
-// never past a corrupt link), replay the WAL records that chain
-// epoch-contiguously out of the composed state through the live apply
-// path, truncate whatever does not (garbage, or records orphaned by a
-// chain fallback), and republish. The recovered epoch is provable — TOM
-// re-signs and cross-checks the persisted root signature — and clients
-// verify it as live traffic; a rollback to an older durable state yields
-// an older epoch that the unmodified client freshness gate rejects as
-// kStaleEpoch.
+// intact chain (a base-0 link followed by every validly linked successor
+// — never past a corrupt link), apply every link in turn to an empty
+// image, replay the WAL records that chain epoch-contiguously out of the
+// composed state through the live apply path, truncate whatever does not
+// (garbage, or records orphaned by a chain fallback), and republish. The
+// recovered epoch is provable — TOM re-signs and cross-checks the
+// persisted root signature — and clients verify it as live traffic; a
+// rollback to an older durable state yields an older epoch that the
+// unmodified client freshness gate rejects as kStaleEpoch. A directory in
+// the older snap-/delta- format is refused with kUnimplemented.
 
 #ifndef SAE_CORE_DURABILITY_H_
 #define SAE_CORE_DURABILITY_H_
@@ -140,47 +142,34 @@ struct WalUpdate {
 std::vector<uint8_t> EncodeWalUpdate(const WalUpdate& update);
 Result<WalUpdate> DecodeWalUpdate(const std::vector<uint8_t>& payload);
 
-/// The checkpointed system state a FULL snapshot payload carries. Records
-/// are the full dataset in key order; TOM also persists the epoch-stamped
-/// root signature, which recovery cross-checks against a fresh re-signing,
-/// and the MB-tree's shape, in whose leaf order the records then are: the
+/// What one checkpoint link carries: the net changes between its base
+/// checkpoint and its own epoch. Applying `removes` then upserting
+/// `records` into the base state yields the state at this epoch — a
+/// delete+reinsert of the same id collapses into the upsert. A full
+/// snapshot is the link from the empty state: the whole dataset in index
+/// order and no removes (and so is a recovered or captured state). TOM also
+/// persists the epoch-stamped root signature, which recovery cross-checks
+/// against a fresh re-signing, and the MB-tree's shape at this epoch: the
 /// signed root is only reproducible from the same records in the same
-/// nodes. A TOM payload without a shape predates this format and is
-/// refused with kUnimplemented.
+/// nodes. An MB-tree keeps a run of equal keys in insertion order, so a
+/// TOM link's records follow update order (SAE's ascend by id; a full's
+/// follow the index): recovery composes each key's run as the base's
+/// order followed by each link's records in turn.
 struct SnapshotState {
   enum Model : uint8_t { kSae = 1, kTom = 2 };
   uint8_t model = kSae;
   uint32_t record_size = 0;
   crypto::HashScheme scheme = crypto::HashScheme::kSha1;
-  std::vector<Record> records;
+  std::vector<Record> records;     // present after this link
+  std::vector<RecordId> removes;   // absent after this link, ascending
   std::vector<uint8_t> signature;  // TOM root signature; empty for SAE
   btree::TreeShape shape;          // TOM MB-tree shape; empty for SAE
 };
 
 std::vector<uint8_t> EncodeSnapshotState(const SnapshotState& state);
+/// Any payload the encoder could not have written is kCorruption; no
+/// count in it is trusted before the bytes left can hold it.
 Result<SnapshotState> DecodeSnapshotState(const std::vector<uint8_t>& payload);
-
-/// What one DELTA snapshot payload carries: the net changes between its
-/// base checkpoint and its own epoch. Applying `removes` then `upserts` to
-/// the base state yields the state at `epoch` — a delete+reinsert of the
-/// same id collapses into the upsert. TOM deltas carry the root signature
-/// and the MB-tree shape AT this delta's epoch, so a composed chain is
-/// still byte-provable. An MB-tree keeps a run of equal keys in insertion
-/// order, so TOM upserts are listed in update order (SAE's ascend by id):
-/// recovery composes each key's run as the base's order followed by each
-/// link's upserts in turn.
-struct DeltaState {
-  uint8_t model = SnapshotState::kSae;
-  uint32_t record_size = 0;
-  crypto::HashScheme scheme = crypto::HashScheme::kSha1;
-  std::vector<Record> upserts;     // present after this delta
-  std::vector<RecordId> removes;   // absent after this delta, ascending
-  std::vector<uint8_t> signature;  // TOM root signature; empty for SAE
-  btree::TreeShape shape;          // TOM MB-tree shape; empty for SAE
-};
-
-std::vector<uint8_t> EncodeDeltaState(const DeltaState& state);
-Result<DeltaState> DecodeDeltaState(const std::vector<uint8_t>& payload);
 
 /// Point-in-time durability counters (systems expose this as
 /// `durability_stats()`; bench_durability and restartable_sp print it).
@@ -244,7 +233,7 @@ class CheckpointImage {
   std::unordered_map<RecordId, Ordered::iterator> slot_of_;
 };
 
-/// Owns a system's durable state: the segmented WAL, the snapshot chain,
+/// Owns a system's durable state: the segmented WAL, the checkpoint chain,
 /// the pending log and checkpoint image feeding checkpoints, the
 /// checkpoint thread and the cadence counter. Opened at Load (fresh
 /// directory) or at Recover (existing directory — `recovered()` then
@@ -267,7 +256,7 @@ class DurabilityManager {
     bool has_snapshot = false;
     uint64_t snapshot_epoch = 0;  ///< epoch of the composed chain tail
     bool snapshot_fell_back = false;
-    uint64_t chain_deltas = 0;    ///< delta links composed into `snapshot`
+    uint64_t chain_deltas = 0;    ///< links composed after the base-0 one
     SnapshotState snapshot;
     std::vector<WalUpdate> wal_tail;
     bool wal_truncated = false;   ///< garbage or orphans were cut
@@ -308,12 +297,6 @@ class DurabilityManager {
   /// cadence only ever reflects updates that really happened.
   bool ShouldSnapshot();
 
-  /// True when the next checkpoint must persist full state: no chain yet,
-  /// the compaction cadence (`full_snapshot_every`) is reached, or a
-  /// checkpoint write failed (the on-disk chain is broken; a full re-covers
-  /// it and resumes WAL GC).
-  bool NextCheckpointIsFull() const;
-
   /// The Load baseline: seeds the checkpoint image with `state` (the whole
   /// dataset at `epoch`, in index order) and writes it as a full snapshot
   /// before returning, so the baseline is durable when Load returns.
@@ -322,16 +305,15 @@ class DurabilityManager {
   /// staged-but-unapplied).
   Status CheckpointBaseline(uint64_t epoch, SnapshotState state);
 
-  /// Captures a cadence checkpoint at `epoch`, FULL or DELTA: rotates the
-  /// WAL (sealing the segments this checkpoint makes redundant) and hands
-  /// the pending log to the checkpoint thread — O(changes) under the lock.
-  /// There the log moves the image forward, and a full writes the image
-  /// while a delta writes the log's net changes, chained onto the previous
-  /// capture's epoch. `header` supplies the payload header and TOM's root
-  /// signature and tree shape at `epoch`; its records are unused. Same
-  /// quiescence requirement.
-  Status CheckpointFull(uint64_t epoch, SnapshotState header);
-  Status CheckpointDelta(uint64_t epoch, SnapshotState header);
+  /// Captures a cadence checkpoint at `epoch`: rotates the WAL (sealing
+  /// the segments this checkpoint makes redundant) and hands the pending
+  /// log to the checkpoint thread — O(changes) under the lock. There the
+  /// log moves the image forward, and the checkpoint writes either the
+  /// image as a full snapshot or the log's net changes as a link from the
+  /// previous capture's epoch, as NextCheckpointIsFull decides. `header`
+  /// supplies the payload header and TOM's root signature and tree shape
+  /// at `epoch`; its records are unused. Same quiescence requirement.
+  Status Checkpoint(uint64_t epoch, SnapshotState header);
 
   /// Blocks until every captured checkpoint is durable (or failed);
   /// returns the first failure since the last wait. Call without the
@@ -345,13 +327,19 @@ class DurabilityManager {
  private:
   DurabilityManager(const DurabilityOptions& options, storage::Vfs* vfs);
 
+  /// True when the next checkpoint must persist full state: no chain yet,
+  /// the compaction cadence (`full_snapshot_every`) is reached, or a
+  /// checkpoint write failed (the on-disk chain is broken; a full re-covers
+  /// it and resumes WAL GC).
+  bool NextCheckpointIsFull() const;
+
   /// One captured checkpoint awaiting serialization + write.
   struct CheckpointJob {
     bool full = false;
     bool seed = false;             // the Load baseline: state.records seed
                                    // the image
     uint64_t epoch = 0;
-    uint64_t base_epoch = 0;       // delta: the chain link target
+    uint64_t base_epoch = 0;       // delta: the checkpoint it links from
     SnapshotState state;           // header, TOM signature and shape
     std::vector<WalUpdate> changes;  // the pending log this capture closed
     uint64_t sealed_wal_seq = 0;   // segments <= this die once durable

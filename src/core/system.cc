@@ -31,7 +31,7 @@ TomServiceProvider::Options SpOptions(const TomSystemOptions& options) {
 
 SaeSystem::SaeSystem(const Options& options)
     : UpdatePipeline({SnapshotState::kSae, uint32_t(options.record_size),
-                      options.scheme, {}, {}, {}},
+                      options.scheme, {}, {}, {}, {}},
                      options.durability),
       options_(options),
       owner_(options.record_size),
@@ -155,7 +155,7 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
 
 TomSystem::TomSystem(const Options& options)
     : UpdatePipeline({SnapshotState::kTom, uint32_t(options.record_size),
-                      options.scheme, {}, {}, {}},
+                      options.scheme, {}, {}, {}, {}},
                      options.durability),
       options_(options),
       codec_(options.record_size),

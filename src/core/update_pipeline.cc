@@ -103,10 +103,10 @@ void UpdatePipeline::RetractSuffix(uint64_t first_epoch) {
 
 Status UpdatePipeline::Checkpoint(const std::vector<Record>* baseline) {
   // Only the Load baseline copies the dataset, the one Load shipped: it
-  // seeds the manager's checkpoint image, and every later checkpoint, full
-  // or delta, is built from that image and the pending log (O(changes)
-  // here; TOM's capture adds the root signature and tree shape AT this
-  // epoch, so the written chain stays byte-provable at recovery).
+  // seeds the manager's checkpoint image, and every later checkpoint is
+  // built from that image and the pending log (O(changes) here; TOM's
+  // capture adds the root signature and tree shape AT this epoch, so the
+  // written chain stays byte-provable at recovery).
   SnapshotState state = header_;
   SAE_RETURN_NOT_OK(Capture(/*with_records=*/false, &state));
   const uint64_t epoch = OwnerEpoch();
@@ -114,9 +114,7 @@ Status UpdatePipeline::Checkpoint(const std::vector<Record>* baseline) {
     state.records = *baseline;
     return durability_->CheckpointBaseline(epoch, std::move(state));
   }
-  return durability_->NextCheckpointIsFull()
-             ? durability_->CheckpointFull(epoch, std::move(state))
-             : durability_->CheckpointDelta(epoch, std::move(state));
+  return durability_->Checkpoint(epoch, std::move(state));
 }
 
 Result<uint64_t> UpdatePipeline::Run(WalUpdate update) {

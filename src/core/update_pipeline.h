@@ -186,9 +186,9 @@ class UpdatePipeline {
   /// Durably retracts every staged record from `first_epoch` on and
   /// re-arms a new generation; poisons the pipeline if that fails.
   void RetractSuffix(uint64_t first_epoch);
-  /// Captures a full (or, per the compaction schedule, delta) checkpoint
-  /// of the current epoch; a `baseline` dataset instead seeds the
-  /// manager's image and is written synchronously.
+  /// Captures a checkpoint of the current epoch (the manager picks full or
+  /// delta); a `baseline` dataset instead seeds the manager's image and is
+  /// written synchronously.
   Status Checkpoint(const std::vector<Record>* baseline);
   /// Whether `record`'s payload fits the configured record size.
   bool Fits(const Record& record) const {

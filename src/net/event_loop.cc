@@ -68,6 +68,10 @@ void FrameServer::Stop() {
         ::write(wake_fd_.get(), &one, sizeof(one));
   }
   if (thread_.joinable()) thread_.join();
+  // Closing the listening socket stops the kernel completing handshakes
+  // that nothing would ever serve: a client dialing a stopped server is
+  // refused instead of waiting forever.
+  listen_fd_.Reset();
   running_.store(false, std::memory_order_release);
 }
 

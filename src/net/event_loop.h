@@ -61,8 +61,9 @@ class FrameServer {
   /// The bound port (valid after Start; resolves an ephemeral request).
   uint16_t port() const { return port_; }
 
-  /// Signals the loop to exit and joins it; idempotent. Open connections
-  /// are closed without flushing.
+  /// Signals the loop to exit, joins it and closes the listening socket;
+  /// idempotent. Open connections are closed without flushing, and a
+  /// later dial to the port is refused.
   void Stop();
 
   /// True while the event loop runs: from Start until Stop.

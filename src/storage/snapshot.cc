@@ -1,13 +1,10 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Implements the snapshot store (storage/snapshot.h): the temp-then-rename
-// write protocol for full and delta files, the CRC-validated chain walk
-// with fallback, and chain-aware GC keeping the newest kKeepChains.
+// Implements the checkpoint store (storage/snapshot.h): the
+// temp-then-rename write protocol for link files, the CRC-validated chain
+// walk with fallback, and chain-aware GC keeping the newest kKeepChains.
 //
-// On-disk full-snapshot layout (little-endian):
-//   [magic u32][version u32][epoch u64][payload_len u64]
-//   [payload bytes][crc32 u32 over everything preceding]
-// Delta layout adds the base epoch:
+// On-disk link layout (little-endian):
 //   [magic u32][version u32][base u64][epoch u64][payload_len u64]
 //   [payload bytes][crc32 u32 over everything preceding]
 
@@ -15,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <tuple>
 
 #include "storage/wal.h"  // Crc32
 #include "util/codec.h"
@@ -23,69 +21,39 @@ namespace sae::storage {
 
 namespace {
 
-constexpr uint32_t kSnapshotMagic = 0x53414553;  // "SAES"
-constexpr uint32_t kDeltaMagic = 0x53414544;     // "SAED"
-constexpr uint32_t kSnapshotVersion = 1;
-constexpr size_t kSnapshotHeader = 4 + 4 + 8 + 8;
-constexpr size_t kDeltaHeader = 4 + 4 + 8 + 8 + 8;
-constexpr const char* kTmpName = "snap.tmp";
-constexpr const char* kSnapPrefix = "snap-";
-constexpr const char* kDeltaPrefix = "delta-";
+constexpr uint32_t kLinkMagic = 0x53414543;  // "SAEC"
+constexpr uint32_t kLinkVersion = 1;
+constexpr size_t kHeader = 4 + 4 + 8 + 8 + 8;
+constexpr const char* kTmpName = "ckpt.tmp";
+constexpr const char* kPrefix = "ckpt-";
 constexpr size_t kEpochDigits = 20;  // zero-padded u64 — names sort by epoch
 
-bool ParseDigits(const std::string& name, size_t pos, size_t count,
-                 uint64_t* value) {
+bool ParseDigits(const std::string& name, size_t pos, uint64_t* value) {
   uint64_t out = 0;
-  for (size_t i = pos; i < pos + count; ++i) {
-    if (i >= name.size() || name[i] < '0' || name[i] > '9') return false;
+  for (size_t i = pos; i < pos + kEpochDigits; ++i) {
+    if (name[i] < '0' || name[i] > '9') return false;
     out = out * 10 + uint64_t(name[i] - '0');
   }
   *value = out;
   return true;
 }
 
-/// Parses "snap-<20 digits>" into the epoch; false for any other name
-/// (including the temp file and truncated/garbage names).
-bool ParseSnapshotName(const std::string& name, uint64_t* epoch) {
-  const size_t prefix = std::string(kSnapPrefix).size();
-  if (name.size() != prefix + kEpochDigits) return false;
-  if (name.compare(0, prefix, kSnapPrefix) != 0) return false;
-  return ParseDigits(name, prefix, kEpochDigits, epoch);
-}
-
-/// Parses "delta-<20 digits>-<20 digits>" into (base, epoch).
-bool ParseDeltaName(const std::string& name, uint64_t* base,
-                    uint64_t* epoch) {
-  const size_t prefix = std::string(kDeltaPrefix).size();
+/// Parses "ckpt-<20 digits>-<20 digits>" into (base, epoch); false for any
+/// other name (including the temp file and truncated/garbage names).
+bool ParseLinkName(const std::string& name, uint64_t* base, uint64_t* epoch) {
+  const size_t prefix = std::string(kPrefix).size();
   if (name.size() != prefix + kEpochDigits + 1 + kEpochDigits) return false;
-  if (name.compare(0, prefix, kDeltaPrefix) != 0) return false;
+  if (name.compare(0, prefix, kPrefix) != 0) return false;
   if (name[prefix + kEpochDigits] != '-') return false;
-  return ParseDigits(name, prefix, kEpochDigits, base) &&
-         ParseDigits(name, prefix + kEpochDigits + 1, kEpochDigits, epoch);
+  return ParseDigits(name, prefix, base) &&
+         ParseDigits(name, prefix + kEpochDigits + 1, epoch);
 }
 
-}  // namespace
-
-SnapshotStore::SnapshotStore(Vfs* vfs, std::string dir)
-    : vfs_(vfs), dir_(std::move(dir)) {}
-
-std::string SnapshotStore::PathFor(uint64_t epoch) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "%s%020llu", kSnapPrefix,
-                static_cast<unsigned long long>(epoch));
-  return dir_ + "/" + name;
+/// A file of the older two-kind format: a full `snap-<epoch>` or a
+/// `delta-<base>-<epoch>` link.
+bool IsOlderFormat(const std::string& name) {
+  return name.rfind("snap-", 0) == 0 || name.rfind("delta-", 0) == 0;
 }
-
-std::string SnapshotStore::DeltaPathFor(uint64_t base_epoch,
-                                        uint64_t epoch) const {
-  char name[64];
-  std::snprintf(name, sizeof(name), "%s%020llu-%020llu", kDeltaPrefix,
-                static_cast<unsigned long long>(base_epoch),
-                static_cast<unsigned long long>(epoch));
-  return dir_ + "/" + name;
-}
-
-namespace {
 
 /// Streams payload bytes into the temp file right behind its header,
 /// carrying the CRC along.
@@ -111,228 +79,184 @@ class FileSink final : public SnapshotStore::PayloadSink {
   uint32_t crc_;
 };
 
-SnapshotStore::PayloadSource WholePayload(
-    const std::vector<uint8_t>& payload) {
-  return [&payload](SnapshotStore::PayloadSink* sink) {
-    return sink->Put(payload.data(), payload.size());
-  };
+/// A link the walk may step past: damaged or gone, not an I/O failure.
+bool Skippable(const Status& status) {
+  return status.code() == StatusCode::kCorruption ||
+         status.code() == StatusCode::kNotFound;
 }
 
 }  // namespace
 
-Status SnapshotStore::WriteFile(const std::vector<uint8_t>& header,
-                                uint64_t payload_len,
-                                const PayloadSource& source,
-                                const std::string& final_path) {
+SnapshotStore::SnapshotStore(Vfs* vfs, std::string dir)
+    : vfs_(vfs), dir_(std::move(dir)) {}
+
+std::string SnapshotStore::PathFor(uint64_t base, uint64_t epoch) const {
+  char name[64];
+  std::snprintf(name, sizeof(name), "%s%020llu-%020llu", kPrefix,
+                static_cast<unsigned long long>(base),
+                static_cast<unsigned long long>(epoch));
+  return dir_ + "/" + name;
+}
+
+Status SnapshotStore::Write(uint64_t base, uint64_t epoch,
+                            uint64_t payload_len,
+                            const PayloadSource& source) {
+  uint8_t header[kHeader];
+  EncodeU32(header, kLinkMagic);
+  EncodeU32(header + 4, kLinkVersion);
+  EncodeU64(header + 8, base);
+  EncodeU64(header + 16, epoch);
+  EncodeU64(header + 24, payload_len);
+
   // Temp-then-rename: content becomes durable at the Sync, the name at the
-  // Rename. A crash before the rename leaves only snap.tmp (ignored by the
-  // name parsers); a crash after it leaves a complete file.
+  // Rename. A crash before the rename leaves only the temp file (ignored
+  // by the name parser); a crash after it leaves a complete file.
   SAE_RETURN_NOT_OK(vfs_->MkDir(dir_));
   const std::string tmp = dir_ + "/" + kTmpName;
   {
     SAE_ASSIGN_OR_RETURN(std::unique_ptr<VfsFile> file, vfs_->Open(tmp, true));
     // Sized once: the streamed writes below fill it without regrowing it.
-    const uint64_t end = header.size() + payload_len;
+    const uint64_t end = kHeader + payload_len;
     SAE_RETURN_NOT_OK(file->Truncate(end + 4));
-    SAE_RETURN_NOT_OK(file->WriteAt(0, header.data(), header.size()));
-    FileSink sink(file.get(), header.size(),
-                  Crc32(header.data(), header.size()));
+    SAE_RETURN_NOT_OK(file->WriteAt(0, header, kHeader));
+    FileSink sink(file.get(), kHeader, Crc32(header, kHeader));
     SAE_RETURN_NOT_OK(source(&sink));
     if (sink.offset() != end) {
       return Status::InvalidArgument(
-          "snapshot payload does not match its declared length");
+          "checkpoint payload does not match its declared length");
     }
     uint8_t trailer[4];
     EncodeU32(trailer, sink.crc());
     SAE_RETURN_NOT_OK(file->WriteAt(end, trailer, sizeof(trailer)));
     SAE_RETURN_NOT_OK(file->Sync());
   }
-  return vfs_->Rename(tmp, final_path);
-}
+  SAE_RETURN_NOT_OK(vfs_->Rename(tmp, PathFor(base, epoch)));
+  if (base != 0) return Status::OK();
 
-Status SnapshotStore::Write(uint64_t epoch, uint64_t payload_len,
-                            const PayloadSource& source) {
-  std::vector<uint8_t> header(kSnapshotHeader);
-  EncodeU32(header.data(), kSnapshotMagic);
-  EncodeU32(header.data() + 4, kSnapshotVersion);
-  EncodeU64(header.data() + 8, epoch);
-  EncodeU64(header.data() + 16, payload_len);
-  SAE_RETURN_NOT_OK(WriteFile(header, payload_len, source, PathFor(epoch)));
-
-  // Chain GC: a new full snapshot completes the previous chain. Keep the
-  // newest kKeepChains fulls and every delta at or above the oldest kept full
-  // (those are the kept chains' links); everything below belongs to a
-  // retired chain. Runs after the rename so a crash during GC can only
+  // Chain GC: a new base-0 link completes the previous chain. Keep the
+  // newest kKeepChains base-0 links and every link at or above the oldest
+  // kept one (those are the kept chains' links); everything below belongs
+  // to a retired chain. Runs after the rename so a crash during GC can only
   // lose already-redundant files.
-  SAE_ASSIGN_OR_RETURN(std::vector<uint64_t> epochs, ListEpochs());
-  if (epochs.size() > kKeepChains) {
-    uint64_t cutoff = epochs[epochs.size() - kKeepChains];
-    for (size_t i = 0; i + kKeepChains < epochs.size(); ++i) {
-      SAE_RETURN_NOT_OK(vfs_->Remove(PathFor(epochs[i])));
-    }
-    SAE_ASSIGN_OR_RETURN(auto links, ListDeltaLinks());
-    for (const auto& [base, delta_epoch] : links) {
-      if (delta_epoch < cutoff) {
-        SAE_RETURN_NOT_OK(vfs_->Remove(DeltaPathFor(base, delta_epoch)));
-      }
+  SAE_ASSIGN_OR_RETURN(auto links, ListLinks());
+  std::vector<uint64_t> fulls;
+  for (const auto& [link_base, link_epoch] : links) {
+    if (link_base == 0) fulls.push_back(link_epoch);
+  }
+  if (fulls.size() <= kKeepChains) return Status::OK();
+  const uint64_t cutoff = fulls[fulls.size() - kKeepChains];
+  for (const auto& [link_base, link_epoch] : links) {
+    if (link_epoch < cutoff) {
+      SAE_RETURN_NOT_OK(vfs_->Remove(PathFor(link_base, link_epoch)));
     }
   }
   return Status::OK();
 }
 
-Status SnapshotStore::Write(uint64_t epoch,
-                            const std::vector<uint8_t>& payload) {
-  return Write(epoch, payload.size(), WholePayload(payload));
-}
-
-Status SnapshotStore::WriteDelta(uint64_t base_epoch, uint64_t epoch,
-                                 uint64_t payload_len,
-                                 const PayloadSource& source) {
-  std::vector<uint8_t> header(kDeltaHeader);
-  EncodeU32(header.data(), kDeltaMagic);
-  EncodeU32(header.data() + 4, kSnapshotVersion);
-  EncodeU64(header.data() + 8, base_epoch);
-  EncodeU64(header.data() + 16, epoch);
-  EncodeU64(header.data() + 24, payload_len);
-  return WriteFile(header, payload_len, source,
-                   DeltaPathFor(base_epoch, epoch));
-}
-
-Status SnapshotStore::WriteDelta(uint64_t base_epoch, uint64_t epoch,
-                                 const std::vector<uint8_t>& payload) {
-  return WriteDelta(base_epoch, epoch, payload.size(), WholePayload(payload));
-}
-
-Result<std::vector<uint64_t>> SnapshotStore::ListEpochs() const {
-  std::vector<uint64_t> epochs;
-  SAE_ASSIGN_OR_RETURN(std::vector<std::string> names, vfs_->List(dir_));
-  for (const std::string& name : names) {
-    uint64_t epoch = 0;
-    if (ParseSnapshotName(name, &epoch)) epochs.push_back(epoch);
-  }
-  std::sort(epochs.begin(), epochs.end());
-  return epochs;
-}
-
-Result<std::vector<std::pair<uint64_t, uint64_t>>>
-SnapshotStore::ListDeltaLinks() const {
+Result<std::vector<std::pair<uint64_t, uint64_t>>> SnapshotStore::ListLinks()
+    const {
   std::vector<std::pair<uint64_t, uint64_t>> links;
   SAE_ASSIGN_OR_RETURN(std::vector<std::string> names, vfs_->List(dir_));
   for (const std::string& name : names) {
+    if (IsOlderFormat(name)) {
+      return Status::Unimplemented(
+          dir_ + " holds " + name +
+          " of the older snap-/delta- checkpoint format; re-outsource from "
+          "the data owner");
+    }
     uint64_t base = 0, epoch = 0;
-    if (ParseDeltaName(name, &base, &epoch)) links.emplace_back(base, epoch);
+    if (ParseLinkName(name, &base, &epoch)) links.emplace_back(base, epoch);
   }
-  std::sort(links.begin(), links.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
+  std::sort(links.begin(), links.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.second, a.first) < std::tie(b.second, b.first);
+  });
   return links;
 }
 
-Result<SnapshotStore::Loaded> SnapshotStore::LoadLatest() const {
-  SAE_ASSIGN_OR_RETURN(std::vector<uint64_t> epochs, ListEpochs());
-  // Newest first; any file that fails validation is skipped in favor of
-  // the next-newest (the kKeepChains = 2 fallback).
-  for (size_t attempt = 0; attempt < epochs.size(); ++attempt) {
-    uint64_t epoch = epochs[epochs.size() - 1 - attempt];
-    auto file_or = vfs_->Open(PathFor(epoch), false);
-    if (!file_or.ok()) {
-      if (file_or.status().code() == StatusCode::kNotFound) continue;
-      return file_or.status();
-    }
-    std::unique_ptr<VfsFile> file = std::move(file_or.value());
-    SAE_ASSIGN_OR_RETURN(uint64_t size, file->Size());
-    if (size < kSnapshotHeader + 4) continue;  // torn
-    std::vector<uint8_t> image(size);
-    SAE_ASSIGN_OR_RETURN(size_t got, file->ReadAt(0, image.data(), size));
-    if (got < size) continue;
-    if (DecodeU32(image.data()) != kSnapshotMagic) continue;
-    if (DecodeU32(image.data() + 4) != kSnapshotVersion) continue;
-    uint64_t header_epoch = DecodeU64(image.data() + 8);
-    uint64_t payload_len = DecodeU64(image.data() + 16);
-    if (header_epoch != epoch) continue;  // file renamed by hand
-    if (kSnapshotHeader + payload_len + 4 != size) continue;
-    uint32_t stored_crc = DecodeU32(image.data() + size - 4);
-    if (Crc32(image.data(), size - 4) != stored_crc) continue;
-
-    Loaded loaded;
-    loaded.epoch = epoch;
-    loaded.payload.assign(image.begin() + kSnapshotHeader, image.end() - 4);
-    loaded.fell_back = attempt > 0;
-    return loaded;
-  }
-  return Status::NotFound("no valid snapshot in " + dir_);
-}
-
-Result<std::vector<uint8_t>> SnapshotStore::ReadDelta(uint64_t base_epoch,
-                                                      uint64_t epoch) const {
-  if (base_epoch >= epoch) {
-    // A delta must advance the epoch. The writer never produces base >=
+Result<std::vector<uint8_t>> SnapshotStore::ReadLink(uint64_t base,
+                                                     uint64_t epoch) const {
+  if (base >= epoch) {
+    // A link must advance the epoch. The writer never produces base >=
     // epoch; a file claiming it (self-link or backward link) is an on-disk
     // adversary or a corrupt name, and accepting it could stall the chain
     // walk on a link that never moves the cursor forward.
-    return Status::Corruption("delta does not advance its base epoch");
+    return Status::Corruption("checkpoint link does not advance its base");
   }
   SAE_ASSIGN_OR_RETURN(std::unique_ptr<VfsFile> file,
-                       vfs_->Open(DeltaPathFor(base_epoch, epoch), false));
+                       vfs_->Open(PathFor(base, epoch), false));
   SAE_ASSIGN_OR_RETURN(uint64_t size, file->Size());
-  if (size < kDeltaHeader + 4) {
-    return Status::Corruption("delta file is torn");
+  uint8_t header[kHeader];
+  if (size < kHeader + 4) return Status::Corruption("checkpoint is torn");
+  SAE_ASSIGN_OR_RETURN(size_t got, file->ReadAt(0, header, kHeader));
+  if (got < kHeader) return Status::Corruption("checkpoint is torn");
+  if (DecodeU32(header) != kLinkMagic ||
+      DecodeU32(header + 4) != kLinkVersion ||
+      DecodeU64(header + 8) != base || DecodeU64(header + 16) != epoch) {
+    return Status::Corruption("checkpoint header does not match its name");
   }
-  std::vector<uint8_t> image(size);
-  SAE_ASSIGN_OR_RETURN(size_t got, file->ReadAt(0, image.data(), size));
-  if (got < size) return Status::Corruption("delta file is torn");
-  if (DecodeU32(image.data()) != kDeltaMagic ||
-      DecodeU32(image.data() + 4) != kSnapshotVersion ||
-      DecodeU64(image.data() + 8) != base_epoch ||
-      DecodeU64(image.data() + 16) != epoch) {
-    return Status::Corruption("delta header does not match its name");
+  const uint64_t payload_len = DecodeU64(header + 24);
+  if (payload_len != size - kHeader - 4) {
+    return Status::Corruption("checkpoint length lies");
   }
-  uint64_t payload_len = DecodeU64(image.data() + 24);
-  if (kDeltaHeader + payload_len + 4 != size) {
-    return Status::Corruption("delta length lies");
+  // The payload and trailer are read straight into the buffer returned:
+  // the file is never held twice.
+  std::vector<uint8_t> payload(payload_len + 4);
+  SAE_ASSIGN_OR_RETURN(got,
+                       file->ReadAt(kHeader, payload.data(), payload.size()));
+  if (got < payload.size()) return Status::Corruption("checkpoint is torn");
+  const uint32_t stored_crc = DecodeU32(payload.data() + payload_len);
+  payload.resize(payload_len);
+  if (Crc32(payload.data(), payload_len, Crc32(header, kHeader)) !=
+      stored_crc) {
+    return Status::Corruption("checkpoint checksum mismatch");
   }
-  uint32_t stored_crc = DecodeU32(image.data() + size - 4);
-  if (Crc32(image.data(), size - 4) != stored_crc) {
-    return Status::Corruption("delta checksum mismatch");
-  }
-  return std::vector<uint8_t>(image.begin() + kDeltaHeader, image.end() - 4);
+  return payload;
 }
 
 Result<SnapshotStore::LoadedChain> SnapshotStore::LoadChain() const {
-  SAE_ASSIGN_OR_RETURN(Loaded base, LoadLatest());
+  SAE_ASSIGN_OR_RETURN(auto links, ListLinks());
   LoadedChain chain;
-  chain.base_epoch = base.epoch;
-  chain.base_payload = std::move(base.payload);
-  chain.fell_back = base.fell_back;
+  // Appends the link if it validates; false for a link to step past.
+  auto take = [&](uint64_t base, uint64_t epoch) -> Result<bool> {
+    auto payload = ReadLink(base, epoch);
+    if (!payload.ok()) {
+      if (Skippable(payload.status())) return false;
+      return payload.status();
+    }
+    chain.links.push_back(Link{base, epoch, std::move(payload.value())});
+    return true;
+  };
 
-  SAE_ASSIGN_OR_RETURN(auto links, ListDeltaLinks());
-  uint64_t cursor = chain.base_epoch;
+  // The newest valid base-0 link starts the chain; a bad one falls back to
+  // the next-newest (the kKeepChains = 2 fallback).
+  for (auto it = links.rbegin(); it != links.rend(); ++it) {
+    if (it->first != 0) continue;
+    SAE_ASSIGN_OR_RETURN(bool taken, take(0, it->second));
+    if (taken) break;
+    chain.fell_back = true;
+  }
+  if (chain.links.empty()) {
+    return Status::NotFound("no valid checkpoint in " + dir_);
+  }
+
   for (;;) {
-    // Candidates linking onto the current tail, oldest epoch first — the
+    // Candidates following the current tail, oldest epoch first — the
     // original chain wrote exactly one; a second can only appear after a
     // fallback re-chained from an older tail, and then only because the
     // first was invalid.
+    const uint64_t cursor = chain.links.back().epoch;
     bool advanced = false;
     bool saw_candidate = false;
     for (const auto& [link_base, link_epoch] : links) {
       // Only links that strictly advance the cursor can extend the chain:
       // a self-link (base == epoch) or backward link would otherwise be
       // re-visited forever. With every accepted step strictly increasing
-      // `cursor`, the walk terminates even against adversarial file names.
+      // the cursor, the walk terminates even against adversarial names.
       if (link_base != cursor || link_epoch <= link_base) continue;
       saw_candidate = true;
-      auto payload = ReadDelta(link_base, link_epoch);
-      if (!payload.ok()) {
-        if (payload.status().code() == StatusCode::kCorruption ||
-            payload.status().code() == StatusCode::kNotFound) {
-          continue;  // never compose past a bad link; try a sibling
-        }
-        return payload.status();
-      }
-      chain.deltas.push_back(
-          ChainLink{link_base, link_epoch, std::move(payload.value())});
-      cursor = link_epoch;
-      advanced = true;
-      break;
+      // Never compose past a bad link; try a sibling.
+      SAE_ASSIGN_OR_RETURN(advanced, take(link_base, link_epoch));
+      if (advanced) break;
     }
     if (!advanced) {
       // A candidate existed but none validated: the chain is cut short of

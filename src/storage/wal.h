@@ -19,7 +19,6 @@
 //                            durable; concurrent committers elect ONE
 //                            leader whose single fsync covers the whole
 //                            group, the rest just wait
-// Append() = Stage + Commit inline (one record, one sync point).
 //
 // On-disk record layout (little-endian), unchanged from PR 9:
 //   [payload_len u32][crc32 u32 over payload][payload bytes]
@@ -113,11 +112,6 @@ class WriteAheadLog {
   /// crash every retry fails, so no committer ever reports durable falsely.
   Status Commit(uint64_t seq);
 
-  /// Stage + Commit inline: one record, one sync point.
-  Status Append(const uint8_t* payload, size_t len);
-  Status Append(const std::vector<uint8_t>& payload) {
-    return Append(payload.data(), payload.size());
-  }
 
   /// Seals the active segment at a checkpoint capture and returns its
   /// sequence number; the next Stage opens segment seq+1. Syncs the sealed
@@ -145,7 +139,7 @@ class WriteAheadLog {
   struct Stats {
     uint64_t staged_records = 0;  ///< records staged (or appended)
     uint64_t staged_bytes = 0;    ///< payload+header bytes staged
-    uint64_t syncs = 0;           ///< fsyncs issued by Commit/Append/Rotate
+    uint64_t syncs = 0;           ///< fsyncs issued by Commit/Rotate
     uint64_t synced_records = 0;  ///< records covered by those fsyncs —
                                   ///< synced_records / syncs = group size
   };

@@ -727,6 +727,21 @@ TEST_F(NetServingTest, SpClosingMidExchangeLeavesNoUnreadResponse) {
   honest.Stop();
 }
 
+// Stop closes the listening socket: the kernel no longer completes
+// handshakes that nothing would serve, so dialing a stopped SP is refused
+// and a client's next query fails instead of waiting forever. A second
+// Stop is harmless.
+TEST_F(NetServingTest, StoppedSpRefusesConnections) {
+  const uint16_t port = sp_server_->port();
+  sp_server_->Stop();
+  sp_server_->Stop();
+  auto dialed = net::ConnectTcp({.port = port});
+  EXPECT_FALSE(dialed.ok());
+  if (dialed.ok()) net::UniqueFd closer(dialed.value());
+  auto refused = client_->Query(QueryRequest::Scan(100, 400));
+  EXPECT_FALSE(refused.ok());
+}
+
 // The server queues shared payloads and resumes them across short writes:
 // 32 pipelined 250 KB answers — most of them the one cached buffer — must
 // each arrive byte-identical to the golden encoding. The client holds its

@@ -17,23 +17,25 @@
 // the ones inside a background checkpoint write, is a crash point. On top
 // of the matrix:
 // a WAL-corruption fuzzer (torn tails, bit flips, lying length prefixes),
-// snapshot atomicity/fallback checks including a corrupt middle delta
-// link, the rollback adversary (an SP restored from an older durable
-// chain is rejected by the unmodified client freshness gate as
-// kStaleEpoch), the checkpoint image and pending log (every full snapshot
-// streamed from the image equals a live capture; a second crash keeps the
-// WAL tail the first recovery replayed), and a concurrency suite driving
-// many writers through the group-commit pipeline (also the TSan CI
-// target).
+// checkpoint-link atomicity/fallback checks including a corrupt middle
+// link, a seeded mutation test of the one checkpoint payload decoder, the
+// rollback adversary (an SP restored from an older durable chain is
+// rejected by the unmodified client freshness gate as kStaleEpoch), the
+// checkpoint image and pending log (every full snapshot streamed from the
+// image equals a live capture; a second crash keeps the WAL tail the first
+// recovery replayed), and a concurrency suite driving many writers through
+// the group-commit pipeline (also the TSan CI target).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -72,13 +74,30 @@ uint64_t NextRand(uint64_t* state) {
   return *state >> 33;
 }
 
-// Delta-link file name, as storage/snapshot.cc writes it.
-std::string DeltaFileName(uint64_t base, uint64_t epoch) {
+// Checkpoint link file name, as storage/snapshot.cc writes it (base 0: a
+// full snapshot).
+std::string LinkFileName(uint64_t base, uint64_t epoch) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "delta-%020llu-%020llu",
+  std::snprintf(buf, sizeof(buf), "ckpt-%020llu-%020llu",
                 static_cast<unsigned long long>(base),
                 static_cast<unsigned long long>(epoch));
   return buf;
+}
+
+// Writes `payload` in one piece as the link from `base` to `epoch`.
+Status WriteLink(storage::SnapshotStore* store, uint64_t base, uint64_t epoch,
+                 const std::vector<uint8_t>& payload) {
+  return store->Write(base, epoch, payload.size(),
+                      [&payload](storage::SnapshotStore::PayloadSink* sink) {
+                        return sink->Put(payload.data(), payload.size());
+                      });
+}
+
+// Stages and commits one WAL record: one record, one sync point.
+Status AppendRecord(storage::WriteAheadLog* wal,
+                    const std::vector<uint8_t>& payload) {
+  SAE_ASSIGN_OR_RETURN(uint64_t seq, wal->Stage(payload));
+  return wal->Commit(seq);
 }
 
 // The default schedule is delta chains: full_snapshot_every=3 makes the
@@ -451,7 +470,7 @@ void WriteWal(FaultFs* fs, const std::string& dir,
               const std::vector<std::vector<uint8_t>>& payloads) {
   auto wal = storage::WriteAheadLog::Open(fs, dir).ValueOrDie();
   for (const auto& payload : payloads) {
-    ASSERT_TRUE(wal->Append(payload).ok());
+    ASSERT_TRUE(AppendRecord(wal.get(), payload).ok());
   }
 }
 
@@ -551,7 +570,7 @@ TEST(WalFuzz, CrcValidGarbageRecordEndsReplayAtOpen) {
   WriteWal(&fs, "/db", payloads);
   {
     auto wal = storage::WriteAheadLog::Open(&fs, "/db").ValueOrDie();
-    ASSERT_TRUE(wal->Append(garbage).ok());
+    ASSERT_TRUE(AppendRecord(wal.get(), garbage).ok());
   }
   core::DurabilityOptions options;
   options.enabled = true;
@@ -572,11 +591,15 @@ TEST(WalSegments, RotateSealsAndDropRemovesOnlySealedSegments) {
   FaultFs fs;
   auto payloads = SampleWalPayloads(6);
   auto wal = storage::WriteAheadLog::Open(&fs, "/db").ValueOrDie();
-  for (size_t i = 0; i < 3; ++i) ASSERT_TRUE(wal->Append(payloads[i]).ok());
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(AppendRecord(wal.get(), payloads[i]).ok());
+  }
   auto sealed = wal->Rotate();
   ASSERT_TRUE(sealed.ok());
   EXPECT_EQ(sealed.value(), 1u);
-  for (size_t i = 3; i < 6; ++i) ASSERT_TRUE(wal->Append(payloads[i]).ok());
+  for (size_t i = 3; i < 6; ++i) {
+    ASSERT_TRUE(AppendRecord(wal.get(), payloads[i]).ok());
+  }
   ASSERT_TRUE(fs.Exists(FirstSegmentPath("/db")));
   ASSERT_TRUE(fs.Exists("/db/" + storage::WalSegmentName(2)));
   // Dropping through the sealed sequence removes segment 1 but never the
@@ -603,15 +626,16 @@ TEST(SnapshotStore, CrashAtEitherBarrierLeavesPreviousSnapshotIntact) {
   for (uint64_t k = 1; k <= 2; ++k) {  // temp sync, rename
     FaultFs fs;
     storage::SnapshotStore store(&fs, "/snaps");
-    ASSERT_TRUE(store.Write(7, payload_a).ok());
+    ASSERT_TRUE(WriteLink(&store, 0, 7, payload_a).ok());
     fs.CrashAtSyncPoint(k);
-    ASSERT_FALSE(store.Write(8, payload_b).ok());
+    ASSERT_FALSE(WriteLink(&store, 0, 8, payload_b).ok());
     fs.DropVolatile();
-    auto loaded = store.LoadLatest();
-    ASSERT_TRUE(loaded.ok()) << "crash at barrier " << k;
-    EXPECT_EQ(loaded.value().epoch, 7u);
-    EXPECT_EQ(loaded.value().payload, payload_a);
-    EXPECT_FALSE(loaded.value().fell_back);
+    auto chain = store.LoadChain();
+    ASSERT_TRUE(chain.ok()) << "crash at barrier " << k;
+    ASSERT_EQ(chain.value().links.size(), 1u);
+    EXPECT_EQ(chain.value().links[0].epoch, 7u);
+    EXPECT_EQ(chain.value().links[0].payload, payload_a);
+    EXPECT_FALSE(chain.value().fell_back);
   }
 }
 
@@ -620,53 +644,58 @@ TEST(SnapshotStore, SkippedTempSyncWouldTearTheSnapshot) {
   // a prior sync has no durable image. This test pins the model itself, so
   // the matrix above genuinely punishes a protocol that dropped the sync.
   FaultFs fs;
-  auto file = fs.Open("/snaps/snap.tmp", true).ValueOrDie();
+  auto file = fs.Open("/snaps/ckpt.tmp", true).ValueOrDie();
   const uint8_t byte = 1;
   ASSERT_TRUE(file->WriteAt(0, &byte, 1).ok());
-  ASSERT_TRUE(fs.Rename("/snaps/snap.tmp",
-                        "/snaps/snap-00000000000000000009").ok());
+  ASSERT_TRUE(
+      fs.Rename("/snaps/ckpt.tmp", "/snaps/" + LinkFileName(0, 9)).ok());
   fs.DropVolatile();
   storage::SnapshotStore store(&fs, "/snaps");
-  EXPECT_EQ(store.LoadLatest().status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.LoadChain().status().code(), StatusCode::kNotFound);
 }
 
 TEST(SnapshotStore, CorruptNewestFallsBackToPreviousValidSnapshot) {
   FaultFs fs;
   storage::SnapshotStore store(&fs, "/snaps");
-  ASSERT_TRUE(store.Write(3, std::vector<uint8_t>(40, 0x33)).ok());
-  ASSERT_TRUE(store.Write(4, std::vector<uint8_t>(40, 0x44)).ok());
+  ASSERT_TRUE(WriteLink(&store, 0, 3, std::vector<uint8_t>(40, 0x33)).ok());
+  ASSERT_TRUE(WriteLink(&store, 0, 4, std::vector<uint8_t>(40, 0x44)).ok());
   // Flip one payload byte of the newest file: its CRC fails, and the
   // previous snapshot must answer instead.
-  auto file = fs.Open("/snaps/snap-00000000000000000004", false).ValueOrDie();
+  auto file = fs.Open("/snaps/" + LinkFileName(0, 4), false).ValueOrDie();
   uint8_t corrupted = 0x45;
-  ASSERT_TRUE(file->WriteAt(30, &corrupted, 1).ok());
-  auto loaded = store.LoadLatest();
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().epoch, 3u);
-  EXPECT_TRUE(loaded.value().fell_back);
-  EXPECT_EQ(loaded.value().payload, std::vector<uint8_t>(40, 0x33));
+  ASSERT_TRUE(file->WriteAt(40, &corrupted, 1).ok());
+  auto chain = store.LoadChain();
+  ASSERT_TRUE(chain.ok());
+  ASSERT_EQ(chain.value().links.size(), 1u);
+  EXPECT_EQ(chain.value().links[0].epoch, 3u);
+  EXPECT_TRUE(chain.value().fell_back);
+  EXPECT_EQ(chain.value().links[0].payload, std::vector<uint8_t>(40, 0x33));
 }
 
 TEST(SnapshotStore, LoadChainComposesBasePlusLinkedDeltas) {
   FaultFs fs;
   storage::SnapshotStore store(&fs, "/snaps");
-  ASSERT_TRUE(store.Write(2, {0x10}).ok());
-  ASSERT_TRUE(store.WriteDelta(2, 5, {0x25}).ok());
-  ASSERT_TRUE(store.WriteDelta(5, 9, {0x59}).ok());
+  ASSERT_TRUE(WriteLink(&store, 0, 2, {0x10}).ok());
+  ASSERT_TRUE(WriteLink(&store, 2, 5, {0x25}).ok());
+  ASSERT_TRUE(WriteLink(&store, 5, 9, {0x59}).ok());
   auto chain = store.LoadChain();
   ASSERT_TRUE(chain.ok()) << chain.status().message();
-  EXPECT_EQ(chain.value().base_epoch, 2u);
-  EXPECT_EQ(chain.value().base_payload, std::vector<uint8_t>{0x10});
-  ASSERT_EQ(chain.value().deltas.size(), 2u);
-  EXPECT_EQ(chain.value().deltas[0].epoch, 5u);
-  EXPECT_EQ(chain.value().deltas[1].epoch, 9u);
-  EXPECT_EQ(chain.value().deltas[1].payload, std::vector<uint8_t>{0x59});
+  const auto& links = chain.value().links;
+  ASSERT_EQ(links.size(), 3u);
+  EXPECT_EQ(links[0].base, 0u);
+  EXPECT_EQ(links[0].epoch, 2u);
+  EXPECT_EQ(links[0].payload, std::vector<uint8_t>{0x10});
+  EXPECT_EQ(links[1].epoch, 5u);
+  EXPECT_EQ(links[2].base, 5u);
+  EXPECT_EQ(links[2].epoch, 9u);
+  EXPECT_EQ(links[2].payload, std::vector<uint8_t>{0x59});
   EXPECT_FALSE(chain.value().fell_back);
 }
 
 // A payload streamed in pieces lands as the same file bytes as the whole
-// payload written at once, for both file kinds; a source that puts another
-// length than it declared fails before the rename, leaving no file.
+// payload put at once, from the empty state or from a base; a source that
+// puts another length than it declared fails before the rename, leaving no
+// file.
 TEST(SnapshotStore, StreamedPayloadWritesTheSameFileBytes) {
   std::vector<uint8_t> payload(1000);
   for (size_t i = 0; i < payload.size(); ++i) payload[i] = uint8_t(i * 7);
@@ -689,97 +718,196 @@ TEST(SnapshotStore, StreamedPayloadWritesTheSameFileBytes) {
   FaultFs whole_fs, streamed_fs;
   storage::SnapshotStore whole(&whole_fs, "/snaps");
   storage::SnapshotStore streamed(&streamed_fs, "/snaps");
-  ASSERT_TRUE(whole.Write(4, payload).ok());
-  ASSERT_TRUE(whole.WriteDelta(4, 6, payload).ok());
-  ASSERT_TRUE(streamed.Write(4, payload.size(), in_pieces(payload.size())).ok());
-  ASSERT_TRUE(streamed
-                  .WriteDelta(4, 6, payload.size(), in_pieces(payload.size()))
+  ASSERT_TRUE(WriteLink(&whole, 0, 4, payload).ok());
+  ASSERT_TRUE(WriteLink(&whole, 4, 6, payload).ok());
+  ASSERT_TRUE(streamed.Write(0, 4, payload.size(), in_pieces(payload.size()))
                   .ok());
-  for (const std::string& name :
-       {std::string("snap-00000000000000000004"), DeltaFileName(4, 6)}) {
+  ASSERT_TRUE(streamed.Write(4, 6, payload.size(), in_pieces(payload.size()))
+                  .ok());
+  for (const std::string& name : {LinkFileName(0, 4), LinkFileName(4, 6)}) {
     EXPECT_EQ(file_bytes(&streamed_fs, "/snaps/" + name),
               file_bytes(&whole_fs, "/snaps/" + name))
         << name;
   }
 
-  EXPECT_EQ(streamed.Write(8, payload.size(), in_pieces(payload.size() - 1))
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_FALSE(streamed_fs.Exists("/snaps/snap-00000000000000000008"));
-  EXPECT_EQ(streamed.LoadLatest().ValueOrDie().epoch, 4u);
+  EXPECT_EQ(
+      streamed.Write(0, 8, payload.size(), in_pieces(payload.size() - 1))
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_FALSE(streamed_fs.Exists("/snaps/" + LinkFileName(0, 8)));
+  EXPECT_EQ(streamed.LoadChain().ValueOrDie().links.back().epoch, 6u);
 }
 
 TEST(SnapshotStore, CorruptMiddleDeltaEndsTheChainAtTheBreak) {
   FaultFs fs;
   storage::SnapshotStore store(&fs, "/snaps");
-  ASSERT_TRUE(store.Write(2, {0x10}).ok());
-  ASSERT_TRUE(store.WriteDelta(2, 5, {0x25}).ok());
-  ASSERT_TRUE(store.WriteDelta(5, 9, {0x59}).ok());
-  ASSERT_TRUE(store.WriteDelta(9, 12, {0x9C}).ok());
+  ASSERT_TRUE(WriteLink(&store, 0, 2, {0x10}).ok());
+  ASSERT_TRUE(WriteLink(&store, 2, 5, {0x25}).ok());
+  ASSERT_TRUE(WriteLink(&store, 5, 9, {0x59}).ok());
+  ASSERT_TRUE(WriteLink(&store, 9, 12, {0x9C}).ok());
   // Corrupt the MIDDLE link: composition must stop before it — the valid
   // tail past the break is unreachable (its base state cannot be built).
-  auto file =
-      fs.Open("/snaps/" + DeltaFileName(5, 9), false).ValueOrDie();
+  auto file = fs.Open("/snaps/" + LinkFileName(5, 9), false).ValueOrDie();
   uint8_t corrupted = 0xFF;
-  ASSERT_TRUE(file->WriteAt(28, &corrupted, 1).ok());
+  ASSERT_TRUE(file->WriteAt(32, &corrupted, 1).ok());
   auto chain = store.LoadChain();
   ASSERT_TRUE(chain.ok());
-  EXPECT_EQ(chain.value().base_epoch, 2u);
-  ASSERT_EQ(chain.value().deltas.size(), 1u);
-  EXPECT_EQ(chain.value().deltas[0].epoch, 5u);
+  ASSERT_EQ(chain.value().links.size(), 2u);
+  EXPECT_EQ(chain.value().links[0].epoch, 2u);
+  EXPECT_EQ(chain.value().links[1].epoch, 5u);
   EXPECT_TRUE(chain.value().fell_back);
 }
 
 TEST(SnapshotStore, GcKeepsTheNewestTwoChains) {
   FaultFs fs;
   storage::SnapshotStore store(&fs, "/snaps");
-  ASSERT_TRUE(store.Write(1, {1}).ok());
-  ASSERT_TRUE(store.WriteDelta(1, 2, {2}).ok());
-  ASSERT_TRUE(store.WriteDelta(2, 3, {3}).ok());
-  ASSERT_TRUE(store.Write(4, {4}).ok());
-  ASSERT_TRUE(store.WriteDelta(4, 5, {5}).ok());
-  ASSERT_TRUE(store.Write(6, {6}).ok());
-  // Keeping two chains means: the two newest fulls survive, and every
-  // delta belonging to an older chain (epoch below the older kept full)
+  ASSERT_TRUE(WriteLink(&store, 0, 1, {1}).ok());
+  ASSERT_TRUE(WriteLink(&store, 1, 2, {2}).ok());
+  ASSERT_TRUE(WriteLink(&store, 2, 3, {3}).ok());
+  ASSERT_TRUE(WriteLink(&store, 0, 4, {4}).ok());
+  ASSERT_TRUE(WriteLink(&store, 4, 5, {5}).ok());
+  ASSERT_TRUE(WriteLink(&store, 0, 6, {6}).ok());
+  // Keeping two chains means: the two newest base-0 links survive, and
+  // every link of an older chain (epoch below the older kept base-0 link)
   // is garbage.
-  auto epochs = store.ListEpochs().ValueOrDie();
-  EXPECT_EQ(epochs, (std::vector<uint64_t>{4, 6}));
-  auto links = store.ListDeltaLinks().ValueOrDie();
-  ASSERT_EQ(links.size(), 1u);
-  EXPECT_EQ(links[0].first, 4u);
-  EXPECT_EQ(links[0].second, 5u);
+  auto links = store.ListLinks().ValueOrDie();
+  EXPECT_EQ(links, (std::vector<std::pair<uint64_t, uint64_t>>{
+                       {0, 4}, {4, 5}, {0, 6}}));
 }
 
 TEST(SnapshotStore, SelfLinkedDeltaCannotStallTheChainWalk) {
-  // Regression: a delta whose base equals its epoch (on-disk adversary or
+  // Regression: a link whose base equals its epoch (on-disk adversary or
   // buggy writer — header matches the name, CRC valid) used to self-link:
   // the walk accepted it without advancing the cursor and looped forever.
   // It must be skipped, and the rest of the chain still composes.
   FaultFs fs;
   storage::SnapshotStore store(&fs, "/snaps");
-  ASSERT_TRUE(store.Write(2, {0x10}).ok());
-  ASSERT_TRUE(store.WriteDelta(2, 5, {0x25}).ok());
-  ASSERT_TRUE(store.WriteDelta(5, 5, {0x55}).ok());  // self-link mid-chain
-  ASSERT_TRUE(store.WriteDelta(5, 9, {0x59}).ok());
+  ASSERT_TRUE(WriteLink(&store, 0, 2, {0x10}).ok());
+  ASSERT_TRUE(WriteLink(&store, 2, 5, {0x25}).ok());
+  ASSERT_TRUE(WriteLink(&store, 5, 5, {0x55}).ok());  // self-link mid-chain
+  ASSERT_TRUE(WriteLink(&store, 5, 9, {0x59}).ok());
   auto chain = store.LoadChain();
   ASSERT_TRUE(chain.ok()) << chain.status().message();
-  EXPECT_EQ(chain.value().base_epoch, 2u);
-  ASSERT_EQ(chain.value().deltas.size(), 2u);
-  EXPECT_EQ(chain.value().deltas[0].epoch, 5u);
-  EXPECT_EQ(chain.value().deltas[1].epoch, 9u);
+  ASSERT_EQ(chain.value().links.size(), 3u);
+  EXPECT_EQ(chain.value().links[0].epoch, 2u);
+  EXPECT_EQ(chain.value().links[1].epoch, 5u);
+  EXPECT_EQ(chain.value().links[2].epoch, 9u);
 
   // A lone self-link sitting right on the base (the original infinite
-  // loop) terminates too, leaving just the base.
+  // loop) terminates too, leaving just the base; so does a backward link.
   FaultFs fs2;
   storage::SnapshotStore store2(&fs2, "/snaps");
-  ASSERT_TRUE(store2.Write(2, {0x10}).ok());
-  ASSERT_TRUE(store2.WriteDelta(2, 2, {0x22}).ok());
+  ASSERT_TRUE(WriteLink(&store2, 0, 2, {0x10}).ok());
+  ASSERT_TRUE(WriteLink(&store2, 2, 2, {0x22}).ok());
+  ASSERT_TRUE(WriteLink(&store2, 2, 1, {0x21}).ok());
   auto lone = store2.LoadChain();
   ASSERT_TRUE(lone.ok()) << lone.status().message();
-  EXPECT_EQ(lone.value().base_epoch, 2u);
-  EXPECT_TRUE(lone.value().deltas.empty());
-  // And ReadDelta refuses a non-advancing link outright.
-  EXPECT_EQ(store2.ReadDelta(2, 2).status().code(), StatusCode::kCorruption);
+  ASSERT_EQ(lone.value().links.size(), 1u);
+  EXPECT_EQ(lone.value().links[0].epoch, 2u);
+  // And ReadLink refuses a non-advancing link outright.
+  EXPECT_EQ(store2.ReadLink(2, 2).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(store2.ReadLink(2, 1).status().code(), StatusCode::kCorruption);
+}
+
+// --- checkpoint decoder mutation ---------------------------------------------
+
+// A mutated checkpoint payload either decodes or is refused as
+// kCorruption; one that decodes is a canonical encoding, so it re-encodes
+// to exactly its own bytes (nothing in it was skipped or defaulted).
+void ExpectDecodesOrIsRefused(const std::vector<uint8_t>& payload) {
+  auto decoded = core::DecodeSnapshotState(payload);
+  if (decoded.ok()) {
+    EXPECT_EQ(core::EncodeSnapshotState(decoded.value()), payload);
+  } else {
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << decoded.status().ToString();
+  }
+}
+
+// The two payloads the mutations start from: an SAE link with upserts and
+// removes, and a TOM full snapshot whose MB-tree shape has internal
+// levels.
+std::vector<std::vector<uint8_t>> SampleCheckpointPayloads() {
+  RecordCodec codec(kRecordSize);
+  SnapshotState sae;
+  sae.record_size = kRecordSize;
+  sae.records = SeedDataset(codec, 6);
+  sae.removes = {2, 9, 40};
+  TomSystem::Options options;
+  options.record_size = kRecordSize;
+  ShrinkFanouts(&options);
+  TomSystem tom(options);
+  EXPECT_TRUE(tom.Load(SeedDataset(codec, 30)).ok());
+  SnapshotState tom_state = tom.CaptureState().ValueOrDie();
+  EXPECT_EQ(tom_state.shape.size(), 3u);  // leaves, internal nodes, root
+  return {core::EncodeSnapshotState(sae),
+          core::EncodeSnapshotState(tom_state)};
+}
+
+// Regression: a record count the payload cannot hold used to be reserved
+// before it was checked, and a 10-byte payload aborted the process with
+// std::bad_alloc — inside a CRC-valid checkpoint, that killed Recover.
+TEST(CheckpointFuzz, LyingRecordCountIsCorruption) {
+  std::vector<uint8_t> payload(10);
+  payload[0] = SnapshotState::kSae;
+  EncodeU32(payload.data() + 1, kRecordSize);
+  payload[5] = 0;  // SHA-1
+  EncodeU32(payload.data() + 6, 0xFFFFFFFFu);
+  EXPECT_EQ(core::DecodeSnapshotState(payload).status().code(),
+            StatusCode::kCorruption);
+  // An SAE payload is the header, the record count (at byte 6), the
+  // records, the remove count and the signature length — nothing after.
+  // Claiming one record more than it holds is refused too.
+  const std::vector<Record> records = SeedDataset(RecordCodec(kRecordSize), 1);
+  std::vector<uint8_t> one = core::EncodeSnapshotState(
+      SnapshotState{SnapshotState::kSae, uint32_t(kRecordSize),
+                    crypto::HashScheme::kSha1, records, {}, {}, {}});
+  ASSERT_EQ(one.size(),
+            1 + 4 + 1 + 4 + (8 + 4 + 4 + records[0].payload.size()) + 4 + 4);
+  EncodeU32(one.data() + 6, 2);
+  EXPECT_EQ(core::DecodeSnapshotState(one).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(CheckpointFuzz, MutantsDecodeOrAreRefused) {
+  uint64_t rng = 0xC4EC;
+  for (const std::vector<uint8_t>& payload : SampleCheckpointPayloads()) {
+    SCOPED_TRACE("payload of " + std::to_string(payload.size()) + " bytes");
+    ExpectDecodesOrIsRefused(payload);
+    ASSERT_TRUE(core::DecodeSnapshotState(payload).ok());
+    // Truncations at every length.
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+      ExpectDecodesOrIsRefused(
+          std::vector<uint8_t>(payload.begin(), payload.begin() + cut));
+    }
+    // Extensions by one to eight random bytes.
+    for (int trial = 0; trial < 64; ++trial) {
+      std::vector<uint8_t> longer = payload;
+      for (uint64_t n = 1 + NextRand(&rng) % 8; n > 0; --n) {
+        longer.push_back(uint8_t(NextRand(&rng)));
+      }
+      ExpectDecodesOrIsRefused(longer);
+    }
+    // Bit flips.
+    for (int trial = 0; trial < 1000; ++trial) {
+      std::vector<uint8_t> flipped = payload;
+      flipped[NextRand(&rng) % flipped.size()] ^=
+          uint8_t(1u << (NextRand(&rng) % 8));
+      ExpectDecodesOrIsRefused(flipped);
+    }
+    // Spliced count and length fields: every u32 field (the record count,
+    // each record's length, the remove count, the signature length, the
+    // level and node counts) sits at some offset; lie at all of them.
+    const uint32_t lies[] = {0, 1, uint32_t(payload.size()), 0x7FFFFFFFu,
+                             0xFFFFFFFFu};
+    for (size_t at = 0; at + 4 <= payload.size(); ++at) {
+      for (uint32_t lie : lies) {
+        std::vector<uint8_t> spliced = payload;
+        EncodeU32(spliced.data() + at, lie);
+        ExpectDecodesOrIsRefused(spliced);
+      }
+    }
+  }
 }
 
 // --- delta-chain recovery semantics ------------------------------------------
@@ -842,7 +970,7 @@ TEST(Recovery, CorruptMiddleDeltaFallsBackToTheValidChainPrefix) {
   // epoch 3, and the WAL for epochs past the later checkpoints is gone —
   // the degraded-mode contract is "an older but still provable epoch".
   fs.DropVolatile();
-  auto file = fs.Open("/db/" + DeltaFileName(3, 5), false).ValueOrDie();
+  auto file = fs.Open("/db/" + LinkFileName(3, 5), false).ValueOrDie();
   uint8_t corrupted = 0xFF;
   ASSERT_TRUE(file->WriteAt(29, &corrupted, 1).ok());
 
@@ -1026,53 +1154,43 @@ TEST(Recovery, TomFullSnapshotsRecoverAfterInsertsReshapeTheTree) {
   ExpectTomRecoversAfterInserts(/*full_only=*/true);
 }
 
-// A TOM snapshot written before checkpoints carried the tree shape ends
-// right after the signature. Recovery refuses it with kUnimplemented
-// rather than rebuilding a tree the signature may not cover; SAE payloads
-// never carried a shape and keep their bytes.
+// A directory written in the older two-kind format (`snap-<epoch>` full
+// snapshots, `delta-<base>-<epoch>` links) is refused with kUnimplemented,
+// by Recover and by a Load into it alike: its files are never read, and
+// never read as an empty directory either — re-outsource from the DO.
 TEST(Recovery, OldFormatTomSnapshotIsRejected) {
   RecordCodec codec(kRecordSize);
-  FaultFs fs;
-  auto options =
-      DurableOptions<TomSystem>(crypto::HashScheme::kSha1, &fs, "/db");
-  SnapshotState state;
-  {
-    TomSystem system(options);
-    ASSERT_TRUE(system.Load(SeedDataset(codec, 20)).ok());
-    state = system.CaptureState().ValueOrDie();
+  const std::string baseline = "/db/" + LinkFileName(0, 1);
+  // Only a full snapshot under its older name (no link file at all), then
+  // an older delta beside a valid link.
+  for (bool only_older : {true, false}) {
+    SCOPED_TRACE(only_older ? "older full only" : "older delta beside a link");
+    FaultFs fs;
+    auto options =
+        DurableOptions<TomSystem>(crypto::HashScheme::kSha1, &fs, "/db");
+    {
+      TomSystem system(options);
+      ASSERT_TRUE(system.Load(SeedDataset(codec, 20)).ok());
+    }
+    if (only_older) {
+      ASSERT_TRUE(
+          fs.Rename(baseline, "/db/snap-00000000000000000001").ok());
+    } else {
+      auto file = fs.Open("/db/delta-00000000000000000001-00000000000000000005",
+                          /*create=*/true)
+                      .ValueOrDie();
+      const uint8_t byte = 0x44;
+      ASSERT_TRUE(file->WriteAt(0, &byte, 1).ok());
+      ASSERT_TRUE(file->Sync().ok());
+    }
+    fs.DropVolatile();
+    auto recovered = TomSystem::Recover(options);
+    EXPECT_EQ(recovered.status().code(), StatusCode::kUnimplemented)
+        << recovered.status().ToString();
+    TomSystem reloaded(options);
+    EXPECT_EQ(reloaded.Load(SeedDataset(codec, 20)).code(),
+              StatusCode::kUnimplemented);
   }
-  ASSERT_EQ(state.shape, (btree::TreeShape{{20}}));
-  std::vector<uint8_t> payload = core::EncodeSnapshotState(state);
-  // The one-leaf shape: u32 level count, u32 node count, u16 fan-out.
-  payload.resize(payload.size() - (4 + 4 + 2));
-  EXPECT_EQ(core::DecodeSnapshotState(payload).status().code(),
-            StatusCode::kUnimplemented);
-  core::DeltaState delta;
-  delta.model = SnapshotState::kTom;
-  delta.record_size = kRecordSize;
-  std::vector<uint8_t> delta_payload = core::EncodeDeltaState(delta);
-  delta_payload.resize(delta_payload.size() - 4);  // the empty shape
-  EXPECT_EQ(core::DecodeDeltaState(delta_payload).status().code(),
-            StatusCode::kUnimplemented);
-
-  // Replace the epoch-1 baseline with its old-format twin.
-  storage::SnapshotStore store(&fs, "/db");
-  ASSERT_TRUE(store.Write(1, payload).ok());
-  fs.DropVolatile();
-  auto recovered = TomSystem::Recover(options);
-  EXPECT_EQ(recovered.status().code(), StatusCode::kUnimplemented)
-      << recovered.status().message();
-
-  // SAE: header, record count, records, signature length — nothing after.
-  SnapshotState sae;
-  sae.record_size = kRecordSize;
-  sae.records = SeedDataset(codec, 3);
-  size_t record_bytes = 0;
-  for (const Record& record : sae.records) {
-    record_bytes += 8 + 4 + 4 + record.payload.size();
-  }
-  EXPECT_EQ(core::EncodeSnapshotState(sae).size(),
-            1 + 4 + 1 + 4 + record_bytes + 4);
 }
 
 TEST(Recovery, FailedUpdateIsRetractedFromTheWal) {
@@ -1258,7 +1376,7 @@ TEST(Recovery, AbortRecordDropsTheRetractedSuffixAtOpen) {
       update.op = op;
       update.epoch = epoch;
       if (op == WalUpdate::kInsert) update.record = codec.MakeRecord(id, 7);
-      EXPECT_TRUE(wal->Append(EncodeWalUpdate(update)).ok());
+      EXPECT_TRUE(AppendRecord(wal.get(), EncodeWalUpdate(update)).ok());
     };
     append(WalUpdate::kInsert, 2, 11);
     append(WalUpdate::kInsert, 3, 12);
@@ -1375,17 +1493,73 @@ TEST(Recovery, ShardedTomSystemRecoversSplitShards) {
   VerifySweep(recovered.value().get());
 }
 
+// A Vfs over a FaultFs that, once armed, holds whoever opens a checkpoint
+// temp file until released: a test can capture a second checkpoint while
+// the first one's write is still on its way.
+class GatedFs final : public storage::Vfs {
+ public:
+  explicit GatedFs(FaultFs* fs) : fs_(fs) {}
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  /// Blocks until an armed open is being held.
+  void WaitHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return held_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = false;
+    cv_.notify_all();
+  }
+
+  Result<std::unique_ptr<storage::VfsFile>> Open(const std::string& path,
+                                                 bool create) override {
+    const std::string tmp = "/ckpt.tmp";
+    if (path.size() > tmp.size() &&
+        path.compare(path.size() - tmp.size(), tmp.size(), tmp) == 0) {
+      std::unique_lock<std::mutex> lock(mu_);
+      held_ = armed_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return !armed_; });
+    }
+    return fs_->Open(path, create);
+  }
+  bool Exists(const std::string& path) const override {
+    return fs_->Exists(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return fs_->Rename(from, to);
+  }
+  Status Remove(const std::string& path) override { return fs_->Remove(path); }
+  Result<std::vector<std::string>> List(const std::string& dir) const override {
+    return fs_->List(dir);
+  }
+  Status MkDir(const std::string& path) override { return fs_->MkDir(path); }
+
+ private:
+  FaultFs* fs_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool held_ = false;
+};
+
 TEST(Recovery, ShardedDurabilityStatsCountSkippedCheckpoints) {
   // Regression: the sharded durability_stats() summed every counter but
   // checkpoints_skipped, so a sharded deployment always reported 0. Break
   // shard 0's chain as FailedCheckpointGatesWalGcUntilAFullSnapshotLands
-  // does, then capture one more delta — the capture that races a failing
-  // background write — which the checkpoint thread must skip.
+  // does, and capture one more checkpoint while the failing write is held
+  // back: the manager picks a delta (the chain is not broken yet), which
+  // the checkpoint thread must then skip.
   RecordCodec codec(kRecordSize);
   FaultFs fs;
+  GatedFs gated(&fs);
   core::ShardedSaeSystem::Options options;
   options =
-      DurableOptions<SaeSystem>(crypto::HashScheme::kSha1, &fs, "/db");
+      DurableOptions<SaeSystem>(crypto::HashScheme::kSha1, &gated, "/db");
   core::ShardRouter router({100, 200});  // 3 shards; every key below is
                                          // shard 0's
   core::ShardedSaeSystem system(router, options);
@@ -1398,10 +1572,13 @@ TEST(Recovery, ShardedDurabilityStatsCountSkippedCheckpoints) {
   // Counting from arming: the next insert's WAL commit is barrier 1, its
   // cadence delta checkpoint syncs the temp file at barrier 2.
   fs.FailAtSyncPoint(2);
+  gated.Arm();
   ASSERT_TRUE(system.Insert(codec.MakeRecord(RecordId(299), Key(60))).ok());
-  EXPECT_FALSE(system.WaitForCheckpoints().ok());  // the delta failed
+  gated.WaitHeld();
   SaeSystem& shard = system.shard(0);
-  ASSERT_TRUE(shard.durability()->CheckpointDelta(shard.epoch(), {}).ok());
+  ASSERT_TRUE(shard.durability()->Checkpoint(shard.epoch(), {}).ok());
+  gated.Release();
+  EXPECT_FALSE(system.WaitForCheckpoints().ok());  // the first delta failed
   // Skipping is the gate working, not a new failure.
   ASSERT_TRUE(system.WaitForCheckpoints().ok());
   EXPECT_EQ(shard.durability_stats().checkpoints_skipped, 1u);
@@ -1516,13 +1693,13 @@ void RunImageParity(uint64_t seed) {
     DurabilityStats stats = system.durability_stats();
     if (stats.checkpoints_full == fulls_seen) return;
     fulls_seen = stats.checkpoints_full;
-    auto latest = store.LoadLatest();
-    ASSERT_TRUE(latest.ok()) << latest.status().message();
-    ASSERT_EQ(latest.value().epoch, system.epoch());
+    auto chain = store.LoadChain();
+    ASSERT_TRUE(chain.ok()) << chain.status().message();
+    const storage::SnapshotStore::Link& full = chain.value().links.front();
+    ASSERT_EQ(full.epoch, system.epoch());
     auto captured = system.CaptureState();
     ASSERT_TRUE(captured.ok());
-    EXPECT_EQ(latest.value().payload,
-              core::EncodeSnapshotState(captured.value()))
+    EXPECT_EQ(full.payload, core::EncodeSnapshotState(captured.value()))
         << "full snapshot at epoch " << system.epoch();
     ++checked;
     if (write_failed) ++checked_after_failed_write;
