@@ -7,7 +7,7 @@
 // taps below stand in for a compromised SP there:
 //
 //   - record and answer lies (AttackMode, adversary/malicious_sp.h) tamper
-//     the served answer before it crosses the metered channel;
+//     the served answer before the client receives it;
 //   - the freshness modes answer from a stale replica, an SP loaded from
 //     the pre-update dataset at its epoch (under TOM with that epoch's root
 //     signature), or present an old token / signature;

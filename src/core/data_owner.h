@@ -12,7 +12,6 @@
 
 #include "core/service_provider.h"
 #include "core/trusted_entity.h"
-#include "sim/channel.h"
 #include "storage/record.h"
 #include "util/status.h"
 
@@ -24,22 +23,19 @@ class DataOwner {
   explicit DataOwner(size_t record_size = storage::kDefaultRecordSize);
 
   /// Installs `records` as the master copy and ships them to both parties
-  /// over the metered channels (paper Fig. 2 "Initial dataset" arrows),
-  /// which build their structures from them; publishes epoch 1. Record ids
+  /// (paper Fig. 2 "Initial dataset" arrows), which build their structures
+  /// from them; publishes epoch 1. Record ids
   /// must be unique: a duplicate is rejected before anything changes. The
   /// parties receive `records` itself when it is in (key, id) order, else a
   /// sorted copy.
   Status Outsource(const std::vector<Record>& records, ServiceProvider* sp,
-                   TrustedEntity* te, sim::Channel* to_sp,
-                   sim::Channel* to_te);
+                   TrustedEntity* te);
 
   /// Update paths: apply to the master copy, bump the epoch, and propagate
-  /// record + epoch notice to both parties.
+  /// the record (or deletion) and the new epoch to both parties.
   Status InsertRecord(const Record& record, ServiceProvider* sp,
-                      TrustedEntity* te, sim::Channel* to_sp,
-                      sim::Channel* to_te);
-  Status DeleteRecord(RecordId id, ServiceProvider* sp, TrustedEntity* te,
-                      sim::Channel* to_sp, sim::Channel* to_te);
+                      TrustedEntity* te);
+  Status DeleteRecord(RecordId id, ServiceProvider* sp, TrustedEntity* te);
 
   /// The latest published epoch: 0 before outsourcing, 1 at the initial
   /// shipment, +1 per update. Clients use it as the freshness reference.
@@ -67,9 +63,8 @@ class DataOwner {
   std::vector<Record> SortedDataset() const;
 
  private:
-  /// Bumps the epoch and announces it to both parties (wire notice + state).
-  void PublishEpoch(ServiceProvider* sp, TrustedEntity* te,
-                    sim::Channel* to_sp, sim::Channel* to_te);
+  /// Bumps the epoch and announces it to both parties.
+  void PublishEpoch(ServiceProvider* sp, TrustedEntity* te);
 
   RecordCodec codec_;
   std::unordered_map<RecordId, Record> master_;

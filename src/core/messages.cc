@@ -1,7 +1,7 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Implements the wire formats (core/messages.h) serialized across the
-// byte-metered entity channels.
+// Implements the wire formats (core/messages.h) exchanged between the
+// entities.
 
 #include "core/messages.h"
 
@@ -13,13 +13,13 @@
 namespace sae::core {
 
 namespace {
+// 0x02 (the plain range query) and 0x07 (the plain results shipment) are
+// retired: QueryRequest and QueryAnswer replaced them. Never reuse them.
 constexpr uint8_t kTagRecords = 0x01;
-constexpr uint8_t kTagQuery = 0x02;
 constexpr uint8_t kTagVt = 0x03;
 constexpr uint8_t kTagSignature = 0x04;
 constexpr uint8_t kTagDelete = 0x05;
 constexpr uint8_t kTagEpochNotice = 0x06;
-constexpr uint8_t kTagResults = 0x07;
 constexpr uint8_t kTagShardEpochs = 0x08;
 constexpr uint8_t kTagQueryRequest = 0x09;
 constexpr uint8_t kTagQueryAnswer = 0x0A;
@@ -275,26 +275,6 @@ Result<std::vector<Record>> DeserializeRecords(
   return records;
 }
 
-std::vector<uint8_t> SerializeQuery(Key lo, Key hi) {
-  ByteWriter w;
-  w.PutU8(kTagQuery);
-  w.PutU32(lo);
-  w.PutU32(hi);
-  return w.Release();
-}
-
-Result<std::pair<Key, Key>> DeserializeQuery(
-    const std::vector<uint8_t>& bytes) {
-  ByteReader r(bytes);
-  if (r.GetU8() != kTagQuery) {
-    return Status::Corruption("not a query message");
-  }
-  Key lo = r.GetU32();
-  Key hi = r.GetU32();
-  if (r.failed()) return Status::Corruption("query message truncated");
-  return std::make_pair(lo, hi);
-}
-
 std::vector<uint8_t> SerializeVt(const VerificationToken& vt) {
   ByteWriter w;
   w.PutU8(kTagVt);
@@ -315,41 +295,6 @@ Result<VerificationToken> DeserializeVt(const std::vector<uint8_t>& bytes) {
     return Status::Corruption("VT message truncated");
   }
   return vt;
-}
-
-std::vector<uint8_t> SerializeResults(const std::vector<Record>& records,
-                                      uint64_t epoch,
-                                      const RecordCodec& codec) {
-  ByteWriter w;
-  w.Reserve(21 + records.size() * codec.record_size());
-  w.PutU8(kTagResults);
-  w.PutU64(epoch);
-  w.PutU32(uint32_t(codec.record_size()));
-  PutRecords(&w, records, codec);
-  return w.Release();
-}
-
-Result<std::pair<std::vector<Record>, uint64_t>> DeserializeResults(
-    const std::vector<uint8_t>& bytes, const RecordCodec& codec) {
-  ByteReader r(bytes);
-  if (r.GetU8() != kTagResults) {
-    return Status::Corruption("not a results message");
-  }
-  uint64_t epoch = r.GetU64();
-  if (r.GetU32() != codec.record_size()) {
-    return Status::Corruption("record size mismatch");
-  }
-  uint64_t count = r.GetU64();
-  // Overflow-safe cardinality check: count * record_size could wrap.
-  if (r.failed() || r.remaining() % codec.record_size() != 0 ||
-      count != r.remaining() / codec.record_size()) {
-    return Status::Corruption("results message truncated");
-  }
-  std::vector<Record> records;
-  if (!GetRecords(&r, count, codec, &records)) {
-    return Status::Corruption("results message truncated");
-  }
-  return std::make_pair(std::move(records), epoch);
 }
 
 std::vector<uint8_t> SerializeEpochNotice(uint64_t epoch) {

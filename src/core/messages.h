@@ -1,8 +1,9 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Wire formats for the messages exchanged between DO, SP, TE and clients.
-// Everything that crosses an entity boundary is serialized so the metered
-// channel sizes (sim::Channel) reflect genuine transmission overhead.
+// The networked parties (src/net) send exactly these bytes; in process, a
+// query's served answer, token and VO are these bytes too, and their sizes
+// are the traffic the figures report.
 
 #ifndef SAE_CORE_MESSAGES_H_
 #define SAE_CORE_MESSAGES_H_
@@ -30,19 +31,13 @@ using storage::RecordCodec;
 std::vector<uint8_t> SerializeRecords(const std::vector<Record>& records,
                                       const RecordCodec& codec);
 /// SerializeRecords(records, codec).size() for `n` records, without
-/// building the message: what a metered channel counts for a shipment the
-/// parties receive as loaded records.
+/// building the message.
 size_t RecordsMessageSize(size_t n, const RecordCodec& codec);
 Result<std::vector<Record>> DeserializeRecords(
     const std::vector<uint8_t>& bytes, const RecordCodec& codec);
 
-/// Range query (client -> SP and client -> TE).
-std::vector<uint8_t> SerializeQuery(Key lo, Key hi);
-Result<std::pair<Key, Key>> DeserializeQuery(
-    const std::vector<uint8_t>& bytes);
-
 /// Verified query plan (client -> SP and client -> TE): operator + range +
-/// top-k limit — the operator-aware successor of SerializeQuery.
+/// top-k limit.
 /// tag(1) + op(1) + lo(4 LE) + hi(4 LE) + limit(4 LE) = 14 bytes.
 std::vector<uint8_t> SerializeQueryRequest(const dbms::QueryRequest& request);
 Result<dbms::QueryRequest> DeserializeQueryRequest(
@@ -55,11 +50,13 @@ struct QueryAnswerMessage {
   uint64_t epoch = 0;             ///< the epoch the SP claims to answer from
 };
 
-/// Operator answer shipment (SP -> client), the operator-aware successor of
-/// SerializeResults: the claimed epoch, the derived answer fields, the
-/// answer rows (top-k only — scan/point rows ARE the witness and ship/live
-/// exactly once, as the witness), and the witness records the range proof
-/// authenticates.
+/// Operator answer shipment (SP -> client): the claimed epoch ("my answer
+/// is as of epoch e"), the derived answer fields, the answer rows (top-k
+/// only — scan/point rows ARE the witness and ship/live exactly once, as
+/// the witness), and the witness records the range proof authenticates. An
+/// SP serving from a stale snapshot honestly stamps the snapshot's epoch
+/// and is caught by the freshness check; lying about the stamp degrades it
+/// to an ordinary soundness failure against the fresh VT/VO.
 std::vector<uint8_t> SerializeQueryAnswer(const dbms::QueryAnswer& answer,
                                           const std::vector<Record>& witness,
                                           uint64_t epoch,
@@ -135,17 +132,6 @@ bool SameAnswerUpToEpoch(const std::vector<uint8_t>& a,
 /// tag(1) + epoch(8 LE) + digest(20) = 29 bytes, still constant size.
 std::vector<uint8_t> SerializeVt(const VerificationToken& vt);
 Result<VerificationToken> DeserializeVt(const std::vector<uint8_t>& bytes);
-
-/// Result shipment (SP -> client): the SP's claimed epoch ("my answer is as
-/// of epoch e") followed by the result records. An SP serving from a stale
-/// snapshot honestly stamps the snapshot's epoch and is caught by the
-/// freshness check; lying about the stamp degrades it to an ordinary
-/// soundness failure against the fresh VT/VO.
-std::vector<uint8_t> SerializeResults(const std::vector<Record>& records,
-                                      uint64_t epoch,
-                                      const RecordCodec& codec);
-Result<std::pair<std::vector<Record>, uint64_t>> DeserializeResults(
-    const std::vector<uint8_t>& bytes, const RecordCodec& codec);
 
 /// Epoch publication (DO -> SP, DO -> TE in SAE): announces that the update
 /// just shipped advances the database to `epoch`.

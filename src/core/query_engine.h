@@ -9,8 +9,8 @@
 // aggregated costs and throughput.
 //
 // Per-query cost attribution under concurrency uses the buffer pools'
-// per-thread counters (BufferPool::ThreadStats) and per-query channel
-// sessions (sim::Channel::Session): each query runs entirely on one worker
+// per-thread counters (BufferPool::ThreadStats) and the sizes of the
+// messages each query was served: each query runs entirely on one worker
 // thread, so its deltas are exact and the aggregated batch costs equal the
 // sum of the per-query costs.
 

@@ -210,8 +210,6 @@ UpdateStats ShardedSystem<Base>::update_stats() const {
     total.inserts += stats.inserts;
     total.deletes += stats.deletes;
     total.failed += stats.failed;
-    total.shipment_bytes += stats.shipment_bytes;
-    total.auth_bytes += stats.auth_bytes;
     total.latency_ms += stats.latency_ms;
   }
   return total;

@@ -56,21 +56,13 @@ Status SaeSystem::Load(const std::vector<Record>& records) {
 }
 
 Status SaeSystem::LoadLocked(const std::vector<Record>& records) {
-  return owner_.Outsource(records, &sp_, &te_, &do_sp_, &do_te_);
+  return owner_.Outsource(records, &sp_, &te_);
 }
 
-Status SaeSystem::Apply(const WalUpdate& update, Traffic* traffic) {
-  // Channels carry shipment + epoch notice; the applying update holds the
-  // unique lock, so the delta is exactly this update's traffic.
-  uint64_t bytes0 = do_sp_.total_bytes() + do_te_.total_bytes();
-  Status st =
-      update.op == WalUpdate::kInsert
-          ? owner_.InsertRecord(update.record, &sp_, &te_, &do_sp_, &do_te_)
-          : owner_.DeleteRecord(update.id, &sp_, &te_, &do_sp_, &do_te_);
-  size_t sent = do_sp_.total_bytes() + do_te_.total_bytes() - bytes0;
-  traffic->auth_bytes = st.ok() ? 2 * SerializeEpochNotice(0).size() : 0;
-  traffic->shipment_bytes = sent - traffic->auth_bytes;
-  return st;
+Status SaeSystem::Apply(const WalUpdate& update) {
+  return update.op == WalUpdate::kInsert
+             ? owner_.InsertRecord(update.record, &sp_, &te_)
+             : owner_.DeleteRecord(update.id, &sp_, &te_);
 }
 
 Status SaeSystem::Capture(bool with_records, SnapshotState* state) {
@@ -95,8 +87,8 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
 
   QueryOutcome outcome;
   outcome.request = request;
-  // Per-thread pool counters and per-query channel sessions keep the cost
-  // attribution exact when many queries run concurrently.
+  // Per-thread pool counters keep the access attribution exact when many
+  // queries run concurrently.
   storage::BufferPool::Stats sp_index0 = sp_.index_pool_thread_stats();
   storage::BufferPool::Stats sp_heap0 = sp_.heap_pool_thread_stats();
   storage::BufferPool::Stats te0 = te_.pool_thread_stats();
@@ -109,12 +101,10 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
     SAE_ASSIGN_OR_RETURN(served,
                          tap->OnAnswer(request, published, std::move(served)));
   }
-  // The honest SP hands its served buffer to the channel and the client as
-  // it is: one encode per answer, none at all on a cache hit.
-  const std::vector<uint8_t>& result_msg = served->answer_msg;
-  sim::Channel::Session sp_session = sp_client_.OpenSession();
-  sp_session.Send(result_msg);
-  outcome.costs.result_bytes = sp_session.bytes();
+  // The honest SP hands its served buffer to the client as it is: one
+  // encode per answer, none at all on a cache hit. Its size is the
+  // result traffic.
+  outcome.costs.result_bytes = served->answer_msg.size();
   outcome.costs.sp_index_accesses =
       (sp_.index_pool_thread_stats() - sp_index0).accesses;
   outcome.costs.sp_heap_accesses =
@@ -128,9 +118,7 @@ Result<SaeSystem::QueryOutcome> SaeSystem::ExecuteQuery(
     SAE_ASSIGN_OR_RETURN(vt_msg,
                          tap->OnToken(request, published, std::move(vt_msg)));
   }
-  sim::Channel::Session te_session = te_client_.OpenSession();
-  te_session.Send(vt_msg);
-  outcome.costs.auth_bytes = te_session.bytes();
+  outcome.costs.auth_bytes = vt_msg.size();
   outcome.costs.te_accesses = (te_.pool_thread_stats() - te0).accesses;
   lock.unlock();
 
@@ -172,38 +160,21 @@ Status TomSystem::Load(const std::vector<Record>& records) {
   std::vector<Record> copy;
   const std::vector<Record>& sorted = storage::SortedByKeyId(records, &copy);
   SAE_RETURN_NOT_OK(owner_.LoadDataset(sorted));
-  do_sp_.SendBytes(RecordsMessageSize(sorted.size(), codec_));
-  do_sp_.Send(SerializeSignature(owner_.signature(), owner_.epoch()));
   SAE_RETURN_NOT_OK(
       sp_.LoadDataset(sorted, owner_.signature(), owner_.epoch()));
   // A bulk load keeps `sorted` in leaf order: it is the baseline's dataset.
   return FinishLoad(sorted);
 }
 
-Status TomSystem::Apply(const WalUpdate& update, Traffic* traffic) {
-  const bool insert = update.op == WalUpdate::kInsert;
-  uint64_t bytes0 = do_sp_.total_bytes();
-  Status st = insert ? owner_.InsertRecord(update.record)
-                     : owner_.DeleteRecord(update.id);
-  if (st.ok()) {
-    // The record (or deletion notice) ships with the freshly re-signed
-    // epoch-stamped root.
-    std::vector<uint8_t> shipment = insert
-                                        ? SerializeRecords({update.record}, codec_)
-                                        : SerializeDelete(update.id, 0);
-    std::vector<uint8_t> sig_msg =
-        SerializeSignature(owner_.signature(), owner_.epoch());
-    traffic->auth_bytes = sig_msg.size();
-    do_sp_.Send(shipment);
-    do_sp_.Send(sig_msg);
-    st = insert ? sp_.ApplyInsert(update.record, owner_.signature(),
-                                  owner_.epoch())
-                : sp_.ApplyDelete(update.id, owner_.signature(),
-                                  owner_.epoch());
+Status TomSystem::Apply(const WalUpdate& update) {
+  // The record (or deletion) ships with the freshly re-signed
+  // epoch-stamped root.
+  if (update.op == WalUpdate::kInsert) {
+    SAE_RETURN_NOT_OK(owner_.InsertRecord(update.record));
+    return sp_.ApplyInsert(update.record, owner_.signature(), owner_.epoch());
   }
-  traffic->shipment_bytes =
-      do_sp_.total_bytes() - bytes0 - traffic->auth_bytes;
-  return st;
+  SAE_RETURN_NOT_OK(owner_.DeleteRecord(update.id));
+  return sp_.ApplyDelete(update.id, owner_.signature(), owner_.epoch());
 }
 
 Status TomSystem::Capture(bool with_records, SnapshotState* state) {
@@ -248,15 +219,11 @@ Result<TomSystem::QueryOutcome> TomSystem::ExecuteQuery(
     SAE_ASSIGN_OR_RETURN(served,
                          tap->OnAnswer(request, published, std::move(served)));
   }
-  // The honest SP hands its served buffers to the channel and the client
-  // as they are: one encode per answer, none at all on a cache hit.
-  const std::vector<uint8_t>& result_msg = served->answer_msg;
-  const std::vector<uint8_t>& vo_msg = served->proof_msg;
-  sim::Channel::Session session = sp_client_.OpenSession();
-  session.Send(result_msg);
-  outcome.costs.result_bytes = session.bytes();
-  session.Send(vo_msg);
-  outcome.costs.auth_bytes = session.bytes() - outcome.costs.result_bytes;
+  // The honest SP hands its served buffers to the client as they are: one
+  // encode per answer, none at all on a cache hit. Their sizes are the
+  // query's traffic.
+  outcome.costs.result_bytes = served->answer_msg.size();
+  outcome.costs.auth_bytes = served->proof_msg.size();
   outcome.costs.sp_index_accesses =
       (sp_.index_pool_thread_stats() - sp_index0).accesses;
   outcome.costs.sp_heap_accesses =

@@ -1,12 +1,13 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// End-to-end harnesses wiring the entities of each outsourcing model with
-// byte-metered channels. These are the top-level public API used by the
-// examples and the figure benches: load a dataset, run authenticated
-// queries over the verified plan layer (range/point scans and
-// COUNT/SUM/MIN/MAX/top-k aggregates, dbms::QueryRequest) AND
-// epoch-versioned updates — concurrently, from any number of threads —
-// and read back per-party costs.
+// End-to-end harnesses wiring the entities of each outsourcing model in one
+// process. These are the top-level public API used by the examples and the
+// figure benches: load a dataset, run authenticated queries over the
+// verified plan layer (range/point scans and COUNT/SUM/MIN/MAX/top-k
+// aggregates, dbms::QueryRequest) AND epoch-versioned updates —
+// concurrently, from any number of threads — and read back per-party
+// costs. A query's traffic is the size of the messages it was served: the
+// SP's answer buffer and the TE's token (SAE) or the SP's VO (TOM).
 //
 // Both systems derive from one UpdatePipeline (core/update_pipeline.h),
 // which runs updates, checkpoints and crash recovery and carries the
@@ -42,7 +43,6 @@
 #include "core/tom.h"
 #include "core/trusted_entity.h"
 #include "core/update_pipeline.h"
-#include "sim/channel.h"
 #include "util/status.h"
 
 namespace sae::core {
@@ -52,8 +52,8 @@ struct QueryCosts {
   uint64_t sp_index_accesses = 0;  ///< index node accesses at the SP
   uint64_t sp_heap_accesses = 0;   ///< dataset-page accesses at the SP
   uint64_t te_accesses = 0;        ///< node accesses at the TE (SAE only)
-  size_t auth_bytes = 0;     ///< authentication traffic (VT or VO message)
-  size_t result_bytes = 0;   ///< result traffic (excluded from Fig. 5)
+  size_t auth_bytes = 0;     ///< VT or VO message size (Fig. 5)
+  size_t result_bytes = 0;   ///< answer message size (excluded from Fig. 5)
   double client_verify_ms = 0.0;  ///< wall-clock client decode + verification
 };
 
@@ -69,8 +69,8 @@ inline QueryCosts& operator+=(QueryCosts& a, const QueryCosts& b) {
 }
 
 /// An optional per-call seam on ExecuteQuery: it sees the request and the
-/// published epoch and may replace the bytes the client receives before
-/// they cross the metered channel. Production passes none; the test-side
+/// published epoch and may replace the bytes the client receives (and the
+/// query's costs count). Production passes none; the test-side
 /// adversaries (src/adversary) are built on it. It runs under the system's
 /// reader lock, so it must not call back into the system.
 class QueryTap {
@@ -170,11 +170,11 @@ class SaeSystem : public UpdatePipeline {
   /// The thread-safe single-query operation QueryEngine workers invoke:
   /// runs SP execution and TE token generation under a shared (reader)
   /// lock, then client verification unlocked, all on the calling thread,
-  /// attributing costs via per-thread pool counters and per-query channel
-  /// sessions. Any number of threads may call this concurrently, and
-  /// Insert/Delete may interleave with it — writers simply serialize
-  /// against in-flight queries through the lock. `tap` (see QueryTap) is
-  /// null in production.
+  /// attributing node accesses via per-thread pool counters and traffic by
+  /// the served message sizes. Any number of threads may call this
+  /// concurrently, and Insert/Delete may interleave with it — writers
+  /// simply serialize against in-flight queries through the lock. `tap`
+  /// (see QueryTap) is null in production.
   Result<QueryOutcome> ExecuteQuery(const dbms::QueryRequest& request,
                                     QueryTap* tap = nullptr);
   /// Range-scan compatibility wrapper.
@@ -193,10 +193,6 @@ class SaeSystem : public UpdatePipeline {
   DataOwner& owner() { return owner_; }
   ServiceProvider& sp() { return sp_; }
   TrustedEntity& te() { return te_; }
-  sim::Channel& do_sp_channel() { return do_sp_; }
-  sim::Channel& do_te_channel() { return do_te_; }
-  sim::Channel& sp_client_channel() { return sp_client_; }
-  sim::Channel& te_client_channel() { return te_client_; }
   const RecordCodec& codec() const { return owner_.codec(); }
 
  private:
@@ -209,7 +205,7 @@ class SaeSystem : public UpdatePipeline {
   bool OwnerHasRecord(RecordId id) const override {
     return owner_.HasRecord(id);
   }
-  Status Apply(const WalUpdate& update, Traffic* traffic) override;
+  Status Apply(const WalUpdate& update) override;
   Status Capture(bool with_records, SnapshotState* state) override;
   Status Restore(const SnapshotState& state, uint64_t epoch) override;
 
@@ -219,10 +215,6 @@ class SaeSystem : public UpdatePipeline {
   TrustedEntity te_;
   // mutable: const-shaped query paths feed it; the memo locks internally.
   mutable SaeClientMemo client_memo_;
-  sim::Channel do_sp_{"DO->SP"};
-  sim::Channel do_te_{"DO->TE"};
-  sim::Channel sp_client_{"SP->Client"};
-  sim::Channel te_client_{"TE->Client"};
 };
 
 struct TomSystemOptions {
@@ -318,8 +310,6 @@ class TomSystem : public UpdatePipeline {
   const Options& options() const { return options_; }
   TomDataOwner& owner() { return owner_; }
   TomServiceProvider& sp() { return sp_; }
-  sim::Channel& do_sp_channel() { return do_sp_; }
-  sim::Channel& sp_client_channel() { return sp_client_; }
   const RecordCodec& codec() const { return codec_; }
 
  private:
@@ -329,7 +319,7 @@ class TomSystem : public UpdatePipeline {
   bool OwnerHasRecord(RecordId id) const override {
     return owner_.HasRecord(id);
   }
-  Status Apply(const WalUpdate& update, Traffic* traffic) override;
+  Status Apply(const WalUpdate& update) override;
   Status Capture(bool with_records, SnapshotState* state) override;
   Status Restore(const SnapshotState& state, uint64_t epoch) override;
 
@@ -339,8 +329,6 @@ class TomSystem : public UpdatePipeline {
   TomServiceProvider sp_;
   // mutable: const-shaped query paths feed it; the memo locks internally.
   mutable TomClientMemo client_memo_;
-  sim::Channel do_sp_{"DO->SP"};
-  sim::Channel sp_client_{"SP->Client"};
 };
 
 }  // namespace sae::core

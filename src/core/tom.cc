@@ -51,15 +51,22 @@ Status TomDataOwner::RestoreEpoch(uint64_t epoch) {
 
 Status TomDataOwner::Build(const std::vector<Record>& records,
                            const btree::TreeShape& shape) {
+  // The id map is built beside the postings and installed only once the
+  // tree is loaded: a refused dataset leaves the owner as it was.
   std::vector<btree::BTreeEntry> postings;
   postings.reserve(records.size());
+  std::map<RecordId, Key> key_of_id;
   for (const Record& record : records) {
+    if (!key_of_id.emplace(record.id, record.key).second) {
+      return Status::InvalidArgument("duplicate record id");
+    }
     postings.push_back(btree::BTreeEntry{record.key, storage::Rid(record.id)});
-    key_of_id_[record.id] = record.key;
   }
-  return mb_->BulkLoad(
+  SAE_RETURN_NOT_OK(mb_->BulkLoad(
       postings, storage::DigestRecords(records, codec_, options_.scheme),
-      shape);
+      shape));
+  key_of_id_ = std::move(key_of_id);
+  return Status::OK();
 }
 
 Status TomDataOwner::LoadDataset(const std::vector<Record>& sorted) {

@@ -48,7 +48,8 @@ class TomDataOwner {
   explicit TomDataOwner(const Options& options = {});
 
   /// Builds the local ADS over the (key-sorted) dataset and signs its root
-  /// at epoch 1.
+  /// at epoch 1. A repeated record id is refused (InvalidArgument) before
+  /// anything changes.
   Status LoadDataset(const std::vector<Record>& sorted);
 
   /// Recovery: rebuilds the ADS from a checkpoint — `records` in index
@@ -83,7 +84,8 @@ class TomDataOwner {
   const mbtree::MbTree& ads() const { return *mb_; }
 
  private:
-  /// Loads the ADS over `records` laid out as `shape`.
+  /// Loads the ADS over `records` laid out as `shape`; refuses a repeated
+  /// id without touching the owner.
   Status Build(const std::vector<Record>& records,
                const btree::TreeShape& shape);
   Status Resign();

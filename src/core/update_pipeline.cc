@@ -66,8 +66,7 @@ Status UpdatePipeline::RecoverLocked() {
     if (update.op == WalUpdate::kInsert && !Fits(update.record)) {
       return Status::Corruption("wal record exceeds the record size");
     }
-    Traffic traffic;
-    Status applied = Apply(update, &traffic);
+    Status applied = Apply(update);
     if (!applied.ok()) {
       return Status::Corruption("wal replay failed: " + applied.message());
     }
@@ -181,10 +180,7 @@ Result<uint64_t> UpdatePipeline::Run(WalUpdate update) {
                               : synced);
     }
   }
-  Traffic traffic;
-  Status st = Apply(update, &traffic);
-  stats_.shipment_bytes += traffic.shipment_bytes;
-  stats_.auth_bytes += traffic.auth_bytes;
+  Status st = Apply(update);
   stats_.latency_ms += watch.ElapsedMs();
   if (!st.ok()) {
     // Our record is durable, or may be (group fsync), and so may be the

@@ -43,15 +43,11 @@
 namespace sae::core {
 
 /// Aggregate cost of the update pipeline (DO -> parties), accumulated per
-/// system across all Insert/Delete calls. `shipment_bytes` is the record /
-/// deletion-notice traffic; `auth_bytes` is the epoch-notice (SAE) or
-/// root-signature (TOM) traffic riding along with it.
+/// system across all Insert/Delete calls.
 struct UpdateStats {
   uint64_t inserts = 0;
   uint64_t deletes = 0;
   uint64_t failed = 0;          ///< rejected updates (duplicate id, ...)
-  size_t shipment_bytes = 0;
-  size_t auth_bytes = 0;
   double latency_ms = 0.0;      ///< summed wall time in the writer section
 };
 
@@ -149,18 +145,12 @@ class UpdatePipeline {
   // authentication structure. Calls run under the writer lock (Capture
   // for CaptureState under the reader lock).
 
-  /// DO -> parties traffic of one apply, split as UpdateStats reports it.
-  struct Traffic {
-    size_t shipment_bytes = 0;
-    size_t auth_bytes = 0;
-  };
-
   /// The owner's master copy: current epoch and record presence.
   virtual uint64_t OwnerEpoch() const = 0;
   virtual bool OwnerHasRecord(RecordId id) const = 0;
   /// Applies one kInsert/kDelete to the owner and every party, bumping the
   /// epoch. Live updates and WAL replay both come through here.
-  virtual Status Apply(const WalUpdate& update, Traffic* traffic) = 0;
+  virtual Status Apply(const WalUpdate& update) = 0;
   /// Fills the checkpoint payload of the current epoch into `state` (whose
   /// header the pipeline set): the root signature and tree shape always
   /// (TOM; SAE has none), the whole dataset in index order only

@@ -35,7 +35,7 @@ inline uint64_t DecodeU64(const uint8_t* src) {
 }
 
 /// Append-only byte sink used to serialize protocol messages; the resulting
-/// buffer size is what the simulation meters as network bytes.
+/// buffer size is the message's network bytes.
 class ByteWriter {
  public:
   void PutU8(uint8_t v) { buf_.push_back(v); }

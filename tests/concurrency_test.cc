@@ -1,8 +1,8 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
 // Concurrency suite for the thread-safe read path: the BufferPool under
-// parallel readers, Channel sessions under parallel senders, and the
-// QueryEngine fanning batches across one loaded SaeSystem / TomSystem.
+// parallel readers and the QueryEngine fanning batches across one loaded
+// SaeSystem / TomSystem.
 // The engine runs must produce exactly the serial results and VTs, every
 // per-query cost must compose into the batch aggregate, and the whole
 // suite must be clean under ThreadSanitizer (the CI tsan job runs it).
@@ -22,7 +22,6 @@
 #include "core/client_memo.h"
 #include "core/query_engine.h"
 #include "core/system.h"
-#include "sim/channel.h"
 #include "storage/buffer_pool.h"
 #include "storage/node_cache.h"
 #include "storage/page_store.h"
@@ -206,31 +205,6 @@ TEST(BufferPoolConcurrencyTest, SingleWriterOnDisjointPagesAlongsideReaders) {
   EXPECT_EQ(thread_sum.misses, delta.misses);
   EXPECT_EQ(thread_sum.evictions, delta.evictions);
   EXPECT_EQ(thread_sum.allocations, delta.allocations);
-}
-
-// --- sim: Channel sessions under concurrent senders --------------------------
-
-TEST(ChannelConcurrencyTest, SessionsMeterPrivatelyAndGloballyAtomically) {
-  sim::Channel channel("shared");
-  constexpr size_t kSendsPerThread = 1000;
-
-  std::vector<std::thread> threads;
-  std::atomic<uint64_t> session_byte_sum{0};
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      sim::Channel::Session session = channel.OpenSession();
-      for (size_t i = 0; i < kSendsPerThread; ++i) {
-        session.SendBytes(t + 1);
-      }
-      EXPECT_EQ(session.messages(), kSendsPerThread);
-      EXPECT_EQ(session.bytes(), kSendsPerThread * (t + 1));
-      session_byte_sum.fetch_add(session.bytes());
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  EXPECT_EQ(channel.messages(), kThreads * kSendsPerThread);
-  EXPECT_EQ(channel.total_bytes(), session_byte_sum.load());
 }
 
 // --- core: SAE batches through the QueryEngine -------------------------------

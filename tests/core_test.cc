@@ -72,37 +72,6 @@ TEST(MessagesTest, RecordsMessageSizeMatchesTheSerializedMessage) {
   }
 }
 
-// Load meters the dataset shipment by its size alone. The totals are the
-// ones the serialized shipment gave: dataset plus epoch notice (SAE, on
-// both owner channels) or plus the signed root (TOM).
-TEST(MessagesTest, LoadMetersTheDatasetShipmentByteForByte) {
-  std::vector<Record> dataset = SmallDataset(1000);
-  SaeSystem::Options sae_options;
-  sae_options.record_size = kRecSize;
-  SaeSystem sae(sae_options);
-  ASSERT_TRUE(sae.Load(dataset).ok());
-  EXPECT_EQ(sae.do_sp_channel().total_bytes(), 64022u);
-  EXPECT_EQ(sae.do_te_channel().total_bytes(), 64022u);
-  EXPECT_EQ(sae.do_sp_channel().messages(), 2u);
-  EXPECT_EQ(sae.do_te_channel().messages(), 2u);
-
-  TomSystem::Options tom_options;
-  tom_options.record_size = kRecSize;
-  tom_options.rsa_modulus_bits = 512;
-  TomSystem tom(tom_options);
-  ASSERT_TRUE(tom.Load(dataset).ok());
-  EXPECT_EQ(tom.do_sp_channel().total_bytes(), 64088u);
-  EXPECT_EQ(tom.do_sp_channel().messages(), 2u);
-}
-
-TEST(MessagesTest, QueryRoundTrip) {
-  auto bytes = SerializeQuery(123, 456);
-  auto q = DeserializeQuery(bytes);
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q.value().first, 123u);
-  EXPECT_EQ(q.value().second, 456u);
-}
-
 TEST(MessagesTest, VtRoundTripAndSize) {
   VerificationToken vt;
   vt.epoch = 42;
@@ -113,18 +82,6 @@ TEST(MessagesTest, VtRoundTripAndSize) {
   auto back = DeserializeVt(bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), vt);
-}
-
-TEST(MessagesTest, ResultsRoundTripCarriesEpoch) {
-  RecordCodec codec(kRecSize);
-  std::vector<Record> records = SmallDataset(7);
-  auto bytes = SerializeResults(records, 99, codec);
-  auto back = DeserializeResults(bytes, codec);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().first, records);
-  EXPECT_EQ(back.value().second, 99u);
-  // Epoch stamp costs exactly 8 bytes over the plain records message.
-  EXPECT_EQ(bytes.size(), SerializeRecords(records, codec).size() + 8);
 }
 
 TEST(MessagesTest, EpochNoticeRoundTrip) {
@@ -153,12 +110,10 @@ TEST(MessagesTest, SignatureRoundTrip) {
 
 TEST(MessagesTest, MistaggedMessagesRejected) {
   auto vt_bytes = SerializeVt(VerificationToken{});
-  EXPECT_FALSE(DeserializeQuery(vt_bytes).ok());
   EXPECT_FALSE(DeserializeSignature(vt_bytes).ok());
   EXPECT_FALSE(DeserializeEpochNotice(vt_bytes).ok());
   RecordCodec codec(kRecSize);
   EXPECT_FALSE(DeserializeRecords(vt_bytes, codec).ok());
-  EXPECT_FALSE(DeserializeResults(vt_bytes, codec).ok());
 }
 
 // --- SAE client ----------------------------------------------------------------
@@ -232,20 +187,16 @@ class SaeEntitiesTest : public ::testing::Test {
 
   void Outsource(size_t n) {
     ASSERT_TRUE(
-        owner_.Outsource(SmallDataset(n), &sp_, &te_, &do_sp_, &do_te_).ok());
+        owner_.Outsource(SmallDataset(n), &sp_, &te_).ok());
   }
 
   ServiceProvider sp_;
   TrustedEntity te_;
   DataOwner owner_;
-  sim::Channel do_sp_{"DO->SP"};
-  sim::Channel do_te_{"DO->TE"};
 };
 
 TEST_F(SaeEntitiesTest, OutsourceShipsDatasetToBothParties) {
   Outsource(100);
-  EXPECT_EQ(do_sp_.total_bytes(), do_te_.total_bytes());
-  EXPECT_GT(do_sp_.total_bytes(), 100 * kRecSize);
   EXPECT_EQ(sp_.table().size(), 100u);
   EXPECT_EQ(te_.xb_tree().size(), 100u);
 }
@@ -267,9 +218,8 @@ TEST_F(SaeEntitiesTest, UpdatesPropagate) {
   Outsource(50);
   RecordCodec codec(kRecSize);
   Record fresh = codec.MakeRecord(1000, 105);
-  ASSERT_TRUE(
-      owner_.InsertRecord(fresh, &sp_, &te_, &do_sp_, &do_te_).ok());
-  ASSERT_TRUE(owner_.DeleteRecord(3, &sp_, &te_, &do_sp_, &do_te_).ok());
+  ASSERT_TRUE(owner_.InsertRecord(fresh, &sp_, &te_).ok());
+  ASSERT_TRUE(owner_.DeleteRecord(3, &sp_, &te_).ok());
 
   auto results = sp_.ExecuteRange(0, 10000);
   ASSERT_TRUE(results.ok());
@@ -290,10 +240,8 @@ TEST_F(SaeEntitiesTest, EpochPublishedToBothParties) {
   EXPECT_EQ(te_.epoch(), 1u);
 
   RecordCodec codec(kRecSize);
-  ASSERT_TRUE(owner_
-                  .InsertRecord(codec.MakeRecord(1000, 105), &sp_, &te_,
-                                &do_sp_, &do_te_)
-                  .ok());
+  ASSERT_TRUE(
+      owner_.InsertRecord(codec.MakeRecord(1000, 105), &sp_, &te_).ok());
   EXPECT_EQ(owner_.epoch(), 2u);
   EXPECT_EQ(sp_.epoch(), 2u);
   EXPECT_EQ(te_.epoch(), 2u);
@@ -301,7 +249,7 @@ TEST_F(SaeEntitiesTest, EpochPublishedToBothParties) {
   EXPECT_EQ(te_.GenerateVt(0, 1000).value().epoch, 2u);
 
   // A failed update must not advance the epoch.
-  EXPECT_EQ(owner_.DeleteRecord(9999, &sp_, &te_, &do_sp_, &do_te_).code(),
+  EXPECT_EQ(owner_.DeleteRecord(9999, &sp_, &te_).code(),
             StatusCode::kNotFound);
   EXPECT_EQ(owner_.epoch(), 2u);
 
@@ -529,20 +477,19 @@ TEST_F(SaeEntitiesTest, OutsourceRejectsADuplicateIdBeforeAnyChange) {
   std::vector<Record> dup = SmallDataset(5);
   dup.push_back(dup[2]);
   DataOwner fresh(kRecSize);
-  EXPECT_EQ(fresh.Outsource(dup, &sp_, &te_, &do_sp_, &do_te_).code(),
+  EXPECT_EQ(fresh.Outsource(dup, &sp_, &te_).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(fresh.epoch(), 0u);
   EXPECT_FALSE(fresh.HasRecord(1));
 
   // A loaded owner keeps its master copy and epoch, and the parties
   // receive nothing.
-  const uint64_t shipped = do_sp_.total_bytes() + do_te_.total_bytes();
-  EXPECT_EQ(owner_.Outsource(dup, &sp_, &te_, &do_sp_, &do_te_).code(),
+  EXPECT_EQ(owner_.Outsource(dup, &sp_, &te_).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(owner_.epoch(), 1u);
   EXPECT_EQ(owner_.SortedDataset(), SmallDataset(20));
-  EXPECT_EQ(do_sp_.total_bytes() + do_te_.total_bytes(), shipped);
   EXPECT_EQ(sp_.table().size(), 20u);
+  EXPECT_EQ(te_.xb_tree().size(), 20u);
 }
 
 TEST(SystemLoadTest, SaeLoadsAShuffledCopyToTheSameBytes) {
@@ -554,8 +501,6 @@ TEST(SystemLoadTest, SaeLoadsAShuffledCopyToTheSameBytes) {
   ASSERT_TRUE(from_shuffled.Load(Shuffled(sorted, 7)).ok());
   EXPECT_EQ(ServedBytes(from_shuffled.sp(), &from_shuffled.te()),
             ServedBytes(from_sorted.sp(), &from_sorted.te()));
-  EXPECT_EQ(from_shuffled.do_sp_channel().total_bytes(),
-            from_sorted.do_sp_channel().total_bytes());
   auto a = from_sorted.Query(dbms::QueryRequest::Sum(0, 300));
   auto b = from_shuffled.Query(dbms::QueryRequest::Sum(0, 300));
   ASSERT_TRUE(a.ok() && b.ok());
@@ -582,6 +527,38 @@ TEST(SystemLoadTest, TomLoadsAShuffledCopyToTheSameBytes) {
   EXPECT_TRUE(b.value().verification.ok());
   EXPECT_EQ(b.value().answer.sum, a.value().answer.sum);
   EXPECT_EQ(b.value().results, a.value().results);
+}
+
+// A Load refused for a repeated id leaves the system empty: a valid Load
+// afterwards succeeds and serves verified answers.
+template <typename System>
+void ExpectRefusedDuplicateLoadLeavesItLoadable(System* system) {
+  RecordCodec codec(kRecSize);
+  std::vector<Record> dup = SmallDataset(20);
+  dup.push_back(codec.MakeRecord(3, 77));
+  EXPECT_EQ(system->Load(dup).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(system->epoch(), 0u);
+  ASSERT_TRUE(system->Load(SmallDataset(20)).ok());
+  EXPECT_EQ(system->epoch(), 1u);
+  auto scan = system->Query(0, 1000);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_TRUE(scan.value().verification.ok());
+  EXPECT_EQ(scan.value().results.size(), 20u);
+}
+
+TEST(SystemLoadTest, SaeRefusedDuplicateLoadLeavesItLoadable) {
+  SaeSystem::Options options;
+  options.record_size = kRecSize;
+  SaeSystem system(options);
+  ExpectRefusedDuplicateLoadLeavesItLoadable(&system);
+}
+
+TEST(SystemLoadTest, TomRefusedDuplicateLoadLeavesItLoadable) {
+  TomSystem::Options options;
+  options.record_size = kRecSize;
+  options.rsa_modulus_bits = 512;
+  TomSystem system(options);
+  ExpectRefusedDuplicateLoadLeavesItLoadable(&system);
 }
 
 // --- verified-path caches -----------------------------------------------------

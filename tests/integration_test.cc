@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "adversary/adversary.h"
+#include "core/messages.h"
 #include "core/system.h"
 #include "workload/dataset.h"
 #include "workload/queries.h"
@@ -212,12 +213,35 @@ TEST_F(SystemsTest, EmptyRangeVerifiesInBothModels) {
   EXPECT_EQ(sae.results.size(), tom.results.size());
 }
 
-TEST_F(SystemsTest, ChannelMeteringTracksTraffic) {
+// A query's traffic is the size of the messages it was served: the SP's
+// answer buffer, plus the TE's token (SAE) or the SP's VO (TOM).
+TEST_F(SystemsTest, QueryCostsAreTheServedMessageSizes) {
   LoadBoth(1000);
-  uint64_t before = sae_->te_client_channel().total_bytes();
-  ASSERT_TRUE(sae_->Query(0, 1000).ok());
-  EXPECT_EQ(sae_->te_client_channel().total_bytes(), before + 29);
-  EXPECT_GT(sae_->do_sp_channel().total_bytes(), 1000 * kRecSize);
+  for (const dbms::QueryRequest& request :
+       {dbms::QueryRequest::Scan(0, 1000), dbms::QueryRequest::Sum(0, 50000),
+        dbms::QueryRequest::TopK(100, 90000, 5)}) {
+    auto sae = sae_->Query(request);
+    ASSERT_TRUE(sae.ok());
+    ASSERT_TRUE(sae.value().verification.ok());
+    auto sae_served = sae_->sp().ServeQuery(request);
+    ASSERT_TRUE(sae_served.ok());
+    EXPECT_EQ(sae.value().costs.result_bytes,
+              sae_served.value()->answer_msg.size());
+    EXPECT_EQ(sae.value().costs.auth_bytes,
+              SerializeVt(sae.value().vt).size());
+    EXPECT_EQ(sae.value().costs.auth_bytes, 29u);
+
+    auto tom = tom_->Query(request);
+    ASSERT_TRUE(tom.ok());
+    ASSERT_TRUE(tom.value().verification.ok());
+    auto tom_served = tom_->sp().ServeQuery(request);
+    ASSERT_TRUE(tom_served.ok());
+    EXPECT_EQ(tom.value().costs.result_bytes,
+              tom_served.value()->answer_msg.size());
+    EXPECT_EQ(tom.value().costs.auth_bytes,
+              tom_served.value()->proof_msg.size());
+    EXPECT_GT(tom.value().costs.auth_bytes, 0u);
+  }
 }
 
 }  // namespace

@@ -316,11 +316,9 @@ TEST(LoopbackGoldenTest, SocketBytesMatchInProcessSerializations) {
 
   std::vector<std::vector<uint8_t>> pinned = {
       core::SerializeRecords({r1, r2}, codec),
-      core::SerializeQuery(10, 99),
       core::SerializeQueryRequest(QueryRequest::TopK(10, 99, 3)),
       core::SerializeQueryAnswer(answer, {r1, r2}, 5, codec),
       core::SerializeVt(vt),
-      core::SerializeResults({r1}, 5, codec),
       core::SerializeEpochNotice(0x0807060504030201ull),
       core::SerializeDelete(7, 42),
       core::SerializeShardEpochs({1, 2, 3}),

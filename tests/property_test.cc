@@ -406,8 +406,6 @@ TEST(FuzzTest, CorruptedMessagesNeverCrash) {
   dbms::QueryRequest topk = dbms::QueryRequest::TopK(5, 500, 3);
   std::vector<std::vector<uint8_t>> messages = {
       core::SerializeRecords(records, codec),
-      core::SerializeResults(records, 5, codec),
-      core::SerializeQuery(5, 10),
       core::SerializeVt(vt),
       core::SerializeDelete(42, 7),
       core::SerializeSignature(crypto::RsaSignature(64, 0x5A), 9),
@@ -433,8 +431,6 @@ TEST(FuzzTest, CorruptedMessagesNeverCrash) {
       bytes[rng.NextBounded(bytes.size())] ^= uint8_t(rng.Next());
     }
     (void)core::DeserializeRecords(bytes, codec);
-    (void)core::DeserializeResults(bytes, codec);
-    (void)core::DeserializeQuery(bytes);
     (void)core::DeserializeVt(bytes);
     (void)core::DeserializeDelete(bytes);
     (void)core::DeserializeSignature(bytes);

@@ -1,12 +1,12 @@
 // Copyright (c) saedb authors. Licensed under the MIT license.
 //
-// Unit tests for the simulation utilities: cost model, stopwatch, channels.
+// Unit tests for the simulation utilities: cost model, stopwatch, network
+// model.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
-#include "sim/channel.h"
 #include "sim/cost_model.h"
 #include "sim/network.h"
 
@@ -33,36 +33,6 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   EXPECT_LT(elapsed, 500.0);  // generous upper bound for slow CI
   watch.Restart();
   EXPECT_LT(watch.ElapsedMs(), elapsed);
-}
-
-TEST(ChannelTest, AccumulatesBytesAndMessages) {
-  Channel ch("DO->SP");
-  EXPECT_EQ(ch.name(), "DO->SP");
-  EXPECT_EQ(ch.total_bytes(), 0u);
-  ch.Send(std::vector<uint8_t>(100));
-  ch.Send(std::vector<uint8_t>(23));
-  ch.SendBytes(7);
-  EXPECT_EQ(ch.total_bytes(), 130u);
-  EXPECT_EQ(ch.messages(), 3u);
-  ch.Reset();
-  EXPECT_EQ(ch.total_bytes(), 0u);
-  EXPECT_EQ(ch.messages(), 0u);
-}
-
-TEST(ChannelTest, SessionsMeterPrivatelyAndForwardToChannel) {
-  Channel ch("SP->Client");
-  Channel::Session a = ch.OpenSession();
-  Channel::Session b = ch.OpenSession();
-  a.Send(std::vector<uint8_t>(40));
-  b.SendBytes(2);
-  a.SendBytes(10);
-  EXPECT_EQ(a.bytes(), 50u);
-  EXPECT_EQ(a.messages(), 2u);
-  EXPECT_EQ(b.bytes(), 2u);
-  EXPECT_EQ(b.messages(), 1u);
-  // Sessions are views: the shared channel saw everything.
-  EXPECT_EQ(ch.total_bytes(), 52u);
-  EXPECT_EQ(ch.messages(), 3u);
 }
 
 TEST(NetworkTest, ZeroLatencyLinkIsPureBandwidth) {

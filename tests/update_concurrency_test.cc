@@ -324,8 +324,6 @@ TEST(UpdateConcurrencyTest, MixedEngineBatchesReconcile) {
   core::UpdateStats after = system.update_stats();
   EXPECT_EQ(after.inserts - before.inserts, n_updates);
   EXPECT_EQ(after.failed, before.failed);
-  EXPECT_GT(after.shipment_bytes, before.shipment_bytes);
-  EXPECT_GT(after.auth_bytes, before.auth_bytes);
   EXPECT_EQ(system.epoch(), 1 + n_updates);
 }
 
